@@ -26,11 +26,17 @@ the default) versus freshly allocated every step
 backward reclaim, so in steady state the forward pass recycles one step's
 activations instead of re-allocating them.
 
+A third section is an **absolute** gate on the pool itself: after the
+warmed fused loop, the bytes the scratch arena holds (free slabs plus the
+ones checked out) may not exceed {RETENTION_FACTOR}x the most it ever had
+checked out at once — a pool that parks idle buffers per shape fails it.
+
 The benchmark **asserts** its regression guards (exit code 1 on violation,
 so CI fails loudly): the optimized path must allocate at least
 {TARGET_REDUCTION:.0%} less transient memory per fused device-step than
-the legacy path, and pooled forwards must cut the serial step's transient
-bytes by at least {FORWARD_TARGET_REDUCTION:.0%}.
+the legacy path, pooled forwards must cut the serial step's transient
+bytes by at least {FORWARD_TARGET_REDUCTION:.0%}, and the arena must stay
+within its retention bound on every workload.
 
 Not a pytest file on purpose (no ``test_`` prefix): run it directly with
 
@@ -43,6 +49,7 @@ import argparse
 import gc
 import json
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -59,6 +66,7 @@ from repro.models.simple import FullyConnected, LeNet, SimpleCNN  # noqa: E402
 from repro.nn import (  # noqa: E402
     SGD,
     Tensor,
+    scratch_pool,
     set_allocation_free,
     set_forward_pooling,
     set_pooling,
@@ -72,6 +80,7 @@ from repro.nn.losses import cross_entropy  # noqa: E402
 
 TARGET_REDUCTION = 0.5
 FORWARD_TARGET_REDUCTION = 0.3
+RETENTION_FACTOR = 1.25
 COHORT = 8
 INPUT_SHAPE = (3, 8, 8)
 NUM_CLASSES = 4
@@ -80,7 +89,8 @@ LR, MOMENTUM = 0.05, 0.9
 WARMUP_STEPS = 3
 
 __doc__ = __doc__.format(TARGET_REDUCTION=TARGET_REDUCTION, COHORT=COHORT,
-                         FORWARD_TARGET_REDUCTION=FORWARD_TARGET_REDUCTION)
+                         FORWARD_TARGET_REDUCTION=FORWARD_TARGET_REDUCTION,
+                         RETENTION_FACTOR=RETENTION_FACTOR)
 
 WORKLOADS = {
     "fully_connected": lambda seed: FullyConnected(
@@ -96,6 +106,16 @@ def _cohort_data(rng, steps):
     images = rng.normal(size=(steps, COHORT, BATCH_SIZE, *INPUT_SHAPE))
     labels = rng.integers(0, NUM_CLASSES, size=(steps, COHORT, BATCH_SIZE))
     return images, labels
+
+
+def _fused_cohort(factory, steps):
+    """The fused cohort module, its optimizer and ``steps`` batches of data."""
+    images, labels = _cohort_data(np.random.default_rng(23), steps)
+    states = [factory(seed=index).state_dict() for index in range(COHORT)]
+    module = BatchedModule(factory(seed=0), states)
+    module.train()
+    optimizer = BatchedSGD(module.parameters(), COHORT, lr=LR, momentum=MOMENTUM)
+    return module, optimizer, images, labels
 
 
 def _step(module, optimizer, images, labels, set_to_none):
@@ -115,12 +135,7 @@ def _measure_mode(factory, steps, optimized):
     previous_pool = set_pooling(optimized)
     set_to_none = not optimized
     try:
-        rng = np.random.default_rng(23)
-        images, labels = _cohort_data(rng, WARMUP_STEPS + steps)
-        states = [factory(seed=index).state_dict() for index in range(COHORT)]
-        module = BatchedModule(factory(seed=0), states)
-        module.train()
-        optimizer = BatchedSGD(module.parameters(), COHORT, lr=LR, momentum=MOMENTUM)
+        module, optimizer, images, labels = _fused_cohort(factory, WARMUP_STEPS + steps)
 
         tracemalloc.start()
         # Warm-up establishes the steady state each mode is entitled to:
@@ -186,6 +201,27 @@ def _measure_forward_mode(factory, steps, pooled):
         set_forward_pooling(previous)
 
 
+def _measure_retention(factory, steps):
+    """What the scratch arena holds after the warmed fused loop, against
+    the most it had checked out at once.
+
+    Runs on a fresh thread: pools are per-thread, so the counters start at
+    zero and nothing an earlier measurement parked is in them.
+    """
+    stats = {}
+
+    def loop():
+        module, optimizer, images, labels = _fused_cohort(factory, WARMUP_STEPS + steps)
+        for step in range(WARMUP_STEPS + steps):
+            _step(module, optimizer, images[step], labels[step], set_to_none=False)
+        stats.update(scratch_pool().stats())
+
+    thread = threading.Thread(target=loop)
+    thread.start()
+    thread.join()
+    return stats
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -241,6 +277,29 @@ def main(argv=None) -> int:
             failures.append(f"forward/{name}: reduction {reduction:.1%} < "
                             f"target {FORWARD_TARGET_REDUCTION:.0%}")
 
+    print(f"\nscratch-arena retention (fused loop, bound: retained <= "
+          f"{RETENTION_FACTOR}x outstanding high-water)")
+    retention_results = []
+    for name, factory in sorted(WORKLOADS.items()):
+        stats = _measure_retention(factory, steps)
+        retained = stats["free_bytes"] + stats["outstanding_bytes"]
+        high_water = stats["outstanding_high_water"]
+        ratio = retained / high_water
+        hit_rate = stats["hits"] / stats["acquires"]
+        retention_results.append({
+            "workload": name,
+            "retained_bytes": retained,
+            "outstanding_high_water_bytes": high_water,
+            "ratio": ratio,
+            "hit_rate": hit_rate,
+            "allocated_bytes": stats["allocated_bytes"],
+        })
+        print(f"  {name:16s} retained {retained / 1024:8.1f} KiB  high-water "
+              f"{high_water / 1024:8.1f} KiB  ratio {ratio:5.2f}  hit rate {hit_rate:6.1%}")
+        if ratio > RETENTION_FACTOR:
+            failures.append(f"retention/{name}: retained {retained} B > "
+                            f"{RETENTION_FACTOR} x high-water {high_water} B")
+
     payload = {
         "benchmark": "memory",
         "cohort_size": COHORT,
@@ -252,8 +311,10 @@ def main(argv=None) -> int:
         "metric": "tracemalloc peak minus steady-state baseline, per fused device-step",
         "workloads": results,
         "forward_pooling": forward_results,
+        "retention": retention_results,
         "targets": {"reduction": TARGET_REDUCTION,
-                    "forward_reduction": FORWARD_TARGET_REDUCTION},
+                    "forward_reduction": FORWARD_TARGET_REDUCTION,
+                    "retention_factor": RETENTION_FACTOR},
         "failures": failures,
         **bench_environment(),
         "numpy": np.__version__,
@@ -275,7 +336,8 @@ def main(argv=None) -> int:
             print(f"  - {failure}")
         return 1
     print(f"ok: optimized path allocates >= {TARGET_REDUCTION:.0%} less transient "
-          f"memory per fused device-step for all workloads")
+          f"memory per fused device-step and the arena retains <= "
+          f"{RETENTION_FACTOR}x its high-water for all workloads")
     return 0
 
 

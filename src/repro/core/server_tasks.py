@@ -130,6 +130,24 @@ def borrowed_model(context: WorkerContext, device_id: int, state: ShardState,
         model.zero_grad()
 
 
+@contextmanager
+def frozen_parameters(models):
+    """Clear ``requires_grad`` on every parameter of ``models`` for the block.
+
+    For passes that need the gradient at the *inputs* only: the weight
+    gradients are not computed (and no conv holds its im2col columns for
+    them), while every value that flows back to the inputs is unchanged.
+    """
+    parameters = [param for model in models for param in model.parameters()]
+    for param in parameters:
+        param.requires_grad = False
+    try:
+        yield
+    finally:
+        for param in parameters:
+            param.requires_grad = True
+
+
 def _member_output(model, x: Tensor, mode: str) -> Tensor:
     """One teacher's ensemble member — the same ops ``ensemble_output`` runs."""
     logits = model(x)
@@ -214,7 +232,7 @@ class EnsembleVJPTask:
     gradient at the synthesized inputs by replaying the serial graph ops
     (``member = softmax(model(x))``; ``term = member * weight``) and
     backpropagating ``upstream`` through them.  Parameter gradients are
-    skipped (``requires_grad`` is temporarily cleared) — only the
+    skipped (:func:`frozen_parameters`) — only the
     input-gradient path is needed, and skipping the weight-gradient work
     does not change the values that flow to the inputs.
     """
@@ -263,16 +281,10 @@ class EnsembleVJPTask:
                 grads.append(fused[position])
                 continue
             with borrowed_model(context, device_id, state, train=False) as model:
-                parameters = model.parameters()
-                for param in parameters:
-                    param.requires_grad = False
-                try:
+                with frozen_parameters([model]):
                     x = Tensor(inputs, requires_grad=True)
                     term = _member_output(model, x, self.mode) * float(weight)
                     term.backward(upstream)
-                finally:
-                    for param in parameters:
-                        param.requires_grad = True
                 grads.append(x.grad)
         return grads
 

@@ -56,6 +56,7 @@ from .server_tasks import (
     EnsembleVJPTask,
     distill_group_fused,
     distill_optimizer_state,
+    frozen_parameters,
     load_distill_optimizer_state,
     make_distill_optimizer,
     partition_shards,
@@ -283,22 +284,25 @@ class ZeroShotDistiller:
                 # The input-gradient norm below reads this intermediate's
                 # gradient after backward; keep it through buffer reclaim.
                 synthetic.retain_grad()
-                if sharded:
-                    # Same op order as disagreement_loss: student branch first,
-                    # then the ensemble branch (here a backend-backed graph node).
-                    student_logits = self.global_model(synthetic)
-                    teacher_out = self._sharded_ensemble_node(
-                        synthetic, teacher_ids, shipped_states, weights, mode, shards,
-                        iteration_refs)
-                    loss = loss_fn(student_logits, teacher_out)
-                else:
-                    loss = disagreement_loss(self.global_model, teachers, synthetic,
-                                             self._loss_name)
-                generator_loss = loss * -1.0
-                self._zero_all(teachers)
-                self.generator_optimizer.zero_grad(set_to_none=False)
-                self.global_optimizer.zero_grad(set_to_none=False)
-                generator_loss.backward()
+                # Only the generator steps here: F's and the teachers' weight
+                # gradients would be computed and thrown away (the sharded
+                # path's ``EnsembleVJPTask`` skips them the same way).
+                with frozen_parameters([self.global_model, *teachers]):
+                    if sharded:
+                        # Same op order as disagreement_loss: student branch
+                        # first, then the ensemble branch (here a
+                        # backend-backed graph node).
+                        student_logits = self.global_model(synthetic)
+                        teacher_out = self._sharded_ensemble_node(
+                            synthetic, teacher_ids, shipped_states, weights, mode,
+                            shards, iteration_refs)
+                        loss = loss_fn(student_logits, teacher_out)
+                    else:
+                        loss = disagreement_loss(self.global_model, teachers,
+                                                 synthetic, self._loss_name)
+                    generator_loss = loss * -1.0
+                    self.generator_optimizer.zero_grad(set_to_none=False)
+                    generator_loss.backward()
                 if synthetic.grad is not None:
                     input_grad_norms.append(float(np.linalg.norm(synthetic.grad)))
                 self.generator_optimizer.step()
@@ -611,11 +615,6 @@ class ZeroShotDistiller:
         scheduler = MultiStepLR(optimizer, milestones=milestones, gamma=self.config.lr_decay_gamma)
         scheduler.base_lr = base_lr
         return scheduler
-
-    @staticmethod
-    def _zero_all(models: Sequence[ClassificationModel]) -> None:
-        for model in models:
-            model.zero_grad(set_to_none=False)
 
     @staticmethod
     def _count_parameters(model) -> int:

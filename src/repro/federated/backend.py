@@ -56,6 +56,7 @@ import numpy as np
 
 from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
+from ..nn.buffers import scratch_pool
 from ..nn.policy import numeric_policy, set_numeric_policy
 from ..utils.serialization import (
     InProcessStateTable,
@@ -218,7 +219,12 @@ class WorkerRuntime:
     def resolve(self, ref: StateRef):
         """Materialize a :class:`StateRef` (dict for ``"state"``, list for
         ``"arrays"``).  Resolved payloads are shared and must be treated as
-        read-only by tasks."""
+        read-only by tasks.
+
+        The ref's ``round_version`` is also how a worker learns that the
+        driver moved to a new round, which is when its scratch pool trims.
+        """
+        scratch_pool().enter_round(ref.round_version)
         if self.table is not None:
             return self.table.fetch(ref.key)
         cached = self.cache.get(ref.key)

@@ -140,6 +140,7 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
     out_data = out_data.reshape(batch, samples, out_channels, out_h, out_w)
 
     parents = (x, w) if bias is None else (x, w, bias)
+    weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
 
     def factory(out: Tensor) -> Callable[[], None]:
         def backward() -> None:
@@ -147,7 +148,7 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
                 batch, samples, out_channels, -1)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(1, 3)), owned=True)
-            if w.requires_grad:
+            if weight_grad:
                 features, length = w_mat.shape[-1], grad.shape[-1]
                 if (batch >= 2 and samples >= 2 and out_channels >= 2
                         and features >= 2 and length >= 2):
@@ -192,12 +193,13 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
                         batch * samples, -1, grad_cols.shape[-1])
                     grad_x = col2im(grad_cols, merged_shape, kernel, stride, padding)
                     x._accumulate(grad_x.reshape(x.data.shape), owned=True)
-            pool.release(columns)
+            if weight_grad:
+                pool.release(columns)
 
         return backward
 
     out = Tensor._make(out_data, parents, factory)
-    if out._backward is None:
+    if out._backward is None or not weight_grad:
         pool.release(columns)
     return out
 

@@ -94,32 +94,30 @@ def im2col(
     return columns, out_h, out_w
 
 
+# Image planes fold independently (a column entry only ever lands in its own
+# plane), so col2im scatters them a chunk at a time through one small index
+# per geometry instead of a batch-expanded one per (geometry, batch): the
+# index stays cache-resident and what the cache below can pin is bounded by
+# ``maxsize`` times this.
+_INDEX_CHUNK_BYTES = 512 * 1024
+
+
 @lru_cache(maxsize=32)
-def _col2im_plane_index(kernel: int, stride: int, out_h: int, out_w: int,
-                        padded_w: int) -> np.ndarray:
-    """Within-plane scatter indices: entry ``(kh, kw, oh, ow)`` of a column
-    lands at flat position ``(kh + stride*oh) * padded_w + (kw + stride*ow)``.
-    Geometry-only (batch-independent), so the cache stays tiny.
+def _col2im_chunk_index(kernel: int, stride: int, out_h: int, out_w: int,
+                        padded_w: int, plane_size: int) -> Tuple[np.ndarray, int]:
+    """Flat scatter indices over a chunk of consecutive planes, and its length.
+
+    Within a plane, entry ``(kh, kw, oh, ow)`` of a column lands at flat
+    position ``(kh + stride*oh) * padded_w + (kw + stride*ow)``; plane ``p``
+    of the chunk adds ``p * plane_size``.  Batch-independent, so one entry
+    serves every batch and cohort size (``cache_info()`` has the hit rate).
     """
     rows = np.arange(kernel)[:, None, None, None] + stride * np.arange(out_h)[None, None, :, None]
     cols = np.arange(kernel)[None, :, None, None] + stride * np.arange(out_w)[None, None, None, :]
-    return (rows * padded_w + cols).reshape(-1)
-
-
-# Full (batch x channels)-expanded index arrays are cached only below this
-# size, bounding the memory the cache can pin at 8 entries x 16 MB; larger
-# workloads rebuild the index per call (where the build cost amortizes
-# against the proportionally larger bincount pass anyway).
-_MAX_CACHED_INDEX_BYTES = 16 * 1024 * 1024
-
-
-@lru_cache(maxsize=8)
-def _col2im_scatter_index(planes: int, plane_size: int, kernel: int, stride: int,
-                          out_h: int, out_w: int, padded_w: int) -> np.ndarray:
-    """Flat scatter indices over all image planes of a column batch (cached)."""
-    within_plane = _col2im_plane_index(kernel, stride, out_h, out_w, padded_w)
+    within_plane = (rows * padded_w + cols).reshape(-1)
+    planes = max(1, _INDEX_CHUNK_BYTES // within_plane.nbytes)
     offsets = np.arange(planes, dtype=np.int64) * plane_size
-    return (offsets[:, None] + within_plane[None, :]).reshape(-1)
+    return (offsets[:, None] + within_plane[None, :]).reshape(-1), planes
 
 
 def col2im(
@@ -131,10 +129,11 @@ def col2im(
 ) -> np.ndarray:
     """Fold column gradients back into image gradients (adjoint of im2col).
 
-    Implemented as a single vectorized scatter-add (``np.bincount`` over
-    cached flat indices) instead of a python loop over the kernel taps.
-    Overlapping taps accumulate in the same ascending (kh, kw) order the
-    historical loop used, so results are bit-identical.
+    Implemented as a vectorized scatter-add (``np.bincount`` over cached
+    flat indices, a chunk of planes per call) instead of a python loop over
+    the kernel taps.  Overlapping taps accumulate in the same ascending
+    (kh, kw) order the historical loop used — chunking splits between
+    planes, never within one — so results are bit-identical.
     """
     batch, channels, height, width = image_shape
     out_h = _out_size(height, kernel, stride, padding)
@@ -142,15 +141,20 @@ def col2im(
     padded_h, padded_w = height + 2 * padding, width + 2 * padding
     plane_size = padded_h * padded_w
     planes = batch * channels
-    entries = planes * kernel * kernel * out_h * out_w
-    if entries * 8 <= _MAX_CACHED_INDEX_BYTES:
-        index = _col2im_scatter_index(planes, plane_size, kernel, stride, out_h, out_w, padded_w)
+    entries = kernel * kernel * out_h * out_w  # per plane
+    index, chunk = _col2im_chunk_index(kernel, stride, out_h, out_w, padded_w, plane_size)
+    weights = columns.reshape(-1)
+    if planes <= chunk:
+        flat = np.bincount(index[:planes * entries], weights=weights,
+                           minlength=planes * plane_size)
     else:
-        # Same construction, bypassing the cache so huge index arrays are
-        # never pinned in memory.
-        index = _col2im_scatter_index.__wrapped__(
-            planes, plane_size, kernel, stride, out_h, out_w, padded_w)
-    flat = np.bincount(index, weights=columns.reshape(-1), minlength=planes * plane_size)
+        flat = np.empty(planes * plane_size)  # bincount's own result dtype
+        for start in range(0, planes, chunk):
+            count = min(chunk, planes - start)
+            flat[start * plane_size:(start + count) * plane_size] = np.bincount(
+                index[:count * entries],
+                weights=weights[start * entries:(start + count) * entries],
+                minlength=count * plane_size)
     padded = flat.reshape(batch, channels, padded_h, padded_w)
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
@@ -186,6 +190,9 @@ def conv2d(
     columns, out_h, out_w = im2col(x.data, kernel, stride, padding, pool=pool)
     w_mat = w.data.reshape(out_channels, -1)
     parents = (x, w) if bias is None else (x, w, bias)
+    # Fixed at graph construction: the columns below are kept for backward
+    # only if the weight gradient will read them.
+    weight_grad = w.requires_grad
 
     # Training forwards write the contraction into a pooled buffer shaped
     # like einsum's own result: the optimized "of,nfl->nol" path runs one
@@ -234,7 +241,7 @@ def conv2d(
             grad = np.asarray(out.grad).reshape(batch, out_channels, -1)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2)), owned=True)
-            if w.requires_grad:
+            if weight_grad:
                 features, length = w_mat.shape[1], grad.shape[-1]
                 if (batch >= 2 and out_channels >= 2
                         and features >= 2 and length >= 2):
@@ -278,15 +285,18 @@ def conv2d(
                         col2im(grad_cols, x.data.shape, kernel, stride, padding),
                         owned=True)
             # Backward closures run at most once, so the columns can rejoin
-            # the free-list for the next step's forward.
-            pool.release(columns)
+            # the pool for the next step's forward.
+            if weight_grad:
+                pool.release(columns)
 
         return backward
 
     out = Tensor._make(out_data, parents, factory)
     out._pooled_data = pooled and out._backward is not None
-    if out._backward is None:
-        pool.release(columns)  # inference path: nothing will read them again
+    if out._backward is None or not weight_grad:
+        # Only the weight gradient reads the columns again: on the inference
+        # path and under a frozen weight they are free as of now.
+        pool.release(columns)
     return out
 
 
@@ -314,6 +324,7 @@ def depthwise_conv2d(
     cols = columns.reshape(batch, channels, kernel * kernel, -1)
     w_mat = w.data.reshape(channels, kernel * kernel)
     parents = (x, w) if bias is None else (x, w, bias)
+    weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
 
     # Same pooled training forward as conv2d, in the layout einsum's own
     # optimized "cf,ncfl->ncl" path produces: a (c, n, l)-contiguous base
@@ -345,7 +356,7 @@ def depthwise_conv2d(
             grad = np.asarray(out.grad).reshape(batch, channels, -1)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2)), owned=True)
-            if w.requires_grad:
+            if weight_grad:
                 taps, length = w_mat.shape[1], grad.shape[-1]
                 if (batch >= 2 and channels >= 2 and taps >= 2
                         and length >= 2):
@@ -379,13 +390,14 @@ def depthwise_conv2d(
                            x.data.shape, kernel, stride, padding),
                     owned=True)
                 pool.release(grad_cols)
-            pool.release(columns)
+            if weight_grad:
+                pool.release(columns)
 
         return backward
 
     out = Tensor._make(out_data, parents, factory)
     out._pooled_data = pooled and out._backward is not None
-    if out._backward is None:
+    if out._backward is None or not weight_grad:
         pool.release(columns)
     return out
 

@@ -435,7 +435,6 @@ class Tensor:
         if not (_ALLOC_FREE and pool.enabled):
             self._accumulate(fallback(), owned=True)
             return
-        shape = tuple(int(s) for s in shape)
         dtype = self.data.dtype
         if shape != self.data.shape:
             scratch = pool.acquire(shape, dtype)
@@ -530,8 +529,7 @@ class Tensor:
                     pool.release(node.grad)
                     node.grad = None
                 if reclaim and node._pooled_data and not node._retain_data:
-                    payload = node.data
-                    pool.release(payload if payload.base is None else payload.base)
+                    pool.release_base(node.data)
                     node._pooled_data = False
                 node._parents = ()
                 node._backward = None
@@ -1062,7 +1060,7 @@ def _masked_activation(a: "Tensor",
             if a.requires_grad:
                 a._accumulate_ufunc(np.multiply, out.grad, mask)
             if mask_pooled:
-                scratch_pool().release(mask if mask.base is None else mask.base)
+                scratch_pool().release_base(mask)
 
         return backward
 

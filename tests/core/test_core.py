@@ -80,6 +80,43 @@ class TestZeroShotDistiller:
         assert np.isfinite(report["global_loss"])
         assert report["input_gradient_norm"] >= 0.0
 
+    def test_generator_step_skips_weight_gradients_not_input_gradients(self):
+        """The generator step freezes F and the teachers: their parameters
+        come out with ``requires_grad`` restored and no ``.grad`` from it,
+        and the disagreement gradient at the synthesized batch is, bit for
+        bit, what the graph with every weight gradient attached computes."""
+        teachers = _teachers(2)
+        reference = self._distiller(iterations=1)
+        for teacher in teachers:
+            teacher.eval()
+        noise = reference.generator.sample_noise(6, np.random.default_rng(3))
+        synthetic = reference.generator(noise)
+        synthetic.retain_grad()
+        (disagreement_loss(reference.global_model, teachers, synthetic, "sl") * -1.0).backward()
+        assert all(param.grad is not None for param in teachers[0].parameters())
+        expected = float(np.linalg.norm(synthetic.grad))
+
+        teachers = _teachers(2)
+        distiller = self._distiller(iterations=1)
+        report = distiller.adversarial_distillation(teachers)
+        assert report["input_gradient_norm"] == expected
+        for model in teachers:
+            assert all(param.requires_grad and param.grad is None
+                       for param in model.parameters())
+        assert all(param.requires_grad for param in distiller.global_model.parameters())
+
+    def test_generator_step_restores_requires_grad_when_a_teacher_raises(self):
+        class Broken(SimpleCNN):
+            def forward(self, x):
+                raise RuntimeError("teacher failed")
+
+        teachers = _teachers(1) + [Broken(SHAPE, CLASSES, channels=(4, 8), hidden_size=16)]
+        distiller = self._distiller(iterations=1)
+        with pytest.raises(RuntimeError, match="teacher failed"):
+            distiller.adversarial_distillation(teachers)
+        for model in teachers + [distiller.global_model]:
+            assert all(param.requires_grad for param in model.parameters())
+
     def test_transfer_phase_moves_device_models_toward_global(self):
         distiller = self._distiller(iterations=6)
         device_models = {0: LeNet(SHAPE, CLASSES, conv_channels=(4,), fc_sizes=(16,), seed=5)}

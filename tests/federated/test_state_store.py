@@ -282,6 +282,47 @@ def _data(samples_train=120, samples_test=40):
     return generator.sample(samples_train, seed=1), generator.sample(samples_test, seed=2)
 
 
+def test_worker_scratch_pool_trims_when_resolved_round_moves_forward():
+    """Nothing but the driver calls ``advance_round_version``: a worker
+    thread learns of a new round from the ``round_version`` of the refs it
+    resolves, and trims its own scratch pool then — once per round, and not
+    for a ref of the previous round that is resolved late."""
+    import threading
+
+    from repro.federated.backend import WorkerRuntime
+    from repro.nn import scratch_pool
+
+    table = InProcessStateTable()
+    table.publish("payload", _state(0))
+    runtime = WorkerRuntime(table=table)
+    refs = {version: StateRef(key="payload", round_version=version)
+            for version in (1, 2, 3)}
+    free_after = []
+
+    def worker():
+        pool = scratch_pool()  # this thread's own
+
+        def use(count):
+            pool.release(pool.acquire((count,)))
+
+        runtime.resolve(refs[1])
+        use(100)
+        use(1000)
+        runtime.resolve(refs[2])   # round 2 begins: round 1 used both, both stay
+        use(100)
+        runtime.resolve(refs[2])
+        runtime.resolve(refs[1])   # late ref of the previous round
+        free_after.append(pool.free_bytes())
+        runtime.resolve(refs[3])   # round 3 begins: round 2 never touched the large one
+        free_after.append(pool.free_bytes())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert free_after == [8800, 800]
+
+
 def _public():
     config = SyntheticImageConfig(name="store-public", num_classes=4, channels=3, height=8,
                                   width=8, family_seed=77, modes_per_class=1)

@@ -1,0 +1,294 @@
+"""The scratch arena: aliasing, release rules, reuse, trimming, steady state."""
+
+from __future__ import annotations
+
+import gc
+import threading
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.models.simple import SimpleCNN
+from repro.nn import SGD, Tensor, buffers, scratch_pool, set_pooling
+from repro.nn.buffers import BufferPool
+from repro.nn.losses import cross_entropy
+
+_DTYPES = (np.float64, np.float32, np.bool_, np.int64)
+
+_acquire = st.tuples(
+    st.just("acquire"),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(_DTYPES))
+_release = st.tuples(st.just("release"), st.integers(0, 64), st.booleans())
+
+
+class TestAliasing:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(_acquire, _release), min_size=1, max_size=40))
+    def test_live_acquires_never_share_storage(self, operations):
+        """Whatever the order of acquires and releases (repeated ones
+        included), an array that is still checked out keeps the bytes its
+        holder wrote and overlaps no other checked-out array."""
+        pool = BufferPool()
+        live = []  # (array, the value its holder filled it with)
+        for step, operation in enumerate(operations):
+            if operation[0] == "acquire":
+                _, shape, dtype = operation
+                array = pool.acquire(shape, dtype)
+                assert array.shape == shape and array.dtype == dtype
+                assert array.flags.c_contiguous and array.flags.writeable
+                value = step % 2 if dtype is np.bool_ else step + 1
+                array.fill(value)
+                live.append((array, value))
+            elif live:
+                _, position, twice = operation
+                array, _ = live.pop(position % len(live))
+                pool.release(array)
+                if twice:
+                    pool.release(array)
+            for index, (array, value) in enumerate(live):
+                assert (array == value).all()
+                for other, _ in live[index + 1:]:
+                    assert not np.shares_memory(array, other)
+        stats = pool.stats()
+        assert stats["hits"] + stats["misses"] == stats["acquires"]
+
+
+class TestRelease:
+    def test_views_keep_the_acquired_array_as_their_base(self):
+        """The numpy rule ``release`` / ``release_base`` rest on: an array
+        built over a slab has the slab as ``base``; a view of that array —
+        transposed, reshaped, sliced — has the array."""
+        pool = BufferPool()
+        array = pool.acquire((4, 6))
+        assert type(array) is np.ndarray and type(array.base) is not np.ndarray
+        for view in (array.T, array.T.reshape(3, 2, 4), array[1:], array.view(np.int64)):
+            assert view.base is array
+
+    def test_releasing_a_view_is_a_noop(self):
+        pool = BufferPool()
+        array = pool.acquire((4, 6))
+        for view in (array[1:], array.T, array.reshape(24)):
+            pool.release(view)
+        assert pool.free_bytes() == 0
+        assert not np.shares_memory(pool.acquire((4, 6)), array)
+
+    def test_release_base_releases_the_array_behind_a_view(self):
+        pool = BufferPool()
+        array = pool.acquire((4, 6))
+        pool.release_base(array.T.reshape(3, 2, 4))
+        assert pool.free_bytes() == array.nbytes
+        assert pool.acquire((4, 6)) is array
+        pool.release_base(array)  # the acquired array itself works too
+        assert pool.free_bytes() == array.nbytes
+
+    def test_double_release_is_ignored(self):
+        pool = BufferPool()
+        array = pool.acquire((8,))
+        pool.release(array)
+        pool.release(array)
+        assert pool.free_bytes() == array.nbytes
+        first, second = pool.acquire((8,)), pool.acquire((8,))
+        assert not np.shares_memory(first, second)
+
+    def test_stale_handle_cannot_free_a_reacquired_slab(self):
+        """A second release through the *old* array, after the slab went out
+        again under another shape, must not put it back on the free list."""
+        pool = BufferPool()
+        stale = pool.acquire((8,))
+        pool.release(stale)
+        current = pool.acquire((2, 4))
+        assert np.shares_memory(stale, current)
+        pool.release(stale)
+        assert pool.free_bytes() == 0
+        assert not np.shares_memory(pool.acquire((8,)), current)
+
+    def test_foreign_arrays_pass_through(self):
+        pool = BufferPool()
+        pool.release(np.empty((4, 4)))
+        pool.release(np.empty((4, 4))[:2])
+        assert pool.free_bytes() == 0
+
+    def test_unreleased_arrays_are_garbage_collected_with_their_slab(self):
+        pool = BufferPool()
+        array = pool.acquire((1024,))
+        assert pool.stats()["outstanding_bytes"] == array.nbytes
+        del array
+        gc.collect()
+        stats = pool.stats()
+        assert stats["outstanding_bytes"] == 0 and stats["free_bytes"] == 0
+        assert stats["outstanding_high_water"] == 8192
+
+
+class TestReuse:
+    def test_same_request_gets_the_same_array_object_back(self):
+        pool = BufferPool()
+        array = pool.acquire((4, 6), np.float32)
+        pool.release(array)
+        assert pool.acquire((4, 6), np.float32) is array
+
+    def test_reuse_across_shapes_and_dtypes(self):
+        pool = BufferPool()
+        array = pool.acquire((4, 6))  # 192 bytes
+        pool.release(array)
+        reshaped = pool.acquire((2, 3, 4))
+        assert reshaped.shape == (2, 3, 4) and np.shares_memory(reshaped, array)
+        pool.release(reshaped)
+        narrower = pool.acquire((5, 7), np.float32)  # 140 bytes, within the slack
+        assert narrower.dtype == np.float32 and np.shares_memory(narrower, array)
+        pool.release(narrower)
+        flags = pool.acquire((150,), np.bool_)
+        assert flags.dtype == np.bool_ and np.shares_memory(flags, array)
+        stats = pool.stats()
+        assert (stats["acquires"], stats["hits"], stats["misses"]) == (4, 3, 1)
+        assert stats["allocated_bytes"] == 192
+
+    def test_best_fit_takes_the_smallest_slab_that_fits(self):
+        pool = BufferPool()
+        small, large = pool.acquire((100,)), pool.acquire((150,))
+        pool.release(large)
+        pool.release(small)
+        assert np.shares_memory(pool.acquire((90,)), small)
+        assert np.shares_memory(pool.acquire((90,)), large)
+
+    def test_a_slab_beyond_the_slack_is_left_alone(self):
+        pool = BufferPool()
+        large = pool.acquire((1000,))
+        pool.release(large)
+        assert not np.shares_memory(pool.acquire((10,)), large)
+        assert pool.free_bytes() == large.nbytes
+
+    def test_disabled_pool_hands_out_fresh_arrays(self):
+        pool = BufferPool()
+        pool.enabled = False
+        array = pool.acquire((4, 4))
+        assert array.base is None
+        pool.release(array)
+        assert pool.free_bytes() == 0 and pool.stats()["acquires"] == 0
+        assert pool.acquire((4, 4)) is not array
+
+    def test_set_pooling_off_drops_the_free_slabs(self):
+        pool = scratch_pool()
+        pool.release(pool.acquire((64,)))
+        assert pool.free_bytes() > 0
+        previous = set_pooling(False)
+        try:
+            assert pool.free_bytes() == 0
+        finally:
+            set_pooling(previous)
+
+    def test_zero_size_requests_bypass_the_arena(self):
+        pool = BufferPool()
+        empty = pool.acquire((0, 5))
+        assert empty.shape == (0, 5) and pool.stats()["acquires"] == 0
+
+    def test_pools_are_per_thread(self):
+        pools = []
+        worker = threading.Thread(target=lambda: pools.append(scratch_pool()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert pools[0] is not scratch_pool()
+        assert scratch_pool() is scratch_pool()
+
+    def test_a_slab_is_not_adopted_by_another_threads_pool(self):
+        mine, other = BufferPool(), BufferPool()
+        array = mine.acquire((16,))
+        other.release(array)
+        assert other.free_bytes() == 0
+        mine.release(array)
+        assert mine.free_bytes() == array.nbytes
+
+
+class TestTrim:
+    def test_trim_keeps_what_the_last_round_used(self):
+        pool = BufferPool()
+        used, idle = pool.acquire((100,)), pool.acquire((1000,))
+        pool.release(used)
+        pool.release(idle)
+        pool.trim()  # both were acquired in the round that just ended
+        assert pool.free_bytes() == used.nbytes + idle.nbytes
+        pool.release(pool.acquire((100,)))  # this round only asks for the small one
+        pool.trim()
+        assert pool.free_bytes() == used.nbytes
+        assert pool.acquire((100,)) is used
+
+    def test_trim_leaves_acquired_arrays_alone(self):
+        pool = BufferPool()
+        held = pool.acquire((100,))
+        held.fill(7.0)
+        pool.trim()
+        pool.trim()
+        assert (held == 7.0).all()
+        pool.release(held)
+        assert pool.free_bytes() == held.nbytes
+
+    def test_reset_drops_every_free_slab(self):
+        pool = BufferPool()
+        pool.release(pool.acquire((100,)))
+        pool.reset()
+        assert pool.free_bytes() == 0 and pool.stats()["free_bytes"] == 0
+
+    def test_enter_round_trims_once_per_round(self):
+        pool = BufferPool()
+
+        def use(count):
+            pool.release(pool.acquire((count,)))
+
+        pool.enter_round(0)
+        use(100)
+        use(1000)
+        pool.enter_round(1)
+        use(100)
+        # The same round announced again (driver and worker on one thread),
+        # and a payload of the previous round resolved late: no second trim.
+        pool.enter_round(1)
+        pool.enter_round(0)
+        assert pool.free_bytes() == 8800
+        pool.enter_round(2)
+        assert pool.free_bytes() == 800
+        # A new run on the same thread starts its count over.
+        use(1000)
+        pool.enter_round(0)
+        use(1000)
+        pool.enter_round(1)
+        assert pool.free_bytes() == 8000
+
+
+class TestSteadyState:
+    def test_train_loop_allocates_nothing_after_warm_up(self, rng, monkeypatch):
+        """One step of a SimpleCNN train loop in its steady form builds the
+        working set; every further step is served from it, and what the
+        arena then holds is within 1.25x of what a step has checked out at
+        its peak.  (The very first step is not of that form: the parameters
+        have no ``.grad`` yet and adopt pooled buffers for good, so it runs
+        before the warm-up step.)"""
+        pool = BufferPool()
+        monkeypatch.setattr(buffers._POOL, "pool", pool)  # this thread's, for the test
+        model = SimpleCNN((3, 8, 8), 4, channels=(4, 8), hidden_size=16, seed=0)
+        model.train()
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        images = rng.normal(size=(6, 8, 3, 8, 8))
+        labels = rng.integers(0, 4, size=(6, 8))
+
+        def step(index):
+            optimizer.zero_grad(set_to_none=False)
+            cross_entropy(model(Tensor(images[index])), labels[index]).backward()
+            optimizer.step()
+
+        step(0)
+        step(1)
+        warm = pool.stats()
+        for index in range(2, 6):
+            step(index)
+        steady = pool.stats()
+        assert warm["misses"] > 0 and steady["hits"] > warm["hits"]
+        # The one thing a step cannot give back is the 8-byte scalar loss its
+        # backward started from (``item()`` reads it afterwards); it goes with
+        # the loss tensor.  Nothing else is allocated.
+        assert steady["misses"] - warm["misses"] == 4
+        assert steady["allocated_bytes"] - warm["allocated_bytes"] == 4 * 8
+        assert steady["outstanding_high_water"] <= warm["outstanding_high_water"] + 4 * 8
+        assert (steady["free_bytes"] + steady["outstanding_bytes"]
+                <= 1.25 * steady["outstanding_high_water"])

@@ -88,6 +88,24 @@ class TestIm2Col:
         np.testing.assert_array_equal(
             col2im(columns, image_shape, kernel, stride, padding), expected)
 
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (5, 2, 2)])
+    def test_col2im_chunked_planes_match_tap_loop_exactly(self, rng, kernel, stride, padding):
+        """More planes than one scatter-index chunk holds (with a ragged
+        last chunk): chunks split between planes, so every pixel still
+        accumulates its taps in the tap loop's order."""
+        from repro.nn.conv import _col2im_chunk_index
+
+        image_shape = (5, 50, 8, 8)
+        out_h = (8 + 2 * padding - kernel) // stride + 1
+        out_w = (8 + 2 * padding - kernel) // stride + 1
+        _, chunk = _col2im_chunk_index(kernel, stride, out_h, out_w, 8 + 2 * padding,
+                                       (8 + 2 * padding) ** 2)
+        assert 1 < chunk < 250 and 250 % chunk
+        columns = rng.normal(size=(5, 50 * kernel * kernel, out_h * out_w))
+        expected = self._col2im_tap_loop(columns, image_shape, kernel, stride, padding)
+        np.testing.assert_array_equal(
+            col2im(columns, image_shape, kernel, stride, padding), expected)
+
 
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
