@@ -1,42 +1,28 @@
-"""Memory benchmark: temporary allocations per fused device-step, A/B'd.
+"""Memory benchmark: transient allocations per training step, against budgets.
 
-Trains one fused cohort of B={COHORT} devices (``BatchedModule`` +
-``BatchedSGD``) through a warmed steady-state step loop twice:
+Three sections, each over the same three workloads:
 
-* **optimized** — the defaults this repo ships: allocation-free gradient
-  accumulation (in-place ``+=`` into persistent ``.grad`` buffers adopted
-  on first touch), ``zero_grad(set_to_none=False)``, and im2col/grad-cols
-  scratch reuse through the thread-local :class:`~repro.nn.BufferPool`.
-* **legacy** — the pre-optimization behaviour, recreated via
-  ``set_allocation_free(False)`` + ``set_pooling(False)`` +
-  ``zero_grad(set_to_none=True)``: every backward step re-allocates its
-  gradient arrays and im2col scratch from scratch.
-
-Both paths compute bit-identical values (pinned by the nn test suite); the
-only difference tracemalloc can see is allocation churn.  The measurement
-is peak-traced-bytes minus steady-state baseline across the step loop —
-i.e. the transient working set the allocator must service per step —
-normalized per fused device-step.
-
-A second section A/B's the **pooled forward pass**: the same training step
-loop on a single (serial) model with forward activations fed from the
-per-thread :class:`~repro.nn.BufferPool` (``set_forward_pooling(True)``,
-the default) versus freshly allocated every step
-(``set_forward_pooling(False)``).  Pooled forward buffers are released at
-backward reclaim, so in steady state the forward pass recycles one step's
-activations instead of re-allocating them.
-
-A third section is an **absolute** gate on the pool itself: after the
-warmed fused loop, the bytes the scratch arena holds (free slabs plus the
-ones checked out) may not exceed {RETENTION_FACTOR}x the most it ever had
-checked out at once — a pool that parks idle buffers per shape fails it.
+* **fused device-step** — one fused cohort of B={COHORT} devices
+  (``BatchedModule`` + ``BatchedSGD``) through a warmed steady-state step
+  loop with ``zero_grad(set_to_none=False)``.  The measurement is
+  peak-traced-bytes minus steady-state baseline across the loop — the
+  transient working set the allocator must service per step — normalized
+  per fused device-step.
+* **serial forward** — the same loop on a single model with only the
+  ``model(...)`` call inside the measurement window: what one training
+  forward allocates once backward reclaim recycles its activations through
+  the per-thread :class:`~repro.nn.BufferPool`.
+* **retention** — after the warmed fused loop, the bytes the scratch arena
+  holds (free slabs plus the ones checked out) may not exceed
+  {RETENTION_FACTOR}x the most it ever had checked out at once — a pool
+  that parks idle buffers per shape fails it.
 
 The benchmark **asserts** its regression guards (exit code 1 on violation,
-so CI fails loudly): the optimized path must allocate at least
-{TARGET_REDUCTION:.0%} less transient memory per fused device-step than
-the legacy path, pooled forwards must cut the serial step's transient
-bytes by at least {FORWARD_TARGET_REDUCTION:.0%}, and the arena must stay
-within its retention bound on every workload.
+so CI fails loudly).  The first two are absolute byte budgets per workload
+(``STEP_BUDGET_BYTES`` / ``FORWARD_BUDGET_BYTES``): {BUDGET_FACTOR}x what
+the pooled, in-place engine measured when the budgets were set.  Every
+allocate-per-op formulation this engine has had measured at least 1.48x
+those figures, so sliding back to allocating fails the gate.
 
 Not a pytest file on purpose (no ``test_`` prefix): run it directly with
 
@@ -63,14 +49,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from conftest import bench_environment  # noqa: E402
 
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN  # noqa: E402
-from repro.nn import (  # noqa: E402
-    SGD,
-    Tensor,
-    scratch_pool,
-    set_allocation_free,
-    set_forward_pooling,
-    set_pooling,
-)
+from repro.nn import SGD, Tensor, scratch_pool  # noqa: E402
 from repro.nn.batched import (  # noqa: E402
     BatchedModule,
     BatchedSGD,
@@ -78,9 +57,20 @@ from repro.nn.batched import (  # noqa: E402
 )
 from repro.nn.losses import cross_entropy  # noqa: E402
 
-TARGET_REDUCTION = 0.5
-FORWARD_TARGET_REDUCTION = 0.3
 RETENTION_FACTOR = 1.25
+# Byte budgets: BUDGET_FACTOR x the figures BENCH_memory.json held when the
+# allocate-per-op paths they used to be compared against were deleted.
+BUDGET_FACTOR = 1.25
+STEP_BUDGET_BYTES = {
+    "fully_connected": BUDGET_FACTOR * 12_426,
+    "lenet": BUDGET_FACTOR * 132_445,
+    "simple_cnn": BUDGET_FACTOR * 134_660,
+}
+FORWARD_BUDGET_BYTES = {
+    "fully_connected": BUDGET_FACTOR * 14_634,
+    "lenet": BUDGET_FACTOR * 32_822,
+    "simple_cnn": BUDGET_FACTOR * 80_068,
+}
 COHORT = 8
 INPUT_SHAPE = (3, 8, 8)
 NUM_CLASSES = 4
@@ -88,8 +78,7 @@ BATCH_SIZE = 8
 LR, MOMENTUM = 0.05, 0.9
 WARMUP_STEPS = 3
 
-__doc__ = __doc__.format(TARGET_REDUCTION=TARGET_REDUCTION, COHORT=COHORT,
-                         FORWARD_TARGET_REDUCTION=FORWARD_TARGET_REDUCTION,
+__doc__ = __doc__.format(COHORT=COHORT, BUDGET_FACTOR=BUDGET_FACTOR,
                          RETENTION_FACTOR=RETENTION_FACTOR)
 
 WORKLOADS = {
@@ -118,87 +107,68 @@ def _fused_cohort(factory, steps):
     return module, optimizer, images, labels
 
 
-def _step(module, optimizer, images, labels, set_to_none):
-    optimizer.zero_grad(set_to_none=set_to_none)
+def _step(module, optimizer, images, labels):
+    optimizer.zero_grad(set_to_none=False)
     loss_vec = batched_cross_entropy(module(Tensor(images)), labels)
     loss_vec.sum().backward()
     optimizer.step()
 
 
-def _measure_mode(factory, steps, optimized):
-    """Peak transient traced bytes across a warmed fused step loop.
+def _measure_step(factory, steps):
+    """Peak transient traced bytes across a warmed fused step loop."""
+    module, optimizer, images, labels = _fused_cohort(factory, WARMUP_STEPS + steps)
 
-    Toggles are restored before returning so one mode cannot leak its
-    policy into the other (or into anything else running in-process).
-    """
-    previous_alloc = set_allocation_free(optimized)
-    previous_pool = set_pooling(optimized)
-    set_to_none = not optimized
-    try:
-        module, optimizer, images, labels = _fused_cohort(factory, WARMUP_STEPS + steps)
-
-        tracemalloc.start()
-        # Warm-up establishes the steady state each mode is entitled to:
-        # persistent grad buffers and pooled scratch for the optimized
-        # path, nothing for the legacy path.
-        for step in range(WARMUP_STEPS):
-            _step(module, optimizer, images[step], labels[step], set_to_none)
-        gc.collect()
-        tracemalloc.reset_peak()
-        baseline = tracemalloc.get_traced_memory()[0]
-        for step in range(WARMUP_STEPS, WARMUP_STEPS + steps):
-            _step(module, optimizer, images[step], labels[step], set_to_none)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        # Temporaries die within the step that made them, so the loop peak
-        # is one step's transient working set, not ``steps`` of them.
-        return max(peak - baseline, 0) / COHORT
-    finally:
-        set_allocation_free(previous_alloc)
-        set_pooling(previous_pool)
+    tracemalloc.start()
+    # Warm-up establishes the steady state: persistent grad buffers and
+    # pooled scratch.
+    for step in range(WARMUP_STEPS):
+        _step(module, optimizer, images[step], labels[step])
+    gc.collect()
+    tracemalloc.reset_peak()
+    baseline = tracemalloc.get_traced_memory()[0]
+    for step in range(WARMUP_STEPS, WARMUP_STEPS + steps):
+        _step(module, optimizer, images[step], labels[step])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # Temporaries die within the step that made them, so the loop peak
+    # is one step's transient working set, not ``steps`` of them.
+    return max(peak - baseline, 0) / COHORT
 
 
-def _measure_forward_mode(factory, steps, pooled):
+def _measure_forward(factory, steps):
     """Transient traced bytes of the *forward pass* in a serial train loop.
 
     Only the ``model(...)`` call is inside the measurement window; the
     loss, backward, and optimizer step run between windows so backward
     reclaim can recycle pooled activations for the next forward.
-    Allocation-free accumulation and scratch pooling stay at their
-    defaults in both modes — the delta isolates what feeding forward
-    activations from the :class:`~repro.nn.BufferPool` saves.
     """
-    previous = set_forward_pooling(pooled)
-    try:
-        rng = np.random.default_rng(29)
-        images, labels = _cohort_data(rng, WARMUP_STEPS + steps)
-        model = factory(seed=0)
-        model.train()
-        optimizer = SGD(model.parameters(), lr=LR, momentum=MOMENTUM)
+    rng = np.random.default_rng(29)
+    images, labels = _cohort_data(rng, WARMUP_STEPS + steps)
+    model = factory(seed=0)
+    model.train()
+    optimizer = SGD(model.parameters(), lr=LR, momentum=MOMENTUM)
 
-        def rest_of_step(index, out):
-            loss = cross_entropy(out, labels[index, 0])
-            loss.backward()
-            optimizer.step()
+    def rest_of_step(index, out):
+        loss = cross_entropy(out, labels[index, 0])
+        loss.backward()
+        optimizer.step()
 
-        tracemalloc.start()
-        for index in range(WARMUP_STEPS):
-            optimizer.zero_grad(set_to_none=False)
-            rest_of_step(index, model(Tensor(images[index, 0])))
-        gc.collect()
-        worst = 0
-        for index in range(WARMUP_STEPS, WARMUP_STEPS + steps):
-            optimizer.zero_grad(set_to_none=False)
-            tracemalloc.reset_peak()
-            baseline = tracemalloc.get_traced_memory()[0]
-            out = model(Tensor(images[index, 0]))
-            peak = tracemalloc.get_traced_memory()[1]
-            worst = max(worst, peak - baseline)
-            rest_of_step(index, out)
-        tracemalloc.stop()
-        return max(worst, 0)
-    finally:
-        set_forward_pooling(previous)
+    tracemalloc.start()
+    for index in range(WARMUP_STEPS):
+        optimizer.zero_grad(set_to_none=False)
+        rest_of_step(index, model(Tensor(images[index, 0])))
+    gc.collect()
+    worst = 0
+    for index in range(WARMUP_STEPS, WARMUP_STEPS + steps):
+        optimizer.zero_grad(set_to_none=False)
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        out = model(Tensor(images[index, 0]))
+        peak = tracemalloc.get_traced_memory()[1]
+        worst = max(worst, peak - baseline)
+        rest_of_step(index, out)
+    tracemalloc.stop()
+    return max(worst, 0)
 
 
 def _measure_retention(factory, steps):
@@ -213,7 +183,7 @@ def _measure_retention(factory, steps):
     def loop():
         module, optimizer, images, labels = _fused_cohort(factory, WARMUP_STEPS + steps)
         for step in range(WARMUP_STEPS + steps):
-            _step(module, optimizer, images[step], labels[step], set_to_none=False)
+            _step(module, optimizer, images[step], labels[step])
         stats.update(scratch_pool().stats())
 
     thread = threading.Thread(target=loop)
@@ -235,47 +205,39 @@ def main(argv=None) -> int:
     enforce = not args.quick
 
     print(f"memory benchmark: B={COHORT} fused devices, batch {BATCH_SIZE}, "
-          f"{steps} measured steps, target >= {TARGET_REDUCTION:.0%} fewer "
-          f"transient bytes per device-step")
+          f"{steps} measured steps, budget: transient bytes per device-step")
 
     results = []
     failures = []
     for name, factory in sorted(WORKLOADS.items()):
-        legacy = _measure_mode(factory, steps, optimized=False)
-        optimized = _measure_mode(factory, steps, optimized=True)
-        reduction = 1.0 - optimized / legacy if legacy else 0.0
+        measured = _measure_step(factory, steps)
+        budget = STEP_BUDGET_BYTES[name]
         results.append({
             "workload": name,
-            "legacy_bytes_per_device_step": legacy,
-            "optimized_bytes_per_device_step": optimized,
-            "reduction": reduction,
+            "optimized_bytes_per_device_step": measured,
+            "budget_bytes": budget,
         })
-        print(f"  {name:16s} legacy {legacy / 1024:8.1f} KiB/device-step  "
-              f"optimized {optimized / 1024:8.1f} KiB/device-step  "
-              f"reduction {reduction:6.1%}")
-        if reduction < TARGET_REDUCTION:
-            failures.append(f"{name}: reduction {reduction:.1%} < target "
-                            f"{TARGET_REDUCTION:.0%}")
+        print(f"  {name:16s} {measured / 1024:8.1f} KiB/device-step  "
+              f"budget {budget / 1024:8.1f} KiB")
+        if measured > budget:
+            failures.append(f"{name}: {measured:.0f} B per device-step > "
+                            f"budget {budget:.0f} B")
 
-    print(f"\nforward-pass pooling (serial model, target >= "
-          f"{FORWARD_TARGET_REDUCTION:.0%} fewer transient bytes per forward)")
+    print("\nforward pass (serial model, budget: transient bytes per forward)")
     forward_results = []
     for name, factory in sorted(WORKLOADS.items()):
-        unpooled = _measure_forward_mode(factory, steps, pooled=False)
-        pooled = _measure_forward_mode(factory, steps, pooled=True)
-        reduction = 1.0 - pooled / unpooled if unpooled else 0.0
+        measured = _measure_forward(factory, steps)
+        budget = FORWARD_BUDGET_BYTES[name]
         forward_results.append({
             "workload": name,
-            "unpooled_bytes_per_forward": unpooled,
-            "pooled_bytes_per_forward": pooled,
-            "reduction": reduction,
+            "pooled_bytes_per_forward": measured,
+            "budget_bytes": budget,
         })
-        print(f"  {name:16s} unpooled {unpooled / 1024:8.1f} KiB/forward  "
-              f"pooled {pooled / 1024:8.1f} KiB/forward  "
-              f"reduction {reduction:6.1%}")
-        if reduction < FORWARD_TARGET_REDUCTION:
-            failures.append(f"forward/{name}: reduction {reduction:.1%} < "
-                            f"target {FORWARD_TARGET_REDUCTION:.0%}")
+        print(f"  {name:16s} {measured / 1024:8.1f} KiB/forward  "
+              f"budget {budget / 1024:8.1f} KiB")
+        if measured > budget:
+            failures.append(f"forward/{name}: {measured} B per forward > "
+                            f"budget {budget:.0f} B")
 
     print(f"\nscratch-arena retention (fused loop, bound: retained <= "
           f"{RETENTION_FACTOR}x outstanding high-water)")
@@ -312,8 +274,8 @@ def main(argv=None) -> int:
         "workloads": results,
         "forward_pooling": forward_results,
         "retention": retention_results,
-        "targets": {"reduction": TARGET_REDUCTION,
-                    "forward_reduction": FORWARD_TARGET_REDUCTION,
+        "targets": {"step_budget_bytes": STEP_BUDGET_BYTES,
+                    "forward_budget_bytes": FORWARD_BUDGET_BYTES,
                     "retention_factor": RETENTION_FACTOR},
         "failures": failures,
         **bench_environment(),
@@ -335,9 +297,8 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"ok: optimized path allocates >= {TARGET_REDUCTION:.0%} less transient "
-          f"memory per fused device-step and the arena retains <= "
-          f"{RETENTION_FACTOR}x its high-water for all workloads")
+    print(f"ok: every workload is within its byte budgets and the arena "
+          f"retains <= {RETENTION_FACTOR}x its high-water")
     return 0
 
 

@@ -7,7 +7,7 @@
 """
 
 from .fedavg import FedAvgServer, FedAvgStrategy, build_fedavg, build_fedprox
-from .fedmd import FedMDSimulation, FedMDStrategy, build_fedmd
+from .fedmd import FedMDStrategy, build_fedmd
 from .standalone import (
     StandaloneBounds,
     StandaloneStrategy,
@@ -21,7 +21,6 @@ __all__ = [
     "FedAvgStrategy",
     "build_fedavg",
     "build_fedprox",
-    "FedMDSimulation",
     "FedMDStrategy",
     "build_fedmd",
     "StandaloneBounds",

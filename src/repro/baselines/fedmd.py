@@ -42,7 +42,6 @@ keyed and deterministic.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -56,7 +55,6 @@ from ..federated.backend import (
 from ..federated.config import FederatedConfig
 from ..federated.device import Device
 from ..federated.sampling import DeviceSampler
-from ..federated.scheduler import RoundScheduler
 from ..federated.server import UploadMeta
 from ..federated.simulation import Simulation
 from ..federated.strategy import Strategy
@@ -65,7 +63,7 @@ from ..partition.base import Partitioner
 from ..partition.iid import IIDPartitioner
 from ..federated.trainer import compute_public_logits, digest_on_public
 
-__all__ = ["FedMDStrategy", "FedMDSimulation", "build_fedmd"]
+__all__ = ["FedMDStrategy", "build_fedmd"]
 
 
 class FedMDStrategy(Strategy):
@@ -213,31 +211,6 @@ class FedMDStrategy(Strategy):
     def verbose_line(self, record, total_rounds: int) -> str:
         return (f"[fedmd] round {record.round_index}/{total_rounds} "
                 f"mean_device={record.mean_device_accuracy:.3f}")
-
-
-class FedMDSimulation(Simulation):
-    """Deprecated FedMD engine — use :class:`Simulation` with
-    :class:`FedMDStrategy` (or :func:`build_fedmd`).
-
-    Kept as a shim for the pre-strategy API: ``FedMDSimulation(devices,
-    public_dataset, config, test_dataset, ...)`` constructs the generic
-    engine with a :class:`FedMDStrategy`, producing bit-identical
-    histories.  Emits a :class:`DeprecationWarning` on construction.
-    """
-
-    def __init__(self, devices: Sequence[Device], public_dataset: ImageDataset,
-                 config: FederatedConfig, test_dataset: ImageDataset,
-                 sampler: Optional[DeviceSampler] = None, digest_epochs: int = 1,
-                 backend: Optional[ExecutionBackend] = None,
-                 scheduler: Optional[RoundScheduler] = None) -> None:
-        warnings.warn(
-            "FedMDSimulation is deprecated; construct Simulation(devices, "
-            "config, test_dataset, FedMDStrategy(public_dataset)) or use "
-            "build_fedmd",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(devices, config, test_dataset,
-                         FedMDStrategy(public_dataset, digest_epochs=digest_epochs),
-                         sampler=sampler, backend=backend, scheduler=scheduler)
 
 
 def build_fedmd(train_dataset: ImageDataset, test_dataset: ImageDataset,

@@ -47,7 +47,7 @@ from .scheduler import (
     make_scheduler,
 )
 from .server import FederatedServer, UploadMeta, evaluate_model
-from .simulation import FederatedSimulation, Simulation
+from .simulation import Simulation
 from .strategy import ParameterServerStrategy, Strategy
 from .strategies import (
     get_strategy_class,
@@ -95,7 +95,6 @@ __all__ = [
     "FederatedServer",
     "evaluate_model",
     "Simulation",
-    "FederatedSimulation",
     "Strategy",
     "ParameterServerStrategy",
     "StrategyConfig",

@@ -33,17 +33,13 @@ fixtures); ``deadline`` and ``async`` reorder the same phases on a
 simulated clock.  Serial and parallel backends remain bit-identical because
 each task carries exact parameters and RNG state.
 
-``FederatedSimulation`` survives as a thin deprecation shim that wraps a
-server in a
-:class:`~repro.federated.strategy.ParameterServerStrategy`; new code should
-construct ``Simulation(devices, config, test_dataset, strategy)`` directly
+Construct ``Simulation(devices, config, test_dataset, strategy)`` directly
 or use the per-algorithm builders (``build_fedzkt``, ``build_fedavg``,
 ``build_fedmd``, ``build_standalone``).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -68,9 +64,9 @@ from .history import RoundRecord, TrainingHistory
 from .sampling import DeviceSampler, UniformSampler
 from .scheduler import RoundScheduler, SchedulerState, make_scheduler
 from .server import FederatedServer, UploadMeta
-from .strategy import ParameterServerStrategy, Strategy
+from .strategy import Strategy
 
-__all__ = ["Simulation", "FederatedSimulation"]
+__all__ = ["Simulation"]
 
 
 class Simulation:
@@ -398,33 +394,3 @@ class Simulation:
         successive ``run_round`` calls on the same simulation.
         """
         return self.scheduler.run_round(self, round_index, self._scheduler_state())
-
-
-class FederatedSimulation(Simulation):
-    """Deprecated parameter-upload engine — use :class:`Simulation`.
-
-    Kept as a shim for the pre-strategy API: ``FederatedSimulation(devices,
-    server, config, test_dataset, ...)`` wraps ``server`` in a
-    :class:`~repro.federated.strategy.ParameterServerStrategy` and
-    constructs the generic engine, producing bit-identical histories.
-    Emits a :class:`DeprecationWarning` on construction.
-    """
-
-    def __init__(self, devices: Sequence[Device], server: FederatedServer,
-                 config: FederatedConfig, test_dataset: ImageDataset,
-                 sampler: Optional[DeviceSampler] = None,
-                 evaluate_devices: bool = True,
-                 round_callback: Optional[Callable[[RoundRecord], None]] = None,
-                 backend: Optional[ExecutionBackend] = None,
-                 scheduler: Optional[RoundScheduler] = None,
-                 heterogeneity: Optional[HeterogeneityModel] = None) -> None:
-        warnings.warn(
-            "FederatedSimulation is deprecated; construct Simulation(devices, "
-            "config, test_dataset, strategy) with a Strategy (see "
-            "repro.federated.strategy) or use the build_* helpers",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(devices, config, test_dataset,
-                         ParameterServerStrategy(server),
-                         sampler=sampler, evaluate_devices=evaluate_devices,
-                         round_callback=round_callback, backend=backend,
-                         scheduler=scheduler, heterogeneity=heterogeneity)

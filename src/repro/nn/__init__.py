@@ -17,14 +17,7 @@ from .batched import (
     fusion_signature,
     slice_thread_count,
 )
-from .buffers import (
-    BufferPool,
-    forward_pooling_enabled,
-    pooling_enabled,
-    scratch_pool,
-    set_forward_pooling,
-    set_pooling,
-)
+from .buffers import BufferPool, scratch_pool
 from .policy import (
     NUMERIC_POLICIES,
     NumericPolicy,
@@ -55,12 +48,10 @@ from .module import Module, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, MultiStepLR, StepLR
 from .tensor import (
     Tensor,
-    allocation_free_enabled,
     as_tensor,
     concatenate,
     is_grad_enabled,
     no_grad,
-    set_allocation_free,
     stack,
 )
 
@@ -71,14 +62,8 @@ __all__ = [
     "stack",
     "no_grad",
     "is_grad_enabled",
-    "set_allocation_free",
-    "allocation_free_enabled",
     "BufferPool",
     "scratch_pool",
-    "set_pooling",
-    "pooling_enabled",
-    "set_forward_pooling",
-    "forward_pooling_enabled",
     "NumericPolicy",
     "NUMERIC_POLICIES",
     "numeric_policy",

@@ -51,7 +51,7 @@ import numpy as np
 from . import conv as conv_ops
 from . import layers as layer_types
 from .buffers import scratch_pool
-from .conv import col2im, im2col
+from .conv import col2im, contract, im2col
 from .module import Module, _as_floating
 from .optim import SGD, Adam
 from .tensor import Tensor, no_grad
@@ -134,7 +134,7 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
                                    padding, pool=pool)
     cols = columns.reshape(batch, samples, columns.shape[1], columns.shape[2])
     w_mat = w.data.reshape(batch, out_channels, -1)
-    out_data = np.einsum("bof,bnfl->bnol", w_mat, cols, optimize=True)
+    out_data = contract("bof,bnfl->bnol", w_mat, cols)
     if bias is not None:
         out_data = out_data + bias.data.reshape(batch, 1, out_channels, 1)
     out_data = out_data.reshape(batch, samples, out_channels, out_h, out_w)
@@ -149,50 +149,19 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(1, 3)), owned=True)
             if weight_grad:
-                features, length = w_mat.shape[-1], grad.shape[-1]
-                if (batch >= 2 and samples >= 2 and out_channels >= 2
-                        and features >= 2 and length >= 2):
-                    # Same pooled staging as the per-device conv backward:
-                    # einsum copies both operands contiguous and runs one
-                    # batched GEMM, so identical copies in pooled scratch
-                    # keep the bits while dropping the allocations.
-                    lhs = pool.acquire((batch, features, samples * length),
-                                       cols.dtype)
-                    np.copyto(lhs.reshape(batch, features, samples, length),
-                              cols.transpose(0, 2, 1, 3))
-                    rhs = pool.acquire((batch, samples * length, out_channels),
-                                       grad.dtype)
-                    np.copyto(rhs.reshape(batch, samples, length, out_channels),
-                              grad.transpose(0, 1, 3, 2))
-                    grad_w = np.matmul(lhs, rhs).transpose(0, 2, 1)
-                    pool.release(lhs)
-                    pool.release(rhs)
-                else:
-                    grad_w = np.einsum("bnol,bnfl->bof", grad, cols,
-                                       optimize=True)
+                grad_w = contract("bnol,bnfl->bof", grad, cols)
                 w._accumulate(grad_w.reshape(w.data.shape), owned=True)
             if x.requires_grad:
-                features, length = w_mat.shape[-1], grad.shape[-1]
-                if features >= 2 and length >= 2:
-                    # Same lowering as the per-device conv backward: einsum's
-                    # optimized path is this exact batched GEMM, so pooled
-                    # ``out=`` keeps bits and drops the allocation.
-                    grad_cols = pool.acquire((batch, samples, features, length),
-                                             np.result_type(w_mat, grad))
-                    np.matmul(w_mat.transpose(0, 2, 1)[:, None], grad,
-                              out=grad_cols)
-                    grad_x = col2im(
-                        grad_cols.reshape(batch * samples, -1, length),
-                        merged_shape, kernel, stride, padding)
-                    x._accumulate(grad_x.reshape(x.data.shape), owned=True)
-                    pool.release(grad_cols)
-                else:
-                    grad_cols = np.einsum("bof,bnol->bnfl", w_mat, grad,
-                                          optimize=True)
-                    grad_cols = grad_cols.reshape(
-                        batch * samples, -1, grad_cols.shape[-1])
-                    grad_x = col2im(grad_cols, merged_shape, kernel, stride, padding)
-                    x._accumulate(grad_x.reshape(x.data.shape), owned=True)
+                length = grad.shape[-1]
+                grad_cols = pool.acquire(
+                    (batch, samples, w_mat.shape[-1], length),
+                    np.result_type(w_mat, grad))
+                grad_x = col2im(
+                    contract("bof,bnol->bnfl", w_mat, grad, out=grad_cols)
+                    .reshape(batch * samples, -1, length),
+                    merged_shape, kernel, stride, padding)
+                x._accumulate(grad_x.reshape(x.data.shape), owned=True)
+                pool.release(grad_cols)
             if weight_grad:
                 pool.release(columns)
 

@@ -30,8 +30,7 @@ numeric policy"):
 * ``trim`` drops the free slabs nothing acquired since the previous
   ``trim``; the simulation engine and every backend worker run it once per
   round (``enter_round``), so a round keeps the working set it just used
-  and shape churn between rounds cannot pin memory.  ``reset`` drops every
-  free slab.
+  and shape churn between rounds cannot pin memory.
 
 Slabs are uninitialized storage: every consumer fully overwrites the
 array (``out=`` ufuncs/einsums, ``np.copyto``, ``fill``) before any read,
@@ -49,8 +48,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["BufferPool", "scratch_pool", "set_pooling", "pooling_enabled",
-           "set_forward_pooling", "forward_pooling_enabled"]
+__all__ = ["BufferPool", "scratch_pool"]
 
 #: A free slab serves a request only when it is at most this many times its
 #: size.  Heterogeneous models ask for a different size at every layer, one
@@ -84,7 +82,6 @@ class BufferPool:
     """Best-fit arena of byte slabs shared across shapes and dtypes."""
 
     def __init__(self) -> None:
-        self.enabled = True
         # Free slabs, ascending by size; parallel lists so the bisect runs
         # over plain ints.  ``_arrays[i]`` is the array last handed out over
         # the slab (``.base`` is the slab): a repeat request for its shape
@@ -106,7 +103,7 @@ class BufferPool:
         if not isinstance(dtype, np.dtype):
             dtype = np.dtype(dtype)
         nbytes = dtype.itemsize * math.prod(shape)
-        if not (self.enabled and nbytes):
+        if not nbytes:
             return np.empty(shape, dtype)
         self._acquires += 1
         sizes = self._sizes
@@ -144,7 +141,7 @@ class BufferPool:
         """
         slab = buffer.base
         if (type(slab) is not _Slab or slab.holder != id(buffer)
-                or slab.morgue is not self._morgue or not self.enabled):
+                or slab.morgue is not self._morgue):
             return
         slab.holder = 0
         size = slab.nbytes
@@ -185,12 +182,6 @@ class BufferPool:
         if version > self._round or version < self._round - 1:
             self._round = version
             self.trim()
-
-    def reset(self) -> None:
-        """Drop every free slab (acquired arrays are unaffected)."""
-        self._sizes = []
-        self._arrays = []
-        self._free_bytes = 0
 
     def free_bytes(self) -> int:
         """Total bytes of the free slabs (introspection/benchmarks)."""
@@ -234,51 +225,3 @@ def scratch_pool() -> BufferPool:
     if _POOL.pool is None:
         _POOL.pool = BufferPool()
     return _POOL.pool
-
-
-def set_pooling(enabled: bool) -> bool:
-    """Enable/disable buffer reuse on this thread's pool; returns the old value.
-
-    Used by ``benchmarks/bench_memory.py`` to A/B the allocating baseline
-    against the pooled path.  Disabling also drops the free slabs.
-    """
-    pool = scratch_pool()
-    previous = pool.enabled
-    pool.enabled = bool(enabled)
-    if not pool.enabled:
-        pool.reset()
-    return previous
-
-
-def pooling_enabled() -> bool:
-    """Whether this thread's pool currently reuses buffers."""
-    return scratch_pool().enabled
-
-
-# Forward-pass pooling rides on top of the pool switch above: training
-# forwards write matmul/conv/activation outputs into pooled buffers that
-# ``Tensor.backward`` reclaims with the intermediate gradients.  This
-# per-thread sub-switch exists so ``benchmarks/bench_memory.py`` can isolate
-# the forward-pooling delta from the (older) backward pooling; users get
-# the single ``set_pooling`` knob, which gates both.
-class _ForwardLocal(threading.local):
-    enabled = True
-
-
-_FORWARD = _ForwardLocal()
-
-
-def set_forward_pooling(enabled: bool) -> bool:
-    """Toggle forward-output pooling on this thread; returns the old value.
-
-    Only effective while :func:`pooling_enabled` is True — ``set_pooling(False)``
-    restores the legacy allocate-per-op forward regardless of this switch.
-    """
-    previous = _FORWARD.enabled
-    _FORWARD.enabled = bool(enabled)
-    return previous
-
-
-def forward_pooling_enabled() -> bool:
-    """Whether training forwards feed their outputs from the pool (this thread)."""
-    return _FORWARD.enabled and scratch_pool().enabled

@@ -10,7 +10,8 @@ on-device models practical.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from math import prod
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -161,6 +162,128 @@ def col2im(
     return padded
 
 
+class _GemmPlan(NamedTuple):
+    """How one contraction runs as a single GEMM.
+
+    The operand holding the ``rows`` letters, laid out ``batch + rows +
+    inner``, times the other, laid out ``batch + inner + cols``, gives a
+    ``batch + rows + cols`` product.  ``wide`` names the dimensions that must
+    be at least 2 for the GEMM to reproduce einsum's bits; ``needs_out``
+    marks the plans that only run into a destination (without one the caller
+    gets einsum's own array, in einsum's own layout).
+    """
+
+    batch: str
+    rows: str
+    inner: str
+    cols: str
+    wide: str
+    needs_out: bool
+
+
+_GEMM_PLANS = {
+    "of,nfl->nol": _GemmPlan("", "nl", "f", "o", "nofl", True),        # conv2d forward
+    "nol,nfl->of": _GemmPlan("", "f", "nl", "o", "nofl", False),       # conv2d weight VJP
+    "of,nol->nfl": _GemmPlan("n", "f", "o", "l", "fl", True),          # conv2d input VJP
+    "ncl,ncfl->cf": _GemmPlan("c", "f", "nl", "", "ncfl", False),      # depthwise weight VJP
+    "bnol,bnfl->bof": _GemmPlan("b", "f", "nl", "o", "bnofl", False),  # batched weight VJP
+    "bof,bnol->bnfl": _GemmPlan("bn", "f", "o", "l", "fl", True),      # batched input VJP
+}
+
+
+def _gemm_operand(pool: BufferPool, operand: np.ndarray, letters: str,
+                  size: dict, batch: str, rows: str, cols: str) -> np.ndarray:
+    """``operand`` as a stack of ``(rows, cols)`` matrices over ``batch``.
+
+    A side that merges several letters is copied contiguous into pooled
+    scratch — the copy einsum makes before its GEMM; otherwise the result
+    is a transposed view, with unit axes for the batch letters it lacks.
+    """
+    view = operand.transpose(
+        [letters.index(c) for c in batch + rows + cols if c in letters])
+    shape = tuple(size[c] if c in letters else 1 for c in batch) + (
+        prod(size[c] for c in rows), prod(size[c] for c in cols))
+    if len(rows) < 2 and len(cols) < 2:
+        return view.reshape(shape)
+    staged = pool.acquire(shape, operand.dtype)
+    np.copyto(staged.reshape(view.shape), view)
+    return staged
+
+
+def contract(subscripts: str, a: np.ndarray, b: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.einsum(subscripts, a, b, optimize=True)`` through pooled scratch.
+
+    The contractions in ``_GEMM_PLANS`` run as the one GEMM einsum's own
+    plan ends in — ``np.dot`` for the unbatched ones (what einsum's
+    tensordot calls), ``np.matmul`` for the batched — with the staging
+    copies in pooled scratch and the product written straight into ``out``
+    when ``out`` has the product's layout.  Values are bit-identical to
+    einsum's and, where no ``out`` is given, so is the memory layout, which
+    downstream reductions (batch-norm statistics) iterate in.
+
+    einsum treats unit dimensions and mixed dtypes in its own ways, so
+    those are left to it and ``out`` is *not* used: it has the layout of
+    the regular case, not the one einsum picks there.  ``result is out``
+    tells the caller whether its destination was filled.
+    """
+    inputs, result = subscripts.split("->")
+    a_letters, b_letters = inputs.split(",")
+    size = dict(zip(a_letters + b_letters, a.shape + b.shape))
+    plan = _GEMM_PLANS.get(subscripts)
+    if a.dtype != b.dtype or any(size[c] < 2 for c in (plan.wide if plan else size)):
+        plan = out = None
+    if plan is not None:
+        batch, rows, inner, cols = plan[:4]
+        layout = batch + rows + cols
+        product = None if out is None else out.transpose(
+            [result.index(c) for c in layout])
+        if (not plan.needs_out) if out is None else product.flags.c_contiguous:
+            if rows[0] in b_letters:
+                a, a_letters, b, b_letters = b, b_letters, a, a_letters
+            pool = scratch_pool()
+            left = _gemm_operand(pool, a, a_letters, size, batch, rows, inner)
+            right = _gemm_operand(pool, b, b_letters, size, batch, inner, cols)
+            gemm = np.matmul if batch else np.dot
+            if out is None:
+                product = gemm(left, right)
+            else:
+                gemm(left, right, out=product.reshape(
+                    [size[c] for c in batch] + [left.shape[-2], right.shape[-1]]))
+            pool.release(left)  # a no-op for the views
+            pool.release(right)
+            if out is not None:
+                return out
+            return product.reshape([size[c] for c in layout]).transpose(
+                [layout.index(c) for c in result])
+    return np.einsum(subscripts, a, b, out=out, optimize=True)
+
+
+def _forward_contract(subscripts: str, w_mat: np.ndarray, cols: np.ndarray,
+                      base_shape: Tuple[int, ...], axes: Tuple[int, ...],
+                      bias: Optional[Tensor], recorded: bool) -> Tuple[np.ndarray, bool]:
+    """A convolution's forward contraction plus bias; ``(data, pooled)``.
+
+    Recorded forwards write into a pooled buffer shaped like einsum's own
+    result — a ``base_shape``-contiguous array handed back as its ``axes``
+    view — because downstream reductions (batch-norm statistics) iterate in
+    that layout's order; ``backward()`` reclaims the base behind the view.
+    The in-place bias add performs the same IEEE-754 additions as the
+    allocating form.
+    """
+    base = _forward_buffer(base_shape, cols.dtype) if recorded else None
+    view = None if base is None else base.transpose(axes)
+    data = contract(subscripts, w_mat, cols, out=view)
+    pooled = data is view
+    if base is not None and not pooled:
+        scratch_pool().release(base)
+    if bias is not None and pooled:
+        data += bias.data.reshape(1, -1, 1)
+    elif bias is not None:
+        data = data + bias.data.reshape(1, -1, 1)
+    return data, pooled
+
+
 def conv2d(
     inputs: Tensor,
     weight: Tensor,
@@ -194,47 +317,11 @@ def conv2d(
     # only if the weight gradient will read them.
     weight_grad = w.requires_grad
 
-    # Training forwards write the contraction into a pooled buffer shaped
-    # like einsum's own result: the optimized "of,nfl->nol" path runs one
-    # GEMM into an (n, l, o)-contiguous array and hands back its transposed
-    # view, and downstream reductions (batch-norm statistics) iterate in
-    # that layout's order — so the pooled buffer must reproduce the layout,
-    # not just the values, to keep trajectories bit-identical.  ``out=``
-    # runs the identical kernel, and the in-place bias add performs the
-    # same IEEE-754 additions as the allocating form.  ``backward()``
-    # reclaims the base array behind the view.
     length = out_h * out_w
-    out_data = None
-    pooled = False
-    if (w.data.dtype == columns.dtype
-            and any(p.requires_grad for p in parents)
-            and batch >= 2 and out_channels >= 2
-            and w_mat.shape[1] >= 2 and length >= 2):
-        base = _forward_buffer((batch, length, out_channels), columns.dtype)
-        if base is not None:
-            nol = base.transpose(0, 2, 1)
-            # einsum's optimized path lowers "nfl,of->nol" to one tensordot:
-            # stage ``columns`` contiguously as (n*l, f), run one GEMM with
-            # ``w_mat.T`` into an (n*l, o) result — exactly the (n, l, o)
-            # base layout — then transpose-copy into ``out``.  Making the
-            # same staging copy in pooled scratch and pointing the GEMM
-            # straight at the base runs the identical dot on the identical
-            # bytes while the largest forward transient becomes pool reuse.
-            features = w_mat.shape[1]
-            staged = pool.acquire((batch * length, features), columns.dtype)
-            np.copyto(staged.reshape(batch, length, features),
-                      columns.transpose(0, 2, 1))
-            np.dot(staged, w_mat.T, out=base.reshape(batch * length, out_channels))
-            pool.release(staged)
-            if bias is not None:
-                nol += bias.data.reshape(1, -1, 1)
-            out_data = nol.reshape(batch, out_channels, out_h, out_w)
-            pooled = True
-    if out_data is None:
-        out_data = np.einsum("of,nfl->nol", w_mat, columns, optimize=True)
-        if bias is not None:
-            out_data = out_data + bias.data.reshape(1, -1, 1)
-        out_data = out_data.reshape(batch, out_channels, out_h, out_w)
+    out_data, pooled = _forward_contract(
+        "of,nfl->nol", w_mat, columns, (batch, length, out_channels), (0, 2, 1),
+        bias, any(p.requires_grad for p in parents))
+    out_data = out_data.reshape(batch, out_channels, out_h, out_w)
 
     def factory(out: Tensor) -> Callable[[], None]:
         def backward() -> None:
@@ -242,48 +329,16 @@ def conv2d(
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2)), owned=True)
             if weight_grad:
-                features, length = w_mat.shape[1], grad.shape[-1]
-                if (batch >= 2 and out_channels >= 2
-                        and features >= 2 and length >= 2):
-                    # einsum's optimized path stages both operands as
-                    # contiguous copies and runs one GEMM; making the same
-                    # copies in pooled scratch keeps the bits while dropping
-                    # the two large allocations.  Degenerate widths take
-                    # einsum's special cases, so those fall through.
-                    lhs = pool.acquire((features, batch * length),
-                                       columns.dtype)
-                    np.copyto(lhs.reshape(features, batch, length),
-                              columns.transpose(1, 0, 2))
-                    rhs = pool.acquire((batch * length, out_channels), grad.dtype)
-                    np.copyto(rhs.reshape(batch, length, out_channels),
-                              grad.transpose(0, 2, 1))
-                    grad_w = np.matmul(lhs, rhs).transpose(1, 0)
-                    pool.release(lhs)
-                    pool.release(rhs)
-                else:
-                    grad_w = np.einsum("nol,nfl->of", grad, columns,
-                                       optimize=True)
+                grad_w = contract("nol,nfl->of", grad, columns)
                 w._accumulate(grad_w.reshape(w.data.shape), owned=True)
             if x.requires_grad:
-                features, length = w_mat.shape[1], grad.shape[-1]
-                if features >= 2 and length >= 2:
-                    # einsum's optimized path lowers this contraction to the
-                    # identical batched GEMM, so writing it into pooled
-                    # scratch keeps the bits while dropping the allocation.
-                    # Degenerate widths (f or l of 1) take einsum's special
-                    # cases instead, so those fall through unchanged.
-                    grad_cols = pool.acquire((batch, features, length),
-                                             np.result_type(w_mat, grad))
-                    np.matmul(w_mat.T, grad, out=grad_cols)
-                    x._accumulate(
-                        col2im(grad_cols, x.data.shape, kernel, stride, padding),
-                        owned=True)
-                    pool.release(grad_cols)
-                else:
-                    grad_cols = np.einsum("of,nol->nfl", w_mat, grad, optimize=True)
-                    x._accumulate(
-                        col2im(grad_cols, x.data.shape, kernel, stride, padding),
-                        owned=True)
+                grad_cols = pool.acquire((batch, w_mat.shape[1], length),
+                                         np.result_type(w_mat, grad))
+                x._accumulate(
+                    col2im(contract("of,nol->nfl", w_mat, grad, out=grad_cols),
+                           x.data.shape, kernel, stride, padding),
+                    owned=True)
+                pool.release(grad_cols)
             # Backward closures run at most once, so the columns can rejoin
             # the pool for the next step's forward.
             if weight_grad:
@@ -291,8 +346,7 @@ def conv2d(
 
         return backward
 
-    out = Tensor._make(out_data, parents, factory)
-    out._pooled_data = pooled and out._backward is not None
+    out = Tensor._make(out_data, parents, factory, pooled)
     if out._backward is None or not weight_grad:
         # Only the weight gradient reads the columns again: on the inference
         # path and under a frozen weight they are free as of now.
@@ -326,30 +380,13 @@ def depthwise_conv2d(
     parents = (x, w) if bias is None else (x, w, bias)
     weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
 
-    # Same pooled training forward as conv2d, in the layout einsum's own
-    # optimized "cf,ncfl->ncl" path produces: a (c, n, l)-contiguous base
-    # viewed as (n, c, l).  Downstream reductions iterate in that order,
-    # so reproducing the layout keeps trajectories bit-identical.
+    # einsum's "cf,ncfl->ncl" result is a (c, n, l)-contiguous array viewed
+    # as (n, c, l).
     length = out_h * out_w
-    out_data = None
-    pooled = False
-    if (w.data.dtype == columns.dtype
-            and any(p.requires_grad for p in parents)
-            and batch >= 2 and channels >= 2
-            and kernel * kernel >= 2 and length >= 2):
-        base = _forward_buffer((channels, batch, length), columns.dtype)
-        if base is not None:
-            ncl = base.transpose(1, 0, 2)
-            np.einsum("cf,ncfl->ncl", w_mat, cols, out=ncl, optimize=True)
-            if bias is not None:
-                ncl += bias.data.reshape(1, -1, 1)
-            out_data = ncl.reshape(batch, channels, out_h, out_w)
-            pooled = True
-    if out_data is None:
-        out_data = np.einsum("cf,ncfl->ncl", w_mat, cols, optimize=True)
-        if bias is not None:
-            out_data = out_data + bias.data.reshape(1, -1, 1)
-        out_data = out_data.reshape(batch, channels, out_h, out_w)
+    out_data, pooled = _forward_contract(
+        "cf,ncfl->ncl", w_mat, cols, (channels, batch, length), (1, 0, 2),
+        bias, any(p.requires_grad for p in parents))
+    out_data = out_data.reshape(batch, channels, out_h, out_w)
 
     def factory(out: Tensor) -> Callable[[], None]:
         def backward() -> None:
@@ -357,25 +394,7 @@ def depthwise_conv2d(
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2)), owned=True)
             if weight_grad:
-                taps, length = w_mat.shape[1], grad.shape[-1]
-                if (batch >= 2 and channels >= 2 and taps >= 2
-                        and length >= 2):
-                    # Same pooled staging as the dense conv grad_w (einsum
-                    # lowers this to one per-channel GEMV after contiguous
-                    # copies of both operands).
-                    lhs = pool.acquire((channels, taps, batch * length),
-                                       cols.dtype)
-                    np.copyto(lhs.reshape(channels, taps, batch, length),
-                              cols.transpose(1, 2, 0, 3))
-                    rhs = pool.acquire((channels, batch * length, 1), grad.dtype)
-                    np.copyto(rhs.reshape(channels, batch, length),
-                              grad.transpose(1, 0, 2))
-                    grad_w = np.matmul(lhs, rhs).reshape(channels, taps)
-                    pool.release(lhs)
-                    pool.release(rhs)
-                else:
-                    grad_w = np.einsum("ncl,ncfl->cf", grad, cols,
-                                       optimize=True)
+                grad_w = contract("ncl,ncfl->cf", grad, cols)
                 w._accumulate(grad_w.reshape(w.data.shape), owned=True)
             if x.requires_grad:
                 # Pure outer product (no contracted index): matmul over a
@@ -395,8 +414,7 @@ def depthwise_conv2d(
 
         return backward
 
-    out = Tensor._make(out_data, parents, factory)
-    out._pooled_data = pooled and out._backward is not None
+    out = Tensor._make(out_data, parents, factory, pooled)
     if out._backward is None or not weight_grad:
         pool.release(columns)
     return out

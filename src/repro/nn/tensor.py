@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .buffers import forward_pooling_enabled, scratch_pool
+from .buffers import scratch_pool
 from .policy import policy_dtype
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "as_tensor",
     "concatenate",
     "stack",
-    "set_allocation_free",
-    "allocation_free_enabled",
 ]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
@@ -56,28 +54,6 @@ class _GradMode(threading.local):
 
 
 _GRAD_MODE = _GradMode()
-
-# Allocation policy for gradient accumulation.  The allocation-free path
-# (the default) adds in place into an existing ``.grad`` buffer and adopts
-# freshly allocated closure outputs on first accumulation; the legacy path
-# reproduces the historical allocate-and-copy behaviour.  Both compute
-# bit-identical values (``a += b`` and ``a = a + b`` are the same IEEE-754
-# additions) — the switch exists so ``benchmarks/bench_memory.py`` can
-# measure the allocation delta, not because results differ.
-_ALLOC_FREE = True
-
-
-def set_allocation_free(enabled: bool) -> bool:
-    """Toggle the allocation-free accumulation fast path; returns the old value."""
-    global _ALLOC_FREE
-    previous = _ALLOC_FREE
-    _ALLOC_FREE = bool(enabled)
-    return previous
-
-
-def allocation_free_enabled() -> bool:
-    """Whether gradient accumulation uses the allocation-free fast path."""
-    return _ALLOC_FREE
 
 
 class no_grad:
@@ -135,9 +111,7 @@ def _forward_buffer(shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
     op-level callers that know their buffer lifetimes (the fused inference
     path, conv's im2col staging) manage the pool directly instead.
     """
-    if not (_ALLOC_FREE and _GRAD_MODE.enabled and forward_pooling_enabled()):
-        return None
-    if np.dtype(dtype) != policy_dtype():
+    if not _GRAD_MODE.enabled or np.dtype(dtype) != policy_dtype():
         return None
     return scratch_pool().acquire(shape, dtype)
 
@@ -156,13 +130,10 @@ def _forward_buffer_like(arr: np.ndarray) -> Optional[np.ndarray]:
     """
     if arr.flags.c_contiguous:
         return _forward_buffer(arr.shape, arr.dtype)
-    if not (_ALLOC_FREE and _GRAD_MODE.enabled and forward_pooling_enabled()):
-        return None
-    if np.dtype(arr.dtype) != policy_dtype():
-        return None
     order = sorted(range(arr.ndim), key=lambda axis: (-arr.strides[axis], axis))
-    base = scratch_pool().acquire(tuple(arr.shape[axis] for axis in order),
-                                  arr.dtype)
+    base = _forward_buffer(tuple(arr.shape[axis] for axis in order), arr.dtype)
+    if base is None:
+        return None
     inverse = [0] * arr.ndim
     for position, axis in enumerate(order):
         inverse[axis] = position
@@ -306,9 +277,9 @@ class Tensor:
     def retain_data(self) -> None:
         """Keep this tensor's ``.data`` through ``backward()``'s cleanup.
 
-        When forward pooling is active, intermediate outputs produced into
-        pooled buffers are reclaimed once backward finishes (nothing in the
-        graph reads them again).  Call this before ``backward()`` on any
+        Intermediate outputs produced into pooled buffers are reclaimed
+        once backward finishes (nothing in the graph reads them again).
+        Call this before ``backward()`` on any
         intermediate whose payload must stay readable afterwards — e.g. a
         synthesized batch that is re-used as data after the generator step.
         """
@@ -351,6 +322,7 @@ class Tensor:
         data: np.ndarray,
         parents: Tuple["Tensor", ...],
         backward_factory: Callable[["Tensor"], Callable[[], None]],
+        pooled: bool = False,
     ) -> "Tensor":
         """Create a result tensor, wiring it into the graph when needed.
 
@@ -358,12 +330,15 @@ class Tensor:
         returns the zero-argument closure that propagates ``out.grad`` to the
         parents.  The factory is only invoked when gradients are enabled and
         at least one parent requires them, so inference pays no graph cost.
+        ``pooled`` says ``data`` lives in a pooled forward buffer, which
+        ``backward()`` reclaims with the graph.
         """
         out = Tensor(data)
         if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward_factory(out)
+            out._pooled_data = pooled
         return out
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
@@ -393,48 +368,31 @@ class Tensor:
             # result is a fresh array the caller cannot hold a reference to.
             array = _unbroadcast(array, self.data.shape)
             owned = True
-        buffer = self.grad
-        if buffer is None:
-            if _ALLOC_FREE and owned and array.flags.writeable:
-                self.grad = array
-            else:
-                pool = scratch_pool()
-                if _ALLOC_FREE and pool.enabled:
-                    # First accumulation of a shared/viewed gradient: copy
-                    # into pooled storage instead of a fresh allocation.
-                    # The buffer returns to the pool when ``backward()``
-                    # reclaims intermediate gradients.
-                    copy = pool.acquire(array.shape, array.dtype)
-                    np.copyto(copy, array)
-                    self.grad = copy
-                else:
-                    self.grad = array.copy()
-        elif _ALLOC_FREE:
-            buffer += array
+        if self.grad is not None:
+            self.grad += array
+        elif owned and array.flags.writeable:
+            self.grad = array
         else:
-            self.grad = buffer + array
+            # First accumulation of a shared/viewed gradient: copy into
+            # pooled storage.  The buffer returns to the pool when
+            # ``backward()`` reclaims intermediate gradients.
+            self.grad = scratch_pool().acquire(array.shape, array.dtype)
+            np.copyto(self.grad, array)
 
     def _accumulate_pooled(self, shape: Tuple[int, ...],
-                           fill: Callable[[np.ndarray], None],
-                           fallback: Callable[[], np.ndarray]) -> None:
+                           fill: Callable[[np.ndarray], None]) -> None:
         """Accumulate a computed gradient contribution through pooled scratch.
 
         ``fill(buffer)`` must write the full contribution (shape ``shape``,
-        in this tensor's dtype) into ``buffer``; ``fallback()`` must compute
-        the identical values the historical allocating way.  On the
-        allocation-free path
-        the contribution lands either directly in a pooled buffer adopted as
-        ``.grad`` (first accumulation), in pooled scratch added in place
-        (subsequent accumulations), or in pooled scratch reduced by
-        ``_unbroadcast`` (broadcast operands).  Every branch performs the
-        same IEEE-754 operations in the same order as the fallback, so
-        trajectories stay bit-identical — only the allocation strategy
-        differs.
+        in this tensor's dtype) into ``buffer``.  The contribution lands
+        either directly in a pooled buffer adopted as ``.grad`` (first
+        accumulation), in pooled scratch added in place (subsequent
+        accumulations), or in pooled scratch reduced by ``_unbroadcast``
+        (broadcast operands).  Every ``fill`` performs the same IEEE-754
+        operations in the same order as the plain numpy expression of its
+        gradient (``tests/nn/test_grad_reclaim.py`` holds those expressions).
         """
         pool = scratch_pool()
-        if not (_ALLOC_FREE and pool.enabled):
-            self._accumulate(fallback(), owned=True)
-            return
         dtype = self.data.dtype
         if shape != self.data.shape:
             scratch = pool.acquire(shape, dtype)
@@ -462,11 +420,7 @@ class Tensor:
         identical kernel as the allocating expression.
         """
         shape = np.broadcast_shapes(*(np.shape(operand) for operand in operands))
-        self._accumulate_pooled(
-            shape,
-            lambda out: ufunc(*operands, out=out),
-            lambda: ufunc(*operands),
-        )
+        self._accumulate_pooled(shape, lambda out: ufunc(*operands, out=out))
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -512,23 +466,22 @@ class Tensor:
             if node._backward is not None:
                 node._backward()
         # Release intermediate graph references so memory is reclaimed and the
-        # same leaves can participate in a fresh graph next step.  On the
-        # allocation-free path, intermediate gradient buffers also return to
-        # the thread's scratch pool: once a node's closure has propagated its
-        # gradient, nothing reads it again (leaves — parameters and probed
-        # inputs — keep theirs; so does the seed tensor backward ran from,
-        # and any node marked with :meth:`retain_grad`).  Forward outputs
+        # same leaves can participate in a fresh graph next step.  Intermediate
+        # gradient buffers also return to the thread's scratch pool: once a
+        # node's closure has propagated its gradient, nothing reads it again
+        # (leaves — parameters and probed inputs — keep theirs; so does the
+        # seed tensor backward ran from, and any node marked with
+        # :meth:`retain_grad`).  Forward outputs
         # produced into pooled buffers are reclaimed under the same rule —
         # the graph was their only reader; :meth:`retain_data` (or
         # :meth:`detach`) pins the ones that outlive backward.
         pool = scratch_pool()
-        reclaim = _ALLOC_FREE and pool.enabled
         for node in topo:
             if node is not self and node._backward is not None:
-                if reclaim and node.grad is not None and not node._retain_grad:
+                if node.grad is not None and not node._retain_grad:
                     pool.release(node.grad)
                     node.grad = None
-                if reclaim and node._pooled_data and not node._retain_data:
+                if node._pooled_data and not node._retain_data:
                     pool.release_base(node.data)
                     node._pooled_data = False
                 node._parents = ()
@@ -551,9 +504,7 @@ class Tensor:
             return backward
 
         data, pooled = _binary_forward(np.add, a, b)
-        out = Tensor._make(data, (a, b), factory)
-        out._pooled_data = pooled and out._backward is not None
-        return out
+        return Tensor._make(data, (a, b), factory, pooled)
 
     __radd__ = __add__
 
@@ -573,9 +524,7 @@ class Tensor:
         else:
             np.negative(a.data, out=buffer)
             data, pooled = buffer, True
-        out = Tensor._make(data, (a,), factory)
-        out._pooled_data = pooled and out._backward is not None
-        return out
+        return Tensor._make(data, (a,), factory, pooled)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
@@ -591,9 +540,7 @@ class Tensor:
             return backward
 
         data, pooled = _binary_forward(np.subtract, a, b)
-        out = Tensor._make(data, (a, b), factory)
-        out._pooled_data = pooled and out._backward is not None
-        return out
+        return Tensor._make(data, (a, b), factory, pooled)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) - self
@@ -612,9 +559,7 @@ class Tensor:
             return backward
 
         data, pooled = _binary_forward(np.multiply, a, b)
-        out = Tensor._make(data, (a, b), factory)
-        out._pooled_data = pooled and out._backward is not None
-        return out
+        return Tensor._make(data, (a, b), factory, pooled)
 
     __rmul__ = __mul__
 
@@ -628,8 +573,7 @@ class Tensor:
                     a._accumulate_ufunc(np.divide, out.grad, b.data)
                 if b.requires_grad:
                     def fill(buffer: np.ndarray) -> None:
-                        # ((-g) * a) / b**2 — the literal op sequence of the
-                        # fallback expression, written into pooled scratch.
+                        # ((-g) * a) / b**2, in that order
                         square = scratch_pool().acquire(b.data.shape, b.data.dtype)
                         np.power(b.data, 2, out=square)
                         np.negative(out.grad, out=buffer)
@@ -637,16 +581,12 @@ class Tensor:
                         buffer /= square
                         scratch_pool().release(square)
 
-                    b._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: -out.grad * a.data / (b.data ** 2))
+                    b._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
         data, pooled = _binary_forward(np.divide, a, b)
-        out = Tensor._make(data, (a, b), factory)
-        out._pooled_data = pooled and out._backward is not None
-        return out
+        return Tensor._make(data, (a, b), factory, pooled)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) / self
@@ -661,14 +601,12 @@ class Tensor:
                 if a.requires_grad:
                     def fill(buffer: np.ndarray) -> None:
                         # ``a.data ** (exponent - 1)`` stays a plain power
-                        # expression so numpy's scalar-exponent fast paths
-                        # (e.g. ``** 0.5`` -> sqrt) match the fallback.
+                        # expression for numpy's scalar-exponent fast paths
+                        # (e.g. ``** 0.5`` -> sqrt).
                         np.multiply(out.grad, exponent, out=buffer)
                         buffer *= a.data ** (exponent - 1)
 
-                    a._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: out.grad * exponent * a.data ** (exponent - 1))
+                    a._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
@@ -897,9 +835,7 @@ class Tensor:
                 pooled = True
         if data is None:
             data = a.data @ b.data
-        out = Tensor._make(data, (a, b), factory)
-        out._pooled_data = pooled and out._backward is not None
-        return out
+        return Tensor._make(data, (a, b), factory, pooled)
 
     __matmul__ = matmul
 
@@ -947,9 +883,7 @@ class Tensor:
                         buffer *= complement
                         scratch_pool().release(complement)
 
-                    a._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: out.grad * value * (1.0 - value))
+                    a._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
@@ -969,9 +903,7 @@ class Tensor:
                         np.multiply(out.grad, complement, out=buffer)
                         scratch_pool().release(complement)
 
-                    a._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: out.grad * (1.0 - value ** 2))
+                    a._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
@@ -995,11 +927,7 @@ class Tensor:
                         np.subtract(grad, dot, out=buffer)
                         buffer *= value
 
-                    def fallback() -> np.ndarray:
-                        dot = (grad * value).sum(axis=axis, keepdims=True)
-                        return value * (grad - dot)
-
-                    a._accumulate_pooled(grad.shape, fill, fallback)
+                    a._accumulate_pooled(grad.shape, fill)
 
             return backward
 
@@ -1023,9 +951,7 @@ class Tensor:
                         np.multiply(softmax_value, total, out=buffer)
                         np.subtract(grad, buffer, out=buffer)
 
-                    a._accumulate_pooled(
-                        grad.shape, fill,
-                        lambda: grad - softmax_value * grad.sum(axis=axis, keepdims=True))
+                    a._accumulate_pooled(grad.shape, fill)
 
             return backward
 
@@ -1074,9 +1000,7 @@ def _masked_activation(a: "Tensor",
             pooled = True
     if data is None:
         data = a.data * mask
-    out = Tensor._make(data, (a,), factory)
-    out._pooled_data = pooled and out._backward is not None
-    return out
+    return Tensor._make(data, (a,), factory, pooled)
 
 
 def _matmul_accumulate(target: "Tensor", left: np.ndarray, right: np.ndarray) -> None:
@@ -1093,14 +1017,13 @@ def _matmul_accumulate(target: "Tensor", left: np.ndarray, right: np.ndarray) ->
     cannot take (1-D operands, mixed or non-float payloads) use the
     allocating fallback.
     """
-    if _ALLOC_FREE and left.ndim >= 2 and right.ndim >= 2 \
+    if left.ndim >= 2 and right.ndim >= 2 \
             and left.dtype == right.dtype and left.dtype.kind == "f" \
             and left.dtype == target.data.dtype:
         shape = np.broadcast_shapes(left.shape[:-2], right.shape[:-2]) \
             + (left.shape[-2], right.shape[-1])
         target._accumulate_pooled(shape,
-                                  lambda out: np.matmul(left, right, out=out),
-                                  lambda: left @ right)
+                                  lambda out: np.matmul(left, right, out=out))
     else:
         target._accumulate(left @ right, owned=True)
 

@@ -7,13 +7,14 @@ import pytest
 
 from repro.baselines import (
     FedAvgServer,
+    FedMDStrategy,
     build_fedavg,
     build_fedmd,
     build_fedprox,
     compute_bounds,
     train_standalone,
 )
-from repro.federated import evaluate_model
+from repro.federated import Simulation, evaluate_model
 from repro.models import ModelSpec, SimpleCNN
 from repro.partition import IIDPartitioner
 
@@ -62,11 +63,8 @@ class TestFedMD:
         assert np.abs(after).mean() < np.abs(before).mean()
 
     def test_requires_devices(self, micro_config, tiny_rgb_dataset, tiny_test_dataset):
-        from repro.baselines.fedmd import FedMDSimulation
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                FedMDSimulation([], tiny_rgb_dataset, micro_config, tiny_test_dataset)
+        with pytest.raises(ValueError):
+            Simulation([], micro_config, tiny_test_dataset, FedMDStrategy(tiny_rgb_dataset))
 
 
 class TestFedAvgFedProx:

@@ -3,8 +3,6 @@
 * registry: register / lookup / duplicate-name error / enumeration;
 * capability validation: one uniform rejection message per violation,
   raised from the config (the single validation point);
-* deprecation shims: ``FederatedSimulation`` / ``FedMDSimulation`` warn and
-  produce histories bit-identical to the new ``Simulation`` engine;
 * partial-consensus FedMD: deterministic repeat-run histories under the
   ``deadline`` and ``async`` schedulers (the first time FedMD runs there).
 """
@@ -18,7 +16,6 @@ import pytest
 
 from repro.baselines import (
     FedAvgServer,
-    FedMDSimulation,
     FedMDStrategy,
     StandaloneStrategy,
     build_fedmd,
@@ -29,7 +26,6 @@ from repro.core import FedZKTStrategy, build_fedzkt
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
 from repro.federated import (
     FederatedConfig,
-    FederatedSimulation,
     ParameterServerStrategy,
     SchedulerConfig,
     ServerConfig,
@@ -42,8 +38,7 @@ from repro.federated import (
     strategy_names,
 )
 from repro.federated.strategies import _REGISTRY
-from repro.models import ModelSpec, SimpleCNN
-from repro.models.registry import build_model
+from repro.models import SimpleCNN
 
 SHAPE = (3, 8, 8)
 CLASSES = 4
@@ -229,6 +224,11 @@ class TestStrategyBasics:
         with pytest.raises(TypeError, match="Strategy instance"):
             Simulation([object()], _config(), test, strategy=object())
 
+    def test_simulation_requires_devices(self):
+        train, test = _data()
+        with pytest.raises(ValueError, match="at least one device"):
+            Simulation([], _config(), test, FedMDStrategy(_public()))
+
     def test_parameter_server_strategy_requires_server(self):
         with pytest.raises(ValueError, match="requires a server"):
             ParameterServerStrategy(None)
@@ -293,82 +293,6 @@ class TestStrategyBasics:
                             device.training_config, rng)
             for param_a, param_b in zip(model.parameters(), device.model.parameters()):
                 np.testing.assert_array_equal(param_a.data, param_b.data)
-
-
-# --------------------------------------------------------------------------- #
-# Deprecation shims: warning + bit-identical histories
-# --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def _fedavg_parts(self, config):
-        from repro.federated import Device
-        from repro.partition import IIDPartitioner
-
-        train, test = _data()
-        spec = ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16})
-        reference = build_model(spec, SHAPE, CLASSES, seed=config.seed)
-        shards = IIDPartitioner(config.num_devices, seed=config.seed).partition(train)
-        devices = [Device(device_id=i, model=copy.deepcopy(reference), dataset=shard,
-                          lr=config.device_lr, momentum=config.device_momentum,
-                          batch_size=config.batch_size, seed=config.seed + 1000 + i)
-                   for i, shard in enumerate(shards)]
-        weights = {device.device_id: float(len(device.dataset)) for device in devices}
-        server = FedAvgServer(copy.deepcopy(reference), device_weights=weights)
-        return devices, server, test
-
-    def test_federated_simulation_shim_warns_and_matches_new_engine(self):
-        config = _config(rounds=2)
-        devices, server, test = self._fedavg_parts(config)
-        with pytest.warns(DeprecationWarning, match="FederatedSimulation is deprecated"):
-            shim = FederatedSimulation(devices, server, config, test)
-        with shim:
-            shim_history = shim.run()
-
-        devices, server, test = self._fedavg_parts(config)
-        new = Simulation(devices, config.with_strategy("fedavg"), test,
-                         FedAvgStrategy(server))
-        with new:
-            new_history = new.run()
-        _assert_identical_histories(shim_history, new_history)
-
-    def test_federated_simulation_shim_matches_fedzkt_builder(self):
-        """The shim wraps an arbitrary server — including FedZKT's — and
-        reproduces the builder's history bit for bit."""
-        train, test = _data()
-        config = _config(rounds=2)
-        reference = build_fedzkt(train, test, config, family="small")
-        with reference:
-            reference_history = reference.run()
-
-        fresh = build_fedzkt(train, test, config, family="small")
-        devices = fresh.devices
-        server = fresh.server
-        with pytest.warns(DeprecationWarning):
-            shim = FederatedSimulation(devices, server, config, test)
-        with shim:
-            shim_history = shim.run()
-        _assert_identical_histories(shim_history, reference_history)
-
-    def test_fedmd_shim_warns_and_matches_new_engine(self):
-        train, test = _data()
-        config = _config(rounds=2)
-        public = _public()
-
-        reference = build_fedmd(train, test, public, config, family="small")
-        with reference:
-            reference_history = reference.run()
-
-        fresh = build_fedmd(train, test, public, config, family="small")
-        with pytest.warns(DeprecationWarning, match="FedMDSimulation is deprecated"):
-            shim = FedMDSimulation(fresh.devices, public, config, test)
-        with shim:
-            shim_history = shim.run()
-        _assert_identical_histories(shim_history, reference_history)
-
-    def test_fedmd_shim_preserves_empty_device_validation(self):
-        train, test = _data()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="at least one device"):
-                FedMDSimulation([], _public(), _config(), test)
 
 
 # --------------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.simple import SimpleCNN
-from repro.nn import SGD, Tensor, buffers, scratch_pool, set_pooling
+from repro.nn import SGD, Tensor, buffers, scratch_pool
 from repro.nn.buffers import BufferPool
 from repro.nn.losses import cross_entropy
 
@@ -159,25 +159,6 @@ class TestReuse:
         assert not np.shares_memory(pool.acquire((10,)), large)
         assert pool.free_bytes() == large.nbytes
 
-    def test_disabled_pool_hands_out_fresh_arrays(self):
-        pool = BufferPool()
-        pool.enabled = False
-        array = pool.acquire((4, 4))
-        assert array.base is None
-        pool.release(array)
-        assert pool.free_bytes() == 0 and pool.stats()["acquires"] == 0
-        assert pool.acquire((4, 4)) is not array
-
-    def test_set_pooling_off_drops_the_free_slabs(self):
-        pool = scratch_pool()
-        pool.release(pool.acquire((64,)))
-        assert pool.free_bytes() > 0
-        previous = set_pooling(False)
-        try:
-            assert pool.free_bytes() == 0
-        finally:
-            set_pooling(previous)
-
     def test_zero_size_requests_bypass_the_arena(self):
         pool = BufferPool()
         empty = pool.acquire((0, 5))
@@ -223,12 +204,6 @@ class TestTrim:
         assert (held == 7.0).all()
         pool.release(held)
         assert pool.free_bytes() == held.nbytes
-
-    def test_reset_drops_every_free_slab(self):
-        pool = BufferPool()
-        pool.release(pool.acquire((100,)))
-        pool.reset()
-        assert pool.free_bytes() == 0 and pool.stats()["free_bytes"] == 0
 
     def test_enter_round_trims_once_per_round(self):
         pool = BufferPool()

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.nn import Tensor, scratch_pool
 from repro.nn.conv import (
     avg_pool2d,
     channel_shuffle,
     col2im,
+    contract,
     conv2d,
     depthwise_conv2d,
     global_avg_pool2d,
@@ -232,3 +233,90 @@ class TestUpsampleAndShuffle:
         x = Tensor(images, requires_grad=True)
         (channel_shuffle(x, 2) ** 2).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * images)
+
+
+# Every contraction ``contract`` serves, with the destination layout its call
+# site hands in (axes of the C-contiguous base, as a view in result order);
+# ``None`` where the call site passes no destination.
+_CONTRACTIONS = [
+    ("of,nfl->nol", (0, 2, 1)),
+    ("nol,nfl->of", None),
+    ("of,nol->nfl", (0, 1, 2)),
+    ("cf,ncfl->ncl", (1, 0, 2)),
+    ("ncl,ncfl->cf", None),
+    ("bof,bnfl->bnol", None),
+    ("bnol,bnfl->bof", None),
+    ("bof,bnol->bnfl", (0, 1, 2, 3)),
+]
+
+
+def _contraction_sizes(subscripts):
+    """Seeded size assignments: all dimensions >= 2, then each one at 1."""
+    letters = sorted(set(subscripts) - set(",->"))
+    rng = np.random.default_rng(sum(map(ord, subscripts)))
+    regular = [dict(zip(letters, rng.integers(2, 7, size=len(letters))))
+               for _ in range(3)]
+    return regular + [{**regular[0], letter: 1} for letter in letters]
+
+
+def _operand(rng, letters, size, dtype, transposed):
+    """A random operand; ``transposed`` builds it as a reversed-axes view."""
+    shape = tuple(size[c] for c in letters)
+    if not transposed:
+        return rng.normal(size=shape).astype(dtype)
+    return rng.normal(size=shape[::-1]).astype(dtype).transpose()
+
+
+def _destination(size, result, out_axes, dtype):
+    """A NaN-filled destination in result order: the call site's layout
+    (``out_axes`` of a C-contiguous base), or a plain C-order array."""
+    shape = tuple(size[c] for c in result)
+    axes = out_axes or tuple(range(len(shape)))
+    base = np.full([shape[axes.index(k)] for k in range(len(axes))], np.nan, dtype=dtype)
+    out = base.transpose(axes)
+    assert out.shape == shape
+    return out
+
+
+class TestContract:
+    """``contract`` is ``np.einsum(..., optimize=True)``: same bits, same layout."""
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["dense", "views"])
+    @pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.float32, np.float32),
+                                        (np.float32, np.float64)],
+                             ids=["float64", "float32", "mixed"])
+    @pytest.mark.parametrize("subscripts, out_axes", _CONTRACTIONS,
+                             ids=[entry[0] for entry in _CONTRACTIONS])
+    def test_equals_einsum_in_values_and_strides(self, subscripts, out_axes, dtypes, transposed):
+        inputs, result = subscripts.split("->")
+        a_letters, b_letters = inputs.split(",")
+        rng = np.random.default_rng(7)
+        for size in _contraction_sizes(subscripts):
+            a = _operand(rng, a_letters, size, dtypes[0], transposed)
+            b = _operand(rng, b_letters, size, dtypes[1], transposed)
+            expected = np.einsum(subscripts, a, b, optimize=True)
+
+            plain = contract(subscripts, a, b)
+            np.testing.assert_array_equal(plain, expected)
+            assert plain.dtype == expected.dtype and plain.strides == expected.strides, size
+
+            out = _destination(size, result, out_axes, expected.dtype)
+            filled = contract(subscripts, a, b, out=out)
+            np.testing.assert_array_equal(filled, expected)
+            assert filled is out or filled.strides == expected.strides, size
+
+    @pytest.mark.parametrize("subscripts, out_axes", _CONTRACTIONS,
+                             ids=[entry[0] for entry in _CONTRACTIONS])
+    def test_second_call_allocates_no_slab(self, subscripts, out_axes):
+        inputs, result = subscripts.split("->")
+        a_letters, b_letters = inputs.split(",")
+        rng = np.random.default_rng(11)
+        size = _contraction_sizes(subscripts)[0]
+        a = _operand(rng, a_letters, size, np.float64, False)
+        b = _operand(rng, b_letters, size, np.float64, False)
+        out = _destination(size, result, out_axes, np.float64) if out_axes else None
+        first = contract(subscripts, a, b, out=out)
+        misses = scratch_pool().stats()["misses"]
+        second = contract(subscripts, a, b, out=out)
+        assert scratch_pool().stats()["misses"] == misses
+        np.testing.assert_array_equal(first, second)
