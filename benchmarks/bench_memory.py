@@ -1,6 +1,6 @@
 """Memory benchmark: transient allocations per training step, against budgets.
 
-Three sections, each over the same three workloads:
+Three sections over the same three workloads, and one whole-round probe:
 
 * **fused device-step** — one fused cohort of B={COHORT} devices
   (``BatchedModule`` + ``BatchedSGD``) through a warmed steady-state step
@@ -16,13 +16,22 @@ Three sections, each over the same three workloads:
   holds (free slabs plus the ones checked out) may not exceed
   {RETENTION_FACTOR}x the most it ever had checked out at once — a pool
   that parks idle buffers per shape fails it.
+* **round alternation** — in a fresh process, a cohort of B={COHORT} of the
+  whole-round harness's CNN (1x16x16, channels 16/32, batch 32, 180-sample
+  evaluation) alternates ``FusedLocalTrainTask`` and ``FusedEvaluateTask``
+  for {ROUNDS} rounds, trimming the arena at each round boundary as the
+  engine does.  The measurement is the growth of the process's peak RSS over the
+  rounds: training and evaluation slabs share no size class, so this is
+  where an arena (or a stack) that holds more than a round needs shows.
 
 The benchmark **asserts** its regression guards (exit code 1 on violation,
 so CI fails loudly).  The first two are absolute byte budgets per workload
 (``STEP_BUDGET_BYTES`` / ``FORWARD_BUDGET_BYTES``): {BUDGET_FACTOR}x what
 the pooled, in-place engine measured when the budgets were set.  Every
 allocate-per-op formulation this engine has had measured at least 1.48x
-those figures, so sliding back to allocating fails the gate.
+those figures, so sliding back to allocating fails the gate.  The round
+alternation has an absolute budget too (``ROUND_RSS_BUDGET_MB``); run as one
+undivided B={COHORT} stack it grew by 692 MiB, five times the budget.
 
 Not a pytest file on purpose (no ``test_`` prefix): run it directly with
 
@@ -34,6 +43,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -46,8 +56,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from conftest import bench_environment  # noqa: E402
+from conftest import bench_environment, own_peak_rss_mb  # noqa: E402
 
+from repro.datasets.base import ImageDataset  # noqa: E402
+from repro.federated import FusedLocalTrainTask, WorkerContext  # noqa: E402
+from repro.federated.cohort import FusedEvaluateTask  # noqa: E402
+from repro.federated.trainer import DeviceTrainingConfig  # noqa: E402
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN  # noqa: E402
 from repro.nn import SGD, Tensor, scratch_pool  # noqa: E402
 from repro.nn.batched import (  # noqa: E402
@@ -71,6 +85,11 @@ FORWARD_BUDGET_BYTES = {
     "lenet": BUDGET_FACTOR * 32_822,
     "simple_cnn": BUDGET_FACTOR * 80_068,
 }
+# Growth of peak RSS over the round alternation: BUDGET_FACTOR x the MiB
+# measured when cohort tiles landed (the arena itself holds 57 of them, 2.0x
+# its high-water: training and evaluation slabs share no size class).
+ROUND_RSS_BUDGET_MB = BUDGET_FACTOR * 111.6
+ROUNDS = 3
 COHORT = 8
 INPUT_SHAPE = (3, 8, 8)
 NUM_CLASSES = 4
@@ -79,7 +98,7 @@ LR, MOMENTUM = 0.05, 0.9
 WARMUP_STEPS = 3
 
 __doc__ = __doc__.format(COHORT=COHORT, BUDGET_FACTOR=BUDGET_FACTOR,
-                         RETENTION_FACTOR=RETENTION_FACTOR)
+                         RETENTION_FACTOR=RETENTION_FACTOR, ROUNDS=ROUNDS)
 
 WORKLOADS = {
     "fully_connected": lambda seed: FullyConnected(
@@ -192,6 +211,53 @@ def _measure_retention(factory, steps):
     return stats
 
 
+def _round_probe():
+    """Child mode: the train-then-evaluate alternation in this fresh process.
+
+    Prints ``{"rss_growth_mb", "arena_retained_mb", "arena_high_water_mb"}``.
+    """
+    shape, classes, per_device = (1, 16, 16), 10, 75
+    rng = np.random.default_rng(31)
+
+    def dataset(samples, name):
+        return ImageDataset(rng.normal(size=(samples, *shape)),
+                            rng.integers(0, classes, size=samples), classes, name)
+
+    devices = range(COHORT)
+    context = WorkerContext(
+        models={index: SimpleCNN(shape, classes, channels=(16, 32), seed=index)
+                for index in devices},
+        shards={index: dataset(per_device, f"shard-{index}") for index in devices},
+        train_configs=dict.fromkeys(devices, DeviceTrainingConfig(
+            lr=LR, momentum=MOMENTUM, batch_size=32)),
+        eval_dataset=dataset(180, "eval"))
+    states = [context.models[index].state_dict() for index in devices]
+    rng_states = [np.random.default_rng(index).bit_generator.state for index in devices]
+    gc.collect()
+    before = own_peak_rss_mb()
+    for round_index in range(ROUNDS):
+        scratch_pool().enter_round(round_index)
+        results = FusedLocalTrainTask(list(devices), states, epochs=3,
+                                      rng_states=rng_states).run(context)
+        states = [result.state for result in results]
+        rng_states = [result.rng_state for result in results]
+        FusedEvaluateTask(list(devices), states).run(context)
+    after = own_peak_rss_mb()
+    stats = scratch_pool().stats()
+    print(json.dumps({
+        "rss_growth_mb": after - before,
+        "arena_retained_mb": (stats["free_bytes"] + stats["outstanding_bytes"]) / 2 ** 20,
+        "arena_high_water_mb": stats["outstanding_high_water"] / 2 ** 20,
+    }))
+    return 0
+
+
+def _measure_round_alternation():
+    done = subprocess.run([sys.executable, __file__, "--round-probe"],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -199,7 +265,10 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=None,
                         help="measured training steps per mode")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_memory.json"))
+    parser.add_argument("--round-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.round_probe:
+        return _round_probe()
 
     steps = args.steps if args.steps is not None else (3 if args.quick else 10)
     enforce = not args.quick
@@ -262,6 +331,19 @@ def main(argv=None) -> int:
             failures.append(f"retention/{name}: retained {retained} B > "
                             f"{RETENTION_FACTOR} x high-water {high_water} B")
 
+    print(f"\nround alternation (B={COHORT} cnn 16/32 at 1x16x16: fused train, fused "
+          f"180-sample evaluation, {ROUNDS} rounds; budget: peak-RSS growth)")
+    alternation = _measure_round_alternation()
+    alternation["budget_mb"] = ROUND_RSS_BUDGET_MB
+    print(f"  peak RSS grew {alternation['rss_growth_mb']:7.1f} MiB  budget "
+          f"{ROUND_RSS_BUDGET_MB:7.1f} MiB  (arena retains "
+          f"{alternation['arena_retained_mb']:.1f} MiB, high-water "
+          f"{alternation['arena_high_water_mb']:.1f} MiB)")
+    if alternation["rss_growth_mb"] > ROUND_RSS_BUDGET_MB:
+        failures.append(f"round alternation: peak RSS grew "
+                        f"{alternation['rss_growth_mb']:.1f} MiB > budget "
+                        f"{ROUND_RSS_BUDGET_MB:.1f} MiB")
+
     payload = {
         "benchmark": "memory",
         "cohort_size": COHORT,
@@ -274,9 +356,11 @@ def main(argv=None) -> int:
         "workloads": results,
         "forward_pooling": forward_results,
         "retention": retention_results,
+        "round_alternation": alternation,
         "targets": {"step_budget_bytes": STEP_BUDGET_BYTES,
                     "forward_budget_bytes": FORWARD_BUDGET_BYTES,
-                    "retention_factor": RETENTION_FACTOR},
+                    "retention_factor": RETENTION_FACTOR,
+                    "round_rss_budget_mb": ROUND_RSS_BUDGET_MB},
         "failures": failures,
         **bench_environment(),
         "numpy": np.__version__,
@@ -297,8 +381,9 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"ok: every workload is within its byte budgets and the arena "
-          f"retains <= {RETENTION_FACTOR}x its high-water")
+    print(f"ok: every workload is within its byte budgets, the arena retains <= "
+          f"{RETENTION_FACTOR}x its high-water, and the round alternation stays "
+          f"under {ROUND_RSS_BUDGET_MB:.0f} MiB")
     return 0
 
 

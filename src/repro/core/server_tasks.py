@@ -46,6 +46,7 @@ from ..nn.batched import (
     BatchedModule,
     BatchedSGD,
     batched_kl_divergence,
+    cohort_tiles,
     fusion_signature,
 )
 from ..nn.losses import kl_divergence_loss
@@ -169,6 +170,17 @@ def _fusion_groups(context: WorkerContext, device_ids: Sequence[int]) -> List[Li
     return [positions for positions in groups.values() if len(positions) >= 2]
 
 
+def _fusion_tiles(context: WorkerContext, device_ids: Sequence[int],
+                  batch_shape: Sequence[int]) -> List[List[int]]:
+    """Every fusion group's positions, cut into the tiles it stacks as."""
+    tiles: List[List[int]] = []
+    for positions in _fusion_groups(context, device_ids):
+        template = context.model_for(device_ids[positions[0]])
+        tiles.extend(positions[lo:hi] for lo, hi in
+                     cohort_tiles(template, len(positions), batch_shape))
+    return tiles
+
+
 def _tile(array: np.ndarray, batch: int) -> np.ndarray:
     """Replicate one batch along a new leading device axis (contiguous)."""
     return np.repeat(array[None], batch, axis=0)
@@ -202,7 +214,7 @@ class EnsembleForwardTask:
         inputs = _single_array(self.inputs)
         fused: Dict[int, np.ndarray] = {}
         if self.fuse:
-            for positions in _fusion_groups(context, self.device_ids):
+            for positions in _fusion_tiles(context, self.device_ids, inputs.shape):
                 template = context.model_for(self.device_ids[positions[0]])
                 states = [resolve_state(self.states[i]) for i in positions]
                 module = BatchedModule(template, states, requires_grad=False).eval()
@@ -258,7 +270,7 @@ class EnsembleVJPTask:
         upstream = _single_array(self.upstream)
         fused: Dict[int, np.ndarray] = {}
         if self.fuse:
-            for positions in _fusion_groups(context, self.device_ids):
+            for positions in _fusion_tiles(context, self.device_ids, inputs.shape):
                 batch = len(positions)
                 template = context.model_for(self.device_ids[positions[0]])
                 states = [resolve_state(self.states[i]) for i in positions]
@@ -327,16 +339,37 @@ def distill_group_fused(template, states: Sequence[Dict[str, np.ndarray]],
                         lr: float, momentum: float, optimizer_kind: str = "sgd",
                         members=None,
                         ) -> "tuple[List[Dict[str, np.ndarray]], List[List[np.ndarray]], List[List[float]]]":
-    """Distill into a group of same-signature device models in one fused loop.
+    """Distill into a group of same-signature device models in fused loops.
 
-    Stacks the group's states through a :class:`BatchedModule`, loads the
-    per-device persisted optimizer state into a :class:`BatchedSGD` /
-    :class:`BatchedAdam` (stacked buffers, per-slice Adam step counters),
-    and replays every shared synthetic batch once for the whole group.
-    Slice ``b`` of the fused trajectory is bitwise identical to running the
-    serial per-device loop on member ``b`` alone.  Returns the final state
-    dicts, updated flat optimizer states, and per-device loss lists.
+    The group runs as consecutive tiles (``nn.batched.cohort_tiles``), each
+    stacked through a :class:`BatchedModule` with the per-device persisted
+    optimizer state loaded into a :class:`BatchedSGD` / :class:`BatchedAdam`
+    (stacked buffers, per-slice Adam step counters), and each replaying
+    every shared synthetic batch once for all its members.  Slice ``b`` of
+    the fused trajectory is bitwise identical to running the serial
+    per-device loop on member ``b`` alone.  Returns the final state dicts,
+    updated flat optimizer states, and per-device loss lists.
     """
+    out_states: List[Dict[str, np.ndarray]] = []
+    out_velocities: List[List[np.ndarray]] = []
+    losses: List[List[float]] = []
+    # Every iteration's synthetic batch has one shape; with no iterations
+    # there is no step to size a tile for.
+    tiles = (cohort_tiles(template, len(states), np.shape(inputs[0]))
+             if len(inputs) else [(0, len(states))])
+    for lo, hi in tiles:
+        tile = _distill_tile(
+            template, states[lo:hi], velocity_lists[lo:hi], inputs, targets,
+            lr, momentum, optimizer_kind,
+            None if members is None else members[lo:hi])
+        for collected, part in zip((out_states, out_velocities, losses), tile):
+            collected.extend(part)
+    return out_states, out_velocities, losses
+
+
+def _distill_tile(template, states, velocity_lists, inputs, targets, lr, momentum,
+                  optimizer_kind, members):
+    """One stacked tile of :func:`distill_group_fused` (same returns)."""
     group = len(states)
     module = BatchedModule(template, list(states), members=members)
     module.train()

@@ -21,7 +21,7 @@ untouched per-device tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +34,7 @@ from ..nn.batched import (
     batched_cross_entropy_masked,
     batched_l2_proximal,
     batched_mse_loss,
+    cohort_tiles,
 )
 from ..nn.functional import accuracy
 from ..nn.tensor import Tensor
@@ -141,6 +142,37 @@ class FusedLocalTrainTask:
     # Fused local SGD (mirrors trainer.local_sgd_train batch for batch)
     # ------------------------------------------------------------------ #
     def run(self, context: WorkerContext) -> List[LocalTrainResult]:
+        """Train the cohort as consecutive tiles (see ``nn.batched.cohort_tiles``).
+
+        Devices are independent, so each tile — itself a fused task over a
+        slice of this one's per-device fields — runs its digests and every
+        epoch to completion before the next tile stacks its states.
+        """
+        template = context.model_for(self.device_ids[0])
+        config = context.train_configs[self.device_ids[0]]
+        shards = [context.shards[device_id] for device_id in self.device_ids]
+        sizes = [len(shard) for shard in shards]
+        # The widest batch any step feeds the module sizes the tile.
+        samples = min(config.batch_size, max(sizes))
+        if self.digests is not None and context.public_dataset is not None:
+            samples = max(samples, min(self.digests[0].batch_size,
+                                       len(context.public_dataset)))
+        batch_shape = (samples,) + shards[0].images.shape[1:]
+        # Whether steps are padded, and how wide, is the cohort's property: a
+        # tile whose own shards happen to agree still runs the masked loop.
+        pad_to = max(sizes) if len(set(sizes)) > 1 else None
+        results: List[LocalTrainResult] = []
+        for lo, hi in cohort_tiles(template, len(sizes), batch_shape):
+            tile = replace(
+                self, device_ids=self.device_ids[lo:hi], states=self.states[lo:hi],
+                rng_states=self.rng_states[lo:hi],
+                anchors=None if self.anchors is None else self.anchors[lo:hi],
+                digests=None if self.digests is None else self.digests[lo:hi])
+            results.extend(tile._run_stacked(context, pad_to))
+        return results
+
+    def _run_stacked(self, context: WorkerContext,
+                     pad_to: Optional[int]) -> List[LocalTrainResult]:
         batch = len(self.device_ids)
         template = context.model_for(self.device_ids[0])
         config = context.train_configs[self.device_ids[0]]
@@ -164,7 +196,6 @@ class FusedLocalTrainTask:
                        for i in range(len(per_device[0]))]
 
         shards = [context.shards[device_id] for device_id in self.device_ids]
-        sizes = [len(shard) for shard in shards]
         module.train()
         optimizer = BatchedSGD(module.parameters(), batch, lr=config.lr,
                                momentum=config.momentum,
@@ -172,12 +203,12 @@ class FusedLocalTrainTask:
         losses: List[List[float]] = [[] for _ in range(batch)]
         batch_counts = [0] * batch
         sample_counts = [0] * batch
-        if len(set(sizes)) == 1:
+        if pad_to is None:
             self._train_exact(module, optimizer, shards, rngs, config, anchors,
                               losses, batch_counts, sample_counts)
         else:
             self._train_padded(module, optimizer, shards, rngs, config, anchors,
-                               losses, batch_counts, sample_counts)
+                               losses, batch_counts, sample_counts, pad_to)
 
         parameter_count = template.num_parameters()
         results: List[LocalTrainResult] = []
@@ -235,14 +266,16 @@ class FusedLocalTrainTask:
                     sample_counts[b] += int(labels.shape[1])
 
     def _train_padded(self, module, optimizer, shards, rngs, config, anchors,
-                      losses, batch_counts, sample_counts) -> None:
+                      losses, batch_counts, sample_counts, pad_to) -> None:
         """Family cohort with unequal shard sizes: masked padding on the
         sample axis.
 
         Each device still draws its own shuffle permutation over its own
-        shard; a step's stacked batch is padded to the widest member and a
-        0/1 mask keeps padding rows out of the loss (so, for the pad-safe
-        models the planner admits here, out of every real gradient).
+        shard; a step's stacked batch is padded to the widest member of the
+        whole cohort (``pad_to`` is its largest shard, so a tile pads exactly
+        as the undivided cohort would) and a 0/1 mask keeps padding rows out
+        of the loss (so, for the pad-safe models the planner admits here, out
+        of every real gradient).
         Members whose epoch is already exhausted sit out the step entirely:
         their loss contribution is exactly zero and
         :meth:`BatchedSGD.snapshot_slices` / ``restore_slices`` around the
@@ -263,7 +296,7 @@ class FusedLocalTrainTask:
                 chosen = [order[start:start + config.batch_size] for order in orders]
                 counts = np.array([len(c) for c in chosen], dtype=np.int64)
                 active = counts > 0
-                width = int(counts.max())
+                width = min(config.batch_size, pad_to - start)
                 images = np.zeros((batch, width) + sample_shape, dtype=dtype)
                 labels = np.zeros((batch, width), dtype=np.int64)
                 for b in range(batch):
@@ -301,7 +334,8 @@ class FusedLocalTrainTask:
 class _FusedForwardTask:
     """Shared plumbing of the fused no-grad tasks: per-device state payloads
     plus the chunked dataset sweep through a :class:`BatchedEvaluator`
-    (which applies the opt-in ``REPRO_SLICE_THREADS`` cohort-axis split)."""
+    (which runs the cohort as tiles, on ``REPRO_SLICE_THREADS`` threads when
+    that opt-in is set)."""
 
     device_ids: List[int]
     states: List[object]  # StateRef | state dict | packed bytes, per device
@@ -316,10 +350,12 @@ class _FusedForwardTask:
     def __setstate__(self, payload):
         self.__dict__.update(payload)
 
-    def _evaluator(self, context: WorkerContext) -> BatchedEvaluator:
+    def _evaluator(self, context: WorkerContext, dataset) -> BatchedEvaluator:
         template = context.model_for(self.device_ids[0])
         states = [resolve_state(value) for value in self.states]
-        return BatchedEvaluator(template, states)
+        samples = min(self.batch_size, len(dataset))
+        return BatchedEvaluator(template, states,
+                                (samples,) + dataset.images.shape[1:])
 
 
 class FusedEvaluateTask(_FusedForwardTask):
@@ -340,7 +376,7 @@ class FusedEvaluateTask(_FusedForwardTask):
         batch = len(self.device_ids)
         correct = [0.0] * batch
         total = 0
-        with self._evaluator(context) as evaluator:
+        with self._evaluator(context, dataset) as evaluator:
             for start in range(0, len(dataset), self.batch_size):
                 labels = dataset.labels[start:start + self.batch_size]
                 logits = evaluator.predict(dataset.images[start:start + self.batch_size])
@@ -361,7 +397,7 @@ class FusedPublicLogitsTask(_FusedForwardTask):
         dataset = context.public_dataset
         batch = len(self.device_ids)
         chunks: List[np.ndarray] = []
-        with self._evaluator(context) as evaluator:
+        with self._evaluator(context, dataset) as evaluator:
             for start in range(0, len(dataset), self.batch_size):
                 chunks.append(
                     evaluator.predict(dataset.images[start:start + self.batch_size]))

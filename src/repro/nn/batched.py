@@ -41,6 +41,7 @@ serial path would.
 
 from __future__ import annotations
 
+import copy
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -50,10 +51,11 @@ import numpy as np
 
 from . import conv as conv_ops
 from . import layers as layer_types
-from .buffers import scratch_pool
-from .conv import col2im, contract, im2col
+from .buffers import fresh_pool, scratch_pool
+from .conv import _forward_contract, col2im, contract, im2col
 from .module import Module, _as_floating
 from .optim import SGD, Adam
+from .policy import policy_dtype
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -68,11 +70,13 @@ __all__ = [
     "batched_kl_divergence",
     "batched_l2_proximal",
     "batched_mse_loss",
+    "cohort_tiles",
     "fusion_signature",
     "register_batched_adapter",
     "slice_thread_count",
     "stack_states",
     "supports_padded_fusion",
+    "tile_width",
     "unstack_states",
 ]
 
@@ -134,13 +138,16 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
                                    padding, pool=pool)
     cols = columns.reshape(batch, samples, columns.shape[1], columns.shape[2])
     w_mat = w.data.reshape(batch, out_channels, -1)
-    out_data = contract("bof,bnfl->bnol", w_mat, cols)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(batch, 1, out_channels, 1)
-    out_data = out_data.reshape(batch, samples, out_channels, out_h, out_w)
-
     parents = (x, w) if bias is None else (x, w, bias)
     weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
+    # einsum's "bof,bnfl->bnol" result is a (b, n, l, o)-contiguous array
+    # viewed as (b, n, o, l): slice b has the serial product's layout.
+    out_data, pooled = _forward_contract(
+        "bof,bnfl->bnol", w_mat, cols, (batch, samples, out_h * out_w, out_channels),
+        (0, 1, 3, 2),
+        None if bias is None else bias.data.reshape(batch, 1, out_channels, 1),
+        any(p.requires_grad for p in parents))
+    out_data = out_data.reshape(batch, samples, out_channels, out_h, out_w)
 
     def factory(out: Tensor) -> Callable[[], None]:
         def backward() -> None:
@@ -167,7 +174,7 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
 
         return backward
 
-    out = Tensor._make(out_data, parents, factory)
+    out = Tensor._make(out_data, parents, factory, pooled)
     if out._backward is None or not weight_grad:
         pool.release(columns)
     return out
@@ -518,6 +525,90 @@ def supports_padded_fusion(model: Module) -> bool:
 
 
 # --------------------------------------------------------------------------- #
+# Tile width: how many cohort members one BatchedModule stacks
+# --------------------------------------------------------------------------- #
+#: Mean bytes per scratch-arena array that one tile's recorded forward may
+#: hold.  Stacking saves one Python dispatch per op and member; it costs
+#: whatever the op's arrays lose by outgrowing the cache, so the width that
+#: pays is set by the bytes one op streams, not by bytes in total: a
+#: compute-bound MLP stops gaining long before a dispatch-bound small CNN of
+#: the same footprint.  Fitted to the sweeps recorded in
+#: ``BENCH_cohort_fusion.json`` (3 models x 2 input shapes x 2 batch sizes x
+#: widths 1/2/4/8) and ``BENCH_eval_fusion.json``: the largest full stack of
+#: eight that still has to stay whole averages 0.39 MiB per array, the
+#: smallest that has to split 0.87 MiB (``docs/architecture.md``, "Tile
+#: width").
+TILE_ARRAY_BYTES = 5 * 2 ** 17
+
+# (fusion signature, sample shape, dtype) -> (bytes per sample, arrays).
+_FOOTPRINTS: Dict[tuple, Tuple[int, int]] = {}
+
+
+def _sample_footprint(template: Module, sample_shape: Tuple[int, ...]) -> Tuple[int, int]:
+    """What one cohort member's recorded training forward takes from the
+    scratch arena: ``(bytes held at the peak per sample, arrays acquired)``.
+
+    Measured, not modelled: the first call for a (signature, sample shape,
+    dtype) runs a stack of one copy of ``template`` over two zero samples on
+    an arena of its own and reads the arena's counters; neither the template
+    (its Dropout stream included) nor the calling thread's arena is touched.
+    Two samples, because a single one sends the conv contractions down
+    einsum's unit-dimension path, which stages nothing, and because probing
+    at the caller's batch would hold what the caller is trying not to (80 MiB
+    for a 180-sample evaluation batch, which itself records nothing).  Every
+    stacked array carries the cohort and the sample axis — batch-norm
+    statistics aside, which the halving over-counts by a fraction of a
+    percent — so ``w`` members over ``n`` samples hold ``w * n`` times the
+    bytes in the same number of arrays.
+    """
+    key = (fusion_signature(template), sample_shape, policy_dtype())
+    if key not in _FOOTPRINTS:
+        member = copy.deepcopy(template)
+        module = BatchedModule(member, [member.state_dict()], members=[member]).train()
+        with fresh_pool() as pool:
+            module(Tensor(np.zeros((1, 2) + sample_shape, policy_dtype())))
+        stats = pool.stats()
+        _FOOTPRINTS[key] = (-(-stats["outstanding_high_water"] // 2), stats["acquires"])
+    return _FOOTPRINTS[key]
+
+
+def tile_width(template: Module, cohort_size: int, batch_shape: Sequence[int]) -> int:
+    """How many cohort members to stack into one :class:`BatchedModule`.
+
+    A pure function of the template's layers, the per-device batch a step
+    feeds it (``batch_shape`` is ``(samples, *sample_shape)``), the numeric
+    policy's dtype and the cohort size: the widest tile whose forward holds
+    at most :data:`TILE_ARRAY_BYTES` per arena array it acquires, evened out
+    so the cohort splits into equal tiles (8 members at a fit of 5 run as
+    4 + 4).  At least 1, at most the cohort, and never wider for a larger
+    batch; a forward that takes nothing from the arena runs whole.
+    """
+    per_sample, arrays = _sample_footprint(template, tuple(int(n) for n in batch_shape[1:]))
+    held = int(batch_shape[0]) * per_sample
+    if not held:
+        return cohort_size
+    fit = max(1, min(cohort_size, TILE_ARRAY_BYTES * arrays // held))
+    tiles = -(-cohort_size // fit)
+    return -(-cohort_size // tiles)
+
+
+def cohort_tiles(template: Module, cohort_size: int, batch_shape: Sequence[int],
+                 min_tiles: int = 1) -> List[Tuple[int, int]]:
+    """``(start, stop)`` bounds of the consecutive tiles a cohort runs as.
+
+    Every site that stacks a cohort asks here, so a fused task stays the
+    unit of dispatch while the tile is the unit of compute.  Cohort members
+    are independent and every batched op is bitwise equal per slice at any
+    stack size, so the tiling never changes a bit.  ``min_tiles`` narrows
+    the tiles until there are that many (one per worker thread).
+    """
+    width = tile_width(template, cohort_size, batch_shape)
+    width = max(1, min(width, -(-cohort_size // max(1, min_tiles))))
+    return [(start, min(start + width, cohort_size))
+            for start in range(0, cohort_size, width)]
+
+
+# --------------------------------------------------------------------------- #
 # BatchedModule
 # --------------------------------------------------------------------------- #
 class BatchedModule:
@@ -657,7 +748,7 @@ class BatchedModule:
 
 
 def slice_thread_count(batch_size: int) -> int:
-    """Worker-thread count for splitting a fused forward across cohort slices.
+    """Worker-thread count for running a fused forward's tiles concurrently.
 
     Opt-in via ``REPRO_SLICE_THREADS`` (unset, empty, or ``<= 1`` keeps the
     single-threaded fused path); capped at the cohort size, since a slice is
@@ -674,53 +765,42 @@ def slice_thread_count(batch_size: int) -> int:
 
 
 class BatchedEvaluator:
-    """No-grad fused inference over a cohort, optionally split across threads.
+    """No-grad fused inference over a cohort, one tile at a time.
 
-    Builds one eval-mode :class:`BatchedModule` over the cohort's states —
-    or, when ``REPRO_SLICE_THREADS`` requests more than one worker, one
-    module per contiguous chunk of the leading cohort axis, driven through a
-    :class:`~concurrent.futures.ThreadPoolExecutor`.  Cohort slices are
-    fully independent (every batched op is bitwise equal per slice
-    regardless of the cohort size, and numpy releases the GIL inside the
-    BLAS kernels), so the split changes wall-clock only, never bits.
+    Builds one eval-mode :class:`BatchedModule` per tile of the cohort
+    (:func:`cohort_tiles`, sized for ``batch_shape`` — the widest batch
+    :meth:`predict` will be given).  When ``REPRO_SLICE_THREADS`` requests
+    more than one worker the tiles are narrowed until every worker has one
+    and handed to a :class:`~concurrent.futures.ThreadPoolExecutor`.  Cohort
+    slices are fully independent — every batched op is bitwise equal per
+    slice regardless of the stack size, and numpy releases the GIL inside
+    the BLAS kernels — so neither the tiling nor the threads change a bit.
 
-    The shared input batch is broadcast — not copied — onto each chunk's
-    leading axis; downstream reshapes materialize per-chunk copies exactly
+    The shared input batch is broadcast — not copied — onto each tile's
+    leading axis; downstream reshapes materialize per-tile copies exactly
     where the fused ops need contiguous layouts.
     """
 
-    def __init__(self, template: Module, states: Sequence[Dict[str, np.ndarray]]) -> None:
-        total = len(states)
-        threads = slice_thread_count(total)
-        bounds: List[Tuple[int, int]] = []
-        base, extra = divmod(total, threads)
-        start = 0
-        for index in range(threads):
-            stop = start + base + (1 if index < extra else 0)
-            if stop > start:
-                bounds.append((start, stop))
-            start = stop
-        self.batch_size = total
-        self._bounds = bounds
+    def __init__(self, template: Module, states: Sequence[Dict[str, np.ndarray]],
+                 batch_shape: Sequence[int]) -> None:
+        self.batch_size = len(states)
+        threads = slice_thread_count(self.batch_size)
         self._modules = [
             BatchedModule(template, list(states[lo:hi]), requires_grad=False).eval()
-            for lo, hi in bounds
-        ]
-        self._executor = (ThreadPoolExecutor(max_workers=len(bounds))
-                          if len(bounds) > 1 else None)
+            for lo, hi in cohort_tiles(template, self.batch_size, batch_shape,
+                                       min_tiles=threads)]
+        self._executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Stacked logits ``(B, N, C)`` for one input batch shared by all slices."""
         images = np.asarray(images)
 
-        def chunk(module: BatchedModule, width: int) -> np.ndarray:
-            return module.predict(np.broadcast_to(images, (width,) + images.shape))
+        def tile(module: BatchedModule) -> np.ndarray:
+            return module.predict(
+                np.broadcast_to(images, (module.batch_size,) + images.shape))
 
-        if self._executor is None:
-            return chunk(self._modules[0], self.batch_size)
-        futures = [self._executor.submit(chunk, module, hi - lo)
-                   for module, (lo, hi) in zip(self._modules, self._bounds)]
-        return np.concatenate([future.result() for future in futures], axis=0)
+        run = map if self._executor is None else self._executor.map
+        return np.concatenate(list(run(tile, self._modules)), axis=0)
 
     def close(self) -> None:
         if self._executor is not None:

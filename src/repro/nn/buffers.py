@@ -44,11 +44,12 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-__all__ = ["BufferPool", "scratch_pool"]
+__all__ = ["BufferPool", "fresh_pool", "scratch_pool"]
 
 #: A free slab serves a request only when it is at most this many times its
 #: size.  Heterogeneous models ask for a different size at every layer, one
@@ -225,3 +226,17 @@ def scratch_pool() -> BufferPool:
     if _POOL.pool is None:
         _POOL.pool = BufferPool()
     return _POOL.pool
+
+
+@contextmanager
+def fresh_pool() -> Iterator[BufferPool]:
+    """Run the block on a new, empty arena and yield it.
+
+    What the block takes is then read off that arena's ``stats()``; the
+    calling thread's own arena is set aside untouched and put back after.
+    """
+    own, _POOL.pool = _POOL.pool, BufferPool()
+    try:
+        yield _POOL.pool
+    finally:
+        _POOL.pool = own

@@ -181,11 +181,20 @@ class _GemmPlan(NamedTuple):
     needs_out: bool
 
 
+#: The stacked conv contractions and what each is over a cohort of one: the
+#: serial contraction of its only slice.
+_UNSTACKED = {
+    "bof,bnfl->bnol": "of,nfl->nol",
+    "bnol,bnfl->bof": "nol,nfl->of",
+    "bof,bnol->bnfl": "of,nol->nfl",
+}
+
 _GEMM_PLANS = {
     "of,nfl->nol": _GemmPlan("", "nl", "f", "o", "nofl", True),        # conv2d forward
     "nol,nfl->of": _GemmPlan("", "f", "nl", "o", "nofl", False),       # conv2d weight VJP
     "of,nol->nfl": _GemmPlan("n", "f", "o", "l", "fl", True),          # conv2d input VJP
     "ncl,ncfl->cf": _GemmPlan("c", "f", "nl", "", "ncfl", False),      # depthwise weight VJP
+    "bof,bnfl->bnol": _GemmPlan("b", "nl", "f", "o", "bnofl", True),   # batched forward
     "bnol,bnfl->bof": _GemmPlan("b", "f", "nl", "o", "bnofl", False),  # batched weight VJP
     "bof,bnol->bnfl": _GemmPlan("bn", "f", "o", "l", "fl", True),      # batched input VJP
 }
@@ -226,7 +235,16 @@ def contract(subscripts: str, a: np.ndarray, b: np.ndarray,
     those are left to it and ``out`` is *not* used: it has the layout of
     the regular case, not the one einsum picks there.  ``result is out``
     tells the caller whether its destination was filled.
+
+    A stacked contraction over a cohort of one is the exception: it runs as
+    the serial contraction of its only slice, whose layout — the one every
+    slice of a wider stack has — that slice keeps.
     """
+    if subscripts in _UNSTACKED and a.shape[0] == 1:
+        # A tile of one device: run the serial contraction, at its cost.
+        only_out = None if out is None else out[0]
+        only = contract(_UNSTACKED[subscripts], a[0], b[0], only_out)
+        return out if only is only_out and out is not None else only[None]
     inputs, result = subscripts.split("->")
     a_letters, b_letters = inputs.split(",")
     size = dict(zip(a_letters + b_letters, a.shape + b.shape))
@@ -261,15 +279,15 @@ def contract(subscripts: str, a: np.ndarray, b: np.ndarray,
 
 def _forward_contract(subscripts: str, w_mat: np.ndarray, cols: np.ndarray,
                       base_shape: Tuple[int, ...], axes: Tuple[int, ...],
-                      bias: Optional[Tensor], recorded: bool) -> Tuple[np.ndarray, bool]:
+                      bias: Optional[np.ndarray], recorded: bool) -> Tuple[np.ndarray, bool]:
     """A convolution's forward contraction plus bias; ``(data, pooled)``.
 
     Recorded forwards write into a pooled buffer shaped like einsum's own
     result — a ``base_shape``-contiguous array handed back as its ``axes``
     view — because downstream reductions (batch-norm statistics) iterate in
     that layout's order; ``backward()`` reclaims the base behind the view.
-    The in-place bias add performs the same IEEE-754 additions as the
-    allocating form.
+    ``bias`` arrives shaped to broadcast over the product; the in-place add
+    performs the same IEEE-754 additions as the allocating form.
     """
     base = _forward_buffer(base_shape, cols.dtype) if recorded else None
     view = None if base is None else base.transpose(axes)
@@ -278,9 +296,9 @@ def _forward_contract(subscripts: str, w_mat: np.ndarray, cols: np.ndarray,
     if base is not None and not pooled:
         scratch_pool().release(base)
     if bias is not None and pooled:
-        data += bias.data.reshape(1, -1, 1)
+        data += bias
     elif bias is not None:
-        data = data + bias.data.reshape(1, -1, 1)
+        data = data + bias
     return data, pooled
 
 
@@ -320,7 +338,8 @@ def conv2d(
     length = out_h * out_w
     out_data, pooled = _forward_contract(
         "of,nfl->nol", w_mat, columns, (batch, length, out_channels), (0, 2, 1),
-        bias, any(p.requires_grad for p in parents))
+        None if bias is None else bias.data.reshape(1, -1, 1),
+        any(p.requires_grad for p in parents))
     out_data = out_data.reshape(batch, out_channels, out_h, out_w)
 
     def factory(out: Tensor) -> Callable[[], None]:
@@ -385,7 +404,8 @@ def depthwise_conv2d(
     length = out_h * out_w
     out_data, pooled = _forward_contract(
         "cf,ncfl->ncl", w_mat, cols, (channels, batch, length), (1, 0, 2),
-        bias, any(p.requires_grad for p in parents))
+        None if bias is None else bias.data.reshape(1, -1, 1),
+        any(p.requires_grad for p in parents))
     out_data = out_data.reshape(batch, channels, out_h, out_w)
 
     def factory(out: Tensor) -> Callable[[], None]:

@@ -11,12 +11,53 @@ import numpy as np
 import pytest
 
 from repro.datasets import ImageDataset, SyntheticImageConfig, SyntheticImageGenerator
-from repro.federated import FederatedConfig, ServerConfig
+from repro.federated import FederatedConfig, ServerConfig, WorkerContext
+from repro.federated.trainer import DeviceTrainingConfig
+from repro.nn import batched
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def force_tile_width(monkeypatch):
+    """``force_tile_width(3)``: every cohort runs as tiles of three (the last
+    one smaller) instead of the width ``repro.nn.batched.tile_width`` picks;
+    a width of the cohort size or more is the undivided stack."""
+    def force(width: int) -> None:
+        monkeypatch.setattr(batched, "tile_width", lambda *args: width)
+    return force
+
+
+@pytest.fixture
+def cohort_context():
+    """``cohort_context(factory, shard_sizes)``: a fresh worker context for one
+    same-architecture cohort — device ``i`` gets ``factory(seed=i)`` and the
+    next ``shard_sizes[i]`` samples of a 3x8x8, 4-class training set — with a
+    48-sample evaluation set and a 40-sample public set."""
+    def data(name, family_seed, samples, seed):
+        config = SyntheticImageConfig(name=name, num_classes=4, channels=3, height=8,
+                                      width=8, family_seed=family_seed, noise_level=0.2,
+                                      max_shift=1, modes_per_class=1,
+                                      background_strength=0.2)
+        return SyntheticImageGenerator(config).sample(samples, seed=seed)
+
+    def build(factory, shard_sizes, **training) -> WorkerContext:
+        train = data("cohort-rgb", 29, sum(shard_sizes), 1)
+        bounds = np.cumsum([0, *shard_sizes])
+        config = DeviceTrainingConfig(**{"lr": 0.05, "momentum": 0.9, "batch_size": 8,
+                                         **training})
+        devices = range(len(shard_sizes))
+        return WorkerContext(
+            models={index: factory(seed=index) for index in devices},
+            shards={index: train.subset(range(bounds[index], bounds[index + 1]))
+                    for index in devices},
+            train_configs=dict.fromkeys(devices, config),
+            eval_dataset=data("cohort-rgb", 29, 48, 2),
+            public_dataset=data("cohort-public", 31, 40, 5))
+    return build
 
 
 @pytest.fixture

@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 
 from repro.core import ZeroShotDistiller, build_fedzkt
-from repro.core.server_tasks import partition_shards
+from repro.core.server_tasks import (
+    DeviceDistillTask,
+    EnsembleForwardTask,
+    EnsembleVJPTask,
+    distill_optimizer_state,
+    make_distill_optimizer,
+    partition_shards,
+)
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
 from repro.federated import (
     FederatedConfig,
@@ -257,3 +264,80 @@ class TestPersistentDeviceDistillOptimizers:
         optimizer = distiller.device_optimizer_for(0, model)
         replacement = SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=6)
         assert distiller.device_optimizer_for(0, replacement) is not optimizer
+
+
+# --------------------------------------------------------------------------- #
+# Tile widths: a fused shard task run as tiles returns the same bytes
+# --------------------------------------------------------------------------- #
+def _homogeneous_cohort():
+    """Eight same-architecture replicas plus one that cannot join them."""
+    models = {device_id: SimpleCNN(SHAPE, CLASSES, channels=(4, 8), hidden_size=16,
+                                   seed=device_id) for device_id in range(8)}
+    models[8] = FullyConnected(SHAPE, CLASSES, hidden_sizes=(32,), seed=9)
+    return models
+
+
+class TestTiledShardTasks:
+    """Cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2) and 8, against the
+    unfused per-model branch of the same task."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    @pytest.mark.parametrize("mode", ["prob", "logit"])
+    def test_ensemble_forward_and_vjp(self, width, mode, force_tile_width):
+        models = _homogeneous_cohort()
+        context = _context_for(models)
+        ids = list(models)
+        states = [models[device_id].state_dict() for device_id in ids]
+        rng = np.random.default_rng(4)
+        inputs = rng.normal(size=(6, *SHAPE))
+        upstream = rng.normal(size=(6, CLASSES))
+        weights = list(rng.uniform(0.5, 1.5, size=len(ids)))
+
+        def run(fuse):
+            forward = EnsembleForwardTask(ids, states, inputs, mode=mode, fuse=fuse)
+            vjp = EnsembleVJPTask(ids, states, weights, inputs, upstream, mode=mode,
+                                  fuse=fuse)
+            return forward.run(context), vjp.run(context)
+
+        members, grads = run(fuse=False)
+        force_tile_width(width)
+        tiled_members, tiled_grads = run(fuse=True)
+        for ours, theirs in zip(tiled_members + tiled_grads, members + grads):
+            np.testing.assert_array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
+    def test_phase2_distillation_and_its_optimizer_state(self, width, optimizer_kind,
+                                                         force_tile_width):
+        models = _homogeneous_cohort()
+        context = _context_for(models)
+        ids = list(models)
+        rng = np.random.default_rng(5)
+        batches = [rng.normal(size=(6, *SHAPE)) for _ in range(3)]
+        targets = [rng.dirichlet(np.ones(CLASSES), size=6) for _ in range(3)]
+
+        def run(fuse):
+            # Two dispatches, the second resuming from the first's states and
+            # flat optimizer state, as consecutive rounds do.
+            states = [models[device_id].state_dict() for device_id in ids]
+            velocities = [distill_optimizer_state(make_distill_optimizer(
+                models[device_id], 0.02, 0.9, optimizer_kind)) for device_id in ids]
+            for _ in range(2):
+                result = DeviceDistillTask(ids, states, velocities, batches, targets,
+                                           lr=0.02, optimizer=optimizer_kind,
+                                           fuse=fuse).run(context)
+                states, velocities = result.states, result.velocities
+            return result
+
+        unfused = run(fuse=False)
+        force_tile_width(width)
+        tiled = run(fuse=True)
+        assert tiled.device_ids == unfused.device_ids
+        assert tiled.losses == unfused.losses
+        for ours, theirs in zip(tiled.states, unfused.states):
+            _assert_states_equal(ours, theirs)
+        for ours, theirs in zip(tiled.velocities, unfused.velocities):
+            assert len(ours) == len(theirs)
+            for array_a, array_b in zip(ours, theirs):
+                assert np.asarray(array_a).dtype == np.asarray(array_b).dtype
+                np.testing.assert_array_equal(array_a, array_b)

@@ -11,6 +11,7 @@ must silently fall back to the per-device tasks.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,3 +216,119 @@ class TestFusedHistoriesMatchSerial:
     def test_fusion_flag_lands_in_history_config(self):
         history = _run_fedavg(True)
         assert history.config.get("cohort_fusion") is True
+
+
+# --------------------------------------------------------------------------- #
+# Tile widths: a fused task run as tiles returns the undivided stack's bytes
+# --------------------------------------------------------------------------- #
+def _cnn(seed):
+    return build_model(_CNN_SPEC, (3, 8, 8), 4, seed=seed)
+
+
+def _fc(seed):
+    return build_model(ModelSpec("fc", {"hidden_sizes": (24,)}), (3, 8, 8), 4, seed=seed)
+
+
+def _train_cohort(context, anchors=False, digests=False):
+    """Run one fused training task over the whole context."""
+    ids = sorted(context.models)
+    rng = np.random.default_rng(3)
+    task = FusedLocalTrainTask(
+        device_ids=ids,
+        states=[context.models[index].state_dict() for index in ids],
+        epochs=2,
+        rng_states=[np.random.default_rng(100 + index).bit_generator.state
+                    for index in ids],
+        anchors=([[param.data + 0.01 for param in context.models[index].parameters()]
+                  for index in ids] if anchors else None),
+        digests=([DigestSpec(consensus=rng.normal(size=(len(context.public_dataset), 4)),
+                             epochs=1, lr=0.02, batch_size=16, seed=50 + index)
+                  for index in ids] if digests else None))
+    return task.run(context)
+
+
+def _assert_results_identical(tiled, whole):
+    assert [result.device_id for result in tiled] == [result.device_id for result in whole]
+    for ours, theirs in zip(tiled, whole):
+        assert ours.report == theirs.report            # batches, samples, both losses
+        assert ours.rng_state == theirs.rng_state
+        assert ours.digest_loss == theirs.digest_loss
+        assert list(ours.state) == list(theirs.state)
+        for key in theirs.state:
+            np.testing.assert_array_equal(ours.state[key], theirs.state[key], err_msg=key)
+
+
+class TestTiledTrainingMatchesTheWholeStack:
+    """Cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2) and 8."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_exact_cohort_with_proximal_anchors(self, width, cohort_context,
+                                                force_tile_width):
+        def run(forced):
+            force_tile_width(forced)
+            return _train_cohort(cohort_context(_cnn, [16] * 8, prox_mu=0.05),
+                                 anchors=True)
+        _assert_results_identical(run(width), run(8))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_family_padded_cohort(self, width, cohort_context, force_tile_width):
+        # Unequal shards: the 17-sample device steps alone at the end, the
+        # 15-sample one is padded mid-epoch, and a tile whose own shards all
+        # agree (any tile of one) still runs the cohort's masked loop at the
+        # cohort's padded width.
+        sizes = [17, 16, 16, 16, 16, 16, 16, 15]
+
+        def run(forced):
+            force_tile_width(forced)
+            return _train_cohort(cohort_context(_fc, sizes, prox_mu=0.05), anchors=True)
+        _assert_results_identical(run(width), run(8))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_fedmd_digests(self, width, cohort_context, force_tile_width):
+        def run(forced):
+            force_tile_width(forced)
+            return _train_cohort(cohort_context(_cnn, [16] * 8), digests=True)
+        tiled, whole = run(width), run(8)
+        assert all(result.digest_loss is not None for result in whole)
+        _assert_results_identical(tiled, whole)
+
+    def test_the_whole_stack_matches_the_per_device_tasks(self, cohort_context,
+                                                          force_tile_width):
+        # Anchor for the comparisons above: width 8 is the per-device result.
+        force_tile_width(8)
+        whole = _train_cohort(cohort_context(_cnn, [16] * 8), digests=True)
+        context = cohort_context(_cnn, [16] * 8)
+        rng = np.random.default_rng(3)
+        serial = [LocalTrainTask(
+            device_id=index, state=context.models[index].state_dict(), epochs=2,
+            rng_state=np.random.default_rng(100 + index).bit_generator.state,
+            digest=DigestSpec(consensus=rng.normal(size=(40, 4)), epochs=1, lr=0.02,
+                              batch_size=16, seed=50 + index)).run(context)
+            for index in sorted(context.models)]
+        _assert_results_identical(whole, serial)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("algorithm", ["fedavg", "fedmd", "fedzkt"])
+def test_tiled_histories_match_unfused(algorithm, width, force_tile_width):
+    # Whole runs on eight homogeneous devices: every fused site (training,
+    # digests, evaluation, public logits, sharded ensemble forward/VJP,
+    # Phase-2 transfer with its persisted optimizer state) cut into tiles.
+    def run(fusion):
+        train, test = _data()
+        shards = 2 if fusion and algorithm == "fedzkt" else 1
+        config = replace(_config(fusion, server_shards=shards), num_devices=8)
+        models = _homogeneous_models(config, train.input_shape, train.num_classes)
+        if algorithm == "fedavg":
+            builder = build_fedavg(train, test, config, model_spec=_CNN_SPEC)
+        elif algorithm == "fedmd":
+            builder = build_fedmd(train, test, _public(), config, device_models=models)
+        else:
+            builder = build_fedzkt(train, test, config, device_models=models)
+        with builder as simulation:
+            payload = json.loads(_canonical(simulation.run()))
+        payload["config"].pop("server_shards", None)
+        return payload
+
+    force_tile_width(width)
+    assert run(True) == run(False)

@@ -18,7 +18,12 @@ import pytest
 
 from repro.baselines import build_fedavg
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
-from repro.federated import FederatedConfig, SchedulerConfig, ServerConfig
+from repro.federated import (
+    FederatedConfig,
+    FusedLocalTrainTask,
+    SchedulerConfig,
+    ServerConfig,
+)
 from repro.models import ModelSpec, SimpleCNN, build_model
 from repro.nn import Tensor
 from repro.nn.batched import BatchedModule, UnfusableModelError, fusion_signature
@@ -144,3 +149,40 @@ def _run(fusion):
 
 def test_dropout_cohort_history_is_bit_identical():
     assert _canonical(_run(False)) == _canonical(_run(True))
+
+
+# --------------------------------------------------------------------------- #
+# Tiles: every member keeps its own mask stream across tile boundaries
+# --------------------------------------------------------------------------- #
+def _dropout_rng_states(context):
+    return [[layer._rng.bit_generator.state for layer in model.fusion_layers()
+             if type(layer).__name__ == "Dropout"]
+            for _, model in sorted(context.models.items())]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_tiled_dropout_cohort_matches_the_whole_stack(width, cohort_context,
+                                                      force_tile_width):
+    def factory(seed):
+        return build_model(_DROPOUT_SPEC, SHAPE, CLASSES, seed=seed)
+
+    def run(forced):
+        force_tile_width(forced)
+        context = cohort_context(factory, [16] * 8)
+        ids = sorted(context.models)
+        task = FusedLocalTrainTask(
+            device_ids=ids, states=[context.models[i].state_dict() for i in ids],
+            epochs=2, rng_states=[np.random.default_rng(100 + i).bit_generator.state
+                                  for i in ids])
+        return task.run(context), _dropout_rng_states(context)
+
+    (tiled, tiled_streams), (whole, whole_streams) = run(width), run(8)
+    for ours, theirs in zip(tiled, whole):
+        assert ours.report == theirs.report
+        assert ours.rng_state == theirs.rng_state
+        for key in theirs.state:
+            np.testing.assert_array_equal(ours.state[key], theirs.state[key], err_msg=key)
+    # The live members' mask generators end where the undivided stack (and so
+    # per-device training) leaves them: no tile drew from a neighbour's stream.
+    assert tiled_streams == whole_streams
+    assert all(streams for streams in whole_streams)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.baselines import build_fedavg, build_fedmd
@@ -27,6 +28,7 @@ from repro.federated import (
     make_backend,
 )
 from repro.federated import cohort as cohort_mod
+from repro.federated.backend import EvaluateTask, PublicLogitsTask
 from repro.models import ModelSpec, build_model
 
 
@@ -165,11 +167,41 @@ class TestFusionFires:
 
 
 class TestSliceThreadedEval:
-    """REPRO_SLICE_THREADS splits the fused leading axis; bits must hold."""
+    """REPRO_SLICE_THREADS hands the cohort's tiles to threads; bits must hold."""
 
-    def test_fedavg_threaded_slices_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("width", [None, 1])
+    def test_fedavg_threaded_slices_bit_identical(self, width, monkeypatch,
+                                                  force_tile_width):
         baseline, base_rng = _run("fedavg", fusion=True)
         monkeypatch.setenv("REPRO_SLICE_THREADS", "3")
+        if width is not None:
+            force_tile_width(width)  # more tiles (4) than threads (3)
         threaded, threaded_rng = _run("fedavg", fusion=True)
         assert baseline == threaded
         assert base_rng == threaded_rng
+
+
+class TestTiledForwardTasks:
+    """Cohort of eight: the fused no-grad tasks return the same bytes at
+    forced tile widths 1, 2, 3 (3 + 3 + 2) and 8, and the per-device ones."""
+
+    @staticmethod
+    def _cnn(seed):
+        return build_model(_CNN_SPEC, (3, 8, 8), 4, seed=seed)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    def test_evaluation_and_public_logits(self, width, cohort_context, force_tile_width):
+        context = cohort_context(self._cnn, [4] * 8)
+        ids = sorted(context.models)
+        states = [context.models[index].state_dict() for index in ids]
+        # batch_size 20 over 48 / 40 samples: full chunks and a short tail.
+        accuracies = [EvaluateTask(index, state, batch_size=20).run(context)
+                      for index, state in zip(ids, states)]
+        logits = [PublicLogitsTask(index, state, batch_size=20).run(context)
+                  for index, state in zip(ids, states)]
+
+        force_tile_width(width)
+        assert cohort_mod.FusedEvaluateTask(ids, states, 20).run(context) == accuracies
+        fused = cohort_mod.FusedPublicLogitsTask(ids, states, 20).run(context)
+        for ours, theirs in zip(fused, logits):
+            np.testing.assert_array_equal(ours, theirs)

@@ -19,16 +19,23 @@ from hypothesis.extra.numpy import arrays
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN
 from repro.nn import SGD, Tensor, layers
 from repro.nn.batched import (
+    TILE_ARRAY_BYTES,
+    BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
     UnfusableModelError,
+    _sample_footprint,
     batched_cross_entropy,
     batched_l2_proximal,
+    cohort_tiles,
     fusion_signature,
     stack_states,
+    tile_width,
     unstack_states,
 )
+from repro.nn.buffers import fresh_pool, scratch_pool
 from repro.nn.losses import cross_entropy, l2_proximal
+from repro.nn.policy import using_numeric_policy
 
 BATCH = 3
 INPUT_SHAPE = (3, 8, 8)
@@ -223,3 +230,157 @@ class TestStackUnstackProperties:
         views = unstack_states(stacked)
         views[0]["a"][:] = 99.0
         np.testing.assert_array_equal(stacked["a"][0], np.zeros(3))
+
+
+# --------------------------------------------------------------------------- #
+# Tile width: how much of a cohort one BatchedModule stacks
+# --------------------------------------------------------------------------- #
+#: The models, input shapes and batch sizes of the sweep the constant is
+#: fitted to (``benchmarks/bench_cohort_fusion.py``).
+_SWEEP = {
+    (3, 8, 8): {
+        "fully_connected": FACTORIES["fully_connected"],
+        "simple_cnn": FACTORIES["simple_cnn"],
+        "lenet": FACTORIES["lenet"],
+    },
+    (1, 16, 16): {
+        "fully_connected": lambda seed: FullyConnected(
+            (1, 16, 16), 10, hidden_sizes=(128, 64), seed=seed),
+        "simple_cnn": lambda seed: SimpleCNN((1, 16, 16), 10, channels=(16, 32), seed=seed),
+        "lenet": lambda seed: LeNet((1, 16, 16), 10, conv_channels=(6, 16),
+                                    fc_sizes=(64, 32), seed=seed),
+    },
+}
+_SWEEP_CASES = [(shape, name, samples) for shape, models in _SWEEP.items()
+                for name in models for samples in (8, 32)]
+
+
+class TestTileWidth:
+    @pytest.mark.parametrize("shape", sorted(_SWEEP))
+    @pytest.mark.parametrize("samples", [8, 32])
+    def test_fully_connected_keeps_the_full_stack(self, shape, samples):
+        model = _SWEEP[shape]["fully_connected"](0)
+        assert tile_width(model, 8, (samples, *shape)) == 8
+
+    @pytest.mark.parametrize("samples", [32, 180])
+    def test_the_e2e_cnn_runs_nearly_unstacked(self, samples):
+        # cnn (16, 32) at 1x16x16: batch 32 is the harness's training step,
+        # 180 samples its evaluation batch.
+        model = _SWEEP[(1, 16, 16)]["simple_cnn"](0)
+        assert tile_width(model, 8, (samples, 1, 16, 16)) <= 2
+
+    def test_the_gated_tiny_shapes_keep_the_full_stack(self):
+        for name, factory in FACTORIES.items():
+            assert tile_width(factory(0), 8, (8, *INPUT_SHAPE)) == 8, name
+
+    @pytest.mark.parametrize("shape", sorted(_SWEEP))
+    @pytest.mark.parametrize("name", ["fully_connected", "simple_cnn", "lenet"])
+    def test_bounds_and_monotonicity(self, shape, name):
+        model = _SWEEP[shape][name](0)
+        for cohort in (1, 2, 3, 8, 13):
+            widths = [tile_width(model, cohort, (samples, *shape))
+                      for samples in (0, 1, 2, 8, 32, 64, 180, 256)]
+            assert all(1 <= width <= cohort for width in widths)
+            assert widths == sorted(widths, reverse=True)
+        # Half the itemsize never narrows a tile.
+        with using_numeric_policy("float32"):
+            narrow = tile_width(model, 8, (32, *shape))
+        assert narrow >= tile_width(model, 8, (32, *shape))
+
+    def test_tiles_are_evened_out(self):
+        # A fit of five on a cohort of eight is two tiles of four, not 5 + 3.
+        model = _SWEEP[(1, 16, 16)]["lenet"](0)
+        widths = {tile_width(model, 8, (samples, 1, 16, 16))
+                  for samples in range(1, 200, 3)}
+        assert {1, 8} < widths <= {1, 2, 3, 4, 8}
+
+    def test_sizing_touches_neither_the_template_nor_the_arena(self):
+        # The footprint is measured on a copy, on an arena of its own: the
+        # template's Dropout stream and the thread's arena counters stay put.
+        template = SimpleCNN((1, 16, 16), 10, channels=(4, 8), hidden_size=16,
+                             dropout=0.25, seed=0)
+        dropout = next(layer for layer in template.fusion_layers()
+                       if isinstance(layer, layers.Dropout))
+        before = (dropout._rng.bit_generator.state, scratch_pool().stats(),
+                  {key: value.copy() for key, value in template.state_dict().items()})
+        assert 1 <= tile_width(template, 8, (33, 1, 16, 16)) <= 8
+        assert dropout._rng.bit_generator.state == before[0]
+        assert scratch_pool().stats() == before[1]
+        for key, value in template.state_dict().items():
+            np.testing.assert_array_equal(value, before[2][key])
+
+    @pytest.mark.parametrize("shape, name, samples", _SWEEP_CASES)
+    def test_a_tile_forward_stays_inside_the_budget(self, shape, name, samples):
+        # The constant stands for arena bytes: a recorded forward of a tile
+        # the rule stacked holds, at its peak, no more than the constant per
+        # array it acquired.  (A tile of one is the floor, whatever it holds.)
+        factory = _SWEEP[shape][name]
+        width = tile_width(factory(0), 8, (samples, *shape))
+        module = BatchedModule(factory(0), [factory(seed).state_dict()
+                                            for seed in range(width)])
+        module.train()
+        images = np.random.default_rng(0).normal(size=(width, samples, *shape))
+        with fresh_pool() as pool:  # its counters are this forward's
+            module(Tensor(images))
+        stats = pool.stats()
+        if width > 1:
+            assert stats["outstanding_high_water"] <= TILE_ARRAY_BYTES * stats["acquires"]
+        # What the rule divides by is what the tile really takes: the
+        # per-sample measurement, times samples and width, in as many arrays
+        # (it counts the batch-norm statistics once per sample; nothing else
+        # is off).
+        per_sample, arrays = _sample_footprint(factory(0), shape)
+        estimate = per_sample * samples * width
+        assert stats["acquires"] == arrays
+        assert stats["outstanding_high_water"] <= estimate <= 1.01 * stats["outstanding_high_water"]
+
+
+class TestCohortTiles:
+    def test_uneven_tail(self, force_tile_width):
+        force_tile_width(3)
+        model = FACTORIES["fully_connected"](0)
+        assert cohort_tiles(model, 8, (8, *INPUT_SHAPE)) == [(0, 3), (3, 6), (6, 8)]
+
+    def test_a_width_past_the_cohort_is_one_tile(self, force_tile_width):
+        force_tile_width(99)
+        model = FACTORIES["fully_connected"](0)
+        assert cohort_tiles(model, 5, (8, *INPUT_SHAPE)) == [(0, 5)]
+
+    def test_min_tiles_narrows_until_every_worker_has_one(self):
+        model = FACTORIES["fully_connected"](0)
+        assert cohort_tiles(model, 8, (8, *INPUT_SHAPE)) == [(0, 8)]
+        assert cohort_tiles(model, 8, (8, *INPUT_SHAPE), min_tiles=3) == [
+            (0, 3), (3, 6), (6, 8)]
+        assert len(cohort_tiles(model, 2, (8, *INPUT_SHAPE), min_tiles=5)) == 2
+
+    def test_float32_policy_halves_the_bytes(self):
+        model = _SWEEP[(1, 16, 16)]["lenet"](0)
+        wide = cohort_tiles(model, 8, (32, 1, 16, 16))
+        with using_numeric_policy("float32"):
+            assert len(cohort_tiles(model, 8, (32, 1, 16, 16))) <= len(wide)
+
+
+class TestTiledEvaluator:
+    """``BatchedEvaluator`` output is the same bytes at every tile width."""
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_predict_is_bitwise_identical(self, name, width, threads,
+                                          force_tile_width, monkeypatch):
+        models = [FACTORIES[name](seed) for seed in range(8)]
+        states = [model.state_dict() for model in models]
+        rng = np.random.default_rng(6)
+        batches = [rng.normal(size=(samples, *INPUT_SHAPE)) for samples in (8, 8, 5)]
+        whole = BatchedModule(models[0], states, requires_grad=False).eval()
+        expected = [whole.predict(np.broadcast_to(batch, (8,) + batch.shape))
+                    for batch in batches]
+
+        force_tile_width(width)
+        if threads is not None:
+            monkeypatch.setenv("REPRO_SLICE_THREADS", threads)
+        with BatchedEvaluator(models[0], states, batches[0].shape) as evaluator:
+            for batch, reference in zip(batches, expected):
+                np.testing.assert_array_equal(evaluator.predict(batch), reference)
+            assert len(evaluator._modules) == max(
+                -(-8 // width), 1 if threads is None else int(threads))

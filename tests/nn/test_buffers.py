@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.models.simple import SimpleCNN
 from repro.nn import SGD, Tensor, buffers, scratch_pool
-from repro.nn.buffers import BufferPool
+from repro.nn.buffers import BufferPool, fresh_pool
 from repro.nn.losses import cross_entropy
 
 _DTYPES = (np.float64, np.float32, np.bool_, np.int64)
@@ -229,6 +229,21 @@ class TestTrim:
         use(1000)
         pool.enter_round(1)
         assert pool.free_bytes() == 8000
+
+
+class TestFreshPool:
+    def test_the_block_runs_on_an_arena_of_its_own(self):
+        own = scratch_pool()
+        before = own.stats()
+        try:
+            with fresh_pool() as pool:
+                assert scratch_pool() is pool and pool is not own
+                pool.release(pool.acquire((4, 4)))
+                raise KeyError("the thread's arena comes back on the way out too")
+        except KeyError:
+            pass
+        assert scratch_pool() is own and own.stats() == before
+        assert pool.stats()["acquires"] == 1 and pool.free_bytes() == 128
 
 
 class TestSteadyState:
