@@ -1,6 +1,7 @@
 """Memory benchmark: transient allocations per training step, against budgets.
 
-Three sections over the same three workloads, and one whole-round probe:
+Three sections over the same three workloads, three fresh-process probes and
+one microbenchmark:
 
 * **fused device-step** — one fused cohort of B={COHORT} devices
   (``BatchedModule`` + ``BatchedSGD``) through a warmed steady-state step
@@ -13,7 +14,7 @@ Three sections over the same three workloads, and one whole-round probe:
   forward allocates once backward reclaim recycles its activations through
   the per-thread :class:`~repro.nn.BufferPool`.
 * **retention** — after the warmed fused loop, the bytes the scratch arena
-  holds (free slabs plus the ones checked out) may not exceed
+  holds (free blocks plus the ones checked out) may not exceed
   {RETENTION_FACTOR}x the most it ever had checked out at once — a pool
   that parks idle buffers per shape fails it.
 * **round alternation** — in a fresh process, a cohort of B={COHORT} of the
@@ -21,8 +22,26 @@ Three sections over the same three workloads, and one whole-round probe:
   evaluation) alternates ``FusedLocalTrainTask`` and ``FusedEvaluateTask``
   for {ROUNDS} rounds, trimming the arena at each round boundary as the
   engine does.  The measurement is the growth of the process's peak RSS over the
-  rounds: training and evaluation slabs share no size class, so this is
+  rounds: training and evaluation arrays share no size, so this is
   where an arena (or a stack) that holds more than a round needs shows.
+* **server update** — in a fresh process, one FedZKT server update (Phase 1
+  and Phase 2) at the whole-round harness's ``zkt_serial`` shape: five
+  heterogeneous devices, ``tiny`` scale.  Two gates: the arena retains at
+  most {RETENTION_FACTOR}x its outstanding high-water — Phase 1's large
+  arrays and Phase 2's many small ones have to be served from the same
+  bytes — and the process's peak RSS grows by at most
+  ``SERVER_UPDATE_RSS_BUDGET_MB``, which is where a backward pass that holds
+  every gradient until its last closure has run shows.
+* **shrinking working set** — in a fresh process, one round takes and
+  writes {SHRINK_FROM_MB} MiB of the arena and the rounds after it {SHRINK_TO_MB}: after the trim
+  that ends the first small round the arena holds what that round used and
+  the process's *resident* set (``VmRSS``, not the peak) has fallen by at
+  least {SHRINK_SHARE:.0%} of the difference — ``free_bytes`` counts pages, and ``trim``
+  gives pages back.
+* **acquire/release pair** — the arena's steady-state request, the size that
+  was just released, timed in a loop with both neighbouring blocks checked
+  out, in units of the ``np.empty`` it stands in for: at most {PAIR_FACTOR}x what
+  the slab arena it replaced took.
 
 The benchmark **asserts** its regression guards (exit code 1 on violation,
 so CI fails loudly).  The first two are absolute byte budgets per workload
@@ -31,7 +50,9 @@ the pooled, in-place engine measured when the budgets were set.  Every
 allocate-per-op formulation this engine has had measured at least 1.48x
 those figures, so sliding back to allocating fails the gate.  The round
 alternation has an absolute budget too (``ROUND_RSS_BUDGET_MB``); run as one
-undivided B={COHORT} stack it grew by 692 MiB, five times the budget.
+undivided B={COHORT} stack it grew by 692 MiB, eight times the budget.  So
+does the server update: on the slab arena with end-of-walk reclaim it grew
+by {SERVER_UPDATE_BEFORE_MB:.0f} MiB (the arena retaining 158 MiB, 1.17x its high-water of 136).
 
 Not a pytest file on purpose (no ``test_`` prefix): run it directly with
 
@@ -47,6 +68,7 @@ import subprocess
 import sys
 import threading
 import time
+import timeit
 import tracemalloc
 from pathlib import Path
 
@@ -63,7 +85,7 @@ from repro.federated import FusedLocalTrainTask, WorkerContext  # noqa: E402
 from repro.federated.cohort import FusedEvaluateTask  # noqa: E402
 from repro.federated.trainer import DeviceTrainingConfig  # noqa: E402
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN  # noqa: E402
-from repro.nn import SGD, Tensor, scratch_pool  # noqa: E402
+from repro.nn import SGD, BufferPool, Tensor, scratch_pool  # noqa: E402
 from repro.nn.batched import (  # noqa: E402
     BatchedModule,
     BatchedSGD,
@@ -86,9 +108,25 @@ FORWARD_BUDGET_BYTES = {
     "simple_cnn": BUDGET_FACTOR * 80_068,
 }
 # Growth of peak RSS over the round alternation: BUDGET_FACTOR x the MiB
-# measured when cohort tiles landed (the arena itself holds 57 of them, 2.0x
-# its high-water: training and evaluation slabs share no size class).
-ROUND_RSS_BUDGET_MB = BUDGET_FACTOR * 111.6
+# measured on the region arena (which holds 16 of them, 1.04x its high-water;
+# on the slab arena, where training and evaluation shared no size class, it
+# grew by 111 and the arena held 57).
+ROUND_RSS_BUDGET_MB = BUDGET_FACTOR * 70.5
+# Growth of peak RSS over one FedZKT server update: BUDGET_FACTOR x the MiB
+# measured when backward began to reclaim as it walks and the arena to split
+# and merge; before that it grew by SERVER_UPDATE_BEFORE_MB.
+SERVER_UPDATE_RSS_BUDGET_MB = BUDGET_FACTOR * 144.9
+SERVER_UPDATE_BEFORE_MB = 224.3
+# One acquire/release pair of a 16 KiB array between two checked-out
+# neighbours, in units of the ``np.empty`` of that array: what the slab arena
+# took (median of eight runs on the box the payload's environment block
+# describes) and the factor the region arena may take of it.
+PAIR_SLAB_RATIO = 4.58
+PAIR_FACTOR = 1.5
+# The shrinking working set: MiB written in the large round and in the small
+# ones, and the share of the difference the resident set has to fall by.
+SHRINK_FROM_MB, SHRINK_TO_MB = 48, 4
+SHRINK_SHARE = 0.9
 ROUNDS = 3
 COHORT = 8
 INPUT_SHAPE = (3, 8, 8)
@@ -98,7 +136,11 @@ LR, MOMENTUM = 0.05, 0.9
 WARMUP_STEPS = 3
 
 __doc__ = __doc__.format(COHORT=COHORT, BUDGET_FACTOR=BUDGET_FACTOR,
-                         RETENTION_FACTOR=RETENTION_FACTOR, ROUNDS=ROUNDS)
+                         RETENTION_FACTOR=RETENTION_FACTOR, ROUNDS=ROUNDS,
+                         SHRINK_FROM_MB=SHRINK_FROM_MB, SHRINK_TO_MB=SHRINK_TO_MB,
+                         SHRINK_SHARE=SHRINK_SHARE,
+                         PAIR_FACTOR=PAIR_FACTOR,
+                         SERVER_UPDATE_BEFORE_MB=SERVER_UPDATE_BEFORE_MB)
 
 WORKLOADS = {
     "fully_connected": lambda seed: FullyConnected(
@@ -242,20 +284,102 @@ def _round_probe():
         states = [result.state for result in results]
         rng_states = [result.rng_state for result in results]
         FusedEvaluateTask(list(devices), states).run(context)
-    after = own_peak_rss_mb()
+    print(json.dumps(_arena_report(own_peak_rss_mb() - before)))
+    return 0
+
+
+def _arena_report(rss_growth_mb):
     stats = scratch_pool().stats()
-    print(json.dumps({
-        "rss_growth_mb": after - before,
+    return {
+        "rss_growth_mb": rss_growth_mb,
         "arena_retained_mb": (stats["free_bytes"] + stats["outstanding_bytes"]) / 2 ** 20,
         "arena_high_water_mb": stats["outstanding_high_water"] / 2 ** 20,
+    }
+
+
+def _server_update_probe():
+    """Child mode: one FedZKT server update in this fresh process, built as
+    the whole-round harness builds ``zkt_serial``."""
+    from repro.core.fedzkt import build_fedzkt
+    from repro.datasets.registry import dataset_family, load_dataset
+    from repro.experiments.configs import federated_config_for, get_scale
+
+    scale = get_scale("tiny")
+    config = federated_config_for(scale, dataset_family("mnist"), num_devices=5, seed=0)
+    train, test = load_dataset("mnist", train_size=scale.train_size, test_size=scale.test_size,
+                               image_size=scale.image_size, seed=0)
+    with build_fedzkt(train, test, config, family=dataset_family("mnist")) as simulation:
+        server = simulation.strategy.server
+        gc.collect()
+        before = own_peak_rss_mb()
+        server.distiller.server_update(server.device_models)
+        print(json.dumps(_arena_report(own_peak_rss_mb() - before)))
+    return 0
+
+
+def _shrink_probe():
+    """Child mode: a round that writes ``SHRINK_FROM_MB`` MiB of the arena,
+    then rounds that write ``SHRINK_TO_MB``, in this fresh process."""
+    pool = scratch_pool()
+
+    def run_round(version, megabytes):
+        pool.enter_round(version)
+        arrays = [pool.acquire((2 ** 20 // 8,)) for _ in range(megabytes)]
+        for array in arrays:
+            array.fill(1.0)
+        for array in arrays:
+            pool.release(array)
+
+    def resident_mb():
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmRSS:")) / 1024
+
+    run_round(0, SHRINK_FROM_MB)
+    large = resident_mb()
+    run_round(1, SHRINK_TO_MB)
+    run_round(2, SHRINK_TO_MB)  # the trim at its top is the one that ends round 1
+    stats = pool.stats()
+    print(json.dumps({
+        "rss_fell_mb": large - resident_mb(),
+        "arena_retained_mb": (stats["free_bytes"] + stats["outstanding_bytes"]) / 2 ** 20,
     }))
     return 0
 
 
-def _measure_round_alternation():
-    done = subprocess.run([sys.executable, __file__, "--round-probe"],
+def _measure_in_child(flag):
+    done = subprocess.run([sys.executable, __file__, flag],
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _measure_pair(repeats):
+    """``release(acquire(...))`` for the size that was just released, the
+    blocks on either side checked out: ``(nanoseconds, x np.empty)``.
+
+    The gate is on the second figure, the pair's time over that of the
+    ``np.empty`` of the same array, sampled turn and turn about — a loaded or
+    throttled host slows both, and the best of the repeats is the one the
+    host disturbed least.
+    """
+    pool = BufferPool()
+    below, array, above = pool.acquire((100,)), pool.acquire((64, 32)), pool.acquire((3000,))
+    pool.release(array)
+    dtype = np.dtype(np.float64)
+
+    def pair():
+        pool.release(pool.acquire((64, 32), dtype))
+
+    def allocate():
+        np.empty((64, 32), dtype)
+
+    number = 20_000
+    pairs, allocations = [], []
+    for _ in range(repeats):
+        pairs.append(timeit.timeit(pair, number=number))
+        allocations.append(timeit.timeit(allocate, number=number))
+    assert pool.acquire((64, 32)) is array and below.base is not above.base
+    return min(pairs) / number * 1e9, min(pairs) / min(allocations)
 
 
 def main(argv=None) -> int:
@@ -266,9 +390,15 @@ def main(argv=None) -> int:
                         help="measured training steps per mode")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_memory.json"))
     parser.add_argument("--round-probe", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--server-update-probe", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--shrink-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.round_probe:
         return _round_probe()
+    if args.server_update_probe:
+        return _server_update_probe()
+    if args.shrink_probe:
+        return _shrink_probe()
 
     steps = args.steps if args.steps is not None else (3 if args.quick else 10)
     enforce = not args.quick
@@ -333,7 +463,7 @@ def main(argv=None) -> int:
 
     print(f"\nround alternation (B={COHORT} cnn 16/32 at 1x16x16: fused train, fused "
           f"180-sample evaluation, {ROUNDS} rounds; budget: peak-RSS growth)")
-    alternation = _measure_round_alternation()
+    alternation = _measure_in_child("--round-probe")
     alternation["budget_mb"] = ROUND_RSS_BUDGET_MB
     print(f"  peak RSS grew {alternation['rss_growth_mb']:7.1f} MiB  budget "
           f"{ROUND_RSS_BUDGET_MB:7.1f} MiB  (arena retains "
@@ -343,6 +473,48 @@ def main(argv=None) -> int:
         failures.append(f"round alternation: peak RSS grew "
                         f"{alternation['rss_growth_mb']:.1f} MiB > budget "
                         f"{ROUND_RSS_BUDGET_MB:.1f} MiB")
+
+    print(f"\nserver update (FedZKT Phase 1 + Phase 2, 5 heterogeneous devices, tiny; "
+          f"bounds: retained <= {RETENTION_FACTOR}x high-water, peak-RSS growth)")
+    server_update = _measure_in_child("--server-update-probe")
+    server_update["budget_mb"] = SERVER_UPDATE_RSS_BUDGET_MB
+    server_update["ratio"] = (server_update["arena_retained_mb"]
+                              / server_update["arena_high_water_mb"])
+    print(f"  peak RSS grew {server_update['rss_growth_mb']:7.1f} MiB  budget "
+          f"{SERVER_UPDATE_RSS_BUDGET_MB:7.1f} MiB  (arena retains "
+          f"{server_update['arena_retained_mb']:.1f} MiB, high-water "
+          f"{server_update['arena_high_water_mb']:.1f} MiB, ratio "
+          f"{server_update['ratio']:.2f})")
+    if server_update["rss_growth_mb"] > SERVER_UPDATE_RSS_BUDGET_MB:
+        failures.append(f"server update: peak RSS grew "
+                        f"{server_update['rss_growth_mb']:.1f} MiB > budget "
+                        f"{SERVER_UPDATE_RSS_BUDGET_MB:.1f} MiB")
+    if server_update["ratio"] > RETENTION_FACTOR:
+        failures.append(f"server update: arena retains {server_update['ratio']:.2f}x its "
+                        f"high-water > {RETENTION_FACTOR}x")
+
+    print(f"\nshrinking working set (rounds of {SHRINK_FROM_MB}, {SHRINK_TO_MB}, {SHRINK_TO_MB} MiB; "
+          f"bounds: arena holds {SHRINK_TO_MB} MiB, resident set falls by >= "
+          f"{SHRINK_SHARE:.0%} of the difference)")
+    shrink = _measure_in_child("--shrink-probe")
+    print(f"  resident set fell {shrink['rss_fell_mb']:6.1f} MiB  arena retains "
+          f"{shrink['arena_retained_mb']:.1f} MiB")
+    if shrink["arena_retained_mb"] != SHRINK_TO_MB:
+        failures.append(f"shrinking working set: arena retains "
+                        f"{shrink['arena_retained_mb']:.1f} MiB, not {SHRINK_TO_MB}")
+    if shrink["rss_fell_mb"] < SHRINK_SHARE * (SHRINK_FROM_MB - SHRINK_TO_MB):
+        failures.append(f"shrinking working set: resident set fell by "
+                        f"{shrink['rss_fell_mb']:.1f} MiB < {SHRINK_SHARE:.0%} of "
+                        f"{SHRINK_FROM_MB - SHRINK_TO_MB}")
+
+    pair_ns, pair_ratio = _measure_pair(3 if args.quick else 9)
+    print(f"\nacquire/release pair (16 KiB, neighbours checked out; bound: "
+          f"{PAIR_FACTOR}x the slab arena's {PAIR_SLAB_RATIO:.2f} np.empty)\n"
+          f"  {pair_ns:8.0f} ns  {pair_ratio:5.2f} np.empty  "
+          f"({pair_ratio / PAIR_SLAB_RATIO:.2f}x the slab arena)")
+    if pair_ratio > PAIR_FACTOR * PAIR_SLAB_RATIO:
+        failures.append(f"acquire/release pair: {pair_ratio:.2f} np.empty > {PAIR_FACTOR} x "
+                        f"{PAIR_SLAB_RATIO:.2f}")
 
     payload = {
         "benchmark": "memory",
@@ -357,10 +529,17 @@ def main(argv=None) -> int:
         "forward_pooling": forward_results,
         "retention": retention_results,
         "round_alternation": alternation,
+        "server_update": server_update,
+        "shrinking_working_set": shrink,
+        "acquire_release_pair": {"ns": pair_ns, "np_empty_units": pair_ratio,
+                                 "slab_arena_np_empty_units": PAIR_SLAB_RATIO,
+                                 "ratio": pair_ratio / PAIR_SLAB_RATIO},
         "targets": {"step_budget_bytes": STEP_BUDGET_BYTES,
                     "forward_budget_bytes": FORWARD_BUDGET_BYTES,
                     "retention_factor": RETENTION_FACTOR,
-                    "round_rss_budget_mb": ROUND_RSS_BUDGET_MB},
+                    "round_rss_budget_mb": ROUND_RSS_BUDGET_MB,
+                    "server_update_rss_budget_mb": SERVER_UPDATE_RSS_BUDGET_MB,
+                    "pair_factor": PAIR_FACTOR},
         "failures": failures,
         **bench_environment(),
         "numpy": np.__version__,
@@ -382,8 +561,10 @@ def main(argv=None) -> int:
             print(f"  - {failure}")
         return 1
     print(f"ok: every workload is within its byte budgets, the arena retains <= "
-          f"{RETENTION_FACTOR}x its high-water, and the round alternation stays "
-          f"under {ROUND_RSS_BUDGET_MB:.0f} MiB")
+          f"{RETENTION_FACTOR}x its high-water and gives back what a round did not use, "
+          f"the round alternation stays under {ROUND_RSS_BUDGET_MB:.0f} MiB, the server update under "
+          f"{SERVER_UPDATE_RSS_BUDGET_MB:.0f} MiB, and an acquire/release pair within "
+          f"{PAIR_FACTOR}x the slab arena's")
     return 0
 
 

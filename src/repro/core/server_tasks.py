@@ -403,6 +403,9 @@ def _distill_tile(template, states, velocity_lists, inputs, targets, lr, momentu
         optimizer.zero_grad(set_to_none=False)
         logits = module(Tensor(stacked_batch))
         loss_vec = batched_kl_divergence(logits, Tensor(stacked_target))
+        # Read after backward below, so pin the (B,) vector against
+        # pooled-forward reclaim.
+        loss_vec.retain_data()
         # Summing the (B,) loss vector seeds each device's slice of the
         # backward pass with exactly the serial upstream of 1.
         loss_vec.sum().backward()

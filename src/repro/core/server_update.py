@@ -301,12 +301,14 @@ class ZeroShotDistiller:
                         loss = disagreement_loss(self.global_model, teachers,
                                                  synthetic, self._loss_name)
                     generator_loss = loss * -1.0
+                    # ``loss`` is an interior node of the graph backward is
+                    # about to walk, which gives its storage back: read it now.
+                    generator_losses.append(loss.item())
                     self.generator_optimizer.zero_grad(set_to_none=False)
                     generator_loss.backward()
                 if synthetic.grad is not None:
                     input_grad_norms.append(float(np.linalg.norm(synthetic.grad)))
                 self.generator_optimizer.step()
-                generator_losses.append(loss.item())
                 updates += self._count_parameters(self.generator)
 
             # ---- Global-model step: minimize the disagreement ----------------

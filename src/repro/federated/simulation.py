@@ -329,9 +329,8 @@ class Simulation:
         """Bump the state store's round version (called by the scheduler at
         the top of every round); entries from rounds before the previous one
         are evicted from the channel.  The autograd scratch pool is trimmed
-        on the same cadence: slabs the previous round never used go, so shape
-        churn between rounds (cohorts of different sizes) cannot pin stale
-        buffers, and the ones it did use stay mapped for this round."""
+        on the same cadence: chunks the previous round never touched go, and
+        what it did use stays mapped for this round."""
         scratch_pool().enter_round(round_index)
         store = self.state_store
         if store is not None:

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .buffers import BufferPool, scratch_pool
-from .tensor import Tensor, as_tensor, _forward_buffer
+from .tensor import Tensor, as_tensor, is_grad_enabled, _forward_buffer
 
 __all__ = [
     "im2col",
@@ -440,10 +440,95 @@ def depthwise_conv2d(
     return out
 
 
+def _window_taps(planes: np.ndarray, kernel: int, out_h: int, out_w: int) -> list:
+    """Tap ``(kh, kw)`` of every non-overlapping ``kernel`` window of an
+    ``(N, C, H, W)`` array, as ``kernel * kernel`` strided ``(N, C, out_h,
+    out_w)`` views in im2col's ``(kh, kw)`` order.  Rows and columns past the
+    last whole window belong to no tap."""
+    rows, cols = out_h * kernel, out_w * kernel
+    return [planes[:, :, kh:rows:kernel, kw:cols:kernel]
+            for kh in range(kernel) for kw in range(kernel)]
+
+
+def _max_pool_windows(x: Tensor, kernel: int) -> Optional[Tensor]:
+    """``max_pool2d`` with ``stride == kernel``, straight off the input.
+
+    Windows that do not overlap need no im2col gather: each tap is a strided
+    view of the input, the maximum a chain of ``np.maximum`` over the taps
+    and the argmax — kept only for a recorded forward — the last tap that
+    was strictly greater than every tap before it, which is the first
+    maximum, as ``argmax`` has it.  ``np.maximum`` hands a NaN through where
+    ``argmax`` would have picked its position; such an input, and a window
+    of more taps than the ``uint8`` argmax can name, is left to the general
+    path (returns None).
+    """
+    batch, channels, height, width = x.data.shape
+    out_h, out_w = height // kernel, width // kernel
+    shape = (batch, channels, out_h, out_w)
+    if min(shape) < 1 or kernel * kernel > 256:
+        return None
+    record = is_grad_enabled() and x.requires_grad
+    taps = _window_taps(x.data, kernel, out_h, out_w)
+    out_data = np.empty(shape, x.data.dtype)
+    np.copyto(out_data, taps[0])
+    if record:
+        arg = np.zeros(shape, np.uint8)
+        greater = np.empty(shape, np.bool_)
+        step = greater.view(np.uint8)
+    for tap_index, tap in enumerate(taps[1:], 1):
+        if record:
+            # arg = tap_index where this tap beats the running maximum: tap
+            # indices only grow, so that is a maximum with 0 elsewhere.
+            np.greater(tap, out_data, out=greater)
+            np.multiply(step, tap_index, out=step)
+            np.maximum(arg, step, out=arg)
+        np.maximum(tap, out_data, out=out_data)
+    if np.isnan(out_data.min()):
+        return None
+
+    def factory(out: Tensor) -> Callable[[], None]:
+        def backward() -> None:
+            if not x.requires_grad:
+                return
+            grad = np.asarray(out.grad)
+            # Each tap gets the gradient where it was the maximum and +0.0
+            # elsewhere, whatever the gradient holds (as a product, inf * 0
+            # would be NaN): the gradient's bits under a mask of all ones or
+            # all zeros.
+            bits = np.dtype(f"i{grad.itemsize}")
+            pool = scratch_pool()
+            chosen = pool.acquire(shape, np.int8)
+            mask = pool.acquire(shape, bits)
+
+            def fill(planes: np.ndarray) -> None:
+                if (out_h * kernel, out_w * kernel) != (height, width):
+                    planes.fill(0.0)
+                taps = _window_taps(planes.view(bits), kernel, out_h, out_w)
+                for tap_index, tap in enumerate(taps):
+                    np.equal(arg, tap_index, out=chosen.view(np.bool_))
+                    np.negative(chosen, out=mask)
+                    np.bitwise_and(grad.view(bits), mask, out=tap)
+                # col2im's scatter-add started every cell from +0.0, which
+                # turns a -0.0 into +0.0 and changes nothing else.
+                np.add(planes, 0.0, out=planes)
+
+            x._accumulate_pooled(x.data.shape, fill)
+            pool.release(chosen)
+            pool.release(mask)
+
+        return backward
+
+    return Tensor._make(out_data, (x,), factory)
+
+
 def max_pool2d(inputs: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows."""
     stride = stride or kernel
     x = as_tensor(inputs)
+    if stride == kernel:
+        out = _max_pool_windows(x, kernel)
+        if out is not None:
+            return out
     batch, channels, height, width = x.data.shape
     pool = scratch_pool()
     columns, out_h, out_w = im2col(x.data, kernel, stride, 0, pool=pool)

@@ -260,28 +260,34 @@ class Tensor:
 
     def item(self) -> float:
         """Return the scalar payload of a single-element tensor."""
+        if self.data is None:
+            raise RuntimeError(
+                "this tensor's storage went back to the scratch arena when backward() "
+                "passed it; read the value before backward(), or call retain_data() first")
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(())[()])
 
     def retain_grad(self) -> None:
-        """Keep this tensor's ``.grad`` through ``backward()``'s cleanup.
+        """Keep this tensor's ``.grad`` through ``backward()``.
 
         Intermediate (non-leaf) gradients are normally reclaimed into the
-        scratch pool once backward finishes; call this before ``backward()``
+        scratch pool as soon as the node's own closure has propagated them;
+        call this before ``backward()``
         on any intermediate whose gradient must stay readable afterwards
         (e.g. the synthetic batch whose input-gradient norm Phase 1 logs).
         """
         self._retain_grad = True
 
     def retain_data(self) -> None:
-        """Keep this tensor's ``.data`` through ``backward()``'s cleanup.
+        """Keep this tensor's ``.data`` through ``backward()``.
 
-        Intermediate outputs produced into pooled buffers are reclaimed
-        once backward finishes (nothing in the graph reads them again).
-        Call this before ``backward()`` on any
-        intermediate whose payload must stay readable afterwards — e.g. a
-        synthesized batch that is re-used as data after the generator step.
+        Intermediate outputs produced into pooled buffers are reclaimed as
+        backward passes them (nothing in the graph reads them again) and
+        their ``.data`` reads ``None`` from then on.  Call this before
+        ``backward()`` on any intermediate whose payload must stay readable
+        afterwards — a synthesized batch that is re-used as data after the
+        generator step, a loss term whose ``item()`` is logged.
         """
         self._retain_data = True
 
@@ -373,11 +379,22 @@ class Tensor:
         elif owned and array.flags.writeable:
             self.grad = array
         else:
-            # First accumulation of a shared/viewed gradient: copy into
-            # pooled storage.  The buffer returns to the pool when
-            # ``backward()`` reclaims intermediate gradients.
-            self.grad = scratch_pool().acquire(array.shape, array.dtype)
+            # First accumulation of a shared/viewed gradient: copy.
+            self.grad = self._grad_storage(array.shape, array.dtype)
             np.copyto(self.grad, array)
+
+    def _grad_storage(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """Uninitialized storage for a first gradient accumulation.
+
+        An interior node's gradient is the arena's: ``backward()`` gives it
+        back right after the node's own closure.  A leaf's lives as long as
+        the leaf (``zero_grad(set_to_none=False)`` keeps it for every later
+        step), and bytes that never come back would split the arena's free
+        space around them for good, so a leaf gets an array of its own.
+        """
+        if self._backward is None:
+            return np.empty(shape, dtype)
+        return scratch_pool().acquire(shape, dtype)
 
     def _accumulate_pooled(self, shape: Tuple[int, ...],
                            fill: Callable[[np.ndarray], None]) -> None:
@@ -385,7 +402,7 @@ class Tensor:
 
         ``fill(buffer)`` must write the full contribution (shape ``shape``,
         in this tensor's dtype) into ``buffer``.  The contribution lands
-        either directly in a pooled buffer adopted as ``.grad`` (first
+        either directly in the buffer adopted as ``.grad`` (first
         accumulation), in pooled scratch added in place (subsequent
         accumulations), or in pooled scratch reduced by ``_unbroadcast``
         (broadcast operands).  Every ``fill`` performs the same IEEE-754
@@ -402,7 +419,7 @@ class Tensor:
             return
         buffer = self.grad
         if buffer is None:
-            out = pool.acquire(shape, dtype)
+            out = self._grad_storage(shape, dtype)
             fill(out)
             self.grad = out
         else:
@@ -457,35 +474,54 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
+            # A parent that feeds nothing but leaves (a transposed weight)
+            # goes under its siblings and comes off the stack after them, next
+            # to this node in ``topo``: its closure then runs right after this
+            # node's, not at the end of the walk with its gradient parked in
+            # the arena until then.  All other closures keep their order
+            # among themselves, so every interior gradient is summed in the
+            # order it was; only the additions into a leaf used three or more
+            # times in one graph can change places.
+            below = len(stack)
             for parent in node._parents:
                 if id(parent) not in visited and parent.requires_grad:
-                    stack.append((parent, False))
+                    if any(source._backward is not None for source in parent._parents):
+                        stack.append((parent, False))
+                    else:
+                        stack.insert(below, (parent, False))
 
+        # Reverse topological order runs every consumer's closure before a
+        # node's own, and a closure reads only its output's data and grad and
+        # its parents' data: once a node's closure has run, nothing reads
+        # the node again.  So it is reclaimed there and then, not after the
+        # walk — its gradient and its pooled forward output go back to the
+        # thread's scratch arena for the closures still to run, and the graph
+        # references go so the same leaves can enter a fresh graph next step.
+        # Leaves (parameters, probed inputs) have no closure and keep
+        # everything; the seed tensor backward ran from keeps its data and
+        # gradient (and, its closure gone, dies with its last reference
+        # instead of waiting in a cycle for the collector);
+        # :meth:`retain_grad` and :meth:`retain_data` (or :meth:`detach`)
+        # pin what must outlive backward on any other node.
+        pool = scratch_pool()
         self._accumulate(grad, owned=seed_owned)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
-        # Release intermediate graph references so memory is reclaimed and the
-        # same leaves can participate in a fresh graph next step.  Intermediate
-        # gradient buffers also return to the thread's scratch pool: once a
-        # node's closure has propagated its gradient, nothing reads it again
-        # (leaves — parameters and probed inputs — keep theirs; so does the
-        # seed tensor backward ran from, and any node marked with
-        # :meth:`retain_grad`).  Forward outputs
-        # produced into pooled buffers are reclaimed under the same rule —
-        # the graph was their only reader; :meth:`retain_data` (or
-        # :meth:`detach`) pins the ones that outlive backward.
-        pool = scratch_pool()
-        for node in topo:
-            if node is not self and node._backward is not None:
-                if node.grad is not None and not node._retain_grad:
-                    pool.release(node.grad)
-                    node.grad = None
-                if node._pooled_data and not node._retain_data:
-                    pool.release_base(node.data)
-                    node._pooled_data = False
-                node._parents = ()
-                node._backward = None
+            if node._backward is None:
+                continue
+            node._backward()
+            node._parents = ()
+            node._backward = None
+            if node is self:
+                continue
+            if node.grad is not None and not node._retain_grad:
+                pool.release(node.grad)
+                node.grad = None
+            if node._pooled_data and not node._retain_data:
+                # The bytes are the arena's again: a late read must fail, not
+                # return whatever is written there next.
+                pool.release_base(node.data)
+                node._pooled_data = False
+                node.data = None
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic

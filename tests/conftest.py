@@ -13,7 +13,45 @@ import pytest
 from repro.datasets import ImageDataset, SyntheticImageConfig, SyntheticImageGenerator
 from repro.federated import FederatedConfig, ServerConfig, WorkerContext
 from repro.federated.trainer import DeviceTrainingConfig
-from repro.nn import batched
+from repro.nn import batched, buffers
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--poison-released", action="store_true",
+        help="run every test on a scratch arena that overwrites a buffer the moment it "
+             "is released (the poisoned_pool fixture), so a read of released storage "
+             "fails the test instead of passing by luck")
+
+
+class _PoisonedPool(buffers.BufferPool):
+    """A scratch arena on which released storage cannot be read by accident:
+    every release it accepts fills the buffer with NaN (0xFF bytes where the
+    dtype has no NaN) before anything else can be handed the bytes."""
+
+    def release(self, buffer):
+        outstanding = self._outstanding
+        super().release(buffer)
+        if self._outstanding != outstanding:
+            if buffer.dtype.kind in "fc":
+                buffer.fill(np.nan)
+            else:
+                buffer.view(np.uint8).fill(0xFF)
+
+
+@pytest.fixture
+def poisoned_pool(monkeypatch):
+    """Run the test on poisoned arenas: this thread's, and every one created
+    while the test runs (worker threads, forked workers, ``fresh_pool``)."""
+    monkeypatch.setattr(buffers, "BufferPool", _PoisonedPool)
+    monkeypatch.setattr(buffers._POOL, "pool", _PoisonedPool())
+    return buffers._POOL.pool
+
+
+@pytest.fixture(autouse=True)
+def _poison_released(request):
+    if request.config.getoption("--poison-released"):
+        request.getfixturevalue("poisoned_pool")
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, scratch_pool
+from repro.nn import Tensor, batched, layers, no_grad, scratch_pool, using_numeric_policy
 from repro.nn.conv import (
     _UNSTACKED,
     avg_pool2d,
@@ -204,6 +204,153 @@ class TestPooling:
         images = rng.normal(size=(2, 3, 4, 4))
         out = global_avg_pool2d(Tensor(images))
         np.testing.assert_allclose(out.data, images.mean(axis=(2, 3)))
+
+
+def _im2col_max_pool(images, kernel, stride):
+    """``max_pool2d`` as it was before windows were read off the input: gather
+    the windows into columns, ``argmax`` over each.  Returns the output and
+    the function from an upstream gradient to the input's."""
+    batch, channels, _, _ = images.shape
+    columns, out_h, out_w = im2col(images, kernel, stride, 0)
+    cols = columns.reshape(batch, channels, kernel * kernel, out_h * out_w)
+    arg = cols.argmax(axis=2)
+    out = np.take_along_axis(cols, arg[:, :, None, :], axis=2).squeeze(2)
+
+    def input_grad(grad):
+        grad_cols = np.zeros(columns.shape)
+        np.put_along_axis(grad_cols.reshape(cols.shape), arg[:, :, None, :],
+                          grad.reshape(batch, channels, 1, -1), axis=2)
+        return col2im(grad_cols, images.shape, kernel, stride, 0)
+
+    return out.reshape(batch, channels, out_h, out_w), input_grad
+
+
+def _channels_last(array):
+    """The same values laid out the way a conv output is: a transposed view
+    of an (N, H*W, C) product."""
+    batch, channels, height, width = array.shape
+    base = np.ascontiguousarray(array.reshape(batch, channels, -1).transpose(0, 2, 1))
+    return base.transpose(0, 2, 1).reshape(array.shape)
+
+
+def _same_bits(actual, expected):
+    """array_equal, NaN matching NaN, and the sign of every zero."""
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestMaxPoolWindows:
+    """Non-overlapping windows are pooled straight off the input; the im2col
+    formulation above is the reference for values, layout and gradients."""
+
+    def _check(self, images, kernel, stride=None, seed=None):
+        expected, expected_grad = _im2col_max_pool(np.ascontiguousarray(images), kernel,
+                                                   stride or kernel)
+        x = Tensor(images, requires_grad=True)
+        assert x.data is images  # the layout under test is the one that is pooled
+        out = max_pool2d(x, kernel, stride)
+        np.testing.assert_array_equal(out.data, expected)
+        assert out.data.flags.c_contiguous and out.data.dtype == images.dtype
+        seed = np.random.default_rng(3).normal(size=expected.shape) if seed is None else seed
+        out.backward(seed)
+        assert x.grad.shape == images.shape
+        _same_bits(x.grad, expected_grad(seed))
+        # A second contribution is added to the first, as every op's is.
+        again = max_pool2d(x, kernel, stride)
+        again.backward(seed)
+        _same_bits(x.grad, expected_grad(seed) + expected_grad(seed))
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("height, width", [(6, 6), (7, 9), (12, 5)])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _channels_last])
+    def test_matches_the_im2col_formulation(self, rng, kernel, height, width, layout):
+        self._check(layout(rng.normal(size=(3, 4, height, width))), kernel)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_ties_go_to_the_first_maximum(self, rng, kernel):
+        after_relu = np.maximum(rng.normal(size=(2, 3, 6, 6)), 0.0)  # windows of zeros
+        after_relu[0, 0] = 0.0
+        after_relu[1, 1] *= -0.0  # zeros of either sign compare equal
+        self._check(after_relu, kernel)
+        self._check(np.full((2, 3, 6, 6), 1.5), kernel)
+        self._check(np.tile(rng.normal(size=(1, 1, 1, 6)), (2, 3, 6, 1)), kernel)
+
+    def test_negative_zero_gradients_come_out_positive(self, rng):
+        images = rng.normal(size=(2, 3, 4, 4))
+        seed = np.where(rng.random((2, 3, 2, 2)) < 0.5, -0.0, rng.normal(size=(2, 3, 2, 2)))
+        assert np.signbit(seed[seed == 0]).all() and (seed == 0).any()
+        self._check(images, 2, seed=seed)
+
+    def test_non_finite_gradients_stay_where_the_maximum_was(self, rng):
+        images = rng.normal(size=(2, 3, 4, 4))
+        seed = rng.normal(size=(2, 3, 2, 2))
+        seed[0, 0, 0, 0], seed[1, 2, 1, 1], seed[1, 0, 0, 1] = np.inf, -np.inf, np.nan
+        self._check(images, 2, seed=seed)
+
+    def test_nan_inputs_take_the_general_path(self, rng):
+        images = rng.normal(size=(2, 3, 6, 6))
+        images[0, 1, 2, 3] = images[1, 2, 5, 5] = np.nan
+        images[1, 0, 0, :2] = np.nan  # two in one window: the first is the argmax
+        self._check(images, 2)
+        self._check(images, 3)
+
+    @pytest.mark.parametrize("kernel, size", [(16, 16), (16, 50), (17, 17)])
+    def test_one_window_per_image(self, rng, kernel, size):
+        """256 taps are the most a uint8 argmax can name (the 16x16 images of
+        the whole-round harness pooled whole); 289 take the general path."""
+        self._check(rng.normal(size=(2, 3, size, size)), kernel)
+        self._check(rng.normal(size=(2, 3, size, size)), kernel, stride=kernel)
+
+    @pytest.mark.parametrize("kernel, stride", [(3, 2), (2, 1), (2, 3)])
+    def test_other_strides_take_the_general_path(self, rng, kernel, stride):
+        self._check(rng.normal(size=(2, 3, 7, 7)), kernel, stride)
+
+    def test_float32_and_infinities(self, rng):
+        images = rng.normal(size=(2, 3, 4, 4))
+        images[0, 0, 0, 0], images[1, 1, 2, 2] = np.inf, -np.inf
+        self._check(images, 2)
+        with using_numeric_policy("float32"):
+            self._check(images.astype(np.float32), 2,
+                        seed=rng.normal(size=(2, 3, 2, 2)).astype(np.float32))
+
+    def test_an_input_without_gradient_builds_no_argmax(self, rng, monkeypatch):
+        images = rng.normal(size=(2, 3, 6, 6))
+        expected, _ = _im2col_max_pool(images, 2, 2)
+        updates = []
+        real = np.greater  # only the argmax update compares
+        monkeypatch.setattr(np, "greater",
+                            lambda *args, **kwargs: updates.append(1) or real(*args, **kwargs))
+        out = max_pool2d(Tensor(images), 2)
+        with no_grad():
+            unrecorded = max_pool2d(Tensor(images, requires_grad=True), 2)
+        assert not updates and out._backward is None and unrecorded._backward is None
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(unrecorded.data, expected)
+        max_pool2d(Tensor(images, requires_grad=True), 2)
+        assert len(updates) == 3
+
+    def test_takes_nothing_from_the_arena_on_the_way_forward(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        before = scratch_pool().stats()["acquires"]
+        max_pool2d(x, 2)
+        assert scratch_pool().stats()["acquires"] == before
+
+    @pytest.mark.parametrize("cohort", [1, 3, 8])
+    def test_through_a_batched_cohort(self, rng, cohort):
+        """``nn.batched`` folds the cohort into the batch axis and calls the
+        same op: every slice equals the serial reference on its own."""
+        run = batched._build_pool(layers.MaxPool2d(2), None, None, None, None)
+        images = _channels_last(rng.normal(size=(cohort * 4, 3, 6, 7))).reshape(
+            cohort, 4, 3, 6, 7)
+        x = Tensor(images, requires_grad=True)
+        out = run(x)
+        seed = rng.normal(size=out.shape)
+        out.backward(seed)
+        for member in range(cohort):
+            expected, expected_grad = _im2col_max_pool(
+                np.ascontiguousarray(images[member]), 2, 2)
+            np.testing.assert_array_equal(out.data[member], expected)
+            _same_bits(x.grad[member], expected_grad(seed[member]))
 
 
 class TestUpsampleAndShuffle:
