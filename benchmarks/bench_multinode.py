@@ -7,23 +7,22 @@ Two measurements against the real ``tcp://`` backend (blob server +
    equally-sized tensors is published cold (round 1), then republished for
    {STEADY_ROUNDS} rounds with exactly **one** tensor changed per round.
    This is the regime delta encoding exists for (most tensors unchanged
-   between rounds): the delta channel ships the one changed tensor plus a
-   manifest, the whole-blob channel re-ships everything.
+   between rounds): the channel ships the one changed tensor plus a
+   manifest, where the cold publish — what re-shipping the whole state
+   costs — shipped all of them.
 
-2. **End-to-end FedZKT** — a small FedZKT run on ``tcp://:0?workers=2``
-   with delta publishes on vs off.  Every weight tensor changes after SGD,
-   so the saving here is structural (content dedup + consensus reuse), not
-   the 1-of-N regime; the run also re-checks the house invariant
+2. **End-to-end FedZKT** — a small FedZKT run on ``tcp://:0?workers=2``.
+   Every weight tensor changes after SGD, so what the channel saves here
+   is structural (content dedup + consensus reuse), not the 1-of-N regime;
+   the run records the bytes and re-checks the house invariant
    (bit-identical history vs ``serial``).
 
 The benchmark **asserts** its regression guards (exit code 1, so CI fails
 loudly):
 
 * steady-state: cold publish ≥ {TARGET_STEADY_REDUCTION}x the mean
-  round-2+ publish, and delta round-2+ publishes ≥ {TARGET_VS_BLOB}x
-  smaller than the whole-blob channel's for the same update sequence;
-* end-to-end: delta publishes strictly fewer bytes than whole-blob, and
-  the tcp:// history matches serial bit for bit.
+  round-2+ publish;
+* end-to-end: the tcp:// history matches serial bit for bit.
 
 Not a pytest file on purpose (no ``test_`` prefix): run it directly with
 
@@ -54,11 +53,9 @@ NUM_TENSORS = 12
 TENSOR_ELEMENTS = 8192  # 64 KiB of float64 per tensor
 STEADY_ROUNDS = 4
 TARGET_STEADY_REDUCTION = 5.0
-TARGET_VS_BLOB = 5.0
 
 __doc__ = __doc__.format(NUM_TENSORS=NUM_TENSORS, STEADY_ROUNDS=STEADY_ROUNDS,
-                         TARGET_STEADY_REDUCTION=TARGET_STEADY_REDUCTION,
-                         TARGET_VS_BLOB=TARGET_VS_BLOB)
+                         TARGET_STEADY_REDUCTION=TARGET_STEADY_REDUCTION)
 
 
 # --------------------------------------------------------------------------- #
@@ -100,7 +97,7 @@ def measure_steady_state(spec: str, num_tensors: int, elements: int,
 
 
 # --------------------------------------------------------------------------- #
-# Part 2: end-to-end FedZKT, delta on vs off (+ parity re-check)
+# Part 2: end-to-end FedZKT (+ parity re-check)
 # --------------------------------------------------------------------------- #
 def _data(samples_train=120, samples_test=40):
     config = SyntheticImageConfig(name="multinode-rgb", num_classes=4, channels=3,
@@ -157,43 +154,25 @@ def main(argv=None) -> int:
     print(f"multinode benchmark: steady-state republish of {num_tensors} tensors "
           f"x {elements} float64, 1 changed per round, {steady_rounds} steady rounds")
     delta = measure_steady_state("tcp://:0", num_tensors, elements, steady_rounds)
-    blob = measure_steady_state("tcp://:0?delta=0", num_tensors, elements, steady_rounds)
 
     steady_reduction = delta["cold_publish_bytes"] / delta["mean_steady_bytes"]
-    vs_blob = blob["mean_steady_bytes"] / delta["mean_steady_bytes"]
-    print(f"  delta:      cold {delta['cold_publish_bytes']:>10,} B  "
+    print(f"  cold {delta['cold_publish_bytes']:>10,} B  "
           f"steady mean {delta['mean_steady_bytes']:>12,.0f} B  "
           f"({steady_reduction:.1f}x below cold)")
-    print(f"  whole-blob: cold {blob['cold_publish_bytes']:>10,} B  "
-          f"steady mean {blob['mean_steady_bytes']:>12,.0f} B  "
-          f"(delta is {vs_blob:.1f}x smaller)")
     if steady_reduction < TARGET_STEADY_REDUCTION:
         failures.append(f"steady-state delta publish only {steady_reduction:.1f}x below "
                         f"cold publish (target {TARGET_STEADY_REDUCTION}x)")
-    if vs_blob < TARGET_VS_BLOB:
-        failures.append(f"delta publishes only {vs_blob:.1f}x smaller than whole-blob "
-                        f"(target {TARGET_VS_BLOB}x)")
 
     print(f"\nend-to-end fedzkt ({fedzkt_rounds} round(s), tcp://:0?workers=2):")
     serial_history, _, serial_seconds = run_fedzkt(SerialBackend(), fedzkt_rounds)
     delta_history, delta_stats, delta_seconds = run_fedzkt(
         make_backend("tcp://:0?workers=2"), fedzkt_rounds)
-    blob_history, blob_stats, blob_seconds = run_fedzkt(
-        make_backend("tcp://:0?workers=2&delta=0"), fedzkt_rounds)
 
     delta_published = int(delta_stats["published_bytes"])
-    blob_published = int(blob_stats["published_bytes"])
-    print(f"  serial     {serial_seconds:5.1f}s")
-    print(f"  delta on   {delta_seconds:5.1f}s  published {delta_published:>10,} B")
-    print(f"  delta off  {blob_seconds:5.1f}s  published {blob_published:>10,} B  "
-          f"({blob_published / max(delta_published, 1):.2f}x more)")
+    print(f"  serial  {serial_seconds:5.1f}s")
+    print(f"  tcp://  {delta_seconds:5.1f}s  published {delta_published:>10,} B")
     if not histories_identical(serial_history, delta_history):
-        failures.append("tcp:// (delta) history differs from serial — parity broken")
-    if not histories_identical(serial_history, blob_history):
-        failures.append("tcp:// (whole-blob) history differs from serial — parity broken")
-    if delta_published >= blob_published:
-        failures.append(f"delta publishes ({delta_published:,} B) not below "
-                        f"whole-blob ({blob_published:,} B) on the fedzkt run")
+        failures.append("tcp:// history differs from serial — parity broken")
 
     payload = {
         "benchmark": "multinode",
@@ -202,19 +181,15 @@ def main(argv=None) -> int:
             "tensor_elements": elements,
             "steady_rounds": steady_rounds,
             "delta": delta,
-            "whole_blob": blob,
             "steady_reduction_factor": steady_reduction,
-            "delta_vs_blob_factor": vs_blob,
         },
         "fedzkt": {
             "rounds": fedzkt_rounds,
             "delta_published_bytes": delta_published,
-            "blob_published_bytes": blob_published,
             "delta_stats": {k: v for k, v in delta_stats.items() if k != "by_label"},
             "parity_with_serial": not any("parity" in f for f in failures),
         },
-        "targets": {"steady_reduction_factor": TARGET_STEADY_REDUCTION,
-                    "delta_vs_blob_factor": TARGET_VS_BLOB},
+        "targets": {"steady_reduction_factor": TARGET_STEADY_REDUCTION},
         "failures": failures,
         **bench_environment(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -233,8 +208,8 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"ok: steady-state delta publishes {steady_reduction:.1f}x below cold / "
-          f"{vs_blob:.1f}x below whole-blob; tcp:// histories bit-identical to serial")
+    print(f"ok: steady-state delta publishes {steady_reduction:.1f}x below cold; "
+          f"tcp:// history bit-identical to serial")
     return 0
 
 

@@ -12,10 +12,11 @@ naturally data-parallel over *models*:
 This module packages both as tasks for the
 :class:`~repro.federated.backend.ExecutionBackend`.  State payloads arrive
 either as :class:`~repro.utils.serialization.StateRef` handles into the
-backend's content-addressed state store (the normal case — teacher states
-and shared synthetic batches are published once per round) or in the
-legacy inline forms (plain dicts in-process, packed npz blobs on the
-wire); tasks resolve all three uniformly.  Execution borrows the
+backend's content-addressed state store (teacher states and shared
+synthetic batches, published once and referenced by many tasks) or inline
+as live arrays (a device's own state and optimizer buffers, referenced by
+exactly one task); tasks resolve both uniformly and carry no encoding of
+their own — the backend pickles a task whole.  Execution borrows the
 per-process :class:`~repro.federated.backend.WorkerContext` (whose model
 replicas share architectures with the server-side replicas, keyed by
 device id).  Tasks *borrow* a context model: they snapshot its parameters,
@@ -28,18 +29,22 @@ Bit-identity contract (pinned by ``tests/core/test_server_sharding.py``):
 every task replays the exact Tensor ops of the in-process code path on the
 same float64 payloads, and the driver reduces partial results in the same
 order the serial loop would, so sharded and serial server updates produce
-identical model states, metrics, and gradients.
+identical model states, metrics, and gradients.  For Phase 2 that is true
+by construction: :func:`distill_students` is the one body, run by the
+driver on the live device models with their persistent optimizers and by
+:class:`DeviceDistillTask` on borrowed replicas with the shipped optimizer
+state.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..federated.backend import WorkerContext, resolve_arrays, resolve_state
+from ..federated.backend import WorkerContext, _single_array, resolve_arrays, resolve_state
 from ..nn import no_grad
 from ..nn.batched import (
     BatchedAdam,
@@ -52,14 +57,7 @@ from ..nn.batched import (
 from ..nn.losses import kl_divergence_loss
 from ..nn.optim import SGD, Adam, Optimizer
 from ..nn.tensor import Tensor
-from ..utils.serialization import (
-    StateLike,
-    StateRef,
-    as_array_list,
-    as_state_dict,
-    pack_array_list,
-    pack_state_dict,
-)
+from ..utils.serialization import StateLike, StateRef
 
 __all__ = [
     "partition_shards",
@@ -74,23 +72,9 @@ __all__ = [
     "DeviceDistillResult",
 ]
 
-#: A shard task's per-model state payload: a ref into the state store (the
-#: normal case — teacher states are published once per round), a packed
-#: blob, or a plain dict.
+#: A shard task's per-model state payload: a ref into the state store
+#: (teacher states, published once per round) or a plain dict.
 ShardState = Union[StateRef, StateLike]
-
-
-def _pack_states(states: Sequence[ShardState]) -> List:
-    """Pack raw dict payloads for the wire; refs/blobs pass through."""
-    return [pack_state_dict(state) if isinstance(state, dict) else state
-            for state in states]
-
-
-def _single_array(value) -> np.ndarray:
-    """Materialize a single-array payload (ref / packed blob / raw array)."""
-    if isinstance(value, (StateRef, bytes)):
-        return resolve_arrays(value)[0]
-    return value
 
 
 def partition_shards(items: Sequence, num_shards: int) -> List[List]:
@@ -155,15 +139,15 @@ def _member_output(model, x: Tensor, mode: str) -> Tensor:
     return logits.softmax(axis=-1) if mode == "prob" else logits
 
 
-def _fusion_groups(context: WorkerContext, device_ids: Sequence[int]) -> List[List[int]]:
-    """Positions of same-signature teachers that may share a fused forward.
+def _fusion_groups(models: Sequence) -> List[List[int]]:
+    """Positions of same-signature models that may share a fused loop.
 
     Only groups of two or more are returned; singletons and models without
-    a batched adapter stay on the per-model ``borrowed_model`` path.
+    a batched adapter stay on the per-model path.
     """
     groups: Dict[tuple, List[int]] = {}
-    for position, device_id in enumerate(device_ids):
-        signature = fusion_signature(context.model_for(device_id))
+    for position, model in enumerate(models):
+        signature = fusion_signature(model)
         if signature is None:
             continue
         groups.setdefault(signature, []).append(position)
@@ -174,8 +158,9 @@ def _fusion_tiles(context: WorkerContext, device_ids: Sequence[int],
                   batch_shape: Sequence[int]) -> List[List[int]]:
     """Every fusion group's positions, cut into the tiles it stacks as."""
     tiles: List[List[int]] = []
-    for positions in _fusion_groups(context, device_ids):
-        template = context.model_for(device_ids[positions[0]])
+    models = [context.model_for(device_id) for device_id in device_ids]
+    for positions in _fusion_groups(models):
+        template = models[positions[0]]
         tiles.extend(positions[lo:hi] for lo, hi in
                      cohort_tiles(template, len(positions), batch_shape))
     return tiles
@@ -199,16 +184,9 @@ class EnsembleForwardTask:
 
     device_ids: List[int]
     states: List[ShardState]
-    inputs: Union[StateRef, np.ndarray, bytes]
+    inputs: Union[StateRef, np.ndarray]
     mode: str = "prob"
     fuse: bool = False
-
-    def __getstate__(self):
-        payload = dict(self.__dict__)
-        payload["states"] = _pack_states(payload["states"])
-        if isinstance(payload["inputs"], np.ndarray):
-            payload["inputs"] = pack_array_list([payload["inputs"]])
-        return payload
 
     def run(self, context: WorkerContext) -> List[np.ndarray]:
         inputs = _single_array(self.inputs)
@@ -252,18 +230,10 @@ class EnsembleVJPTask:
     device_ids: List[int]
     states: List[ShardState]
     weights: List[float]
-    inputs: Union[StateRef, np.ndarray, bytes]
-    upstream: Union[StateRef, np.ndarray, bytes]
+    inputs: Union[StateRef, np.ndarray]
+    upstream: Union[StateRef, np.ndarray]
     mode: str = "prob"
     fuse: bool = False
-
-    def __getstate__(self):
-        payload = dict(self.__dict__)
-        payload["states"] = _pack_states(payload["states"])
-        for field_name in ("inputs", "upstream"):
-            if isinstance(payload[field_name], np.ndarray):
-                payload[field_name] = pack_array_list([payload[field_name]])
-        return payload
 
     def run(self, context: WorkerContext) -> List[np.ndarray]:
         inputs = _single_array(self.inputs)
@@ -428,6 +398,48 @@ def _distill_tile(template, states, velocity_lists, inputs, targets, lr, momentu
     return out_states, out_velocities, losses
 
 
+def distill_students(students: Sequence[Tuple[object, Optimizer]],
+                     inputs: Sequence[np.ndarray], targets: Sequence[np.ndarray],
+                     lr: float, momentum: float, optimizer_kind: str = "sgd",
+                     fuse: bool = False) -> List[List[float]]:
+    """Phase 2 for one set of device models sharing the same synthetic batches.
+
+    ``students`` are ``(model, optimizer)`` pairs, each model in train mode
+    holding the state to distill into and each optimizer its persisted
+    state; both are updated in place.  With ``fuse``, same-signature models
+    train through one :func:`distill_group_fused` stacked loop per group
+    (their states and optimizer buffers stacked out of the pairs and written
+    back); every other model runs the per-model KL loop.  Returns each
+    student's per-iteration losses.
+    """
+    losses: List[List[float]] = [None] * len(students)
+    if fuse:
+        for group in _fusion_groups([model for model, _ in students]):
+            members, optimizers = zip(*(students[position] for position in group))
+            states, velocities, group_losses = distill_group_fused(
+                members[0],
+                [model.state_dict() for model in members],
+                [distill_optimizer_state(optimizer) for optimizer in optimizers],
+                inputs, targets, lr, momentum, optimizer_kind, members=members)
+            for slot, position in enumerate(group):
+                members[slot].load_state_dict(states[slot])
+                load_distill_optimizer_state(optimizers[slot], velocities[slot])
+                losses[position] = group_losses[slot]
+
+    for position, (model, optimizer) in enumerate(students):
+        if losses[position] is not None:
+            continue
+        losses[position] = []
+        for batch, target in zip(inputs, targets):
+            student_logits = model(Tensor(batch))
+            loss = kl_divergence_loss(student_logits, Tensor(target))
+            optimizer.zero_grad(set_to_none=False)
+            loss.backward()
+            optimizer.step()
+            losses[position].append(loss.item())
+    return losses
+
+
 @dataclass
 class DeviceDistillTask:
     """Distill the global model into a shard of device models (Phase 2).
@@ -437,99 +449,50 @@ class DeviceDistillTask:
     generator/global-model RNG stream is identical to the serial path) and
     trains independently with its own persisted optimizer state (SGD
     momentum by default, Adam moments + per-device step count with
-    ``optimizer="adam"``).  With ``fuse=True``, same-signature devices in
-    the shard train through one :func:`distill_group_fused` stacked loop —
-    bitwise identical per device to the unfused path.
+    ``optimizer="adam"``).  The shard's context replicas are borrowed for
+    the length of the task and handed to :func:`distill_students` — the body
+    the driver runs in process — so ``fuse=True`` means here what it means
+    there.
     """
 
     device_ids: List[int]
     states: List[ShardState]
-    velocities: List[Union[StateRef, bytes, List[np.ndarray]]]
-    inputs: Union[StateRef, bytes, List[np.ndarray]]
-    targets: Union[StateRef, bytes, List[np.ndarray]]
+    velocities: List[Union[StateRef, List[np.ndarray]]]
+    inputs: Union[StateRef, List[np.ndarray]]
+    targets: Union[StateRef, List[np.ndarray]]
     lr: float
     momentum: float = 0.9
     optimizer: str = "sgd"
     fuse: bool = False
 
-    def __getstate__(self):
-        payload = dict(self.__dict__)
-        payload["states"] = _pack_states(payload["states"])
-        payload["velocities"] = [pack_array_list(list(velocity))
-                                 if isinstance(velocity, (list, tuple)) else velocity
-                                 for velocity in payload["velocities"]]
-        for field_name in ("inputs", "targets"):
-            if isinstance(payload[field_name], list):
-                payload[field_name] = pack_array_list(payload[field_name])
-        return payload
-
     def run(self, context: WorkerContext) -> "DeviceDistillResult":
         inputs = resolve_arrays(self.inputs)
         targets = resolve_arrays(self.targets)
-        count = len(self.device_ids)
-        out_states: List[Dict[str, np.ndarray]] = [None] * count
-        out_velocities: List[List[np.ndarray]] = [None] * count
-        out_losses: List[List[float]] = [None] * count
-
-        fused_positions: set = set()
-        if self.fuse:
-            for group in _fusion_groups(context, self.device_ids):
-                template = context.model_for(self.device_ids[group[0]])
-                group_states, group_velocities, group_losses = distill_group_fused(
-                    template,
-                    [resolve_state(self.states[position]) for position in group],
-                    [resolve_arrays(self.velocities[position]) for position in group],
-                    inputs, targets, self.lr, self.momentum, self.optimizer,
-                    members=[context.model_for(self.device_ids[position])
-                             for position in group])
-                for slot, position in enumerate(group):
-                    out_states[position] = group_states[slot]
-                    out_velocities[position] = group_velocities[slot]
-                    out_losses[position] = group_losses[slot]
-                    fused_positions.add(position)
-
-        for position, (device_id, state, velocity) in enumerate(
-                zip(self.device_ids, self.states, self.velocities)):
-            if position in fused_positions:
-                continue
-            with borrowed_model(context, device_id, state, train=True) as model:
+        with ExitStack() as borrowed:
+            students = []
+            for device_id, state, velocity in zip(self.device_ids, self.states,
+                                                  self.velocities):
+                model = borrowed.enter_context(
+                    borrowed_model(context, device_id, state, train=True))
                 optimizer = make_distill_optimizer(model, self.lr, self.momentum,
                                                    self.optimizer)
                 load_distill_optimizer_state(optimizer, resolve_arrays(velocity))
-                losses: List[float] = []
-                for batch, target in zip(inputs, targets):
-                    student_logits = model(Tensor(batch))
-                    loss = kl_divergence_loss(student_logits, Tensor(target))
-                    optimizer.zero_grad(set_to_none=False)
-                    loss.backward()
-                    optimizer.step()
-                    losses.append(loss.item())
-                out_states[position] = model.state_dict()
-                out_velocities[position] = distill_optimizer_state(optimizer)
-                out_losses[position] = losses
-        return DeviceDistillResult(device_ids=list(self.device_ids), states=out_states,
-                                   velocities=out_velocities, losses=out_losses)
+                students.append((model, optimizer))
+            losses = distill_students(students, inputs, targets, self.lr, self.momentum,
+                                      self.optimizer, self.fuse)
+            return DeviceDistillResult(
+                device_ids=list(self.device_ids),
+                states=[model.state_dict() for model, _ in students],
+                velocities=[distill_optimizer_state(optimizer)
+                            for _, optimizer in students],
+                losses=losses)
 
 
 @dataclass
 class DeviceDistillResult:
-    """Updated states, momentum buffers, and per-iteration losses of a shard."""
+    """Updated states, optimizer buffers, and per-iteration losses of a shard."""
 
     device_ids: List[int]
     states: List[StateLike]
-    velocities: List[Union[bytes, List[np.ndarray]]]
+    velocities: List[List[np.ndarray]]
     losses: List[List[float]]
-
-    def __getstate__(self):
-        payload = dict(self.__dict__)
-        payload["states"] = _pack_states(payload["states"])
-        payload["velocities"] = [velocity if isinstance(velocity, bytes)
-                                 else pack_array_list(list(velocity))
-                                 for velocity in payload["velocities"]]
-        return payload
-
-    def state_dict_for(self, index: int) -> Dict[str, np.ndarray]:
-        return as_state_dict(self.states[index])
-
-    def velocity_for(self, index: int) -> List[np.ndarray]:
-        return as_array_list(self.velocities[index])

@@ -44,18 +44,16 @@ from ..federated.config import ServerConfig
 from ..models.base import ClassificationModel
 from ..models.generator import Generator
 from ..nn import no_grad
-from ..nn.batched import fusion_signature
-from ..nn.losses import get_distillation_loss, kl_divergence_loss
+from ..nn.losses import get_distillation_loss
 from ..nn.optim import SGD, Adam, MultiStepLR, Optimizer
 from ..nn.tensor import Tensor
-from ..utils.serialization import pack_array_list, pack_state_dict
 from .distillation import disagreement_loss, ensemble_mode_for_loss, ensemble_output
 from .server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
     EnsembleVJPTask,
-    distill_group_fused,
     distill_optimizer_state,
+    distill_students,
     frozen_parameters,
     load_distill_optimizer_state,
     make_distill_optimizer,
@@ -104,8 +102,8 @@ class ZeroShotDistiller:
     cohort_fusion:
         Fuse both phases over same-architecture groups.  Phase 1: shard
         tasks evaluate their same-signature teachers through one stacked
-        forward/VJP.  Phase 2: same-signature device replicas distill in
-        one :func:`~repro.core.server_tasks.distill_group_fused` loop —
+        forward/VJP.  Phase 2 (:func:`~repro.core.server_tasks.distill_students`):
+        same-signature device replicas distill in one stacked loop —
         per-device persisted optimizer state rides along as stacked
         momentum (or stacked Adam moments with per-slice step counters).
         Both are bit-identical to the unfused path; heterogeneous models
@@ -145,51 +143,29 @@ class ZeroShotDistiller:
         return self.backend is not None and self.config.shard_server_update
 
     @property
-    def _ship_payloads(self) -> bool:
-        """Whether shared task payloads should be pre-packed for the wire.
-
-        Packing once on the driver and sharing the blob across shard tasks
-        beats per-pickle packing on process backends; in-process backends
-        never pickle, so raw arrays/dicts flow through untouched.  Only
-        consulted on the legacy inline path (backends without a state
-        store) — with a store, packing happens once at publish time.
-        """
-        return bool(getattr(self.backend, "ships_payloads", True))
-
-    @property
     def _store(self):
         """The backend's content-addressed state store (None → inline payloads)."""
         return getattr(self.backend, "state_store", None)
 
-    # Shard-task payload helpers: publish through the state store when the
-    # backend has one (tasks then carry tiny refs; the blob ships at most
-    # once per worker), fall back to the pre-store inline wire format
-    # otherwise.  Published refs are collected into ``ephemerals`` and
-    # dropped from the channel as soon as the tasks that referenced them
-    # have completed — per-iteration synthetic batches would otherwise
-    # accumulate in the channel for a whole round.
-    def _put_state(self, state, label: str, ephemerals: List):
-        store = self._store
-        if store is None:
-            return pack_state_dict(state) if self._ship_payloads else state
-        ref = store.put_state(state, label=label)
-        ephemerals.append(ref)
-        return ref
+    def _publish(self, payload, label: str, ephemerals: List):
+        """A shard-task payload: published through the backend's state store
+        (tasks then carry a tiny ref; the payload ships at most once per
+        worker), or ``payload`` itself for a backend without one.
 
-    def _put_arrays(self, arrays, label: str, ephemerals: List):
+        A dict is a model state, a list an ordered array list, a bare array
+        (synthetic batch, upstream gradient) a list of one.  Published refs
+        are collected into ``ephemerals`` and dropped from the channel as
+        soon as the tasks that referenced them have completed — per-iteration
+        synthetic batches would otherwise accumulate for a whole round.
+        """
         store = self._store
         if store is None:
-            return pack_array_list(list(arrays)) if self._ship_payloads else list(arrays)
-        ref = store.put_arrays(list(arrays), label=label)
-        ephemerals.append(ref)
-        return ref
-
-    def _put_batch(self, array, label: str, ephemerals: List):
-        """Single-array payload (synthetic batch / upstream gradient)."""
-        store = self._store
-        if store is None:
-            return pack_array_list([array]) if self._ship_payloads else array
-        ref = store.put_arrays([array], label=label)
+            return payload
+        if isinstance(payload, dict):
+            ref = store.put_state(payload, label=label)
+        else:
+            ref = store.put_arrays([payload] if isinstance(payload, np.ndarray) else payload,
+                                   label=label)
         ephemerals.append(ref)
         return ref
 
@@ -264,7 +240,7 @@ class ZeroShotDistiller:
             snapshots = [teacher.state_dict() for teacher in teachers]
             phase_refs: List = []
             iteration_refs: List = []
-            shipped_states = [self._put_state(state, "teacher", phase_refs)
+            shipped_states = [self._publish(state, "teacher", phase_refs)
                               for state in snapshots]
             shards = partition_shards(list(range(len(teachers))), self.config.server_shards)
 
@@ -320,7 +296,7 @@ class ZeroShotDistiller:
             if sharded:
                 members = self._sharded_members(
                     teacher_ids, shipped_states,
-                    self._put_batch(synthetic.data, "batch", iteration_refs),
+                    self._publish(synthetic.data, "batch", iteration_refs),
                     mode, shards)
                 teacher_data = self._reduce_members(members, weights)
             else:
@@ -355,10 +331,9 @@ class ZeroShotDistiller:
                          shards: List[List[int]]) -> List[np.ndarray]:
         """Unweighted member outputs of every teacher, in teacher order.
 
-        ``inputs`` is a prepared payload — a state-store ref (the normal
-        case: published once, shared by every shard task and fetched at most
-        once per worker), or the legacy raw-batch / packed-blob forms for
-        backends without a store.
+        ``inputs`` is a prepared payload — a state-store ref (published
+        once, shared by every shard task and fetched at most once per
+        worker), or the raw batch for a backend without a store.
         """
         tasks = [EnsembleForwardTask(device_ids=[teacher_ids[i] for i in shard],
                                      states=[shipped_states[i] for i in shard],
@@ -393,7 +368,7 @@ class ZeroShotDistiller:
         synthesized inputs and the upstream gradient are published once
         into ``ephemerals`` (dropped by the caller after the backward).
         """
-        shared_inputs = self._put_batch(x.data, "batch", ephemerals)
+        shared_inputs = self._publish(x.data, "batch", ephemerals)
         members = self._sharded_members(teacher_ids, shipped_states, shared_inputs,
                                         mode, shards)
         total = self._reduce_members(members, weights)
@@ -403,8 +378,8 @@ class ZeroShotDistiller:
             def backward() -> None:
                 if not x.requires_grad:
                     return
-                upstream = self._put_batch(np.asarray(out.grad, dtype=np.float64),
-                                           "batch", ephemerals)
+                upstream = self._publish(np.asarray(out.grad, dtype=np.float64),
+                                         "batch", ephemerals)
                 tasks = [EnsembleVJPTask(device_ids=[teacher_ids[i] for i in shard],
                                          states=[shipped_states[i] for i in shard],
                                          weights=[weights[i] for i in shard],
@@ -438,12 +413,27 @@ class ZeroShotDistiller:
         for model in device_models.values():
             model.train()
 
+        # Every student consumes the same precomputed batches, in process or
+        # sharded: the one distill body (``server_tasks.distill_students``)
+        # runs here on the live models and their persistent optimizers, or in
+        # a ``DeviceDistillTask`` per shard on borrowed replicas.
+        batches, targets = self._synthesize_batches(iterations)
         if self.sharding_active:
-            transfer_losses, updates = self._transfer_sharded(device_models, optimizers,
-                                                              iterations)
+            losses_by_device = self._transfer_sharded(device_models, optimizers,
+                                                      batches, targets)
         else:
-            transfer_losses, updates = self._transfer_serial(device_models, optimizers,
-                                                             iterations)
+            losses_by_device = dict(zip(device_models, distill_students(
+                [(model, optimizers[device_id])
+                 for device_id, model in device_models.items()],
+                batches, targets, self.config.device_distill_lr, 0.9,
+                self.config.device_distill_optimizer, fuse=self.cohort_fusion)))
+        # Reassemble iteration-major so ``transfer_loss`` reduces in the
+        # historical interleaved (iteration, device) order.
+        transfer_losses = [losses_by_device[device_id][iteration]
+                           for iteration in range(iterations)
+                           for device_id in device_models]
+        updates = iterations * sum(self._count_parameters(model)
+                                   for model in device_models.values())
 
         self.global_model.train()
         self.generator.train()
@@ -477,97 +467,29 @@ class ZeroShotDistiller:
             targets.append(target)
         return batches, targets
 
-    def _fused_device_groups(self, device_models: Dict[int, ClassificationModel],
-                             ) -> List[List[int]]:
-        """Same-signature device-id groups (≥2) eligible for fused transfer."""
-        groups: Dict[tuple, List[int]] = {}
-        for device_id, model in device_models.items():
-            signature = fusion_signature(model)
-            if signature is None:
-                continue
-            groups.setdefault(signature, []).append(device_id)
-        return [ids for ids in groups.values() if len(ids) >= 2]
-
-    def _transfer_serial(self, device_models: Dict[int, ClassificationModel],
-                         optimizers: Dict[int, Optimizer],
-                         iterations: int) -> Tuple[List[float], int]:
-        device_order = list(device_models.keys())
-        batches, targets = self._synthesize_batches(iterations)
-        losses_by_device: Dict[int, List[float]] = {}
-
-        fused_ids: set = set()
-        if self.cohort_fusion:
-            for group_ids in self._fused_device_groups(device_models):
-                template = device_models[group_ids[0]]
-                group_states, group_velocities, group_losses = distill_group_fused(
-                    template,
-                    [device_models[device_id].state_dict() for device_id in group_ids],
-                    [distill_optimizer_state(optimizers[device_id])
-                     for device_id in group_ids],
-                    batches, targets, self.config.device_distill_lr, 0.9,
-                    self.config.device_distill_optimizer,
-                    members=[device_models[device_id] for device_id in group_ids])
-                for slot, device_id in enumerate(group_ids):
-                    device_models[device_id].load_state_dict(group_states[slot])
-                    load_distill_optimizer_state(optimizers[device_id],
-                                                 group_velocities[slot])
-                    losses_by_device[device_id] = group_losses[slot]
-                    fused_ids.add(device_id)
-
-        for device_id in device_order:
-            if device_id in fused_ids:
-                continue
-            model = device_models[device_id]
-            optimizer = optimizers[device_id]
-            losses: List[float] = []
-            for batch, target in zip(batches, targets):
-                student_logits = model(Tensor(batch))
-                loss = kl_divergence_loss(student_logits, Tensor(target))
-                optimizer.zero_grad(set_to_none=False)
-                loss.backward()
-                optimizer.step()
-                losses.append(loss.item())
-            losses_by_device[device_id] = losses
-
-        # Reassemble iteration-major so ``transfer_loss`` reduces in the
-        # historical interleaved (iteration, device) order.
-        transfer_losses = [losses_by_device[device_id][iteration]
-                           for iteration in range(iterations)
-                           for device_id in device_order]
-        updates = iterations * sum(self._count_parameters(model)
-                                   for model in device_models.values())
-        return transfer_losses, updates
-
     def _transfer_sharded(self, device_models: Dict[int, ClassificationModel],
                           optimizers: Dict[int, Optimizer],
-                          iterations: int) -> Tuple[List[float], int]:
-        """Backend-sharded Phase 2: one distill task per shard of devices.
-
-        The per-iteration synthetic batches are precomputed on the driver
-        (consuming the noise RNG in the serial order), every shard consumes
-        the same batches, and the loss list is reassembled iteration-major
-        so ``transfer_loss`` reduces in the serial order.
-        """
-        device_order = list(device_models.keys())
-        batches, targets = self._synthesize_batches(iterations)
-
-        shards = partition_shards(device_order, self.config.server_shards)
+                          batches: List[np.ndarray],
+                          targets: List[np.ndarray]) -> Dict[int, List[float]]:
+        """Backend-sharded Phase 2: one distill task per shard of devices;
+        returns each device's per-iteration losses."""
+        shards = partition_shards(list(device_models), self.config.server_shards)
         # Publish the *shared* batch/target payloads once into the state
         # store (every shard task carries the same ref; each worker fetches
         # at most once), ephemeral and dropped after the dispatch.  The
         # per-device states and momentum buffers stay inline: each is
         # referenced by exactly one shard task, and for singly-referenced
         # payloads publish-then-fetch would ship ~2x the bytes of an inline
-        # copy.  In-process backends store live objects (nothing is packed).
+        # copy.  In-process backends store live objects (nothing is encoded).
         ephemerals: List = []
-        packed_inputs = self._put_arrays(batches, "batch", ephemerals)
-        packed_targets = self._put_arrays(targets, "batch", ephemerals)
+        shared_inputs = self._publish(batches, "batch", ephemerals)
+        shared_targets = self._publish(targets, "batch", ephemerals)
         tasks = [DeviceDistillTask(
             device_ids=list(shard),
             states=[device_models[device_id].state_dict() for device_id in shard],
             velocities=[distill_optimizer_state(optimizers[device_id])
                         for device_id in shard],
-            inputs=packed_inputs, targets=packed_targets,
+            inputs=shared_inputs, targets=shared_targets,
             lr=self.config.device_distill_lr, momentum=0.9,
             optimizer=self.config.device_distill_optimizer,
             fuse=self.cohort_fusion,
@@ -577,18 +499,13 @@ class ZeroShotDistiller:
         losses_by_device: Dict[int, List[float]] = {}
         for result in results:
             for index, device_id in enumerate(result.device_ids):
-                device_models[device_id].load_state_dict(result.state_dict_for(index))
+                device_models[device_id].load_state_dict(result.states[index])
                 load_distill_optimizer_state(optimizers[device_id],
-                                             result.velocity_for(index))
+                                             result.velocities[index])
                 losses_by_device[device_id] = result.losses[index]
 
         self._drain(ephemerals)
-        transfer_losses = [losses_by_device[device_id][iteration]
-                           for iteration in range(iterations)
-                           for device_id in device_order]
-        updates = iterations * sum(self._count_parameters(model)
-                                   for model in device_models.values())
-        return transfer_losses, updates
+        return losses_by_device
 
     # ------------------------------------------------------------------ #
     # Full server update (Algorithm 3)

@@ -13,13 +13,15 @@ Parameter payloads travel through the **content-addressed state transport**
 (:mod:`repro.utils.serialization`): the driver publishes each state dict
 once per round into the backend's :class:`~repro.utils.serialization.StateStore`
 and tasks carry tiny :class:`~repro.utils.serialization.StateRef` handles.
-A worker that misses its bounded LRU cache of unpacked states fetches the
-blob a single time over the backend's
+A worker that misses its bounded LRU cache of resolved states fetches the
+payload a single time over the backend's
 :class:`~repro.utils.serialization.StateChannel`; every later task that
-references the same content is a cache hit.  Tasks may also carry raw
-dicts/arrays (the pre-store wire format) — :func:`resolve_state` /
-:func:`resolve_arrays` accept both, which keeps direct task construction in
-tests and third-party code working.
+references the same content is a cache hit.  A payload field holds one of
+two things — a ``StateRef`` or live numpy arrays (a state dict, an array
+list) — and :func:`resolve_state` / :func:`resolve_arrays` accept both, so
+tasks built directly in tests and third-party code work unchanged.  Nothing
+here encodes an inline payload: a task or result that crosses a process
+boundary is pickled whole by its backend, arrays included.
 
 Three backends are provided:
 
@@ -33,8 +35,10 @@ Three backends are provided:
 * :class:`ProcessPoolBackend` — fans tasks out across worker processes.
   The pool is **persistent**: a new :class:`WorkerContext` is published
   through the state channel and installed lazily by workers instead of
-  tearing the pool down.  Blobs are served from a manager-hosted table;
-  per-task payloads are just pickled task objects carrying refs.
+  tearing the pool down.  Published payloads are served from a
+  manager-hosted table of pickled blobs (the channel pickles on publish and
+  unpickles on fetch); per-task payloads are pickled task objects carrying
+  refs.
 
 All backends produce **bit-identical** training histories (verified by the
 backend parity tests) and surface transport counters — cache hits/misses,
@@ -58,16 +62,7 @@ from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
 from ..nn.buffers import scratch_pool
 from ..nn.policy import numeric_policy, set_numeric_policy
-from ..utils.serialization import (
-    InProcessStateTable,
-    StateLike,
-    StateRef,
-    StateStore,
-    as_array_list,
-    as_state_dict,
-    pack_array_list,
-    pack_state_dict,
-)
+from ..utils.serialization import InProcessStateTable, StateLike, StateRef, StateStore
 from .trainer import (
     DeviceTrainingConfig,
     LocalTrainingReport,
@@ -105,7 +100,7 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Default byte budget of each worker's LRU cache of unpacked states.
+#: Default byte budget of each worker's LRU cache of resolved states.
 DEFAULT_WORKER_CACHE_BYTES = 256 * 1024 * 1024
 
 
@@ -162,7 +157,7 @@ def build_worker_context(devices, eval_dataset: Optional[ImageDataset] = None,
 # Worker runtime: state cache + context lifecycle + ref resolution
 # --------------------------------------------------------------------------- #
 class LRUStateCache:
-    """Bounded (by payload bytes) LRU cache of unpacked state payloads."""
+    """Bounded (by payload bytes) LRU cache of resolved state payloads."""
 
     def __init__(self, max_bytes: int = DEFAULT_WORKER_CACHE_BYTES) -> None:
         self.max_bytes = int(max_bytes)
@@ -201,10 +196,10 @@ class WorkerRuntime:
     """Per-worker state: the installed context plus the ref-resolution path.
 
     In-process backends hand the runtime their live state ``table``
-    (lookups are direct, nothing is ever copied or unpacked); process-pool
-    workers get the shared ``channel`` (the manager-served blob table) and
-    keep a bounded :class:`LRUStateCache` of unpacked payloads in front of
-    it — a cache miss fetches the blob exactly once.
+    (lookups are direct, nothing is ever copied or encoded); process-pool
+    and ``tcp://`` workers get their ``channel`` to the driver's table and
+    keep a bounded :class:`LRUStateCache` of fetched payloads in front of
+    it — a cache miss fetches the payload exactly once.
     """
 
     def __init__(self, channel=None, table: Optional[InProcessStateTable] = None,
@@ -232,12 +227,7 @@ class WorkerRuntime:
             self.cache.hits += 1
             return cached
         self.cache.misses += 1
-        payload = self.channel.fetch(ref.key, True)
-        # Channels return packed npz blobs (manager-served table) or live
-        # dicts/lists (the tcp:// channel assembles delta-encoded states
-        # worker-side); the coercions below accept both.
-        value = (as_state_dict(payload) if ref.kind == "state"
-                 else as_array_list(payload))
+        value = self.channel.fetch(ref.key, True)
         self.cache.put(ref.key, value, ref.nbytes)
         return value
 
@@ -278,79 +268,31 @@ def _current_runtime() -> WorkerRuntime:
 
 
 def resolve_state(value: Union[StateRef, StateLike]) -> Dict[str, np.ndarray]:
-    """Materialize a task's state payload: ref, packed blob, or plain dict."""
+    """Materialize a task's state payload: a ref, or the plain dict itself."""
     if isinstance(value, StateRef):
         return _current_runtime().resolve(value)
-    return as_state_dict(value)
+    return value
 
 
 def resolve_arrays(value) -> Optional[List[np.ndarray]]:
-    """Materialize an array-list payload: ref, packed blob, or plain list."""
-    if value is None:
-        return None
+    """Materialize an array-list payload: a ref, or the plain list itself."""
     if isinstance(value, StateRef):
         return _current_runtime().resolve(value)
-    return as_array_list(value)
+    return value
 
 
-# --------------------------------------------------------------------------- #
-# Legacy worker-context trampoline (pre-state-store worker protocol; kept so
-# direct pool users and old pickles keep working)
-# --------------------------------------------------------------------------- #
-_WORKER_CONTEXT: Optional[WorkerContext] = None
-
-
-def _install_context(context: Optional[WorkerContext]) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _current_context() -> WorkerContext:
-    if _WORKER_CONTEXT is None:
-        raise RuntimeError("no WorkerContext installed; was the backend started "
-                           "with a context before dispatching device tasks?")
-    return _WORKER_CONTEXT
-
-
-def execute_task(task):
-    """Module-level task trampoline (picklable target for pool.map)."""
-    return task.run(_current_context())
-
-
-# Task payloads hold parameter state as a StateRef when dispatched through a
-# simulation (the driver publishes each round's states once), or as a plain
-# dict/list when constructed directly; the ``_PacksStateOnPickle`` mixin
-# still packs raw array payloads into the npz wire format if such a task
-# crosses a process boundary, so both forms stay lossless everywhere.
+def _single_array(value) -> np.ndarray:
+    """Materialize a single-array payload: a one-entry ref, or the array itself."""
+    if isinstance(value, StateRef):
+        return resolve_arrays(value)[0]
+    return value
 
 
 # --------------------------------------------------------------------------- #
 # Device tasks
 # --------------------------------------------------------------------------- #
-class _PacksStateOnPickle:
-    """Mixin: convert raw array-typed payload fields to packed bytes when
-    pickled (``StateRef`` payloads pass through untouched — they are tiny)."""
-
-    _packed_fields = ("state",)
-
-    def __getstate__(self):
-        payload = dict(self.__dict__)
-        for name in self._packed_fields:
-            value = payload.get(name)
-            if isinstance(value, dict):
-                payload[name] = pack_state_dict(value)
-            elif isinstance(value, list):
-                payload[name] = pack_array_list(value)
-            elif isinstance(value, np.ndarray):
-                payload[name] = pack_array_list([value])
-        return payload
-
-    def __setstate__(self, payload):
-        self.__dict__.update(payload)
-
-
 @dataclass
-class DigestSpec(_PacksStateOnPickle):
+class DigestSpec:
     """FedMD digest phase riding along with a local-training task.
 
     ``consensus`` is the (N, C) matrix of consensus scores over the public
@@ -358,13 +300,11 @@ class DigestSpec(_PacksStateOnPickle):
     FedMD strategy (or a plain array when constructed directly).
     """
 
-    consensus: Union[StateRef, np.ndarray, bytes]
+    consensus: Union[StateRef, np.ndarray]
     epochs: int
     lr: float
     batch_size: int
     seed: int
-
-    _packed_fields = ("consensus",)
 
 
 def iter_state_refs(task) -> Iterator[StateRef]:
@@ -389,7 +329,7 @@ def iter_state_refs(task) -> Iterator[StateRef]:
 
 
 @dataclass
-class LocalTrainTask(_PacksStateOnPickle):
+class LocalTrainTask:
     """Train one device's model on its private shard (Algorithm 2).
 
     Carries the device's current parameters (a :class:`StateRef` when
@@ -402,10 +342,8 @@ class LocalTrainTask(_PacksStateOnPickle):
     state: Union[StateRef, StateLike]
     epochs: int
     rng_state: dict
-    anchor: Optional[object] = None  # StateRef | List[np.ndarray] | bytes
+    anchor: Union[StateRef, List[np.ndarray], None] = None
     digest: Optional[DigestSpec] = None
-
-    _packed_fields = ("state", "anchor")
 
     def run(self, context: WorkerContext) -> "LocalTrainResult":
         model = context.model_for(self.device_id)
@@ -418,11 +356,9 @@ class LocalTrainTask(_PacksStateOnPickle):
         if self.digest is not None:
             if context.public_dataset is None:
                 raise RuntimeError("digest task requires a public dataset in the worker context")
-            consensus = self.digest.consensus
-            if isinstance(consensus, (StateRef, bytes)):
-                consensus = resolve_arrays(consensus)[0]
             digest_loss = digest_on_public(
-                model, context.public_dataset, consensus, lr=self.digest.lr,
+                model, context.public_dataset,
+                _single_array(self.digest.consensus), lr=self.digest.lr,
                 batch_size=self.digest.batch_size, epochs=self.digest.epochs,
                 rng=np.random.default_rng(self.digest.seed))
 
@@ -439,11 +375,12 @@ class LocalTrainTask(_PacksStateOnPickle):
 
 
 @dataclass
-class LocalTrainResult(_PacksStateOnPickle):
+class LocalTrainResult:
     """Updated parameters + statistics returned by a :class:`LocalTrainTask`.
 
     Results flow worker → driver exactly once, so they keep carrying their
-    payload inline (packed on pickle) rather than a ref.
+    state inline rather than a ref (the ``tcp://`` worker swaps a large one
+    for a result ref, which the driver resolves before anyone sees it).
     """
 
     device_id: int
@@ -452,12 +389,9 @@ class LocalTrainResult(_PacksStateOnPickle):
     rng_state: dict
     digest_loss: Optional[float] = None
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return as_state_dict(self.state)
-
 
 @dataclass
-class EvaluateTask(_PacksStateOnPickle):
+class EvaluateTask:
     """Evaluate a parameter set on the context's held-out test dataset."""
 
     device_id: int
@@ -473,7 +407,7 @@ class EvaluateTask(_PacksStateOnPickle):
 
 
 @dataclass
-class PublicLogitsTask(_PacksStateOnPickle):
+class PublicLogitsTask:
     """Compute a device's class scores on the context's public dataset (FedMD)."""
 
     device_id: int
@@ -508,13 +442,6 @@ class ExecutionBackend:
     """
 
     name = "base"
-
-    #: Whether tasks cross a process (or machine) boundary and therefore
-    #: get pickled.  The state store consults this to decide whether
-    #: publishing packs payloads to the npz wire format (process pools) or
-    #: stores live objects (in-process backends — the zero-serialization
-    #: guarantee of serial execution).
-    ships_payloads = False
 
     #: The backend's content-addressed state store (assigned by concrete
     #: backends; ``None`` only for bare third-party subclasses).
@@ -597,7 +524,7 @@ class SerialBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         self._table = InProcessStateTable()
-        self.state_store = StateStore(self._table, ships=False)
+        self.state_store = StateStore(self._table)
         self._runtime = WorkerRuntime(table=self._table)
         self._context: Optional[WorkerContext] = None
 
@@ -638,7 +565,7 @@ class ThreadBackend(ExecutionBackend):
             raise ValueError("max_workers must be at least 1")
         self.max_workers = int(max_workers) if max_workers is not None else (os.cpu_count() or 1)
         self._table = InProcessStateTable()
-        self.state_store = StateStore(self._table, ships=False)
+        self.state_store = StateStore(self._table)
         self._runtime = WorkerRuntime(table=self._table)
         self._context: Optional[WorkerContext] = None
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -695,12 +622,14 @@ class ThreadBackend(ExecutionBackend):
 class _StateService:
     """The shared blob table, hosted in the manager server process.
 
-    This is the process-pool implementation of the
-    :class:`~repro.utils.serialization.StateChannel` seam: the driver
-    publishes packed blobs (and pickled contexts) into it once, workers
-    fetch on cache miss over the manager's pipe/socket transport, and every
-    wire transfer is counted here — which is what makes the hit/miss and
-    bytes-shipped statistics exact without any per-hit IPC.
+    The far side of the process-pool
+    :class:`~repro.utils.serialization.StateChannel`: the driver's
+    :class:`_ManagedChannel` publishes pickled payloads (and pickled
+    contexts) into it once, each worker's channel fetches on cache miss
+    over the manager's pipe/socket transport, and every wire transfer is
+    counted here — which is what makes the hit/miss and bytes-shipped
+    statistics exact without any per-hit IPC.  The table itself never looks
+    inside a blob.
     """
 
     def __init__(self) -> None:
@@ -777,8 +706,12 @@ _StateManager.register("StateService", _StateService)
 
 
 class _ManagedChannel:
-    """Driver-side :class:`StateChannel` adapter over the manager proxy.
+    """The :class:`StateChannel` over the manager proxy, on either side of it.
 
+    The one place a published payload becomes bytes on ``process:N``: live
+    arrays are pickled in :meth:`publish` (driver) and unpickled in
+    :meth:`fetch` (a worker's cache miss, or a driver-side read), so the
+    blobs exist only between a driver and the workers it forked.
     Snapshots the service counters on :meth:`close` so transport statistics
     stay readable after the backend shuts its manager down.
     """
@@ -787,11 +720,16 @@ class _ManagedChannel:
         self._service = service
         self._closed_stats: Dict[str, object] = {}
 
-    def publish(self, key: str, payload: bytes, label: str = "") -> None:
-        self._service.publish(key, payload, label)
+    def publish(self, key: str, payload, label: str = "") -> int:
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        self._service.publish(key, blob, label)
+        return len(blob)
 
-    def fetch(self, key: str, count: bool = True) -> bytes:
-        return self._service.fetch(key, count)
+    def fetch(self, key: str, count: bool = True):
+        return pickle.loads(self._service.fetch(key, count))
+
+    def get_context(self, have_version: int) -> Tuple[int, Optional[bytes]]:
+        return self._service.get_context(have_version)
 
     def drop(self, keys: Sequence[str]) -> None:
         self._service.drop(list(keys))
@@ -812,7 +750,7 @@ class _ManagedChannel:
 
 def _init_worker(service, cache_bytes: int) -> None:
     """Pool initializer: install the worker runtime around the shared channel."""
-    _swap_runtime(WorkerRuntime(channel=service, cache_bytes=cache_bytes))
+    _swap_runtime(WorkerRuntime(channel=_ManagedChannel(service), cache_bytes=cache_bytes))
 
 
 def _execute_shipped(payload: Tuple[int, bytes]):
@@ -841,7 +779,7 @@ class ProcessPoolBackend(ExecutionBackend):
         Multiprocessing start method (``"fork"`` on Linux is cheapest;
         ``None`` uses the platform default).
     cache_bytes:
-        Byte budget of each worker's LRU cache of unpacked states.
+        Byte budget of each worker's LRU cache of resolved states.
 
     The pool and its manager-hosted state channel are created lazily on the
     first :meth:`start`.  Contexts and parameter payloads travel through
@@ -853,7 +791,6 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process"
-    ships_payloads = True
 
     def __init__(self, max_workers: Optional[int] = None,
                  start_method: Optional[str] = None,
@@ -893,7 +830,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._manager.start()
             self._service = self._manager.StateService()
             self._channel = _ManagedChannel(self._service)
-            self.state_store = StateStore(self._channel, ships=True)
+            self.state_store = StateStore(self._channel)
         self._pool = ProcessPoolExecutor(
             max_workers=self.max_workers,
             mp_context=mp_context,

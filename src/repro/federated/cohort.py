@@ -38,7 +38,6 @@ from ..nn.batched import (
 )
 from ..nn.functional import accuracy
 from ..nn.tensor import Tensor
-from ..utils.serialization import StateRef, pack_array_list, pack_state_dict
 from .backend import (
     DigestSpec,
     EvaluateTask,
@@ -46,6 +45,7 @@ from .backend import (
     LocalTrainTask,
     PublicLogitsTask,
     WorkerContext,
+    _single_array,
     resolve_arrays,
     resolve_state,
 )
@@ -77,27 +77,11 @@ class FusedLocalTrainTask:
     """
 
     device_ids: List[int]
-    states: List[object]  # StateRef | state dict | packed bytes, per device
+    states: List[object]  # StateRef | state dict, per device
     epochs: int
     rng_states: List[dict]
-    anchors: Optional[List[object]] = None  # per-device StateRef | arrays | bytes
+    anchors: Optional[List[object]] = None  # per-device StateRef | array list
     digests: Optional[List[DigestSpec]] = None
-
-    def __getstate__(self):
-        # _PacksStateOnPickle's list branch would treat ``states`` as one
-        # array list, so pack each per-device payload individually instead.
-        payload = dict(self.__dict__)
-        payload["states"] = [pack_state_dict(value) if isinstance(value, dict) else value
-                             for value in payload["states"]]
-        if payload.get("anchors") is not None:
-            payload["anchors"] = [
-                pack_array_list(list(value)) if isinstance(value, (list, tuple)) else value
-                for value in payload["anchors"]
-            ]
-        return payload
-
-    def __setstate__(self, payload):
-        self.__dict__.update(payload)
 
     # ------------------------------------------------------------------ #
     # Fused FedMD digest phase (mirrors trainer.digest_on_public)
@@ -108,12 +92,7 @@ class FusedLocalTrainTask:
         public = context.public_dataset
         batch = len(self.device_ids)
         spec = self.digests[0]  # planner guarantees identical (epochs, lr, batch_size)
-        consensus: List[np.ndarray] = []
-        for item in self.digests:
-            value = item.consensus
-            if isinstance(value, (StateRef, bytes)):
-                value = resolve_arrays(value)[0]
-            consensus.append(np.asarray(value))
+        consensus = [np.asarray(_single_array(item.consensus)) for item in self.digests]
         rngs = [np.random.default_rng(item.seed) for item in self.digests]
 
         module.train()
@@ -338,17 +317,8 @@ class _FusedForwardTask:
     that opt-in is set)."""
 
     device_ids: List[int]
-    states: List[object]  # StateRef | state dict | packed bytes, per device
+    states: List[object]  # StateRef | state dict, per device
     batch_size: int = 256
-
-    def __getstate__(self):
-        payload = dict(self.__dict__)
-        payload["states"] = [pack_state_dict(value) if isinstance(value, dict) else value
-                             for value in payload["states"]]
-        return payload
-
-    def __setstate__(self, payload):
-        self.__dict__.update(payload)
 
     def _evaluator(self, context: WorkerContext, dataset) -> BatchedEvaluator:
         template = context.model_for(self.device_ids[0])

@@ -138,8 +138,7 @@ class Device:
         backend's content-addressed state store) the parameter payloads are
         published once and the task carries tiny
         :class:`~repro.utils.serialization.StateRef` handles; without a
-        store, payloads stay plain arrays (packed to the npz wire format
-        only if the task is pickled across a process boundary).  A caller
+        store, payloads stay plain arrays inside the task.  A caller
         that already snapshotted/published this device's *current* state
         (FedMD builds a public-logits task from it moments earlier) can
         pass it via ``state`` to skip the redundant copy + digest.
@@ -170,7 +169,7 @@ class Device:
         if result.device_id != self.device_id:
             raise ValueError(f"result for device {result.device_id} applied to "
                              f"device {self.device_id}")
-        self.model.load_state_dict(result.state_dict())
+        self.model.load_state_dict(result.state)
         self._rng.bit_generator.state = result.rng_state
         return result.report
 

@@ -7,9 +7,11 @@ the shared :class:`~repro.net.service.BlobService`; workers — spawned
 localhost daemons (``tcp://:PORT?workers=N``) or externally started
 ``repro worker --connect HOST:PORT`` processes on other machines — lease
 pickled tasks from the :class:`~repro.net.service.Dispatcher` and push
-results back.  Parity is the house invariant: tasks, payload packing, and
-result routing are byte-for-byte the process-pool protocol, so histories
-are bit-identical to ``serial``.
+results back.  Parity is the house invariant: tasks and result routing are
+the process-pool protocol (one pickle per task, one per result), published
+states cross the socket one ``.npy`` tensor frame at a time and only where
+a tensor's digest is new to the other side, so histories are bit-identical
+to ``serial``.
 
 Failure model: a worker that disconnects mid-round has its leased tasks
 re-queued by the server (tasks are pure functions of payload + context, so
@@ -22,7 +24,6 @@ Spec grammar (``make_tcp_backend``)::
 
     tcp://HOST:PORT              bind HOST:PORT, wait for external workers
     tcp://:PORT?workers=N        bind PORT (0 = ephemeral), spawn N local workers
-    ...&delta=0                  disable delta-encoded publishes (benchmark baseline)
     ...&refs=BYTES               result-ref threshold (default 1 MiB)
     ...&cache=BYTES              worker cache budget
     ...&secret=TOKEN             shared handshake secret workers must present
@@ -44,7 +45,7 @@ from ..federated.backend import (
     DEFAULT_WORKER_CACHE_BYTES,
     ExecutionBackend,
 )
-from ..utils.serialization import StateRef, StateStore, as_state_dict
+from ..utils.serialization import StateRef, StateStore
 from .server import (
     DEFAULT_RESULT_REF_THRESHOLD,
     BlobServer,
@@ -82,20 +83,15 @@ class RemoteBackend(ExecutionBackend):
         read it back from :attr:`port` after :meth:`start`).
     workers:
         Localhost worker daemons to spawn (0 = external workers only).
-    delta:
-        Delta-encode publishes (per-tensor content addressing).  Off, whole
-        npz blobs are stored/shipped — the measured baseline.
     result_ref_threshold:
         Result states at least this large come back as refs the driver
         resolves out of the blob table, not inline pickle bytes.
     """
 
     name = "tcp"
-    ships_payloads = True
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, workers: int = 0,
-                 *, delta: bool = True,
-                 cache_bytes: int = DEFAULT_WORKER_CACHE_BYTES,
+                 *, cache_bytes: int = DEFAULT_WORKER_CACHE_BYTES,
                  result_ref_threshold: int = DEFAULT_RESULT_REF_THRESHOLD,
                  max_worker_restarts: int = 3,
                  worker_patience: float = 30.0,
@@ -106,7 +102,6 @@ class RemoteBackend(ExecutionBackend):
         self.host = host
         self.bind_port = int(port)
         self.workers = int(workers)
-        self.delta = bool(delta)
         self.cache_bytes = int(cache_bytes)
         self.result_ref_threshold = int(result_ref_threshold)
         self.max_worker_restarts = int(max_worker_restarts)
@@ -147,11 +142,10 @@ class RemoteBackend(ExecutionBackend):
         self._dispatcher = Dispatcher()
         self._server = BlobServer(
             (self.host, self.bind_port), self._service, self._dispatcher,
-            delta=self.delta, result_ref_threshold=self.result_ref_threshold,
-            secret=self.secret)
+            result_ref_threshold=self.result_ref_threshold, secret=self.secret)
         self._server_thread = serve_in_thread(self._server)
-        self._channel = DriverChannel(self._service, delta=self.delta)
-        self.state_store = StateStore(self._channel, ships=True)
+        self._channel = DriverChannel(self._service)
+        self.state_store = StateStore(self._channel)
         self.server_starts += 1
         for _ in range(self.workers):
             self._procs.append(self._spawn_worker())
@@ -227,8 +221,7 @@ class RemoteBackend(ExecutionBackend):
             return type(value)(self._resolve_result_refs(item) for item in value)
         state = getattr(value, "state", None)
         if isinstance(state, StateRef) and state.label == "result":
-            payload = self._channel.fetch(state.key, count=False)
-            value.state = as_state_dict(payload)
+            value.state = self._channel.fetch(state.key, count=False)
             self._channel.drop([state.key])
             self._result_refs_resolved += 1
             self._result_ref_bytes += state.nbytes
@@ -321,7 +314,6 @@ class RemoteBackend(ExecutionBackend):
         stats["tasks_requeued"] = int(counters.get("tasks_requeued", 0))
         stats["worker_restarts"] = self.worker_restarts
         stats["server_starts"] = self.server_starts
-        stats["delta"] = self.delta
         stats["shipped_bytes"] = (int(stats.get("published_bytes", 0))
                                   + int(stats.get("fetched_bytes", 0))
                                   + int(stats.get("context_bytes", 0))
@@ -339,20 +331,6 @@ class RemoteBackend(ExecutionBackend):
 # --------------------------------------------------------------------------- #
 # Spec parsing (registered under the "tcp" scheme in the backend registry)
 # --------------------------------------------------------------------------- #
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
-
-
-def _parse_flag(spec: str, name: str, text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in _TRUTHY:
-        return True
-    if lowered in _FALSY:
-        return False
-    raise ValueError(f"invalid backend spec {spec!r}: {name} must be a boolean "
-                     f"flag, got {text!r}")
-
-
 def _parse_int(spec: str, name: str, text: str, minimum: int) -> int:
     try:
         value = int(text)
@@ -379,7 +357,7 @@ def make_tcp_backend(spec: str, max_workers: Optional[int] = None) -> RemoteBack
                          "(use tcp://:0 for an ephemeral port)")
     host = parsed.hostname or "127.0.0.1"
     query = parse_qs(parsed.query, keep_blank_values=True)
-    unknown = set(query) - {"workers", "delta", "refs", "cache", "secret"}
+    unknown = set(query) - {"workers", "refs", "cache", "secret"}
     if unknown:
         raise ValueError(f"invalid backend spec {spec!r}: unknown option(s) "
                          f"{', '.join(sorted(unknown))}")
@@ -387,13 +365,11 @@ def make_tcp_backend(spec: str, max_workers: Optional[int] = None) -> RemoteBack
     workers = max_workers if max_workers is not None else 0
     if "workers" in query:
         workers = _parse_int(spec, "workers", query["workers"][-1], minimum=0)
-    delta = _parse_flag(spec, "delta", query["delta"][-1]) if "delta" in query else True
     threshold = (_parse_int(spec, "refs", query["refs"][-1], minimum=0)
                  if "refs" in query else DEFAULT_RESULT_REF_THRESHOLD)
     cache = (_parse_int(spec, "cache", query["cache"][-1], minimum=1)
              if "cache" in query else DEFAULT_WORKER_CACHE_BYTES)
     secret = (query["secret"][-1] if "secret" in query
               else os.environ.get("REPRO_NET_SECRET")) or None
-    return RemoteBackend(host=host, port=port, workers=workers, delta=delta,
-                         cache_bytes=cache, result_ref_threshold=threshold,
-                         secret=secret)
+    return RemoteBackend(host=host, port=port, workers=workers, cache_bytes=cache,
+                         result_ref_threshold=threshold, secret=secret)

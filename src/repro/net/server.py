@@ -11,13 +11,13 @@ surviving workers instead of hanging the round.
 
 :class:`DriverChannel` is the driver-side
 :class:`~repro.utils.serialization.StateChannel` over the *same* service
-object, no sockets involved.  In delta mode it advertises
-``accepts_objects`` so the :class:`~repro.utils.serialization.StateStore`
-hands it live state dicts, which it decomposes into per-tensor blobs keyed
-by content digest: publishing a state whose tensors mostly kept their
-digests stores (and later ships) only the changed tensors plus a small
-manifest.  ``publish`` returns the wire-equivalent byte count so the
-store's ``published_bytes`` reflects delta savings.
+object, no sockets involved.  The
+:class:`~repro.utils.serialization.StateStore` hands it live state dicts,
+which it decomposes into per-tensor blobs keyed by content digest:
+publishing a state whose tensors mostly kept their digests stores (and
+later ships) only the changed tensors plus a small manifest.  ``publish``
+returns the wire-equivalent byte count so the store's ``published_bytes``
+reflects delta savings.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ import threading
 import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..utils.serialization import pack_array_list, pack_state_dict
 from .service import BlobService, Dispatcher
 from .wire import pack_tensor, recv_msg, send_msg, tensor_digest, unpack_tensor
 
@@ -51,27 +48,18 @@ def _is_loopback(host: str) -> bool:
 # Driver-side channel (in-process; serves the StateStore seam)
 # --------------------------------------------------------------------------- #
 class DriverChannel:
-    """The RemoteBackend's :class:`StateChannel` over the shared service.
+    """The RemoteBackend's :class:`StateChannel` over the shared service:
+    live dicts/lists in, delta-encoded per-tensor blobs in the table."""
 
-    Delta mode (the default) sets ``accepts_objects`` so the store skips
-    npz packing and ``publish`` receives live dicts/lists; non-delta mode
-    receives packed blobs and stores them whole — the benchmark baseline.
-    """
-
-    def __init__(self, service: BlobService, delta: bool = True) -> None:
+    def __init__(self, service: BlobService) -> None:
         self._service = service
-        self.delta = bool(delta)
-        #: Consulted by :class:`StateStore`: live objects wanted, not npz.
-        self.accepts_objects = self.delta
         self._publish_tokens = itertools.count()
 
     # ------------------------------------------------------------------ #
     def publish(self, key: str, payload, label: str = "") -> int:
         """Store ``payload`` under ``key``; returns wire-equivalent bytes
-        (new tensor blobs + manifest for delta publishes, blob size
-        otherwise) for the store's ``published_bytes`` accounting."""
-        if isinstance(payload, bytes):
-            return self._service.put_manifest(key, "blob", payload, label)
+        (new tensor blobs + manifest) for the store's ``published_bytes``
+        accounting."""
         if isinstance(payload, dict):
             container = "dict"
             named = list(payload.items())
@@ -98,11 +86,8 @@ class DriverChannel:
         return new_bytes + manifest_bytes
 
     def fetch(self, key: str, count: bool = True):
-        """Materialize ``key`` driver-side: packed bytes for blob entries,
-        an assembled live dict/list for delta entries."""
+        """Materialize ``key`` driver-side as an assembled live dict/list."""
         container, entries = self._service.get_manifest(key, count=count)
-        if container == "blob":
-            return entries
         arrays = [(name, unpack_tensor(self._service.get_tensor(digest, count=count)))
                   for name, digest in entries]
         if container == "dict":
@@ -249,7 +234,7 @@ class BlobServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int], service: BlobService,
-                 dispatcher: Dispatcher, *, delta: bool = True,
+                 dispatcher: Dispatcher, *,
                  result_ref_threshold: int = DEFAULT_RESULT_REF_THRESHOLD,
                  task_poll_seconds: float = 1.0,
                  secret: Optional[str] = None) -> None:
@@ -266,8 +251,7 @@ class BlobServer(socketserver.ThreadingTCPServer):
                 "or REPRO_NET_SECRET) or bind a private interface.",
                 RuntimeWarning, stacklevel=2)
         self.task_poll_seconds = float(task_poll_seconds)
-        self.settings = {"delta": bool(delta),
-                         "result_ref_threshold": int(result_ref_threshold)}
+        self.settings = {"result_ref_threshold": int(result_ref_threshold)}
         self.connection_ids = itertools.count(1)
         self.lock = threading.Lock()
         self.closing = False
@@ -304,14 +288,3 @@ def serve_in_thread(server: BlobServer) -> threading.Thread:
     thread.start()
     return thread
 
-
-# --------------------------------------------------------------------------- #
-# Worker-side publish helper (shared with repro.net.worker)
-# --------------------------------------------------------------------------- #
-def pack_whole_payload(payload) -> bytes:
-    """Pack a live dict/list to the npz wire format (non-delta publishes)."""
-    if isinstance(payload, bytes):
-        return payload
-    if isinstance(payload, dict):
-        return pack_state_dict(payload)
-    return pack_array_list([np.asarray(array) for array in payload])

@@ -11,8 +11,7 @@ threads serving remote workers:
   with reference counting (a manifest drop garbage-collects tensors no
   other manifest references).  Publishing a state in which most tensors
   kept their digests therefore ships (and stores) only the changed tensors
-  plus the tiny manifest.  A non-delta mode stores whole packed blobs
-  under the state key — same interface, used as the benchmark baseline.
+  plus the tiny manifest.
 
   A delta publish is three steps (``missing_tensors`` → ``put_tensor``
   per gap → ``put_manifest``) that are **not atomic**, so the table layers
@@ -64,9 +63,8 @@ class BlobService:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         # state key -> (container, entries [(name, tensor_digest)], label,
-        #               manifest_nbytes) for delta entries; container "blob"
-        # stores the packed payload inline in ``entries``.
-        self._manifests: Dict[str, Tuple[str, object, str, int]] = {}
+        #               manifest_nbytes)
+        self._manifests: Dict[str, Tuple[str, list, str, int]] = {}
         # tensor digest -> [blob, refcount, pins].  ``refcount`` counts
         # referencing manifests; ``pins`` counts in-flight publishes that
         # checked or uploaded the digest and have not landed their manifest
@@ -128,33 +126,31 @@ class BlobService:
     def put_manifest(self, key: str, container: str, entries, label: str = "",
                      *, count_upload: bool = False,
                      pin_for: Optional[object] = None) -> int:
-        """Bind ``key`` to a manifest (``container`` ``"dict"``/``"list"``:
-        entries are ``(name, tensor_digest)`` pairs over stored tensors;
-        ``"blob"``: entries is the whole packed payload).  Returns the
-        manifest's wire size.  Idempotent per key (re-publishing an
-        identical content key replaces an identical manifest).  Releases
-        ``pin_for``'s pins whether or not the bind succeeds."""
-        manifest_nbytes = (len(entries) if container == "blob" else
-                           len(pickle.dumps((container, entries),
-                                            protocol=pickle.HIGHEST_PROTOCOL)))
+        """Bind ``key`` to a manifest: ``container`` is ``"dict"`` or
+        ``"list"`` and entries are ``(name, tensor_digest)`` pairs over
+        stored tensors.  Returns the manifest's wire size.  Idempotent per
+        key (re-publishing an identical content key replaces an identical
+        manifest).  Releases ``pin_for``'s pins whether or not the bind
+        succeeds."""
+        manifest_nbytes = len(pickle.dumps((container, entries),
+                                           protocol=pickle.HIGHEST_PROTOCOL))
         with self._lock:
             try:
                 if count_upload:
                     self._uploads += 1
                     self._uploaded_bytes += manifest_nbytes
-                if container != "blob":
-                    missing = [digest for _, digest in entries
-                               if digest not in self._tensors]
-                    if missing:
-                        raise KeyError(f"manifest {key!r} references unknown tensor "
-                                       f"blobs ({len(missing)} missing); publish "
-                                       "tensors first")
-                    # Incref the new entries BEFORE decrefing the previous
-                    # manifest: a replayed identical publish, or an update
-                    # sharing tensors with its predecessor, must not GC the
-                    # shared blobs in between.
-                    for _, digest in entries:
-                        self._tensors[digest][1] += 1
+                missing = [digest for _, digest in entries
+                           if digest not in self._tensors]
+                if missing:
+                    raise KeyError(f"manifest {key!r} references unknown tensor "
+                                   f"blobs ({len(missing)} missing); publish "
+                                   "tensors first")
+                # Incref the new entries BEFORE decrefing the previous
+                # manifest: a replayed identical publish, or an update
+                # sharing tensors with its predecessor, must not GC the
+                # shared blobs in between.
+                for _, digest in entries:
+                    self._tensors[digest][1] += 1
                 previous = self._manifests.get(key)
                 if previous is not None:
                     self._decref_locked(previous)
@@ -180,11 +176,8 @@ class BlobService:
             if entry[1] <= 0 and entry[2] <= 0:
                 del self._tensors[digest]
 
-    def _decref_locked(self, manifest: Tuple[str, object, str, int]) -> None:
-        container, entries, _, _ = manifest
-        if container == "blob":
-            return
-        for _, digest in entries:
+    def _decref_locked(self, manifest: Tuple[str, list, str, int]) -> None:
+        for _, digest in manifest[1]:
             entry = self._tensors.get(digest)
             if entry is None:
                 continue
@@ -204,13 +197,12 @@ class BlobService:
                                "never published or was evicted before use")
             container, entries, label, manifest_nbytes = manifest
             if count:
-                size = (len(entries) if container == "blob" else manifest_nbytes)
                 self._fetches += 1
-                self._fetched_bytes += size
+                self._fetched_bytes += manifest_nbytes
                 bucket = self._by_label.setdefault(
                     label, {"fetches": 0, "fetched_bytes": 0})
                 bucket["fetches"] += 1
-                bucket["fetched_bytes"] += size
+                bucket["fetched_bytes"] += manifest_nbytes
             return container, entries
 
     def get_tensor(self, digest: str, count: bool = True, label: str = "") -> bytes:

@@ -33,7 +33,6 @@ from ..federated.backend import (
     _swap_runtime,
 )
 from ..utils.serialization import StateRef, state_digest
-from .server import pack_whole_payload
 from .wire import Connection, pack_tensor, parse_hostport, tensor_digest, unpack_tensor
 
 __all__ = ["WorkerChannel", "run_worker", "main"]
@@ -56,9 +55,8 @@ class WorkerChannel:
     from a local digest-keyed LRU cache of decoded arrays — the worker-side
     half of delta publishing: a re-published state whose tensors mostly
     kept their digests costs one small manifest plus only the changed
-    tensors on the wire.  Returned payloads are live dicts/lists (the
-    runtime's ``as_state_dict`` / ``as_array_list`` coercions pass them
-    through) and must be treated as read-only, same as every other channel.
+    tensors on the wire.  Returned payloads are live dicts/lists and must
+    be treated as read-only, same as every other channel.
     """
 
     def __init__(self, connection: Connection,
@@ -72,8 +70,6 @@ class WorkerChannel:
     def fetch(self, key: str, count: bool = True):
         reply = _unwrap(self.connection.request(("manifest", key, bool(count))))
         _, container, entries, label = reply
-        if container == "blob":
-            return entries
         arrays = []
         for name, digest in entries:
             array = self._tensors.get(digest)
@@ -107,10 +103,9 @@ class WorkerChannel:
     # Result-path publishing (worker -> driver)
     # ------------------------------------------------------------------ #
     def publish_state(self, state: Dict[str, np.ndarray], key: str,
-                      label: str, delta: bool) -> None:
-        """Upload a state under ``key`` — delta-encoded when the server runs
-        in delta mode (only tensors the table lacks travel), whole-blob
-        otherwise.
+                      label: str) -> None:
+        """Upload a state under ``key``, delta-encoded: only tensors the
+        table lacks travel.
 
         The server pins every digest the ``missing`` check sees (and every
         uploaded blob) for this connection until the ``put_manifest`` lands,
@@ -120,10 +115,6 @@ class WorkerChannel:
         be GCed before the manifest arrives.  The server rejects that with
         KeyError, and we simply restart the publish from the missing check.
         """
-        if not delta:
-            _unwrap(self.connection.request(
-                ("put_manifest", key, "blob", pack_whole_payload(state), label)))
-            return
         named = list(state.items())
         entries = [(name, tensor_digest(array)) for name, array in named]
         by_digest = {digest: array for (_, array), (_, digest) in zip(named, entries)}
@@ -160,7 +151,7 @@ def _ship_result(result, channel: WorkerChannel, settings: Dict, counter) -> obj
     # tensors (the delta path dedupes those); distinct manifests keep the
     # driver's resolve-then-drop lifecycle collision-free.
     key = f"result:{state_digest(state)}:{os.getpid()}:{next(counter)}"
-    channel.publish_state(state, key, "result", bool(settings.get("delta", True)))
+    channel.publish_state(state, key, "result")
     result.state = StateRef(key=key, round_version=0, kind="state",
                             nbytes=nbytes, label="result")
     return result
@@ -196,8 +187,7 @@ def run_worker(host: str, port: int, *,
     runtime = WorkerRuntime(channel=channel, cache_bytes=cache_bytes)
     _swap_runtime(runtime)
     if not quiet:
-        print(f"[repro-worker {os.getpid()}] connected to {host}:{port} "
-              f"(delta={settings.get('delta')})", flush=True)
+        print(f"[repro-worker {os.getpid()}] connected to {host}:{port}", flush=True)
     import itertools
 
     result_counter = itertools.count()

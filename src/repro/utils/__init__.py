@@ -7,12 +7,8 @@ from .serialization import (
     StateRef,
     StateStore,
     load_history_json,
-    pack_array_list,
-    pack_state_dict,
     save_history_json,
     state_digest,
-    unpack_array_list,
-    unpack_state_dict,
 )
 from .timing import Timer
 
@@ -22,10 +18,6 @@ __all__ = [
     "Timer",
     "save_history_json",
     "load_history_json",
-    "pack_state_dict",
-    "unpack_state_dict",
-    "pack_array_list",
-    "unpack_array_list",
     "state_digest",
     "StateRef",
     "StateChannel",

@@ -1,27 +1,31 @@
 """Serialization helpers and the content-addressed state store.
 
-Three families of helpers live here:
+Two families of helpers live here:
 
 * JSON (de)serialization of :class:`TrainingHistory` objects for offline
   analysis and plotting;
-* compact binary packing of model state dicts and parameter lists (npz in
-  memory), which is the wire format the execution backends use to ship
-  device parameters to worker processes and back
-  (:mod:`repro.federated.backend`);
 * the **content-addressed state store**: :func:`state_digest` computes a
   stable digest of a state dict, :class:`StateRef` is the tiny handle that
   replaces inline parameter payloads inside backend tasks, and
   :class:`StateStore` is the driver-side facade that publishes each state
   **once** through a :class:`StateChannel` (an in-process table for
-  in-process backends, a manager-served blob table for process pools) so
-  workers that miss their local cache fetch the blob a single time instead
-  of receiving it inside every task pickle.
+  in-process backends, a manager-served blob table for process pools, the
+  per-tensor delta table for ``tcp://``) so workers that miss their local
+  cache fetch it a single time instead of receiving it inside every task
+  pickle.
+
+A parameter payload has two forms and no third: a :class:`StateRef`, or
+live numpy arrays (a state dict, or an ordered array list).  The store and
+every task hand channels live arrays and get live arrays back; a channel
+whose table sits across a process boundary owns its own byte encoding
+(pickle behind the ``process:N`` manager, ``.npy`` tensor frames behind
+``tcp://``), and a task that carries arrays inline is encoded by the
+backend's one ``pickle.dumps(task)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,12 +40,6 @@ __all__ = [
     "save_history_json",
     "load_history_json",
     "StateLike",
-    "pack_state_dict",
-    "unpack_state_dict",
-    "pack_array_list",
-    "unpack_array_list",
-    "as_state_dict",
-    "as_array_list",
     "state_digest",
     "StateRef",
     "StateChannel",
@@ -49,75 +47,24 @@ __all__ = [
     "StateStore",
 ]
 
-#: A parameter payload on either side of the wire: a plain state dict
-#: in-process, or a packed npz blob once it has crossed (or is about to
-#: cross) a process boundary.
-StateLike = Union[bytes, Dict[str, np.ndarray]]
-
-
-# --------------------------------------------------------------------------- #
-# Binary packing of parameter payloads (device <-> worker wire format)
-# --------------------------------------------------------------------------- #
-def pack_state_dict(state: Dict[str, np.ndarray]) -> bytes:
-    """Pack a model state dict into a lossless in-memory ``.npz`` blob.
-
-    Keys may contain dots and the ``buffer::`` prefix used by
-    :meth:`repro.nn.Module.state_dict`; values round-trip bit-exactly, which
-    the backend parity guarantee (serial == parallel histories) relies on.
-    """
-    buffer = io.BytesIO()
-    np.savez(buffer, **state)
-    return buffer.getvalue()
-
-
-def unpack_state_dict(blob: bytes) -> Dict[str, np.ndarray]:
-    """Invert :func:`pack_state_dict`."""
-    with np.load(io.BytesIO(blob)) as archive:
-        return {key: archive[key] for key in archive.files}
-
-
-def pack_array_list(arrays: Sequence[np.ndarray]) -> Optional[bytes]:
-    """Pack an ordered list of arrays (e.g. a proximal anchor); None for empty."""
-    if arrays is None:
-        return None
-    return pack_state_dict({f"a{index:05d}": np.asarray(array) for index, array in enumerate(arrays)})
-
-
-def unpack_array_list(blob: Optional[bytes]) -> Optional[List[np.ndarray]]:
-    """Invert :func:`pack_array_list` (preserves order)."""
-    if blob is None:
-        return None
-    state = unpack_state_dict(blob)
-    return [state[key] for key in sorted(state)]
-
-
-def as_state_dict(state: StateLike) -> Dict[str, np.ndarray]:
-    """Coerce a wire-format payload to a plain state dict (no-op in-process)."""
-    return unpack_state_dict(state) if isinstance(state, bytes) else state
-
-
-def as_array_list(value) -> Optional[List[np.ndarray]]:
-    """Coerce a wire-format payload to a list of arrays (no-op in-process)."""
-    return unpack_array_list(value) if isinstance(value, bytes) else value
+#: An inline parameter payload: a plain state dict of live arrays.
+StateLike = Dict[str, np.ndarray]
 
 
 # --------------------------------------------------------------------------- #
 # Content-addressed state store (StateRef / StateChannel / StateStore)
 # --------------------------------------------------------------------------- #
 def state_digest(state: StateLike, kind: str = "state") -> str:
-    """Stable content digest of a state dict (or packed blob).
+    """Stable content digest of a state dict.
 
     The digest is computed over the *canonical content* — sorted keys, each
-    with its dtype, shape, memory order, and raw bytes — rather than over
-    the npz container, so it is stable across ``pack → unpack → pack``
-    round trips (zip metadata such as timestamps never enters the hash) and
-    identical whether computed from a plain dict or its packed blob.
-    Distinct states (different values, dtypes, shapes, or key sets) get
-    distinct digests.  ``kind`` namespaces the digest so a state dict and an
-    array list with coincidentally identical canonical entries cannot
-    collide.
+    with its dtype, shape, memory order, and raw bytes — so it is stable
+    across any lossless encode → decode round trip (nothing of a container
+    enters the hash) and independent of key insertion order.  Distinct
+    states (different values, dtypes, shapes, or key sets) get distinct
+    digests.  ``kind`` namespaces the digest so a state dict and an array
+    list with coincidentally identical canonical entries cannot collide.
     """
-    state = as_state_dict(state)
     digest = hashlib.sha256()
     digest.update(kind.encode("utf-8"))
     digest.update(b"\x00")
@@ -129,7 +76,8 @@ def state_digest(state: StateLike, kind: str = "state") -> str:
         digest.update(header.encode("utf-8"))
         digest.update(encoded_key)
         # 'A' keeps Fortran-ordered arrays in their native byte order (the
-        # order npz round trips preserve); the flag above disambiguates.
+        # order pickle and .npy round trips preserve); the flag above
+        # disambiguates.
         digest.update(array.tobytes(order="A"))
     return digest.hexdigest()
 
@@ -141,7 +89,7 @@ class StateRef:
     Tasks carry these instead of inline state dicts: ``key`` is the content
     digest (the lookup key in the store / worker caches), ``round_version``
     records the store round that published it (lifecycle bookkeeping, not
-    part of the identity), ``kind`` says how to unpack the payload
+    part of the identity), ``kind`` says what the payload is
     (``"state"`` → dict, ``"arrays"`` → ordered list), ``nbytes`` is the raw
     payload size (used for the bytes-shipped accounting and worker cache
     budgets), and ``label`` tags the payload class (``"teacher"``,
@@ -159,25 +107,26 @@ class StateChannel:
     """Transport seam between the driver's store and worker-side caches.
 
     The driver publishes each payload once; a worker that misses its local
-    cache fetches the blob once.  Three implementations ship —
+    cache fetches it once.  Both directions speak live arrays (a state dict
+    or an ordered array list); how they are held in between is the
+    channel's own business.  Three implementations ship —
     :class:`InProcessStateTable` (serial/thread backends: the table *is*
-    the cache, nothing is ever packed), the process-pool backend's
-    manager-served blob table (:mod:`repro.federated.backend`), and the
-    multi-node ``tcp://`` channel pair (:mod:`repro.net`: the driver's
-    delta-encoding blob table plus the workers' socket client).
+    the cache, nothing is ever encoded), the process-pool backend's
+    manager-served table of pickled blobs (:mod:`repro.federated.backend`),
+    and the multi-node ``tcp://`` channel pair (:mod:`repro.net`: the
+    driver's delta-encoding tensor table plus the workers' socket client).
     """
 
     def publish(self, key: str, payload, label: str = "") -> Optional[int]:
         """Make ``payload`` fetchable under ``key`` (idempotent per key).
 
-        May return the wire-equivalent byte count of the publish (channels
-        that encode payloads themselves, e.g. delta publishers); ``None``
-        means the store falls back to the packed blob size.
+        Returns the bytes the publish put on the wire (``None`` or 0 for a
+        channel that crosses no boundary).
         """
         raise NotImplementedError
 
     def fetch(self, key: str, count: bool = True):
-        """Return the payload for ``key``; raise ``KeyError`` if unknown.
+        """Return the live payload for ``key``; raise ``KeyError`` if unknown.
 
         ``count=False`` marks driver-side fetches (e.g. model-state
         rollbacks) so they do not pollute the worker miss statistics.
@@ -231,7 +180,7 @@ class InProcessStateTable(StateChannel):
 
 
 def _arrays_as_state(arrays: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-    """Canonical dict form of an ordered array list (shared with packing)."""
+    """Canonical dict form of an ordered array list (what its digest hashes)."""
     return {f"a{index:05d}": np.asarray(array) for index, array in enumerate(arrays)}
 
 
@@ -250,24 +199,14 @@ class StateStore:
     hits/misses and bytes-shipped accounting in
     ``ExecutionBackend.transport_stats``.
 
-    Parameters
-    ----------
-    channel:
-        The transport to publish through.
-    ships:
-        Whether payloads cross a process boundary.  When True payloads are
-        packed to the npz wire format once at publish time; when False the
-        live objects are stored directly (the in-process zero-serialization
-        guarantee).
+    The store hands the channel live arrays and never encodes anything
+    itself: an in-process table keeps the objects (the zero-serialization
+    guarantee of serial execution), a channel across a boundary encodes on
+    its own side of ``publish`` and reports the bytes.
     """
 
-    def __init__(self, channel: StateChannel, ships: bool = False) -> None:
+    def __init__(self, channel: StateChannel) -> None:
         self.channel = channel
-        self.ships = bool(ships)
-        # Channels that advertise ``accepts_objects`` want live dicts/lists
-        # even when payloads will cross a boundary — they do their own wire
-        # encoding (e.g. the tcp:// channel's per-tensor delta packing).
-        self.packs = self.ships and not getattr(channel, "accepts_objects", False)
         self.round_version = 0
         # key -> [round_version, nbytes, label] for everything currently
         # published (the driver's view of the channel contents).
@@ -288,7 +227,7 @@ class StateStore:
         return bucket
 
     def _put(self, key: str, kind: str, nbytes: int, label: str,
-             make_payload) -> StateRef:
+             payload) -> StateRef:
         self._counters["puts"] += 1
         entry = self._published.get(key)
         if entry is not None:
@@ -297,16 +236,10 @@ class StateStore:
             entry[0] = self.round_version
             return StateRef(key=key, round_version=self.round_version,
                             kind=kind, nbytes=entry[1], label=label)
-        payload = make_payload()
-        shipped = self.channel.publish(key, payload, label)
+        # The channel reports what the publish put on the wire (a pickled
+        # blob, new tensors plus a manifest, nothing for an in-process table).
+        published = self.channel.publish(key, payload, label) or 0
         self._published[key] = [self.round_version, nbytes, label]
-        # Channels may return the wire-equivalent byte count of the publish
-        # (delta-encoding channels ship less than the payload size); the
-        # fallback is the packed blob size, zero for live in-process objects.
-        if isinstance(shipped, int) and not isinstance(shipped, bool):
-            published = shipped
-        else:
-            published = len(payload) if isinstance(payload, bytes) else 0
         self._counters["publishes"] += 1
         self._counters["published_bytes"] += published
         bucket = self._label_bucket(label)
@@ -319,8 +252,7 @@ class StateStore:
         """Publish a model state dict; returns its :class:`StateRef`."""
         key = state_digest(state)
         nbytes = int(sum(np.asarray(value).nbytes for value in state.values()))
-        return self._put(key, "state", nbytes, label,
-                         lambda: pack_state_dict(state) if self.packs else state)
+        return self._put(key, "state", nbytes, label, state)
 
     def put_arrays(self, arrays: Sequence[np.ndarray], label: str = "") -> StateRef:
         """Publish an ordered array list (anchor, consensus, batches, ...)."""
@@ -328,17 +260,12 @@ class StateStore:
         canonical = _arrays_as_state(arrays)
         key = state_digest(canonical, kind="arrays")
         nbytes = int(sum(array.nbytes for array in canonical.values()))
-        return self._put(key, "arrays", nbytes, label,
-                         lambda: pack_array_list(arrays) if self.packs else arrays)
+        return self._put(key, "arrays", nbytes, label, arrays)
 
     # ------------------------------------------------------------------ #
     def get(self, ref: StateRef):
         """Driver-side materialization of a ref (does not count as a miss)."""
-        payload = self.channel.fetch(ref.key, count=False)
-        if isinstance(payload, bytes):
-            return (unpack_state_dict(payload) if ref.kind == "state"
-                    else unpack_array_list(payload))
-        return payload
+        return self.channel.fetch(ref.key, count=False)
 
     def discard(self, refs: Union[StateRef, Iterable[StateRef]]) -> None:
         """Drop ephemeral payloads (per-iteration batches) from the channel.

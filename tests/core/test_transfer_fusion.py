@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import ZeroShotDistiller
-from repro.core.server_tasks import distill_optimizer_state
+from repro.core.server_tasks import _fusion_groups, distill_optimizer_state
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, SimpleCNN, build_generator, build_global_model
 
@@ -100,10 +100,7 @@ def _run_transfer(optimizer_kind, fused, transfers=(None,)):
 def test_cohort_is_actually_fusable():
     # Guard: the parity tests below are vacuous if the homogeneous group
     # degenerates into singletons.
-    device_models = _device_models()
-    distiller = _distiller(_server_config(), fused=True)
-    groups = distiller._fused_device_groups(device_models)
-    assert sorted(sorted(group) for group in groups) == [[0, 1, 2, 3]]
+    assert _fusion_groups(list(_device_models().values())) == [[0, 1, 2, 3]]
 
 
 @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])

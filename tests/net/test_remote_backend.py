@@ -15,7 +15,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.baselines import build_fedavg, build_fedmd
@@ -112,13 +111,9 @@ def test_tcp_backend_matches_serial_bit_for_bit(algorithm):
     _assert_identical(serial, remote, algorithm)
 
 
-@pytest.mark.parametrize("spec", [
-    "tcp://:0?workers=2&refs=1",           # every result state comes back as a ref
-    "tcp://:0?workers=2&refs=1&delta=0",   # ...and whole-blob (non-delta) transport
-])
-def test_result_path_refs_stay_bit_identical(spec):
+def test_result_path_refs_stay_bit_identical():
     serial = _run("fedavg", SerialBackend())
-    backend = make_backend(spec)
+    backend = make_backend("tcp://:0?workers=2&refs=1")  # every result state comes back as a ref
     with backend:
         with _build("fedavg", backend) as simulation:
             remote = simulation.run()
@@ -241,14 +236,14 @@ def test_externally_started_worker_daemon_serves_tasks():
 # Spec parsing
 # --------------------------------------------------------------------------- #
 def test_tcp_spec_parsing():
-    backend = make_backend("tcp://:0?workers=2&delta=0&refs=5&cache=4096")
+    backend = make_backend("tcp://:0?workers=2&refs=5&cache=4096")
     assert isinstance(backend, RemoteBackend)
-    assert backend.workers == 2 and backend.delta is False
+    assert backend.workers == 2
     assert backend.result_ref_threshold == 5 and backend.cache_bytes == 4096
 
     backend = make_backend("tcp://0.0.0.0:7001")
     assert backend.host == "0.0.0.0" and backend.bind_port == 7001
-    assert backend.workers == 0 and backend.delta is True
+    assert backend.workers == 0
 
     assert make_backend("tcp://:0", max_workers=3).workers == 3
 
@@ -258,5 +253,6 @@ def test_tcp_spec_parsing():
         make_backend("tcp://:0?bogus=1")
     with pytest.raises(ValueError, match="workers"):
         make_backend("tcp://:0?workers=-1")
-    with pytest.raises(ValueError, match="boolean"):
-        make_backend("tcp://:0?delta=maybe")
+    # Whole-blob publishes are gone (1.12): the key is no longer an option.
+    with pytest.raises(ValueError, match="unknown option.*delta"):
+        make_backend("tcp://:0?delta=0")

@@ -166,8 +166,7 @@ def test_put_manifest_rejects_unknown_tensor_digests():
 # DriverChannel: delta publishes
 # --------------------------------------------------------------------------- #
 def test_delta_publish_ships_only_changed_tensors():
-    channel = DriverChannel(BlobService(), delta=True)
-    assert channel.accepts_objects
+    channel = DriverChannel(BlobService())
 
     first = channel.publish("k1", _state(), label="device")
     changed = _state()
@@ -186,7 +185,7 @@ def test_delta_publish_ships_only_changed_tensors():
 
 
 def test_delta_publish_of_array_lists_round_trips_in_order():
-    channel = DriverChannel(BlobService(), delta=True)
+    channel = DriverChannel(BlobService())
     arrays = [np.arange(4, dtype=np.float64), np.ones((2, 2), dtype=np.float32)]
     channel.publish("anchor", arrays, label="anchor")
     restored = channel.fetch("anchor", count=False)
@@ -196,18 +195,9 @@ def test_delta_publish_of_array_lists_round_trips_in_order():
     assert restored[1].dtype == np.float32
 
 
-def test_non_delta_channel_stores_whole_blobs():
-    channel = DriverChannel(BlobService(), delta=False)
-    assert not channel.accepts_objects
-    blob = b"packed-npz-payload"
-    published = channel.publish("k", blob, label="device")
-    assert published == len(blob)
-    assert channel.fetch("k", count=False) == blob
-
-
 def test_fetch_counts_only_worker_initiated_transfers():
     service = BlobService()
-    channel = DriverChannel(service, delta=True)
+    channel = DriverChannel(service)
     channel.publish("k", _state(), label="device")
     channel.fetch("k", count=False)
     assert service.stats()["fetches"] == 0

@@ -1,30 +1,47 @@
-"""Hypothesis property tests for the packing round trip and the digest.
+"""Hypothesis property tests for the payload round trips and the digest.
 
 The state transport's correctness rests on two invariants:
 
-* ``pack_state_dict`` / ``unpack_state_dict`` (and ``pack_array_list``)
-  are lossless — dtype, shape, values, and memory order all survive, for
-  every dtype the models and optimizers produce (float32/64, ints, bools),
-  including 0-d, empty, and Fortran-ordered arrays;
-* ``state_digest`` is a *content* digest — stable across
-  pack → unpack → pack (zip metadata never leaks in) and across dict vs
-  blob inputs, while distinct contents (values, dtypes, shapes, key sets,
-  memory order) get distinct digests.
+* what carries a payload across a process boundary is lossless — the
+  backend's pickle of a task or result holding live arrays inline
+  (``LocalTrainTask``, ``FusedLocalTrainTask``, ``DeviceDistillTask`` and
+  its result) and the process pool's ``_ManagedChannel`` publish/fetch:
+  dtype, shape, values, and memory order all survive, for every dtype the
+  models and optimizers produce (float32/64, ints, bools), including 0-d,
+  empty, and Fortran-ordered arrays;
+* ``state_digest`` is a *content* digest — stable across any number of
+  those round trips (nothing of a container leaks in), while distinct
+  contents (values, dtypes, shapes, key sets, memory order) get distinct
+  digests.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import (
-    pack_array_list,
-    pack_state_dict,
-    state_digest,
-    unpack_array_list,
-    unpack_state_dict,
-)
+from repro.core.server_tasks import DeviceDistillResult, DeviceDistillTask
+from repro.federated.backend import LocalTrainTask, _ManagedChannel, _StateService
+from repro.federated.cohort import FusedLocalTrainTask
+from repro.utils import state_digest
+
+_RNG_STATE = np.random.default_rng(0).bit_generator.state
+
+
+def _shipped(value):
+    """``value`` as the far side of a process boundary sees it."""
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _through_channel(payload):
+    """``payload`` published into and fetched back out of the process pool's
+    channel (over a blob table in this process)."""
+    channel = _ManagedChannel(_StateService())
+    channel.publish("key", payload)
+    return channel.fetch("key")
 
 _DTYPES = [np.float64, np.float32, np.int64, np.int32, np.bool_]
 
@@ -73,42 +90,55 @@ def _assert_same_array(original: np.ndarray, restored: np.ndarray) -> None:
     assert restored.shape == original.shape
     np.testing.assert_array_equal(restored, original)
     if original.ndim >= 2 and original.size:
-        # Memory order survives the npy format's fortran_order flag.
+        # Memory order survives pickling (numpy records it per array).
         assert restored.flags.f_contiguous == original.flags.f_contiguous
 
 
 @settings(max_examples=60, deadline=None)
 @given(state=_states())
 def test_state_dict_roundtrip_lossless(state):
-    restored = unpack_state_dict(pack_state_dict(state))
-    assert set(restored) == set(state)
-    for key, value in state.items():
-        _assert_same_array(value, restored[key])
+    train = _shipped(LocalTrainTask(device_id=0, state=state, epochs=1,
+                                    rng_state=_RNG_STATE))
+    fused = _shipped(FusedLocalTrainTask(device_ids=[0, 1], states=[state, state],
+                                         epochs=1, rng_states=[_RNG_STATE] * 2))
+    distill = _shipped(DeviceDistillTask(device_ids=[0], states=[state], velocities=[[]],
+                                         inputs=[], targets=[], lr=0.1))
+    result = _shipped(DeviceDistillResult(device_ids=[0], states=[state],
+                                          velocities=[[]], losses=[[]]))
+    for restored in (train.state, fused.states[0], fused.states[1], distill.states[0],
+                     result.states[0], _through_channel(state)):
+        assert list(restored) == list(state)
+        for key, value in state.items():
+            _assert_same_array(value, restored[key])
 
 
 @settings(max_examples=60, deadline=None)
 @given(arrays=st.lists(_arrays(), min_size=0, max_size=6))
 def test_array_list_roundtrip_preserves_order_and_dtypes(arrays):
-    restored = unpack_array_list(pack_array_list(arrays))
-    if not arrays:
-        # Empty list round-trips to an empty list (None only for None input).
-        assert restored == []
-        return
-    assert len(restored) == len(arrays)
-    for original, out in zip(arrays, restored):
-        _assert_same_array(np.asarray(original), out)
+    train = _shipped(LocalTrainTask(device_id=0, state={}, epochs=1,
+                                    rng_state=_RNG_STATE, anchor=arrays))
+    fused = _shipped(FusedLocalTrainTask(device_ids=[0], states=[{}], epochs=1,
+                                         rng_states=[_RNG_STATE], anchors=[arrays]))
+    distill = _shipped(DeviceDistillTask(device_ids=[0], states=[{}], velocities=[arrays],
+                                         inputs=arrays, targets=arrays, lr=0.1))
+    result = _shipped(DeviceDistillResult(device_ids=[0], states=[{}],
+                                          velocities=[arrays], losses=[[]]))
+    for restored in (train.anchor, fused.anchors[0], distill.velocities[0], distill.inputs,
+                     distill.targets, result.velocities[0], _through_channel(arrays)):
+        # An empty list round-trips to an empty list, never to None.
+        assert isinstance(restored, list) and len(restored) == len(arrays)
+        for original, out in zip(arrays, restored):
+            _assert_same_array(original, out)
 
 
 @settings(max_examples=60, deadline=None)
 @given(state=_states())
-def test_digest_stable_across_pack_unpack_pack(state):
+def test_digest_stable_across_round_trips(state):
     direct = state_digest(state)
-    once = unpack_state_dict(pack_state_dict(state))
-    twice = unpack_state_dict(pack_state_dict(once))
+    once = _shipped(state)
+    twice = _through_channel(once)
     assert state_digest(once) == direct
     assert state_digest(twice) == direct
-    # Dict input and packed-blob input agree too.
-    assert state_digest(pack_state_dict(state)) == direct
 
 
 @settings(max_examples=60, deadline=None)
