@@ -22,11 +22,12 @@ per slice:
 
 * batched matmul ``(B,N,K)@(B,K,M)`` is bitwise equal to the per-slice 2-D
   matmul (forward and both backward products);
-* batched convolution uses the einsum family ``bof,bnfl->bnol`` /
-  ``bnol,bnfl->bof`` / ``bof,bnol->bnfl`` — the explicit-batch-axis mirror
-  of the serial ``of,nfl->nol`` einsums.  ``np.matmul`` broadcasting is NOT
-  bitwise equal to those einsums and must not be substituted here;
-* im2col/col2im run on the merged ``(B*N, C, H, W)`` layout, which is
+* batched convolution *is* the serial convolution: one body
+  (:func:`repro.nn.conv._conv2d`) whose GEMMs take the cohort as their batch
+  axis, each slice the very BLAS call the serial op makes (a unit dimension
+  falls back to the einsum family ``bof,bnfl->bnol`` / ``bnol,bnfl->bof`` /
+  ``bof,bnol->bnfl``, the explicit-batch-axis mirror of the serial einsums);
+* col2im and pooling run on the merged ``(B*N, C, H, W)`` layout, which is
   per-sample exact, so pooling reuses the serial ops via reshape;
 * reductions move every serial axis up by one (conv bias ``(0,2)``→``(1,3)``,
   batch-norm ``(0,2,3)``→``(1,3,4)``, loss means over the trailing axes).
@@ -51,8 +52,8 @@ import numpy as np
 
 from . import conv as conv_ops
 from . import layers as layer_types
-from .buffers import fresh_pool, scratch_pool
-from .conv import _forward_contract, col2im, contract, im2col
+from .buffers import fresh_pool
+from .conv import _conv2d
 from .module import Module, _as_floating
 from .optim import SGD, Adam
 from .policy import policy_dtype
@@ -123,61 +124,15 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
 
     ``inputs`` is ``(B, N, C_in, H, W)``, ``weight`` ``(B, C_out, C_in, k, k)``,
     ``bias`` ``(B, C_out)``.  Slice ``b`` of every output and gradient is
-    bitwise equal to :func:`repro.nn.conv.conv2d` on slice ``b`` alone.
+    bitwise equal to :func:`repro.nn.conv.conv2d` on slice ``b`` alone: the
+    two are one body (:func:`repro.nn.conv._conv2d`), here with the cohort
+    as the batch axis of its GEMMs.
     """
-    x, w = inputs, weight
-    batch, samples = x.data.shape[0], x.data.shape[1]
-    out_channels, in_channels, kernel, _ = w.data.shape[1:]
-    if x.data.shape[2] != in_channels:
+    if inputs.data.shape[2] != weight.data.shape[2]:
         raise ValueError(
-            f"batched_conv2d channel mismatch: input has {x.data.shape[2]}, "
-            f"weight expects {in_channels}")
-    merged_shape = (batch * samples,) + x.data.shape[2:]
-    pool = scratch_pool()
-    columns, out_h, out_w = im2col(x.data.reshape(merged_shape), kernel, stride,
-                                   padding, pool=pool)
-    cols = columns.reshape(batch, samples, columns.shape[1], columns.shape[2])
-    w_mat = w.data.reshape(batch, out_channels, -1)
-    parents = (x, w) if bias is None else (x, w, bias)
-    weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
-    # einsum's "bof,bnfl->bnol" result is a (b, n, l, o)-contiguous array
-    # viewed as (b, n, o, l): slice b has the serial product's layout.
-    out_data, pooled = _forward_contract(
-        "bof,bnfl->bnol", w_mat, cols, (batch, samples, out_h * out_w, out_channels),
-        (0, 1, 3, 2),
-        None if bias is None else bias.data.reshape(batch, 1, out_channels, 1),
-        any(p.requires_grad for p in parents))
-    out_data = out_data.reshape(batch, samples, out_channels, out_h, out_w)
-
-    def factory(out: Tensor) -> Callable[[], None]:
-        def backward() -> None:
-            grad = np.asarray(out.grad).reshape(
-                batch, samples, out_channels, -1)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(1, 3)), owned=True)
-            if weight_grad:
-                grad_w = contract("bnol,bnfl->bof", grad, cols)
-                w._accumulate(grad_w.reshape(w.data.shape), owned=True)
-            if x.requires_grad:
-                length = grad.shape[-1]
-                grad_cols = pool.acquire(
-                    (batch, samples, w_mat.shape[-1], length),
-                    np.result_type(w_mat, grad))
-                grad_x = col2im(
-                    contract("bof,bnol->bnfl", w_mat, grad, out=grad_cols)
-                    .reshape(batch * samples, -1, length),
-                    merged_shape, kernel, stride, padding)
-                x._accumulate(grad_x.reshape(x.data.shape), owned=True)
-                pool.release(grad_cols)
-            if weight_grad:
-                pool.release(columns)
-
-        return backward
-
-    out = Tensor._make(out_data, parents, factory, pooled)
-    if out._backward is None or not weight_grad:
-        pool.release(columns)
-    return out
+            f"batched_conv2d channel mismatch: input has {inputs.data.shape[2]}, "
+            f"weight expects {weight.data.shape[2]}")
+    return _conv2d(inputs, weight, bias, stride, padding)
 
 
 # --------------------------------------------------------------------------- #
@@ -552,14 +507,19 @@ def _sample_footprint(template: Module, sample_shape: Tuple[int, ...]) -> Tuple[
     dtype) runs a stack of one copy of ``template`` over two zero samples on
     an arena of its own and reads the arena's counters; neither the template
     (its Dropout stream included) nor the calling thread's arena is touched.
-    Two samples, because a single one sends the conv contractions down
-    einsum's unit-dimension path, which stages nothing, and because probing
-    at the caller's batch would hold what the caller is trying not to (80 MiB
-    for a 180-sample evaluation batch, which itself records nothing).  Every
-    stacked array carries the cohort and the sample axis — batch-norm
-    statistics aside, which the halving over-counts by a fraction of a
-    percent — so ``w`` members over ``n`` samples hold ``w * n`` times the
-    bytes in the same number of arrays.
+    Two samples, because a single one sends the convolutions down the
+    unit-dimension fallback (sample-major ``im2col`` columns into einsum,
+    nothing staged in the arena), and because probing at the caller's batch
+    would hold what the caller is trying not to (80 MiB for a 180-sample
+    evaluation batch, which itself records nothing).  Every stacked array
+    carries the cohort and the sample axis — batch-norm statistics aside,
+    which the halving over-counts by a fraction of a percent — so ``w``
+    members over ``n`` samples hold at most ``w * n`` times the bytes in at
+    most as many arrays.  At most: a convolution forward holds the tap-major
+    columns, the output base and — when the product is small
+    (``conv._BLAS_SMALL_PRODUCT``), as it mostly is at two samples — a
+    row-major copy of the columns; a full batch past that size takes one
+    array fewer per such convolution (``TestTileWidth`` counts them).
     """
     key = (fusion_signature(template), sample_shape, policy_dtype())
     if key not in _FOOTPRINTS:

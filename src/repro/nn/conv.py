@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .buffers import BufferPool, scratch_pool
+from .policy import policy_dtype
 from .tensor import Tensor, as_tensor, is_grad_enabled, _forward_buffer
 
 __all__ = [
@@ -35,6 +36,53 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _unfold(images: np.ndarray, kernel: int, stride: int, padding: int,
+            pool: Optional[BufferPool], tap_major: bool) -> Tuple[np.ndarray, int, int]:
+    """Gather every kernel window of the zero-padded ``images`` (..., N, C, H,
+    W) into columns, plus the output height and width.
+
+    Sample-major ``(..., N, C*k*k, L)`` is :func:`im2col`'s layout.  Tap-major
+    ``(..., C*k*k, N*L)`` is the same pad-then-strided-window gather with the
+    axes permuted, into the layout both convolution GEMMs read as it stands
+    — ``columns.T @ w_mat.T`` forward, ``columns @ grad`` for the weight — so
+    neither stages a transposed copy of the largest array of the step.  With
+    a ``pool`` the columns (and the padded plane, released here) are pooled.
+    """
+    height, width = images.shape[-2:]
+    out_h = _out_size(height, kernel, stride, padding)
+    out_w = _out_size(width, kernel, stride, padding)
+    padded = None
+    if padding > 0 and pool is None:
+        images = np.pad(images, [(0, 0)] * (images.ndim - 2) + [(padding, padding)] * 2)
+    elif padding > 0:
+        padded = pool.acquire(
+            images.shape[:-2] + (height + 2 * padding, width + 2 * padding), images.dtype)
+        padded.fill(0)
+        padded[..., padding:-padding, padding:-padding] = images
+        images = padded
+    strides = images.strides
+    windows = np.lib.stride_tricks.as_strided(
+        images,
+        shape=images.shape[:-2] + (out_h, out_w, kernel, kernel),
+        strides=strides[:-2] + (strides[-2] * stride, strides[-1] * stride,
+                                strides[-2], strides[-1]),
+        writeable=False,
+    )
+    *lead, samples, channels = images.shape[:-2]
+    if tap_major:  # (..., N, C, oh, ow, kh, kw) -> (..., C, kh, kw, N, oh, ow)
+        windows = np.moveaxis(windows, (-5, -2, -1), (-6, -5, -4))
+        shape = (*lead, channels * kernel * kernel, samples * out_h * out_w)
+    else:  # -> (..., N, C, kh, kw, oh, ow)
+        windows = np.moveaxis(windows, (-2, -1), (-4, -3))
+        shape = (*lead, samples, channels * kernel * kernel, out_h * out_w)
+    columns = (np.empty(shape, images.dtype) if pool is None
+               else pool.acquire(shape, images.dtype))
+    np.copyto(columns.reshape(windows.shape), windows)
+    if padded is not None:
+        pool.release(padded)  # windows gather is done; the plane is free
+    return columns, out_h, out_w
+
+
 def im2col(
     images: np.ndarray, kernel: int, stride: int, padding: int,
     pool: Optional[BufferPool] = None,
@@ -49,50 +97,7 @@ def im2col(
     way: the pooled path performs the same strided gather into the same
     C-order layout.
     """
-    batch, channels, height, width = images.shape
-    out_h = _out_size(height, kernel, stride, padding)
-    out_w = _out_size(width, kernel, stride, padding)
-    padded = None
-    if padding > 0:
-        if pool is None:
-            images = np.pad(images,
-                            ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        else:
-            padded = pool.acquire(
-                (batch, channels, height + 2 * padding, width + 2 * padding),
-                images.dtype)
-            padded.fill(0)
-            padded[:, :, padding:-padding, padding:-padding] = images
-            images = padded
-
-    strides = images.strides
-    windows = np.lib.stride_tricks.as_strided(
-        images,
-        shape=(batch, channels, out_h, out_w, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    # (N, C, kh, kw, out_h, out_w) -> (N, C*k*k, out_h*out_w)
-    if pool is None:
-        columns = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-            batch, channels * kernel * kernel, out_h * out_w
-        )
-        return np.ascontiguousarray(columns), out_h, out_w
-    columns = pool.acquire(
-        (batch, channels * kernel * kernel, out_h * out_w), images.dtype)
-    np.copyto(
-        columns.reshape(batch, channels, kernel, kernel, out_h, out_w),
-        windows.transpose(0, 1, 4, 5, 2, 3))
-    if padded is not None:
-        pool.release(padded)  # windows gather is done; the plane is free
-    return columns, out_h, out_w
+    return _unfold(images, kernel, stride, padding, pool, tap_major=False)
 
 
 # Image planes fold independently (a column entry only ever lands in its own
@@ -163,14 +168,14 @@ def col2im(
 
 
 class _GemmPlan(NamedTuple):
-    """How one contraction runs as a single GEMM.
+    """How one contraction runs as a single batched GEMM.
 
     The operand holding the ``rows`` letters, laid out ``batch + rows +
     inner``, times the other, laid out ``batch + inner + cols``, gives a
-    ``batch + rows + cols`` product.  ``wide`` names the dimensions that must
-    be at least 2 for the GEMM to reproduce einsum's bits; ``needs_out``
-    marks the plans that only run into a destination (without one the caller
-    gets einsum's own array, in einsum's own layout).
+    ``batch + rows + cols`` product — for every plan below, the result's own
+    letter order.  ``wide`` names the dimensions that must be at least 2 for
+    the GEMM to reproduce einsum's bits (with a unit one, numpy and BLAS both
+    switch to matrix-vector kernels that sum in another order).
     """
 
     batch: str
@@ -178,25 +183,23 @@ class _GemmPlan(NamedTuple):
     inner: str
     cols: str
     wide: str
-    needs_out: bool
 
 
-#: The stacked conv contractions and what each is over a cohort of one: the
-#: serial contraction of its only slice.
-_UNSTACKED = {
-    "bof,bnfl->bnol": "of,nfl->nol",
-    "bnol,bnfl->bof": "nol,nfl->of",
-    "bof,bnol->bnfl": "of,nol->nfl",
-}
+#: OpenBLAS hands a GEMM of at most this many multiply-adds (M*N*K) to its
+#: small-matrix kernels, where the order a dot product is summed in depends on
+#: which operands are transposed; above it both operands are packed first and
+#: every transposition of one product gives the same bits.  A convolution
+#: forward this small therefore stages its columns row-major, the operand the
+#: pinned histories were computed from; a larger one reads them transposed.
+#: The figure is OpenBLAS 0.3.31's (``interface/gemm.c`` asks ``kernel/x86_64/
+#: {s,d}gemm_small_kernel_permit_skylakex.c``, which refuses ``M*N*K >
+#: 100**3``); a BLAS that permits more fails ``TestConvGemm`` at harness size.
+_BLAS_SMALL_PRODUCT = 100 ** 3
 
 _GEMM_PLANS = {
-    "of,nfl->nol": _GemmPlan("", "nl", "f", "o", "nofl", True),        # conv2d forward
-    "nol,nfl->of": _GemmPlan("", "f", "nl", "o", "nofl", False),       # conv2d weight VJP
-    "of,nol->nfl": _GemmPlan("n", "f", "o", "l", "fl", True),          # conv2d input VJP
-    "ncl,ncfl->cf": _GemmPlan("c", "f", "nl", "", "ncfl", False),      # depthwise weight VJP
-    "bof,bnfl->bnol": _GemmPlan("b", "nl", "f", "o", "bnofl", True),   # batched forward
-    "bnol,bnfl->bof": _GemmPlan("b", "f", "nl", "o", "bnofl", False),  # batched weight VJP
-    "bof,bnol->bnfl": _GemmPlan("bn", "f", "o", "l", "fl", True),      # batched input VJP
+    "of,nol->nfl": _GemmPlan("n", "f", "o", "l", "fl"),          # conv2d input VJP
+    "ncl,ncfl->cf": _GemmPlan("c", "f", "nl", "", "ncfl"),       # depthwise weight VJP
+    "bof,bnol->bnfl": _GemmPlan("bn", "f", "o", "l", "fl"),      # stacked conv2d input VJP
 }
 
 
@@ -205,8 +208,8 @@ def _gemm_operand(pool: BufferPool, operand: np.ndarray, letters: str,
     """``operand`` as a stack of ``(rows, cols)`` matrices over ``batch``.
 
     A side that merges several letters is copied contiguous into pooled
-    scratch — the copy einsum makes before its GEMM; otherwise the result
-    is a transposed view, with unit axes for the batch letters it lacks.
+    scratch; otherwise the result is a transposed view, with unit axes for
+    the batch letters it lacks.
     """
     view = operand.transpose(
         [letters.index(c) for c in batch + rows + cols if c in letters])
@@ -223,83 +226,156 @@ def contract(subscripts: str, a: np.ndarray, b: np.ndarray,
              out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.einsum(subscripts, a, b, optimize=True)`` through pooled scratch.
 
-    The contractions in ``_GEMM_PLANS`` run as the one GEMM einsum's own
-    plan ends in — ``np.dot`` for the unbatched ones (what einsum's
-    tensordot calls), ``np.matmul`` for the batched — with the staging
-    copies in pooled scratch and the product written straight into ``out``
-    when ``out`` has the product's layout.  Values are bit-identical to
-    einsum's and, where no ``out`` is given, so is the memory layout, which
-    downstream reductions (batch-norm statistics) iterate in.
+    What is left for it now that the convolution forward and weight VJP run
+    their own GEMMs over tap-major columns (:func:`_conv2d`): the input VJPs
+    (``of,nol->nfl`` and its stacked twin), the depthwise contractions, and
+    the shapes :func:`_conv2d` does not take — a unit dimension, mixed
+    dtypes.  The contractions in ``_GEMM_PLANS`` run as one ``np.matmul``
+    over their batch letters, staging copies in pooled scratch and the
+    product written straight into a C-contiguous ``out`` (a fresh one when
+    none is given).  That GEMM defines their bits; ``np.einsum`` (in numpy
+    2.x itself a reshape to one batched matmul, ``einsumfunc.bmm_einsum``,
+    copies included) gives the same ones wherever BLAS sums a product alike
+    whichever operand is transposed — past ``_BLAS_SMALL_PRODUCT``, and below
+    it for the small inner dimensions ``TestContract`` sweeps.
 
     einsum treats unit dimensions and mixed dtypes in its own ways, so
-    those are left to it and ``out`` is *not* used: it has the layout of
-    the regular case, not the one einsum picks there.  ``result is out``
-    tells the caller whether its destination was filled.
-
-    A stacked contraction over a cohort of one is the exception: it runs as
-    the serial contraction of its only slice, whose layout — the one every
-    slice of a wider stack has — that slice keeps.
+    those — and every contraction without a plan — are left to it, and with
+    a unit dimension or mixed dtypes ``out`` is *not* used: it has the
+    layout of the regular case, not the one einsum picks there.  ``result
+    is out`` tells the caller whether its destination was filled.
     """
-    if subscripts in _UNSTACKED and a.shape[0] == 1:
-        # A tile of one device: run the serial contraction, at its cost.
-        only_out = None if out is None else out[0]
-        only = contract(_UNSTACKED[subscripts], a[0], b[0], only_out)
-        return out if only is only_out and out is not None else only[None]
-    inputs, result = subscripts.split("->")
+    inputs, _ = subscripts.split("->")
     a_letters, b_letters = inputs.split(",")
     size = dict(zip(a_letters + b_letters, a.shape + b.shape))
     plan = _GEMM_PLANS.get(subscripts)
     if a.dtype != b.dtype or any(size[c] < 2 for c in (plan.wide if plan else size)):
         plan = out = None
-    if plan is not None:
-        batch, rows, inner, cols = plan[:4]
-        layout = batch + rows + cols
-        product = None if out is None else out.transpose(
-            [result.index(c) for c in layout])
-        if (not plan.needs_out) if out is None else product.flags.c_contiguous:
-            if rows[0] in b_letters:
-                a, a_letters, b, b_letters = b, b_letters, a, a_letters
-            pool = scratch_pool()
-            left = _gemm_operand(pool, a, a_letters, size, batch, rows, inner)
-            right = _gemm_operand(pool, b, b_letters, size, batch, inner, cols)
-            gemm = np.matmul if batch else np.dot
-            if out is None:
-                product = gemm(left, right)
-            else:
-                gemm(left, right, out=product.reshape(
-                    [size[c] for c in batch] + [left.shape[-2], right.shape[-1]]))
-            pool.release(left)  # a no-op for the views
-            pool.release(right)
-            if out is not None:
-                return out
-            return product.reshape([size[c] for c in layout]).transpose(
-                [layout.index(c) for c in result])
+    if plan is not None and (out is None or out.flags.c_contiguous):
+        batch, rows, inner, cols, _ = plan
+        if rows[0] in b_letters:
+            a, a_letters, b, b_letters = b, b_letters, a, a_letters
+        pool = scratch_pool()
+        left = _gemm_operand(pool, a, a_letters, size, batch, rows, inner)
+        right = _gemm_operand(pool, b, b_letters, size, batch, inner, cols)
+        shape = [size[c] for c in batch + rows + cols]
+        out = np.empty(shape, a.dtype) if out is None else out
+        np.matmul(left, right, out=out.reshape(
+            shape[:len(batch)] + [left.shape[-2], right.shape[-1]]))
+        pool.release(left)  # a no-op for the views
+        pool.release(right)
+        return out
     return np.einsum(subscripts, a, b, out=out, optimize=True)
 
 
-def _forward_contract(subscripts: str, w_mat: np.ndarray, cols: np.ndarray,
-                      base_shape: Tuple[int, ...], axes: Tuple[int, ...],
-                      bias: Optional[np.ndarray], recorded: bool) -> Tuple[np.ndarray, bool]:
-    """A convolution's forward contraction plus bias; ``(data, pooled)``.
+def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
+            padding: int) -> Tensor:
+    """The body of :func:`conv2d` and of ``nn.batched.batched_conv2d``.
 
-    Recorded forwards write into a pooled buffer shaped like einsum's own
-    result — a ``base_shape``-contiguous array handed back as its ``axes``
-    view — because downstream reductions (batch-norm statistics) iterate in
-    that layout's order; ``backward()`` reclaims the base behind the view.
-    ``bias`` arrives shaped to broadcast over the product; the in-place add
-    performs the same IEEE-754 additions as the allocating form.
+    Every array carries the stack axes ``lead`` in front — ``()`` for
+    ``conv2d``, ``(B,)`` for a cohort: ``x`` is ``lead + (N, C, H, W)``,
+    ``w`` ``lead + (O, C, k, k)``, ``bias`` ``lead + (O,)``.  With
+    ``f = C*k*k`` taps and ``l`` output positions:
+
+    * columns are gathered once, tap-major ``lead + (f, N*l)``;
+    * forward ``columns.T @ w_mat.T`` lands straight in the ``(N, l, O)``-
+      contiguous base the output is a view of — the layout this product has
+      always had, which downstream reductions (batch-norm statistics)
+      iterate in — with the columns read as they lie, unless the product is
+      small (``_BLAS_SMALL_PRODUCT``), when a row-major copy of them is the
+      left operand;
+    * the weight VJP is ``columns @ grad`` with the gradient staged
+      ``(N*l, O)``, the columns again read as they lie;
+    * the input VJP is :func:`contract`'s, into :func:`col2im`.
+
+    All four dimensions at least 2 and one dtype (the policy's, which the
+    output and so its gradient take): under those conditions the products
+    equal, bit for bit, ``np.einsum(..., optimize=True)`` over
+    :func:`im2col`'s sample-major columns.  A unit dimension turns a GEMM
+    into a matrix-vector product whose bits no GEMM reproduces (the
+    generator's 1-channel output layer), and einsum promotes mixed dtypes
+    its own way, so those shapes keep exactly that route.
     """
-    base = _forward_buffer(base_shape, cols.dtype) if recorded else None
-    view = None if base is None else base.transpose(axes)
-    data = contract(subscripts, w_mat, cols, out=view)
-    pooled = data is view
-    if base is not None and not pooled:
-        scratch_pool().release(base)
-    if bias is not None and pooled:
-        data += bias
-    elif bias is not None:
-        data = data + bias
-    return data, pooled
+    lead = x.data.shape[:-4]
+    samples, in_channels = x.data.shape[-4:-2]
+    out_channels, _, kernel, _ = w.data.shape[-4:]
+    out_h = _out_size(x.data.shape[-2], kernel, stride, padding)
+    out_w = _out_size(x.data.shape[-1], kernel, stride, padding)
+    length, taps = out_h * out_w, in_channels * kernel * kernel
+    dtype = x.data.dtype
+    pool = scratch_pool()
+    w_mat = w.data.reshape(lead + (out_channels, taps))
+    parents = (x, w) if bias is None else (x, w, bias)
+    recorded = is_grad_enabled() and any(p.requires_grad for p in parents)
+    # Fixed at graph construction: the columns below are kept for backward
+    # only if the weight gradient will read them.
+    weight_grad = w.requires_grad
+    stack = "b" * len(lead)
+    as_gemm = (dtype == w.data.dtype == policy_dtype()
+               and (bias is None or bias.data.dtype == dtype)
+               and min(samples, out_channels, taps, length) >= 2)
+    if as_gemm:
+        columns, _, _ = _unfold(x.data, kernel, stride, padding, pool, tap_major=True)
+        base_shape = lead + (samples, length, out_channels)
+        base = pool.acquire(base_shape, dtype) if recorded else np.empty(base_shape, dtype)
+        rows = transposed = np.swapaxes(columns, -1, -2)
+        if out_channels * taps * samples * length <= _BLAS_SMALL_PRODUCT:
+            rows = pool.acquire(transposed.shape, dtype)
+            np.copyto(rows, transposed)
+        np.matmul(rows, np.swapaxes(w_mat, -1, -2),
+                  out=base.reshape(lead + (samples * length, out_channels)))
+        pool.release(rows)  # a no-op for the view
+        if bias is not None:
+            # In place, into storage this call owns: the same IEEE-754
+            # additions as the allocating form.
+            base += bias.data.reshape(lead + (1, 1, -1))
+        out_data = np.swapaxes(base, -1, -2)
+    else:
+        columns, _, _ = im2col(x.data.reshape((-1,) + x.data.shape[-3:]), kernel,
+                               stride, padding, pool=pool)
+        cols = columns.reshape(lead + (samples, taps, length))
+        out_data = np.einsum(f"{stack}of,{stack}nfl->{stack}nol", w_mat, cols, optimize=True)
+        if bias is not None:
+            out_data = out_data + bias.data.reshape(lead + (1, -1, 1))
+    out_data = out_data.reshape(lead + (samples, out_channels, out_h, out_w))
+
+    def factory(out: Tensor) -> Callable[[], None]:
+        def backward() -> None:
+            grad = np.asarray(out.grad).reshape(lead + (samples, out_channels, length))
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(grad.sum(axis=(-3, -1)), owned=True)
+            if weight_grad:
+                if as_gemm:
+                    grad_rows = pool.acquire(lead + (samples * length, out_channels), dtype)
+                    np.copyto(grad_rows.reshape(lead + (samples, length, out_channels)),
+                              np.swapaxes(grad, -1, -2))
+                    grad_w = np.swapaxes(np.matmul(columns, grad_rows), -1, -2)
+                    pool.release(grad_rows)
+                else:
+                    grad_w = np.einsum(f"{stack}nol,{stack}nfl->{stack}of", grad, cols,
+                                       optimize=True)
+                w._accumulate(grad_w.reshape(w.data.shape), owned=True)
+                # Backward closures run at most once, so the columns can
+                # rejoin the pool for the next step's forward.
+                pool.release(columns)
+            if x.requires_grad:
+                grad_cols = pool.acquire(lead + (samples, taps, length),
+                                         np.result_type(w_mat, grad))
+                grad_x = col2im(
+                    contract(f"{stack}of,{stack}nol->{stack}nfl", w_mat, grad, out=grad_cols)
+                    .reshape(-1, taps, length),
+                    (prod(x.data.shape[:-3]),) + x.data.shape[-3:], kernel, stride, padding)
+                x._accumulate(grad_x.reshape(x.data.shape), owned=True)
+                pool.release(grad_cols)
+
+        return backward
+
+    out = Tensor._make(out_data, parents, factory, as_gemm and recorded)
+    if out._backward is None or not weight_grad:
+        # Only the weight gradient reads the columns again: on the inference
+        # path and under a frozen weight they are free as of now.
+        pool.release(columns)
+    return out
 
 
 def conv2d(
@@ -321,56 +397,11 @@ def conv2d(
         Optional tensor of shape ``(C_out,)``.
     """
     x, w = as_tensor(inputs), as_tensor(weight)
-    batch = x.data.shape[0]
-    out_channels, in_channels, kernel, _ = w.data.shape
-    if x.data.shape[1] != in_channels:
+    if x.data.shape[1] != w.data.shape[1]:
         raise ValueError(
-            f"conv2d channel mismatch: input has {x.data.shape[1]}, weight expects {in_channels}"
-        )
-    pool = scratch_pool()
-    columns, out_h, out_w = im2col(x.data, kernel, stride, padding, pool=pool)
-    w_mat = w.data.reshape(out_channels, -1)
-    parents = (x, w) if bias is None else (x, w, bias)
-    # Fixed at graph construction: the columns below are kept for backward
-    # only if the weight gradient will read them.
-    weight_grad = w.requires_grad
-
-    length = out_h * out_w
-    out_data, pooled = _forward_contract(
-        "of,nfl->nol", w_mat, columns, (batch, length, out_channels), (0, 2, 1),
-        None if bias is None else bias.data.reshape(1, -1, 1),
-        any(p.requires_grad for p in parents))
-    out_data = out_data.reshape(batch, out_channels, out_h, out_w)
-
-    def factory(out: Tensor) -> Callable[[], None]:
-        def backward() -> None:
-            grad = np.asarray(out.grad).reshape(batch, out_channels, -1)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2)), owned=True)
-            if weight_grad:
-                grad_w = contract("nol,nfl->of", grad, columns)
-                w._accumulate(grad_w.reshape(w.data.shape), owned=True)
-            if x.requires_grad:
-                grad_cols = pool.acquire((batch, w_mat.shape[1], length),
-                                         np.result_type(w_mat, grad))
-                x._accumulate(
-                    col2im(contract("of,nol->nfl", w_mat, grad, out=grad_cols),
-                           x.data.shape, kernel, stride, padding),
-                    owned=True)
-                pool.release(grad_cols)
-            # Backward closures run at most once, so the columns can rejoin
-            # the pool for the next step's forward.
-            if weight_grad:
-                pool.release(columns)
-
-        return backward
-
-    out = Tensor._make(out_data, parents, factory, pooled)
-    if out._backward is None or not weight_grad:
-        # Only the weight gradient reads the columns again: on the inference
-        # path and under a frozen weight they are free as of now.
-        pool.release(columns)
-    return out
+            f"conv2d channel mismatch: input has {x.data.shape[1]}, "
+            f"weight expects {w.data.shape[1]}")
+    return _conv2d(x, w, bias, stride, padding)
 
 
 def depthwise_conv2d(
@@ -400,12 +431,21 @@ def depthwise_conv2d(
     weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
 
     # einsum's "cf,ncfl->ncl" result is a (c, n, l)-contiguous array viewed
-    # as (n, c, l).
-    length = out_h * out_w
-    out_data, pooled = _forward_contract(
-        "cf,ncfl->ncl", w_mat, cols, (channels, batch, length), (1, 0, 2),
-        None if bias is None else bias.data.reshape(1, -1, 1),
-        any(p.requires_grad for p in parents))
+    # as (n, c, l); a recorded forward writes into a pooled buffer of that
+    # layout (downstream batch-norm statistics iterate in its order), which
+    # ``backward()`` reclaims.
+    base = None
+    if any(p.requires_grad for p in parents):
+        base = _forward_buffer((channels, batch, out_h * out_w), cols.dtype)
+    view = None if base is None else base.transpose(1, 0, 2)
+    out_data = contract("cf,ncfl->ncl", w_mat, cols, out=view)
+    pooled = out_data is view
+    if base is not None and not pooled:
+        pool.release(base)
+    if bias is not None:
+        # In place is the same IEEE-754 additions as the allocating form.
+        out_data = np.add(out_data, bias.data.reshape(1, -1, 1),
+                          out=out_data if pooled else None)
     out_data = out_data.reshape(batch, channels, out_h, out_w)
 
     def factory(out: Tensor) -> Callable[[], None]:

@@ -7,6 +7,10 @@ code path of the substrate and the algorithms.
 
 from __future__ import annotations
 
+import json
+import platform
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,36 @@ from repro.datasets import ImageDataset, SyntheticImageConfig, SyntheticImageGen
 from repro.federated import FederatedConfig, ServerConfig, WorkerContext
 from repro.federated.trainer import DeviceTrainingConfig
 from repro.nn import batched, buffers
+
+
+GOLDEN_MANIFEST = Path(__file__).parent / "fixtures" / "golden" / "MANIFEST.json"
+
+
+def numeric_environment() -> dict:
+    """What decides the last bit of a float: numpy, the BLAS it was built
+    against, and Python — the facts ``MANIFEST.json`` records for the golden
+    fixtures."""
+    try:  # numpy < 1.25 has no ``mode=``, and not every build names its BLAS
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = (f"{blas.get('name')} {blas.get('version')} "
+                f"({' '.join(blas.get('openblas configuration', '').split())})")
+    except (TypeError, KeyError, AttributeError):
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas, "python": platform.python_version()}
+
+
+def pytest_report_header(config):
+    """So that a fixture mismatch on another numpy is diagnosable from the
+    log: this environment next to the one the golden fixtures replay under."""
+    here = numeric_environment()
+    recorded = json.loads(GOLDEN_MANIFEST.read_text(encoding="utf-8"))["replays_under"]
+    differs = [key for key in here if here[key] != recorded[key]]
+    lines = [f"{key}: {value}" for key, value in here.items()]
+    lines.append("golden fixtures replay under " + (
+        "this environment" if not differs else
+        "; ".join(f"{key} {recorded[key]}" for key in differs)
+        + " -- bit-level fixtures may differ here"))
+    return lines
 
 
 def pytest_addoption(parser):

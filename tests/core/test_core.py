@@ -224,3 +224,33 @@ class TestGradientProbe:
         assert "grad_norm_sl" in record.server_metrics
         curves = probe.curves()
         assert len(curves["kl"]) == 1
+
+
+def test_only_unit_dimension_contractions_reach_einsum(monkeypatch):
+    """One FedZKT server update at the whole-round harness's scale (``tiny``,
+    1x16x16, five heterogeneous devices): every convolution with wide
+    dimensions runs its own GEMMs, so the only contractions numpy's einsum
+    still sees are the ones a GEMM cannot reproduce bit for bit — here the
+    generator's 1-channel output layer, a matrix-vector product (forward in
+    both phases, weight VJP whenever the generator trains)."""
+    from repro.datasets.registry import dataset_family, load_dataset
+    from repro.experiments.configs import federated_config_for, get_scale
+
+    scale, family = get_scale("tiny"), dataset_family("mnist")
+    config = federated_config_for(scale, family, num_devices=5, seed=0,
+                                  distillation_iterations=3)
+    train, test = load_dataset("mnist", train_size=scale.train_size, test_size=scale.test_size,
+                               image_size=scale.image_size, seed=0)
+    calls = []
+    real = np.einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        calls.append((subscripts, [operand.shape for operand in operands]))
+        return real(subscripts, *operands, **kwargs)
+
+    with build_fedzkt(train, test, config, family=family) as simulation:
+        monkeypatch.setattr(np, "einsum", counting)
+        server = simulation.server
+        server.distiller.server_update(server.device_models)
+    assert {subscripts for subscripts, _ in calls} == {"of,nfl->nol", "nol,nfl->of"}
+    assert all(any(1 in shape for shape in shapes) for _, shapes in calls), calls[:3]

@@ -162,12 +162,23 @@ def test_fixtures_record_expected_shape():
             assert "local_loss" in row and "server_metrics" in row
 
 
+def test_manifest_records_the_environment_the_fixtures_replay_under():
+    """``MANIFEST.json`` names every fixture and the numpy / BLAS / Python
+    they replay under (``tests/conftest.py`` prints the running ones beside
+    them); a regeneration has to update it (``regenerate`` says so)."""
+    manifest = json.loads((GOLDEN_DIR / "MANIFEST.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["fixtures"]) == [f"{name}.json" for name in sorted(WORKLOADS)]
+    assert all(manifest["replays_under"][key] for key in ("numpy", "blas", "python"))
+    assert len(manifest["commit"]) == 40
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, runner in sorted(WORKLOADS.items()):
         history = runner()
         path = save_history_json(history, GOLDEN_DIR / f"{name}.json")
         print(f"wrote {path} ({len(history)} rounds)")
+    print(f"now record this environment and commit in {GOLDEN_DIR / 'MANIFEST.json'}")
 
 
 if __name__ == "__main__":

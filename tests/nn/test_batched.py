@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN
-from repro.nn import SGD, Tensor, layers
+from repro.nn import SGD, Tensor, batched, layers
+from repro.nn import conv as conv_ops
 from repro.nn.batched import (
     TILE_ARRAY_BYTES,
     BatchedEvaluator,
@@ -310,7 +311,7 @@ class TestTileWidth:
             np.testing.assert_array_equal(value, before[2][key])
 
     @pytest.mark.parametrize("shape, name, samples", _SWEEP_CASES)
-    def test_a_tile_forward_stays_inside_the_budget(self, shape, name, samples):
+    def test_a_tile_forward_stays_inside_the_budget(self, shape, name, samples, monkeypatch):
         # The constant stands for arena bytes: a recorded forward of a tile
         # the rule stacked holds, at its peak, no more than the constant per
         # array it acquired.  (A tile of one is the floor, whatever it holds.)
@@ -320,19 +321,46 @@ class TestTileWidth:
                                             for seed in range(width)])
         module.train()
         images = np.random.default_rng(0).normal(size=(width, samples, *shape))
-        with fresh_pool() as pool:  # its counters are this forward's
+        # The convolutions whose forward is past ``_BLAS_SMALL_PRODUCT`` and
+        # so stages no row-major copy of its columns.
+        unstaged = []
+        body = batched._conv2d
+
+        def conv2d(x, w, *rest):
+            out = body(x, w, *rest)
+            if w.data[0].size * out.data[0, :, 0].size > conv_ops._BLAS_SMALL_PRODUCT:
+                unstaged.append(w.data.shape)
+            return out
+
+        with monkeypatch.context() as patch, fresh_pool() as pool:  # its counters are this forward's
+            patch.setattr(batched, "_conv2d", conv2d)
             module(Tensor(images))
         stats = pool.stats()
         if width > 1:
             assert stats["outstanding_high_water"] <= TILE_ARRAY_BYTES * stats["acquires"]
-        # What the rule divides by is what the tile really takes: the
-        # per-sample measurement, times samples and width, in as many arrays
-        # (it counts the batch-norm statistics once per sample; nothing else
-        # is off).
+        # What the rule divides by is the per-sample measurement, times
+        # samples and width, in as many arrays.  Its two samples stage the
+        # row-major copy in every convolution that is small at two samples:
+        # one array more than the tile takes for each one the full batch
+        # carries past the threshold.
         per_sample, arrays = _sample_footprint(factory(0), shape)
-        estimate = per_sample * samples * width
-        assert stats["acquires"] == arrays
+        assert stats["acquires"] == arrays - len(unstaged)
+        # A product is linear in the samples, so the same measurement under
+        # the threshold scaled to its two samples stages exactly what the full
+        # batch does, and is what the tile really takes (it counts the
+        # batch-norm statistics once per sample; nothing else is off) -- the
+        # rule's own figure wherever the batch changes no convolution's route,
+        # and never above it.
+        monkeypatch.setattr(batched, "_FOOTPRINTS", {})
+        monkeypatch.setattr(conv_ops, "_BLAS_SMALL_PRODUCT",
+                            conv_ops._BLAS_SMALL_PRODUCT * 2 / samples)
+        exact_per_sample, exact_arrays = _sample_footprint(factory(0), shape)
+        estimate = exact_per_sample * samples * width
+        assert stats["acquires"] == exact_arrays
         assert stats["outstanding_high_water"] <= estimate <= 1.01 * stats["outstanding_high_water"]
+        assert exact_per_sample <= per_sample
+        if not unstaged:
+            assert exact_per_sample == per_sample
 
 
 class TestCohortTiles:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, batched, layers, no_grad, scratch_pool, using_numeric_policy
+from repro.nn import Tensor, batched, buffers, layers, no_grad, scratch_pool, using_numeric_policy
+from repro.nn import conv as conv_ops
 from repro.nn.conv import (
-    _UNSTACKED,
     avg_pool2d,
     channel_shuffle,
     col2im,
@@ -227,10 +229,11 @@ def _im2col_max_pool(images, kernel, stride):
 
 def _channels_last(array):
     """The same values laid out the way a conv output is: a transposed view
-    of an (N, H*W, C) product."""
-    batch, channels, height, width = array.shape
-    base = np.ascontiguousarray(array.reshape(batch, channels, -1).transpose(0, 2, 1))
-    return base.transpose(0, 2, 1).reshape(array.shape)
+    of an (..., N, H*W, C)-contiguous base."""
+    *lead, batch, channels, height, width = array.shape
+    base = np.ascontiguousarray(
+        np.moveaxis(array.reshape(*lead, batch, channels, height * width), -2, -1))
+    return np.moveaxis(base, -1, -2).reshape(array.shape)
 
 
 def _same_bits(actual, expected):
@@ -383,17 +386,14 @@ class TestUpsampleAndShuffle:
         np.testing.assert_allclose(x.grad, 2 * images)
 
 
-# Every contraction ``contract`` serves, with the destination layout its call
-# site hands in (axes of the C-contiguous base, as a view in result order);
-# ``None`` where the call site passes no destination.
+# Every contraction ``contract`` still serves (the conv forward and weight VJP
+# run their own GEMMs), with the destination layout its call site hands in
+# (axes of the C-contiguous base, as a view in result order); ``None`` where
+# the call site passes no destination.
 _CONTRACTIONS = [
-    ("of,nfl->nol", (0, 2, 1)),
-    ("nol,nfl->of", None),
     ("of,nol->nfl", (0, 1, 2)),
     ("cf,ncfl->ncl", (1, 0, 2)),
     ("ncl,ncfl->cf", None),
-    ("bof,bnfl->bnol", (0, 1, 3, 2)),
-    ("bnol,bnfl->bof", None),
     ("bof,bnol->bnfl", (0, 1, 2, 3)),
 ]
 
@@ -426,14 +426,10 @@ def _destination(size, result, out_axes, dtype):
     return out
 
 
-def _strides(array, size):
-    """The strides a layout check compares: all of them, or slice 0's for a
-    stacked contraction over a cohort of one."""
-    return array[0].strides if size.get("b") == 1 else array.strides
-
-
 class TestContract:
-    """``contract`` is ``np.einsum(..., optimize=True)``: same bits, same layout."""
+    """``contract`` is ``np.einsum(..., optimize=True)``: the same bits, into
+    the caller's destination where it has the regular case's layout, and
+    without one in einsum's layout or a plan's (C-contiguous)."""
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["dense", "views"])
     @pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.float32, np.float32),
@@ -449,22 +445,22 @@ class TestContract:
             a = _operand(rng, a_letters, size, dtypes[0], transposed)
             b = _operand(rng, b_letters, size, dtypes[1], transposed)
             expected = np.einsum(subscripts, a, b, optimize=True)
-            layout = expected.strides
-            if size.get("b") == 1:
-                # A cohort of one runs the serial contraction of its only
-                # slice (``conv._UNSTACKED``): slice 0 has exactly the serial
-                # product's layout, which every slice of a wider stack has;
-                # only the unit axis's stride, which nothing steps along, is free.
-                layout = np.einsum(_UNSTACKED[subscripts], a[0], b[0], optimize=True).strides
 
             plain = contract(subscripts, a, b)
             np.testing.assert_array_equal(plain, expected)
-            assert plain.dtype == expected.dtype and _strides(plain, size) == layout, size
+            assert plain.dtype == expected.dtype, size
+            # Without a destination: einsum's own layout at the call site that
+            # passes none, and otherwise that or a plan's product, which is
+            # C-contiguous in result order.
+            assert plain.strides == expected.strides or (
+                out_axes is not None and plain.flags.c_contiguous), size
 
             out = _destination(size, result, out_axes, expected.dtype)
             filled = contract(subscripts, a, b, out=out)
             np.testing.assert_array_equal(filled, expected)
-            assert filled is out or _strides(filled, size) == layout, size
+            regular = dtypes[0] == dtypes[1] and min(size.values()) >= 2
+            assert filled is out or (
+                not regular and filled.strides == expected.strides), size
 
     @pytest.mark.parametrize("subscripts, out_axes", _CONTRACTIONS,
                              ids=[entry[0] for entry in _CONTRACTIONS])
@@ -481,3 +477,229 @@ class TestContract:
         second = contract(subscripts, a, b, out=out)
         assert scratch_pool().stats()["misses"] == misses
         np.testing.assert_array_equal(first, second)
+
+
+def _leaf(array):
+    """A gradient-taking leaf over ``array`` itself: its dtype and layout are
+    what is under test, whatever the numeric policy would make of them."""
+    tensor = Tensor(array, requires_grad=True)
+    tensor.data = array
+    return tensor
+
+
+def _einsum_conv2d(images, weight, bias, stride, padding, seed):
+    """The convolution as three ``np.einsum(..., optimize=True)`` calls over
+    ``im2col``'s sample-major columns: the definition of every bit (and of
+    the output's strides) that ``conv2d`` has to reproduce.  Returns the
+    output and the gradients of ``(out * seed).sum()`` for input, weight and
+    bias."""
+    batch, out_channels, kernel = images.shape[0], weight.shape[0], weight.shape[-1]
+    columns, out_h, out_w = im2col(images, kernel, stride, padding)
+    w_mat = weight.reshape(out_channels, -1)
+    out = np.einsum("of,nfl->nol", w_mat, columns, optimize=True) + bias.reshape(1, -1, 1)
+    grad = seed.reshape(batch, out_channels, -1)
+    grad_w = np.einsum("nol,nfl->of", grad, columns, optimize=True).reshape(weight.shape)
+    if min(w_mat.shape[1], grad.shape[2]) >= 2:
+        grad_columns = np.matmul(w_mat.T, grad)
+    else:
+        grad_columns = np.einsum("of,nol->nfl", w_mat, grad, optimize=True)
+    # col2im folds in float64 (bincount's dtype); the gradient takes the input's.
+    grad_x = col2im(grad_columns, images.shape, kernel, stride, padding).astype(images.dtype)
+    return (out.reshape(batch, out_channels, out_h, out_w), grad_x, grad_w,
+            grad.sum(axis=(0, 2)))
+
+
+def _conv_geometries(kernels=(1, 3, 5), strides=(1, 2)):
+    """kernel x stride x padding x C_in x C_out x batch: 486 geometries which,
+    over 6-pixel images, have GEMM products on both sides of
+    ``_BLAS_SMALL_PRODUCT`` and, at kernel 5 without padding, a single output
+    position."""
+    return list(itertools.product(kernels, strides, (0, 1, 2), (1, 3, 16), (1, 2, 16),
+                                  (1, 2, 32)))
+
+
+class TestConvGemm:
+    """``conv2d`` gathers tap-major columns and runs its own GEMMs; the einsum
+    formulation over ``im2col`` columns stays the reference, bit for bit."""
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _channels_last],
+                             ids=["c_contiguous", "channel_innermost"])
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_bit_equal_to_the_einsum_formulation(self, stride, kernel, policy, layout):
+        rng = np.random.default_rng(21)
+        products = set()
+        with using_numeric_policy(policy):
+            dtype = np.dtype(policy)
+            for case in _conv_geometries([kernel], [stride]):
+                _, _, padding, in_channels, out_channels, batch = case
+                images = layout(rng.normal(size=(batch, in_channels, 6, 6)).astype(dtype))
+                weight = rng.normal(size=(out_channels, in_channels, kernel, kernel)).astype(dtype)
+                bias = rng.normal(size=(out_channels,)).astype(dtype)
+                x, w, b = _leaf(images), _leaf(weight), _leaf(bias)
+                out = conv2d(x, w, b, stride=stride, padding=padding)
+                seed = rng.normal(size=out.shape).astype(dtype)
+                expected = _einsum_conv2d(images, weight, bias, stride, padding, seed)
+                np.testing.assert_array_equal(out.data, expected[0], err_msg=str(case))
+                assert out.data.strides == expected[0].strides, case
+                assert out.data.dtype == dtype
+                with no_grad():
+                    unrecorded = conv2d(x, w, b, stride=stride, padding=padding)
+                np.testing.assert_array_equal(unrecorded.data, expected[0], err_msg=str(case))
+                assert unrecorded.data.strides == expected[0].strides, case
+                out.backward(seed)
+                for actual, reference in zip((x.grad, w.grad, b.grad), expected[1:]):
+                    np.testing.assert_array_equal(actual, reference, err_msg=str(case))
+                    assert actual.dtype == dtype
+                products.add(out_channels * in_channels * kernel ** 2 * out[0, 0].size * batch
+                             > conv_ops._BLAS_SMALL_PRODUCT)
+        # The staged forward always, the unstaged one where anything is large.
+        assert products == ({False} if kernel == 1 else {False, True})
+
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("shape, out_channels", [
+        ((32, 8, 8, 8), 16),     # 2.4e6 multiply-adds: just past the threshold
+        ((32, 16, 8, 8), 32),    # 9.4e6
+        ((32, 32, 16, 16), 16),  # 3.8e7: the generator's widest layer
+    ])
+    def test_harness_sized_layers_past_the_small_product(self, shape, out_channels, policy):
+        """Past ``_BLAS_SMALL_PRODUCT`` the forward reads the columns
+        transposed and relies on BLAS giving that product the row-major one's
+        bits: a BLAS that does not fails here, not only in the goldens."""
+        rng = np.random.default_rng(23)
+        with using_numeric_policy(policy):
+            dtype = np.dtype(policy)
+            images = rng.normal(size=shape).astype(dtype)
+            weight = rng.normal(size=(out_channels, shape[1], 3, 3)).astype(dtype)
+            bias = rng.normal(size=(out_channels,)).astype(dtype)
+            x, w, b = _leaf(images), _leaf(weight), _leaf(bias)
+            out = conv2d(x, w, b, padding=1)
+            assert out_channels * w[0].size * out[:, 0].size > conv_ops._BLAS_SMALL_PRODUCT
+            seed = rng.normal(size=out.shape).astype(dtype)
+            expected = _einsum_conv2d(images, weight, bias, 1, 1, seed)
+            np.testing.assert_array_equal(out.data, expected[0])
+            assert out.data.strides == expected[0].strides
+            out.backward(seed)
+            for actual, reference in zip((x.grad, w.grad, b.grad), expected[1:]):
+                np.testing.assert_array_equal(actual, reference)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _channels_last],
+                             ids=["c_contiguous", "channel_innermost"])
+    def test_every_slice_of_a_stack_is_conv2d_on_that_slice(self, width, layout):
+        rng = np.random.default_rng(22 + width)
+        for case in _conv_geometries():
+            kernel, stride, padding, in_channels, out_channels, batch = case
+            if (kernel, padding) not in ((1, 0), (3, 1), (5, 0)):
+                continue  # conv2d above has every geometry; the stack a third
+            images = layout(rng.normal(size=(width, batch, in_channels, 6, 6)))
+            weight = rng.normal(size=(width, out_channels, in_channels, kernel, kernel))
+            bias = rng.normal(size=(width, out_channels))
+            x, w, b = _leaf(images), _leaf(weight), _leaf(bias)
+            out = batched.batched_conv2d(x, w, b, stride=stride, padding=padding)
+            seed = rng.normal(size=out.shape)
+            with no_grad():
+                unrecorded = batched.batched_conv2d(x, w, b, stride=stride, padding=padding)
+            layouts = [out.data[member].strides for member in range(width)]
+            values = out.data.copy()
+            out.backward(seed)
+            for member in range(width):
+                xs, ws, bs = _leaf(images[member]), _leaf(weight[member]), _leaf(bias[member])
+                alone = conv2d(xs, ws, bs, stride=stride, padding=padding)
+                np.testing.assert_array_equal(values[member], alone.data, err_msg=str(case))
+                np.testing.assert_array_equal(unrecorded.data[member], alone.data)
+                assert layouts[member] == alone.data.strides, case
+                assert unrecorded.data[member].strides == alone.data.strides, case
+                alone.backward(seed[member])
+                np.testing.assert_array_equal(x.grad[member], xs.grad, err_msg=str(case))
+                np.testing.assert_array_equal(w.grad[member], ws.grad, err_msg=str(case))
+                np.testing.assert_array_equal(b.grad[member], bs.grad, err_msg=str(case))
+
+    @staticmethod
+    def _count_einsum(monkeypatch):
+        calls = []
+        real = np.einsum
+        monkeypatch.setattr(
+            np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("unit, shape, out_channels, kernel", [
+        ("o", (4, 3, 6, 6), 1, 3),   # the generator's 1-channel output layer
+        ("n", (1, 3, 6, 6), 4, 3),   # a batch of one sample
+        ("l", (4, 3, 3, 3), 4, 3),   # one output position
+        ("f", (4, 1, 6, 6), 4, 1),   # a 1x1 kernel over one channel
+    ])
+    def test_a_unit_dimension_is_left_to_einsum(self, rng, monkeypatch, unit, shape,
+                                                out_channels, kernel):
+        images = rng.normal(size=shape)
+        weight = rng.normal(size=(out_channels, shape[1], kernel, kernel))
+        bias = rng.normal(size=(out_channels,))
+        x, w, b = _leaf(images), _leaf(weight), _leaf(bias)
+        calls = self._count_einsum(monkeypatch)
+        out = conv2d(x, w, b)
+        seed = rng.normal(size=out.shape)
+        values, layout = out.data.copy(), out.data.strides
+        out.backward(seed)
+        # Forward and weight VJP; the input VJP too unless its own plan's
+        # dimensions (f and l) are both wide.
+        assert calls[:2] == ["of,nfl->nol", "nol,nfl->of"], unit
+        assert len(calls) == (3 if unit in "fl" else 2)
+        monkeypatch.undo()
+        expected = _einsum_conv2d(images, weight, bias, 1, 0, seed)
+        np.testing.assert_array_equal(values, expected[0])
+        assert layout == expected[0].strides
+        for actual, reference in zip((x.grad, w.grad, b.grad), expected[1:]):
+            np.testing.assert_array_equal(actual, reference)
+
+    def test_mixed_dtypes_are_left_to_einsum(self, rng, monkeypatch):
+        images = rng.normal(size=(4, 3, 6, 6)).astype(np.float32)
+        x, w = _leaf(images), _leaf(rng.normal(size=(4, 3, 3, 3)))
+        calls = self._count_einsum(monkeypatch)
+        out = conv2d(x, w)
+        out.backward(np.ones(out.shape))
+        # (The input VJP contracts the float64 weight with the float64
+        # gradient: one dtype, its own plan.)
+        assert calls == ["of,nfl->nol", "nol,nfl->of"]
+        assert out.data.dtype == w.grad.dtype == np.float64 and x.grad.dtype == np.float32
+
+    def test_wide_dimensions_never_reach_einsum(self, rng, monkeypatch):
+        calls = self._count_einsum(monkeypatch)
+        for shape in ((2, 2, 2, 3), (32, 16, 8, 8)):
+            x, w = _leaf(rng.normal(size=shape)), _leaf(rng.normal(size=(2, shape[1], 1, 1)))
+            conv2d(x, w).sum().backward()
+            stacked = batched.batched_conv2d(_leaf(x.data[None]), _leaf(w.data[None]))
+            stacked.sum().backward()
+        assert calls == []
+
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_the_columns_are_never_copied(self, rng, input_grad):
+        """The harness's largest server-side convolution, recorded forward and
+        backward on an arena of its own: besides the columns themselves (and
+        the input VJP's gradient columns, which ``col2im`` folds) nothing the
+        size of the column matrix is acquired — the parent commit staged a
+        transposed copy in each of forward and weight VJP — and the arena's
+        high-water mark is the parent's 40 894 464 bytes less one column
+        matrix."""
+        x = Tensor(rng.normal(size=(32, 32, 16, 16)), requires_grad=input_grad)
+        w = Tensor(rng.normal(size=(16, 32, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(16,)), requires_grad=True)
+        column_bytes = (32 * 3 * 3) * (32 * 16 * 16) * 8
+        with buffers.fresh_pool() as pool:
+            acquired = []
+            acquire = pool.acquire
+
+            def record(shape, dtype=np.float64):
+                acquired.append(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+                return acquire(shape, dtype)
+
+            pool.acquire = record
+            out = conv2d(x, w, b, padding=1)
+            out.backward(np.ones(out.shape))
+        stats = pool.stats()
+        # Padded plane, columns, output base; the seed's copy, the staged
+        # (N*L, O) gradient; the input VJP's columns.
+        assert stats["acquires"] == len(acquired) == 5 + input_grad
+        assert acquired.count(column_bytes) == 1 + input_grad
+        assert max(size for size in acquired if size != column_bytes) < column_bytes // 7
+        assert stats["outstanding_high_water"] == 40_894_464 - column_bytes
