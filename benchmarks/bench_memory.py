@@ -38,6 +38,11 @@ one microbenchmark:
   the process's *resident* set (``VmRSS``, not the peak) has fallen by at
   least {SHRINK_SHARE:.0%} of the difference — ``free_bytes`` counts pages, and ``trim``
   gives pages back.
+* **batch-norm step** — one recorded training forward + backward of
+  ``BatchNorm2d`` at the generator's ``(32, 32, 16, 16)``, input on a conv
+  output's channel-innermost layout, on a fresh arena: the acquires exactly
+  ``BN_STEP_ACQUIRES`` and the outstanding high-water within
+  {BUDGET_FACTOR}x ``BN_STEP_HIGH_WATER_BYTES``.
 * **acquire/release pair** — the arena's steady-state request, the size that
   was just released, timed in a loop with both neighbouring blocks checked
   out, in units of the ``np.empty`` it stands in for: at most {PAIR_FACTOR}x what
@@ -85,7 +90,8 @@ from repro.federated import FusedLocalTrainTask, WorkerContext  # noqa: E402
 from repro.federated.cohort import FusedEvaluateTask  # noqa: E402
 from repro.federated.trainer import DeviceTrainingConfig  # noqa: E402
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN  # noqa: E402
-from repro.nn import SGD, BufferPool, Tensor, scratch_pool  # noqa: E402
+from repro.nn import SGD, BatchNorm2d, BufferPool, Tensor, scratch_pool  # noqa: E402
+from repro.nn.buffers import fresh_pool  # noqa: E402
 from repro.nn.batched import (  # noqa: E402
     BatchedModule,
     BatchedSGD,
@@ -123,6 +129,12 @@ SERVER_UPDATE_BEFORE_MB = 224.3
 # describes) and the factor the region arena may take of it.
 PAIR_SLAB_RATIO = 4.58
 PAIR_FACTOR = 1.5
+# One batch-norm training step on a fresh arena, as ``repro.nn.tensor.batch_norm``
+# runs it (four forward buffers, the seed's gradient, two backward scratches; x
+# is a leaf, so its gradient is not the arena's).  Written out of Tensor
+# primitives the same step took 26 acquires and 18 875 392 bytes.
+BN_STEP_ACQUIRES = 7
+BN_STEP_HIGH_WATER_BYTES = 10_485_760
 # The shrinking working set: MiB written in the large round and in the small
 # ones, and the share of the difference the resident set has to fall by.
 SHRINK_FROM_MB, SHRINK_TO_MB = 48, 4
@@ -353,6 +365,18 @@ def _measure_in_child(flag):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _measure_batch_norm_step():
+    """Arena counters of one recorded ``BatchNorm2d`` training step."""
+    rng = np.random.default_rng(37)
+    layer = BatchNorm2d(32)
+    layer.train()
+    x = Tensor(np.ascontiguousarray(rng.normal(size=(32, 16, 16, 32))).transpose(0, 3, 1, 2),
+               requires_grad=True)
+    with fresh_pool() as pool:
+        layer(x).backward(rng.normal(size=x.shape))
+        return pool.stats()
+
+
 def _measure_pair(repeats):
     """``release(acquire(...))`` for the size that was just released, the
     blocks on either side checked out: ``(nanoseconds, x np.empty)``.
@@ -507,6 +531,20 @@ def main(argv=None) -> int:
                         f"{shrink['rss_fell_mb']:.1f} MiB < {SHRINK_SHARE:.0%} of "
                         f"{SHRINK_FROM_MB - SHRINK_TO_MB}")
 
+    batch_norm_step = _measure_batch_norm_step()
+    print(f"\nbatch-norm step (BatchNorm2d at (32, 32, 16, 16), channel-innermost input, fresh "
+          f"arena; bounds: {BN_STEP_ACQUIRES} acquires, high-water <= {BUDGET_FACTOR}x "
+          f"{BN_STEP_HIGH_WATER_BYTES} B)\n"
+          f"  {batch_norm_step['acquires']} acquires  high-water "
+          f"{batch_norm_step['outstanding_high_water']} B")
+    if batch_norm_step["acquires"] != BN_STEP_ACQUIRES:
+        failures.append(f"batch-norm step: {batch_norm_step['acquires']} acquires, "
+                        f"not {BN_STEP_ACQUIRES}")
+    if batch_norm_step["outstanding_high_water"] > BUDGET_FACTOR * BN_STEP_HIGH_WATER_BYTES:
+        failures.append(f"batch-norm step: high-water "
+                        f"{batch_norm_step['outstanding_high_water']} B > {BUDGET_FACTOR} x "
+                        f"{BN_STEP_HIGH_WATER_BYTES}")
+
     pair_ns, pair_ratio = _measure_pair(3 if args.quick else 9)
     print(f"\nacquire/release pair (16 KiB, neighbours checked out; bound: "
           f"{PAIR_FACTOR}x the slab arena's {PAIR_SLAB_RATIO:.2f} np.empty)\n"
@@ -531,6 +569,9 @@ def main(argv=None) -> int:
         "round_alternation": alternation,
         "server_update": server_update,
         "shrinking_working_set": shrink,
+        "batch_norm_step": {"acquires": batch_norm_step["acquires"],
+                            "outstanding_high_water_bytes":
+                                batch_norm_step["outstanding_high_water"]},
         "acquire_release_pair": {"ns": pair_ns, "np_empty_units": pair_ratio,
                                  "slab_arena_np_empty_units": PAIR_SLAB_RATIO,
                                  "ratio": pair_ratio / PAIR_SLAB_RATIO},
@@ -539,6 +580,8 @@ def main(argv=None) -> int:
                     "retention_factor": RETENTION_FACTOR,
                     "round_rss_budget_mb": ROUND_RSS_BUDGET_MB,
                     "server_update_rss_budget_mb": SERVER_UPDATE_RSS_BUDGET_MB,
+                    "batch_norm_step_acquires": BN_STEP_ACQUIRES,
+                    "batch_norm_step_high_water_bytes": BUDGET_FACTOR * BN_STEP_HIGH_WATER_BYTES,
                     "pair_factor": PAIR_FACTOR},
         "failures": failures,
         **bench_environment(),
@@ -563,7 +606,8 @@ def main(argv=None) -> int:
     print(f"ok: every workload is within its byte budgets, the arena retains <= "
           f"{RETENTION_FACTOR}x its high-water and gives back what a round did not use, "
           f"the round alternation stays under {ROUND_RSS_BUDGET_MB:.0f} MiB, the server update under "
-          f"{SERVER_UPDATE_RSS_BUDGET_MB:.0f} MiB, and an acquire/release pair within "
+          f"{SERVER_UPDATE_RSS_BUDGET_MB:.0f} MiB, a batch-norm step takes {BN_STEP_ACQUIRES} "
+          f"acquires, and an acquire/release pair within "
           f"{PAIR_FACTOR}x the slab arena's")
     return 0
 

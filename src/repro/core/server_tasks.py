@@ -124,13 +124,15 @@ def frozen_parameters(models):
     them), while every value that flows back to the inputs is unchanged.
     """
     parameters = [param for model in models for param in model.parameters()]
+    previous = [param.requires_grad for param in parameters]
     for param in parameters:
         param.requires_grad = False
     try:
         yield
     finally:
-        for param in parameters:
-            param.requires_grad = True
+        # Each its own flag back: one the caller had frozen stays frozen.
+        for param, flag in zip(parameters, previous):
+            param.requires_grad = flag
 
 
 def _member_output(model, x: Tensor, mode: str) -> Tensor:

@@ -57,7 +57,7 @@ from .conv import _conv2d
 from .module import Module, _as_floating
 from .optim import SGD, Adam
 from .policy import policy_dtype
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, batch_norm, no_grad
 
 __all__ = [
     "BatchedAdam",
@@ -300,18 +300,8 @@ def _build_batchnorm(layer, params, buffers, module, member_layers):
         axes, shape = (1,), (batch, 1, features)
 
     def run(x: Tensor) -> Tensor:
-        if module.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            running_mean[...] = ((1 - momentum) * running_mean
-                                 + momentum * mean.data.reshape(batch, features))
-            running_var[...] = ((1 - momentum) * running_var
-                                + momentum * var.data.reshape(batch, features))
-        else:
-            mean = Tensor(running_mean.reshape(shape))
-            var = Tensor(running_var.reshape(shape))
-        normalized = (x - mean) / ((var + eps) ** 0.5)
-        return normalized * weight.reshape(shape) + bias.reshape(shape)
+        return batch_norm(x, weight, bias, running_mean, running_var, axes, shape,
+                          module.training, momentum, eps)
 
     return run
 
@@ -512,8 +502,7 @@ def _sample_footprint(template: Module, sample_shape: Tuple[int, ...]) -> Tuple[
     nothing staged in the arena), and because probing at the caller's batch
     would hold what the caller is trying not to (80 MiB for a 180-sample
     evaluation batch, which itself records nothing).  Every stacked array
-    carries the cohort and the sample axis — batch-norm statistics aside,
-    which the halving over-counts by a fraction of a percent — so ``w``
+    the arena holds carries the cohort and the sample axis, so ``w``
     members over ``n`` samples hold at most ``w * n`` times the bytes in at
     most as many arrays.  At most: a convolution forward holds the tap-major
     columns, the output base and — when the product is small

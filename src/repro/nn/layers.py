@@ -17,7 +17,7 @@ from . import conv as conv_ops
 from . import init
 from .module import Module, Parameter
 from .policy import policy_dtype
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, batch_norm
 
 __all__ = [
     "Linear",
@@ -128,23 +128,8 @@ class _BatchNorm(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=policy_dtype()))
 
     def _normalize(self, x: Tensor, axes, shape) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            # Update running statistics with the batch statistics (EMA).
-            self.running_mean[...] = (
-                (1 - self.momentum) * self.running_mean
-                + self.momentum * mean.data.reshape(-1)
-            )
-            self.running_var[...] = (
-                (1 - self.momentum) * self.running_var
-                + self.momentum * var.data.reshape(-1)
-            )
-        else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-        normalized = (x - mean) / ((var + self.eps) ** 0.5)
-        return normalized * self.weight.reshape(shape) + self.bias.reshape(shape)
+        return batch_norm(x, self.weight, self.bias, self.running_mean, self.running_var,
+                          axes, shape, self.training, self.momentum, self.eps)
 
 
 class BatchNorm1d(_BatchNorm):
@@ -154,7 +139,7 @@ class BatchNorm1d(_BatchNorm):
         x = as_tensor(x)
         if x.ndim != 2:
             raise ValueError("BatchNorm1d expects (N, C) inputs")
-        return self._normalize(x, axes=0, shape=(1, self.num_features))
+        return self._normalize(x, axes=(0,), shape=(1, self.num_features))
 
 
 class BatchNorm2d(_BatchNorm):

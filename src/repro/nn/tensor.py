@@ -25,6 +25,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -117,7 +118,15 @@ def _forward_buffer(shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
 
 
 def _forward_buffer_like(arr: np.ndarray) -> Optional[np.ndarray]:
-    """A pooled buffer matching ``arr``'s shape, dtype, AND memory layout.
+    """A pooled buffer matching ``arr``'s shape, dtype, AND memory layout,
+    under :func:`_forward_buffer`'s conditions (else None)."""
+    if not _GRAD_MODE.enabled or arr.dtype != policy_dtype():
+        return None
+    return _scratch_like(arr)
+
+
+def _scratch_like(arr: np.ndarray) -> Optional[np.ndarray]:
+    """Pooled scratch matching ``arr``'s shape, dtype, AND memory layout.
 
     Downstream reductions (batch-norm statistics in particular) are
     layout-sensitive at ulp level, so a pooled result may only replace an
@@ -128,18 +137,17 @@ def _forward_buffer_like(arr: np.ndarray) -> Optional[np.ndarray]:
     whose layout cannot be reproduced exactly returns None and the caller
     falls back to the allocating path.
     """
+    pool = scratch_pool()
     if arr.flags.c_contiguous:
-        return _forward_buffer(arr.shape, arr.dtype)
+        return pool.acquire(arr.shape, arr.dtype)
     order = sorted(range(arr.ndim), key=lambda axis: (-arr.strides[axis], axis))
-    base = _forward_buffer(tuple(arr.shape[axis] for axis in order), arr.dtype)
-    if base is None:
-        return None
+    base = pool.acquire(tuple(arr.shape[axis] for axis in order), arr.dtype)
     inverse = [0] * arr.ndim
     for position, axis in enumerate(order):
         inverse[axis] = position
     view = base.transpose(inverse)
-    if view.shape != arr.shape or view.strides != arr.strides:
-        scratch_pool().release(base)
+    if view.strides != arr.strides:
+        pool.release(base)
         return None
     return view
 
@@ -1101,3 +1109,125 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     data = np.stack([t.data for t in tensors], axis=axis)
     return Tensor._make(data, tuple(tensors), factory)
+
+
+def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, axes: Tuple[int, ...], shape: Tuple[int, ...],
+               training: bool, momentum: float, eps: float) -> Tensor:
+    """Batch normalization over ``axes`` as one autograd node.
+
+    ``(x - mean) / (var + eps) ** 0.5 * weight.reshape(shape) + bias.reshape(shape)``
+    with the biased batch statistics of ``x`` (training; they also move the
+    running statistics, in place) or the running ones (evaluation).  ``shape``
+    is ``x``'s with every axis in ``axes`` set to 1; a stacked cohort passes
+    ``(B, C)`` parameters and statistics and keeps ``B`` out of ``axes``.
+
+    Values, strides and every gradient are bit for bit those of that
+    expression written out of :class:`Tensor` primitives (the oracle in
+    ``tests/nn/test_batch_norm.py``): each statistic is computed once, and
+    backward performs the composed graph's operations in the composed graph's
+    order.  Every reduction runs on the layout it would there — the statistics
+    on ``x``'s own, the parameter and statistic gradients axis by axis on
+    C-contiguous scratch, the bias's on the upstream gradient itself —
+    because a sum's order is where layout reaches the bits.  Two things are
+    deliberately not folded: a negation into the sum after it (that flips the
+    sign of an exactly-zero sum) and ``b + b`` into ``2 * s`` (``centered *
+    centered`` names one parent twice, so its gradient is accumulated twice;
+    doubling ``s`` first rounds differently in the subnormal range).
+
+    The forward keeps ``centered`` only when ``x`` needs a gradient in
+    training mode and ``normalized`` only when ``weight`` needs one; whatever
+    is not kept is overwritten by the next step of the chain, down to one
+    buffer for a no-grad or frozen-parameter evaluation forward.
+
+    The four contributions to ``x.grad`` land together in this node's
+    closure.  In the composed graph the closures of another consumer of ``x``
+    could run between them; no model in ``repro.models`` has one (every
+    batch-norm input is a conv or linear output that batch norm alone
+    consumes), and for a tensor that does the sum is reassociated, not wrong.
+    """
+    xv = x.data
+    recorded = _GRAD_MODE.enabled and (
+        x.requires_grad or weight.requires_grad or bias.requires_grad)
+    keep_centered = recorded and training and x.requires_grad
+    keep_normalized = recorded and weight.requires_grad
+    bias_grad = bias.requires_grad
+    scale, shift = weight.data.reshape(shape), bias.data.reshape(shape)
+    buffer = _forward_buffer_like(xv) if recorded else None
+    if training:
+        inverse = Tensor(1.0 / math.prod(xv.shape[axis] for axis in axes)).data
+        mean = xv.sum(axis=axes, keepdims=True) * inverse
+        centered = np.subtract(xv, mean, out=buffer)  # out=None: allocated in x's stride order
+        squares = _scratch_like(centered)
+        var = np.multiply(centered, centered, out=squares).sum(axis=axes, keepdims=True) * inverse
+        if squares is not None:
+            scratch_pool().release_base(squares)
+        running_mean[...] = ((1 - momentum) * running_mean
+                             + momentum * mean.reshape(running_mean.shape))
+        running_var[...] = ((1 - momentum) * running_var
+                            + momentum * var.reshape(running_var.shape))
+    else:
+        var = Tensor(running_var.reshape(shape)).data
+        centered = np.subtract(xv, Tensor(running_mean.reshape(shape)).data, out=buffer)
+    shifted = var + Tensor(eps).data
+    std = shifted ** 0.5
+    if keep_centered:
+        buffer = _forward_buffer_like(centered)
+        normalized = np.divide(centered, std, out=buffer)
+    else:
+        normalized = np.divide(centered, std, out=centered)
+    if keep_normalized:
+        buffer = _forward_buffer_like(normalized)
+        result = np.multiply(normalized, scale, out=buffer)
+    else:
+        result = np.multiply(normalized, scale, out=normalized)
+    result += shift
+
+    def factory(out: Tensor) -> Callable[[], None]:
+        def backward() -> None:
+            pool = scratch_pool()
+            g = out.grad
+            if bias_grad:
+                bias._accumulate(_unbroadcast(g, shape).reshape(bias.data.shape))
+            if keep_normalized:
+                scratch = pool.acquire(g.shape, g.dtype)
+                np.multiply(g, normalized, out=scratch)
+                weight._accumulate(_unbroadcast(scratch, shape).reshape(weight.data.shape))
+                pool.release(scratch)
+                pool.release_base(normalized)
+            if not x.requires_grad:
+                return
+            # a = g * w lands where x's gradient will live; the first
+            # accumulation adopts it instead of copying it.
+            adopt = x.grad is None
+            a = x._grad_storage(g.shape, g.dtype) if adopt else pool.acquire(g.shape, g.dtype)
+            np.multiply(g, scale, out=a)
+            if keep_centered:
+                # std.grad = ((-a) * centered) / std**2 summed; then through
+                # ** 0.5, + eps and the variance's 1/count to the squares.
+                scratch = pool.acquire(g.shape, g.dtype)
+                np.negative(a, out=scratch)
+                scratch *= centered
+                scratch /= np.power(std, 2)
+                spread = ((_unbroadcast(scratch, shape) * 0.5) * shifted ** (0.5 - 1)) * inverse
+            a /= std
+            if adopt:
+                x.grad = a
+            else:
+                x.grad += a
+            if keep_centered:
+                np.negative(a, out=scratch)  # mean.grad, reached through x - mean
+                x.grad += _unbroadcast(scratch, shape) * inverse
+                np.multiply(spread, centered, out=scratch)
+                np.add(scratch, scratch, out=scratch)
+                x.grad += scratch
+                np.negative(scratch, out=scratch)  # the variance's own x - mean
+                x.grad += _unbroadcast(scratch, shape) * inverse
+                pool.release(scratch)
+                pool.release_base(centered)
+            if not adopt:
+                pool.release(a)
+
+        return backward
+
+    return Tensor._make(result, (x, weight, bias), factory, pooled=buffer is not None)

@@ -36,11 +36,9 @@ def numeric_environment() -> dict:
     return {"numpy": np.__version__, "blas": blas, "python": platform.python_version()}
 
 
-def pytest_report_header(config):
-    """So that a fixture mismatch on another numpy is diagnosable from the
-    log: this environment next to the one the golden fixtures replay under."""
-    here = numeric_environment()
-    recorded = json.loads(GOLDEN_MANIFEST.read_text(encoding="utf-8"))["replays_under"]
+def environment_lines(here: dict, recorded: dict) -> list:
+    """This environment next to the one the golden fixtures replay under, so
+    that a fixture mismatch on another numpy is diagnosable from the log."""
     differs = [key for key in here if here[key] != recorded[key]]
     lines = [f"{key}: {value}" for key, value in here.items()]
     lines.append("golden fixtures replay under " + (
@@ -48,6 +46,24 @@ def pytest_report_header(config):
         "; ".join(f"{key} {recorded[key]}" for key in differs)
         + " -- bit-level fixtures may differ here"))
     return lines
+
+
+def _environment_lines() -> list:
+    recorded = json.loads(GOLDEN_MANIFEST.read_text(encoding="utf-8"))["replays_under"]
+    return environment_lines(numeric_environment(), recorded)
+
+
+def pytest_report_header(config):
+    return _environment_lines()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """Every CI step runs ``-q``, which hides the header: say the same lines
+    under a failure, where they are needed."""
+    if terminalreporter.stats.get("failed") or terminalreporter.stats.get("error"):
+        terminalreporter.section("numeric environment")
+        for line in _environment_lines():
+            terminalreporter.write_line(line)
 
 
 def pytest_addoption(parser):

@@ -23,6 +23,7 @@ from repro.core.server_tasks import (
     EnsembleForwardTask,
     EnsembleVJPTask,
     distill_optimizer_state,
+    frozen_parameters,
     make_distill_optimizer,
     partition_shards,
 )
@@ -224,6 +225,28 @@ def test_server_shards_validation():
         ServerConfig(server_shards=0)
     assert not ServerConfig().shard_server_update
     assert ServerConfig(server_shards=2).shard_server_update
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_frozen_parameters_gives_each_parameter_its_own_flag_back(raises):
+    """A layer the caller had frozen stays frozen after a generator step or an
+    ``EnsembleVJPTask`` on its model; the rest come back trainable."""
+    model = SimpleCNN(SHAPE, CLASSES, channels=(4, 8), hidden_size=16, seed=0)
+    frozen = list(model.fusion_layers()[0].parameters())
+    assert frozen
+    for param in frozen:
+        param.requires_grad = False
+    try:
+        with frozen_parameters([model]):
+            assert not any(param.requires_grad for param in model.parameters())
+            if raises:
+                raise KeyError("the flags come back on the way out too")
+    except KeyError:
+        pass
+    assert not any(param.requires_grad for param in frozen)
+    others = [param for param in model.parameters()
+              if not any(param is other for other in frozen)]
+    assert others and all(param.requires_grad for param in others)
 
 
 class TestPersistentDeviceDistillOptimizers:

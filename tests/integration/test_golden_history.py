@@ -172,6 +172,22 @@ def test_manifest_records_the_environment_the_fixtures_replay_under():
     assert len(manifest["commit"]) == 40
 
 
+def test_environment_lines_name_what_differs_from_the_manifest():
+    """The lines ``pytest`` prints in its header and again under a failure
+    (``-q`` hides the header): the running numpy / BLAS / Python, and which
+    of them the golden fixtures were recorded under something else."""
+    from conftest import environment_lines
+
+    recorded = {"numpy": "2.4.6", "blas": "openblas 0.3.31", "python": "3.11.7"}
+    assert environment_lines(dict(recorded), recorded) == [
+        "numpy: 2.4.6", "blas: openblas 0.3.31", "python: 3.11.7",
+        "golden fixtures replay under this environment"]
+    lines = environment_lines({**recorded, "numpy": "1.26.4", "python": "3.12.1"}, recorded)
+    assert lines[:3] == ["numpy: 1.26.4", "blas: openblas 0.3.31", "python: 3.12.1"]
+    assert lines[3] == ("golden fixtures replay under numpy 2.4.6; python 3.11.7"
+                        " -- bit-level fixtures may differ here")
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, runner in sorted(WORKLOADS.items()):
