@@ -35,10 +35,9 @@ from ..federated.backend import ExecutionBackend
 from ..federated.config import FederatedConfig
 from ..federated.device import Device
 from ..federated.sampling import DeviceSampler
-from ..federated.server import evaluate_model
 from ..federated.simulation import Simulation
 from ..federated.strategy import Strategy
-from ..federated.trainer import DeviceTrainingConfig, local_sgd_train
+from ..federated.trainer import DeviceTrainingConfig, evaluate_accuracy, local_sgd_train
 from ..models.base import ClassificationModel
 from ..partition.base import Partitioner
 from ..partition.iid import IIDPartitioner
@@ -174,12 +173,12 @@ def compute_bounds(device_models: Sequence[ClassificationModel], shards: Sequenc
         lower_model = copy.deepcopy(model)
         train_standalone(lower_model, shard, epochs=epochs, lr=lr,
                          batch_size=batch_size, seed=seed + index)
-        lower = evaluate_model(lower_model, test_dataset)
+        lower = evaluate_accuracy(lower_model, test_dataset)
 
         upper_model = copy.deepcopy(model)
         train_standalone(upper_model, full_train, epochs=epochs, lr=lr,
                          batch_size=batch_size, seed=seed + 100 + index)
-        upper = evaluate_model(upper_model, test_dataset)
+        upper = evaluate_accuracy(upper_model, test_dataset)
 
         results.append(StandaloneBounds(device_id=index, architecture=label,
                                         lower_bound=lower, upper_bound=upper))

@@ -46,7 +46,7 @@ from .scheduler import (
     SynchronousScheduler,
     make_scheduler,
 )
-from .server import FederatedServer, UploadMeta, evaluate_model
+from .server import FederatedServer, UploadMeta
 from .simulation import Simulation
 from .strategy import ParameterServerStrategy, Strategy
 from .strategies import (
@@ -93,7 +93,6 @@ __all__ = [
     "UniformSampler",
     "FixedSampler",
     "FederatedServer",
-    "evaluate_model",
     "Simulation",
     "Strategy",
     "ParameterServerStrategy",

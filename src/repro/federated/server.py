@@ -28,7 +28,10 @@ from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
 from .trainer import evaluate_accuracy
 
-__all__ = ["FederatedServer", "UploadMeta", "evaluate_model"]
+__all__ = ["FederatedServer", "GLOBAL_EVAL_BATCH_SIZE", "UploadMeta"]
+
+#: Batch size of the global model's evaluation sweep.
+GLOBAL_EVAL_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,6 @@ class UploadMeta:
     arrival_time: float = 0.0
     staleness: int = 0
     weight: float = 1.0
-
-
-def evaluate_model(model: ClassificationModel, dataset: ImageDataset,
-                   batch_size: int = 256) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset`` (in eval mode, no gradients).
-
-    Thin alias of :func:`repro.federated.trainer.evaluate_accuracy`, kept
-    for backwards compatibility with existing call sites.
-    """
-    return evaluate_accuracy(model, dataset, batch_size=batch_size)
 
 
 class FederatedServer:
@@ -160,7 +153,7 @@ class FederatedServer:
         model = self.global_model
         if model is None:
             return None
-        return evaluate_model(model, dataset)
+        return evaluate_accuracy(model, dataset, batch_size=GLOBAL_EVAL_BATCH_SIZE)
 
     # ------------------------------------------------------------------ #
     @property

@@ -21,9 +21,9 @@ history — and delegates the algorithm-specific round phases to a pluggable
 5. ``broadcast``       — ``strategy.broadcast`` delivers per-device
    payloads (Algorithm 1, lines 11–13);
 6. ``evaluate``        — the engine evaluates the global model (if the
-   strategy has one) and every on-device model, merges the strategy's
-   round metrics, and appends a :class:`RoundRecord` (with simulated
-   wall-clock time).
+   strategy has one) and every distinct on-device model once, merges the
+   strategy's round metrics, and appends a :class:`RoundRecord` (with
+   simulated wall-clock time).
 
 *When* those phases run is the round scheduler's decision
 (:mod:`repro.federated.scheduler`): the default
@@ -47,7 +47,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..nn.batched import fusion_signature, supports_padded_fusion
 from ..nn.buffers import scratch_pool
-from ..utils.serialization import StateRef
+from ..utils.serialization import StateRef, state_digest
 from .backend import (
     EvaluateTask,
     ExecutionBackend,
@@ -63,7 +63,7 @@ from .heterogeneity import HeterogeneityModel
 from .history import RoundRecord, TrainingHistory
 from .sampling import DeviceSampler, UniformSampler
 from .scheduler import RoundScheduler, SchedulerState, make_scheduler
-from .server import FederatedServer, UploadMeta
+from .server import GLOBAL_EVAL_BATCH_SIZE, FederatedServer, UploadMeta
 from .strategy import Strategy
 
 __all__ = ["Simulation"]
@@ -154,6 +154,7 @@ class Simulation:
         self._context: Optional[WorkerContext] = None
         self._round_state: Optional[SchedulerState] = None
         self._fusion_signatures: Dict[int, object] = {}
+        self._eval_results: Dict[tuple, float] = {}
         self._closed = False
 
     @property
@@ -244,6 +245,14 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # Cohort fusion (opt-in via ``config.cohort_fusion``)
     # ------------------------------------------------------------------ #
+    def _signature(self, device_id: int):
+        """Cached ``(fusion_signature, pad_safe)`` of a device's model."""
+        if device_id not in self._fusion_signatures:
+            model = self.devices[device_id].model
+            self._fusion_signatures[device_id] = (
+                fusion_signature(model), supports_padded_fusion(model))
+        return self._fusion_signatures[device_id]
+
     def _fusion_group_key(self, task):
         """Model/config/shard dimensions of a task's fusion key.
 
@@ -267,11 +276,7 @@ class Simulation:
         fused eval forward.
         """
         device = self.devices[task.device_id]
-        if task.device_id not in self._fusion_signatures:
-            self._fusion_signatures[task.device_id] = (
-                fusion_signature(device.model),
-                supports_padded_fusion(device.model))
-        signature, pad_safe = self._fusion_signatures[task.device_id]
+        signature, pad_safe = self._signature(task.device_id)
         if signature is None:
             return None
         if isinstance(task, (EvaluateTask, PublicLogitsTask)):
@@ -358,14 +363,7 @@ class Simulation:
         record.local_loss = float(np.mean(losses)) if losses else None
         record.global_accuracy = self.strategy.evaluate_global(self.test_dataset)
         if self.evaluate_devices:
-            store = self.state_store
-            eval_tasks = [device.evaluate_task(store=store) for device in self.devices]
-            # Same fusion seam as the dispatch phase: with cohort_fusion on,
-            # each same-architecture cohort evaluates in one stacked no-grad
-            # forward instead of one sequential sweep per device.
-            accuracies = self.run_device_tasks(eval_tasks)
-            for device, accuracy in zip(self.devices, accuracies):
-                record.device_accuracies[device.device_id] = accuracy
+            self._evaluate_devices(record)
         record.server_metrics = dict(self.strategy.round_metrics())
         if extra_metrics:
             record.server_metrics.update(extra_metrics)
@@ -373,6 +371,61 @@ class Simulation:
         if self.round_callback is not None:
             self.round_callback(record)
         return record
+
+    def _eval_key(self, task):
+        """``(architecture, state digest, batch size)`` of an evaluate task.
+
+        Equal keys load equal parameters into interchangeable models and
+        sweep the test set in equal chunks, so their accuracies are equal
+        bit for bit.  A model without a fusion signature stands for itself
+        (its device id); a task carrying an inline state has no key.
+        """
+        if not isinstance(task.state, StateRef):
+            return None
+        signature = self._signature(task.device_id)[0]
+        return (task.device_id if signature is None else signature,
+                task.state.key, task.batch_size)
+
+    def _evaluate_devices(self, record: RoundRecord) -> None:
+        """Fill ``record.device_accuracies``, evaluating each distinct key once.
+
+        The round's table starts with the global model's result, which a
+        FedAvg broadcast puts on every device, and takes over the previous
+        round's entries, so a device nothing touched since is not re-run.
+        Duplicate keys collapse to one task; cohort fusion stacks what is
+        left.  The table then replaces the previous one, so a result lives
+        one round unless it is hit again.
+        """
+        store = self.state_store
+        previous, table = self._eval_results, {}
+        global_model = getattr(self.server, "global_model", None)
+        if (store is not None and global_model is not None
+                and record.global_accuracy is not None and self._context is not None
+                and self._context.eval_dataset is self.test_dataset):
+            signature = fusion_signature(global_model)
+            # The digest is only worth taking when some device could match it.
+            if signature is not None and any(self._signature(device.device_id)[0] == signature
+                                             for device in self.devices):
+                table[(signature, state_digest(global_model.state_dict()),
+                       GLOBAL_EVAL_BATCH_SIZE)] = record.global_accuracy
+        tasks = [device.evaluate_task(store=store) for device in self.devices]
+        keys = [self._eval_key(task) for task in tasks]
+        pending = {}  # eval key, or task position for an inline state -> task
+        for position, key in enumerate(keys):
+            if key is not None and key not in table and key in previous:
+                table[key] = previous[key]
+            if key is None or key not in table:
+                pending.setdefault(position if key is None else key, tasks[position])
+        # Same fusion seam as the dispatch phase: with cohort_fusion on, each
+        # same-architecture cohort evaluates in one stacked no-grad forward.
+        ran = (dict(zip(pending, self.run_device_tasks(list(pending.values()))))
+               if pending else {})
+        for position, (device, key) in enumerate(zip(self.devices, keys)):
+            if key is not None and key not in table:
+                table[key] = ran[key]
+            record.device_accuracies[device.device_id] = (
+                ran[position] if key is None else table[key])
+        self._eval_results = table
 
     def verbose_line(self, record: RoundRecord, total_rounds: int) -> str:
         return self.strategy.verbose_line(record, total_rounds)

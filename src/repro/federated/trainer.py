@@ -2,7 +2,7 @@
 
 Every place that used to hand-roll a mini-batch SGD or evaluation loop —
 :meth:`Device.local_train`, FedMD's digest/revisit phases, the standalone
-lower/upper bounds, the generic ``evaluate_model`` helper — now routes
+lower/upper bounds, the server's global-model sweep — now routes
 through this module.  The functions are *pure* with respect to process
 state: they touch only the arguments they are given (model, dataset,
 config, RNG), which is what makes them safe to execute inside backend

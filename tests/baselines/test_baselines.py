@@ -14,7 +14,8 @@ from repro.baselines import (
     compute_bounds,
     train_standalone,
 )
-from repro.federated import Simulation, evaluate_model
+from repro.federated import Simulation
+from repro.federated.trainer import evaluate_accuracy
 from repro.models import ModelSpec, SimpleCNN
 from repro.partition import IIDPartitioner
 
@@ -114,9 +115,9 @@ class TestFedAvgFedProx:
 class TestStandalone:
     def test_train_standalone_improves_accuracy(self, tiny_rgb_dataset, tiny_test_dataset):
         model = SimpleCNN(SHAPE, CLASSES, channels=(4, 8), hidden_size=16, seed=0)
-        before = evaluate_model(model, tiny_test_dataset)
+        before = evaluate_accuracy(model, tiny_test_dataset)
         train_standalone(model, tiny_rgb_dataset, epochs=5, lr=0.05, batch_size=16, seed=0)
-        after = evaluate_model(model, tiny_test_dataset)
+        after = evaluate_accuracy(model, tiny_test_dataset)
         assert after >= before
 
     def test_compute_bounds_upper_generally_beats_lower(self, tiny_rgb_dataset, tiny_test_dataset):

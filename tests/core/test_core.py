@@ -14,7 +14,8 @@ from repro.core import (
     ensemble_output,
     input_gradient_norms,
 )
-from repro.federated import ServerConfig, evaluate_model
+from repro.federated import ServerConfig
+from repro.federated.trainer import evaluate_accuracy
 from repro.models import LeNet, SimpleCNN, build_generator, build_global_model
 from repro.nn import Tensor
 
@@ -151,7 +152,7 @@ class TestZeroShotDistiller:
                              seed=index)
         distiller = self._distiller(iterations=30)
         distiller.adversarial_distillation(teachers)
-        accuracy = evaluate_model(distiller.global_model, tiny_rgb_dataset)
+        accuracy = evaluate_accuracy(distiller.global_model, tiny_rgb_dataset)
         assert accuracy > 1.5 / CLASSES  # clearly above the 25% chance level
 
 

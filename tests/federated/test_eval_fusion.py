@@ -8,7 +8,10 @@ digest losses, the full history, and each device's post-run RNG state —
 must match the fusion-off run bit for bit, on every backend.  These tests
 also pin that fusion actually *fires* for homogeneous cohorts: a silent
 fall-back to per-device evaluation would keep the numbers right while
-quietly losing the speedup the benchmark gates.
+quietly losing the speedup the benchmark gates.  A synchronous FedAvg
+round evaluates nothing per device (every device holds the global state,
+whose result the engine already has), so the fused eval sweep is pinned on
+homogeneous FedZKT, whose same-architecture devices hold distinct states.
 """
 
 from __future__ import annotations
@@ -150,10 +153,17 @@ class TestFusionFires:
         monkeypatch.setattr(task_cls, "run", counting_run)
         return calls
 
-    def test_fedavg_eval_sweep_fuses(self, monkeypatch):
+    def test_homogeneous_fedzkt_eval_sweep_fuses(self, monkeypatch):
         calls = self._count_runs(monkeypatch, cohort_mod.FusedEvaluateTask)
-        _run("fedavg", fusion=True)
+        _run("fedzkt", fusion=True)
         assert calls["count"] > 0
+
+    def test_sync_fedavg_ships_no_device_evaluation(self, monkeypatch):
+        evaluations = self._count_runs(monkeypatch, EvaluateTask)
+        fused = self._count_runs(monkeypatch, cohort_mod.FusedEvaluateTask)
+        _run("fedavg", fusion=True)
+        assert evaluations["count"] == 0
+        assert fused["count"] == 0
 
     def test_fedmd_logit_sweep_fuses(self, monkeypatch):
         calls = self._count_runs(monkeypatch, cohort_mod.FusedPublicLogitsTask)
@@ -170,13 +180,13 @@ class TestSliceThreadedEval:
     """REPRO_SLICE_THREADS hands the cohort's tiles to threads; bits must hold."""
 
     @pytest.mark.parametrize("width", [None, 1])
-    def test_fedavg_threaded_slices_bit_identical(self, width, monkeypatch,
+    def test_fedzkt_threaded_slices_bit_identical(self, width, monkeypatch,
                                                   force_tile_width):
-        baseline, base_rng = _run("fedavg", fusion=True)
+        baseline, base_rng = _run("fedzkt", fusion=True)
         monkeypatch.setenv("REPRO_SLICE_THREADS", "3")
         if width is not None:
             force_tile_width(width)  # more tiles (4) than threads (3)
-        threaded, threaded_rng = _run("fedavg", fusion=True)
+        threaded, threaded_rng = _run("fedzkt", fusion=True)
         assert baseline == threaded
         assert base_rng == threaded_rng
 

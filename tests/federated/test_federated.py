@@ -15,10 +15,10 @@ from repro.federated import (
     UniformSampler,
     communication_report,
     device_compute_estimate,
-    evaluate_model,
     model_size_bytes,
     resource_split_summary,
 )
+from repro.federated.trainer import evaluate_accuracy
 from repro.models import SimpleCNN
 from repro.nn import Tensor
 
@@ -204,7 +204,7 @@ class TestMetrics:
 
     def test_evaluate_model_helper(self, tiny_rgb_dataset, tiny_test_dataset):
         device = _device(tiny_rgb_dataset)
-        value = evaluate_model(device.model, tiny_test_dataset)
+        value = evaluate_accuracy(device.model, tiny_test_dataset)
         assert 0.0 <= value <= 1.0
-        # evaluate_model restores training mode.
+        # evaluate_accuracy restores training mode.
         assert device.model.training
