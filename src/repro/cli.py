@@ -181,7 +181,7 @@ def _print_transport_stats(stats: dict) -> None:
         "uploaded_bytes", "result_bytes", "result_refs_resolved",
         "shipped_bytes", "inline_equivalent_bytes",
         "refs_resolved", "hits", "misses", "hit_rate",
-        "pool_restarts", "server_starts", "workers_connected",
+        "server_starts", "workers_connected",
         "worker_disconnects", "worker_restarts", "tasks_requeued",
     ]
     for key in scalar_keys:

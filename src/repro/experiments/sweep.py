@@ -221,7 +221,7 @@ def run_sweep(spec: SweepSpec, backend: Optional[ExecutionBackend] = None,
         The sweep definition.
     backend:
         Execution backend; defaults to :class:`SerialBackend`.  A
-        :class:`~repro.federated.backend.ProcessPoolBackend` fans variants
+        :class:`~repro.net.backend.ProcessPoolBackend` fans variants
         out across worker processes (each variant then runs its *inner*
         simulation with a serial backend — no nested pools).
     output_dir:

@@ -9,7 +9,6 @@ resource accounting.
 
 from .backend import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
     WorkerContext,
@@ -108,3 +107,13 @@ __all__ = [
     "device_compute_estimate",
     "resource_split_summary",
 ]
+
+
+def __getattr__(name):
+    # ``process:N`` runs on repro.net, which imports this package: resolve
+    # its backend class on first use rather than in the import cycle.
+    if name == "ProcessPoolBackend":
+        from ..net.backend import ProcessPoolBackend
+
+        return ProcessPoolBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

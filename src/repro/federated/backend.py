@@ -23,7 +23,7 @@ tasks built directly in tests and third-party code work unchanged.  Nothing
 here encodes an inline payload: a task or result that crosses a process
 boundary is pickled whole by its backend, arrays included.
 
-Three backends are provided:
+Two backends live here:
 
 * :class:`SerialBackend` — runs tasks in-process (the default; identical to
   the historical behaviour).  Its state table stores live objects, so the
@@ -32,13 +32,11 @@ Three backends are provided:
   table.  Useful where ``fork`` is unavailable (or as a drop-in sanity
   check); the GIL means it is about determinism and portability, not
   speed.
-* :class:`ProcessPoolBackend` — fans tasks out across worker processes.
-  The pool is **persistent**: a new :class:`WorkerContext` is published
-  through the state channel and installed lazily by workers instead of
-  tearing the pool down.  Published payloads are served from a
-  manager-hosted table of pickled blobs (the channel pickles on publish and
-  unpickles on fetch); per-task payloads are pickled task objects carrying
-  refs.
+
+Every backend whose workers are other processes runs on :mod:`repro.net`:
+``process[:N]`` (:class:`~repro.net.backend.ProcessPoolBackend`, workers
+forked on this host over loopback) and ``tcp://`` (workers anywhere).  Both
+are registered here and imported on first use.
 
 All backends produce **bit-identical** training histories (verified by the
 backend parity tests) and surface transport counters — cache hits/misses,
@@ -49,11 +47,9 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from multiprocessing.managers import BaseManager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
@@ -83,7 +79,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessPoolBackend",
     "make_backend",
     "register_backend",
     "get_backend_factory",
@@ -140,7 +135,7 @@ def build_worker_context(devices, eval_dataset: Optional[ImageDataset] = None,
 
     Shared by every simulation loop so the context layout stays consistent
     across algorithm families.  The context is stamped with the driver's
-    active numeric policy, which process-pool (and remote) workers install
+    active numeric policy, which workers in other processes install
     alongside the context.
     """
     return WorkerContext(
@@ -196,7 +191,7 @@ class WorkerRuntime:
     """Per-worker state: the installed context plus the ref-resolution path.
 
     In-process backends hand the runtime their live state ``table``
-    (lookups are direct, nothing is ever copied or encoded); process-pool
+    (lookups are direct, nothing is ever copied or encoded); ``process:N``
     and ``tcp://`` workers get their ``channel`` to the driver's table and
     keep a bounded :class:`LRUStateCache` of fetched payloads in front of
     it — a cache miss fetches the payload exactly once.
@@ -246,7 +241,7 @@ class WorkerRuntime:
         self.context_version = current
 
 
-# The runtime active while tasks execute: set by the pool initializer in
+# The runtime active while tasks execute: set by the worker daemon loop in
 # worker processes, swapped around in-process execution by serial/thread
 # backends.
 _ACTIVE_RUNTIME: Optional[WorkerRuntime] = None
@@ -503,7 +498,6 @@ class ExecutionBackend:
         store = self.state_store
         stats: Dict[str, object] = dict(store.stats()) if store is not None else {}
         stats["backend"] = self.name
-        stats["pool_restarts"] = getattr(self, "pool_restarts", 0)
         stats.setdefault("task_bytes", 0)
         stats["shipped_bytes"] = (int(stats.get("published_bytes", 0))
                                   + int(stats.get("fetched_bytes", 0)))
@@ -617,298 +611,6 @@ class ThreadBackend(ExecutionBackend):
 
 
 # --------------------------------------------------------------------------- #
-# Process-pool backend: manager-served state channel + persistent workers
-# --------------------------------------------------------------------------- #
-class _StateService:
-    """The shared blob table, hosted in the manager server process.
-
-    The far side of the process-pool
-    :class:`~repro.utils.serialization.StateChannel`: the driver's
-    :class:`_ManagedChannel` publishes pickled payloads (and pickled
-    contexts) into it once, each worker's channel fetches on cache miss
-    over the manager's pipe/socket transport, and every wire transfer is
-    counted here — which is what makes the hit/miss and bytes-shipped
-    statistics exact without any per-hit IPC.  The table itself never looks
-    inside a blob.
-    """
-
-    def __init__(self) -> None:
-        # BaseManager serves each proxy connection from its own thread, so
-        # every read-modify-write below must hold the lock — unguarded
-        # counter increments would lose updates under concurrent worker
-        # fetches, silently inflating the hit rate the CI gate checks.
-        self._lock = threading.Lock()
-        self._blobs: Dict[str, Tuple[bytes, str]] = {}
-        self._context_blob: Optional[bytes] = None
-        self._context_version = -1
-        self._fetches = 0
-        self._fetched_bytes = 0
-        self._context_fetches = 0
-        self._context_bytes = 0
-        self._by_label: Dict[str, Dict[str, int]] = {}
-
-    def publish(self, key: str, blob: bytes, label: str = "") -> None:
-        with self._lock:
-            self._blobs[key] = (blob, label)
-
-    def fetch(self, key: str, count: bool = True) -> bytes:
-        with self._lock:
-            entry = self._blobs.get(key)
-            if entry is None:
-                raise KeyError(f"state ref {key!r} is not in the shared state table; "
-                               "it was never published or was evicted before use")
-            blob, label = entry
-            if count:
-                self._fetches += 1
-                self._fetched_bytes += len(blob)
-                bucket = self._by_label.setdefault(label,
-                                                   {"fetches": 0, "fetched_bytes": 0})
-                bucket["fetches"] += 1
-                bucket["fetched_bytes"] += len(blob)
-            return blob
-
-    def drop(self, keys: Sequence[str]) -> None:
-        with self._lock:
-            for key in keys:
-                self._blobs.pop(key, None)
-
-    def set_context(self, version: int, blob: bytes) -> None:
-        with self._lock:
-            self._context_version = int(version)
-            self._context_blob = blob
-
-    def get_context(self, have_version: int) -> Tuple[int, Optional[bytes]]:
-        with self._lock:
-            if have_version == self._context_version or self._context_blob is None:
-                return self._context_version, None
-            self._context_fetches += 1
-            self._context_bytes += len(self._context_blob)
-            return self._context_version, self._context_blob
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "fetches": self._fetches,
-                "fetched_bytes": self._fetched_bytes,
-                "context_fetches": self._context_fetches,
-                "context_bytes": self._context_bytes,
-                "entries": len(self._blobs),
-                "by_label": {label: dict(bucket)
-                             for label, bucket in self._by_label.items()},
-            }
-
-
-class _StateManager(BaseManager):
-    pass
-
-
-_StateManager.register("StateService", _StateService)
-
-
-class _ManagedChannel:
-    """The :class:`StateChannel` over the manager proxy, on either side of it.
-
-    The one place a published payload becomes bytes on ``process:N``: live
-    arrays are pickled in :meth:`publish` (driver) and unpickled in
-    :meth:`fetch` (a worker's cache miss, or a driver-side read), so the
-    blobs exist only between a driver and the workers it forked.
-    Snapshots the service counters on :meth:`close` so transport statistics
-    stay readable after the backend shuts its manager down.
-    """
-
-    def __init__(self, service) -> None:
-        self._service = service
-        self._closed_stats: Dict[str, object] = {}
-
-    def publish(self, key: str, payload, label: str = "") -> int:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self._service.publish(key, blob, label)
-        return len(blob)
-
-    def fetch(self, key: str, count: bool = True):
-        return pickle.loads(self._service.fetch(key, count))
-
-    def get_context(self, have_version: int) -> Tuple[int, Optional[bytes]]:
-        return self._service.get_context(have_version)
-
-    def drop(self, keys: Sequence[str]) -> None:
-        self._service.drop(list(keys))
-
-    def stats(self) -> Dict[str, object]:
-        if self._service is None:
-            return self._closed_stats
-        return self._service.stats()
-
-    def close(self) -> None:
-        if self._service is not None:
-            try:
-                self._closed_stats = self._service.stats()
-            except Exception:  # noqa: BLE001 — manager may already be gone
-                pass
-            self._service = None
-
-
-def _init_worker(service, cache_bytes: int) -> None:
-    """Pool initializer: install the worker runtime around the shared channel."""
-    _swap_runtime(WorkerRuntime(channel=_ManagedChannel(service), cache_bytes=cache_bytes))
-
-
-def _execute_shipped(payload: Tuple[int, bytes]):
-    """Worker-side task entry point: sync the context, then run the task."""
-    context_version, task_blob = payload
-    runtime = _ACTIVE_RUNTIME
-    if runtime is None:
-        raise RuntimeError("worker runtime missing; was the pool initialized by "
-                           "ProcessPoolBackend?")
-    runtime.ensure_context(context_version)
-    task = pickle.loads(task_blob)
-    if runtime.context is None:
-        raise RuntimeError("no WorkerContext installed; was the backend started "
-                           "with a context before dispatching device tasks?")
-    return task.run(runtime.context)
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Fan tasks out across a persistent pool of worker processes.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker process count (defaults to ``os.cpu_count()``).
-    start_method:
-        Multiprocessing start method (``"fork"`` on Linux is cheapest;
-        ``None`` uses the platform default).
-    cache_bytes:
-        Byte budget of each worker's LRU cache of resolved states.
-
-    The pool and its manager-hosted state channel are created lazily on the
-    first :meth:`start`.  Contexts and parameter payloads travel through
-    the channel: a *different* context object is re-published (workers
-    install it lazily, keyed by a context version stamped onto every task
-    batch) instead of respawning the pool, and per-task payloads are tiny
-    pickled tasks carrying :class:`StateRef` handles — a worker fetches
-    each referenced blob at most once per cache lifetime.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 cache_bytes: int = DEFAULT_WORKER_CACHE_BYTES) -> None:
-        if max_workers is not None and int(max_workers) < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.max_workers = int(max_workers) if max_workers is not None else (os.cpu_count() or 1)
-        self.start_method = start_method
-        self.cache_bytes = int(cache_bytes)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._manager: Optional[_StateManager] = None
-        self._service = None
-        self._channel: Optional[_ManagedChannel] = None
-        self.state_store: Optional[StateStore] = None
-        self._context: Optional[WorkerContext] = None
-        self._context_version = -1
-        #: Times a worker pool was actually created; a context change on a
-        #: live pool must NOT increment this (pinned by the transport tests).
-        self.pool_restarts = 0
-        self._task_bytes = 0
-        self._tasks_shipped = 0
-        self._context_published_bytes = 0
-
-    # ------------------------------------------------------------------ #
-    def _mp_context(self):
-        import multiprocessing
-
-        return (multiprocessing.get_context(self.start_method) if self.start_method
-                else multiprocessing.get_context())
-
-    def _ensure_pool(self) -> None:
-        if self._pool is not None:
-            return
-        mp_context = self._mp_context()
-        if self._service is None:
-            self._manager = _StateManager(ctx=mp_context)
-            self._manager.start()
-            self._service = self._manager.StateService()
-            self._channel = _ManagedChannel(self._service)
-            self.state_store = StateStore(self._channel)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(self._service, self.cache_bytes),
-        )
-        self.pool_restarts += 1
-
-    def start(self, context: Optional[WorkerContext] = None) -> None:
-        if self._started and self._pool is not None and context is self._context:
-            return
-        self._ensure_pool()
-        self._context_version += 1
-        blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        self._context_published_bytes += len(blob)
-        self._service.set_context(self._context_version, blob)
-        self._context = context
-        self._started = True
-
-    # ------------------------------------------------------------------ #
-    def _ship(self, task) -> Tuple[int, bytes]:
-        blob = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-        self._task_bytes += len(blob)
-        self._tasks_shipped += 1
-        return (self._context_version, blob)
-
-    def run_tasks(self, tasks: Sequence) -> List:
-        if self._pool is None:
-            raise RuntimeError("ProcessPoolBackend.start(context) must be called before run_tasks")
-        self._note_dispatch(tasks)
-        payloads = [self._ship(task) for task in tasks]
-        return list(self._pool.map(_execute_shipped, payloads))
-
-    def run_tasks_as_completed(self, tasks: Sequence) -> Iterator[Tuple[int, object]]:
-        if self._pool is None:
-            raise RuntimeError("ProcessPoolBackend.start(context) must be called before run_tasks")
-        self._note_dispatch(tasks)
-        futures = {self._pool.submit(_execute_shipped, self._ship(task)): index
-                   for index, task in enumerate(tasks)}
-        for future in as_completed(futures):
-            yield futures[future], future.result()
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        if self._pool is None:
-            raise RuntimeError(
-                "ProcessPoolBackend.map requires a started pool; call start(None) "
-                "for context-free fan-out work (e.g. experiment sweeps) before map()")
-        return list(self._pool.map(fn, items))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._channel is not None:
-            self._channel.close()
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-        self._service = None
-        self._started = False
-        self._context = None
-
-    def transport_stats(self) -> Dict[str, object]:
-        stats = super().transport_stats()
-        stats["task_bytes"] = self._task_bytes
-        stats["tasks_shipped"] = self._tasks_shipped
-        stats["context_published_bytes"] = self._context_published_bytes
-        stats["shipped_bytes"] = (int(stats.get("published_bytes", 0))
-                                  + int(stats.get("fetched_bytes", 0))
-                                  + int(stats.get("context_bytes", 0))
-                                  + self._task_bytes
-                                  + self._context_published_bytes)
-        stats["inline_equivalent_bytes"] = (int(stats.get("inline_bytes", 0))
-                                            + self._task_bytes)
-        return stats
-
-
-# --------------------------------------------------------------------------- #
 # Backend registry (mirrors the strategy registry in federated.strategies)
 # --------------------------------------------------------------------------- #
 #: name -> (factory(spec, max_workers) -> backend, one-line description).
@@ -918,6 +620,9 @@ _BACKEND_REGISTRY: Dict[str, Tuple[Callable[[str, Optional[int]], ExecutionBacke
 #: (``repro.net`` pulls in sockets/subprocess machinery): name ->
 #: ("module:factory", description), resolved on first use.
 _BUILTIN_BACKENDS: Dict[str, Tuple[str, str]] = {
+    "process": ("repro.net.backend:make_process_backend",
+                "worker processes forked on this host, over the tcp:// stack on "
+                "loopback (process[:N])"),
     "tcp": ("repro.net.backend:make_tcp_backend",
             "multi-node over TCP: tcp://HOST:PORT (external workers) or "
             "tcp://:PORT?workers=N (spawned localhost daemons)"),
@@ -1001,17 +706,10 @@ def _make_thread(spec: str, max_workers: Optional[int] = None) -> ExecutionBacke
     return ThreadBackend(max_workers=_parse_worker_count(spec, argument, bool(sep), max_workers))
 
 
-def _make_process(spec: str, max_workers: Optional[int] = None) -> ExecutionBackend:
-    _, sep, argument = str(spec).partition(":")
-    return ProcessPoolBackend(max_workers=_parse_worker_count(spec, argument, bool(sep), max_workers))
-
-
 register_backend("serial", _make_serial,
                  description="in-process, zero-serialization (default)")
 register_backend("thread", _make_thread,
                  description="thread pool sharing the in-process state table (thread[:N])")
-register_backend("process", _make_process,
-                 description="persistent process pool + manager-served blob table (process[:N])")
 
 
 def make_backend(spec: Optional[str] = None, max_workers: Optional[int] = None) -> ExecutionBackend:
@@ -1019,7 +717,8 @@ def make_backend(spec: Optional[str] = None, max_workers: Optional[int] = None) 
 
     ``None`` / ``"serial"`` → :class:`SerialBackend`;
     ``"thread"`` / ``"thread:N"`` → :class:`ThreadBackend` with N threads;
-    ``"process"`` / ``"process:N"`` → :class:`ProcessPoolBackend` with N workers;
+    ``"process"`` / ``"process:N"`` → :class:`~repro.net.backend.ProcessPoolBackend`
+    with N forked workers;
     ``"tcp://HOST:PORT[?workers=N]"`` → the multi-node
     :class:`~repro.net.backend.RemoteBackend`.  Additional schemes plug in
     via :func:`register_backend`.

@@ -1,4 +1,4 @@
-"""The ``tcp://`` execution backend: driver-hosted server + remote workers.
+"""The ``tcp://`` and ``process:N`` execution backends: one transport stack.
 
 ``RemoteBackend`` implements the :class:`~repro.federated.backend.ExecutionBackend`
 seam over :mod:`repro.net`: the driver binds the blob server
@@ -7,20 +7,25 @@ the shared :class:`~repro.net.service.BlobService`; workers — spawned
 localhost daemons (``tcp://:PORT?workers=N``) or externally started
 ``repro worker --connect HOST:PORT`` processes on other machines — lease
 pickled tasks from the :class:`~repro.net.service.Dispatcher` and push
-results back.  Parity is the house invariant: tasks and result routing are
-the process-pool protocol (one pickle per task, one per result), published
-states cross the socket one ``.npy`` tensor frame at a time and only where
-a tensor's digest is new to the other side, so histories are bit-identical
-to ``serial``.
+results back.  Parity is the house invariant: one pickle per task, one per
+result, published states cross the socket one ``.npy`` tensor frame at a
+time and only where a tensor's digest is new to the other side, so
+histories are bit-identical to ``serial``.
+
+:class:`ProcessPoolBackend` (``process[:N]``) is the same backend bound to
+an ephemeral loopback port, with its N workers forked from the driver and a
+handshake secret of its own.
 
 Failure model: a worker that disconnects mid-round has its leased tasks
 re-queued by the server (tasks are pure functions of payload + context, so
 re-execution — or a duplicate result from a half-dead worker — is
 harmless); spawned workers that die are respawned up to
 ``max_worker_restarts`` times, after which ``run_tasks`` raises instead of
-hanging.
+hanging.  A task that raises on a worker raises the same exception type in
+the driver, chained to a :class:`~repro.net.service.RemoteTaskError` that
+carries the worker's traceback.
 
-Spec grammar (``make_tcp_backend``)::
+Spec grammar (``make_tcp_backend``, ``make_process_backend``)::
 
     tcp://HOST:PORT              bind HOST:PORT, wait for external workers
     tcp://:PORT?workers=N        bind PORT (0 = ephemeral), spawn N local workers
@@ -28,12 +33,15 @@ Spec grammar (``make_tcp_backend``)::
     ...&cache=BYTES              worker cache budget
     ...&secret=TOKEN             shared handshake secret workers must present
                                  (default: the REPRO_NET_SECRET env var)
+    process[:N]                  N forked workers over loopback (default: one per CPU)
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import secrets
 import subprocess
 import sys
 import time
@@ -44,6 +52,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..federated.backend import (
     DEFAULT_WORKER_CACHE_BYTES,
     ExecutionBackend,
+    _parse_worker_count,
 )
 from ..utils.serialization import StateRef, StateStore
 from .server import (
@@ -54,7 +63,7 @@ from .server import (
 )
 from .service import BlobService, Dispatcher, RemoteTaskError
 
-__all__ = ["RemoteBackend", "make_tcp_backend"]
+__all__ = ["RemoteBackend", "ProcessPoolBackend", "make_tcp_backend", "make_process_backend"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -143,12 +152,14 @@ class RemoteBackend(ExecutionBackend):
         self._server = BlobServer(
             (self.host, self.bind_port), self._service, self._dispatcher,
             result_ref_threshold=self.result_ref_threshold, secret=self.secret)
-        self._server_thread = serve_in_thread(self._server)
         self._channel = DriverChannel(self._service)
         self.state_store = StateStore(self._channel)
         self.server_starts += 1
+        # Workers first: the socket already listens, and a worker forked
+        # before the server thread exists inherits no thread's held locks.
         for _ in range(self.workers):
             self._procs.append(self._spawn_worker())
+        self._server_thread = serve_in_thread(self._server)
 
     def _spawn_worker(self) -> subprocess.Popen:
         import repro
@@ -211,7 +222,11 @@ class RemoteBackend(ExecutionBackend):
     def _materialize(self, outcome: Tuple[str, object]):
         status, value = outcome
         if status != "ok":
-            raise RemoteTaskError(f"task failed on a remote worker:\n{value}")
+            remote_traceback, exception = value
+            error = RemoteTaskError(f"task failed on a remote worker:\n{remote_traceback}")
+            if exception is None:
+                raise error
+            raise exception from error
         return self._resolve_result_refs(value)
 
     def _resolve_result_refs(self, value):
@@ -230,7 +245,8 @@ class RemoteBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def run_tasks(self, tasks: Sequence) -> List:
         if self._server is None:
-            raise RuntimeError("RemoteBackend.start(context) must be called before run_tasks")
+            raise RuntimeError(f"{type(self).__name__}.start(context) must be called "
+                               "before run_tasks")
         self._note_dispatch(tasks)
         batch = self._dispatcher.submit([self._ship(task) for task in tasks])
         while not self._dispatcher.wait(batch, timeout=0.2):
@@ -239,7 +255,8 @@ class RemoteBackend(ExecutionBackend):
 
     def run_tasks_as_completed(self, tasks: Sequence) -> Iterator[Tuple[int, object]]:
         if self._server is None:
-            raise RuntimeError("RemoteBackend.start(context) must be called before run_tasks")
+            raise RuntimeError(f"{type(self).__name__}.start(context) must be called "
+                               "before run_tasks")
         self._note_dispatch(tasks)
         batch = self._dispatcher.submit([self._ship(task) for task in tasks])
         yielded = 0
@@ -255,7 +272,7 @@ class RemoteBackend(ExecutionBackend):
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         if self._server is None:
             raise RuntimeError(
-                "RemoteBackend.map requires a started server; call start(None) "
+                f"{type(self).__name__}.map requires a started pool; call start(None) "
                 "for context-free fan-out work before map()")
         return self.run_tasks([_MapCall(fn, item) for item in items])
 
@@ -328,9 +345,85 @@ class RemoteBackend(ExecutionBackend):
         return stats
 
 
+class _ForkedWorker:
+    """A forked worker behind the part of the ``Popen`` API the backend uses."""
+
+    def __init__(self, process) -> None:
+        self._process = process
+
+    def poll(self) -> Optional[int]:
+        return self._process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise subprocess.TimeoutExpired(self._process.name, timeout)
+        return self._process.exitcode
+
+    def terminate(self) -> None:
+        self._process.terminate()
+
+    def kill(self) -> None:
+        self._process.kill()
+
+
+def _forked_worker(port: int, cache_bytes: int, secret: str, listener) -> None:
+    """Body of a forked ``process:N`` worker: the worker daemon loop."""
+    from .worker import run_worker  # not at module level: see repro.net.__init__
+
+    listener.close()  # the driver's listening socket, inherited across the fork
+    sys.exit(run_worker("127.0.0.1", port, cache_bytes=cache_bytes, quiet=True,
+                        secret=secret))
+
+
+class ProcessPoolBackend(RemoteBackend):
+    """``process[:N]``: N worker processes on this host, on the ``tcp://`` stack.
+
+    The blob server binds an ephemeral loopback port; the workers are forked
+    from the driver, so they start with its imports (and whatever a test
+    patched) and a function shipped by :meth:`map` resolves by name as it
+    does in the driver.  Each backend draws its own handshake secret, so no
+    other local process can drive its port.  Where ``fork`` is unavailable,
+    and for a worker respawned after one died, the worker starts as
+    ``python -m repro.net.worker``, as on ``tcp://``.
+    """
+
+    name = "process"
+
+    def __init__(self, max_workers: Optional[int] = None,
+                 cache_bytes: int = DEFAULT_WORKER_CACHE_BYTES) -> None:
+        if max_workers is not None and int(max_workers) < 1:
+            raise ValueError("max_workers must be at least 1")
+        workers = int(max_workers) if max_workers is not None else (os.cpu_count() or 1)
+        super().__init__("127.0.0.1", 0, workers, cache_bytes=cache_bytes,
+                         secret=secrets.token_hex(16))
+
+    @property
+    def max_workers(self) -> int:
+        return self.workers
+
+    def _spawn_worker(self):
+        # Fork only at start-up, before the server thread exists: no
+        # thread's held lock is copied into the child.
+        if (self._server_thread is not None
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            return super()._spawn_worker()
+        process = multiprocessing.get_context("fork").Process(
+            target=_forked_worker, name="repro-worker", daemon=True,
+            args=(self._server.port, self.cache_bytes, self.secret, self._server.socket))
+        process.start()
+        return _ForkedWorker(process)
+
+
 # --------------------------------------------------------------------------- #
-# Spec parsing (registered under the "tcp" scheme in the backend registry)
+# Spec parsing (registered under the "tcp" and "process" schemes)
 # --------------------------------------------------------------------------- #
+def make_process_backend(spec: str, max_workers: Optional[int] = None) -> ProcessPoolBackend:
+    """Build a :class:`ProcessPoolBackend` from a ``process[:N]`` spec string."""
+    _, sep, argument = str(spec).partition(":")
+    return ProcessPoolBackend(_parse_worker_count(spec, argument, bool(sep), max_workers))
+
+
 def _parse_int(spec: str, name: str, text: str, minimum: int) -> int:
     try:
         value = int(text)

@@ -22,7 +22,9 @@ reflects delta savings.
 
 from __future__ import annotations
 
+import hmac
 import itertools
+import json
 import pickle
 import socketserver
 import threading
@@ -30,7 +32,7 @@ import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 from .service import BlobService, Dispatcher
-from .wire import pack_tensor, recv_msg, send_msg, tensor_digest, unpack_tensor
+from .wire import pack_tensor, recv_frame, send_msg, tensor_digest, unpack_tensor
 
 __all__ = ["BlobServer", "DriverChannel", "serve_in_thread"]
 
@@ -42,6 +44,16 @@ DEFAULT_RESULT_REF_THRESHOLD = 1 * 1024 * 1024
 
 def _is_loopback(host: str) -> bool:
     return host in ("127.0.0.1", "localhost", "::1") or host.startswith("127.")
+
+
+def _load_exception(blob: Optional[bytes]) -> Optional[BaseException]:
+    """A worker's task exception, if it survived the pickle round trip."""
+    if blob is None:
+        return None
+    try:
+        return pickle.loads(blob)
+    except Exception:  # noqa: BLE001 — the traceback text still reaches the driver
+        return None
 
 
 # --------------------------------------------------------------------------- #
@@ -118,31 +130,32 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         try:
             while not server.closing:
                 try:
-                    message = recv_msg(self.request)
+                    frame = recv_frame(self.request)
                 except (ConnectionError, OSError):
                     break
-                if not authenticated and message[0] != "hello":
-                    self._refuse("unauthenticated connection; send hello with "
-                                 "the shared secret first")
-                    break
-                if message[0] == "hello" and server.secret is not None:
-                    info = message[1] if len(message) > 1 and isinstance(message[1], dict) else {}
-                    if info.get("token") != server.secret:
+                if not registered and frame[:1] == b"{":
+                    # The hello is JSON: the secret is checked before
+                    # anything this peer sends reaches pickle.loads.
+                    if not server.admits(frame):
                         self._refuse("hello token does not match the server's "
                                      "shared secret")
                         break
-                    authenticated = True
-                try:
-                    reply = self._dispatch(server, connection_id, message)
-                except KeyError as exc:
-                    reply = ("error", "KeyError", str(exc))
-                except Exception as exc:  # noqa: BLE001 — reply, don't kill the loop
-                    reply = ("error", type(exc).__name__, str(exc))
-                if message[0] == "hello" and not registered:
-                    registered = True
+                    authenticated = registered = True
                     with server.lock:
                         server.counters["connections_total"] += 1
                         server.counters["workers_connected"] += 1
+                    reply = ("welcome", dict(server.settings))
+                elif not authenticated:
+                    self._refuse("unauthenticated connection; open it with a hello "
+                                 "frame carrying the shared secret")
+                    break
+                else:
+                    try:
+                        reply = self._dispatch(server, connection_id, pickle.loads(frame))
+                    except KeyError as exc:
+                        reply = ("error", "KeyError", str(exc))
+                    except Exception as exc:  # noqa: BLE001 — reply, don't kill the loop
+                        reply = ("error", type(exc).__name__, str(exc))
                 try:
                     send_msg(self.request, reply)
                 except (ConnectionError, OSError):
@@ -186,8 +199,9 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             dispatcher.complete(lease_id, True, pickle.loads(blob))
             return ("ok",)
         if op == "task_error":
-            _, lease_id, text = message
-            dispatcher.complete(lease_id, False, text)
+            _, lease_id, remote_traceback, exception_blob = message
+            dispatcher.complete(lease_id, False,
+                                (remote_traceback, _load_exception(exception_blob)))
             return ("ok",)
         if op == "manifest":
             _, key, count = message
@@ -218,8 +232,6 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         if op == "context":
             version, blob = service.get_context(message[1])
             return ("context", version, blob)
-        if op == "hello":
-            return ("welcome", dict(server.settings))
         if op == "stats":
             return ("stats", service.stats())
         if op == "ping":
@@ -263,6 +275,20 @@ class BlobServer(socketserver.ThreadingTCPServer):
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def admits(self, hello: bytes) -> bool:
+        """Whether a JSON hello frame carries this server's secret (any
+        well-formed hello, for a server without one)."""
+        try:
+            info = json.loads(hello.decode("utf-8"))
+        except ValueError:
+            return False
+        if not isinstance(info, dict):
+            return False
+        if self.secret is None:
+            return True
+        return hmac.compare_digest(str(info.get("token", "")).encode("utf-8"),
+                                   self.secret.encode("utf-8"))
 
     def manifest_label(self, key: str) -> str:
         """The label a manifest was published under (for tensor accounting)."""

@@ -45,7 +45,10 @@ __all__ = ["BlobService", "Dispatcher", "DispatchBatch", "RemoteTaskError"]
 
 
 class RemoteTaskError(RuntimeError):
-    """A task raised on a remote worker; carries the remote traceback."""
+    """A task raised on a remote worker; carries the remote traceback.
+
+    The driver raises the worker's own exception with this as its cause, or
+    this alone when that exception does not survive a pickle round trip."""
 
 
 # --------------------------------------------------------------------------- #
@@ -56,8 +59,7 @@ class BlobService:
 
     All methods are safe to call from any thread.  ``count=True`` marks
     worker-initiated transfers (cache misses) so driver-side reads never
-    pollute the hit/miss statistics — the same convention the manager-based
-    process-pool channel follows.
+    pollute the hit/miss statistics.
     """
 
     def __init__(self) -> None:

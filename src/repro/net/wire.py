@@ -3,15 +3,16 @@
 Everything that crosses a socket in :mod:`repro.net` is a **length-prefixed
 frame** holding one pickled message tuple — ``(op, *operands)`` requests and
 ``(status, *operands)`` replies.  Pickle keeps the protocol aligned with the
-rest of the execution-backend stack (tasks and contexts are already pickle
-payloads for the process pool); the obvious corollary is spelled out in the
-docs: unpickling input is code execution, so the blob server must only talk
-to trusted peers.  Bind it to localhost or a private cluster network, never
-the open internet, and set a shared handshake secret
-(``tcp://...?secret=TOKEN`` / ``repro worker --secret TOKEN`` /
-``REPRO_NET_SECRET``) — the server then refuses every op until the
-connection's ``hello`` presents the matching token, and it warns at bind
-time when a non-loopback interface is served without one.
+rest of the execution-backend stack (tasks and contexts are pickle
+payloads); the obvious corollary is spelled out in the docs: unpickling
+input is code execution, so the blob server must only talk to trusted
+peers.  Bind it to localhost or a private cluster network, never the open
+internet, and set a shared handshake secret (``tcp://...?secret=TOKEN`` /
+``repro worker --secret TOKEN`` / ``REPRO_NET_SECRET``; ``process:N`` draws
+its own).  A connection opens with one **hello frame** that is JSON, not a
+pickle (:func:`hello_frame`): a server with a secret checks the token in it
+before it unpickles anything, refuses every other first frame, and warns at
+bind time when a non-loopback interface is served without a secret.
 
 Parameter tensors do **not** travel as pickles.  They are packed one tensor
 at a time with :func:`pack_tensor` (the ``.npy`` format — dtype, shape, and
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import pickle
 import socket
 import struct
@@ -38,6 +40,8 @@ import numpy as np
 __all__ = [
     "MAX_FRAME_BYTES",
     "FrameError",
+    "AuthError",
+    "hello_frame",
     "send_frame",
     "recv_frame",
     "send_msg",
@@ -58,6 +62,10 @@ _HEADER = struct.Struct(">Q")
 
 class FrameError(ConnectionError):
     """A malformed frame (bad length prefix) arrived on the wire."""
+
+
+class AuthError(RuntimeError):
+    """The server refused a connection's hello (wrong or missing secret)."""
 
 
 # --------------------------------------------------------------------------- #
@@ -97,6 +105,12 @@ def send_msg(sock: socket.socket, message) -> None:
 def recv_msg(sock: socket.socket):
     """Read and unpickle one frame."""
     return pickle.loads(recv_frame(sock))
+
+
+def hello_frame(info: dict) -> bytes:
+    """The handshake frame a connection opens with: ``info`` as JSON (a
+    worker's pid, and the shared secret as ``token``), never a pickle."""
+    return json.dumps(info, sort_keys=True).encode("utf-8")
 
 
 # --------------------------------------------------------------------------- #
@@ -155,16 +169,20 @@ class Connection:
     retries with exponential backoff on transient socket failures — every
     server operation is idempotent (fetches are pure reads; publishes and
     result deliveries are keyed and tolerate replays), which is what makes
-    blind retry safe.
+    blind retry safe.  With ``hello``, every (re)connect opens with that
+    handshake; the server's reply is kept as :attr:`welcome`.
     """
 
     def __init__(self, host: str, port: int, *, retries: int = 5,
-                 backoff: float = 0.05, connect_timeout: float = 10.0) -> None:
+                 backoff: float = 0.05, connect_timeout: float = 10.0,
+                 hello: Optional[dict] = None) -> None:
         self.host = host
         self.port = port
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.connect_timeout = float(connect_timeout)
+        self.hello = hello
+        self.welcome = None
         self._sock: Optional[socket.socket] = None
 
     # ------------------------------------------------------------------ #
@@ -178,6 +196,8 @@ class Connection:
             try:
                 sock = socket.create_connection((self.host, self.port), timeout=30.0)
                 sock.settimeout(None)
+                if self.hello is not None:
+                    self.welcome = self._handshake(sock)
                 self._sock = sock
                 return
             except OSError:
@@ -185,6 +205,18 @@ class Connection:
                     raise
                 time.sleep(delay)
                 delay = min(delay * 2, 1.0)
+
+    def _handshake(self, sock: socket.socket):
+        try:
+            send_frame(sock, hello_frame(self.hello))
+            reply = recv_msg(sock)
+        except BaseException:
+            sock.close()
+            raise
+        if reply[0] != "welcome":
+            sock.close()
+            raise AuthError(reply[-1])
+        return reply
 
     def close(self) -> None:
         if self._sock is not None:

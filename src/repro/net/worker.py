@@ -157,6 +157,14 @@ def _ship_result(result, channel: WorkerChannel, settings: Dict, counter) -> obj
     return result
 
 
+def _pickled(exc: BaseException) -> Optional[bytes]:
+    """A task's exception as the driver re-raises it (None if it won't pickle)."""
+    try:
+        return pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:  # noqa: BLE001 — the traceback text still goes
+        return None
+
+
 # --------------------------------------------------------------------------- #
 # Daemon loop
 # --------------------------------------------------------------------------- #
@@ -176,13 +184,12 @@ def run_worker(host: str, port: int, *,
     """
     if secret is None:
         secret = os.environ.get("REPRO_NET_SECRET") or None
-    connection = Connection(host, port)
-    connection.connect(patience=patience)
     hello = {"pid": os.getpid()}
     if secret is not None:
         hello["token"] = secret
-    welcome = _unwrap(connection.request(("hello", hello)))
-    settings = welcome[1]
+    connection = Connection(host, port, hello=hello)
+    connection.connect(patience=patience)
+    settings = connection.welcome[1]
     channel = WorkerChannel(connection, tensor_cache_bytes=cache_bytes)
     runtime = WorkerRuntime(channel=channel, cache_bytes=cache_bytes)
     _swap_runtime(runtime)
@@ -217,9 +224,9 @@ def run_worker(host: str, port: int, *,
                 blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
             except (ConnectionError, OSError):
                 raise  # transport failure: let the outer handler deal with it
-            except Exception:  # noqa: BLE001 — report task failures, keep serving
+            except Exception as exc:  # noqa: BLE001 — report task failures, keep serving
                 connection.request(
-                    ("task_error", lease_id, traceback.format_exc()))
+                    ("task_error", lease_id, traceback.format_exc(), _pickled(exc)))
                 continue
             connection.request(("result", lease_id, blob))
             completed += 1

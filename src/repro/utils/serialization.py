@@ -9,18 +9,16 @@ Two families of helpers live here:
   replaces inline parameter payloads inside backend tasks, and
   :class:`StateStore` is the driver-side facade that publishes each state
   **once** through a :class:`StateChannel` (an in-process table for
-  in-process backends, a manager-served blob table for process pools, the
-  per-tensor delta table for ``tcp://``) so workers that miss their local
-  cache fetch it a single time instead of receiving it inside every task
-  pickle.
+  in-process backends, :mod:`repro.net`'s per-tensor delta table for
+  ``process:N`` and ``tcp://``) so workers that miss their local cache
+  fetch it a single time instead of receiving it inside every task pickle.
 
 A parameter payload has two forms and no third: a :class:`StateRef`, or
 live numpy arrays (a state dict, or an ordered array list).  The store and
-every task hand channels live arrays and get live arrays back; a channel
+every task hand channels live arrays and get live arrays back; the channel
 whose table sits across a process boundary owns its own byte encoding
-(pickle behind the ``process:N`` manager, ``.npy`` tensor frames behind
-``tcp://``), and a task that carries arrays inline is encoded by the
-backend's one ``pickle.dumps(task)``.
+(``.npy`` tensor frames), and a task that carries arrays inline is encoded
+by the backend's one ``pickle.dumps(task)``.
 """
 
 from __future__ import annotations
@@ -109,12 +107,11 @@ class StateChannel:
     The driver publishes each payload once; a worker that misses its local
     cache fetches it once.  Both directions speak live arrays (a state dict
     or an ordered array list); how they are held in between is the
-    channel's own business.  Three implementations ship —
+    channel's own business.  Two implementations ship —
     :class:`InProcessStateTable` (serial/thread backends: the table *is*
-    the cache, nothing is ever encoded), the process-pool backend's
-    manager-served table of pickled blobs (:mod:`repro.federated.backend`),
-    and the multi-node ``tcp://`` channel pair (:mod:`repro.net`: the
-    driver's delta-encoding tensor table plus the workers' socket client).
+    the cache, nothing is ever encoded) and the channel pair of
+    :mod:`repro.net` behind ``process:N`` and ``tcp://`` (the driver's
+    delta-encoding tensor table plus the workers' socket client).
     """
 
     def publish(self, key: str, payload, label: str = "") -> Optional[int]:

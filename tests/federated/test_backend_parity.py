@@ -260,6 +260,67 @@ def test_make_backend_specs():
         make_backend("process:0")
 
 
+class _Unpicklable(Exception):
+    """An exception that cannot cross a process boundary (holds a lambda)."""
+
+    def __init__(self):
+        super().__init__("cannot be pickled")
+        self.hook = lambda: None
+
+
+def _raise_value_error(item):
+    raise ValueError(f"bad item {item}")
+
+
+def _raise_unpicklable(item):
+    raise _Unpicklable()
+
+
+class TestProcessBackendIsTheNetStack:
+    """``process:N`` is ``repro.net`` over loopback: no second transport."""
+
+    def test_spec_builds_a_loopback_remote_backend(self):
+        from repro.net import DriverChannel, RemoteBackend
+
+        backend = make_backend("process:2")
+        assert isinstance(backend, RemoteBackend)
+        assert backend.name == "process" and backend.host == "127.0.0.1"
+        assert backend.bind_port == 0 and backend.workers == 2
+        with backend:
+            backend.start(None)
+            assert backend.port != 0
+            # The driver side of the one cross-process channel there is.
+            assert isinstance(backend.state_store.channel, DriverChannel)
+            assert backend.map(abs, [-1, 2]) == [1, 2]
+
+    def test_manager_path_is_gone(self):
+        import repro.federated.backend as module
+
+        for name in ("_StateService", "_StateManager", "_ManagedChannel",
+                     "_init_worker", "_execute_shipped"):
+            assert not hasattr(module, name)
+
+    def test_workers_are_forked_from_the_driver(self):
+        # A function defined in this test module resolves by name in a worker
+        # only because the worker is a fork of a process that imported it.
+        backend = make_backend("process:1")
+        with backend:
+            backend.start(None)
+            with pytest.raises(ValueError, match="bad item 3") as raised:
+                backend.map(_raise_value_error, [3])
+            assert "Traceback" in str(raised.value.__cause__)
+
+    def test_unpicklable_task_error_still_raises_with_its_traceback(self):
+        from repro.net import RemoteTaskError
+
+        backend = make_backend("process:1")
+        with backend:
+            backend.start(None)
+            with pytest.raises(RemoteTaskError, match="_Unpicklable"):
+                backend.map(_raise_unpicklable, [0])
+            assert backend.map(abs, [-5]) == [5]  # the worker keeps serving
+
+
 def test_serial_backend_requires_context_for_device_tasks(tiny_rgb_dataset):
     from repro.federated import Device
     from repro.models import SimpleCNN

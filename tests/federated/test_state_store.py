@@ -8,8 +8,8 @@ Covers the ISSUE 5 tentpole contracts:
 * Worker-side ``LRUStateCache`` is bounded by bytes and evicts LRU-first.
 * ``ThreadBackend`` produces bit-identical histories to the serial backend
   and shares the in-process state table.
-* ``ProcessPoolBackend`` keeps its pool alive across context changes
-  (``pool_restarts`` stays 1) and ships dramatically fewer bytes than the
+* ``ProcessPoolBackend`` keeps its server and workers alive across context
+  changes (``server_starts`` stays 1) and ships dramatically fewer bytes than the
   inline wire format would (``transport_stats``): at least 10x fewer per
   warmed-up round of a Phase-1-heavy FedZKT run, with at least 90 % of the
   teacher-state resolutions served from a worker's cache.
@@ -399,7 +399,7 @@ def test_process_pool_survives_context_change_and_dedupes_bytes():
         assert len(history) == 2
         stats = backend.transport_stats()
         # One pool for the whole run, despite per-round context re-checks.
-        assert stats["pool_restarts"] == 1
+        assert stats["server_starts"] == 1
         assert stats["shipped_bytes"] > 0
         # Teacher states are published once per round and re-resolved by
         # every Phase-1 shard task of every synthesis iteration: the store
@@ -416,7 +416,7 @@ def test_process_pool_survives_context_change_and_dedupes_bytes():
         # respawning the pool.
         context = WorkerContext(models={}, shards={}, train_configs={})
         backend.start(context)
-        assert backend.transport_stats()["pool_restarts"] == 1
+        assert backend.transport_stats()["server_starts"] == 1
 
         # And the pool still executes work for the new context version.
         assert backend.map(abs, [-1, 2, -3]) == [1, 2, 3]
@@ -427,8 +427,9 @@ def test_warm_round_ships_tenfold_less_than_inline():
     its workload: six devices, two server shards, fifty synthesis iterations
     over a batch of four, so teacher-state traffic dominates the round.  The
     first round pays the pool spawn, the context publish and cold caches; in
-    the second, everything that crossed a process boundary (published blobs,
-    cache-miss fetches, task pickles) is at least 10x less than one inlined
+    the second, everything that crossed a process boundary apart from the
+    results (published tensors and manifests, cache-miss fetches, task
+    pickles) is at least 10x less than one inlined
     payload per dispatched ref would have been, and at least 90 % of the
     teacher refs resolved out of a worker's cache."""
     train, test = _data()
@@ -446,8 +447,11 @@ def test_warm_round_ships_tenfold_less_than_inline():
             simulation.run_round(2)
             after = backend.transport_stats()
 
-    shipped = after["shipped_bytes"] - before["shipped_bytes"]
-    inline = after["inline_equivalent_bytes"] - before["inline_equivalent_bytes"]
+    # Results return inline under either wire format, so their bytes are
+    # left out of both sides: the gate is on what the store changes.
+    results = after["result_bytes"] - before["result_bytes"]
+    shipped = after["shipped_bytes"] - before["shipped_bytes"] - results
+    inline = after["inline_equivalent_bytes"] - before["inline_equivalent_bytes"] - results
     assert shipped > 0
     assert inline >= 10 * shipped
     teacher_before, teacher_after = (stats["by_label"]["teacher"] for stats in (before, after))
@@ -455,7 +459,7 @@ def test_warm_round_ships_tenfold_less_than_inline():
     fetches = teacher_after["fetches"] - teacher_before["fetches"]
     assert resolved > 0
     assert 1.0 - fetches / resolved >= 0.9
-    assert after["pool_restarts"] == 1
+    assert after["server_starts"] == 1
 
 
 def test_process_pool_parity_not_broken_by_context_republish():
@@ -473,7 +477,7 @@ def test_process_pool_parity_not_broken_by_context_republish():
         with build_fedzkt(train, test, _config(), family="small",
                           backend=backend) as sim_b:
             history_b = sim_b.run()
-        assert backend.pool_restarts == 1
+        assert backend.server_starts == 1
     _histories_equal(serial_a, history_a)
     _histories_equal(serial_b, history_b)
 

@@ -203,8 +203,13 @@ def test_remote_task_failure_raises_with_worker_traceback():
     backend = RemoteBackend(workers=1)
     backend.start(WorkerContext())  # no eval dataset: EvaluateTask must fail
     try:
-        with pytest.raises(RemoteTaskError, match="eval dataset"):
+        # The worker's own exception type, chained to its traceback.
+        with pytest.raises(RuntimeError, match="eval dataset") as raised:
             backend.run_tasks([EvaluateTask(device_id=0, state={})])
+        assert type(raised.value) is RuntimeError
+        cause = raised.value.__cause__
+        assert isinstance(cause, RemoteTaskError)
+        assert "Traceback" in str(cause) and "eval dataset" in str(cause)
         # The worker survives a task failure and keeps serving.
         assert backend.map(abs, [-3, 5, -7]) == [3, 5, 7]
     finally:

@@ -5,7 +5,7 @@ The state transport's correctness rests on two invariants:
 * what carries a payload across a process boundary is lossless — the
   backend's pickle of a task or result holding live arrays inline
   (``LocalTrainTask``, ``FusedLocalTrainTask``, ``DeviceDistillTask`` and
-  its result) and the process pool's ``_ManagedChannel`` publish/fetch:
+  its result) and ``repro.net``'s ``DriverChannel`` publish/fetch:
   dtype, shape, values, and memory order all survive, for every dtype the
   models and optimizers produce (float32/64, ints, bools), including 0-d,
   empty, and Fortran-ordered arrays;
@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.server_tasks import DeviceDistillResult, DeviceDistillTask
-from repro.federated.backend import LocalTrainTask, _ManagedChannel, _StateService
+from repro.federated.backend import LocalTrainTask
 from repro.federated.cohort import FusedLocalTrainTask
+from repro.net import BlobService, DriverChannel
 from repro.utils import state_digest
 
 _RNG_STATE = np.random.default_rng(0).bit_generator.state
@@ -37,9 +38,10 @@ def _shipped(value):
 
 
 def _through_channel(payload):
-    """``payload`` published into and fetched back out of the process pool's
-    channel (over a blob table in this process)."""
-    channel = _ManagedChannel(_StateService())
+    """``payload`` published into and fetched back out of the driver's
+    channel (per-tensor ``.npy`` frames, as ``process:N`` and ``tcp://``
+    workers read them)."""
+    channel = DriverChannel(BlobService())
     channel.publish("key", payload)
     return channel.fetch("key")
 

@@ -1,7 +1,7 @@
 """What carries a parameter payload across a process boundary, and that it
 is lossless: the backend's one pickle of a task (or result) holding live
-arrays inline, and the process pool's ``_ManagedChannel`` for a published
-payload.  Nothing else encodes a state."""
+arrays inline, and ``repro.net``'s per-tensor ``.npy`` table for a published
+payload (``process:N`` and ``tcp://`` alike).  Nothing else encodes a state."""
 
 from __future__ import annotations
 
@@ -12,15 +12,11 @@ import sys
 import numpy as np
 
 from repro.core.server_tasks import DeviceDistillResult, DeviceDistillTask
-from repro.federated.backend import (
-    LocalTrainTask,
-    _ManagedChannel,
-    _StateService,
-    resolve_arrays,
-    resolve_state,
-)
+from repro.federated.backend import LocalTrainTask, resolve_arrays, resolve_state
 from repro.federated.cohort import FusedLocalTrainTask
 from repro.models import SimpleCNN
+from repro.net import BlobService, DriverChannel
+from repro.net.wire import pack_tensor
 
 
 def shipped(value):
@@ -28,10 +24,10 @@ def shipped(value):
     return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def managed_channel() -> _ManagedChannel:
-    """The process pool's channel over a blob table in this process (no
-    manager: the channel only ever calls the table's methods)."""
-    return _ManagedChannel(_StateService())
+def published_channel() -> DriverChannel:
+    """The driver's channel over its blob table: a payload published into it
+    and fetched back has been through the same tensor codec a worker reads."""
+    return DriverChannel(BlobService())
 
 
 def _rng_state() -> dict:
@@ -62,7 +58,7 @@ def test_state_dict_roundtrip_is_bit_exact():
                                         epochs=1, rng_states=[_rng_state()] * 2))
     for restored in fused.states:
         _assert_same_state(restored, state)
-    channel = managed_channel()
+    channel = published_channel()
     channel.publish("state", state)
     restored = channel.fetch("state")
     _assert_same_state(restored, state)
@@ -75,7 +71,7 @@ def test_array_list_roundtrip_preserves_order():
     task = shipped(LocalTrainTask(device_id=0, state={}, epochs=1,
                                   rng_state=_rng_state(), anchor=arrays))
     _assert_same_arrays(resolve_arrays(task.anchor), arrays)
-    channel = managed_channel()
+    channel = published_channel()
     channel.publish("anchor", arrays)
     _assert_same_arrays(channel.fetch("anchor"), arrays)
 
@@ -88,13 +84,16 @@ def test_none_passthrough():
 
 
 def test_publish_reports_the_blob_it_stored():
-    """``published_bytes`` on ``process:N`` is the pickled blob's length, and
-    a worker's fetch of it counts the same bytes."""
-    service = _StateService()
-    channel = _ManagedChannel(service)
+    """``published_bytes`` is the new tensor frames plus the manifest, and a
+    counted fetch of the state counts the same bytes."""
+    service = BlobService()
+    channel = DriverChannel(service)
     state = {"w": np.arange(12.0).reshape(3, 4), "buffer::steps": np.array(3)}
     published = channel.publish("k", state, "device")
-    assert published == len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+    manifest = published - sum(len(pack_tensor(value)) for value in state.values())
+    assert 0 < manifest < 1024
+    # Re-publishing the same tensors under another key ships only a manifest.
+    assert channel.publish("k2", dict(state), "device") == manifest
     channel.fetch("k", count=False)
     assert service.stats()["fetched_bytes"] == 0
     channel.fetch("k")
@@ -119,7 +118,7 @@ def test_many_arrays_keep_their_order():
                              inputs=arrays, targets=arrays, lr=0.1)
     result = DeviceDistillResult(device_ids=[0], states=[{}], velocities=[arrays],
                                  losses=[[0.0]])
-    channel = managed_channel()
+    channel = published_channel()
     channel.publish("batches", arrays)
     for restored in (shipped(task).velocities[0], shipped(task).inputs,
                      shipped(result).velocities[0], channel.fetch("batches")):
