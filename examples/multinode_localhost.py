@@ -4,15 +4,15 @@ The ``tcp://`` backend splits a federated run across worker processes that
 talk to the driver over real sockets — the same path that spans machines.
 Two ways to wire it up:
 
-**Spawned workers (this script).**  ``tcp://:0?workers=2`` binds the blob
-server to an OS-assigned port and spawns two localhost worker daemons; the
-run is otherwise identical to ``--backend serial`` (bit-identical history,
-by design).  The CLI equivalent::
+**Local workers (this script).**  ``tcp://:0?workers=2`` binds the blob
+server to an OS-assigned port and forks two localhost worker daemons from
+the driver; the run is otherwise identical to ``--backend serial``
+(bit-identical history, by design).  The CLI equivalent::
 
     repro run mnist --backend "tcp://:0?workers=2" --transport-stats
 
 **External workers (multiple terminals / machines).**  Pick a fixed port,
-point workers at it, then start the driver with no spawned workers::
+point workers at it, then start the driver with no local workers::
 
     # terminal 1 + 2 (or other machines that can reach the driver):
     repro worker --connect 127.0.0.1:7000
@@ -40,7 +40,7 @@ def main(argv=None) -> None:
     parser.add_argument("--rounds", type=int, default=2,
                         help="communication rounds (default: 2)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="spawned localhost worker daemons (default: 2)")
+                        help="localhost worker daemons forked from the driver (default: 2)")
     args = parser.parse_args(argv)
 
     train, test = load_dataset("mnist", train_size=600, test_size=200, seed=0)
@@ -56,7 +56,7 @@ def main(argv=None) -> None:
 
     spec = f"tcp://:0?workers={args.workers}"
     print(f"backend: {spec} (blob server on an OS-assigned port, "
-          f"{args.workers} spawned worker daemons)")
+          f"{args.workers} forked worker daemons)")
     backend = make_backend(spec)
     with backend:
         with build_fedzkt(train, test, config, family="small",

@@ -3,32 +3,33 @@
 ``RemoteBackend`` implements the :class:`~repro.federated.backend.ExecutionBackend`
 seam over :mod:`repro.net`: the driver binds the blob server
 (:class:`~repro.net.server.BlobServer`) and publishes states/contexts into
-the shared :class:`~repro.net.service.BlobService`; workers — spawned
-localhost daemons (``tcp://:PORT?workers=N``) or externally started
-``repro worker --connect HOST:PORT`` processes on other machines — lease
-pickled tasks from the :class:`~repro.net.service.Dispatcher` and push
+the shared :class:`~repro.net.service.BlobService`; workers — localhost
+daemons forked from the driver (``tcp://:PORT?workers=N``) or externally
+started ``repro worker --connect HOST:PORT`` processes on other machines —
+lease pickled tasks from the :class:`~repro.net.service.Dispatcher` and push
 results back.  Parity is the house invariant: one pickle per task, one per
 result, published states cross the socket one ``.npy`` tensor frame at a
 time and only where a tensor's digest is new to the other side, so
 histories are bit-identical to ``serial``.
 
 :class:`ProcessPoolBackend` (``process[:N]``) is the same backend bound to
-an ephemeral loopback port, with its N workers forked from the driver and a
-handshake secret of its own.
+an ephemeral loopback port, with N local workers and a handshake secret of
+its own.
 
 Failure model: a worker that disconnects mid-round has its leased tasks
 re-queued by the server (tasks are pure functions of payload + context, so
 re-execution — or a duplicate result from a half-dead worker — is
-harmless); spawned workers that die are respawned up to
-``max_worker_restarts`` times, after which ``run_tasks`` raises instead of
-hanging.  A task that raises on a worker raises the same exception type in
-the driver, chained to a :class:`~repro.net.service.RemoteTaskError` that
-carries the worker's traceback.
+harmless); local workers that die are respawned (as ``python -m
+repro.net.worker``) up to ``max_worker_restarts`` times, after which
+``run_tasks`` raises instead of hanging.  A task that raises on a worker
+raises the same exception type in the driver, chained to a
+:class:`~repro.net.service.RemoteTaskError` that carries the worker's
+traceback.
 
 Spec grammar (``make_tcp_backend``, ``make_process_backend``)::
 
     tcp://HOST:PORT              bind HOST:PORT, wait for external workers
-    tcp://:PORT?workers=N        bind PORT (0 = ephemeral), spawn N local workers
+    tcp://:PORT?workers=N        bind PORT (0 = ephemeral), fork N local workers
     ...&refs=BYTES               result-ref threshold (default 1 MiB)
     ...&cache=BYTES              worker cache budget
     ...&secret=TOKEN             shared handshake secret workers must present
@@ -91,7 +92,7 @@ class RemoteBackend(ExecutionBackend):
         Bind address of the blob server (port 0 picks an ephemeral port —
         read it back from :attr:`port` after :meth:`start`).
     workers:
-        Localhost worker daemons to spawn (0 = external workers only).
+        Localhost worker daemons to start (0 = external workers only).
     result_ref_threshold:
         Result states at least this large come back as refs the driver
         resolves out of the blob table, not inline pickle bytes.
@@ -155,13 +156,27 @@ class RemoteBackend(ExecutionBackend):
         self._channel = DriverChannel(self._service)
         self.state_store = StateStore(self._channel)
         self.server_starts += 1
-        # Workers first: the socket already listens, and a worker forked
-        # before the server thread exists inherits no thread's held locks.
+        # Workers first: the socket listens and no server thread exists yet.
         for _ in range(self.workers):
             self._procs.append(self._spawn_worker())
         self._server_thread = serve_in_thread(self._server)
 
-    def _spawn_worker(self) -> subprocess.Popen:
+    def _spawn_worker(self):
+        """Start one local worker on the server's port: a fork of the driver
+        at start-up, so it has the driver's imports (and whatever a test
+        patched) and a function :meth:`map` ships resolves as it does here.
+        A respawn is exec'd as ``python -m repro.net.worker``, since the
+        server thread then runs and a fork would copy any lock it holds into
+        the child, held forever; so is any worker where ``fork`` is missing.
+        """
+        if (self._server_thread is None
+                and "fork" in multiprocessing.get_all_start_methods()):
+            process = multiprocessing.get_context("fork").Process(
+                target=_forked_worker, name="repro-worker", daemon=True,
+                args=(self._server.port, self.cache_bytes, self.worker_patience,
+                      self.secret, self._server.socket))
+            process.start()
+            return _ForkedWorker(process)
         import repro
 
         src_dir = str(Path(repro.__file__).resolve().parent.parent)
@@ -367,25 +382,22 @@ class _ForkedWorker:
         self._process.kill()
 
 
-def _forked_worker(port: int, cache_bytes: int, secret: str, listener) -> None:
-    """Body of a forked ``process:N`` worker: the worker daemon loop."""
+def _forked_worker(port: int, cache_bytes: int, patience: float,
+                   secret: Optional[str], listener) -> None:
+    """Body of a forked local worker: the worker daemon loop."""
     from .worker import run_worker  # not at module level: see repro.net.__init__
 
     listener.close()  # the driver's listening socket, inherited across the fork
-    sys.exit(run_worker("127.0.0.1", port, cache_bytes=cache_bytes, quiet=True,
-                        secret=secret))
+    sys.exit(run_worker("127.0.0.1", port, cache_bytes=cache_bytes, patience=patience,
+                        quiet=True, secret=secret))
 
 
 class ProcessPoolBackend(RemoteBackend):
-    """``process[:N]``: N worker processes on this host, on the ``tcp://`` stack.
+    """``process[:N]``: ``tcp://`` with N local workers and nothing to configure.
 
-    The blob server binds an ephemeral loopback port; the workers are forked
-    from the driver, so they start with its imports (and whatever a test
-    patched) and a function shipped by :meth:`map` resolves by name as it
-    does in the driver.  Each backend draws its own handshake secret, so no
-    other local process can drive its port.  Where ``fork`` is unavailable,
-    and for a worker respawned after one died, the worker starts as
-    ``python -m repro.net.worker``, as on ``tcp://``.
+    The blob server binds an ephemeral loopback port, starts one worker per
+    CPU unless told otherwise, and draws its own handshake secret, so no
+    other local process can drive its port.
     """
 
     name = "process"
@@ -401,18 +413,6 @@ class ProcessPoolBackend(RemoteBackend):
     @property
     def max_workers(self) -> int:
         return self.workers
-
-    def _spawn_worker(self):
-        # Fork only at start-up, before the server thread exists: no
-        # thread's held lock is copied into the child.
-        if (self._server_thread is not None
-                or "fork" not in multiprocessing.get_all_start_methods()):
-            return super()._spawn_worker()
-        process = multiprocessing.get_context("fork").Process(
-            target=_forked_worker, name="repro-worker", daemon=True,
-            args=(self._server.port, self.cache_bytes, self.secret, self._server.socket))
-        process.start()
-        return _ForkedWorker(process)
 
 
 # --------------------------------------------------------------------------- #

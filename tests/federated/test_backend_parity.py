@@ -300,10 +300,11 @@ class TestProcessBackendIsTheNetStack:
                      "_init_worker", "_execute_shipped"):
             assert not hasattr(module, name)
 
-    def test_workers_are_forked_from_the_driver(self):
+    @pytest.mark.parametrize("spec", ["process:1", "tcp://:0?workers=1"])
+    def test_workers_are_forked_from_the_driver(self, spec):
         # A function defined in this test module resolves by name in a worker
         # only because the worker is a fork of a process that imported it.
-        backend = make_backend("process:1")
+        backend = make_backend(spec)
         with backend:
             backend.start(None)
             with pytest.raises(ValueError, match="bad item 3") as raised:

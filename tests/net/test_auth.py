@@ -130,9 +130,11 @@ def test_process_backend_draws_its_own_secret():
         assert backend.map(abs, [-2]) == [2]
 
 
-def test_spawned_workers_inherit_the_spec_secret():
-    # End to end: the backend passes the secret to its spawned daemons via
-    # the environment, and real tasks run over the authenticated connection.
+def test_spawned_workers_inherit_the_spec_secret(monkeypatch):
+    # End to end: a forked worker presents the spec's secret with nothing
+    # in its environment to read it from, and real tasks run over the
+    # authenticated connection.
+    monkeypatch.delenv("REPRO_NET_SECRET", raising=False)
     backend = make_backend("tcp://:0?workers=1&secret=round-trip-token")
     assert backend.secret == "round-trip-token"
     with backend:

@@ -1,13 +1,15 @@
 """The tcp:// backend end to end: bit-identical parity with serial execution,
 worker-disconnect recovery, result-path refs, and spec parsing.
 
-These tests bind real localhost sockets and spawn real worker daemons
-(``python -m repro.net.worker``), which is exactly what the ``net`` marker
+These tests bind real localhost sockets and run real worker daemons — forked
+from the test process at start-up, ``python -m repro.net.worker`` when
+respawned or started externally — which is exactly what the ``net`` marker
 exists for.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -174,12 +176,20 @@ def test_killed_worker_mid_round_is_requeued_not_hung():
         backend.shutdown()
 
 
-def test_dead_spawned_workers_are_respawned():
+def _started_by_exec(_):
+    """True in a worker exec'd as ``python -m repro.net.worker --connect ...``,
+    False in one forked from the test process."""
+    return "--connect" in sys.argv
+
+
+def test_dead_spawned_workers_are_respawned(monkeypatch):
+    # The exec'd replacement imports this module by name to run the probe.
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [str(Path(__file__).parent), os.environ.get("PYTHONPATH")])))
     backend = RemoteBackend(workers=1, max_worker_restarts=2)
     backend.start(None)
     try:
-        _wait_for(lambda: backend._server.counter_snapshot()["workers_connected"] == 1,
-                  message="spawned worker to connect")
+        assert backend.map(_started_by_exec, [0]) == [False]
         outcome = {}
 
         def run_batch():
@@ -187,16 +197,40 @@ def test_dead_spawned_workers_are_respawned():
 
         thread = threading.Thread(target=run_batch, daemon=True)
         thread.start()
-        _wait_for(lambda: backend._server.counter_snapshot()["results_received"] >= 1,
-                  message="first result to arrive")
+        _wait_for(lambda: backend._server.counter_snapshot()["results_received"] >= 2,
+                  message="first sleep to return")
         time.sleep(0.3)
         backend._procs[0].kill()
         thread.join(timeout=60.0)
         assert not thread.is_alive(), "round hung after the only worker died"
         assert outcome["results"] == [None] * 3
         assert backend.worker_restarts >= 1
+        assert backend.map(_started_by_exec, [0]) == [True]
     finally:
         backend.shutdown()
+
+
+def test_forked_workers_get_the_backend_settings(monkeypatch, tmp_path):
+    # Patched before the fork, so the child runs this stand-in and records
+    # the keyword arguments it was handed.
+    record = tmp_path / "run_worker.json"
+
+    def run_worker(host, port, **kwargs):
+        record.write_text(json.dumps(kwargs))
+        return 0
+
+    monkeypatch.setattr("repro.net.worker.run_worker", run_worker)
+    backend = RemoteBackend(workers=1, cache_bytes=12345, worker_patience=2.5,
+                            secret="settings-token", max_worker_restarts=0)
+    backend.start(None)
+    try:
+        assert backend._procs[0].wait(timeout=30.0) == 0
+    finally:
+        backend.shutdown()
+    kwargs = json.loads(record.read_text())
+    assert kwargs["patience"] == 2.5
+    assert kwargs["cache_bytes"] == 12345
+    assert kwargs["secret"] == "settings-token"
 
 
 def test_remote_task_failure_raises_with_worker_traceback():
