@@ -24,7 +24,7 @@ Subcommands
     experiments, scales, registered backends, and schedulers.
 
 Every subcommand accepts ``--backend`` with any registered backend spec
-(``serial``, ``thread[:N]``, ``process[:N]``, ``tcp://HOST:PORT[?workers=N]``,
+(``serial``, ``process[:N]``, ``tcp://HOST:PORT[?workers=N]``,
 plus plugins registered via :func:`repro.federated.backend.register_backend`);
 ``process`` and ``tcp`` fan device training (for ``run``) or whole
 experiment variants (for ``experiment``) out across worker processes.
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--public-choice", default=None,
                             help="FedMD public dataset override (e.g. cifar100, svhn)")
     run_parser.add_argument("--backend", default="serial",
-                            help="execution backend: serial, thread[:N], process[:N], "
+                            help="execution backend: serial, process[:N], "
                                  "tcp://HOST:PORT[?workers=N], or any registered scheme")
     run_parser.add_argument("--transport-stats", action="store_true",
                             help="print the backend's state-transport counters "

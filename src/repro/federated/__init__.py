@@ -10,7 +10,6 @@ resource accounting.
 from .backend import (
     ExecutionBackend,
     SerialBackend,
-    ThreadBackend,
     WorkerContext,
     backend_descriptions,
     backend_names,
@@ -59,7 +58,6 @@ from .strategies import (
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessPoolBackend",
     "WorkerContext",
     "make_backend",

@@ -23,15 +23,9 @@ tasks built directly in tests and third-party code work unchanged.  Nothing
 here encodes an inline payload: a task or result that crosses a process
 boundary is pickled whole by its backend, arrays included.
 
-Two backends live here:
-
-* :class:`SerialBackend` — runs tasks in-process (the default; identical to
-  the historical behaviour).  Its state table stores live objects, so the
-  serial path pays no serialization cost.
-* :class:`ThreadBackend` — a thread pool sharing the in-process state
-  table.  Useful where ``fork`` is unavailable (or as a drop-in sanity
-  check); the GIL means it is about determinism and portability, not
-  speed.
+One backend lives here: :class:`SerialBackend` runs tasks in-process (the
+default; identical to the historical behaviour).  Its state table stores
+live objects, so the serial path pays no serialization cost.
 
 Every backend whose workers are other processes runs on :mod:`repro.net`:
 ``process[:N]`` (:class:`~repro.net.backend.ProcessPoolBackend`, workers
@@ -45,10 +39,8 @@ bytes published/fetched/shipped — via :meth:`ExecutionBackend.transport_stats`
 
 from __future__ import annotations
 
-import os
 import pickle
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -78,7 +70,6 @@ __all__ = [
     "DigestSpec",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "make_backend",
     "register_backend",
     "get_backend_factory",
@@ -242,8 +233,8 @@ class WorkerRuntime:
 
 
 # The runtime active while tasks execute: set by the worker daemon loop in
-# worker processes, swapped around in-process execution by serial/thread
-# backends.
+# worker processes, swapped around in-process execution by the serial
+# backend.
 _ACTIVE_RUNTIME: Optional[WorkerRuntime] = None
 
 
@@ -541,75 +532,6 @@ class SerialBackend(ExecutionBackend):
         return [fn(item) for item in items]
 
 
-class ThreadBackend(ExecutionBackend):
-    """Fan tasks out across a thread pool sharing the in-process state table.
-
-    Useful where ``fork`` is unavailable (sandboxes, Windows spawn-cost
-    concerns) or as a drop-in concurrency sanity check: results are
-    bit-identical to the serial backend because each dispatch batch touches
-    disjoint per-device models and all randomness is carried explicitly in
-    the tasks.  The GIL serializes numpy-bound work, so this backend is
-    about portability, not wall-clock speedups.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and int(max_workers) < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.max_workers = int(max_workers) if max_workers is not None else (os.cpu_count() or 1)
-        self._table = InProcessStateTable()
-        self.state_store = StateStore(self._table)
-        self._runtime = WorkerRuntime(table=self._table)
-        self._context: Optional[WorkerContext] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def start(self, context: Optional[WorkerContext] = None) -> None:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers,
-                                            thread_name_prefix="repro-worker")
-        self._context = context
-        self._runtime.context = context
-        self._started = True
-
-    def run_tasks(self, tasks: Sequence) -> List:
-        if self._pool is None or self._context is None:
-            raise RuntimeError("ThreadBackend.start(context) must be called before run_tasks")
-        self._note_dispatch(tasks)
-        context = self._context
-        previous = _swap_runtime(self._runtime)
-        try:
-            return list(self._pool.map(lambda task: task.run(context), tasks))
-        finally:
-            _swap_runtime(previous)
-
-    def run_tasks_as_completed(self, tasks: Sequence) -> Iterator[Tuple[int, object]]:
-        if self._pool is None or self._context is None:
-            raise RuntimeError("ThreadBackend.start(context) must be called before run_tasks")
-        self._note_dispatch(tasks)
-        context = self._context
-        previous = _swap_runtime(self._runtime)
-        try:
-            futures = {self._pool.submit(task.run, context): index
-                       for index, task in enumerate(tasks)}
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-        finally:
-            _swap_runtime(previous)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        if self._pool is None:
-            raise RuntimeError("ThreadBackend.map requires a started pool; "
-                               "call start() before map()")
-        return list(self._pool.map(fn, items))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._started = False
-
-
 # --------------------------------------------------------------------------- #
 # Backend registry (mirrors the strategy registry in federated.strategies)
 # --------------------------------------------------------------------------- #
@@ -678,21 +600,6 @@ def backend_descriptions() -> Dict[str, str]:
     return dict(sorted(merged.items()))
 
 
-def _parse_worker_count(spec: str, argument: str, has_argument: bool,
-                        max_workers: Optional[int]) -> Optional[int]:
-    workers = max_workers
-    if has_argument:
-        try:
-            workers = int(argument)
-        except ValueError:
-            raise ValueError(f"invalid backend spec {spec!r}: worker count must be "
-                             f"an integer, got {argument!r}") from None
-    if workers is not None and int(workers) < 1:
-        raise ValueError(f"invalid backend spec {spec!r}: worker count must be a "
-                         f"positive integer, got {workers}")
-    return workers
-
-
 def _make_serial(spec: str, max_workers: Optional[int] = None) -> ExecutionBackend:
     _, sep, _ = str(spec).partition(":")
     if sep:
@@ -701,22 +608,14 @@ def _make_serial(spec: str, max_workers: Optional[int] = None) -> ExecutionBacke
     return SerialBackend()
 
 
-def _make_thread(spec: str, max_workers: Optional[int] = None) -> ExecutionBackend:
-    _, sep, argument = str(spec).partition(":")
-    return ThreadBackend(max_workers=_parse_worker_count(spec, argument, bool(sep), max_workers))
-
-
 register_backend("serial", _make_serial,
                  description="in-process, zero-serialization (default)")
-register_backend("thread", _make_thread,
-                 description="thread pool sharing the in-process state table (thread[:N])")
 
 
 def make_backend(spec: Optional[str] = None, max_workers: Optional[int] = None) -> ExecutionBackend:
     """Build a backend from a string spec, with uniform validation.
 
     ``None`` / ``"serial"`` → :class:`SerialBackend`;
-    ``"thread"`` / ``"thread:N"`` → :class:`ThreadBackend` with N threads;
     ``"process"`` / ``"process:N"`` → :class:`~repro.net.backend.ProcessPoolBackend`
     with N forked workers;
     ``"tcp://HOST:PORT[?workers=N]"`` → the multi-node

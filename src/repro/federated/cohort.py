@@ -313,8 +313,7 @@ class FusedLocalTrainTask:
 class _FusedForwardTask:
     """Shared plumbing of the fused no-grad tasks: per-device state payloads
     plus the chunked dataset sweep through a :class:`BatchedEvaluator`
-    (which runs the cohort as tiles, on ``REPRO_SLICE_THREADS`` threads when
-    that opt-in is set)."""
+    (which runs the cohort as tiles)."""
 
     device_ids: List[int]
     states: List[object]  # StateRef | state dict, per device
@@ -346,13 +345,13 @@ class FusedEvaluateTask(_FusedForwardTask):
         batch = len(self.device_ids)
         correct = [0.0] * batch
         total = 0
-        with self._evaluator(context, dataset) as evaluator:
-            for start in range(0, len(dataset), self.batch_size):
-                labels = dataset.labels[start:start + self.batch_size]
-                logits = evaluator.predict(dataset.images[start:start + self.batch_size])
-                for b in range(batch):
-                    correct[b] += accuracy(logits[b], labels) * len(labels)
-                total += len(labels)
+        evaluator = self._evaluator(context, dataset)
+        for start in range(0, len(dataset), self.batch_size):
+            labels = dataset.labels[start:start + self.batch_size]
+            logits = evaluator.predict(dataset.images[start:start + self.batch_size])
+            for b in range(batch):
+                correct[b] += accuracy(logits[b], labels) * len(labels)
+            total += len(labels)
         return [float(value / total) if total else 0.0 for value in correct]
 
 
@@ -366,11 +365,9 @@ class FusedPublicLogitsTask(_FusedForwardTask):
             raise RuntimeError("public-logits task requires a public dataset in the worker context")
         dataset = context.public_dataset
         batch = len(self.device_ids)
-        chunks: List[np.ndarray] = []
-        with self._evaluator(context, dataset) as evaluator:
-            for start in range(0, len(dataset), self.batch_size):
-                chunks.append(
-                    evaluator.predict(dataset.images[start:start + self.batch_size]))
+        evaluator = self._evaluator(context, dataset)
+        chunks = [evaluator.predict(dataset.images[start:start + self.batch_size])
+                  for start in range(0, len(dataset), self.batch_size)]
         return [np.concatenate([chunk[b] for chunk in chunks], axis=0)
                 for b in range(batch)]
 

@@ -50,11 +50,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
-from ..federated.backend import (
-    DEFAULT_WORKER_CACHE_BYTES,
-    ExecutionBackend,
-    _parse_worker_count,
-)
+from ..federated.backend import DEFAULT_WORKER_CACHE_BYTES, ExecutionBackend
 from ..utils.serialization import StateRef, StateStore
 from .server import (
     DEFAULT_RESULT_REF_THRESHOLD,
@@ -421,7 +417,10 @@ class ProcessPoolBackend(RemoteBackend):
 def make_process_backend(spec: str, max_workers: Optional[int] = None) -> ProcessPoolBackend:
     """Build a :class:`ProcessPoolBackend` from a ``process[:N]`` spec string."""
     _, sep, argument = str(spec).partition(":")
-    return ProcessPoolBackend(_parse_worker_count(spec, argument, bool(sep), max_workers))
+    workers = argument if sep else max_workers
+    if workers is not None:
+        workers = _parse_int(spec, "worker count", str(workers), minimum=1)
+    return ProcessPoolBackend(workers)
 
 
 def _parse_int(spec: str, name: str, text: str, minimum: int) -> int:

@@ -15,7 +15,6 @@ from .batched import (
     BatchedSGD,
     UnfusableModelError,
     fusion_signature,
-    slice_thread_count,
 )
 from .buffers import BufferPool, scratch_pool
 from .policy import (
@@ -100,7 +99,6 @@ __all__ = [
     "BatchedSGD",
     "UnfusableModelError",
     "fusion_signature",
-    "slice_thread_count",
     "batched",
     "buffers",
     "conv",

@@ -43,9 +43,7 @@ serial path would.
 from __future__ import annotations
 
 import copy
-import os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -74,7 +72,6 @@ __all__ = [
     "cohort_tiles",
     "fusion_signature",
     "register_batched_adapter",
-    "slice_thread_count",
     "stack_states",
     "supports_padded_fusion",
     "tile_width",
@@ -477,12 +474,12 @@ def supports_padded_fusion(model: Module) -> bool:
 #: whatever the op's arrays lose by outgrowing the cache, so the width that
 #: pays is set by the bytes one op streams, not by bytes in total: a
 #: compute-bound MLP stops gaining long before a dispatch-bound small CNN of
-#: the same footprint.  Fitted to the sweeps recorded in
-#: ``BENCH_cohort_fusion.json`` (3 models x 2 input shapes x 2 batch sizes x
-#: widths 1/2/4/8) and ``BENCH_eval_fusion.json``: the largest full stack of
-#: eight that still has to stay whole averages 0.39 MiB per array, the
-#: smallest that has to split 0.87 MiB (``docs/architecture.md``, "Tile
-#: width").
+#: the same footprint.  Fitted to the training and evaluation sweeps tabled
+#: in ``docs/architecture.md`` ("Tile width"; 3 models x 2 input shapes x 2
+#: batch sizes x widths 1/2/4/8, last recorded at commit 7639820): the
+#: largest full stack of eight that still has to stay whole averages
+#: 0.39 MiB per array, the smallest that has to split 0.87 MiB.  A refit is
+#: measured on the ``avg_serial_fused`` workload of ``benchmarks/e2e``.
 TILE_ARRAY_BYTES = 5 * 2 ** 17
 
 # (fusion signature, sample shape, dtype) -> (bytes per sample, arrays).
@@ -541,18 +538,16 @@ def tile_width(template: Module, cohort_size: int, batch_shape: Sequence[int]) -
     return -(-cohort_size // tiles)
 
 
-def cohort_tiles(template: Module, cohort_size: int, batch_shape: Sequence[int],
-                 min_tiles: int = 1) -> List[Tuple[int, int]]:
+def cohort_tiles(template: Module, cohort_size: int,
+                 batch_shape: Sequence[int]) -> List[Tuple[int, int]]:
     """``(start, stop)`` bounds of the consecutive tiles a cohort runs as.
 
     Every site that stacks a cohort asks here, so a fused task stays the
     unit of dispatch while the tile is the unit of compute.  Cohort members
     are independent and every batched op is bitwise equal per slice at any
-    stack size, so the tiling never changes a bit.  ``min_tiles`` narrows
-    the tiles until there are that many (one per worker thread).
+    stack size, so the tiling never changes a bit.
     """
     width = tile_width(template, cohort_size, batch_shape)
-    width = max(1, min(width, -(-cohort_size // max(1, min_tiles))))
     return [(start, min(start + width, cohort_size))
             for start in range(0, cohort_size, width)]
 
@@ -696,34 +691,14 @@ class BatchedModule:
         return out.data
 
 
-def slice_thread_count(batch_size: int) -> int:
-    """Worker-thread count for running a fused forward's tiles concurrently.
-
-    Opt-in via ``REPRO_SLICE_THREADS`` (unset, empty, or ``<= 1`` keeps the
-    single-threaded fused path); capped at the cohort size, since a slice is
-    the smallest independent unit of work.
-    """
-    raw = os.environ.get("REPRO_SLICE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(threads, int(batch_size)))
-
-
 class BatchedEvaluator:
     """No-grad fused inference over a cohort, one tile at a time.
 
     Builds one eval-mode :class:`BatchedModule` per tile of the cohort
     (:func:`cohort_tiles`, sized for ``batch_shape`` — the widest batch
-    :meth:`predict` will be given).  When ``REPRO_SLICE_THREADS`` requests
-    more than one worker the tiles are narrowed until every worker has one
-    and handed to a :class:`~concurrent.futures.ThreadPoolExecutor`.  Cohort
-    slices are fully independent — every batched op is bitwise equal per
-    slice regardless of the stack size, and numpy releases the GIL inside
-    the BLAS kernels — so neither the tiling nor the threads change a bit.
+    :meth:`predict` will be given).  Cohort slices are fully independent —
+    every batched op is bitwise equal per slice regardless of the stack
+    size — so the tiling does not change a bit.
 
     The shared input batch is broadcast — not copied — onto each tile's
     leading axis; downstream reshapes materialize per-tile copies exactly
@@ -733,34 +708,16 @@ class BatchedEvaluator:
     def __init__(self, template: Module, states: Sequence[Dict[str, np.ndarray]],
                  batch_shape: Sequence[int]) -> None:
         self.batch_size = len(states)
-        threads = slice_thread_count(self.batch_size)
         self._modules = [
             BatchedModule(template, list(states[lo:hi]), requires_grad=False).eval()
-            for lo, hi in cohort_tiles(template, self.batch_size, batch_shape,
-                                       min_tiles=threads)]
-        self._executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+            for lo, hi in cohort_tiles(template, self.batch_size, batch_shape)]
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Stacked logits ``(B, N, C)`` for one input batch shared by all slices."""
         images = np.asarray(images)
-
-        def tile(module: BatchedModule) -> np.ndarray:
-            return module.predict(
-                np.broadcast_to(images, (module.batch_size,) + images.shape))
-
-        run = map if self._executor is None else self._executor.map
-        return np.concatenate(list(run(tile, self._modules)), axis=0)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "BatchedEvaluator":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
+        return np.concatenate(
+            [module.predict(np.broadcast_to(images, (module.batch_size,) + images.shape))
+             for module in self._modules], axis=0)
 
 
 class BatchedSGD(SGD):

@@ -47,9 +47,9 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
 # Per-thread autograd switch (mirrors ``torch.no_grad``).  Manipulated only
 # through the ``no_grad`` context manager below.  Thread-local rather than a
-# module global so concurrent tasks on the thread execution backend cannot
-# corrupt each other's graph-construction mode (interleaved enter/exit of a
-# shared flag could leave gradients disabled after all blocks closed).
+# module global so work running concurrently on threads cannot corrupt each
+# other's graph-construction mode (interleaved enter/exit of a shared flag
+# could leave gradients disabled after all blocks closed).
 class _GradMode(threading.local):
     enabled = True
 

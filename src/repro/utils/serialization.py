@@ -108,7 +108,7 @@ class StateChannel:
     cache fetches it once.  Both directions speak live arrays (a state dict
     or an ordered array list); how they are held in between is the
     channel's own business.  Two implementations ship —
-    :class:`InProcessStateTable` (serial/thread backends: the table *is*
+    :class:`InProcessStateTable` (the serial backend: the table *is*
     the cache, nothing is ever encoded) and the channel pair of
     :mod:`repro.net` behind ``process:N`` and ``tcp://`` (the driver's
     delta-encoding tensor table plus the workers' socket client).
@@ -145,7 +145,7 @@ class StateChannel:
 class InProcessStateTable(StateChannel):
     """The in-process channel: a plain table of live payload objects.
 
-    Serial and thread backends share the driver's address space, so
+    The serial backend shares the driver's address space, so
     ``publish`` stores the dict/list itself (zero serialization, zero
     copies) and every worker resolution is a direct table lookup — the
     table doubles as the worker cache.  Payloads must be treated as

@@ -14,10 +14,13 @@ from repro.core import (
     ensemble_output,
     input_gradient_norms,
 )
+from repro.datasets.registry import dataset_family, load_dataset
+from repro.experiments.configs import federated_config_for, get_scale
 from repro.federated import ServerConfig
 from repro.federated.trainer import evaluate_accuracy
 from repro.models import LeNet, SimpleCNN, build_generator, build_global_model
 from repro.nn import Tensor
+from repro.nn.buffers import fresh_pool
 
 SHAPE = (3, 8, 8)
 CLASSES = 4
@@ -195,6 +198,26 @@ class TestFedZKTServer:
         with pytest.raises(ValueError):
             build_fedzkt(tiny_rgb_dataset, tiny_test_dataset, micro_config, family="small",
                          device_models=[SimpleCNN(SHAPE, CLASSES, seed=0)])
+
+    def test_a_zkt_serial_server_update_retains_at_most_1_25x_its_high_water(self):
+        """One server update (Phase 1 and Phase 2) built as the whole-round
+        harness builds ``zkt_serial``: five heterogeneous devices, ``tiny``
+        scale.  Phase 1's large arrays and Phase 2's many small ones are
+        served from the same bytes, so the arena holds little more than the
+        most it ever had checked out."""
+        scale = get_scale("tiny")
+        family = dataset_family("mnist")
+        config = federated_config_for(scale, family, num_devices=5, seed=0)
+        train, test = load_dataset("mnist", train_size=scale.train_size,
+                                   test_size=scale.test_size, image_size=scale.image_size,
+                                   seed=0)
+        with build_fedzkt(train, test, config, family=family) as simulation:
+            server = simulation.strategy.server
+            with fresh_pool() as pool:
+                server.distiller.server_update(server.device_models)
+        stats = pool.stats()
+        assert (stats["free_bytes"] + stats["outstanding_bytes"]
+                <= 1.25 * stats["outstanding_high_water"])
 
 
 class TestGradientProbe:

@@ -115,16 +115,10 @@ class TestFusedEvalMatchesSerial:
         assert baseline == fused
         assert base_rng == fused_rng
 
-    @pytest.mark.parametrize("algorithm", ["fedavg", "fedmd"])
-    def test_thread_backend(self, algorithm):
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedmd", "fedzkt"])
+    def test_process_backend(self, algorithm):
         baseline, base_rng = _run(algorithm, fusion=False)
-        fused, fused_rng = _run(algorithm, fusion=True, backend_spec="thread:2")
-        assert baseline == fused
-        assert base_rng == fused_rng
-
-    def test_process_backend(self):
-        baseline, base_rng = _run("fedavg", fusion=False)
-        fused, fused_rng = _run("fedavg", fusion=True, backend_spec="process:2")
+        fused, fused_rng = _run(algorithm, fusion=True, backend_spec="process:2")
         assert baseline == fused
         assert base_rng == fused_rng
 
@@ -176,19 +170,18 @@ class TestFusionFires:
         assert calls["count"] == 0
 
 
-class TestSliceThreadedEval:
-    """REPRO_SLICE_THREADS hands the cohort's tiles to threads; bits must hold."""
+class TestTiledRuns:
+    """Whole runs with the cohort's tiles forced narrow: four tiles of one,
+    and 3 + 1 with an uneven tail.  Bits must hold."""
 
-    @pytest.mark.parametrize("width", [None, 1])
-    def test_fedzkt_threaded_slices_bit_identical(self, width, monkeypatch,
-                                                  force_tile_width):
-        baseline, base_rng = _run("fedzkt", fusion=True)
-        monkeypatch.setenv("REPRO_SLICE_THREADS", "3")
-        if width is not None:
-            force_tile_width(width)  # more tiles (4) than threads (3)
-        threaded, threaded_rng = _run("fedzkt", fusion=True)
-        assert baseline == threaded
-        assert base_rng == threaded_rng
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("algorithm", ["fedmd", "fedzkt"])
+    def test_fused_run_bit_identical(self, algorithm, width, force_tile_width):
+        baseline, base_rng = _run(algorithm, fusion=False)
+        force_tile_width(width)
+        tiled, tiled_rng = _run(algorithm, fusion=True)
+        assert baseline == tiled
+        assert base_rng == tiled_rng
 
 
 class TestTiledForwardTasks:

@@ -6,8 +6,6 @@ Covers the ISSUE 5 tentpole contracts:
   (rather than re-publishes) on identical content; ``advance_round`` evicts
   entries older than the previous round; ``discard`` drops ephemerals.
 * Worker-side ``LRUStateCache`` is bounded by bytes and evicts LRU-first.
-* ``ThreadBackend`` produces bit-identical histories to the serial backend
-  and shares the in-process state table.
 * ``ProcessPoolBackend`` keeps its server and workers alive across context
   changes (``server_starts`` stays 1) and ships dramatically fewer bytes than the
   inline wire format would (``transport_stats``): at least 10x fewer per
@@ -22,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import build_fedmd
 from repro.core import build_fedzkt
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
 from repro.federated import (
@@ -30,7 +27,6 @@ from repro.federated import (
     ProcessPoolBackend,
     SerialBackend,
     ServerConfig,
-    ThreadBackend,
     WorkerContext,
     make_backend,
 )
@@ -329,12 +325,6 @@ def test_worker_scratch_pool_trims_when_resolved_round_moves_forward():
     assert free_after == [8000, 800]
 
 
-def _public():
-    config = SyntheticImageConfig(name="store-public", num_classes=4, channels=3, height=8,
-                                  width=8, family_seed=77, modes_per_class=1)
-    return SyntheticImageGenerator(config).sample(40, seed=5)
-
-
 def _config(server_shards=1):
     return FederatedConfig(
         num_devices=4, rounds=2, local_epochs=1, batch_size=16, device_lr=0.05, seed=3,
@@ -358,26 +348,6 @@ def _histories_equal(a, b):
         assert record_a.global_accuracy == record_b.global_accuracy
         assert record_a.local_loss == record_b.local_loss
         assert record_a.device_accuracies == record_b.device_accuracies
-
-
-def test_thread_backend_matches_serial_fedzkt():
-    _histories_equal(_run_fedzkt(SerialBackend()), _run_fedzkt(ThreadBackend(max_workers=2)))
-
-
-def test_thread_backend_matches_serial_fedmd():
-    train, test = _data()
-
-    def run(backend):
-        with backend:
-            with build_fedmd(train, test, _public(), _config(), family="small",
-                             backend=backend) as simulation:
-                return simulation.run()
-
-    serial = run(SerialBackend())
-    threaded = run(ThreadBackend(max_workers=2))
-    _histories_equal(serial, threaded)
-    for record_s, record_t in zip(serial.records, threaded.records):
-        assert record_s.server_metrics["digest_loss"] == record_t.server_metrics["digest_loss"]
 
 
 def test_serial_transport_ships_zero_bytes():
@@ -486,22 +456,36 @@ def test_process_pool_parity_not_broken_by_context_republish():
 # make_backend validation + map regression
 # --------------------------------------------------------------------------- #
 class TestMakeBackendValidation:
-    def test_thread_specs(self):
-        assert isinstance(make_backend("thread"), ThreadBackend)
-        backend = make_backend("thread:3")
-        assert isinstance(backend, ThreadBackend) and backend.max_workers == 3
+    def test_max_workers_fills_in_for_a_missing_count(self):
+        assert make_backend("process", max_workers=2).max_workers == 2
+        assert make_backend("process:3", max_workers=2).max_workers == 3
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown backend spec"):
             make_backend("threads")
 
+    def test_thread_spec_is_gone(self):
+        for spec in ("thread", "thread:2"):
+            with pytest.raises(ValueError, match="unknown backend spec"):
+                make_backend(spec)
+
     def test_process_zero_workers_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="must be >= 1"):
             make_backend("process:0")
 
-    def test_thread_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            make_backend("thread:-1")
+    def test_process_negative_workers_rejected(self):
+        for spec, max_workers in (("process:-1", None), ("process", 0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                make_backend(spec, max_workers=max_workers)
+
+    def test_process_and_tcp_counts_share_one_parser(self):
+        for spec in ("process:two", "tcp://:0?workers=two"):
+            with pytest.raises(ValueError, match="must be an integer, got 'two'"):
+                make_backend(spec)
+        with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
+            make_backend("process:0")
+        with pytest.raises(ValueError, match="workers must be >= 0, got -1"):
+            make_backend("tcp://:0?workers=-1")
 
     def test_non_integer_worker_count_rejected(self):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -517,7 +501,7 @@ class TestBackendRegistry:
         from repro.federated import backend_names
 
         names = backend_names()
-        for expected in ("serial", "thread", "process", "tcp"):
+        for expected in ("serial", "process", "tcp"):
             assert expected in names
 
     def test_descriptions_cover_every_registered_name(self):
@@ -574,15 +558,6 @@ def test_process_map_requires_explicit_start():
     with backend:
         backend.start(None)
         assert backend.map(abs, [-1, -2]) == [1, 2]
-
-
-def test_thread_map_requires_explicit_start():
-    backend = ThreadBackend(max_workers=1)
-    with pytest.raises(RuntimeError, match="requires a started pool"):
-        backend.map(abs, [-1])
-    with backend:
-        backend.start(None)
-        assert backend.map(abs, [-4]) == [4]
 
 
 def test_run_sweep_starts_backend_explicitly():

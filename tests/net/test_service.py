@@ -11,6 +11,7 @@ import pytest
 from repro.net.server import DriverChannel
 from repro.net.service import BlobService, Dispatcher
 from repro.net.wire import pack_tensor, tensor_digest
+from repro.utils import StateStore
 
 pytestmark = pytest.mark.net
 
@@ -182,6 +183,28 @@ def test_delta_publish_ships_only_changed_tensors():
     assert set(restored) == set(changed)
     for name in changed:
         np.testing.assert_array_equal(restored[name], changed[name])
+
+
+def test_one_changed_tensor_in_twelve_publishes_five_times_below_cold():
+    """A model-sized state of twelve 64 KiB tensors published cold, then
+    republished for four rounds with exactly one tensor changed per round,
+    through the store a tcp:// backend builds: each republish ships the one
+    tensor and a manifest."""
+    rng = np.random.default_rng(7)
+    state = {f"layer{i:02d}.weight": rng.normal(size=8192) for i in range(12)}
+    store = StateStore(DriverChannel(BlobService()))
+    store.advance_round(1)
+    store.put_state(state, label="device")
+    cold = store.stats()["published_bytes"]
+    steady = []
+    for round_index in range(2, 6):
+        changed = f"layer{round_index - 2:02d}.weight"
+        state[changed] = state[changed] + rng.normal(size=8192)
+        store.advance_round(round_index)
+        before = store.stats()["published_bytes"]
+        store.put_state(state, label="device")
+        steady.append(store.stats()["published_bytes"] - before)
+    assert cold >= 5 * sum(steady) / len(steady)
 
 
 def test_delta_publish_of_array_lists_round_trips_in_order():

@@ -244,7 +244,8 @@ class TestTheWorkIsGone:
             assert pool.stats()["outstanding_bytes"] == 3 * activation
             out.backward(rng.normal(size=out.shape))
             stats = pool.stats()
-        assert stats["acquires"] <= 7
+        assert stats["acquires"] == 7
+        # 10 MiB checked out at the peak: the bound is within 1.25x of it
         assert stats["outstanding_high_water"] <= 12 * 2 ** 20
         assert all(t.grad is not None for t in (x, layer.weight, layer.bias))
 

@@ -10,6 +10,9 @@ cohort planner swap the fused path in under golden-history replay.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,7 +240,8 @@ class TestStackUnstackProperties:
 # Tile width: how much of a cohort one BatchedModule stacks
 # --------------------------------------------------------------------------- #
 #: The models, input shapes and batch sizes of the sweep the constant is
-#: fitted to (``benchmarks/bench_cohort_fusion.py``).
+#: fitted to (the table under "Tile width" in ``docs/architecture.md``, last
+#: recorded at commit 7639820; a refit is measured on ``avg_serial_fused``).
 _SWEEP = {
     (3, 8, 8): {
         "fully_connected": FACTORIES["fully_connected"],
@@ -374,12 +378,18 @@ class TestCohortTiles:
         model = FACTORIES["fully_connected"](0)
         assert cohort_tiles(model, 5, (8, *INPUT_SHAPE)) == [(0, 5)]
 
-    def test_min_tiles_narrows_until_every_worker_has_one(self):
-        model = FACTORIES["fully_connected"](0)
-        assert cohort_tiles(model, 8, (8, *INPUT_SHAPE)) == [(0, 8)]
-        assert cohort_tiles(model, 8, (8, *INPUT_SHAPE), min_tiles=3) == [
-            (0, 3), (3, 6), (6, 8)]
-        assert len(cohort_tiles(model, 2, (8, *INPUT_SHAPE), min_tiles=5)) == 2
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_tiles_cover_the_cohort_once_in_order(self, name):
+        model = FACTORIES[name](0)
+        for samples in (8, 32, 180):
+            for cohort in range(1, 13):
+                tiles = cohort_tiles(model, cohort, (samples, *INPUT_SHAPE))
+                width = tiles[0][1] - tiles[0][0]
+                assert tiles[0][0] == 0 and tiles[-1][1] == cohort
+                assert all(stop == start for (_, stop), (start, _) in zip(tiles, tiles[1:]))
+                assert all(stop - start == width for start, stop in tiles[:-1])
+                assert 1 <= tiles[-1][1] - tiles[-1][0] <= width
+                assert len(tiles) == -(-cohort // width)
 
     def test_float32_policy_halves_the_bytes(self):
         model = _SWEEP[(1, 16, 16)]["lenet"](0)
@@ -391,11 +401,9 @@ class TestCohortTiles:
 class TestTiledEvaluator:
     """``BatchedEvaluator`` output is the same bytes at every tile width."""
 
-    @pytest.mark.parametrize("threads", [None, "3"])
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
     @pytest.mark.parametrize("name", sorted(FACTORIES))
-    def test_predict_is_bitwise_identical(self, name, width, threads,
-                                          force_tile_width, monkeypatch):
+    def test_predict_is_bitwise_identical(self, name, width, force_tile_width):
         models = [FACTORIES[name](seed) for seed in range(8)]
         states = [model.state_dict() for model in models]
         rng = np.random.default_rng(6)
@@ -405,10 +413,112 @@ class TestTiledEvaluator:
                     for batch in batches]
 
         force_tile_width(width)
-        if threads is not None:
-            monkeypatch.setenv("REPRO_SLICE_THREADS", threads)
-        with BatchedEvaluator(models[0], states, batches[0].shape) as evaluator:
-            for batch, reference in zip(batches, expected):
-                np.testing.assert_array_equal(evaluator.predict(batch), reference)
-            assert len(evaluator._modules) == max(
-                -(-8 // width), 1 if threads is None else int(threads))
+        evaluator = BatchedEvaluator(models[0], states, batches[0].shape)
+        for batch, reference in zip(batches, expected):
+            np.testing.assert_array_equal(evaluator.predict(batch), reference)
+        assert len(evaluator._modules) == -(-8 // width)
+
+
+# --------------------------------------------------------------------------- #
+# Memory budgets of the training step: transient bytes and arena retention
+# --------------------------------------------------------------------------- #
+#: Absolute byte budgets: BUDGET_FACTOR x what the pooled, in-place engine
+#: measured when they were set.  Every allocate-per-op formulation of the
+#: engine measured at least 1.48x those figures.
+BUDGET_FACTOR = 1.25
+STEP_BUDGET_BYTES = {  # traced bytes per fused device-step
+    "fully_connected": BUDGET_FACTOR * 12_426,
+    "lenet": BUDGET_FACTOR * 132_445,
+    "simple_cnn": BUDGET_FACTOR * 134_660,
+}
+FORWARD_BUDGET_BYTES = {  # traced bytes per serial training forward
+    "fully_connected": BUDGET_FACTOR * 14_634,
+    "lenet": BUDGET_FACTOR * 32_822,
+    "simple_cnn": BUDGET_FACTOR * 80_068,
+}
+#: What the arena may hold after a warmed loop, over the most it ever had
+#: checked out at once.  A pool that parks idle buffers per shape fails it.
+RETENTION_FACTOR = 1.25
+_COHORT, _SAMPLES, _WARMUP_STEPS, _MEASURED_STEPS = 8, 8, 3, 10
+
+
+class TestMemoryBudgets:
+    """A cohort of eight through a warmed ``BatchedModule`` + ``BatchedSGD``
+    loop with ``zero_grad(set_to_none=False)``, and the same loop on one
+    model, each on an arena of its own."""
+
+    @staticmethod
+    def _data(seed):
+        rng = np.random.default_rng(seed)
+        steps = _WARMUP_STEPS + _MEASURED_STEPS
+        return (rng.normal(size=(steps, _COHORT, _SAMPLES, *INPUT_SHAPE)),
+                rng.integers(0, NUM_CLASSES, size=(steps, _COHORT, _SAMPLES)))
+
+    @classmethod
+    def _fused_steps(cls, factory):
+        """The fused step loop: yields after each step."""
+        images, labels = cls._data(23)
+        module = BatchedModule(factory(seed=0),
+                               [factory(seed=index).state_dict() for index in range(_COHORT)])
+        module.train()
+        optimizer = BatchedSGD(module.parameters(), _COHORT, lr=0.05, momentum=0.9)
+        for step in range(len(images)):
+            optimizer.zero_grad(set_to_none=False)
+            batched_cross_entropy(module(Tensor(images[step])), labels[step]).sum().backward()
+            optimizer.step()
+            yield step
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_transient_bytes_per_fused_device_step(self, name):
+        """Peak traced bytes over the steady-state baseline across the
+        measured steps: temporaries die within the step that made them, so
+        that is one step's transient working set."""
+        with fresh_pool():
+            tracemalloc.start()
+            try:
+                for step in self._fused_steps(FACTORIES[name]):
+                    if step == _WARMUP_STEPS - 1:
+                        gc.collect()
+                        tracemalloc.reset_peak()
+                        baseline = tracemalloc.get_traced_memory()[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak - baseline) / _COHORT <= STEP_BUDGET_BYTES[name]
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_transient_bytes_per_serial_forward(self, name):
+        """Only the ``model(...)`` call is inside the window; backward and the
+        optimizer step run between windows, so reclaim recycles the pooled
+        activations for the next forward."""
+        images, labels = self._data(29)
+        model = FACTORIES[name](seed=0)
+        model.train()
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        worst = 0
+        with fresh_pool():
+            tracemalloc.start()
+            try:
+                for step in range(len(images)):
+                    optimizer.zero_grad(set_to_none=False)
+                    if step == _WARMUP_STEPS:
+                        gc.collect()
+                    tracemalloc.reset_peak()
+                    baseline = tracemalloc.get_traced_memory()[0]
+                    out = model(Tensor(images[step, 0]))
+                    if step >= _WARMUP_STEPS:
+                        worst = max(worst, tracemalloc.get_traced_memory()[1] - baseline)
+                    cross_entropy(out, labels[step, 0]).backward()
+                    optimizer.step()
+            finally:
+                tracemalloc.stop()
+        assert worst <= FORWARD_BUDGET_BYTES[name]
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_arena_retention_after_the_fused_loop(self, name):
+        with fresh_pool() as pool:
+            for _ in self._fused_steps(FACTORIES[name]):
+                pass
+        stats = pool.stats()
+        assert (stats["free_bytes"] + stats["outstanding_bytes"]
+                <= RETENTION_FACTOR * stats["outstanding_high_water"])

@@ -378,6 +378,30 @@ class TestTrimReturnsPages:
         again.fill(3.0)
         assert np.shares_memory(again, large) and (kept == 1.0).all()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+    def test_rounds_of_4_mib_after_one_of_48_hold_4(self):
+        """A round that writes 48 MiB of the arena, then rounds that write 4:
+        the trim that ends the first small round leaves the arena holding
+        exactly what that round used, and the resident set lower by at least
+        90 % of the difference."""
+        pool = BufferPool()
+
+        def run_round(version, megabytes):
+            pool.enter_round(version)
+            arrays = [pool.acquire((2 ** 20 // 8,)) for _ in range(megabytes)]
+            for array in arrays:
+                array.fill(1.0)
+            for array in arrays:
+                pool.release(array)
+
+        run_round(0, 48)
+        large = self._resident()
+        run_round(1, 4)
+        run_round(2, 4)  # the trim at its top is the one that ends round 1
+        stats = pool.stats()
+        assert stats["free_bytes"] + stats["outstanding_bytes"] == 4 * 2 ** 20
+        assert large - self._resident() >= 0.9 * 44 * 2 ** 20
+
 
 class TestFreshPool:
     def test_the_block_runs_on_an_arena_of_its_own(self):

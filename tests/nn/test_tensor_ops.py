@@ -252,9 +252,9 @@ class TestGraphMechanics:
 
 
 def test_no_grad_is_thread_local():
-    """The autograd switch must be per-thread: concurrent tasks on the
-    thread execution backend enter/exit no_grad in arbitrary interleavings,
-    which would corrupt a shared module-global flag."""
+    """The autograd switch must be per-thread: work running concurrently on
+    threads enters/exits no_grad in arbitrary interleavings, which would
+    corrupt a shared module-global flag."""
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.nn import is_grad_enabled, no_grad

@@ -76,10 +76,10 @@ def test_parser_transport_stats_flag():
 def test_run_command_prints_transport_stats(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(cli.SCALES, "tiny", MICRO_SCALE)
     code = cli.main(["run", "mnist", "--scale", "tiny", "--rounds", "1",
-                     "--backend", "thread:2", "--transport-stats", "--quiet"])
+                     "--backend", "serial", "--transport-stats", "--quiet"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "transport stats [thread]" in out
+    assert "transport stats [serial]" in out
     assert "refs_resolved" in out
     assert "by label:" in out
 
