@@ -5,9 +5,9 @@ dispatching the FedZKT server update through an execution backend must be a
 pure performance optimization.  Phase 1 (teacher-ensemble evaluation with
 the autograd path back to the synthesized inputs) and Phase 2 (per-device
 back-transfer) are compared against the serial path with exact equality —
-on model states, optimizer momentum, `DistillationReport` metrics, and
-whole training histories — for both the serial backend and a 2-worker
-process pool.
+on model states, optimizer momentum and `DistillationReport` metrics — for
+both the serial backend and a 2-worker process pool.  Whole sharded FedZKT
+runs are rows of ``tests/integration/test_parity_matrix.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import ZeroShotDistiller, build_fedzkt
+from repro.core import ZeroShotDistiller
 from repro.core.server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
@@ -27,14 +27,7 @@ from repro.core.server_tasks import (
     make_distill_optimizer,
     partition_shards,
 )
-from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
-from repro.federated import (
-    FederatedConfig,
-    ProcessPoolBackend,
-    SerialBackend,
-    ServerConfig,
-    WorkerContext,
-)
+from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, LeNet, SimpleCNN, build_generator, build_global_model
 
 SHAPE = (3, 8, 8)
@@ -148,58 +141,6 @@ def test_sharded_phases_match_serial_individually():
         vel_b = sharded.device_optimizer_for(device_id, device_models_b[device_id])
         for buffer_a, buffer_b in zip(vel_a.velocity_state(), vel_b.velocity_state()):
             np.testing.assert_array_equal(buffer_a, buffer_b)
-
-
-def _tiny_federated_data():
-    config = SyntheticImageConfig(name="shard-rgb", num_classes=4, channels=3, height=8,
-                                  width=8, family_seed=21, noise_level=0.2, max_shift=1,
-                                  modes_per_class=1, background_strength=0.2)
-    generator = SyntheticImageGenerator(config)
-    return generator.sample(160, seed=1), generator.sample(60, seed=2)
-
-
-def _federated_history(backend, server_shards, scheduler_kind="sync"):
-    from repro.federated.config import SchedulerConfig
-
-    train, test = _tiny_federated_data()
-    config = FederatedConfig(
-        num_devices=4, rounds=2, local_epochs=1, batch_size=16, device_lr=0.05, seed=3,
-        server=_server_config(distillation_iterations=2, server_shards=server_shards),
-        scheduler=SchedulerConfig(kind=scheduler_kind),
-    )
-    with backend:
-        with build_fedzkt(train, test, config, family="small", backend=backend) as simulation:
-            return simulation.run()
-
-
-def _assert_histories_equal(history_a, history_b):
-    assert len(history_a) == len(history_b)
-    for record_a, record_b in zip(history_a.records, history_b.records):
-        assert record_a.active_devices == record_b.active_devices
-        assert record_a.global_accuracy == record_b.global_accuracy
-        assert record_a.local_loss == record_b.local_loss
-        assert record_a.device_accuracies == record_b.device_accuracies
-        for key, value in record_a.server_metrics.items():
-            assert value == record_b.server_metrics[key], key
-
-
-@pytest.mark.parametrize("backend_factory", [
-    SerialBackend,
-    lambda: ProcessPoolBackend(max_workers=2),
-], ids=["serial-backend", "process:2"])
-def test_fedzkt_history_identical_with_server_sharding(backend_factory):
-    reference = _federated_history(SerialBackend(), server_shards=1)
-    sharded = _federated_history(backend_factory(), server_shards=2)
-    _assert_histories_equal(reference, sharded)
-
-
-def test_fedzkt_history_identical_with_server_sharding_under_deadline_scheduler():
-    """Sharded server updates compose with the straggler-aware scheduler."""
-    reference = _federated_history(SerialBackend(), server_shards=1,
-                                   scheduler_kind="deadline")
-    sharded = _federated_history(SerialBackend(), server_shards=3,
-                                 scheduler_kind="deadline")
-    _assert_histories_equal(reference, sharded)
 
 
 def test_partition_shards_contiguous_and_even():

@@ -1,32 +1,18 @@
-"""Fused-cohort execution: planner semantics and end-to-end bit-parity.
+"""Fused-cohort execution: planner semantics and tiled training tasks.
 
-``cohort_fusion`` must be a pure performance knob: every history produced
-with fusion on — FedZKT / FedAvg / FedMD, sync / deadline / async
-schedulers, serial or process backends, sharded or in-process server
-updates — must match the fusion-off run *numerically exactly* (module the
-``cohort_fusion`` key the config summary adds).  Heterogeneous cohorts
-must silently fall back to the per-device tasks.
+``cohort_fusion`` must be a pure performance knob.  Whole runs with fusion
+on — every algorithm and scheduler, serial or process backends, sharded or
+in-process server updates, forced tile widths — replay the fusion-off
+history in ``tests/integration/test_parity_matrix.py``; this module keeps
+the planner's grouping and the task-level tile comparisons.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.baselines import build_fedavg, build_fedmd
-from repro.core import build_fedzkt
-from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
-from repro.federated import (
-    FederatedConfig,
-    FusedLocalTrainTask,
-    SchedulerConfig,
-    ServerConfig,
-    make_backend,
-    plan_cohorts,
-)
+from repro.federated import FusedLocalTrainTask, plan_cohorts
 from repro.federated.backend import DigestSpec, LocalTrainTask
 from repro.models import ModelSpec, build_model
 
@@ -99,130 +85,11 @@ class TestPlanCohorts:
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end bit-parity
-# --------------------------------------------------------------------------- #
-def _data():
-    config = SyntheticImageConfig(name="fusion-rgb", num_classes=4, channels=3, height=8,
-                                  width=8, family_seed=29, noise_level=0.2, max_shift=1,
-                                  modes_per_class=1, background_strength=0.2)
-    generator = SyntheticImageGenerator(config)
-    return generator.sample(128, seed=1), generator.sample(48, seed=2)
-
-
-def _public():
-    config = SyntheticImageConfig(name="fusion-public", num_classes=4, channels=3, height=8,
-                                  width=8, family_seed=31, modes_per_class=1)
-    return SyntheticImageGenerator(config).sample(48, seed=5)
-
-
-def _config(fusion, rounds=2, scheduler=None, server_shards=1, prox_mu=0.0):
-    return FederatedConfig(
-        num_devices=4, rounds=rounds, local_epochs=1, batch_size=16, device_lr=0.05,
-        seed=9, prox_mu=prox_mu,
-        server=ServerConfig(distillation_iterations=2, batch_size=8, noise_dim=16,
-                            device_distill_lr=0.02, server_shards=server_shards),
-        scheduler=scheduler or SchedulerConfig(),
-        cohort_fusion=fusion,
-    )
-
-
-_CNN_SPEC = ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16})
-
-
-def _homogeneous_models(config, input_shape, num_classes):
-    return [build_model(_CNN_SPEC, input_shape, num_classes, seed=config.seed + index)
-            for index in range(config.num_devices)]
-
-
-def _canonical(history):
-    payload = history.to_dict()
-    payload["config"].pop("cohort_fusion", None)
-    return json.dumps(payload, default=float, sort_keys=True)
-
-
-def _run_fedavg(fusion, scheduler=None, backend=None, prox_mu=0.0):
-    train, test = _data()
-    config = _config(fusion, scheduler=scheduler, prox_mu=prox_mu)
-    with build_fedavg(train, test, config, model_spec=_CNN_SPEC,
-                      backend=backend) as simulation:
-        return simulation.run()
-
-
-def _run_fedmd(fusion, homogeneous):
-    train, test = _data()
-    config = _config(fusion)
-    models = (_homogeneous_models(config, train.input_shape, train.num_classes)
-              if homogeneous else None)
-    kwargs = {"device_models": models} if homogeneous else {"family": "small"}
-    with build_fedmd(train, test, _public(), config, **kwargs) as simulation:
-        return simulation.run()
-
-
-def _run_fedzkt(fusion, homogeneous=False, server_shards=1):
-    train, test = _data()
-    config = _config(fusion, server_shards=server_shards)
-    models = (_homogeneous_models(config, train.input_shape, train.num_classes)
-              if homogeneous else None)
-    kwargs = {"device_models": models} if homogeneous else {"family": "small"}
-    with build_fedzkt(train, test, config, **kwargs) as simulation:
-        return simulation.run()
-
-
-class TestFusedHistoriesMatchSerial:
-    def test_fedavg_sync(self):
-        assert _canonical(_run_fedavg(False)) == _canonical(_run_fedavg(True))
-
-    def test_fedprox_anchored_cohort(self):
-        assert (_canonical(_run_fedavg(False, prox_mu=0.05))
-                == _canonical(_run_fedavg(True, prox_mu=0.05)))
-
-    @pytest.mark.parametrize("kind", ["deadline", "async"])
-    def test_fedavg_reordering_schedulers(self, kind):
-        scheduler = SchedulerConfig(kind=kind, deadline=1.5, buffer_size=2)
-        assert (_canonical(_run_fedavg(False, scheduler=scheduler))
-                == _canonical(_run_fedavg(True, scheduler=scheduler)))
-
-    def test_fedavg_process_backend(self):
-        backend = make_backend("process:2")
-        try:
-            fused = _run_fedavg(True, backend=backend)
-        finally:
-            backend.shutdown()
-        assert _canonical(_run_fedavg(False)) == _canonical(fused)
-
-    def test_fedmd_homogeneous_fuses_digest_phase(self):
-        assert (_canonical(_run_fedmd(False, homogeneous=True))
-                == _canonical(_run_fedmd(True, homogeneous=True)))
-
-    def test_fedmd_heterogeneous_falls_back(self):
-        assert (_canonical(_run_fedmd(False, homogeneous=False))
-                == _canonical(_run_fedmd(True, homogeneous=False)))
-
-    def test_fedzkt_heterogeneous_falls_back(self):
-        assert (_canonical(_run_fedzkt(False)) == _canonical(_run_fedzkt(True)))
-
-    def test_fedzkt_homogeneous_sharded_teacher_ensemble(self):
-        # server_shards=2 + fusion: Phase-1 ensemble forward/VJP shards run
-        # through the stacked BatchedModule path.
-        baseline = _run_fedzkt(False, homogeneous=True, server_shards=1)
-        fused = _run_fedzkt(True, homogeneous=True, server_shards=2)
-        base_payload = json.loads(_canonical(baseline))
-        fused_payload = json.loads(_canonical(fused))
-        base_payload["config"].pop("server_shards", None)
-        fused_payload["config"].pop("server_shards", None)
-        assert (json.dumps(base_payload, sort_keys=True)
-                == json.dumps(fused_payload, sort_keys=True))
-
-    def test_fusion_flag_lands_in_history_config(self):
-        history = _run_fedavg(True)
-        assert history.config.get("cohort_fusion") is True
-
-
-# --------------------------------------------------------------------------- #
 # Tile widths: a fused task run as tiles returns the undivided stack's bytes
 # --------------------------------------------------------------------------- #
 def _cnn(seed):
-    return build_model(_CNN_SPEC, (3, 8, 8), 4, seed=seed)
+    return build_model(ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16}), (3, 8, 8), 4,
+                       seed=seed)
 
 
 def _fc(seed):
@@ -306,29 +173,3 @@ class TestTiledTrainingMatchesTheWholeStack:
                               batch_size=16, seed=50 + index)).run(context)
             for index in sorted(context.models)]
         _assert_results_identical(whole, serial)
-
-
-@pytest.mark.parametrize("width", [1, 3])
-@pytest.mark.parametrize("algorithm", ["fedavg", "fedmd", "fedzkt"])
-def test_tiled_histories_match_unfused(algorithm, width, force_tile_width):
-    # Whole runs on eight homogeneous devices: every fused site (training,
-    # digests, evaluation, public logits, sharded ensemble forward/VJP,
-    # Phase-2 transfer with its persisted optimizer state) cut into tiles.
-    def run(fusion):
-        train, test = _data()
-        shards = 2 if fusion and algorithm == "fedzkt" else 1
-        config = replace(_config(fusion, server_shards=shards), num_devices=8)
-        models = _homogeneous_models(config, train.input_shape, train.num_classes)
-        if algorithm == "fedavg":
-            builder = build_fedavg(train, test, config, model_spec=_CNN_SPEC)
-        elif algorithm == "fedmd":
-            builder = build_fedmd(train, test, _public(), config, device_models=models)
-        else:
-            builder = build_fedzkt(train, test, config, device_models=models)
-        with builder as simulation:
-            payload = json.loads(_canonical(simulation.run()))
-        payload["config"].pop("server_shards", None)
-        return payload
-
-    force_tile_width(width)
-    assert run(True) == run(False)

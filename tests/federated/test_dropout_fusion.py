@@ -5,25 +5,18 @@ be replayed under stacking), so SimpleCNN-with-dropout cohorts always fell
 back to per-device training.  The adapter added in ISSUE 7 draws slice
 ``b``'s mask from member ``b``'s own live layer generator — same shape,
 same order as the serial layer — so fused training is bitwise identical to
-the fallback *and* leaves every device's RNG in the identical state.
+the fallback *and* leaves every device's RNG in the identical state (a whole
+dropout-CNN FedAvg run is a row of ``tests/integration/test_parity_matrix.py``).
 """
 
 from __future__ import annotations
 
 import copy
-import json
 
 import numpy as np
 import pytest
 
-from repro.baselines import build_fedavg
-from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
-from repro.federated import (
-    FederatedConfig,
-    FusedLocalTrainTask,
-    SchedulerConfig,
-    ServerConfig,
-)
+from repro.federated import FusedLocalTrainTask
 from repro.models import ModelSpec, SimpleCNN, build_model
 from repro.nn import Tensor
 from repro.nn.batched import BatchedModule, UnfusableModelError, fusion_signature
@@ -108,52 +101,12 @@ class TestBatchedDropoutForward:
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end: a SimpleCNN-with-dropout cohort no longer falls back
+# Tiles: every member keeps its own mask stream across tile boundaries
 # --------------------------------------------------------------------------- #
 _DROPOUT_SPEC = ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16,
                                   "dropout": 0.25})
 
 
-def _data():
-    config = SyntheticImageConfig(name="dropout-rgb", num_classes=4, channels=3,
-                                  height=8, width=8, family_seed=29, noise_level=0.2,
-                                  max_shift=1, modes_per_class=1,
-                                  background_strength=0.2)
-    generator = SyntheticImageGenerator(config)
-    return generator.sample(128, seed=1), generator.sample(48, seed=2)
-
-
-def _config(fusion):
-    return FederatedConfig(
-        num_devices=4, rounds=2, local_epochs=1, batch_size=16, device_lr=0.05,
-        seed=9,
-        server=ServerConfig(distillation_iterations=2, batch_size=8, noise_dim=16,
-                            device_distill_lr=0.02),
-        scheduler=SchedulerConfig(),
-        cohort_fusion=fusion,
-    )
-
-
-def _canonical(history):
-    payload = history.to_dict()
-    payload["config"].pop("cohort_fusion", None)
-    return json.dumps(payload, default=float, sort_keys=True)
-
-
-def _run(fusion):
-    train, test = _data()
-    with build_fedavg(train, test, _config(fusion),
-                      model_spec=_DROPOUT_SPEC) as simulation:
-        return simulation.run()
-
-
-def test_dropout_cohort_history_is_bit_identical():
-    assert _canonical(_run(False)) == _canonical(_run(True))
-
-
-# --------------------------------------------------------------------------- #
-# Tiles: every member keeps its own mask stream across tile boundaries
-# --------------------------------------------------------------------------- #
 def _dropout_rng_states(context):
     return [[layer._rng.bit_generator.state for layer in model.fusion_layers()
              if type(layer).__name__ == "Dropout"]

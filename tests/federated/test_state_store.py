@@ -7,8 +7,10 @@ Covers the ISSUE 5 tentpole contracts:
   entries older than the previous round; ``discard`` drops ephemerals.
 * Worker-side ``LRUStateCache`` is bounded by bytes and evicts LRU-first.
 * ``ProcessPoolBackend`` keeps its server and workers alive across context
-  changes (``server_starts`` stays 1) and ships dramatically fewer bytes than the
-  inline wire format would (``transport_stats``): at least 10x fewer per
+  changes (``server_starts`` stays 1; simulations sharing one pool replay
+  their serial histories in ``tests/integration/test_parity_matrix.py``) and
+  ships dramatically fewer bytes than the inline wire format would
+  (``transport_stats``): at least 10x fewer per
   warmed-up round of a Phase-1-heavy FedZKT run, with at least 90 % of the
   teacher-state resolutions served from a worker's cache.
 * ``make_backend`` rejects malformed specs with uniform errors, and
@@ -341,15 +343,6 @@ def _run_fedzkt(backend, server_shards=1):
             return simulation.run()
 
 
-def _histories_equal(a, b):
-    assert len(a) == len(b)
-    for record_a, record_b in zip(a.records, b.records):
-        assert record_a.active_devices == record_b.active_devices
-        assert record_a.global_accuracy == record_b.global_accuracy
-        assert record_a.local_loss == record_b.local_loss
-        assert record_a.device_accuracies == record_b.device_accuracies
-
-
 def test_serial_transport_ships_zero_bytes():
     backend = SerialBackend()
     _run_fedzkt(backend)
@@ -430,26 +423,6 @@ def test_warm_round_ships_tenfold_less_than_inline():
     assert resolved > 0
     assert 1.0 - fetches / resolved >= 0.9
     assert after["server_starts"] == 1
-
-
-def test_process_pool_parity_not_broken_by_context_republish():
-    """Two simulations sharing one pool (context change in between) both
-    match their serial histories bit for bit."""
-    serial_a = _run_fedzkt(SerialBackend())
-    serial_b = _run_fedzkt(SerialBackend())
-
-    train, test = _data()
-    backend = ProcessPoolBackend(max_workers=2)
-    with backend:
-        with build_fedzkt(train, test, _config(), family="small",
-                          backend=backend) as sim_a:
-            history_a = sim_a.run()
-        with build_fedzkt(train, test, _config(), family="small",
-                          backend=backend) as sim_b:
-            history_b = sim_b.run()
-        assert backend.server_starts == 1
-    _histories_equal(serial_a, history_a)
-    _histories_equal(serial_b, history_b)
 
 
 # --------------------------------------------------------------------------- #

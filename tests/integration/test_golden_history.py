@@ -7,6 +7,9 @@ the fixture, so refactors of the round loop, the execution backend, the
 scheduler layer, or the server update cannot silently drift the reference
 trajectories — the failure mode bit-identity refactors (ISSUE 1–3) are most
 exposed to.
+``tests/integration/test_parity_matrix.py`` runs the same three
+configurations under every execution mode against its oracle, which it
+holds to these fixtures too.
 
 Numbers are compared with ``math.isclose(rel_tol=1e-9, abs_tol=1e-12)``:
 exact up to the last couple of floating-point bits, loose enough to
@@ -57,35 +60,31 @@ def _public():
     return SyntheticImageGenerator(config).sample(60, seed=5)
 
 
-def _config(rounds: int, cohort_fusion: bool = False) -> FederatedConfig:
+def _config(rounds: int) -> FederatedConfig:
     return FederatedConfig(
         num_devices=4, rounds=rounds, local_epochs=1, batch_size=16, device_lr=0.05,
         seed=11,
         server=ServerConfig(distillation_iterations=2, batch_size=8, noise_dim=16,
                             device_distill_lr=0.02),
-        cohort_fusion=cohort_fusion,
     )
 
 
-def _run_fedzkt(cohort_fusion: bool = False):
+def _run_fedzkt():
     train, test = _data()
-    with build_fedzkt(train, test, _config(rounds=3, cohort_fusion=cohort_fusion),
-                      family="small") as simulation:
+    with build_fedzkt(train, test, _config(rounds=3), family="small") as simulation:
         return simulation.run()
 
 
-def _run_fedavg(cohort_fusion: bool = False):
+def _run_fedavg():
     train, test = _data()
     spec = ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16})
-    with build_fedavg(train, test, _config(rounds=3, cohort_fusion=cohort_fusion),
-                      model_spec=spec) as simulation:
+    with build_fedavg(train, test, _config(rounds=3), model_spec=spec) as simulation:
         return simulation.run()
 
 
-def _run_fedmd(cohort_fusion: bool = False):
+def _run_fedmd():
     train, test = _data()
-    with build_fedmd(train, test, _public(), _config(rounds=2, cohort_fusion=cohort_fusion),
-                     family="small") as simulation:
+    with build_fedmd(train, test, _public(), _config(rounds=2), family="small") as simulation:
         return simulation.run()
 
 
@@ -135,19 +134,6 @@ def test_history_matches_golden_fixture(name):
     expected = json.loads(fixture_path.read_text(encoding="utf-8"))
     history = WORKLOADS[name]()
     _assert_numerically_equal(_normalize(history.to_dict()), expected)
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_history_with_cohort_fusion_matches_golden_fixture(name):
-    """``cohort_fusion`` is a pure performance knob: the fused path must
-    replay the frozen fixtures (recorded with fusion off) bit-for-bit.
-    Only the config summary differs — it records the flag when enabled —
-    so that one key is dropped before comparing."""
-    expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    history = WORKLOADS[name](cohort_fusion=True)
-    actual = _normalize(history.to_dict())
-    assert actual["config"].pop("cohort_fusion", None) is True
-    _assert_numerically_equal(actual, expected)
 
 
 def test_fixtures_record_expected_shape():

@@ -1,5 +1,7 @@
-"""The tcp:// backend end to end: bit-identical parity with serial execution,
-worker-disconnect recovery, result-path refs, and spec parsing.
+"""The tcp:// backend end to end: delta publishes, worker-disconnect
+recovery, respawns, external workers, and spec parsing.  Whole runs on
+``tcp://`` (with and without result-path refs) replay their serial history
+in ``tests/integration/test_parity_matrix.py``.
 
 These tests bind real localhost sockets and run real worker daemons — forked
 from the test process at start-up, ``python -m repro.net.worker`` when
@@ -19,79 +21,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import build_fedavg, build_fedmd
 from repro.core import build_fedzkt
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
-from repro.federated import (
-    FederatedConfig,
-    SerialBackend,
-    ServerConfig,
-    WorkerContext,
-    make_backend,
-)
+from repro.federated import FederatedConfig, ServerConfig, WorkerContext, make_backend
 from repro.federated.backend import EvaluateTask
-from repro.models import ModelSpec
 from repro.net import RemoteBackend, RemoteTaskError
 
 pytestmark = pytest.mark.net
 
 
-# --------------------------------------------------------------------------- #
-# Parity harness (mirrors tests/federated/test_backend_parity.py)
-# --------------------------------------------------------------------------- #
-def _data(samples_train=120, samples_test=48):
+def _fedzkt(backend):
     config = SyntheticImageConfig(name="tcp-parity-rgb", num_classes=4, channels=3,
                                   height=8, width=8, family_seed=21, noise_level=0.2,
                                   max_shift=1, modes_per_class=1, background_strength=0.2)
     generator = SyntheticImageGenerator(config)
-    return generator.sample(samples_train, seed=1), generator.sample(samples_test, seed=2)
-
-
-def _public():
-    config = SyntheticImageConfig(name="tcp-parity-public", num_classes=4, channels=3,
-                                  height=8, width=8, family_seed=77, modes_per_class=1)
-    return SyntheticImageGenerator(config).sample(48, seed=5)
-
-
-def _config():
-    return FederatedConfig(
+    federated = FederatedConfig(
         num_devices=4, rounds=2, local_epochs=1, batch_size=16, device_lr=0.05, seed=3,
         server=ServerConfig(distillation_iterations=2, batch_size=8, noise_dim=16,
-                            device_distill_lr=0.02),
-    )
-
-
-def _build(algorithm, backend):
-    train, test = _data()
-    config = _config()
-    if algorithm == "fedzkt":
-        return build_fedzkt(train, test, config, family="small", backend=backend)
-    if algorithm == "fedavg":
-        return build_fedavg(train, test, config,
-                            model_spec=ModelSpec("cnn", {"channels": (4, 8),
-                                                         "hidden_size": 16}),
-                            backend=backend)
-    if algorithm == "fedmd":
-        return build_fedmd(train, test, _public(), config, family="small", backend=backend)
-    raise ValueError(algorithm)
-
-
-def _run(algorithm, backend):
-    with backend:
-        with _build(algorithm, backend) as simulation:
-            return simulation.run()
-
-
-def _assert_identical(serial, remote, algorithm):
-    assert len(serial) == len(remote) == 2
-    for record_s, record_r in zip(serial.records, remote.records):
-        assert record_s.active_devices == record_r.active_devices
-        assert record_s.global_accuracy == record_r.global_accuracy
-        assert record_s.local_loss == record_r.local_loss
-        assert record_s.device_accuracies == record_r.device_accuracies
-        if algorithm == "fedmd":
-            assert (record_s.server_metrics["digest_loss"]
-                    == record_r.server_metrics["digest_loss"])
+                            device_distill_lr=0.02))
+    return build_fedzkt(generator.sample(120, seed=1), generator.sample(48, seed=2),
+                        federated, family="small", backend=backend)
 
 
 def _wait_for(predicate, timeout=60.0, interval=0.05, message="condition"):
@@ -104,33 +53,14 @@ def _wait_for(predicate, timeout=60.0, interval=0.05, message="condition"):
 
 
 # --------------------------------------------------------------------------- #
-# Bit-identical parity (the house invariant)
+# Transport
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("algorithm", ["fedzkt", "fedavg", "fedmd"])
-def test_tcp_backend_matches_serial_bit_for_bit(algorithm):
-    serial = _run(algorithm, SerialBackend())
-    remote = _run(algorithm, make_backend("tcp://:0?workers=2"))
-    _assert_identical(serial, remote, algorithm)
-
-
-def test_result_path_refs_stay_bit_identical():
-    serial = _run("fedavg", SerialBackend())
-    backend = make_backend("tcp://:0?workers=2&refs=1")  # every result state comes back as a ref
-    with backend:
-        with _build("fedavg", backend) as simulation:
-            remote = simulation.run()
-        stats = backend.transport_stats()
-    _assert_identical(serial, remote, "fedavg")
-    assert stats["result_refs_resolved"] > 0
-    assert stats["uploaded_bytes"] > 0
-
-
 def test_delta_publishes_cut_steady_state_bytes():
     """Round 2 republishes mostly-unchanged teacher/device states: the delta
     channel must publish far fewer bytes than round 1's cold publish."""
     backend = make_backend("tcp://:0?workers=2")
     with backend:
-        with _build("fedzkt", backend) as simulation:
+        with _fedzkt(backend) as simulation:
             simulation.run(rounds=1)
             round1 = backend.transport_stats()["published_bytes"]
             simulation.run_round(2)
