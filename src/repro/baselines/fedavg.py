@@ -95,6 +95,9 @@ class FedAvgServer(FederatedServer):
             averaged[key] = np.sum(stacked * shaped, axis=0)
             if current is not None:
                 averaged[key] = averaged[key] + residual * current[key]
+            # The weights are float64: under the float32 policy the average
+            # must go back to the uploads' dtype before it is broadcast.
+            averaged[key] = averaged[key].astype(stacked.dtype, copy=False)
         self._global_model.load_state_dict(averaged)
         self._payload = averaged
         self.last_metrics = {"aggregated_devices": float(len(self.uploads)),

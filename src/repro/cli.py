@@ -13,8 +13,9 @@ Subcommands
     :func:`repro.experiments.runner.register_algorithm_runner`) and
     optionally save its :class:`TrainingHistory` as JSON.
 ``repro experiment``
-    Run one of the paper's table/figure experiments, printing the
-    formatted rendering and optionally emitting per-variant JSON.
+    Run one row of the paper's experiment table, printing its rendering
+    and claims, and optionally writing its ``manifest.json`` /
+    ``metrics.jsonl`` / ``summary.json`` under ``--output-dir``.
 ``repro worker``
     Run a remote worker daemon for the multi-node ``tcp://`` backend:
     ``repro worker --connect HOST:PORT`` on any machine that can reach the
@@ -55,6 +56,7 @@ from typing import List, Optional
 
 from . import __version__
 from .experiments.configs import SCALES
+from .experiments.reporting import format_claims
 from .experiments.runner import EXPERIMENTS, run_algorithm, run_experiment
 from .federated.backend import backend_descriptions, make_backend
 from .federated.strategies import get_strategy_class, strategy_capabilities, strategy_names
@@ -66,7 +68,7 @@ __all__ = ["build_parser", "main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="FedZKT (ICDCS 2022) reproduction: federated runs, experiments, sweeps.",
+        description="FedZKT (ICDCS 2022) reproduction: federated runs and the paper's experiments.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -149,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser.add_argument("--backend", default="serial",
                             help="execution backend for the variant sweep")
     exp_parser.add_argument("--output-dir", default=None,
-                            help="emit per-variant JSON results into this directory")
+                            help="write manifest.json, metrics.jsonl and summary.json "
+                                 "into OUTPUT_DIR/<name>/")
 
     # ------------------------------------------------------------- worker
     worker_parser = subparsers.add_parser(
@@ -260,13 +263,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     backend = make_backend(args.backend)
     try:
-        result = run_experiment(args.name, scale=args.scale, seed=args.seed,
-                                backend=backend, output_dir=args.output_dir)
+        summary = run_experiment(args.name, scale=args.scale, seed=args.seed,
+                                 backend=backend, output_dir=args.output_dir)
     finally:
         backend.shutdown()
-    print(result["formatted"])
+    print(summary["rendering"])
+    print("\n" + format_claims(summary["claims"]))
     if args.output_dir:
-        print(f"\nper-variant JSON written to {args.output_dir}")
+        print(f"\nmanifest.json, metrics.jsonl and summary.json written to "
+              f"{args.output_dir}/{args.name}")
     return 0
 
 
@@ -283,8 +288,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         print(f"  {'':15s} [{'; '.join(flags)}]")
     print("\nexperiments:")
     for name in sorted(EXPERIMENTS):
-        doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()
-        print(f"  {name:15s} {doc[0] if doc else ''}")
+        print(f"  {name:15s} {EXPERIMENTS[name].title}")
     print("\nscales: " + ", ".join(sorted(SCALES)))
     print("\nbackends:")
     for name, description in backend_descriptions().items():

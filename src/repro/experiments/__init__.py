@@ -1,35 +1,31 @@
-"""``repro.experiments`` — per-table/figure experiment runners and presets.
+"""``repro.experiments`` — the paper's experiments as one table of rows.
 
-``experiment_table1`` … ``experiment_fig7`` reproduce the corresponding
-artifacts of the paper at a configurable scale (``tiny`` for the benchmark
-suite, ``small`` for longer CPU runs, ``paper`` for the published
-hyper-parameters).
+:data:`EXPERIMENTS` holds one declared row per table or figure of the
+paper; :func:`run_experiment` runs a row at a configurable scale (``tiny``
+for the paper-claims suite, ``small`` for longer CPU runs, ``paper`` for the
+published hyper-parameters) and writes its ``manifest.json`` /
+``metrics.jsonl`` / ``summary.json``.  :func:`run_algorithm` is one
+federated run of any registered algorithm.
 """
 
 from .configs import SCALES, ExperimentScale, federated_config_for, get_scale
-from .reporting import format_percent, format_run_summary, format_series, format_table
-from .sweep import SweepResult, SweepSpec, SweepVariant, VariantResult, run_sweep
+from .reporting import (
+    format_claims,
+    format_percent,
+    format_run_summary,
+    format_series,
+    format_table,
+)
 from .runner import (
     ALGORITHM_RUNNERS,
     EXPERIMENTS,
+    Claim,
+    Experiment,
+    ExperimentError,
+    Variant,
     register_algorithm_runner,
     run_algorithm,
     run_experiment,
-    experiment_compute_split,
-    experiment_fig2,
-    experiment_fig3,
-    experiment_fig4_dirichlet,
-    experiment_fig4_quantity,
-    experiment_fig5_table3,
-    experiment_fig6,
-    experiment_fig7,
-    experiment_table1,
-    experiment_table2,
-    experiment_table4,
-    run_fedavg,
-    run_fedmd,
-    run_fedzkt,
-    run_standalone,
 )
 
 __all__ = [
@@ -37,33 +33,18 @@ __all__ = [
     "ExperimentScale",
     "get_scale",
     "federated_config_for",
-    "SweepSpec",
-    "SweepVariant",
-    "SweepResult",
-    "VariantResult",
-    "run_sweep",
     "ALGORITHM_RUNNERS",
-    "EXPERIMENTS",
     "register_algorithm_runner",
     "run_algorithm",
+    "EXPERIMENTS",
+    "Experiment",
+    "Variant",
+    "Claim",
+    "ExperimentError",
     "run_experiment",
     "format_table",
     "format_series",
     "format_percent",
     "format_run_summary",
-    "run_fedzkt",
-    "run_fedmd",
-    "run_fedavg",
-    "run_standalone",
-    "experiment_table1",
-    "experiment_fig2",
-    "experiment_fig3",
-    "experiment_fig4_quantity",
-    "experiment_fig4_dirichlet",
-    "experiment_table2",
-    "experiment_fig5_table3",
-    "experiment_fig6",
-    "experiment_table4",
-    "experiment_fig7",
-    "experiment_compute_split",
+    "format_claims",
 ]

@@ -9,7 +9,9 @@ substrate can run in minutes, so every experiment is parameterized by a
   to reproduce the qualitative shape (who wins, trends across sweeps).
 * ``"small"``  — a heavier setting for overnight CPU runs.
 * ``"paper"``  — the paper's hyper-parameters (rounds, iterations, device
-  counts); provided for completeness and documented in EXPERIMENTS.md.
+  counts); provided for completeness.  An experiment run records its scale
+  in the ``manifest.json`` it writes next to ``metrics.jsonl`` and
+  ``summary.json`` (see :func:`repro.experiments.run_experiment`).
 
 All experiment runners accept a :class:`ExperimentScale` and derive their
 :class:`repro.federated.FederatedConfig` from it.
@@ -18,7 +20,7 @@ All experiment runners accept a :class:`ExperimentScale` and derive their
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..federated.config import (
     FederatedConfig,
@@ -27,7 +29,7 @@ from ..federated.config import (
     ServerConfig,
 )
 
-__all__ = ["ExperimentScale", "SCALES", "get_scale", "federated_config_for", "dataset_sizes_for"]
+__all__ = ["ExperimentScale", "SCALES", "get_scale", "federated_config_for"]
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,6 @@ def get_scale(name: str) -> ExperimentScale:
     if key not in SCALES:
         raise KeyError(f"unknown scale {name!r}; choose from {sorted(SCALES)}")
     return SCALES[key]
-
-
-def dataset_sizes_for(scale: ExperimentScale) -> Tuple[int, int]:
-    """Return ``(train_size, test_size)`` for a scale."""
-    return scale.train_size, scale.test_size
 
 
 def federated_config_for(scale: ExperimentScale, family: str, *, num_devices: int = None,

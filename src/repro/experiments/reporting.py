@@ -1,8 +1,8 @@
 """Formatting helpers: render experiment results as the paper's tables/series.
 
-Every experiment runner returns a plain dictionary; these helpers turn the
-dictionaries into aligned text tables and series printouts so the benchmark
-harness and the examples can show results in the same form the paper does.
+Every experiment row renders its metrics with these helpers, so the CLI,
+the paper-claims suite and the examples show results in the same aligned
+tables and series the paper does.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Sequence
 
 __all__ = ["format_table", "format_series", "format_percent", "format_run_summary",
-           "format_timeline"]
+           "format_timeline", "format_claims"]
 
 
 def format_percent(value) -> str:
@@ -69,3 +69,21 @@ def format_run_summary(summary: Mapping[str, object]) -> str:
         if value is not None:
             parts.append(f"{key}={format_percent(value)}")
     return " ".join(parts)
+
+
+def _format_number(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def format_claims(claims: Sequence[Mapping[str, object]]) -> str:
+    """Render a summary's claims: text, whether it holds, and the numbers.
+
+    Asserted claims are marked ``*``; the rest are recorded, not checked.
+    """
+    verdicts = {True: "yes", False: "NO", None: "n/a"}
+    rows = [[("* " if claim["asserted"] else "  ") + str(claim["text"]),
+             verdicts[claim["holds"]],
+             ", ".join(f"{key}={_format_number(value)}"
+                       for key, value in (claim["numbers"] or {}).items())]
+            for claim in claims]
+    return format_table(["Claim (* asserted)", "Holds", "Measured"], rows, title="Claims")

@@ -167,7 +167,7 @@ class TrainingHistory:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
-        """Serializable representation (used by EXPERIMENTS.md generation)."""
+        """Serializable representation (the ``result`` of a ``metrics.jsonl`` line)."""
         return {
             "algorithm": self.algorithm,
             "config": dict(self.config),

@@ -533,20 +533,21 @@ def test_process_map_requires_explicit_start():
         assert backend.map(abs, [-1, -2]) == [1, 2]
 
 
-def test_run_sweep_starts_backend_explicitly():
-    from repro.experiments.sweep import SweepSpec, SweepVariant, run_sweep
+def test_run_experiment_starts_backend_explicitly(monkeypatch):
+    from repro.experiments import EXPERIMENTS, Experiment, Variant, run_experiment
 
-    spec = SweepSpec(name="store-sweep", variants=[
-        SweepVariant(key="a", runner=_variant_runner, kwargs={"value": 2}),
-        SweepVariant(key="b", runner=_variant_runner, kwargs={"value": 3}),
-    ])
+    monkeypatch.setitem(EXPERIMENTS, "store-row", Experiment(
+        "store row", {"values": (2, 3)},
+        lambda f: [Variant(str(value), _variant_runner, {"value": value})
+                   for value in f["values"]],
+        lambda m, f: "", metric=lambda result: result))
     backend = ProcessPoolBackend(max_workers=1)
     with backend:
-        result = run_sweep(spec, backend=backend)
-    assert result.value("a") == 4 and result.value("b") == 9
+        summary = run_experiment("store-row", backend=backend)
+    assert summary["metrics"] == {"2": 4, "3": 9}
 
 
-def _variant_runner(value):
+def _variant_runner(value, scale, seed):
     return value * value
 
 

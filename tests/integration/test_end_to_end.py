@@ -64,7 +64,7 @@ class TestFedZKTEndToEnd:
         report = communication_report(simulation.devices)
         assert all(count > 0 for count in report.uploaded_parameters.values())
         assert all(count > 0 for count in report.downloaded_parameters.values())
-        # History serializes (used by EXPERIMENTS.md tooling).
+        # History serializes (each metrics.jsonl line of an experiment run carries one).
         assert isinstance(history.to_dict()["rounds"], list)
 
     def test_straggler_round_still_updates_all_devices(self, rgb_data, heterogeneous_models):

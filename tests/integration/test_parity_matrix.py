@@ -331,14 +331,6 @@ assert all(row.backend == "serial" for row in ROWS if row.tile or row.poison), (
     "a forced width and a poisoned arena reach this process only, not a pool's workers")
 
 
-#: Rows that do not replay their oracle today, and why (ROADMAP.md has the fix).
-DIVERGES = {
-    Row("fedavg", "cnn", fusion=True, policy="float32"):
-        "the FedAvg aggregate hands every device float64 parameters under the float32 "
-        "policy, and there the fused step rounds differently from the per-device one",
-}
-
-
 #: Every configuration a row is compared under, the golden ones first.
 ORACLES = list(dict.fromkeys([*GOLDEN, *(row.oracle for row in ROWS)]))
 
@@ -419,10 +411,6 @@ def test_row(row, oracle, backends, request):
     if row.poison:
         assert scratch_pool() is pool and pool.stats()["acquires"] > 0
     _assert_mode_fired(row, outcome, expected)
-    if row in DIVERGES:
-        assert outcome.history != expected.history, (
-            "the row replays its oracle now: take it out of DIVERGES")
-        pytest.xfail(DIVERGES[row])
     if row.fusion == "family" and row.population == "fc":
         # A family cohort of unequal shards reduces its loss over the padded
         # width: the documented policy is agreement to about 1e-9.

@@ -205,8 +205,17 @@ def test_experiment_command_micro(monkeypatch, tmp_path, capsys):
                      "--output-dir", str(out_dir)])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "Compute-split ablation" in printed
-    assert (out_dir / "compute_split.json").exists()
+    assert "Compute-split ablation" in printed and "server_heavy" not in printed
+    assert "the server does more of the work" in printed
+    run_dir = out_dir / "compute_split"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["scale"]["name"] == "micro" and manifest["backend"] == "serial"
+    [line] = [json.loads(text) for text in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    assert line["key"] == "fedzkt" and line["error"] is None
+    assert line["result"]["server_total_compute"] > 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["metrics"]["fedzkt"] == line["result"]
+    assert [claim["name"] for claim in summary["claims"]] == ["server_heavy"]
 
 
 def test_server_shards_flag_requires_capable_strategy():
