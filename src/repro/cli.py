@@ -99,16 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print the backend's state-transport counters "
                                  "(bytes published/fetched/shipped, cache hit "
                                  "rates, per-label breakdown) after the run")
-    run_parser.add_argument("--cohort-fusion", nargs="?", const=True, default=False,
-                            metavar="family",
+    run_parser.add_argument("--cohort-fusion", action="store_true",
                             help="fuse each round's same-architecture device cohort "
                                  "(and FedZKT's sharded teacher ensemble) into stacked "
                                  "vectorized training tasks; bit-identical to the "
-                                 "per-device path, heterogeneous groups fall back. "
-                                 "Pass the optional value 'family' to also fuse "
-                                 "pad-safe same-architecture devices with unequal "
-                                 "shard sizes (masked padding; ~1e-9-relative to "
-                                 "the per-device path rather than bitwise)")
+                                 "per-device path, heterogeneous groups or unequal "
+                                 "shard sizes fall back")
     run_parser.add_argument("--dtype", default="float64",
                             choices=["float64", "float32"],
                             help="numeric policy for the whole run: float64 "

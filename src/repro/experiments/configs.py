@@ -140,7 +140,7 @@ def federated_config_for(scale: ExperimentScale, family: str, *, num_devices: in
                          server_shards: int = 1,
                          scheduler: SchedulerConfig = None,
                          heterogeneity: HeterogeneityConfig = None,
-                         cohort_fusion: "bool | str" = False,
+                         cohort_fusion: bool = False,
                          numeric_policy: str = "float64") -> FederatedConfig:
     """Build a :class:`FederatedConfig` for a dataset family at a given scale.
 

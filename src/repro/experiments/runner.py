@@ -86,7 +86,7 @@ def _single_run(algorithm: str, dataset_name: str, use: Optional[Callable] = Non
                 deadline: Optional[float] = None, buffer_size: Optional[int] = None,
                 speed_skew: Optional[float] = None, latency_mean: Optional[float] = None,
                 dropout_rate: Optional[float] = None, server_shards: Optional[int] = None,
-                cohort_fusion: "bool | str" = False, numeric_policy: str = "float64",
+                cohort_fusion: bool = False, numeric_policy: str = "float64",
                 backend: Optional[ExecutionBackend] = None, verbose: bool = False):
     """Build one run of a built-in algorithm, run it, and return its history.
 

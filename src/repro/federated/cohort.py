@@ -1,10 +1,10 @@
 """Fused cohort execution: train a batch of same-architecture devices at once.
 
 Every FedZKT round trains a cohort of compact on-device models, and with
-homogeneous (or family-grouped) populations many of those models share one
-architecture.  Instead of dispatching B independent Python training loops,
-the planner in this module groups a round's :class:`LocalTrainTask`s by
-fusion signature and replaces each group of two or more with a single
+homogeneous populations many of those models share one architecture.
+Instead of dispatching B independent Python training loops, the planner
+in this module groups a round's :class:`LocalTrainTask`s by fusion
+signature and replaces each group of two or more with a single
 :class:`FusedLocalTrainTask` that stacks the devices' parameters on a
 leading axis and drives one vectorized loop through
 :class:`repro.nn.batched.BatchedModule` / :class:`BatchedSGD`.
@@ -31,7 +31,6 @@ from ..nn.batched import (
     BatchedModule,
     BatchedSGD,
     batched_cross_entropy,
-    batched_cross_entropy_masked,
     batched_l2_proximal,
     batched_mse_loss,
     cohort_tiles,
@@ -131,15 +130,14 @@ class FusedLocalTrainTask:
         config = context.train_configs[self.device_ids[0]]
         shards = [context.shards[device_id] for device_id in self.device_ids]
         sizes = [len(shard) for shard in shards]
+        if len(set(sizes)) > 1:
+            raise ValueError(f"a fused training task needs equal shard sizes, got {sizes}")
         # The widest batch any step feeds the module sizes the tile.
-        samples = min(config.batch_size, max(sizes))
+        samples = min(config.batch_size, sizes[0])
         if self.digests is not None and context.public_dataset is not None:
             samples = max(samples, min(self.digests[0].batch_size,
                                        len(context.public_dataset)))
         batch_shape = (samples,) + shards[0].images.shape[1:]
-        # Whether steps are padded, and how wide, is the cohort's property: a
-        # tile whose own shards happen to agree still runs the masked loop.
-        pad_to = max(sizes) if len(set(sizes)) > 1 else None
         results: List[LocalTrainResult] = []
         for lo, hi in cohort_tiles(template, len(sizes), batch_shape):
             tile = replace(
@@ -147,11 +145,10 @@ class FusedLocalTrainTask:
                 rng_states=self.rng_states[lo:hi],
                 anchors=None if self.anchors is None else self.anchors[lo:hi],
                 digests=None if self.digests is None else self.digests[lo:hi])
-            results.extend(tile._run_stacked(context, pad_to))
+            results.extend(tile._run_stacked(context))
         return results
 
-    def _run_stacked(self, context: WorkerContext,
-                     pad_to: Optional[int]) -> List[LocalTrainResult]:
+    def _run_stacked(self, context: WorkerContext) -> List[LocalTrainResult]:
         batch = len(self.device_ids)
         template = context.model_for(self.device_ids[0])
         config = context.train_configs[self.device_ids[0]]
@@ -180,42 +177,7 @@ class FusedLocalTrainTask:
                                momentum=config.momentum,
                                weight_decay=config.weight_decay)
         losses: List[List[float]] = [[] for _ in range(batch)]
-        batch_counts = [0] * batch
-        sample_counts = [0] * batch
-        if pad_to is None:
-            self._train_exact(module, optimizer, shards, rngs, config, anchors,
-                              losses, batch_counts, sample_counts)
-        else:
-            self._train_padded(module, optimizer, shards, rngs, config, anchors,
-                               losses, batch_counts, sample_counts, pad_to)
-
-        parameter_count = template.num_parameters()
-        results: List[LocalTrainResult] = []
-        final_states = module.state_dicts()
-        for b, device_id in enumerate(self.device_ids):
-            device_losses = losses[b]
-            report = LocalTrainingReport(
-                device_id=device_id,
-                epochs=self.epochs,
-                batches=batch_counts[b],
-                final_loss=device_losses[-1] if device_losses else 0.0,
-                mean_loss=float(np.mean(device_losses)) if device_losses else 0.0,
-                samples_seen=sample_counts[b],
-                parameter_updates=batch_counts[b] * parameter_count,
-            )
-            results.append(LocalTrainResult(
-                device_id=device_id,
-                state=final_states[b],
-                report=report,
-                rng_state=rngs[b].bit_generator.state,
-                digest_loss=digest_losses[b],
-            ))
-        return results
-
-    def _train_exact(self, module, optimizer, shards, rngs, config, anchors,
-                     losses, batch_counts, sample_counts) -> None:
-        """Equal-size cohort: the bit-identical fused loop."""
-        batch = len(self.device_ids)
+        samples_seen = 0
         size = len(shards[0])
         base = np.arange(size)
         for _ in range(self.epochs):
@@ -241,69 +203,30 @@ class FusedLocalTrainTask:
                 optimizer.step()
                 for b in range(batch):
                     losses[b].append(float(loss_vec.data[b]))
-                    batch_counts[b] += 1
-                    sample_counts[b] += int(labels.shape[1])
+                samples_seen += int(labels.shape[1])
 
-    def _train_padded(self, module, optimizer, shards, rngs, config, anchors,
-                      losses, batch_counts, sample_counts, pad_to) -> None:
-        """Family cohort with unequal shard sizes: masked padding on the
-        sample axis.
-
-        Each device still draws its own shuffle permutation over its own
-        shard; a step's stacked batch is padded to the widest member of the
-        whole cohort (``pad_to`` is its largest shard, so a tile pads exactly
-        as the undivided cohort would) and a 0/1 mask keeps padding rows out
-        of the loss (so, for the pad-safe models the planner admits here, out
-        of every real gradient).
-        Members whose epoch is already exhausted sit out the step entirely:
-        their loss contribution is exactly zero and
-        :meth:`BatchedSGD.snapshot_slices` / ``restore_slices`` around the
-        step keep their parameters and momentum bitwise untouched (a zero
-        gradient would still decay momentum).  Numeric policy: the masked
-        mean reduces over the padded width, so active members match the
-        per-device path to ~1e-9 relative rather than bitwise — the one
-        documented fusion deviation (see ``batched_cross_entropy_masked``).
-        """
-        batch = len(self.device_ids)
-        sizes = [len(shard) for shard in shards]
-        sample_shape = shards[0].images.shape[1:]
-        dtype = shards[0].images.dtype
-        for _ in range(self.epochs):
-            orders = [rng.permutation(np.arange(size))
-                      for rng, size in zip(rngs, sizes)]
-            for start in range(0, max(sizes), config.batch_size):
-                chosen = [order[start:start + config.batch_size] for order in orders]
-                counts = np.array([len(c) for c in chosen], dtype=np.int64)
-                active = counts > 0
-                width = min(config.batch_size, pad_to - start)
-                images = np.zeros((batch, width) + sample_shape, dtype=dtype)
-                labels = np.zeros((batch, width), dtype=np.int64)
-                for b in range(batch):
-                    if counts[b]:
-                        images[b, :counts[b]] = shards[b].images[chosen[b]]
-                        labels[b, :counts[b]] = shards[b].labels[chosen[b]]
-                mask = (np.arange(width)[None, :] < counts[:, None]).astype(np.float64)
-                optimizer.zero_grad(set_to_none=False)
-                logits = module(Tensor(images))
-                loss_vec = batched_cross_entropy_masked(
-                    logits, labels, mask, np.maximum(counts, 1))
-                if config.prox_mu > 0 and anchors is not None:
-                    prox = batched_l2_proximal(module.parameters(), anchors,
-                                               mu=config.prox_mu)
-                    loss_vec = loss_vec + prox * Tensor(active.astype(np.float64))
-                loss_vec.retain_data()
-                loss_vec.sum().backward()
-                inactive = np.nonzero(~active)[0]
-                snapshot = (optimizer.snapshot_slices(inactive)
-                            if inactive.size else None)
-                optimizer.step()
-                if snapshot is not None:
-                    optimizer.restore_slices(snapshot)
-                for b in range(batch):
-                    if active[b]:
-                        losses[b].append(float(loss_vec.data[b]))
-                        batch_counts[b] += 1
-                        sample_counts[b] += int(counts[b])
+        parameter_count = template.num_parameters()
+        results: List[LocalTrainResult] = []
+        final_states = module.state_dicts()
+        for b, device_id in enumerate(self.device_ids):
+            device_losses = losses[b]
+            report = LocalTrainingReport(
+                device_id=device_id,
+                epochs=self.epochs,
+                batches=len(device_losses),
+                final_loss=device_losses[-1] if device_losses else 0.0,
+                mean_loss=float(np.mean(device_losses)) if device_losses else 0.0,
+                samples_seen=samples_seen,
+                parameter_updates=len(device_losses) * parameter_count,
+            )
+            results.append(LocalTrainResult(
+                device_id=device_id,
+                state=final_states[b],
+                report=report,
+                rng_state=rngs[b].bit_generator.state,
+                digest_loss=digest_losses[b],
+            ))
+        return results
 
 
 # --------------------------------------------------------------------------- #
@@ -461,8 +384,12 @@ def _fuse_group(cohort: List) -> object:
     )
 
 
-def plan_cohorts(tasks: Sequence, group_key: Callable[[object], Optional[Hashable]],
-                 min_group: int = 2) -> CohortPlan:
+#: Smallest group the planner fuses; a lone task keeps its per-device path.
+_MIN_GROUP = 2
+
+
+def plan_cohorts(tasks: Sequence,
+                 group_key: Callable[[object], Optional[Hashable]]) -> CohortPlan:
     """Group a round's tasks into fused cohorts.
 
     ``group_key(task)`` returns a hashable fusion key covering the model
@@ -473,7 +400,7 @@ def plan_cohorts(tasks: Sequence, group_key: Callable[[object], Optional[Hashabl
     tasks; eval batch size for the no-grad forward tasks (evaluate /
     public-logits sweeps) — so two tasks fuse only when every knob that
     shapes the work agrees.  Tasks sharing a key are fused when the group
-    reaches ``min_group``; each fused task is emitted at its first member's
+    reaches ``_MIN_GROUP``; each fused task is emitted at its first member's
     position, so single-group rounds keep their dispatch order stable.
     """
     keys: List[Optional[Hashable]] = []
@@ -491,7 +418,7 @@ def plan_cohorts(tasks: Sequence, group_key: Callable[[object], Optional[Hashabl
             continue
         key = keys[index]
         members = groups.get(key, []) if key is not None else [index]
-        if key is None or len(members) < min_group:
+        if key is None or len(members) < _MIN_GROUP:
             plan.tasks.append(task)
             plan.scatter.append([index])
             emitted.add(index)

@@ -10,7 +10,7 @@ coefficient.  The experiment harness builds these from per-table presets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 __all__ = [
     "FederatedConfig",
@@ -256,13 +256,10 @@ class FederatedConfig:
         Opt-in: fuse each round's same-architecture device cohort into one
         vectorized training task (bit-identical to the per-device path;
         heterogeneous or batch-incompatible groups fall back per device).
-        ``True`` groups only exact-signature devices with equal shard
-        sizes; ``"family"`` additionally fuses pad-safe same-architecture
-        devices with *unequal* shard sizes by masked padding on the sample
-        axis — numerically ~1e-9-relative to the per-device path rather
-        than bitwise (the one documented fusion deviation).  With fusion
-        on, per-round device evaluation and FedMD's public-logit sweeps
-        also run as stacked no-grad forwards (bit-identical per slice).
+        Only exact-signature devices with equal shard sizes fuse.  With
+        fusion on, per-round device evaluation and FedMD's public-logit
+        sweeps also run as stacked no-grad forwards (bit-identical per
+        slice).
     numeric_policy:
         Floating dtype tier the run computes in: ``"float64"`` (default —
         the dtype the bit-identity contract and golden fixtures are defined
@@ -287,16 +284,14 @@ class FederatedConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     heterogeneity: HeterogeneityConfig = field(default_factory=HeterogeneityConfig)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    cohort_fusion: Union[bool, str] = False
+    cohort_fusion: bool = False
     numeric_policy: str = "float64"
 
     def __post_init__(self) -> None:
         if self.num_devices < 1:
             raise ValueError("num_devices must be at least 1")
-        if not isinstance(self.cohort_fusion, bool) and self.cohort_fusion != "family":
-            raise ValueError(
-                f"cohort_fusion must be True, False, or 'family', "
-                f"got {self.cohort_fusion!r}")
+        if not isinstance(self.cohort_fusion, bool):
+            raise ValueError(f"cohort_fusion must be True or False, got {self.cohort_fusion!r}")
         if self.numeric_policy not in ("float64", "float32"):
             raise ValueError(
                 f"numeric_policy must be 'float64' or 'float32', "

@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..datasets.base import ImageDataset
-from ..nn.batched import fusion_signature, supports_padded_fusion
+from ..nn.batched import fusion_signature
 from ..nn.buffers import scratch_pool
 from ..utils.serialization import StateRef, state_digest
 from .backend import (
@@ -246,11 +246,10 @@ class Simulation:
     # Cohort fusion (opt-in via ``config.cohort_fusion``)
     # ------------------------------------------------------------------ #
     def _signature(self, device_id: int):
-        """Cached ``(fusion_signature, pad_safe)`` of a device's model."""
+        """Cached ``fusion_signature`` of a device's model."""
         if device_id not in self._fusion_signatures:
-            model = self.devices[device_id].model
-            self._fusion_signatures[device_id] = (
-                fusion_signature(model), supports_padded_fusion(model))
+            self._fusion_signatures[device_id] = fusion_signature(
+                self.devices[device_id].model)
         return self._fusion_signatures[device_id]
 
     def _fusion_group_key(self, task):
@@ -262,28 +261,17 @@ class Simulation:
         share the public dataset, which they do by construction (one
         ``public_dataset`` per worker context).
 
-        With ``cohort_fusion == "family"``, pad-safe models on plain
-        (no-digest) training tasks drop the shard-size dimension: devices
-        of one model family fuse across unequal shard sizes through the
-        masked-padding loop.  Models with cross-sample or RNG-shape layers
-        (batch norm, active dropout) and digest-phase tasks keep the exact
-        key — padding would perturb their numerics beyond the documented
-        ~1e-9 loss-reduction deviation.
-
         No-grad forward tasks (evaluate / public-logits sweeps) share every
         batch with every cohort member, so their key is the architecture
         signature alone: shard sizes and training configs never shape the
         fused eval forward.
         """
         device = self.devices[task.device_id]
-        signature, pad_safe = self._signature(task.device_id)
+        signature = self._signature(task.device_id)
         if signature is None:
             return None
         if isinstance(task, (EvaluateTask, PublicLogitsTask)):
             return signature
-        if (self.config.cohort_fusion == "family" and pad_safe
-                and getattr(task, "digest", None) is None):
-            return (signature, device.training_config)
         return (signature, device.training_config, len(device.dataset))
 
     def run_device_tasks(self, tasks: Sequence) -> List:
@@ -382,7 +370,7 @@ class Simulation:
         """
         if not isinstance(task.state, StateRef):
             return None
-        signature = self._signature(task.device_id)[0]
+        signature = self._signature(task.device_id)
         return (task.device_id if signature is None else signature,
                 task.state.key, task.batch_size)
 
@@ -404,7 +392,7 @@ class Simulation:
                 and self._context.eval_dataset is self.test_dataset):
             signature = fusion_signature(global_model)
             # The digest is only worth taking when some device could match it.
-            if signature is not None and any(self._signature(device.device_id)[0] == signature
+            if signature is not None and any(self._signature(device.device_id) == signature
                                              for device in self.devices):
                 table[(signature, state_digest(global_model.state_dict()),
                        GLOBAL_EVAL_BATCH_SIZE)] = record.global_accuracy

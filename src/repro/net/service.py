@@ -411,8 +411,3 @@ class Dispatcher:
         with self._condition:
             self._shutdown = True
             self._condition.notify_all()
-
-    @property
-    def is_shut_down(self) -> bool:
-        with self._condition:
-            return self._shutdown

@@ -65,7 +65,6 @@ __all__ = [
     "UnfusableModelError",
     "batched_conv2d",
     "batched_cross_entropy",
-    "batched_cross_entropy_masked",
     "batched_kl_divergence",
     "batched_l2_proximal",
     "batched_mse_loss",
@@ -73,7 +72,6 @@ __all__ = [
     "fusion_signature",
     "register_batched_adapter",
     "stack_states",
-    "supports_padded_fusion",
     "tile_width",
     "unstack_states",
 ]
@@ -155,28 +153,6 @@ def batched_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return -(log_probs * Tensor(targets)).sum(axis=-1).mean(axis=-1)
 
 
-def batched_cross_entropy_masked(logits: Tensor, labels: np.ndarray,
-                                 mask: np.ndarray, counts: np.ndarray) -> Tensor:
-    """Cross-entropy over a padded sample axis: mask-weighted sum / count.
-
-    ``mask`` is a ``(B, N)`` 0/1 array marking real samples, ``counts`` the
-    per-device real-sample counts (clamped to ≥1 by the caller for all-padding
-    slices, whose losses come out exactly 0 with exactly-zero gradients).
-    Padding rows never reach the loss, so for per-sample-independent (pad-safe)
-    models the gradients of real samples are unperturbed.  Numeric policy:
-    the masked ``sum / count`` reduction sums ``N`` padded terms where the
-    serial loss sums ``n_b``, so pairwise-summation grouping differs — family
-    cohorts match the per-device path to ~1e-9 relative, not bitwise (the
-    one documented deviation; exact-size cohorts keep the bitwise path).
-    """
-    num_classes = logits.shape[-1]
-    targets = _stacked_one_hot(np.asarray(labels), num_classes)
-    log_probs = logits.log_softmax(axis=-1)
-    per_sample = -(log_probs * Tensor(targets)).sum(axis=-1)
-    masked = per_sample * Tensor(np.asarray(mask, dtype=np.float64))
-    return masked.sum(axis=-1) / Tensor(np.asarray(counts, dtype=np.float64))
-
-
 def batched_l2_proximal(parameters: Sequence[Tensor], anchors: Sequence[np.ndarray],
                         mu: float = 1.0) -> Tensor:
     """Per-device ℓ2 proximal term over stacked ``(B, *shape)`` parameters."""
@@ -224,27 +200,19 @@ def batched_kl_divergence(student_logits: Tensor, teacher_probs: Tensor) -> Tens
 # per-cohort-member list of live layer instances at this position (None when
 # the module was built without ``members=``; only stateful-RNG layers such as
 # Dropout need it).  It returns the batched forward callable.
-_ADAPTERS: Dict[Type[Module], Tuple[Callable, Callable, Callable]] = {}
+_ADAPTERS: Dict[Type[Module], Tuple[Callable, Callable]] = {}
 
 
 def register_batched_adapter(layer_cls: Type[Module], signature: Callable,
-                             builder: Callable,
-                             pad_safe: Optional[Callable] = None) -> None:
+                             builder: Callable) -> None:
     """Register a batched adapter for a layer class.
 
     ``signature(layer)`` must return a hashable description of everything
     that has to match for two layer instances to share one fused forward;
     ``builder(layer, params, buffers, module, member_layers)`` returns the
-    batched callable.  ``pad_safe(layer)`` reports whether the layer treats
-    every sample independently, so masked padding rows on the sample axis
-    cannot perturb the real samples (default: yes).  Cross-sample layers
-    (batch norm: padded rows enter the batch statistics) and RNG-shape
-    layers (dropout with ``p > 0``: the mask draw depends on the sample
-    count) must say no — they exclude the model from family-level padded
-    fusion while remaining fusable in exact-size cohorts.
+    batched callable.
     """
-    _ADAPTERS[layer_cls] = (signature, builder,
-                            pad_safe if pad_safe is not None else lambda layer: True)
+    _ADAPTERS[layer_cls] = (signature, builder)
 
 
 def _sig_linear(layer):
@@ -401,10 +369,8 @@ def _build_dropout(layer, params, buffers, module, member_layers):
 
 register_batched_adapter(layer_types.Linear, _sig_linear, _build_linear)
 register_batched_adapter(layer_types.Conv2d, _sig_conv2d, _build_conv2d)
-register_batched_adapter(layer_types.BatchNorm1d, _sig_batchnorm, _build_batchnorm,
-                         pad_safe=lambda layer: False)
-register_batched_adapter(layer_types.BatchNorm2d, _sig_batchnorm, _build_batchnorm,
-                         pad_safe=lambda layer: False)
+register_batched_adapter(layer_types.BatchNorm1d, _sig_batchnorm, _build_batchnorm)
+register_batched_adapter(layer_types.BatchNorm2d, _sig_batchnorm, _build_batchnorm)
 register_batched_adapter(layer_types.ReLU, _sig_activation, _build_activation)
 register_batched_adapter(layer_types.LeakyReLU, _sig_activation, _build_activation)
 register_batched_adapter(layer_types.Tanh, _sig_activation, _build_activation)
@@ -414,8 +380,7 @@ register_batched_adapter(layer_types.Reshape, _sig_reshape, _build_reshape)
 register_batched_adapter(layer_types.MaxPool2d, _sig_pool, _build_pool)
 register_batched_adapter(layer_types.AvgPool2d, _sig_pool, _build_pool)
 register_batched_adapter(layer_types.GlobalAvgPool2d, _sig_global_pool, _build_global_pool)
-register_batched_adapter(layer_types.Dropout, _sig_dropout, _build_dropout,
-                         pad_safe=lambda layer: layer.p == 0.0)
+register_batched_adapter(layer_types.Dropout, _sig_dropout, _build_dropout)
 
 
 def fusion_signature(model: Module) -> Optional[Tuple]:
@@ -442,28 +407,6 @@ def fusion_signature(model: Module) -> Optional[Tuple]:
         parts.append(entry[0](layer))
     shapes = tuple((name, param.data.shape) for name, param in model.named_parameters())
     return (type(model).__name__, tuple(parts), shapes)
-
-
-def supports_padded_fusion(model: Module) -> bool:
-    """Whether a fusable model tolerates masked padding rows on the sample
-    axis — the entry condition for family-level (unequal shard size) cohort
-    grouping.  True iff every fusion layer's adapter declares itself
-    pad-safe; batch norm (cross-sample statistics) and active dropout
-    (sample-count-dependent RNG draws) veto padding while staying fusable
-    in exact-size cohorts.
-    """
-    fusion_layers = getattr(model, "fusion_layers", None)
-    if fusion_layers is None:
-        return False
-    try:
-        sequence = fusion_layers()
-    except NotImplementedError:
-        return False
-    for layer in sequence:
-        entry = _ADAPTERS.get(type(layer))
-        if entry is None or not entry[2](layer):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -734,38 +677,6 @@ class BatchedSGD(SGD):
                  momentum: float = 0.0, weight_decay: float = 0.0) -> None:
         super().__init__(parameters, lr=lr, momentum=momentum, weight_decay=weight_decay)
         self.batch_size = _validate_stacked(self.parameters, batch_size)
-
-    def snapshot_slices(self, indices: Sequence[int]) -> Dict[str, object]:
-        """Copy parameter values and momentum of the given cohort slices.
-
-        Used by the family-padded training loop to freeze inactive devices:
-        snapshot before ``step()``, restore after, and the frozen slices are
-        bitwise untouched by the step.  A ``None`` velocity entry records
-        "never stepped", which restores as zeros (the two are bit-exact —
-        see :meth:`SGD.velocity_state`).
-        """
-        index_array = np.asarray(indices, dtype=np.int64)
-        return {
-            "indices": index_array,
-            "params": [param.data[index_array].copy() for param in self.parameters],
-            "velocity": [None if velocity is None else velocity[index_array].copy()
-                         for velocity in self._velocity],
-        }
-
-    def restore_slices(self, snapshot: Dict[str, object]) -> None:
-        """Write a :meth:`snapshot_slices` capture back into its slices."""
-        index_array = snapshot["indices"]
-        for param, values in zip(self.parameters, snapshot["params"]):
-            param.data[index_array] = values
-        for position, values in enumerate(snapshot["velocity"]):
-            velocity = self._velocity[position]
-            if velocity is None:
-                continue
-            if values is None:
-                velocity[index_array] = 0.0
-            else:
-                velocity[index_array] = values
-
 
 def _validate_stacked(parameters: Sequence[Tensor], batch_size: int) -> int:
     size = int(batch_size)

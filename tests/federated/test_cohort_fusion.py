@@ -9,11 +9,15 @@ the planner's grouping and the task-level tile comparisons.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.federated import FusedLocalTrainTask, plan_cohorts
-from repro.federated.backend import DigestSpec, LocalTrainTask
+from repro.baselines import build_fedavg
+from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
+from repro.federated import FederatedConfig, FusedLocalTrainTask, plan_cohorts
+from repro.federated.backend import DigestSpec, EvaluateTask, LocalTrainTask
 from repro.models import ModelSpec, build_model
 
 
@@ -84,6 +88,35 @@ class TestPlanCohorts:
         assert plan.gather(raw) == ["r0", "r1", "r2", "r3"]
 
 
+class TestSimulationGroupKey:
+    """A FedAvg FC population whose 130 samples shard as 33, 33, 32, 32."""
+
+    @pytest.fixture
+    def simulation(self):
+        config = SyntheticImageConfig(name="key-rgb", num_classes=4, channels=3,
+                                      height=8, width=8, family_seed=37, noise_level=0.2,
+                                      max_shift=1, modes_per_class=1,
+                                      background_strength=0.2)
+        generator = SyntheticImageGenerator(config)
+        federated = FederatedConfig(num_devices=4, rounds=1, batch_size=16,
+                                    cohort_fusion=True)
+        with build_fedavg(generator.sample(130, seed=1), generator.sample(48, seed=2),
+                          federated, model_spec=ModelSpec("fc", {"hidden_sizes": (24,)})
+                          ) as simulation:
+            assert [len(device.dataset) for device in simulation.devices] == [33, 33, 32, 32]
+            yield simulation
+
+    def test_shard_size_splits_a_training_cohort(self, simulation):
+        keys = [simulation._fusion_group_key(_task(device.device_id))
+                for device in simulation.devices]
+        assert keys[0] == keys[1] and keys[2] == keys[3] and keys[0] != keys[2]
+
+    def test_an_evaluation_cohort_ignores_shard_size(self, simulation):
+        keys = {simulation._fusion_group_key(EvaluateTask(device.device_id, state={}))
+                for device in simulation.devices}
+        assert len(keys) == 1 and None not in keys
+
+
 # --------------------------------------------------------------------------- #
 # Tile widths: a fused task run as tiles returns the undivided stack's bytes
 # --------------------------------------------------------------------------- #
@@ -138,16 +171,11 @@ class TestTiledTrainingMatchesTheWholeStack:
         _assert_results_identical(run(width), run(8))
 
     @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_family_padded_cohort(self, width, cohort_context, force_tile_width):
-        # Unequal shards: the 17-sample device steps alone at the end, the
-        # 15-sample one is padded mid-epoch, and a tile whose own shards all
-        # agree (any tile of one) still runs the cohort's masked loop at the
-        # cohort's padded width.
-        sizes = [17, 16, 16, 16, 16, 16, 16, 15]
-
+    def test_fully_connected_cohort_with_proximal_anchors(self, width, cohort_context,
+                                                          force_tile_width):
         def run(forced):
             force_tile_width(forced)
-            return _train_cohort(cohort_context(_fc, sizes, prox_mu=0.05), anchors=True)
+            return _train_cohort(cohort_context(_fc, [16] * 8, prox_mu=0.05), anchors=True)
         _assert_results_identical(run(width), run(8))
 
     @pytest.mark.parametrize("width", [1, 2, 3])
@@ -173,3 +201,12 @@ class TestTiledTrainingMatchesTheWholeStack:
                               batch_size=16, seed=50 + index)).run(context)
             for index in sorted(context.models)]
         _assert_results_identical(whole, serial)
+
+
+@pytest.mark.parametrize("sizes", [[17, 16, 16, 16, 16, 16, 16, 15], [16, 17], [17, 16]])
+def test_unequal_shards_are_rejected(sizes, cohort_context):
+    # The planner keys on shard size, so it never builds such a task; one
+    # built by hand must fail loudly rather than train device 1 on 16 of
+    # its 17 samples or index past a short shard.
+    with pytest.raises(ValueError, match=re.escape(f"equal shard sizes, got {sizes}")):
+        _train_cohort(cohort_context(_cnn, sizes))

@@ -163,6 +163,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             FederatedConfig(prox_mu=-1.0)
 
+    @pytest.mark.parametrize("value", ["family", "bogus"])
+    def test_other_strings_are_rejected(self, value):
+        with pytest.raises(ValueError, match="cohort_fusion"):
+            FederatedConfig(num_devices=2, rounds=1, cohort_fusion=value)
+
+    @pytest.mark.parametrize("value", [1, None])
+    def test_non_bool_values_are_rejected(self, value):
+        # ``1`` is truthy and equal to ``True`` but still not a bool.
+        with pytest.raises(ValueError, match="cohort_fusion"):
+            FederatedConfig(num_devices=2, rounds=1, cohort_fusion=value)
+
     def test_with_overrides_and_describe(self):
         config = FederatedConfig(num_devices=4, server=ServerConfig(distillation_iterations=7))
         other = config.with_overrides(num_devices=8)

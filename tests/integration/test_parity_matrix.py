@@ -26,7 +26,7 @@ import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -58,9 +58,8 @@ POPULATIONS = {
     "small": Population(None),
     "cnn": Population(ModelSpec("cnn", _CNN)),
     "dropout": Population(ModelSpec("cnn", {**_CNN, "dropout": 0.25})),
-    # 130 samples shard as 33, 33, 32, 32: a family cohort that must pad.
+    # 130 samples shard as 33, 33, 32, 32: shard size splits the cohort in two.
     "fc": Population(ModelSpec("fc", {"hidden_sizes": (24,)}), train_size=130),
-    "fc-equal": Population(ModelSpec("fc", {"hidden_sizes": (24,)})),
 }
 
 
@@ -72,7 +71,7 @@ class Row:
     participation: float = 1.0
     backend: str = "serial"
     shards: int = 1
-    fusion: Union[bool, str] = False
+    fusion: bool = False
     tile: Optional[int] = None  # forced cohort tile width
     optimizer: str = "sgd"      # Phase-2 device-distill optimizer
     policy: str = "float64"
@@ -268,7 +267,7 @@ def backends():
 # The rows
 # --------------------------------------------------------------------------- #
 P2, TCP, REFS = "process:2", "tcp://:0?workers=2", "tcp://:0?workers=2&refs=1"
-_FUSABLE = {"cnn", "dropout", "fc", "fc-equal"}
+_FUSABLE = {"cnn", "dropout", "fc"}
 
 
 def _grid(base: Row, **axes) -> list:
@@ -286,7 +285,7 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     Row("fedzkt", "small", scheduler="deadline", shards=3),
     Row("fedzkt", "small", scheduler="async"),
     Row("fedzkt", "small", participation=0.5),
-    # FedAvg / FedProx on one architecture: fusion, tiles, families.
+    # FedAvg / FedProx on one architecture: fusion, tiles, unequal shards.
     *_grid(Row("fedavg", "cnn"), backend=["serial", P2, TCP, REFS]),
     *_grid(Row("fedavg", "cnn", fusion=True), tile=[None, 1, 3]),
     Row("fedavg", "cnn", fusion=True, backend=P2),
@@ -296,9 +295,8 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     Row("fedavg", "cnn", scheduler="async", fusion=True),
     Row("fedprox", "cnn", fusion=True),
     Row("fedavg", "dropout", fusion=True),
-    Row("fedavg", "fc", fusion="family"),
-    Row("fedprox", "fc", fusion="family"),
-    Row("fedavg", "fc-equal", fusion="family"),
+    Row("fedavg", "fc", fusion=True),
+    Row("fedprox", "fc", fusion=True),
     # FedMD: heterogeneous digests fall back, homogeneous ones fuse.
     *_grid(Row("fedmd", "small"), backend=[P2, TCP]),
     *_grid(Row("fedmd", "small"), scheduler=["deadline", "async"]),
@@ -365,6 +363,10 @@ def _assert_mode_fired(row: Row, outcome: Outcome, expected: Outcome) -> None:
         assert fused >= {"FusedLocalTrainTask"} | {
             "fedmd": {"FusedPublicLogitsTask", "FusedEvaluateTask"},
             "fedzkt": {"FusedEvaluateTask"}}.get(row.algorithm, set())
+        if row.population == "fc":
+            # Only equal shards fuse: 33 + 33 and 32 + 32, two pairs a round.
+            assert tasks["FusedLocalTrainTask"] == 2 * rounds(row)
+            assert tasks["widest"] == 2
     else:
         assert not fused
     if row.tile is not None:
@@ -411,10 +413,5 @@ def test_row(row, oracle, backends, request):
     if row.poison:
         assert scratch_pool() is pool and pool.stats()["acquires"] > 0
     _assert_mode_fired(row, outcome, expected)
-    if row.fusion == "family" and row.population == "fc":
-        # A family cohort of unequal shards reduces its loss over the padded
-        # width: the documented policy is agreement to about 1e-9.
-        _assert_numerically_equal(outcome.history, expected.history)
-    else:
-        assert outcome.history == expected.history
+    assert outcome.history == expected.history
     assert outcome.rng_states == expected.rng_states

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor
-from repro.nn.batched import BatchedAdam, BatchedSGD
+from repro.nn.batched import BatchedAdam
 from repro.nn.optim import SGD, Adam
 
 COHORT = 3
@@ -222,48 +222,3 @@ class TestStateRoundTrips:
         optimizer.load_state(state)
         np.testing.assert_array_equal(optimizer.state()["step"],
                                       np.full(COHORT, 7, dtype=np.int64))
-
-
-class TestBatchedSGDSliceSnapshots:
-    def test_snapshot_restore_freezes_inactive_slices(self):
-        param_sets = _param_sets(9)
-        tensors = _stacked_tensors(param_sets)
-        optimizer = BatchedSGD(tensors, COHORT, lr=0.05, momentum=0.9)
-
-        grads = _grad_sets(9)
-        for index, tensor in enumerate(tensors):
-            tensor.grad = np.stack([grads[m][index] for m in range(COHORT)])
-        optimizer.step()
-
-        frozen = [1]
-        snapshot = optimizer.snapshot_slices(frozen)
-        before_params = [t.data[1].copy() for t in tensors]
-        before_velocity = [v[1].copy() for v in optimizer._velocity]
-
-        grads2 = _grad_sets(19)
-        for index, tensor in enumerate(tensors):
-            tensor.grad = np.stack([grads2[m][index] for m in range(COHORT)])
-        optimizer.step()
-        optimizer.restore_slices(snapshot)
-
-        for tensor, params, velocity, buffer in zip(
-                tensors, before_params, optimizer._velocity, before_velocity):
-            np.testing.assert_array_equal(tensor.data[1], params)
-            np.testing.assert_array_equal(velocity[1], buffer)
-            # Active slices did advance.
-            assert not np.array_equal(tensor.data[0], tensor.data[1]) or True
-            assert np.any(velocity[0] != 0)
-
-    def test_snapshot_before_first_step_restores_zero_velocity(self):
-        tensors = _stacked_tensors(_param_sets(4))
-        optimizer = BatchedSGD(tensors, COHORT, lr=0.05, momentum=0.9)
-        snapshot = optimizer.snapshot_slices([0, 2])
-        grads = _grad_sets(4)
-        for index, tensor in enumerate(tensors):
-            tensor.grad = np.stack([grads[m][index] for m in range(COHORT)])
-        optimizer.step()
-        optimizer.restore_slices(snapshot)
-        for velocity in optimizer._velocity:
-            np.testing.assert_array_equal(velocity[0], np.zeros_like(velocity[0]))
-            np.testing.assert_array_equal(velocity[2], np.zeros_like(velocity[2]))
-            assert np.any(velocity[1] != 0)

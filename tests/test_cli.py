@@ -73,6 +73,14 @@ def test_parser_transport_stats_flag():
     assert parser.parse_args(["run", "mnist", "--transport-stats"]).transport_stats
 
 
+def test_parser_cohort_fusion_is_a_switch():
+    parser = cli.build_parser()
+    assert parser.parse_args(["run", "mnist"]).cohort_fusion is False
+    assert parser.parse_args(["run", "mnist", "--cohort-fusion"]).cohort_fusion is True
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "mnist", "--cohort-fusion", "family"])
+
+
 def test_run_command_prints_transport_stats(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(cli.SCALES, "tiny", MICRO_SCALE)
     code = cli.main(["run", "mnist", "--scale", "tiny", "--rounds", "1",
