@@ -69,8 +69,8 @@ def main(argv=None) -> None:
           f"{stats['workers_connected']} workers")
     print("Global-model accuracy per round:",
           [f"{acc:.3f}" for acc in history.global_accuracy_curve()])
-    print(f"state published {stats['published_bytes']:,} B "
-          f"(delta-encoded), fetched {stats['fetched_bytes']:,} B; "
+    print(f"state published {stats['published_bytes']:,} B, "
+          f"fetched {stats['fetched_bytes']:,} B; "
           f"context {stats['context_published_bytes']:,} B published, "
           f"{stats['context_bytes']:,} B fetched; "
           f"tasks {stats['task_bytes']:,} B")

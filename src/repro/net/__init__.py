@@ -1,6 +1,6 @@
 """``repro.net`` — execution in other processes, over the ``StateChannel`` seam.
 
-A digest-keyed blob server hosted by the driver (:mod:`repro.net.server`),
+A key-to-frame blob server hosted by the driver (:mod:`repro.net.server`),
 a remote worker daemon (:mod:`repro.net.worker`, ``repro worker --connect``)
 running the existing worker runtime against a network channel, and the
 backends tying them into the execution-backend seam — ``tcp://``
@@ -16,9 +16,10 @@ from .service import BlobService, DispatchBatch, Dispatcher, RemoteTaskError
 from .wire import (
     AuthError,
     Connection,
+    pack_payload,
     pack_tensor,
     parse_hostport,
-    tensor_digest,
+    unpack_payload,
     unpack_tensor,
 )
 
@@ -39,8 +40,9 @@ __all__ = [
     "RemoteTaskError",
     "AuthError",
     "Connection",
+    "pack_payload",
+    "unpack_payload",
     "pack_tensor",
     "unpack_tensor",
-    "tensor_digest",
     "parse_hostport",
 ]

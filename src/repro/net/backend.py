@@ -8,9 +8,9 @@ daemons forked from the driver (``tcp://:PORT?workers=N``) or externally
 started ``repro worker --connect HOST:PORT`` processes on other machines —
 lease pickled tasks from the :class:`~repro.net.service.Dispatcher` and push
 results back.  Parity is the house invariant: one pickle per task, one per
-result, published states cross the socket one ``.npy`` tensor frame at a
-time and only where a tensor's digest is new to the other side, so
-histories are bit-identical to ``serial``.
+result, and a published state crosses the socket as one pickle-free
+payload frame of lossless ``.npy`` entries, so histories are
+bit-identical to ``serial``.
 
 :class:`ProcessPoolBackend` (``process[:N]``) is the same backend bound to
 an ephemeral loopback port, with N local workers and a handshake secret of

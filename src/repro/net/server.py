@@ -3,8 +3,8 @@
 :class:`BlobServer` is a threaded stdlib ``socketserver`` speaking the
 length-prefixed message protocol of :mod:`repro.net.wire`.  Each worker
 connection is one handler thread running a request/reply loop against the
-shared :class:`~repro.net.service.BlobService` (manifests + tensor blobs +
-worker context) and :class:`~repro.net.service.Dispatcher` (task leases).
+shared :class:`~repro.net.service.BlobService` (payload frames + worker
+context) and :class:`~repro.net.service.Dispatcher` (task leases).
 A connection that drops — worker crash, network partition — releases its
 leases on the way out, so its in-flight tasks are re-dispatched to the
 surviving workers instead of hanging the round.
@@ -13,11 +13,9 @@ surviving workers instead of hanging the round.
 :class:`~repro.utils.serialization.StateChannel` over the *same* service
 object, no sockets involved.  The
 :class:`~repro.utils.serialization.StateStore` hands it live state dicts,
-which it decomposes into per-tensor blobs keyed by content digest:
-publishing a state whose tensors mostly kept their digests stores (and
-later ships) only the changed tensors plus a small manifest.  ``publish``
-returns the wire-equivalent byte count so the store's ``published_bytes``
-reflects delta savings.
+which it packs into one :func:`~repro.net.wire.pack_payload` frame per
+key; ``publish`` returns the frame's size for the store's
+``published_bytes``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 from .service import BlobService, Dispatcher
-from .wire import pack_tensor, recv_frame, send_msg, tensor_digest, unpack_tensor
+from .wire import pack_payload, recv_frame, send_msg, unpack_payload
 
 __all__ = ["BlobServer", "DriverChannel", "serve_in_thread"]
 
@@ -61,50 +59,20 @@ def _load_exception(blob: Optional[bytes]) -> Optional[BaseException]:
 # --------------------------------------------------------------------------- #
 class DriverChannel:
     """The RemoteBackend's :class:`StateChannel` over the shared service:
-    live dicts/lists in, delta-encoded per-tensor blobs in the table."""
+    live dicts/lists in, one payload frame per key in the table."""
 
     def __init__(self, service: BlobService) -> None:
         self._service = service
-        self._publish_tokens = itertools.count()
 
     # ------------------------------------------------------------------ #
     def publish(self, key: str, payload, label: str = "") -> int:
-        """Store ``payload`` under ``key``; returns wire-equivalent bytes
-        (new tensor blobs + manifest) for the store's ``published_bytes``
-        accounting."""
-        if isinstance(payload, dict):
-            container = "dict"
-            named = list(payload.items())
-        else:
-            container = "list"
-            named = [(str(index), array) for index, array in enumerate(payload)]
-        entries = [(name, tensor_digest(array)) for name, array in named]
-        new_bytes = 0
-        by_digest = {digest: array for (_, array), (_, digest) in zip(named, entries)}
-        # Pin across the check → upload → bind sequence so a concurrent drop
-        # (another handler thread serving a worker's "drop") cannot GC a
-        # tensor this publish verified present.  put_manifest releases.
-        token = ("driver-publish", next(self._publish_tokens))
-        try:
-            for digest in self._service.missing_tensors(list(by_digest), pin_for=token):
-                blob = pack_tensor(by_digest[digest])
-                if self._service.put_tensor(digest, blob, pin_for=token):
-                    new_bytes += len(blob)
-            manifest_bytes = self._service.put_manifest(key, container, entries, label,
-                                                        pin_for=token)
-        except BaseException:
-            self._service.release_pins(token)
-            raise
-        return new_bytes + manifest_bytes
+        """Store ``payload`` under ``key``; returns the frame's bytes for
+        the store's ``published_bytes`` accounting."""
+        return self._service.put(key, pack_payload(payload), label)
 
     def fetch(self, key: str, count: bool = True):
-        """Materialize ``key`` driver-side as an assembled live dict/list."""
-        container, entries = self._service.get_manifest(key, count=count)
-        arrays = [(name, unpack_tensor(self._service.get_tensor(digest, count=count)))
-                  for name, digest in entries]
-        if container == "dict":
-            return {name: array for name, array in arrays}
-        return [array for _, array in arrays]
+        """Materialize ``key`` driver-side as a live dict/list."""
+        return unpack_payload(self._service.get(key, count=count))
 
     def drop(self, keys: Sequence[str]) -> None:
         self._service.drop(list(keys))
@@ -161,10 +129,6 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                 except (ConnectionError, OSError):
                     break
         finally:
-            # Reclaim blobs this connection uploaded but never bound to a
-            # manifest (death between put_tensor and put_manifest), then
-            # requeue its unfinished task leases.
-            server.service.release_pins(connection_id)
             requeued = server.dispatcher.release_connection(connection_id)
             with server.lock:
                 if registered:
@@ -203,28 +167,12 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             dispatcher.complete(lease_id, False,
                                 (remote_traceback, _load_exception(exception_blob)))
             return ("ok",)
-        if op == "manifest":
+        if op == "get":
             _, key, count = message
-            container, entries = service.get_manifest(key, count=count)
-            label = server.manifest_label(key)
-            return ("manifest", container, entries, label)
-        if op == "tensor":
-            _, digest, count, label = message
-            return ("tensor", service.get_tensor(digest, count=count, label=label))
-        if op == "missing":
-            # Pin present digests for this connection: its follow-up
-            # put_manifest (or its disconnect) releases them, so a driver
-            # drop between the check and the bind cannot GC them.
-            return ("missing", service.missing_tensors(message[1],
-                                                       pin_for=connection_id))
-        if op == "put_tensor":
-            _, digest, blob = message
-            service.put_tensor(digest, blob, count_upload=True, pin_for=connection_id)
-            return ("ok",)
-        if op == "put_manifest":
-            _, key, container, entries, label = message
-            service.put_manifest(key, container, entries, label, count_upload=True,
-                                 pin_for=connection_id)
+            return ("blob", service.get(key, count=count))
+        if op == "put":
+            _, key, blob, label = message
+            service.put(key, blob, label, count_upload=True)
             return ("ok",)
         if op == "drop":
             service.drop(message[1])
@@ -289,12 +237,6 @@ class BlobServer(socketserver.ThreadingTCPServer):
             return True
         return hmac.compare_digest(str(info.get("token", "")).encode("utf-8"),
                                    self.secret.encode("utf-8"))
-
-    def manifest_label(self, key: str) -> str:
-        """The label a manifest was published under (for tensor accounting)."""
-        with self.service._lock:
-            manifest = self.service._manifests.get(key)
-            return manifest[2] if manifest is not None else ""
 
     def counter_snapshot(self) -> Dict[str, int]:
         with self.lock:

@@ -5,25 +5,11 @@ the in-process :class:`~repro.net.server.DriverChannel` (the driver's
 :class:`~repro.utils.serialization.StateChannel`) and the socket handler
 threads serving remote workers:
 
-* :class:`BlobService` — the digest-keyed blob table behind the wire.
-  States are stored **delta-encoded**: a *manifest* maps entry names to
-  per-tensor content digests, and tensor blobs are stored once per digest
-  with reference counting (a manifest drop garbage-collects tensors no
-  other manifest references).  Publishing a state in which most tensors
-  kept their digests therefore ships (and stores) only the changed tensors
-  plus the tiny manifest.
-
-  A delta publish is three steps (``missing_tensors`` → ``put_tensor``
-  per gap → ``put_manifest``) that are **not atomic**, so the table layers
-  a *pin* lease over the refcounts: a publisher passes a ``pin_for`` token
-  and every digest it checked or uploaded stays alive — immune to
-  concurrent ``drop`` GC — until its ``put_manifest`` lands (which
-  releases the pins) or the publisher dies (:meth:`release_pins`, called
-  by the server when a connection closes, reclaims orphaned refcount-0
-  uploads).  ``put_manifest`` increfs the new entries *before* decrefing
-  the manifest it replaces, so a replayed identical publish (the blind
-  retry a lost reply produces) or an update sharing tensors with its
-  predecessor never GCs the shared blobs in between.
+* :class:`BlobService` — the blob table behind the wire: one encoded
+  payload frame (:func:`~repro.net.wire.pack_payload`) and its label per
+  state key.  A publish is one ``put``, a fetch one ``get``, a drop forgets
+  the key; replaying a ``put`` (the blind retry a lost reply produces)
+  rebinds the key to the same bytes.
 * :class:`Dispatcher` — the driver-side task queue.  Workers *lease* tasks
   (``next_task``) and deliver results (``complete``); a lease whose
   connection dies before delivering is re-queued (``release_connection``),
@@ -36,7 +22,6 @@ threads serving remote workers:
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -55,7 +40,7 @@ class RemoteTaskError(RuntimeError):
 # Blob table
 # --------------------------------------------------------------------------- #
 class BlobService:
-    """The digest-keyed blob table served to workers.
+    """The key-to-frame blob table served to workers.
 
     All methods are safe to call from any thread.  ``count=True`` marks
     worker-initiated transfers (cache misses) so driver-side reads never
@@ -64,21 +49,12 @@ class BlobService:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # state key -> (container, entries [(name, tensor_digest)], label,
-        #               manifest_nbytes)
-        self._manifests: Dict[str, Tuple[str, list, str, int]] = {}
-        # tensor digest -> [blob, refcount, pins].  ``refcount`` counts
-        # referencing manifests; ``pins`` counts in-flight publishes that
-        # checked or uploaded the digest and have not landed their manifest
-        # yet.  A tensor is GCed only when both reach zero.
-        self._tensors: Dict[str, List] = {}
-        # pin token (connection id or driver publish token) -> pinned digests
-        self._pins: Dict[object, List[str]] = {}
+        # state key -> (encoded payload frame, label)
+        self._blobs: Dict[str, Tuple[bytes, str]] = {}
         self._context_blob: Optional[bytes] = None
         self._context_version = -1
         self._fetches = 0
         self._fetched_bytes = 0
-        self._tensor_fetches = 0
         self._context_fetches = 0
         self._context_bytes = 0
         self._uploads = 0
@@ -86,147 +62,38 @@ class BlobService:
         self._by_label: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------ #
-    # Publishing (driver-side direct, or worker result uploads via ops)
-    # ------------------------------------------------------------------ #
-    def missing_tensors(self, digests: Sequence[str],
-                        pin_for: Optional[object] = None) -> List[str]:
-        """The subset of ``digests`` the table does not hold yet.
-
-        With ``pin_for``, every digest that *is* present gets pinned for
-        that token: a concurrent manifest drop cannot GC it out from under
-        the caller between this check and the caller's ``put_manifest``.
-        """
-        with self._lock:
-            missing = []
-            for digest in digests:
-                entry = self._tensors.get(digest)
-                if entry is None:
-                    missing.append(digest)
-                elif pin_for is not None:
-                    entry[2] += 1
-                    self._pins.setdefault(pin_for, []).append(digest)
-            return missing
-
-    def put_tensor(self, digest: str, blob: bytes, *, count_upload: bool = False,
-                   pin_for: Optional[object] = None) -> bool:
-        """Store one tensor blob; returns whether it was new.  With
-        ``pin_for``, the blob is pinned until the owning ``put_manifest``
-        lands (or the publisher's pins are released on disconnect)."""
+    def put(self, key: str, blob: bytes, label: str = "", *,
+            count_upload: bool = False) -> int:
+        """Bind ``key`` to ``blob`` (idempotent per key); returns its size.
+        ``count_upload`` marks a worker's result upload."""
         with self._lock:
             if count_upload:
+                self._uploads += 1
                 self._uploaded_bytes += len(blob)
-            entry = self._tensors.get(digest)
-            new = entry is None
-            if new:
-                # Refcount starts at 0; manifests referencing it bump it.
-                entry = self._tensors[digest] = [blob, 0, 0]
-            if pin_for is not None:
-                entry[2] += 1
-                self._pins.setdefault(pin_for, []).append(digest)
-            return new
+            self._blobs[key] = (blob, label)
+        return len(blob)
 
-    def put_manifest(self, key: str, container: str, entries, label: str = "",
-                     *, count_upload: bool = False,
-                     pin_for: Optional[object] = None) -> int:
-        """Bind ``key`` to a manifest: ``container`` is ``"dict"`` or
-        ``"list"`` and entries are ``(name, tensor_digest)`` pairs over
-        stored tensors.  Returns the manifest's wire size.  Idempotent per
-        key (re-publishing an identical content key replaces an identical
-        manifest).  Releases ``pin_for``'s pins whether or not the bind
-        succeeds."""
-        manifest_nbytes = len(pickle.dumps((container, entries),
-                                           protocol=pickle.HIGHEST_PROTOCOL))
+    def get(self, key: str, count: bool = True) -> bytes:
+        """The frame bound to ``key``; raises ``KeyError`` if unknown."""
         with self._lock:
-            try:
-                if count_upload:
-                    self._uploads += 1
-                    self._uploaded_bytes += manifest_nbytes
-                missing = [digest for _, digest in entries
-                           if digest not in self._tensors]
-                if missing:
-                    raise KeyError(f"manifest {key!r} references unknown tensor "
-                                   f"blobs ({len(missing)} missing); publish "
-                                   "tensors first")
-                # Incref the new entries BEFORE decrefing the previous
-                # manifest: a replayed identical publish, or an update
-                # sharing tensors with its predecessor, must not GC the
-                # shared blobs in between.
-                for _, digest in entries:
-                    self._tensors[digest][1] += 1
-                previous = self._manifests.get(key)
-                if previous is not None:
-                    self._decref_locked(previous)
-                self._manifests[key] = (container, entries, label, manifest_nbytes)
-            finally:
-                if pin_for is not None:
-                    self._release_pins_locked(pin_for)
-        return manifest_nbytes
-
-    def release_pins(self, pin_for: object) -> None:
-        """Drop every pin held by ``pin_for``, GCing tensors nothing else
-        references — the disconnect path for publishers that died between
-        uploading blobs and landing their manifest."""
-        with self._lock:
-            self._release_pins_locked(pin_for)
-
-    def _release_pins_locked(self, pin_for: object) -> None:
-        for digest in self._pins.pop(pin_for, ()):
-            entry = self._tensors.get(digest)
+            entry = self._blobs.get(key)
             if entry is None:
-                continue
-            entry[2] -= 1
-            if entry[1] <= 0 and entry[2] <= 0:
-                del self._tensors[digest]
-
-    def _decref_locked(self, manifest: Tuple[str, list, str, int]) -> None:
-        for _, digest in manifest[1]:
-            entry = self._tensors.get(digest)
-            if entry is None:
-                continue
-            entry[1] -= 1
-            if entry[1] <= 0 and entry[2] <= 0:
-                del self._tensors[digest]
-
-    # ------------------------------------------------------------------ #
-    # Fetching
-    # ------------------------------------------------------------------ #
-    def get_manifest(self, key: str, count: bool = True):
-        """Return ``(container, entries)``; raises ``KeyError`` if unknown."""
-        with self._lock:
-            manifest = self._manifests.get(key)
-            if manifest is None:
                 raise KeyError(f"state ref {key!r} is not in the blob table; it was "
                                "never published or was evicted before use")
-            container, entries, label, manifest_nbytes = manifest
+            blob, label = entry
             if count:
                 self._fetches += 1
-                self._fetched_bytes += manifest_nbytes
-                bucket = self._by_label.setdefault(
-                    label, {"fetches": 0, "fetched_bytes": 0})
-                bucket["fetches"] += 1
-                bucket["fetched_bytes"] += manifest_nbytes
-            return container, entries
-
-    def get_tensor(self, digest: str, count: bool = True, label: str = "") -> bytes:
-        with self._lock:
-            entry = self._tensors.get(digest)
-            if entry is None:
-                raise KeyError(f"tensor blob {digest!r} is not in the blob table")
-            blob = entry[0]
-            if count:
-                self._tensor_fetches += 1
                 self._fetched_bytes += len(blob)
                 bucket = self._by_label.setdefault(
                     label, {"fetches": 0, "fetched_bytes": 0})
+                bucket["fetches"] += 1
                 bucket["fetched_bytes"] += len(blob)
             return blob
 
     def drop(self, keys: Sequence[str]) -> None:
         with self._lock:
             for key in keys:
-                manifest = self._manifests.pop(key, None)
-                if manifest is not None:
-                    self._decref_locked(manifest)
+                self._blobs.pop(key, None)
 
     # ------------------------------------------------------------------ #
     # Worker context
@@ -250,13 +117,11 @@ class BlobService:
             return {
                 "fetches": self._fetches,
                 "fetched_bytes": self._fetched_bytes,
-                "tensor_fetches": self._tensor_fetches,
                 "context_fetches": self._context_fetches,
                 "context_bytes": self._context_bytes,
                 "uploads": self._uploads,
                 "uploaded_bytes": self._uploaded_bytes,
-                "entries": len(self._manifests),
-                "tensor_entries": len(self._tensors),
+                "entries": len(self._blobs),
                 "by_label": {label: dict(bucket)
                              for label, bucket in self._by_label.items()},
             }
@@ -268,9 +133,8 @@ class BlobService:
 class DispatchBatch:
     """One ``run_tasks`` call's worth of leases and their results."""
 
-    def __init__(self, size: int, condition: threading.Condition) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
-        self._condition = condition
         # task index -> ("ok", result) | ("error", message)
         self.outcomes: Dict[int, Tuple[str, object]] = {}
         self._yielded = 0
@@ -281,11 +145,7 @@ class DispatchBatch:
 
     def drain_new(self) -> List[Tuple[int, Tuple[str, object]]]:
         """Outcomes not yet handed to the caller (condition must be held)."""
-        if self._yielded >= len(self.outcomes):
-            return []
-        fresh = [(index, outcome) for index, outcome in self.outcomes.items()
-                 if index >= 0]  # all indices are >= 0; keep dict order
-        fresh = fresh[self._yielded:]
+        fresh = list(self.outcomes.items())[self._yielded:]
         self._yielded = len(self.outcomes)
         return fresh
 
@@ -321,7 +181,7 @@ class Dispatcher:
         with self._condition:
             if self._shutdown:
                 raise RuntimeError("dispatcher is shut down")
-            batch = DispatchBatch(len(payloads), self._condition)
+            batch = DispatchBatch(len(payloads))
             for index, payload in enumerate(payloads):
                 lease_id = self._next_lease
                 self._next_lease += 1

@@ -14,19 +14,17 @@ pickle (:func:`hello_frame`): a server with a secret checks the token in it
 before it unpickles anything, refuses every other first frame, and warns at
 bind time when a non-loopback interface is served without a secret.
 
-Parameter tensors do **not** travel as pickles.  They are packed one tensor
-at a time with :func:`pack_tensor` (the ``.npy`` format — dtype, shape, and
-memory order round-trip losslessly, which the bit-identity contract
-requires) and addressed by :func:`tensor_digest`, a content digest over the
-same canonical fields :func:`repro.utils.serialization.state_digest` hashes
-for whole states.  Per-tensor addressing is what makes **delta-encoded
-publishes** possible: re-publishing a state in which most tensors kept
-their digests ships only the changed tensors plus a tiny manifest.
+Parameter payloads do **not** travel as pickles.  A state dict or an
+ordered array list is packed into one frame with :func:`pack_payload`: a
+JSON header naming the container, the entry names and their sizes, then
+each entry as :func:`pack_tensor` bytes (the ``.npy`` format — dtype,
+shape, and memory order round-trip losslessly, which the bit-identity
+contract requires).  :func:`unpack_payload` checks the header against the
+frame before it decodes anything and never unpickles an entry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import pickle
@@ -48,7 +46,8 @@ __all__ = [
     "recv_msg",
     "pack_tensor",
     "unpack_tensor",
-    "tensor_digest",
+    "pack_payload",
+    "unpack_payload",
     "Connection",
     "parse_hostport",
 ]
@@ -61,7 +60,7 @@ _HEADER = struct.Struct(">Q")
 
 
 class FrameError(ConnectionError):
-    """A malformed frame (bad length prefix) arrived on the wire."""
+    """A malformed frame (a bad length prefix or payload header) arrived."""
 
 
 class AuthError(RuntimeError):
@@ -114,7 +113,7 @@ def hello_frame(info: dict) -> bytes:
 
 
 # --------------------------------------------------------------------------- #
-# Tensor blobs: lossless packing + content digests
+# Payload frames: lossless, pickle-free packing
 # --------------------------------------------------------------------------- #
 def pack_tensor(array: np.ndarray) -> bytes:
     """Pack one array into ``.npy`` bytes (dtype/shape/order round-trip)."""
@@ -128,19 +127,48 @@ def unpack_tensor(blob: bytes) -> np.ndarray:
     return np.load(io.BytesIO(blob), allow_pickle=False)
 
 
-def tensor_digest(array: np.ndarray) -> str:
-    """Content digest of one tensor (dtype, shape, memory order, raw bytes).
+def pack_payload(payload) -> bytes:
+    """Pack a state dict or an ordered array list into one frame: the
+    length-prefixed JSON header, then each entry's :func:`pack_tensor` bytes."""
+    if isinstance(payload, dict):
+        container, names, arrays = "dict", list(payload), list(payload.values())
+    else:
+        container, arrays = "list", list(payload)
+        names = [str(index) for index in range(len(arrays))]
+    blobs = [pack_tensor(array) for array in arrays]
+    header = json.dumps({"container": container, "names": names,
+                         "sizes": [len(blob) for blob in blobs]}).encode("utf-8")
+    return b"".join([_HEADER.pack(len(header)), header, *blobs])
 
-    Deliberately name-free: the manifest binds names to digests, so two
-    entries with identical content — the same layer across two model
-    replicas, an unchanged tensor across rounds — share one blob.
-    """
-    array = np.asarray(array)
-    fortran = bool(array.flags.f_contiguous and not array.flags.c_contiguous)
-    digest = hashlib.sha256()
-    digest.update(f"tensor:{array.dtype.str}:{array.shape}:{int(fortran)}:".encode("utf-8"))
-    digest.update(array.tobytes(order="A"))
-    return digest.hexdigest()
+
+def unpack_payload(blob: bytes):
+    """Invert :func:`pack_payload`; raises :class:`FrameError` for a frame
+    whose header does not describe it."""
+    try:
+        (length,) = _HEADER.unpack_from(blob)
+        header = json.loads(blob[_HEADER.size:_HEADER.size + length])
+        container, names, sizes = header["container"], header["names"], header["sizes"]
+    except (struct.error, ValueError) as exc:
+        raise FrameError(f"payload header is not JSON: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise FrameError(f"payload header lacks a field: {exc}") from None
+    if container not in ("dict", "list"):
+        raise FrameError(f"unknown payload container {container!r}")
+    if (not isinstance(names, list) or not isinstance(sizes, list)
+            or len(names) != len(sizes) or not all(isinstance(name, str) for name in names)):
+        raise FrameError("payload header needs one string name per entry size")
+    start = _HEADER.size + length
+    if (not all(isinstance(size, int) and size >= 0 for size in sizes)
+            or start + sum(sizes) != len(blob)):
+        raise FrameError(f"payload entry sizes do not add up to the "
+                         f"{len(blob)}-byte frame")
+    arrays = []
+    for size in sizes:
+        arrays.append(unpack_tensor(blob[start:start + size]))
+        start += size
+    if container == "dict":
+        return dict(zip(names, arrays))
+    return arrays
 
 
 def parse_hostport(value: str, default_host: str = "127.0.0.1") -> Tuple[str, int]:

@@ -2,8 +2,8 @@
 
 Runs the existing :class:`~repro.federated.backend.WorkerRuntime` (context
 versioning + the byte-bounded :class:`LRUStateCache` of resolved states)
-against a network :class:`WorkerChannel`: state fetches become manifest +
-tensor GETs with retry/backoff, context syncs piggyback on the same
+against a network :class:`WorkerChannel`: a state fetch is one GET of one
+payload frame with retry/backoff, context syncs piggyback on the same
 connection, and large result states are published back into the driver's
 blob table so only a tiny :class:`StateRef` rides in the result pickle.
 
@@ -26,14 +26,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..federated.backend import (
-    DEFAULT_WORKER_CACHE_BYTES,
-    LRUStateCache,
-    WorkerRuntime,
-    _swap_runtime,
-)
+from ..federated.backend import DEFAULT_WORKER_CACHE_BYTES, WorkerRuntime, _swap_runtime
 from ..utils.serialization import StateRef, state_digest
-from .wire import Connection, pack_tensor, parse_hostport, tensor_digest, unpack_tensor
+from .wire import Connection, pack_payload, parse_hostport, unpack_payload
 
 __all__ = ["WorkerChannel", "run_worker", "main"]
 
@@ -51,40 +46,19 @@ def _unwrap(reply):
 class WorkerChannel:
     """Network :class:`StateChannel` face of one worker connection.
 
-    ``fetch`` resolves a state key to its manifest, then fills in tensors
-    from a local digest-keyed LRU cache of decoded arrays — the worker-side
-    half of delta publishing: a re-published state whose tensors mostly
-    kept their digests costs one small manifest plus only the changed
-    tensors on the wire.  Returned payloads are live dicts/lists and must
-    be treated as read-only, same as every other channel.
+    ``fetch`` resolves a state key with one GET of its payload frame; the
+    :class:`~repro.federated.backend.WorkerRuntime`'s state cache sits in
+    front of it.  Returned payloads are live dicts/lists and must be
+    treated as read-only, same as every other channel.
     """
 
-    def __init__(self, connection: Connection,
-                 tensor_cache_bytes: int = DEFAULT_WORKER_CACHE_BYTES) -> None:
+    def __init__(self, connection: Connection) -> None:
         self.connection = connection
-        self._tensors = LRUStateCache(tensor_cache_bytes)
-        self.tensor_hits = 0
-        self.tensor_misses = 0
 
     # ------------------------------------------------------------------ #
     def fetch(self, key: str, count: bool = True):
-        reply = _unwrap(self.connection.request(("manifest", key, bool(count))))
-        _, container, entries, label = reply
-        arrays = []
-        for name, digest in entries:
-            array = self._tensors.get(digest)
-            if array is None:
-                self.tensor_misses += 1
-                tensor_reply = _unwrap(self.connection.request(
-                    ("tensor", digest, bool(count), label)))
-                array = unpack_tensor(tensor_reply[1])
-                self._tensors.put(digest, array, array.nbytes)
-            else:
-                self.tensor_hits += 1
-            arrays.append((name, array))
-        if container == "dict":
-            return {name: array for name, array in arrays}
-        return [array for _, array in arrays]
+        reply = _unwrap(self.connection.request(("get", key, bool(count))))
+        return unpack_payload(reply[1])
 
     def get_context(self, have_version: int) -> Tuple[int, Optional[bytes]]:
         reply = _unwrap(self.connection.request(("context", int(have_version))))
@@ -92,9 +66,6 @@ class WorkerChannel:
 
     def drop(self, keys: Sequence[str]) -> None:
         _unwrap(self.connection.request(("drop", list(keys))))
-
-    def stats(self) -> Dict[str, object]:
-        return {"tensor_hits": self.tensor_hits, "tensor_misses": self.tensor_misses}
 
     def close(self) -> None:
         self.connection.close()
@@ -104,32 +75,8 @@ class WorkerChannel:
     # ------------------------------------------------------------------ #
     def publish_state(self, state: Dict[str, np.ndarray], key: str,
                       label: str) -> None:
-        """Upload a state under ``key``, delta-encoded: only tensors the
-        table lacks travel.
-
-        The server pins every digest the ``missing`` check sees (and every
-        uploaded blob) for this connection until the ``put_manifest`` lands,
-        so the three-step sequence is atomic against concurrent GC.  The one
-        hole left is a mid-publish reconnect: the new connection's pins start
-        empty, so a tensor verified present before the drop of the socket may
-        be GCed before the manifest arrives.  The server rejects that with
-        KeyError, and we simply restart the publish from the missing check.
-        """
-        named = list(state.items())
-        entries = [(name, tensor_digest(array)) for name, array in named]
-        by_digest = {digest: array for (_, array), (_, digest) in zip(named, entries)}
-        for attempt in range(3):
-            missing = _unwrap(self.connection.request(("missing", list(by_digest))))[1]
-            for digest in missing:
-                _unwrap(self.connection.request(
-                    ("put_tensor", digest, pack_tensor(by_digest[digest]))))
-            try:
-                _unwrap(self.connection.request(
-                    ("put_manifest", key, "dict", entries, label)))
-                return
-            except KeyError:
-                if attempt == 2:
-                    raise
+        """Upload a state under ``key`` as one payload frame."""
+        _unwrap(self.connection.request(("put", key, pack_payload(state), label)))
 
 
 # --------------------------------------------------------------------------- #
@@ -147,9 +94,8 @@ def _ship_result(result, channel: WorkerChannel, settings: Dict, counter) -> obj
     nbytes = int(sum(np.asarray(value).nbytes for value in state.values()))
     if nbytes < int(settings.get("result_ref_threshold", 0)):
         return result
-    # Unique key per upload: identical states across devices still share
-    # tensors (the delta path dedupes those); distinct manifests keep the
-    # driver's resolve-then-drop lifecycle collision-free.
+    # Unique key per upload: identical states from two devices get two
+    # keys, so the driver's resolve-then-drop lifecycle stays collision-free.
     key = f"result:{state_digest(state)}:{os.getpid()}:{next(counter)}"
     channel.publish_state(state, key, "result")
     result.state = StateRef(key=key, round_version=0, kind="state",
@@ -190,7 +136,7 @@ def run_worker(host: str, port: int, *,
     connection = Connection(host, port, hello=hello)
     connection.connect(patience=patience)
     settings = connection.welcome[1]
-    channel = WorkerChannel(connection, tensor_cache_bytes=cache_bytes)
+    channel = WorkerChannel(connection)
     runtime = WorkerRuntime(channel=channel, cache_bytes=cache_bytes)
     _swap_runtime(runtime)
     if not quiet:
@@ -248,7 +194,7 @@ def main(argv=None) -> int:
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="driver blob-server address to connect to")
     parser.add_argument("--cache-bytes", type=int, default=DEFAULT_WORKER_CACHE_BYTES,
-                        help="byte budget of the worker state/tensor caches")
+                        help="byte budget of the worker state cache")
     parser.add_argument("--patience", type=float, default=30.0,
                         help="seconds to wait for the driver to start listening")
     parser.add_argument("--secret", default=None,

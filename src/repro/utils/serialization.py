@@ -9,16 +9,16 @@ Two families of helpers live here:
   replaces inline parameter payloads inside backend tasks, and
   :class:`StateStore` is the driver-side facade that publishes each state
   **once** through a :class:`StateChannel` (an in-process table for
-  in-process backends, :mod:`repro.net`'s per-tensor delta table for
+  in-process backends, :mod:`repro.net`'s key-to-frame blob table for
   ``process:N`` and ``tcp://``) so workers that miss their local cache
   fetch it a single time instead of receiving it inside every task pickle.
 
 A parameter payload has two forms and no third: a :class:`StateRef`, or
 live numpy arrays (a state dict, or an ordered array list).  The store and
 every task hand channels live arrays and get live arrays back; the channel
-whose table sits across a process boundary owns its own byte encoding
-(``.npy`` tensor frames), and a task that carries arrays inline is encoded
-by the backend's one ``pickle.dumps(task)``.
+whose table sits across a process boundary owns its own byte encoding (one
+payload frame of ``.npy`` entries per key), and a task that carries arrays
+inline is encoded by the backend's one ``pickle.dumps(task)``.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class StateChannel:
     :class:`InProcessStateTable` (the serial backend: the table *is*
     the cache, nothing is ever encoded) and the channel pair of
     :mod:`repro.net` behind ``process:N`` and ``tcp://`` (the driver's
-    delta-encoding tensor table plus the workers' socket client).
+    blob table of one payload frame per key plus the workers' socket
+    client).
     """
 
     def publish(self, key: str, payload, label: str = "") -> Optional[int]:
@@ -233,8 +234,8 @@ class StateStore:
             entry[0] = self.round_version
             return StateRef(key=key, round_version=self.round_version,
                             kind=kind, nbytes=entry[1], label=label)
-        # The channel reports what the publish put on the wire (a pickled
-        # blob, new tensors plus a manifest, nothing for an in-process table).
+        # The channel reports what the publish put on the wire (one payload
+        # frame, nothing for an in-process table).
         published = self.channel.publish(key, payload, label) or 0
         self._published[key] = [self.round_version, nbytes, label]
         self._counters["publishes"] += 1

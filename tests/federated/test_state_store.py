@@ -391,7 +391,7 @@ def test_warm_round_ships_tenfold_less_than_inline():
     over a batch of four, so teacher-state traffic dominates the round.  The
     first round pays the pool spawn, the context publish and cold caches; in
     the second, everything that crossed a process boundary apart from the
-    results (published tensors and manifests, cache-miss fetches, task
+    results (published payload frames, cache-miss fetches, task
     pickles) is at least 10x less than one inlined
     payload per dispatched ref would have been, and at least 90 % of the
     teacher refs resolved out of a worker's cache."""

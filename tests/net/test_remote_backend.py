@@ -1,4 +1,4 @@
-"""The tcp:// backend end to end: delta publishes, worker-disconnect
+"""The tcp:// backend end to end: steady-state publishes, worker-disconnect
 recovery, respawns, external workers, and spec parsing.  Whole runs on
 ``tcp://`` (with and without result-path refs) replay their serial history
 in ``tests/integration/test_parity_matrix.py``.
@@ -55,9 +55,10 @@ def _wait_for(predicate, timeout=60.0, interval=0.05, message="condition"):
 # --------------------------------------------------------------------------- #
 # Transport
 # --------------------------------------------------------------------------- #
-def test_delta_publishes_cut_steady_state_bytes():
-    """Round 2 republishes mostly-unchanged teacher/device states: the delta
-    channel must publish far fewer bytes than round 1's cold publish."""
+def test_steady_state_round_publishes_less_than_cold():
+    """Round 2 publishes fewer bytes than round 1's cold publish: the
+    ``StateStore`` dedupes whole states, so a state whose content digest is
+    already live is not published again."""
     backend = make_backend("tcp://:0?workers=2")
     with backend:
         with _fedzkt(backend) as simulation:

@@ -1,4 +1,4 @@
-"""Driver-side blob table and dispatcher: delta encoding, leases, requeue."""
+"""Driver-side blob table and dispatcher: one frame per key, leases, requeue."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.net.server import DriverChannel
+from repro.net.server import BlobServer, DriverChannel, serve_in_thread
 from repro.net.service import BlobService, Dispatcher
-from repro.net.wire import pack_tensor, tensor_digest
-from repro.utils import StateStore
+from repro.net.wire import Connection, pack_payload
+from repro.net.worker import WorkerChannel
 
 pytestmark = pytest.mark.net
 
@@ -27,195 +27,26 @@ def _state(seed: float = 0.0):
 # --------------------------------------------------------------------------- #
 # BlobService
 # --------------------------------------------------------------------------- #
-def test_manifest_refcounts_tensors_across_drops():
+def test_replayed_identical_put_keeps_the_key_fetchable():
+    # A lost put reply makes the client blindly replay the byte-identical
+    # request: the key must stay bound to the same bytes.
     service = BlobService()
-    shared = np.arange(8, dtype=np.float64)
-    digest = tensor_digest(shared)
-    service.put_tensor(digest, pack_tensor(shared))
-    service.put_manifest("a", "dict", [("w", digest)])
-    service.put_manifest("b", "dict", [("w", digest)])
+    blob = pack_payload(_state())
+    service.put("k", blob)
+    service.put("k", blob)  # replay, must not raise
 
-    service.drop(["a"])
-    # Still referenced by manifest "b": the tensor must survive.
-    assert service.get_tensor(digest, count=False)
-    service.drop(["b"])
-    assert service.missing_tensors([digest]) == [digest]
-    with pytest.raises(KeyError):
-        service.get_tensor(digest, count=False)
+    assert service.get("k", count=False) == blob
+    assert service.stats()["entries"] == 1
 
 
-def test_replayed_identical_manifest_keeps_shared_tensors():
-    # Regression: a lost put_manifest reply makes the client blindly replay
-    # the byte-identical request.  Decref-before-incref used to GC the
-    # tensors and then fail the missing check, corrupting the table.
+def test_get_raises_for_unknown_or_dropped_key():
     service = BlobService()
-    array = np.arange(6, dtype=np.float64)
-    digest = tensor_digest(array)
-    service.put_tensor(digest, pack_tensor(array))
-    service.put_manifest("k", "dict", [("w", digest)])
-    service.put_manifest("k", "dict", [("w", digest)])  # replay, must not raise
-
-    assert service.get_tensor(digest, count=False)
-    service.drop(["k"])
-    assert service.missing_tensors([digest]) == [digest]
-
-
-def test_manifest_update_keeps_tensors_shared_with_predecessor():
-    service = BlobService()
-    kept = np.arange(4, dtype=np.float64)
-    old = np.ones(3, dtype=np.float64)
-    new = np.zeros(3, dtype=np.float64)
-    kept_digest, old_digest, new_digest = map(tensor_digest, (kept, old, new))
-    for digest, array in [(kept_digest, kept), (old_digest, old)]:
-        service.put_tensor(digest, pack_tensor(array))
-    service.put_manifest("k", "dict", [("a", kept_digest), ("b", old_digest)])
-
-    # Re-publish: one tensor unchanged, one replaced.
-    service.put_tensor(new_digest, pack_tensor(new))
-    service.put_manifest("k", "dict", [("a", kept_digest), ("b", new_digest)])
-
-    assert service.get_tensor(kept_digest, count=False)
-    assert service.missing_tensors([old_digest]) == [old_digest]  # GCed
-
-
-def test_failed_manifest_leaves_previous_binding_intact():
-    service = BlobService()
-    array = np.arange(4, dtype=np.float64)
-    digest = tensor_digest(array)
-    service.put_tensor(digest, pack_tensor(array))
-    service.put_manifest("k", "dict", [("w", digest)])
-
-    with pytest.raises(KeyError, match="unknown tensor blobs"):
-        service.put_manifest("k", "dict", [("w", "missing-digest")])
-
-    # The old manifest still resolves and its tensor survived.
-    assert service.get_manifest("k", count=False) == ("dict", [("w", digest)])
-    assert service.get_tensor(digest, count=False)
-
-
-# --------------------------------------------------------------------------- #
-# Pins: atomic publishes against concurrent GC, orphan reclamation
-# --------------------------------------------------------------------------- #
-def test_pinned_missing_check_survives_concurrent_drop():
-    # A worker publish is missing -> put_tensor -> put_manifest across three
-    # requests.  A driver-side drop landing in between must not GC a tensor
-    # the missing check reported present.
-    service = BlobService()
-    shared = np.arange(5, dtype=np.float64)
-    digest = tensor_digest(shared)
-    service.put_tensor(digest, pack_tensor(shared))
-    service.put_manifest("driver-key", "dict", [("w", digest)])
-
-    assert service.missing_tensors([digest], pin_for=7) == []
-    service.drop(["driver-key"])  # the race: last manifest reference gone
-    assert service.get_tensor(digest, count=False)  # pin keeps it alive
-    service.put_manifest("worker-key", "dict", [("w", digest)], pin_for=7)
-
-    # The manifest's refcount now owns the tensor; pins are released.
-    service.drop(["worker-key"])
-    assert service.missing_tensors([digest]) == [digest]
-
-
-def test_release_pins_reclaims_orphaned_uploads():
-    # A worker that dies between put_tensor and put_manifest must not leak
-    # its uploaded blobs: the server releases its pins on disconnect.
-    service = BlobService()
-    array = np.arange(3, dtype=np.float64)
-    digest = tensor_digest(array)
-    service.put_tensor(digest, pack_tensor(array), pin_for=3)
-    assert service.stats()["tensor_entries"] == 1
-
-    service.release_pins(3)
-    assert service.stats()["tensor_entries"] == 0
-    assert service.missing_tensors([digest]) == [digest]
-
-
-def test_release_pins_keeps_manifest_referenced_tensors():
-    service = BlobService()
-    array = np.arange(3, dtype=np.float64)
-    digest = tensor_digest(array)
-    service.put_tensor(digest, pack_tensor(array), pin_for=3)
-    service.put_manifest("k", "dict", [("w", digest)], pin_for=3)
-    service.release_pins(3)  # disconnect after a completed publish: no-op
-    assert service.get_tensor(digest, count=False)
-
-
-def test_failed_pinned_manifest_still_releases_pins():
-    service = BlobService()
-    array = np.arange(3, dtype=np.float64)
-    digest = tensor_digest(array)
-    service.put_tensor(digest, pack_tensor(array), pin_for=9)
-    with pytest.raises(KeyError):
-        service.put_manifest("k", "dict", [("w", digest), ("x", "absent")],
-                             pin_for=9)
-    # The pin was consumed by the failed put_manifest; nothing references
-    # the upload any more, so it was reclaimed.
-    assert service.missing_tensors([digest]) == [digest]
-
-
-def test_get_manifest_raises_for_unknown_key():
     with pytest.raises(KeyError, match="never published"):
-        BlobService().get_manifest("nope")
-
-
-def test_put_manifest_rejects_unknown_tensor_digests():
-    with pytest.raises(KeyError, match="unknown tensor blobs"):
-        BlobService().put_manifest("key", "dict", [("w", "missing-digest")])
-
-
-# --------------------------------------------------------------------------- #
-# DriverChannel: delta publishes
-# --------------------------------------------------------------------------- #
-def test_delta_publish_ships_only_changed_tensors():
-    channel = DriverChannel(BlobService())
-
-    first = channel.publish("k1", _state(), label="device")
-    changed = _state()
-    changed["layer1.bias"] = changed["layer1.bias"] + 1.0
-    second = channel.publish("k2", changed, label="device")
-
-    # Second publish: one changed tensor (32 bytes of payload + npy header)
-    # plus a manifest — far below the full-state first publish.
-    assert isinstance(first, int) and isinstance(second, int)
-    assert second < first / 2
-
-    restored = channel.fetch("k2", count=False)
-    assert set(restored) == set(changed)
-    for name in changed:
-        np.testing.assert_array_equal(restored[name], changed[name])
-
-
-def test_one_changed_tensor_in_twelve_publishes_five_times_below_cold():
-    """A model-sized state of twelve 64 KiB tensors published cold, then
-    republished for four rounds with exactly one tensor changed per round,
-    through the store a tcp:// backend builds: each republish ships the one
-    tensor and a manifest."""
-    rng = np.random.default_rng(7)
-    state = {f"layer{i:02d}.weight": rng.normal(size=8192) for i in range(12)}
-    store = StateStore(DriverChannel(BlobService()))
-    store.advance_round(1)
-    store.put_state(state, label="device")
-    cold = store.stats()["published_bytes"]
-    steady = []
-    for round_index in range(2, 6):
-        changed = f"layer{round_index - 2:02d}.weight"
-        state[changed] = state[changed] + rng.normal(size=8192)
-        store.advance_round(round_index)
-        before = store.stats()["published_bytes"]
-        store.put_state(state, label="device")
-        steady.append(store.stats()["published_bytes"] - before)
-    assert cold >= 5 * sum(steady) / len(steady)
-
-
-def test_delta_publish_of_array_lists_round_trips_in_order():
-    channel = DriverChannel(BlobService())
-    arrays = [np.arange(4, dtype=np.float64), np.ones((2, 2), dtype=np.float32)]
-    channel.publish("anchor", arrays, label="anchor")
-    restored = channel.fetch("anchor", count=False)
-    assert isinstance(restored, list) and len(restored) == 2
-    np.testing.assert_array_equal(restored[0], arrays[0])
-    np.testing.assert_array_equal(restored[1], arrays[1])
-    assert restored[1].dtype == np.float32
+        service.get("nope")
+    service.put("k", pack_payload(_state()))
+    service.drop(["k"])
+    with pytest.raises(KeyError, match="never published"):
+        service.get("k")
 
 
 def test_fetch_counts_only_worker_initiated_transfers():
@@ -228,6 +59,59 @@ def test_fetch_counts_only_worker_initiated_transfers():
     stats = service.stats()
     assert stats["fetches"] == 1
     assert stats["by_label"]["device"]["fetched_bytes"] > 0
+
+
+def test_put_counts_only_worker_uploads():
+    service = BlobService()
+    blob = pack_payload(_state())
+    assert service.put("driver", blob, "device") == len(blob)
+    assert service.put("worker", blob, "result", count_upload=True) == len(blob)
+    stats = service.stats()
+    assert (stats["uploads"], stats["uploaded_bytes"]) == (1, len(blob))
+    assert stats["entries"] == 2
+
+
+# --------------------------------------------------------------------------- #
+# Over the socket: one put and one get per state
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def worker_channel():
+    service = BlobService()
+    server = BlobServer(("127.0.0.1", 0), service, Dispatcher())
+    thread = serve_in_thread(server)
+    connection = Connection("127.0.0.1", server.port, retries=1, hello={"pid": 1})
+    connection.connect()
+    yield WorkerChannel(connection), service
+    connection.close()
+    server.close()
+    thread.join(timeout=2.0)
+
+
+def test_worker_channel_moves_one_frame_per_key(worker_channel):
+    channel, service = worker_channel
+    state = _state(seed=1.0)
+    channel.publish_state(state, "result:k", "result")
+    frame = len(pack_payload(state))
+    stats = service.stats()
+    assert (stats["uploads"], stats["uploaded_bytes"]) == (1, frame)
+
+    restored = channel.fetch("result:k")
+    assert list(restored) == list(state)
+    for name, value in state.items():
+        np.testing.assert_array_equal(restored[name], value)
+    stats = service.stats()
+    assert (stats["fetches"], stats["fetched_bytes"]) == (1, frame)
+    assert stats["by_label"]["result"] == {"fetches": 1, "fetched_bytes": frame}
+    channel.drop(["result:k"])
+    with pytest.raises(KeyError):
+        channel.fetch("result:k")
+
+
+@pytest.mark.parametrize("op", ["manifest", "tensor", "missing"])
+def test_removed_payload_ops_are_unknown(worker_channel, op):
+    channel, _ = worker_channel
+    reply = channel.connection.request((op, "k"))
+    assert reply == ("error", "ValueError", f"unknown wire op {op!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -292,6 +176,20 @@ def test_shutdown_unblocks_waiting_workers():
     thread.join(timeout=5.0)
     assert not thread.is_alive()
     assert results == [Dispatcher.SHUTDOWN]
+
+
+def test_iter_outcomes_yields_each_outcome_once_in_arrival_order():
+    dispatcher = Dispatcher()
+    batch = dispatcher.submit(["a", "b", "c"])
+    leases = [dispatcher.next_task(connection_id=1, timeout=0.01) for _ in range(3)]
+    dispatcher.complete(leases[2][0], True, "rc")
+    dispatcher.complete(leases[0][0], True, "ra")
+    assert list(dispatcher.iter_outcomes(batch, timeout=0.01)) == [
+        (2, ("ok", "rc")), (0, ("ok", "ra"))]
+    assert list(dispatcher.iter_outcomes(batch, timeout=0.01)) == []
+    dispatcher.complete(leases[1][0], False, "boom")
+    assert list(dispatcher.iter_outcomes(batch, timeout=0.01)) == [(1, ("error", "boom"))]
+    assert list(dispatcher.iter_outcomes(batch, timeout=0.01)) == []
 
 
 def test_wait_reports_batch_progress():

@@ -1,7 +1,9 @@
-"""Wire-protocol primitives: framing, tensor codec, address parsing."""
+"""Wire-protocol primitives: framing, tensor and payload codecs, address parsing."""
 
 from __future__ import annotations
 
+import io
+import json
 import socket
 import threading
 
@@ -9,14 +11,16 @@ import numpy as np
 import pytest
 
 from repro.net.wire import (
+    _HEADER,
     Connection,
+    FrameError,
     pack_tensor,
     parse_hostport,
     recv_frame,
     recv_msg,
     send_frame,
     send_msg,
-    tensor_digest,
+    unpack_payload,
     unpack_tensor,
 )
 
@@ -58,13 +62,39 @@ def test_tensor_codec_is_lossless(array):
     assert restored.shape == array.shape
 
 
-def test_tensor_digest_is_name_free_and_content_sensitive():
-    a = np.arange(6, dtype=np.float64)
-    b = np.arange(6, dtype=np.float64)
-    assert tensor_digest(a) == tensor_digest(b)
-    assert tensor_digest(a) != tensor_digest(a + 1)
-    assert tensor_digest(a) != tensor_digest(a.astype(np.float32))
-    assert tensor_digest(a) != tensor_digest(a.reshape(2, 3))
+def _frame(header, body: bytes = b"") -> bytes:
+    text = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    return _HEADER.pack(len(text)) + text + body
+
+
+_ENTRY = pack_tensor(np.arange(3, dtype=np.float64))
+
+
+@pytest.mark.parametrize("frame", [
+    _frame(b"not json", _ENTRY),
+    _frame({"container": "dict", "names": ["w"]}, _ENTRY),
+    _frame({"container": "set", "names": ["w"], "sizes": [len(_ENTRY)]}, _ENTRY),
+    _frame({"container": "dict", "names": ["w", "b"], "sizes": [len(_ENTRY)]}, _ENTRY),
+    _frame({"container": "dict", "names": ["w"], "sizes": [len(_ENTRY) + 1]}, _ENTRY),
+    _frame({"container": "dict", "names": [["w"]], "sizes": [len(_ENTRY)]}, _ENTRY),
+    b"\x00\x00\x00",
+], ids=["not-json", "missing-field", "unknown-container", "names-vs-sizes",
+        "sizes-vs-frame", "non-string-name", "shorter-than-prefix"])
+def test_unpack_payload_rejects_frames_its_header_does_not_describe(frame):
+    with pytest.raises(FrameError):
+        unpack_payload(frame)
+
+
+def test_unpack_payload_never_unpickles_an_entry():
+    well_formed = _frame({"container": "list", "names": ["0"], "sizes": [len(_ENTRY)]},
+                         _ENTRY)
+    assert unpack_payload(well_formed)[0].tolist() == [0.0, 1.0, 2.0]
+    pickled = io.BytesIO()
+    np.save(pickled, np.array([{"x": 1}], dtype=object), allow_pickle=True)
+    pickled = pickled.getvalue()
+    with pytest.raises(ValueError, match="allow_pickle"):
+        unpack_payload(_frame({"container": "dict", "names": ["o"],
+                               "sizes": [len(pickled)]}, pickled))
 
 
 def test_parse_hostport():

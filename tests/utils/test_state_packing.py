@@ -1,7 +1,7 @@
 """What carries a parameter payload across a process boundary, and that it
 is lossless: the backend's one pickle of a task (or result) holding live
-arrays inline, and ``repro.net``'s per-tensor ``.npy`` table for a published
-payload (``process:N`` and ``tcp://`` alike).  Nothing else encodes a state."""
+arrays inline, and ``repro.net``'s one ``.npy`` payload frame per key for a
+published payload (``process:N`` and ``tcp://`` alike).  Nothing else encodes a state."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.federated.backend import LocalTrainTask, resolve_arrays, resolve_stat
 from repro.federated.cohort import FusedLocalTrainTask
 from repro.models import SimpleCNN
 from repro.net import BlobService, DriverChannel
-from repro.net.wire import pack_tensor
+from repro.net.wire import pack_payload
 
 
 def shipped(value):
@@ -84,16 +84,13 @@ def test_none_passthrough():
 
 
 def test_publish_reports_the_blob_it_stored():
-    """``published_bytes`` is the new tensor frames plus the manifest, and a
-    counted fetch of the state counts the same bytes."""
+    """``published_bytes`` is the payload frame, and a counted fetch of the
+    state counts the same bytes."""
     service = BlobService()
     channel = DriverChannel(service)
     state = {"w": np.arange(12.0).reshape(3, 4), "buffer::steps": np.array(3)}
     published = channel.publish("k", state, "device")
-    manifest = published - sum(len(pack_tensor(value)) for value in state.values())
-    assert 0 < manifest < 1024
-    # Re-publishing the same tensors under another key ships only a manifest.
-    assert channel.publish("k2", dict(state), "device") == manifest
+    assert published == len(pack_payload(state))
     channel.fetch("k", count=False)
     assert service.stats()["fetched_bytes"] == 0
     channel.fetch("k")
