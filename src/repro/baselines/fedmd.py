@@ -154,8 +154,8 @@ class FedMDStrategy(Strategy):
         store = simulation.state_store
 
         def published_state(device_id):
-            state = simulation.devices[device_id].model.state_dict()
-            return store.put_state(state, label="device") if store is not None else state
+            return store.put_state(simulation.devices[device_id].model.state_dict(),
+                                   label="device")
 
         # Snapshot/publish each cohort member's state once; the digest +
         # revisit training task below reuses the same payload (running the
@@ -172,8 +172,7 @@ class FedMDStrategy(Strategy):
         consensus = np.mean(np.stack(uploaded, axis=0), axis=0)
         # The cohort shares one consensus matrix: publish it once and let
         # every digest spec carry the same ref instead of N inline copies.
-        consensus_payload = (store.put_arrays([consensus], label="consensus")
-                            if store is not None else consensus)
+        consensus_payload = store.put_arrays([consensus], label="consensus")
 
         train_tasks = []
         for device_id in device_ids:

@@ -177,8 +177,7 @@ def _print_transport_stats(stats: dict) -> None:
     scalar_keys = [
         "publishes", "published_bytes", "fetches", "fetched_bytes",
         "task_bytes", "tasks_shipped", "context_published_bytes", "context_bytes",
-        "uploaded_bytes", "result_bytes", "result_refs_resolved",
-        "shipped_bytes", "inline_equivalent_bytes",
+        "result_bytes", "shipped_bytes", "inline_equivalent_bytes",
         "refs_resolved", "hits", "misses", "hit_rate",
         "server_starts", "workers_connected",
         "worker_disconnects", "worker_restarts", "tasks_requeued",

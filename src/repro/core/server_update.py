@@ -142,15 +142,10 @@ class ZeroShotDistiller:
         """Whether server updates are dispatched through the backend."""
         return self.backend is not None and self.config.shard_server_update
 
-    @property
-    def _store(self):
-        """The backend's content-addressed state store (None → inline payloads)."""
-        return getattr(self.backend, "state_store", None)
-
     def _publish(self, payload, label: str, ephemerals: List):
-        """A shard-task payload: published through the backend's state store
+        """A shard-task payload, published through the backend's state store
         (tasks then carry a tiny ref; the payload ships at most once per
-        worker), or ``payload`` itself for a backend without one.
+        worker).
 
         A dict is a model state, a list an ordered array list, a bare array
         (synthetic batch, upstream gradient) a list of one.  Published refs
@@ -158,9 +153,7 @@ class ZeroShotDistiller:
         soon as the tasks that referenced them have completed — per-iteration
         synthetic batches would otherwise accumulate for a whole round.
         """
-        store = self._store
-        if store is None:
-            return payload
+        store = self.backend.state_store
         if isinstance(payload, dict):
             ref = store.put_state(payload, label=label)
         else:
@@ -170,9 +163,8 @@ class ZeroShotDistiller:
         return ref
 
     def _drain(self, ephemerals: List) -> None:
-        store = self._store
-        if store is not None and ephemerals:
-            store.discard(list(ephemerals))
+        if ephemerals:
+            self.backend.state_store.discard(list(ephemerals))
         ephemerals.clear()
 
     def device_optimizer_for(self, device_id: int,
@@ -331,9 +323,8 @@ class ZeroShotDistiller:
                          shards: List[List[int]]) -> List[np.ndarray]:
         """Unweighted member outputs of every teacher, in teacher order.
 
-        ``inputs`` is a prepared payload — a state-store ref (published
-        once, shared by every shard task and fetched at most once per
-        worker), or the raw batch for a backend without a store.
+        ``inputs`` is a state-store ref (published once, shared by every
+        shard task and fetched at most once per worker).
         """
         tasks = [EnsembleForwardTask(device_ids=[teacher_ids[i] for i in shard],
                                      states=[shipped_states[i] for i in shard],

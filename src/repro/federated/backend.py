@@ -364,9 +364,8 @@ class LocalTrainTask:
 class LocalTrainResult:
     """Updated parameters + statistics returned by a :class:`LocalTrainTask`.
 
-    Results flow worker → driver exactly once, so they keep carrying their
-    state inline rather than a ref (the ``tcp://`` worker swaps a large one
-    for a result ref, which the driver resolves before anyone sees it).
+    Results flow worker → driver exactly once, so they carry their state
+    inline rather than a ref, whatever its size.
     """
 
     device_id: int
@@ -429,9 +428,9 @@ class ExecutionBackend:
 
     name = "base"
 
-    #: The backend's content-addressed state store (assigned by concrete
-    #: backends; ``None`` only for bare third-party subclasses).
-    state_store: Optional[StateStore] = None
+    #: The backend's content-addressed state store; every concrete backend
+    #: sets it by the time :meth:`start` returns.
+    state_store: StateStore
 
     _started = False
 
@@ -470,12 +469,9 @@ class ExecutionBackend:
     # ------------------------------------------------------------------ #
     def _note_dispatch(self, tasks: Sequence) -> None:
         """Record the :class:`StateRef` payloads a task batch carries."""
-        store = self.state_store
-        if store is None:
-            return
         refs = [ref for task in tasks for ref in iter_state_refs(task)]
         if refs:
-            store.note_dispatch(refs)
+            self.state_store.note_dispatch(refs)
 
     def transport_stats(self) -> Dict[str, object]:
         """State-transport counters: cache hits/misses, bytes published /
@@ -486,8 +482,7 @@ class ExecutionBackend:
         is what actually crossed a process boundary (zero for in-process
         backends).
         """
-        store = self.state_store
-        stats: Dict[str, object] = dict(store.stats()) if store is not None else {}
+        stats: Dict[str, object] = dict(self.state_store.stats())
         stats["backend"] = self.name
         stats.setdefault("task_bytes", 0)
         stats["shipped_bytes"] = (int(stats.get("published_bytes", 0))

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
-from ..utils.serialization import StateStore
+from ..utils.serialization import StateRef, StateStore
 from .backend import EvaluateTask, LocalTrainResult, LocalTrainTask
 from .trainer import (
     DeviceTrainingConfig,
@@ -126,36 +126,30 @@ class Device:
         return local_sgd_train(self.model, self.dataset, epochs, self.training_config,
                                self._rng, anchor=self._anchor, device_id=self.device_id)
 
-    def local_train_task(self, epochs: int,
-                         store: Optional[StateStore] = None,
-                         state: Optional[object] = None) -> LocalTrainTask:
+    def local_train_task(self, epochs: int, store: StateStore,
+                         state: Optional[StateRef] = None) -> LocalTrainTask:
         """Package the next local-training step as a backend task.
 
         The task snapshots the current parameters, proximal anchor, and the
         exact shuffle-RNG state, so executing it (in-process or in a worker)
         and absorbing the result is equivalent to calling
-        :meth:`local_train` directly.  When ``store`` is given (the
-        backend's content-addressed state store) the parameter payloads are
-        published once and the task carries tiny
-        :class:`~repro.utils.serialization.StateRef` handles; without a
-        store, payloads stay plain arrays inside the task.  A caller
-        that already snapshotted/published this device's *current* state
-        (FedMD builds a public-logits task from it moments earlier) can
-        pass it via ``state`` to skip the redundant copy + digest.
+        :meth:`local_train` directly.  The parameter payloads are published
+        once into ``store`` (the backend's content-addressed state store)
+        and the task carries tiny
+        :class:`~repro.utils.serialization.StateRef` handles.  A caller
+        that already published this device's *current* state (FedMD builds
+        a public-logits task from it moments earlier) can pass its ref via
+        ``state`` to skip the redundant copy + digest.
         """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
         if state is None:
-            state = self.model.state_dict()
-            if store is not None:
-                state = store.put_state(state, label="device")
+            state = store.put_state(self.model.state_dict(), label="device")
         # The proximal anchor only enters the loss when prox_mu > 0
         # (trainer.local_sgd_train); with the regularizer off there is no
         # reason to ship it at all.
         use_anchor = self._anchor is not None and self.training_config.prox_mu > 0
-        anchor = list(self._anchor) if use_anchor else None
-        if store is not None and anchor is not None:
-            anchor = store.put_arrays(anchor, label="anchor")
+        anchor = store.put_arrays(list(self._anchor), label="anchor") if use_anchor else None
         return LocalTrainTask(
             device_id=self.device_id,
             state=state,
@@ -173,18 +167,15 @@ class Device:
         self._rng.bit_generator.state = result.rng_state
         return result.report
 
-    def evaluate_task(self, store: Optional[StateStore] = None) -> EvaluateTask:
+    def evaluate_task(self, store: StateStore) -> EvaluateTask:
         """Package on-device evaluation as a backend task.
 
-        With a ``store``, the state is published content-addressed — since
+        The state is published content-addressed into ``store`` — since
         evaluation runs right after broadcast, the same ref is typically
         re-used (a pure cache hit) by the next round's training dispatch.
         """
-        state = self.model.state_dict()
-        if store is not None:
-            state = store.put_state(state, label="device")
         return EvaluateTask(device_id=self.device_id,
-                            state=state,
+                            state=store.put_state(self.model.state_dict(), label="device"),
                             batch_size=self.training_config.eval_batch_size)
 
     # ------------------------------------------------------------------ #

@@ -144,7 +144,7 @@ class RoundScheduler:
 
     def check_engine(self, engine) -> None:
         """Validate that ``engine`` can run under this scheduler."""
-        if self.reorders_uploads and not getattr(engine, "supports_async", True):
+        if self.reorders_uploads and not engine.supports_async:
             raise ValueError(
                 f"{type(engine).__name__} only supports the synchronous scheduler "
                 f"(requested {self.name!r}); its round structure needs every "
@@ -157,19 +157,14 @@ class RoundScheduler:
     def run_round(self, engine, round_index: int, state: SchedulerState) -> RoundRecord:
         """One scheduler round, wrapped in the strategy lifecycle hooks.
 
-        Also bumps the engine's state-store round version (when the engine
-        exposes one), which is what evicts parameter payloads published two
-        or more rounds ago from the backend's state channel.
+        Also bumps the engine's state-store round version, which is what
+        evicts parameter payloads published two or more rounds ago from the
+        backend's state channel.
         """
-        advance = getattr(engine, "advance_round_version", None)
-        if advance is not None:
-            advance(round_index)
-        strategy = getattr(engine, "strategy", None)
-        if strategy is not None:
-            strategy.on_round_start(round_index)
+        engine.advance_round_version(round_index)
+        engine.strategy.on_round_start(round_index)
         record = self._run_round(engine, round_index, state)
-        if strategy is not None:
-            strategy.on_round_end(record)
+        engine.strategy.on_round_end(record)
         return record
 
     def _run_round(self, engine, round_index: int, state: SchedulerState) -> RoundRecord:
@@ -204,10 +199,7 @@ class RoundScheduler:
         tasks = engine.device_tasks(device_ids, round_index)
         snapshots = [(task.device_id, task.state) for task in tasks]
         results: Dict[int, object] = {}
-        runner = getattr(engine, "run_device_tasks_as_completed", None)
-        completed = (runner(tasks) if runner is not None
-                     else engine.backend.run_tasks_as_completed(tasks))
-        for index, result in completed:
+        for index, result in engine.run_device_tasks_as_completed(tasks):
             results[device_ids[index]] = result
         for device_id, state in snapshots:
             engine.restore_model_state(device_id, state)
@@ -244,8 +236,7 @@ class SynchronousScheduler(RoundScheduler):
         active = hetero.filter_available(sampled, round_index)
 
         tasks = engine.device_tasks(active, round_index)
-        runner = getattr(engine, "run_device_tasks", None)
-        results = runner(tasks) if runner is not None else engine.backend.run_tasks(tasks)
+        results = engine.run_device_tasks(tasks)
 
         losses: List[float] = []
         meta: Dict[int, UploadMeta] = {}

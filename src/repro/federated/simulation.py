@@ -47,7 +47,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..nn.batched import fusion_signature
 from ..nn.buffers import scratch_pool
-from ..utils.serialization import StateRef, state_digest
+from ..utils.serialization import StateRef, StateStore, state_digest
 from .backend import (
     EvaluateTask,
     ExecutionBackend,
@@ -163,10 +163,9 @@ class Simulation:
         return self.strategy.server
 
     @property
-    def state_store(self):
-        """The backend's content-addressed state store (``None`` for bare
-        third-party backends without one)."""
-        return getattr(self.backend, "state_store", None)
+    def state_store(self) -> StateStore:
+        """The backend's content-addressed state store."""
+        return self.backend.state_store
 
     @property
     def supports_async(self) -> bool:
@@ -304,19 +303,16 @@ class Simulation:
             else:
                 yield plan.scatter[planned_index][0], result
 
-    def restore_model_state(self, device_id: int, state) -> None:
+    def restore_model_state(self, device_id: int, state: StateRef) -> None:
         """Reset a device's published parameters to a pre-dispatch snapshot.
 
         Used by deferred-absorb schedulers after eager in-process execution
         so a busy device's visible model stays at its dispatch-time state
-        until the upload's simulated arrival.  ``state`` may be the plain
-        dict a pre-store task carried or the dispatch task's
-        :class:`~repro.utils.serialization.StateRef` (materialized through
-        the store without touching the worker miss counters).
+        until the upload's simulated arrival.  ``state`` is the dispatch
+        task's :class:`~repro.utils.serialization.StateRef`, materialized
+        through the store without touching the worker miss counters.
         """
-        if isinstance(state, StateRef):
-            state = self.state_store.get(state)
-        self.devices[device_id].model.load_state_dict(state)
+        self.devices[device_id].model.load_state_dict(self.state_store.get(state))
 
     def advance_round_version(self, round_index: int) -> None:
         """Bump the state store's round version (called by the scheduler at
@@ -325,9 +321,7 @@ class Simulation:
         on the same cadence: chunks the previous round never touched go, and
         what it did use stays mapped for this round."""
         scratch_pool().enter_round(round_index)
-        store = self.state_store
-        if store is not None:
-            store.advance_round(round_index)
+        self.state_store.advance_round(round_index)
 
     def process_result(self, result, meta: UploadMeta) -> float:
         """Absorb one completed task (collect phase); returns local loss."""
@@ -366,10 +360,8 @@ class Simulation:
         Equal keys load equal parameters into interchangeable models and
         sweep the test set in equal chunks, so their accuracies are equal
         bit for bit.  A model without a fusion signature stands for itself
-        (its device id); a task carrying an inline state has no key.
+        (its device id).
         """
-        if not isinstance(task.state, StateRef):
-            return None
         signature = self._signature(task.device_id)
         return (task.device_id if signature is None else signature,
                 task.state.key, task.batch_size)
@@ -384,10 +376,9 @@ class Simulation:
         left.  The table then replaces the previous one, so a result lives
         one round unless it is hit again.
         """
-        store = self.state_store
         previous, table = self._eval_results, {}
         global_model = getattr(self.server, "global_model", None)
-        if (store is not None and global_model is not None
+        if (global_model is not None
                 and record.global_accuracy is not None and self._context is not None
                 and self._context.eval_dataset is self.test_dataset):
             signature = fusion_signature(global_model)
@@ -396,23 +387,21 @@ class Simulation:
                                              for device in self.devices):
                 table[(signature, state_digest(global_model.state_dict()),
                        GLOBAL_EVAL_BATCH_SIZE)] = record.global_accuracy
-        tasks = [device.evaluate_task(store=store) for device in self.devices]
+        tasks = [device.evaluate_task(self.state_store) for device in self.devices]
         keys = [self._eval_key(task) for task in tasks]
-        pending = {}  # eval key, or task position for an inline state -> task
-        for position, key in enumerate(keys):
-            if key is not None and key not in table and key in previous:
+        pending = {}  # eval key -> task
+        for key, task in zip(keys, tasks):
+            if key not in table and key in previous:
                 table[key] = previous[key]
-            if key is None or key not in table:
-                pending.setdefault(position if key is None else key, tasks[position])
+            if key not in table:
+                pending.setdefault(key, task)
         # Same fusion seam as the dispatch phase: with cohort_fusion on, each
         # same-architecture cohort evaluates in one stacked no-grad forward.
         ran = (dict(zip(pending, self.run_device_tasks(list(pending.values()))))
                if pending else {})
-        for position, (device, key) in enumerate(zip(self.devices, keys)):
-            if key is not None and key not in table:
-                table[key] = ran[key]
-            record.device_accuracies[device.device_id] = (
-                ran[position] if key is None else table[key])
+        table.update(ran)
+        for device, key in zip(self.devices, keys):
+            record.device_accuracies[device.device_id] = table[key]
         self._eval_results = table
 
     def verbose_line(self, record: RoundRecord, total_rounds: int) -> str:

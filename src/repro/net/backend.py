@@ -30,7 +30,6 @@ Spec grammar (``make_tcp_backend``, ``make_process_backend``)::
 
     tcp://HOST:PORT              bind HOST:PORT, wait for external workers
     tcp://:PORT?workers=N        bind PORT (0 = ephemeral), fork N local workers
-    ...&refs=BYTES               result-ref threshold (default 1 MiB)
     ...&cache=BYTES              worker cache budget
     ...&secret=TOKEN             shared handshake secret workers must present
                                  (default: the REPRO_NET_SECRET env var)
@@ -51,13 +50,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from urllib.parse import parse_qs, urlsplit
 
 from ..federated.backend import DEFAULT_WORKER_CACHE_BYTES, ExecutionBackend
-from ..utils.serialization import StateRef, StateStore
-from .server import (
-    DEFAULT_RESULT_REF_THRESHOLD,
-    BlobServer,
-    DriverChannel,
-    serve_in_thread,
-)
+from ..utils.serialization import StateStore
+from .server import BlobServer, DriverChannel, serve_in_thread
 from .service import BlobService, Dispatcher, RemoteTaskError
 
 __all__ = ["RemoteBackend", "ProcessPoolBackend", "make_tcp_backend", "make_process_backend"]
@@ -89,16 +83,12 @@ class RemoteBackend(ExecutionBackend):
         read it back from :attr:`port` after :meth:`start`).
     workers:
         Localhost worker daemons to start (0 = external workers only).
-    result_ref_threshold:
-        Result states at least this large come back as refs the driver
-        resolves out of the blob table, not inline pickle bytes.
     """
 
     name = "tcp"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, workers: int = 0,
                  *, cache_bytes: int = DEFAULT_WORKER_CACHE_BYTES,
-                 result_ref_threshold: int = DEFAULT_RESULT_REF_THRESHOLD,
                  max_worker_restarts: int = 3,
                  worker_patience: float = 30.0,
                  secret: Optional[str] = None) -> None:
@@ -109,7 +99,6 @@ class RemoteBackend(ExecutionBackend):
         self.bind_port = int(port)
         self.workers = int(workers)
         self.cache_bytes = int(cache_bytes)
-        self.result_ref_threshold = int(result_ref_threshold)
         self.max_worker_restarts = int(max_worker_restarts)
         self.worker_patience = float(worker_patience)
 
@@ -117,8 +106,6 @@ class RemoteBackend(ExecutionBackend):
         self._dispatcher: Optional[Dispatcher] = None
         self._server: Optional[BlobServer] = None
         self._server_thread = None
-        self._channel: Optional[DriverChannel] = None
-        self.state_store: Optional[StateStore] = None
         self._context = None
         self._context_version = -1
         self._procs: List[subprocess.Popen] = []
@@ -130,9 +117,6 @@ class RemoteBackend(ExecutionBackend):
         self._task_bytes = 0
         self._tasks_shipped = 0
         self._context_published_bytes = 0
-        self._result_refs_resolved = 0
-        self._result_ref_bytes = 0
-        self._closed_service_stats: Dict[str, object] = {}
         self._closed_counters: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -148,9 +132,8 @@ class RemoteBackend(ExecutionBackend):
         self._dispatcher = Dispatcher()
         self._server = BlobServer(
             (self.host, self.bind_port), self._service, self._dispatcher,
-            result_ref_threshold=self.result_ref_threshold, secret=self.secret)
-        self._channel = DriverChannel(self._service)
-        self.state_store = StateStore(self._channel)
+            secret=self.secret)
+        self.state_store = StateStore(DriverChannel(self._service))
         self.server_starts += 1
         # Workers first: the socket listens and no server thread exists yet.
         for _ in range(self.workers):
@@ -238,19 +221,6 @@ class RemoteBackend(ExecutionBackend):
             if exception is None:
                 raise error
             raise exception from error
-        return self._resolve_result_refs(value)
-
-    def _resolve_result_refs(self, value):
-        """Swap result-path :class:`StateRef` handles back to live payloads
-        (recursing into fused-cohort result lists), then free the blobs."""
-        if isinstance(value, (list, tuple)):
-            return type(value)(self._resolve_result_refs(item) for item in value)
-        state = getattr(value, "state", None)
-        if isinstance(state, StateRef) and state.label == "result":
-            value.state = self._channel.fetch(state.key, count=False)
-            self._channel.drop([state.key])
-            self._result_refs_resolved += 1
-            self._result_ref_bytes += state.nbytes
         return value
 
     # ------------------------------------------------------------------ #
@@ -312,7 +282,6 @@ class RemoteBackend(ExecutionBackend):
                    and self._server.counter_snapshot()["workers_connected"] > 0):
                 time.sleep(0.05)
         if self._server is not None:
-            self._closed_service_stats = self._service.stats()
             self._closed_counters = self._server.counter_snapshot()
             self._server.close()
             if self._server_thread is not None:
@@ -327,16 +296,12 @@ class RemoteBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def transport_stats(self) -> Dict[str, object]:
         stats = super().transport_stats()
-        service_stats = (self._service.stats() if self._service is not None
-                         else dict(self._closed_service_stats))
         counters = (self._server.counter_snapshot() if self._server is not None
                     else dict(self._closed_counters))
         stats["task_bytes"] = self._task_bytes
         stats["tasks_shipped"] = self._tasks_shipped
         stats["context_published_bytes"] = self._context_published_bytes
-        stats["uploaded_bytes"] = int(service_stats.get("uploaded_bytes", 0))
         stats["result_bytes"] = int(counters.get("result_bytes", 0))
-        stats["result_refs_resolved"] = self._result_refs_resolved
         stats["workers_connected"] = int(counters.get("workers_connected", 0))
         stats["worker_disconnects"] = int(counters.get("disconnects", 0))
         stats["tasks_requeued"] = int(counters.get("tasks_requeued", 0))
@@ -347,12 +312,10 @@ class RemoteBackend(ExecutionBackend):
                                   + int(stats.get("context_bytes", 0))
                                   + self._task_bytes
                                   + self._context_published_bytes
-                                  + stats["uploaded_bytes"]
                                   + stats["result_bytes"])
         stats["inline_equivalent_bytes"] = (int(stats.get("inline_bytes", 0))
                                             + self._task_bytes
-                                            + stats["result_bytes"]
-                                            + self._result_ref_bytes)
+                                            + stats["result_bytes"])
         return stats
 
 
@@ -449,7 +412,7 @@ def make_tcp_backend(spec: str, max_workers: Optional[int] = None) -> RemoteBack
                          "(use tcp://:0 for an ephemeral port)")
     host = parsed.hostname or "127.0.0.1"
     query = parse_qs(parsed.query, keep_blank_values=True)
-    unknown = set(query) - {"workers", "refs", "cache", "secret"}
+    unknown = set(query) - {"workers", "cache", "secret"}
     if unknown:
         raise ValueError(f"invalid backend spec {spec!r}: unknown option(s) "
                          f"{', '.join(sorted(unknown))}")
@@ -457,11 +420,8 @@ def make_tcp_backend(spec: str, max_workers: Optional[int] = None) -> RemoteBack
     workers = max_workers if max_workers is not None else 0
     if "workers" in query:
         workers = _parse_int(spec, "workers", query["workers"][-1], minimum=0)
-    threshold = (_parse_int(spec, "refs", query["refs"][-1], minimum=0)
-                 if "refs" in query else DEFAULT_RESULT_REF_THRESHOLD)
     cache = (_parse_int(spec, "cache", query["cache"][-1], minimum=1)
              if "cache" in query else DEFAULT_WORKER_CACHE_BYTES)
     secret = (query["secret"][-1] if "secret" in query
               else os.environ.get("REPRO_NET_SECRET")) or None
-    return RemoteBackend(host=host, port=port, workers=workers, cache_bytes=cache,
-                         result_ref_threshold=threshold, secret=secret)
+    return RemoteBackend(host=host, port=port, workers=workers, cache_bytes=cache, secret=secret)

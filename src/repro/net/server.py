@@ -34,11 +34,6 @@ from .wire import pack_payload, recv_frame, send_msg, unpack_payload
 
 __all__ = ["BlobServer", "DriverChannel", "serve_in_thread"]
 
-#: Results whose state payload is at least this large come back as refs
-#: (the worker publishes the state into the blob table and ships a
-#: :class:`StateRef` instead of inline bytes).
-DEFAULT_RESULT_REF_THRESHOLD = 1 * 1024 * 1024
-
 
 def _is_loopback(host: str) -> bool:
     return host in ("127.0.0.1", "localhost", "::1") or host.startswith("127.")
@@ -112,7 +107,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                     with server.lock:
                         server.counters["connections_total"] += 1
                         server.counters["workers_connected"] += 1
-                    reply = ("welcome", dict(server.settings))
+                    reply = ("welcome",)
                 elif not authenticated:
                     self._refuse("unauthenticated connection; open it with a hello "
                                  "frame carrying the shared secret")
@@ -170,13 +165,6 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         if op == "get":
             _, key, count = message
             return ("blob", service.get(key, count=count))
-        if op == "put":
-            _, key, blob, label = message
-            service.put(key, blob, label, count_upload=True)
-            return ("ok",)
-        if op == "drop":
-            service.drop(message[1])
-            return ("ok",)
         if op == "context":
             version, blob = service.get_context(message[1])
             return ("context", version, blob)
@@ -195,7 +183,6 @@ class BlobServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address: Tuple[str, int], service: BlobService,
                  dispatcher: Dispatcher, *,
-                 result_ref_threshold: int = DEFAULT_RESULT_REF_THRESHOLD,
                  task_poll_seconds: float = 1.0,
                  secret: Optional[str] = None) -> None:
         super().__init__(address, _WorkerHandler)
@@ -211,7 +198,6 @@ class BlobServer(socketserver.ThreadingTCPServer):
                 "or REPRO_NET_SECRET) or bind a private interface.",
                 RuntimeWarning, stacklevel=2)
         self.task_poll_seconds = float(task_poll_seconds)
-        self.settings = {"result_ref_threshold": int(result_ref_threshold)}
         self.connection_ids = itertools.count(1)
         self.lock = threading.Lock()
         self.closing = False

@@ -8,8 +8,8 @@ threads serving remote workers:
 * :class:`BlobService` — the blob table behind the wire: one encoded
   payload frame (:func:`~repro.net.wire.pack_payload`) and its label per
   state key.  A publish is one ``put``, a fetch one ``get``, a drop forgets
-  the key; replaying a ``put`` (the blind retry a lost reply produces)
-  rebinds the key to the same bytes.
+  the key.  Only the driver puts and drops; a worker connection can only
+  ``get``.
 * :class:`Dispatcher` — the driver-side task queue.  Workers *lease* tasks
   (``next_task``) and deliver results (``complete``); a lease whose
   connection dies before delivering is re-queued (``release_connection``),
@@ -57,19 +57,12 @@ class BlobService:
         self._fetched_bytes = 0
         self._context_fetches = 0
         self._context_bytes = 0
-        self._uploads = 0
-        self._uploaded_bytes = 0
         self._by_label: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------ #
-    def put(self, key: str, blob: bytes, label: str = "", *,
-            count_upload: bool = False) -> int:
-        """Bind ``key`` to ``blob`` (idempotent per key); returns its size.
-        ``count_upload`` marks a worker's result upload."""
+    def put(self, key: str, blob: bytes, label: str = "") -> int:
+        """Bind ``key`` to ``blob`` (idempotent per key); returns its size."""
         with self._lock:
-            if count_upload:
-                self._uploads += 1
-                self._uploaded_bytes += len(blob)
             self._blobs[key] = (blob, label)
         return len(blob)
 
@@ -119,8 +112,6 @@ class BlobService:
                 "fetched_bytes": self._fetched_bytes,
                 "context_fetches": self._context_fetches,
                 "context_bytes": self._context_bytes,
-                "uploads": self._uploads,
-                "uploaded_bytes": self._uploaded_bytes,
                 "entries": len(self._blobs),
                 "by_label": {label: dict(bucket)
                              for label, bucket in self._by_label.items()},

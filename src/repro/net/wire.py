@@ -195,8 +195,8 @@ class Connection:
     single-threaded, and blob fetches happen between task leases, so
     multiplexing buys nothing).  ``request`` transparently reconnects and
     retries with exponential backoff on transient socket failures — every
-    server operation is idempotent (fetches are pure reads; publishes and
-    result deliveries are keyed and tolerate replays), which is what makes
+    server operation is idempotent (fetches are pure reads; result
+    deliveries are keyed and tolerate replays), which is what makes
     blind retry safe.  With ``hello``, every (re)connect opens with that
     handshake; the server's reply is kept as :attr:`welcome`.
     """

@@ -4,8 +4,8 @@ Runs the existing :class:`~repro.federated.backend.WorkerRuntime` (context
 versioning + the byte-bounded :class:`LRUStateCache` of resolved states)
 against a network :class:`WorkerChannel`: a state fetch is one GET of one
 payload frame with retry/backoff, context syncs piggyback on the same
-connection, and large result states are published back into the driver's
-blob table so only a tiny :class:`StateRef` rides in the result pickle.
+connection, and every result — its state included, whatever its size — goes
+back as one pickle.  A worker only reads the driver's blob table.
 
 The daemon is deliberately single-threaded: one task at a time over one
 :class:`~repro.net.wire.Connection`.  Parallelism comes from running more
@@ -22,13 +22,10 @@ import os
 import pickle
 import sys
 import traceback
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from ..federated.backend import DEFAULT_WORKER_CACHE_BYTES, WorkerRuntime, _swap_runtime
-from ..utils.serialization import StateRef, state_digest
-from .wire import Connection, pack_payload, parse_hostport, unpack_payload
+from .wire import Connection, parse_hostport, unpack_payload
 
 __all__ = ["WorkerChannel", "run_worker", "main"]
 
@@ -64,43 +61,8 @@ class WorkerChannel:
         reply = _unwrap(self.connection.request(("context", int(have_version))))
         return reply[1], reply[2]
 
-    def drop(self, keys: Sequence[str]) -> None:
-        _unwrap(self.connection.request(("drop", list(keys))))
-
     def close(self) -> None:
         self.connection.close()
-
-    # ------------------------------------------------------------------ #
-    # Result-path publishing (worker -> driver)
-    # ------------------------------------------------------------------ #
-    def publish_state(self, state: Dict[str, np.ndarray], key: str,
-                      label: str) -> None:
-        """Upload a state under ``key`` as one payload frame."""
-        _unwrap(self.connection.request(("put", key, pack_payload(state), label)))
-
-
-# --------------------------------------------------------------------------- #
-# Result-path refs: replace large inline result states with refs
-# --------------------------------------------------------------------------- #
-def _ship_result(result, channel: WorkerChannel, settings: Dict, counter) -> object:
-    """Publish large result state dicts and substitute :class:`StateRef`
-    handles (recursing into fused-cohort result lists)."""
-    if isinstance(result, (list, tuple)):
-        shipped = [_ship_result(item, channel, settings, counter) for item in result]
-        return type(result)(shipped)
-    state = getattr(result, "state", None)
-    if not isinstance(state, dict):
-        return result
-    nbytes = int(sum(np.asarray(value).nbytes for value in state.values()))
-    if nbytes < int(settings.get("result_ref_threshold", 0)):
-        return result
-    # Unique key per upload: identical states from two devices get two
-    # keys, so the driver's resolve-then-drop lifecycle stays collision-free.
-    key = f"result:{state_digest(state)}:{os.getpid()}:{next(counter)}"
-    channel.publish_state(state, key, "result")
-    result.state = StateRef(key=key, round_version=0, kind="state",
-                            nbytes=nbytes, label="result")
-    return result
 
 
 def _pickled(exc: BaseException) -> Optional[bytes]:
@@ -135,15 +97,11 @@ def run_worker(host: str, port: int, *,
         hello["token"] = secret
     connection = Connection(host, port, hello=hello)
     connection.connect(patience=patience)
-    settings = connection.welcome[1]
     channel = WorkerChannel(connection)
     runtime = WorkerRuntime(channel=channel, cache_bytes=cache_bytes)
     _swap_runtime(runtime)
     if not quiet:
         print(f"[repro-worker {os.getpid()}] connected to {host}:{port}", flush=True)
-    import itertools
-
-    result_counter = itertools.count()
     completed = 0
     try:
         while True:
@@ -165,9 +123,8 @@ def run_worker(host: str, port: int, *,
                     raise RuntimeError(
                         "no WorkerContext installed; was the backend started "
                         "with a context before dispatching device tasks?")
-                result = task.run(runtime.context)
-                result = _ship_result(result, channel, settings, result_counter)
-                blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+                blob = pickle.dumps(task.run(runtime.context),
+                                    protocol=pickle.HIGHEST_PROTOCOL)
             except (ConnectionError, OSError):
                 raise  # transport failure: let the outer handler deal with it
             except Exception as exc:  # noqa: BLE001 — report task failures, keep serving

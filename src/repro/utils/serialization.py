@@ -27,7 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -115,11 +115,11 @@ class StateChannel:
     client).
     """
 
-    def publish(self, key: str, payload, label: str = "") -> Optional[int]:
+    def publish(self, key: str, payload, label: str = "") -> int:
         """Make ``payload`` fetchable under ``key`` (idempotent per key).
 
-        Returns the bytes the publish put on the wire (``None`` or 0 for a
-        channel that crosses no boundary).
+        Returns the bytes the publish put on the wire (0 for a channel that
+        crosses no boundary).
         """
         raise NotImplementedError
 
@@ -158,8 +158,9 @@ class InProcessStateTable(StateChannel):
     def __init__(self) -> None:
         self._entries: Dict[str, object] = {}
 
-    def publish(self, key: str, payload, label: str = "") -> None:
+    def publish(self, key: str, payload, label: str = "") -> int:
         self._entries[key] = payload
+        return 0
 
     def fetch(self, key: str, count: bool = True):
         try:
@@ -236,7 +237,7 @@ class StateStore:
                             kind=kind, nbytes=entry[1], label=label)
         # The channel reports what the publish put on the wire (one payload
         # frame, nothing for an in-process table).
-        published = self.channel.publish(key, payload, label) or 0
+        published = self.channel.publish(key, payload, label)
         self._published[key] = [self.round_version, nbytes, label]
         self._counters["publishes"] += 1
         self._counters["published_bytes"] += published
@@ -320,7 +321,7 @@ class StateStore:
         cache (resolved minus wire fetches; in-process channels never fetch
         over a wire, so every resolution is a hit).
         """
-        channel = self.channel.stats() or {}
+        channel = self.channel.stats()
         fetches = int(channel.get("fetches", 0))
         fetched_bytes = int(channel.get("fetched_bytes", 0))
         resolved = self._counters["refs_resolved"]

@@ -36,7 +36,7 @@ def test_task_dispatch_matches_direct_local_train(tiny_rgb_dataset):
     backend.start(WorkerContext(models={0: dispatched.model},
                                 shards={0: dispatched.dataset},
                                 train_configs={0: dispatched.training_config}))
-    (result,) = backend.run_tasks([dispatched.local_train_task(epochs=2)])
+    (result,) = backend.run_tasks([dispatched.local_train_task(2, backend.state_store)])
     report_task = dispatched.absorb_training_result(result)
 
     assert report_task.mean_loss == report_direct.mean_loss
@@ -132,4 +132,4 @@ def test_serial_backend_requires_context_for_device_tasks(tiny_rgb_dataset):
     device = Device(device_id=0, model=model, dataset=tiny_rgb_dataset)
     backend = SerialBackend()
     with pytest.raises(RuntimeError):
-        backend.run_tasks([device.local_train_task(1)])
+        backend.run_tasks([device.local_train_task(1, backend.state_store)])

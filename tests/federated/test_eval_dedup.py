@@ -43,14 +43,6 @@ class _RenamedCNN(SimpleCNN):
     """A ``SimpleCNN`` under another name: equal state dict, other signature."""
 
 
-class _StorelessBackend(SerialBackend):
-    """An in-process backend without a state store: tasks carry inline states."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.state_store = None
-
-
 def _device(device_id, dataset, model_cls=SimpleCNN, model_seed=0, eval_batch_size=256):
     model = model_cls(dataset.input_shape, dataset.num_classes, channels=(4, 8),
                       hidden_size=16, seed=model_seed)
@@ -58,10 +50,9 @@ def _device(device_id, dataset, model_cls=SimpleCNN, model_seed=0, eval_batch_si
                   eval_batch_size=eval_batch_size, seed=device_id)
 
 
-def _engine(devices, test, backend=None):
+def _engine(devices, test):
     config = FederatedConfig(num_devices=len(devices), rounds=1, seed=0)
-    simulation = Simulation(devices, config, test, Strategy(),
-                            backend=backend or SerialBackend())
+    simulation = Simulation(devices, config, test, Strategy(), backend=SerialBackend())
     simulation.ensure_backend()
     return simulation
 
@@ -103,14 +94,6 @@ class TestEvaluationKey:
         assert all(np.array_equal(left[name], right[name]) for name in left)
         _engine(devices, test).evaluate_round(0, [], [])
         assert eval_runs["count"] == 2
-
-    def test_inline_states_are_never_merged(self, eval_runs):
-        train, test = _data()
-        simulation = _engine([_device(0, train), _device(1, train)], test,
-                             backend=_StorelessBackend())
-        simulation.evaluate_round(0, [], [])
-        simulation.evaluate_round(1, [], [])
-        assert eval_runs["count"] == 4
 
     def test_changed_state_reruns_and_unchanged_state_carries(self, eval_runs):
         train, test = _data()

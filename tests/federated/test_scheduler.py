@@ -393,16 +393,15 @@ def test_backend_run_tasks_as_completed_covers_all_tasks(tiny_rgb_dataset):
     context = WorkerContext(models={d.device_id: d.model for d in devices},
                             shards={d.device_id: d.dataset for d in devices},
                             train_configs={d.device_id: d.training_config for d in devices})
-    tasks = [d.local_train_task(1) for d in devices]
-
     serial = SerialBackend()
     serial.start(context)
+    tasks = [d.local_train_task(1, serial.state_store) for d in devices]
     ordered = list(serial.run_tasks_as_completed(tasks))
     assert [index for index, _ in ordered] == [0, 1, 2]
 
     with ProcessPoolBackend(max_workers=2) as pool:
         pool.start(context)
-        tasks = [d.local_train_task(1) for d in devices]
+        tasks = [d.local_train_task(1, pool.state_store) for d in devices]
         pairs = dict(pool.run_tasks_as_completed(tasks))
     assert sorted(pairs) == [0, 1, 2]
     for index, result in pairs.items():

@@ -198,8 +198,7 @@ def run(row: Row, backend: Optional[ExecutionBackend] = None,
 # --------------------------------------------------------------------------- #
 def _evaluate_everything(self, record):
     """The evaluate-everything loop the per-round dedup replaced."""
-    store = self.state_store
-    tasks = [device.evaluate_task(store=store) for device in self.devices]
+    tasks = [device.evaluate_task(self.state_store) for device in self.devices]
     for device, accuracy in zip(self.devices, self.run_device_tasks(tasks)):
         record.device_accuracies[device.device_id] = accuracy
 
@@ -210,7 +209,8 @@ def _reference_parameter_round(simulation, round_index):
     full participation only)."""
     simulation.ensure_backend()
     active = simulation.sampler.sample(round_index, len(simulation.devices))
-    tasks = [simulation.devices[device_id].local_train_task(simulation.config.local_epochs)
+    epochs, store = simulation.config.local_epochs, simulation.state_store
+    tasks = [simulation.devices[device_id].local_train_task(epochs, store)
              for device_id in active]
     local_losses = []
     for result in simulation.backend.run_tasks(tasks):
@@ -224,7 +224,7 @@ def _reference_parameter_round(simulation, round_index):
             device.receive_parameters(payload)
     simulation.server.finish_round()
     accuracies = simulation.backend.run_tasks(
-        [device.evaluate_task() for device in simulation.devices])
+        [device.evaluate_task(store) for device in simulation.devices])
     return {"active_devices": list(active),
             "local_loss": float(np.mean(local_losses)) if local_losses else None,
             "global_accuracy": simulation.server.evaluate_global(simulation.test_dataset),
@@ -266,7 +266,7 @@ def backends():
 # --------------------------------------------------------------------------- #
 # The rows
 # --------------------------------------------------------------------------- #
-P2, TCP, REFS = "process:2", "tcp://:0?workers=2", "tcp://:0?workers=2&refs=1"
+P2, TCP = "process:2", "tcp://:0?workers=2"
 _FUSABLE = {"cnn", "dropout", "fc"}
 
 
@@ -286,7 +286,7 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     Row("fedzkt", "small", scheduler="async"),
     Row("fedzkt", "small", participation=0.5),
     # FedAvg / FedProx on one architecture: fusion, tiles, unequal shards.
-    *_grid(Row("fedavg", "cnn"), backend=["serial", P2, TCP, REFS]),
+    *_grid(Row("fedavg", "cnn"), backend=["serial", P2, TCP]),
     *_grid(Row("fedavg", "cnn", fusion=True), tile=[None, 1, 3]),
     Row("fedavg", "cnn", fusion=True, backend=P2),
     Row("fedavg", "cnn", participation=0.5),
@@ -407,9 +407,6 @@ def test_row(row, oracle, backends, request):
         outcome = run(row, backend, tasks)
         # One pool for every row on it: a new context is republished, not respawned.
         assert backend.server_starts == 1
-        if "refs=" in row.backend:
-            stats = backend.transport_stats()
-            assert stats["result_refs_resolved"] > 0 and stats["uploaded_bytes"] > 0
     if row.poison:
         assert scratch_pool() is pool and pool.stats()["acquires"] > 0
     _assert_mode_fired(row, outcome, expected)

@@ -1,7 +1,7 @@
 """The tcp:// backend end to end: steady-state publishes, worker-disconnect
 recovery, respawns, external workers, and spec parsing.  Whole runs on
-``tcp://`` (with and without result-path refs) replay their serial history
-in ``tests/integration/test_parity_matrix.py``.
+``tcp://`` replay their serial history in
+``tests/integration/test_parity_matrix.py``.
 
 These tests bind real localhost sockets and run real worker daemons — forked
 from the test process at start-up, ``python -m repro.net.worker`` when
@@ -19,6 +19,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import build_fedzkt
@@ -70,6 +71,50 @@ def test_steady_state_round_publishes_less_than_cold():
     # Device states all change between rounds, but consensus/teacher reuse
     # plus content dedup keeps steady-state publishes below the cold round.
     assert round2 < round1
+
+
+class _Result:
+    """A result object carrying a state dict, as a training task's does."""
+
+    def __init__(self, state) -> None:
+        self.state = state
+
+
+def _large_state(seed):
+    """A 2 MiB float64 state dict."""
+    rng = np.random.default_rng(seed)
+    return {f"layer{index}.weight": rng.standard_normal(32 * 1024) for index in range(8)}
+
+
+def _large_result(seed):
+    return _Result(_large_state(seed))
+
+
+def test_large_result_state_comes_back_inline(monkeypatch):
+    backend = make_backend("tcp://:0?workers=1")
+    backend.start(None)
+    try:
+        service = backend._service
+        entries = service.stats()["entries"]
+        put, puts = service.put, []
+
+        def counted_put(key, *args, **kwargs):
+            puts.append(key)
+            return put(key, *args, **kwargs)
+
+        monkeypatch.setattr(service, "put", counted_put)
+        results = backend.map(_large_result, [0, 1])
+        nbytes = sum(value.nbytes for result in results for value in result.state.values())
+        assert nbytes == 2 * 2 * 1024 * 1024
+        for seed, result in zip([0, 1], results):
+            expected = _large_state(seed)
+            assert list(result.state) == list(expected)
+            for name, value in expected.items():
+                np.testing.assert_array_equal(result.state[name], value)
+        assert backend.transport_stats()["result_bytes"] >= nbytes
+        assert puts == [] and service.stats()["entries"] == entries
+    finally:
+        backend.shutdown()
 
 
 # --------------------------------------------------------------------------- #
@@ -206,10 +251,9 @@ def test_externally_started_worker_daemon_serves_tasks():
 # Spec parsing
 # --------------------------------------------------------------------------- #
 def test_tcp_spec_parsing():
-    backend = make_backend("tcp://:0?workers=2&refs=5&cache=4096")
+    backend = make_backend("tcp://:0?workers=2&cache=4096")
     assert isinstance(backend, RemoteBackend)
-    assert backend.workers == 2
-    assert backend.result_ref_threshold == 5 and backend.cache_bytes == 4096
+    assert backend.workers == 2 and backend.cache_bytes == 4096
 
     backend = make_backend("tcp://0.0.0.0:7001")
     assert backend.host == "0.0.0.0" and backend.bind_port == 7001
@@ -221,6 +265,8 @@ def test_tcp_spec_parsing():
         make_backend("tcp://localhost")
     with pytest.raises(ValueError, match="unknown option"):
         make_backend("tcp://:0?bogus=1")
+    with pytest.raises(ValueError, match=r"unknown option\(s\) refs"):
+        make_backend("tcp://:0?workers=2&refs=5&cache=4096")
     with pytest.raises(ValueError, match="workers"):
         make_backend("tcp://:0?workers=-1")
     # Whole-blob publishes are gone (1.12): the key is no longer an option.

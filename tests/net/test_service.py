@@ -28,8 +28,8 @@ def _state(seed: float = 0.0):
 # BlobService
 # --------------------------------------------------------------------------- #
 def test_replayed_identical_put_keeps_the_key_fetchable():
-    # A lost put reply makes the client blindly replay the byte-identical
-    # request: the key must stay bound to the same bytes.
+    # A put is idempotent per key: publishing the same bytes again keeps
+    # the key bound to them.
     service = BlobService()
     blob = pack_payload(_state())
     service.put("k", blob)
@@ -61,18 +61,8 @@ def test_fetch_counts_only_worker_initiated_transfers():
     assert stats["by_label"]["device"]["fetched_bytes"] > 0
 
 
-def test_put_counts_only_worker_uploads():
-    service = BlobService()
-    blob = pack_payload(_state())
-    assert service.put("driver", blob, "device") == len(blob)
-    assert service.put("worker", blob, "result", count_upload=True) == len(blob)
-    stats = service.stats()
-    assert (stats["uploads"], stats["uploaded_bytes"]) == (1, len(blob))
-    assert stats["entries"] == 2
-
-
 # --------------------------------------------------------------------------- #
-# Over the socket: one put and one get per state
+# Over the socket: one get per state, and nothing but reads
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
 def worker_channel():
@@ -89,29 +79,35 @@ def worker_channel():
 
 def test_worker_channel_moves_one_frame_per_key(worker_channel):
     channel, service = worker_channel
+    driver = DriverChannel(service)
     state = _state(seed=1.0)
-    channel.publish_state(state, "result:k", "result")
-    frame = len(pack_payload(state))
-    stats = service.stats()
-    assert (stats["uploads"], stats["uploaded_bytes"]) == (1, frame)
+    frame = driver.publish("k", state, label="device")
+    assert frame == len(pack_payload(state))
 
-    restored = channel.fetch("result:k")
+    restored = channel.fetch("k")
     assert list(restored) == list(state)
     for name, value in state.items():
         np.testing.assert_array_equal(restored[name], value)
     stats = service.stats()
     assert (stats["fetches"], stats["fetched_bytes"]) == (1, frame)
-    assert stats["by_label"]["result"] == {"fetches": 1, "fetched_bytes": frame}
-    channel.drop(["result:k"])
+    assert stats["by_label"]["device"] == {"fetches": 1, "fetched_bytes": frame}
+    driver.drop(["k"])
     with pytest.raises(KeyError):
-        channel.fetch("result:k")
+        channel.fetch("k")
 
 
-@pytest.mark.parametrize("op", ["manifest", "tensor", "missing"])
-def test_removed_payload_ops_are_unknown(worker_channel, op):
-    channel, _ = worker_channel
-    reply = channel.connection.request((op, "k"))
-    assert reply == ("error", "ValueError", f"unknown wire op {op!r}")
+@pytest.mark.parametrize("message", [("manifest", "k"), ("tensor", "k"), ("missing", "k"),
+                                     ("put", "k", b"x", "result"), ("drop", ["k"])],
+                         ids=lambda message: message[0])
+def test_removed_payload_ops_are_unknown(worker_channel, message):
+    # A worker only reads the blob table: it can neither rebind nor forget
+    # a key the driver published.
+    channel, service = worker_channel
+    DriverChannel(service).publish("k", _state(), label="device")
+    frame = service.get("k", count=False)
+    reply = channel.connection.request(message)
+    assert reply == ("error", "ValueError", f"unknown wire op {message[0]!r}")
+    assert service.get("k", count=False) == frame
 
 
 # --------------------------------------------------------------------------- #
