@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker_parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                                help="driver blob-server address to connect to")
     worker_parser.add_argument("--cache-bytes", type=int, default=None,
-                               help="byte budget of the worker state/tensor caches")
+                               help="byte cap of the worker state cache, which holds "
+                                    "the current and the previous round's fetches")
     worker_parser.add_argument("--patience", type=float, default=30.0,
                                help="seconds to wait for the driver to start listening")
     worker_parser.add_argument("--secret", default=None,

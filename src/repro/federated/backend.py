@@ -13,10 +13,12 @@ Parameter payloads travel through the **content-addressed state transport**
 (:mod:`repro.utils.serialization`): the driver publishes each state dict
 once per round into the backend's :class:`~repro.utils.serialization.StateStore`
 and tasks carry tiny :class:`~repro.utils.serialization.StateRef` handles.
-A worker that misses its bounded LRU cache of resolved states fetches the
-payload a single time over the backend's
+A worker that misses its cache of resolved states fetches the payload a
+single time over the backend's
 :class:`~repro.utils.serialization.StateChannel`; every later task that
-references the same content is a cache hit.  A payload field holds one of
+references the same content is a cache hit.  The cache follows the store's
+round lifecycle: a worker holds what it fetched in the current and the
+previous round, under a byte cap.  A payload field holds one of
 two things — a ``StateRef`` or live numpy arrays (a state dict, an array
 list) — and :func:`resolve_state` / :func:`resolve_arrays` accept both, so
 tasks built directly in tests and third-party code work unchanged.  Nothing
@@ -50,7 +52,13 @@ from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
 from ..nn.buffers import scratch_pool
 from ..nn.policy import numeric_policy, set_numeric_policy
-from ..utils.serialization import InProcessStateTable, StateLike, StateRef, StateStore
+from ..utils.serialization import (
+    InProcessStateTable,
+    StateLike,
+    StateRef,
+    StateStore,
+    live_in_round,
+)
 from .trainer import (
     DeviceTrainingConfig,
     LocalTrainingReport,
@@ -86,7 +94,8 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Default byte budget of each worker's LRU cache of resolved states.
+#: Default byte cap of each worker's cache of resolved states (a ceiling:
+#: the round lifecycle keeps it at two rounds' fetches below that).
 DEFAULT_WORKER_CACHE_BYTES = 256 * 1024 * 1024
 
 
@@ -143,32 +152,64 @@ def build_worker_context(devices, eval_dataset: Optional[ImageDataset] = None,
 # Worker runtime: state cache + context lifecycle + ref resolution
 # --------------------------------------------------------------------------- #
 class LRUStateCache:
-    """Bounded (by payload bytes) LRU cache of resolved state payloads."""
+    """A worker's resolved state payloads, on the driver's round lifecycle.
+
+    Each entry is stamped with the highest ``round_version`` of any ref that
+    resolved to it (a hit re-stamps).  :meth:`enter_round` applies the
+    store's rule (:func:`~repro.utils.serialization.live_in_round`): a
+    worker holds what it fetched in the current and the previous round.
+    Within a round the byte budget still evicts least recently used first.
+    """
 
     def __init__(self, max_bytes: int = DEFAULT_WORKER_CACHE_BYTES) -> None:
         self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
+        # key -> [payload, nbytes, stamp], least recently used first.
+        self._entries: "OrderedDict[str, List]" = OrderedDict()
         self._bytes = 0
+        self.round_version = 0
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: str):
+    def enter_round(self, version: int) -> None:
+        """Follow the driver to round ``version``.
+
+        A higher version starts a round and drops every entry not live in
+        it; a ref one round back (a straggler) changes nothing; a version
+        further back is a new run on a reused worker and clears the cache.
+        """
+        if version > self.round_version:
+            stale = [key for key, entry in self._entries.items()
+                     if not live_in_round(entry[2], version)]
+        elif not live_in_round(version, self.round_version):
+            stale = list(self._entries)
+        else:
+            return
+        self.round_version = version
+        for key in stale:
+            self._bytes -= self._entries.pop(key)[1]
+
+    def get(self, key: str, stamp: int):
         entry = self._entries.get(key)
         if entry is None:
             return None
         self._entries.move_to_end(key)
+        entry[2] = max(entry[2], stamp)
         return entry[0]
 
-    def put(self, key: str, value, nbytes: int) -> None:
+    def put(self, key: str, value, nbytes: int, stamp: int) -> None:
         nbytes = max(int(nbytes), 1)
         previous = self._entries.pop(key, None)
         if previous is not None:
             self._bytes -= previous[1]
-        self._entries[key] = (value, nbytes)
+        self._entries[key] = [value, nbytes, stamp]
         self._bytes += nbytes
         while self._bytes > self.max_bytes and len(self._entries) > 1:
-            _, (_, evicted_bytes) = self._entries.popitem(last=False)
+            _, (_, evicted_bytes, _) = self._entries.popitem(last=False)
             self._bytes -= evicted_bytes
+
+    def stamps(self) -> Dict[str, int]:
+        """Each held key's stamp (introspection/tests)."""
+        return {key: entry[2] for key, entry in self._entries.items()}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -184,8 +225,9 @@ class WorkerRuntime:
     In-process backends hand the runtime their live state ``table``
     (lookups are direct, nothing is ever copied or encoded); ``process:N``
     and ``tcp://`` workers get their ``channel`` to the driver's table and
-    keep a bounded :class:`LRUStateCache` of fetched payloads in front of
-    it — a cache miss fetches the payload exactly once.
+    keep an :class:`LRUStateCache` of fetched payloads in front of it — a
+    cache miss fetches the payload exactly once, and the cache holds what
+    was fetched in the current and the previous round, under its byte cap.
     """
 
     def __init__(self, channel=None, table: Optional[InProcessStateTable] = None,
@@ -203,18 +245,21 @@ class WorkerRuntime:
         read-only by tasks.
 
         The ref's ``round_version`` is also how a worker learns that the
-        driver moved to a new round, which is when its scratch pool trims.
+        driver moved to a new round, which is when its scratch pool trims
+        and its state cache drops what the driver no longer keeps.
         """
-        scratch_pool().enter_round(ref.round_version)
+        version = ref.round_version
+        scratch_pool().enter_round(version)
         if self.table is not None:
             return self.table.fetch(ref.key)
-        cached = self.cache.get(ref.key)
+        self.cache.enter_round(version)
+        cached = self.cache.get(ref.key, version)
         if cached is not None:
             self.cache.hits += 1
             return cached
         self.cache.misses += 1
         value = self.channel.fetch(ref.key, True)
-        self.cache.put(ref.key, value, ref.nbytes)
+        self.cache.put(ref.key, value, ref.nbytes, version)
         return value
 
     def ensure_context(self, version: int) -> None:

@@ -30,7 +30,8 @@ Spec grammar (``make_tcp_backend``, ``make_process_backend``)::
 
     tcp://HOST:PORT              bind HOST:PORT, wait for external workers
     tcp://:PORT?workers=N        bind PORT (0 = ephemeral), fork N local workers
-    ...&cache=BYTES              worker cache budget
+    ...&cache=BYTES              worker cache byte cap (a worker holds what it
+                                 fetched this round and last, under it)
     ...&secret=TOKEN             shared handshake secret workers must present
                                  (default: the REPRO_NET_SECRET env var)
     process[:N]                  N forked workers over loopback (default: one per CPU)

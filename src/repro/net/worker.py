@@ -1,8 +1,9 @@
 """The remote worker daemon: ``repro worker --connect HOST:PORT``.
 
 Runs the existing :class:`~repro.federated.backend.WorkerRuntime` (context
-versioning + the byte-bounded :class:`LRUStateCache` of resolved states)
-against a network :class:`WorkerChannel`: a state fetch is one GET of one
+versioning + the :class:`LRUStateCache` of resolved states, which holds what
+the current and the previous round fetched, under a byte cap) against a
+network :class:`WorkerChannel`: a state fetch is one GET of one
 payload frame with retry/backoff, context syncs piggyback on the same
 connection, and every result — its state included, whatever its size — goes
 back as one pickle.  A worker only reads the driver's blob table.
@@ -151,7 +152,8 @@ def main(argv=None) -> int:
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="driver blob-server address to connect to")
     parser.add_argument("--cache-bytes", type=int, default=DEFAULT_WORKER_CACHE_BYTES,
-                        help="byte budget of the worker state cache")
+                        help="byte cap of the worker state cache, which holds the "
+                             "current and the previous round's fetches")
     parser.add_argument("--patience", type=float, default=30.0,
                         help="seconds to wait for the driver to start listening")
     parser.add_argument("--secret", default=None,

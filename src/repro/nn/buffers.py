@@ -53,6 +53,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..utils.serialization import live_in_round
+
 __all__ = ["BufferPool", "fresh_pool", "scratch_pool"]
 
 #: Bytes reserved per chunk (a larger request gets a chunk of its own size).
@@ -321,10 +323,11 @@ class BufferPool:
         The driver announces a round at its top; a backend worker learns of
         it from the ``round_version`` of the first payload it resolves — on
         the serial backend both are this thread, and payloads published in
-        the previous round are still resolved during the next.  A version
-        that falls back further than that is a new run on a reused thread.
+        the previous round are still resolved during the next (the state
+        transport's ``live_in_round``).  A version that falls back further
+        than that is a new run on a reused thread.
         """
-        if version > self._round or version < self._round - 1:
+        if version > self._round or not live_in_round(version, self._round):
             self._round = version
             self.trim()
 

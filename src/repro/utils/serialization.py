@@ -42,6 +42,7 @@ __all__ = [
     "StateRef",
     "StateChannel",
     "InProcessStateTable",
+    "live_in_round",
     "StateStore",
 ]
 
@@ -183,6 +184,18 @@ def _arrays_as_state(arrays: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
     return {f"a{index:05d}": np.asarray(array) for index, array in enumerate(arrays)}
 
 
+def live_in_round(stamp: int, version: int) -> bool:
+    """Whether a payload last referenced in round ``stamp`` is kept in round
+    ``version``: one round of grace, so what round ``r`` published stays
+    fetchable through round ``r + 1``.
+
+    The one liveness rule of the state transport — the driver's
+    :meth:`StateStore.advance_round` drops what fails it, and a worker's
+    cache (:class:`~repro.federated.backend.LRUStateCache`) evicts by it.
+    """
+    return stamp >= version - 1
+
+
 class StateStore:
     """Driver-side facade of the content-addressed state transport.
 
@@ -192,9 +205,11 @@ class StateStore:
     next dispatch, a proximal anchor that is constant between broadcasts)
     refreshes its round version without any transfer.  ``advance_round``
     implements the lifecycle: entries older than the previous round are
-    dropped from the channel (worker caches evict independently via their
-    LRU bound).  ``note_dispatch`` is called by the backends with every
-    :class:`StateRef` they ship inside tasks, which is what powers the
+    dropped from the channel (:func:`live_in_round`).  Worker caches follow
+    the same rule on their own: a worker holds what it fetched in the
+    current and the previous round, under its byte cap.  ``note_dispatch``
+    is called by the backends with every :class:`StateRef` they ship
+    inside tasks, which is what powers the
     hits/misses and bytes-shipped accounting in
     ``ExecutionBackend.transport_stats``.
 
@@ -294,7 +309,7 @@ class StateStore:
             stale = list(self._published)
         else:
             stale = [key for key, (round_version, _, _) in self._published.items()
-                     if round_version < version - 1]
+                     if not live_in_round(round_version, version)]
         self.round_version = version
         for key in stale:
             del self._published[key]

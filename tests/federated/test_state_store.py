@@ -5,7 +5,8 @@ Covers the ISSUE 5 tentpole contracts:
 * ``StateStore`` publishes each distinct content exactly once and refreshes
   (rather than re-publishes) on identical content; ``advance_round`` evicts
   entries older than the previous round; ``discard`` drops ephemerals.
-* Worker-side ``LRUStateCache`` is bounded by bytes and evicts LRU-first.
+* Worker-side ``LRUStateCache`` keeps what the current and the previous
+  round fetched (the store's rule), and under its byte cap evicts LRU-first.
 * ``ProcessPoolBackend`` keeps its server and workers alive across context
   changes (``server_starts`` stays 1; simulations sharing one pool replay
   their serial histories in ``tests/integration/test_parity_matrix.py``) and
@@ -178,61 +179,123 @@ class TestStateDigest:
 class TestLRUStateCache:
     def test_evicts_least_recently_used_by_bytes(self):
         cache = LRUStateCache(max_bytes=100)
-        cache.put("a", "payload-a", 40)
-        cache.put("b", "payload-b", 40)
-        assert cache.get("a") == "payload-a"  # refresh a
-        cache.put("c", "payload-c", 40)       # exceeds 100 → evict LRU = b
-        assert cache.get("b") is None
-        assert cache.get("a") == "payload-a"
-        assert cache.get("c") == "payload-c"
+        cache.put("a", "payload-a", 40, 0)
+        cache.put("b", "payload-b", 40, 0)
+        assert cache.get("a", 0) == "payload-a"  # refresh a
+        cache.put("c", "payload-c", 40, 0)       # exceeds 100 → evict LRU = b
+        assert cache.get("b", 0) is None
+        assert cache.get("a", 0) == "payload-a"
+        assert cache.get("c", 0) == "payload-c"
         assert cache.nbytes <= 100
 
     def test_always_keeps_at_least_one_entry(self):
         cache = LRUStateCache(max_bytes=10)
-        cache.put("big", "payload", 10_000)
-        assert cache.get("big") == "payload"
+        cache.put("big", "payload", 10_000, 0)
+        assert cache.get("big", 0) == "payload"
 
     def test_oversize_entry_displaces_everything_but_is_served(self):
         """An entry larger than the whole byte budget evicts the rest but is
         itself retained and served (refusing it would force a re-fetch on
         every resolve of the largest state in the run)."""
         cache = LRUStateCache(max_bytes=100)
-        cache.put("a", "payload-a", 40)
-        cache.put("b", "payload-b", 40)
-        cache.put("huge", "payload-huge", 400)
-        assert cache.get("a") is None and cache.get("b") is None
-        assert cache.get("huge") == "payload-huge"
+        cache.put("a", "payload-a", 40, 0)
+        cache.put("b", "payload-b", 40, 0)
+        cache.put("huge", "payload-huge", 400, 0)
+        assert cache.get("a", 0) is None and cache.get("b", 0) is None
+        assert cache.get("huge", 0) == "payload-huge"
         assert len(cache) == 1 and cache.nbytes == 400
         # The next put pushes the oversize entry out and restores the bound.
-        cache.put("c", "payload-c", 40)
-        assert cache.get("huge") is None
-        assert cache.get("c") == "payload-c"
+        cache.put("c", "payload-c", 40, 0)
+        assert cache.get("huge", 0) is None
+        assert cache.get("c", 0) == "payload-c"
         assert cache.nbytes <= 100
 
     def test_eviction_order_tracks_interleaved_hits(self):
         """Eviction follows true recency (hits refresh), not insertion order."""
         cache = LRUStateCache(max_bytes=120)
-        cache.put("a", "A", 40)
-        cache.put("b", "B", 40)
-        cache.put("c", "C", 40)       # oldest-first recency: a, b, c
-        assert cache.get("a") == "A"  # recency: b, c, a
-        assert cache.get("b") == "B"  # recency: c, a, b
-        cache.put("d", "D", 40)       # evicts c — insertion-order would evict a
-        assert cache.get("c") is None
-        assert cache.get("a") == "A"  # recency: b, d, a
-        cache.put("e", "E", 40)       # evicts b
-        assert cache.get("b") is None
-        assert cache.get("d") == "D"
-        assert cache.get("a") == "A"
-        assert cache.get("e") == "E"
+        cache.put("a", "A", 40, 0)
+        cache.put("b", "B", 40, 0)
+        cache.put("c", "C", 40, 0)       # oldest-first recency: a, b, c
+        assert cache.get("a", 0) == "A"  # recency: b, c, a
+        assert cache.get("b", 0) == "B"  # recency: c, a, b
+        cache.put("d", "D", 40, 0)       # evicts c — insertion-order would evict a
+        assert cache.get("c", 0) is None
+        assert cache.get("a", 0) == "A"  # recency: b, d, a
+        cache.put("e", "E", 40, 0)       # evicts b
+        assert cache.get("b", 0) is None
+        assert cache.get("d", 0) == "D"
+        assert cache.get("a", 0) == "A"
+        assert cache.get("e", 0) == "E"
         assert cache.nbytes <= 120
 
     def test_reput_of_same_key_replaces_bytes_in_place(self):
         cache = LRUStateCache(max_bytes=100)
-        cache.put("k", "small", 10)
-        cache.put("k", "bigger", 90)
-        assert cache.get("k") == "bigger"
+        cache.put("k", "small", 10, 0)
+        cache.put("k", "bigger", 90, 0)
+        assert cache.get("k", 0) == "bigger"
         assert cache.nbytes == 90 and len(cache) == 1
+
+    # Round lifecycle: the rule of StateStore.advance_round, on the worker.
+    def test_keeps_the_current_and_previous_round(self):
+        cache = LRUStateCache()
+        for version in range(1, 6):
+            cache.enter_round(version)
+            cache.put(f"r{version}", f"payload-{version}", 10, version)
+        assert cache.stamps() == {"r4": 4, "r5": 5}
+        assert cache.nbytes == 20
+
+    def test_straggler_from_the_previous_round_changes_nothing(self):
+        cache = LRUStateCache()
+        cache.enter_round(4)
+        cache.put("old", "payload-old", 10, 4)
+        cache.enter_round(5)
+        cache.put("new", "payload-new", 10, 5)
+        cache.enter_round(4)                  # a ref stamped v - 1 arrives late
+        assert cache.round_version == 5
+        assert cache.stamps() == {"old": 4, "new": 5}
+        cache.put("late", "payload-late", 10, 4)
+        cache.enter_round(6)                  # round 6 keeps 5 and up only
+        assert cache.stamps() == {"new": 5}
+
+    def test_version_more_than_a_round_back_is_a_new_run(self):
+        cache = LRUStateCache()
+        cache.enter_round(5)
+        cache.put("a", "payload-a", 10, 5)
+        cache.put("b", "payload-b", 10, 5)
+        cache.enter_round(1)
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert cache.round_version == 1
+        cache.put("c", "payload-c", 10, 1)
+        cache.enter_round(2)                  # the new run's clock runs on
+        assert cache.stamps() == {"c": 1}
+
+    def test_hit_restamps_so_the_entry_survives_the_next_round(self):
+        cache = LRUStateCache()
+        cache.enter_round(3)
+        cache.put("kept", "payload-kept", 10, 3)
+        cache.put("dropped", "payload-dropped", 10, 3)
+        cache.enter_round(4)
+        assert cache.get("kept", 4) == "payload-kept"   # the driver re-put it
+        cache.enter_round(5)
+        assert cache.stamps() == {"kept": 4}
+        assert cache.get("kept", 5) == "payload-kept"
+
+    def test_straggler_hit_does_not_lower_a_stamp(self):
+        cache = LRUStateCache()
+        cache.enter_round(5)
+        cache.put("k", "payload-k", 10, 5)
+        assert cache.get("k", 4) == "payload-k"
+        assert cache.stamps() == {"k": 5}
+
+    def test_byte_cap_still_evicts_lru_first_within_a_round(self):
+        cache = LRUStateCache(max_bytes=100)
+        cache.enter_round(3)
+        cache.put("a", "payload-a", 40, 3)
+        cache.put("b", "payload-b", 40, 3)
+        assert cache.get("a", 3) == "payload-a"
+        cache.put("c", "payload-c", 40, 3)   # exceeds 100 → evict LRU = b
+        assert cache.stamps() == {"a": 3, "c": 3}
+        assert cache.nbytes == 80
 
 
 def test_refetch_after_grace_window_drop_is_clean():
@@ -264,8 +327,8 @@ def test_refetch_after_grace_window_drop_is_clean():
 
     # Now the cache evicts it too (a bigger payload displaces it), and the
     # new round re-publishes identical content under the identical key.
-    runtime.cache.put("filler", "x", 10_000)
-    assert runtime.cache.get(ref.key) is None
+    runtime.cache.put("filler", "x", 10_000, 1)
+    assert runtime.cache.get(ref.key, 1) is None
     fresh = store.put_state(_state(0), label="device")
     assert fresh.key == ref.key  # content-addressed: the digest is the key
     restored = runtime.resolve(ref)

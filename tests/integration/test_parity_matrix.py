@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
@@ -43,7 +44,7 @@ from repro.federated import (
     make_backend,
 )
 from repro.models import ModelSpec, build_model
-from repro.nn import scratch_pool, using_numeric_policy
+from repro.nn import batched, scratch_pool, using_numeric_policy
 
 PROX_MU = 0.05
 _CNN = {"channels": (4, 8), "hidden_size": 16}
@@ -52,6 +53,7 @@ _CNN = {"channels": (4, 8), "hidden_size": 16}
 class Population(NamedTuple):
     spec: Optional[ModelSpec]  # None: the heterogeneous ``small`` family
     train_size: int = 160      # of the golden training set: 160 / 4 devices is 40 each
+    devices: int = 4
 
 
 POPULATIONS = {
@@ -60,6 +62,8 @@ POPULATIONS = {
     "dropout": Population(ModelSpec("cnn", {**_CNN, "dropout": 0.25})),
     # 130 samples shard as 33, 33, 32, 32: shard size splits the cohort in two.
     "fc": Population(ModelSpec("fc", {"hidden_sizes": (24,)}), train_size=130),
+    # A cohort of eight, 20 samples each: at a forced width of 3 it runs as 3 + 3 + 2.
+    "cnn8": Population(ModelSpec("cnn", _CNN), devices=8),
 }
 
 
@@ -106,7 +110,7 @@ def rounds(row: Row) -> int:
 class Outcome(NamedTuple):
     history: dict      # ``history.to_dict()`` less the keys that name the mode
     rng_states: list   # each device's generator state after the run
-    tasks: Counter     # dispatched tasks by type, plus "evaluations" and "widest"
+    tasks: Counter     # dispatched tasks by type, plus "evaluations", "widest", "tiles"
 
 
 # --------------------------------------------------------------------------- #
@@ -136,6 +140,22 @@ def _count_dispatches(backend: ExecutionBackend) -> Counter:
     return counts
 
 
+@contextmanager
+def _count_tiles(counts: Counter):
+    """Count in ``counts["tiles"]`` the tiles this process runs cohorts as:
+    every site that stacks a cohort asks ``batched.tile_width`` for its width."""
+    width_of = batched.tile_width
+
+    def counted(template, cohort_size, batch_shape):
+        width = width_of(template, cohort_size, batch_shape)
+        counts["tiles"] += -(-cohort_size // width)
+        return width
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batched, "tile_width", counted)
+        yield
+
+
 @functools.lru_cache(maxsize=None)
 def _datasets():
     """The golden fixtures' train, test and public sets, made once and shared
@@ -152,8 +172,9 @@ def _simulation(row: Row, backend: ExecutionBackend) -> Simulation:
     train = train.subset(range(population.train_size))
     base = _config(rounds(row))
     config = replace(
-        base, participation_fraction=row.participation, cohort_fusion=row.fusion,
-        numeric_policy=row.policy, prox_mu=PROX_MU if row.algorithm == "fedprox" else 0.0,
+        base, num_devices=population.devices, participation_fraction=row.participation,
+        cohort_fusion=row.fusion, numeric_policy=row.policy,
+        prox_mu=PROX_MU if row.algorithm == "fedprox" else 0.0,
         server=replace(base.server, server_shards=row.shards,
                        device_distill_optimizer=row.optimizer),
         scheduler=SchedulerConfig(kind=row.scheduler),  # deadline 1.5, buffer of 2
@@ -185,7 +206,8 @@ def run(row: Row, backend: Optional[ExecutionBackend] = None,
         backend = SerialBackend()
         tasks = _count_dispatches(backend)
     tasks.clear()
-    with using_numeric_policy(row.policy), _simulation(row, backend) as simulation:
+    with using_numeric_policy(row.policy), _count_tiles(tasks), \
+            _simulation(row, backend) as simulation:
         history = _plain(simulation.run().to_dict())
         assert history["config"].pop("cohort_fusion", False) == row.fusion
         assert history["config"].pop("server_shards", 1) == row.shards
@@ -267,7 +289,7 @@ def backends():
 # The rows
 # --------------------------------------------------------------------------- #
 P2, TCP = "process:2", "tcp://:0?workers=2"
-_FUSABLE = {"cnn", "dropout", "fc"}
+_FUSABLE = {"cnn", "cnn8", "dropout", "fc"}
 
 
 def _grid(base: Row, **axes) -> list:
@@ -288,6 +310,7 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     # FedAvg / FedProx on one architecture: fusion, tiles, unequal shards.
     *_grid(Row("fedavg", "cnn"), backend=["serial", P2, TCP]),
     *_grid(Row("fedavg", "cnn", fusion=True), tile=[None, 1, 3]),
+    Row("fedavg", "cnn8", fusion=True, tile=3),
     Row("fedavg", "cnn", fusion=True, backend=P2),
     Row("fedavg", "cnn", participation=0.5),
     Row("fedavg", "cnn", scheduler="async"),
@@ -371,6 +394,10 @@ def _assert_mode_fired(row: Row, outcome: Outcome, expected: Outcome) -> None:
         assert not fused
     if row.tile is not None:
         assert tasks["widest"] > row.tile
+    if row.population == "cnn8" and row.fusion:
+        # One fused task a round carries all eight; width 3 runs it as 3 + 3 + 2.
+        assert tasks["FusedLocalTrainTask"] == rounds(row) and tasks["widest"] == 8
+        assert tasks["tiles"] == 3 * rounds(row)
     shard_tasks = [tasks[name] for name in
                    ("EnsembleForwardTask", "EnsembleVJPTask", "DeviceDistillTask")]
     assert all(shard_tasks) if row.shards > 1 else not any(shard_tasks)

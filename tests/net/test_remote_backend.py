@@ -117,6 +117,31 @@ def test_large_result_state_comes_back_inline(monkeypatch):
         backend.shutdown()
 
 
+def _worker_cache(_):
+    """The worker's state cache, as ``(round_version, {key: stamp})``."""
+    from repro.federated import backend as module
+
+    cache = module._ACTIVE_RUNTIME.cache
+    return cache.round_version, cache.stamps()
+
+
+def test_worker_cache_holds_two_rounds_of_fetches():
+    """A worker keeps what it fetched in the current and the previous round,
+    however long the run: the driver's liveness rule, on the worker."""
+    backend = make_backend("tcp://:0?workers=1")
+    with backend:
+        with _fedzkt(backend) as simulation:
+            simulation.run(rounds=3)
+            version3, stamps3 = backend.map(_worker_cache, [None])[0]
+            for round_index in range(4, 7):
+                simulation.run_round(round_index)
+            version6, stamps6 = backend.map(_worker_cache, [None])[0]
+    assert (version3, version6) == (3, 6)
+    assert stamps3 and min(stamps3.values()) >= 2
+    assert stamps6 and min(stamps6.values()) >= 5
+    assert len(stamps6) <= len(stamps3)
+
+
 # --------------------------------------------------------------------------- #
 # Failure handling
 # --------------------------------------------------------------------------- #
