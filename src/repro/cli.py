@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "rates, per-label breakdown) after the run")
     run_parser.add_argument("--cohort-fusion", action="store_true",
                             help="fuse each round's same-architecture device cohort "
-                                 "(and FedZKT's sharded teacher ensemble) into stacked "
+                                 "(and FedZKT's teacher ensemble and back-transfer) into stacked "
                                  "vectorized training tasks; bit-identical to the "
                                  "per-device path, heterogeneous groups or unequal "
                                  "shard sizes fall back")
@@ -114,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for a fixed BLAS but outside the bitwise "
                                  "reproducibility contract)")
     run_parser.add_argument("--server-shards", type=int, default=None,
-                            help="shard the strategy's server update through the backend "
-                                 "into this many shards (requires a strategy declaring "
-                                 "supports_server_shards, i.e. fedzkt; bit-identical "
-                                 "to the serial server update)")
+                            help="how many shard tasks each server-update dispatch splits "
+                                 "into on the backend (default 1; more than 1 requires "
+                                 "a strategy declaring supports_server_shards, i.e. "
+                                 "fedzkt; every count is bit-identical)")
     run_parser.add_argument("--scheduler", default=None,
                             choices=["sync", "deadline", "async"],
                             help="round scheduler (default: sync; must be declared in "

@@ -84,8 +84,9 @@ class FedZKTServer(FederatedServer):
         return self._global_model
 
     def bind_backend(self, backend) -> None:
-        """Route sharded server updates through the simulation's backend
-        (active when ``config.server.server_shards > 1``)."""
+        """Run the server update's shard tasks (both phases, split into
+        ``config.server.server_shards`` per dispatch) on the simulation's
+        backend."""
         self.distiller.bind_backend(backend)
 
     def aggregate(self, round_index: int, active_devices: List[int],
@@ -139,9 +140,10 @@ class FedZKTStrategy(ParameterServerStrategy):
     A :class:`~repro.federated.strategy.ParameterServerStrategy` around
     :class:`FedZKTServer`: devices upload full parameters, the server runs
     the adversarial generator / global-model distillation and distils the
-    result back into per-device replicas.  The server update can shard
-    through the execution backend (``ServerConfig.server_shards``), so this
-    is the one built-in strategy declaring ``supports_server_shards``.
+    result back into per-device replicas.  The server update runs as shard
+    tasks on the execution backend, split ``ServerConfig.server_shards``
+    ways, so this is the one built-in strategy declaring
+    ``supports_server_shards``.
     """
 
     name = "fedzkt"

@@ -10,30 +10,31 @@ naturally data-parallel over *models*:
   on-device architecture from identical synthetic input/target batches.
 
 This module packages both as tasks for the
-:class:`~repro.federated.backend.ExecutionBackend`.  State payloads arrive
-either as :class:`~repro.utils.serialization.StateRef` handles into the
-backend's content-addressed state store (teacher states and shared
-synthetic batches, published once and referenced by many tasks) or inline
-as live arrays (a device's own state and optimizer buffers, referenced by
-exactly one task); tasks resolve both uniformly and carry no encoding of
-their own — the backend pickles a task whole.  Execution borrows the
-per-process :class:`~repro.federated.backend.WorkerContext` (whose model
-replicas share architectures with the server-side replicas, keyed by
-device id).  Tasks *borrow* a context model: they snapshot its parameters,
-buffers, and train/eval mode, load the server-side state, compute, and
-restore the snapshot — so on the serial backend (where context models are
-the live device models) a sharded server update never leaks state into the
+:class:`~repro.federated.backend.ExecutionBackend`; they are the only
+implementation of the server update (``ServerConfig.server_shards`` sets
+how many tasks a dispatch splits into, and one shard is one task).  State
+payloads arrive either as :class:`~repro.utils.serialization.StateRef`
+handles into the backend's content-addressed state store (teacher states
+and shared synthetic batches, published once and referenced by many tasks)
+or inline as live arrays (a device's own state and optimizer buffers,
+referenced by exactly one task); tasks resolve both uniformly and carry no
+encoding of their own — the backend pickles a task whole.  Execution
+borrows the per-process :class:`~repro.federated.backend.WorkerContext`
+(whose model replicas share architectures with the server-side replicas,
+keyed by device id).  Tasks *borrow* a context model
+(:func:`borrowed_model`): they hold its parameters, buffers, and
+train/eval mode by reference, load the server-side state, compute, and
+rebind what they held — so on the serial backend (where context models are
+the live device models) a server update never leaks state into the
 devices.
 
 Bit-identity contract (pinned by ``tests/core/test_server_sharding.py``):
-every task replays the exact Tensor ops of the in-process code path on the
-same float64 payloads, and the driver reduces partial results in the same
-order the serial loop would, so sharded and serial server updates produce
-identical model states, metrics, and gradients.  For Phase 2 that is true
-by construction: :func:`distill_students` is the one body, run by the
-driver on the live device models with their persistent optimizers and by
-:class:`DeviceDistillTask` on borrowed replicas with the shipped optimizer
-state.
+every task replays the exact Tensor ops of
+:func:`~repro.core.distillation.disagreement_loss` /
+:func:`~repro.core.distillation.ensemble_output` and the per-device KL loop
+on the same float64 payloads, and the driver reduces partial results in
+teacher order, so every shard count produces identical model states,
+metrics, and gradients.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def partition_shards(items: Sequence, num_shards: int) -> List[List]:
 
     Contiguity matters: the driver re-reduces per-model partial results in
     the original model order, which keeps the floating-point reduction
-    association identical to the serial loop.
+    association identical to :func:`~repro.core.distillation.ensemble_output`'s
+    loop over the models.
     """
     items = list(items)
     if not items:
@@ -97,20 +99,27 @@ def borrowed_model(context: WorkerContext, device_id: int, state: ShardState,
                    train: bool):
     """Temporarily load ``state`` into the context's replica for ``device_id``.
 
-    Restores the replica's original parameters, buffers, and train/eval
-    mode on exit (and clears any gradients the task accumulated), which
-    makes server-side tasks safe on the serial backend where context
-    models alias the live device models.
+    ``load_state_dict`` rebinds every parameter and buffer to a fresh copy,
+    so the replica's own arrays are never written while it is borrowed:
+    they are held by reference and rebound on exit, together with the
+    train/eval mode (and any gradients the task accumulated are cleared).
+    That makes server-side tasks safe on the serial backend, where context
+    models alias live models.
     """
     model = context.model_for(device_id)
-    snapshot = model.state_dict()
+    parameters = [(param, param.data) for param in model.parameters()]
+    buffers = [(owner, name, owner._buffers[name])
+               for owner, name in model._buffer_owners().values()]
     saved_mode = model.training
     model.load_state_dict(resolve_state(state))
     model.train(train)
     try:
         yield model
     finally:
-        model.load_state_dict(snapshot)
+        for param, data in parameters:
+            param.data = data
+        for owner, name, value in buffers:
+            owner._set_buffer(name, value)
         model.train(saved_mode)
         model.zero_grad()
 
@@ -181,7 +190,7 @@ class EnsembleForwardTask:
     ``"prob"`` mode, raw logits in ``"logit"`` mode) in ``device_ids``
     order; the driver applies the ensemble weights and reduces across all
     shards in ascending teacher order so the weighted mean is bit-identical
-    to the serial ``ensemble_output``.
+    to :func:`~repro.core.distillation.ensemble_output`.
     """
 
     device_ids: List[int]
@@ -221,9 +230,9 @@ class EnsembleVJPTask:
 
     Given the upstream gradient of the disagreement loss with respect to
     the ensemble output, computes each teacher's contribution to the
-    gradient at the synthesized inputs by replaying the serial graph ops
-    (``member = softmax(model(x))``; ``term = member * weight``) and
-    backpropagating ``upstream`` through them.  Parameter gradients are
+    gradient at the synthesized inputs by replaying ``ensemble_output``'s
+    graph ops (``member = softmax(model(x))``; ``term = member * weight``)
+    and backpropagating ``upstream`` through them.  Parameter gradients are
     skipped (:func:`frozen_parameters`) — only the
     input-gradient path is needed, and skipping the weight-gradient work
     does not change the values that flow to the inputs.
@@ -274,7 +283,7 @@ class EnsembleVJPTask:
 
 
 # --------------------------------------------------------------------------- #
-# Phase-2 optimizer plumbing (shared by the serial and sharded paths)
+# Phase-2 optimizer plumbing (the driver's persistent optimizers <-> tasks)
 # --------------------------------------------------------------------------- #
 def make_distill_optimizer(model, lr: float, momentum: float,
                            kind: str = "sgd") -> Optimizer:
@@ -404,7 +413,8 @@ def distill_students(students: Sequence[Tuple[object, Optimizer]],
                      inputs: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                      lr: float, momentum: float, optimizer_kind: str = "sgd",
                      fuse: bool = False) -> List[List[float]]:
-    """Phase 2 for one set of device models sharing the same synthetic batches.
+    """Phase 2 for one shard of device models sharing the same synthetic
+    batches (the body of :class:`DeviceDistillTask`).
 
     ``students`` are ``(model, optimizer)`` pairs, each model in train mode
     holding the state to distill into and each optimizer its persisted
@@ -448,13 +458,11 @@ class DeviceDistillTask:
 
     Every device in the shard consumes the *same* per-iteration synthetic
     inputs and teacher targets (precomputed on the driver, so the
-    generator/global-model RNG stream is identical to the serial path) and
+    generator/global-model RNG stream does not depend on the sharding) and
     trains independently with its own persisted optimizer state (SGD
     momentum by default, Adam moments + per-device step count with
     ``optimizer="adam"``).  The shard's context replicas are borrowed for
-    the length of the task and handed to :func:`distill_students` — the body
-    the driver runs in process — so ``fuse=True`` means here what it means
-    there.
+    the length of the task and handed to :func:`distill_students`.
     """
 
     device_ids: List[int]

@@ -10,9 +10,10 @@ model ``F`` and performs, each communication round:
    generator to synthesize inputs and distill the updated global model into
    every on-device model with the KL-divergence loss (Eq. 8).
 
-Both phases can be *sharded* across an
-:class:`~repro.federated.backend.ExecutionBackend` (``ServerConfig.
-server_shards > 1`` plus :meth:`ZeroShotDistiller.bind_backend`): Phase 1
+Both phases run as shard tasks on an
+:class:`~repro.federated.backend.ExecutionBackend` (installed by
+:meth:`ZeroShotDistiller.bind_backend`; ``ServerConfig.server_shards`` is
+how many shards each dispatch splits into, and ``1`` is one task).  Phase 1
 fans the per-teacher ensemble forward — and, on generator steps, the
 backward to the synthesized inputs — out as
 :class:`~repro.core.server_tasks.EnsembleForwardTask` /
@@ -25,9 +26,10 @@ teacher states are published **once per round** (every shard task of every
 synthesis iteration then carries a tiny ref, and each worker fetches a
 teacher's blob at most once), and per-iteration synthetic batches are
 published once, shared across shards, and discarded as soon as their
-dispatch completes.  The sharded path is bit-identical to the serial one
-(model states, metrics, and gradients), which the parity tests in
-``tests/core/test_server_sharding.py`` pin.
+dispatch completes.  Every shard count on every backend produces the same
+bits, which ``tests/core/test_server_sharding.py`` pins against a reference
+written from :func:`~repro.core.distillation.disagreement_loss` /
+:func:`~repro.core.distillation.ensemble_output` on live models.
 
 The distiller also records the diagnostics the paper reports: per-phase
 losses and the norm of the disagreement gradient with respect to the
@@ -36,10 +38,11 @@ synthesized inputs (Fig. 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..federated.backend import ExecutionBackend, SerialBackend, WorkerContext
 from ..federated.config import ServerConfig
 from ..models.base import ClassificationModel
 from ..models.generator import Generator
@@ -47,13 +50,12 @@ from ..nn import no_grad
 from ..nn.losses import get_distillation_loss
 from ..nn.optim import SGD, Adam, MultiStepLR, Optimizer
 from ..nn.tensor import Tensor
-from .distillation import disagreement_loss, ensemble_mode_for_loss, ensemble_output
+from .distillation import ensemble_mode_for_loss
 from .server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
     EnsembleVJPTask,
     distill_optimizer_state,
-    distill_students,
     frozen_parameters,
     load_distill_optimizer_state,
     make_distill_optimizer,
@@ -95,10 +97,6 @@ class ZeroShotDistiller:
         distillation loss, server shard count).
     seed:
         Seed of the noise-sampling RNG.
-    backend:
-        Optional execution backend used when ``config.server_shards > 1``;
-        usually installed later via :meth:`bind_backend` by the simulation
-        engine.  Without a backend the distiller always runs in process.
     cohort_fusion:
         Fuse both phases over same-architecture groups.  Phase 1: shard
         tasks evaluate their same-signature teachers through one stacked
@@ -111,12 +109,12 @@ class ZeroShotDistiller:
     """
 
     def __init__(self, global_model: ClassificationModel, generator: Generator,
-                 config: ServerConfig, seed: int = 0, backend=None,
+                 config: ServerConfig, seed: int = 0,
                  cohort_fusion: bool = False) -> None:
         self.global_model = global_model
         self.generator = generator
         self.config = config
-        self.backend = backend
+        self.backend: Optional[ExecutionBackend] = None
         self.cohort_fusion = bool(cohort_fusion)
         self._rng = np.random.default_rng(seed)
         self._loss_name = config.distillation_loss
@@ -133,16 +131,23 @@ class ZeroShotDistiller:
     # ------------------------------------------------------------------ #
     # Backend plumbing
     # ------------------------------------------------------------------ #
-    def bind_backend(self, backend) -> None:
-        """Install the execution backend used for sharded server updates."""
+    def bind_backend(self, backend: ExecutionBackend) -> None:
+        """Install the execution backend both phases dispatch their shard
+        tasks through (its worker context holds a replica per device id)."""
         self.backend = backend
 
-    @property
-    def sharding_active(self) -> bool:
-        """Whether server updates are dispatched through the backend."""
-        return self.backend is not None and self.config.shard_server_update
+    def _backend_for(self, models: Dict[int, ClassificationModel]) -> ExecutionBackend:
+        """The bound backend; a distiller used without a simulation runs its
+        tasks on a private :class:`SerialBackend` whose context replicas are
+        ``models`` themselves (tasks restore what they borrow)."""
+        if self.backend is not None:
+            return self.backend
+        backend = SerialBackend()
+        backend.start(WorkerContext(models=dict(models)))
+        return backend
 
-    def _publish(self, payload, label: str, ephemerals: List):
+    @staticmethod
+    def _publish(backend: ExecutionBackend, payload, label: str, ephemerals: List):
         """A shard-task payload, published through the backend's state store
         (tasks then carry a tiny ref; the payload ships at most once per
         worker).
@@ -153,7 +158,7 @@ class ZeroShotDistiller:
         soon as the tasks that referenced them have completed — per-iteration
         synthetic batches would otherwise accumulate for a whole round.
         """
-        store = self.backend.state_store
+        store = backend.state_store
         if isinstance(payload, dict):
             ref = store.put_state(payload, label=label)
         else:
@@ -162,9 +167,10 @@ class ZeroShotDistiller:
         ephemerals.append(ref)
         return ref
 
-    def _drain(self, ephemerals: List) -> None:
+    @staticmethod
+    def _drain(backend: ExecutionBackend, ephemerals: List) -> None:
         if ephemerals:
-            self.backend.state_store.discard(list(ephemerals))
+            backend.state_store.discard(list(ephemerals))
         ephemerals.clear()
 
     def device_optimizer_for(self, device_id: int,
@@ -188,19 +194,15 @@ class ZeroShotDistiller:
     # ------------------------------------------------------------------ #
     # Phase 1: device knowledge -> global model (adversarial game, Eq. 2)
     # ------------------------------------------------------------------ #
-    def adversarial_distillation(self, teachers: Sequence[ClassificationModel],
-                                 iterations: Optional[int] = None,
-                                 teacher_ids: Optional[Sequence[int]] = None) -> DistillationReport:
-        """Alternate generator (max) and global model (min) steps.
-
-        ``teacher_ids`` keys the teachers into the backend's worker context
-        for the sharded path; without ids (or without a bound backend) the
-        phase runs in process.
-        """
+    def adversarial_distillation(self, teachers: Dict[int, ClassificationModel],
+                                 iterations: Optional[int] = None) -> DistillationReport:
+        """Alternate generator (max) and global model (min) steps against the
+        ensemble of ``teachers`` (device id -> model; the id keys each
+        teacher's replica in the backend's worker context)."""
         if not teachers:
             raise ValueError("adversarial distillation requires at least one teacher")
         iterations = iterations if iterations is not None else self.config.distillation_iterations
-        sharded = self.sharding_active and teacher_ids is not None
+        backend = self._backend_for(teachers)
         generator_losses: List[float] = []
         global_losses: List[float] = []
         input_grad_norms: List[float] = []
@@ -210,39 +212,31 @@ class ZeroShotDistiller:
                                              self.config.generator_lr)
         glob_scheduler = self._make_scheduler(self.global_optimizer, iterations,
                                               self.config.global_lr)
-
-        for teacher in teachers:
-            teacher.eval()
         self.global_model.train()
         self.generator.train()
 
         mode = ensemble_mode_for_loss(self._loss_name)
         loss_fn = get_distillation_loss(self._loss_name)
-        weights = [1.0 / len(teachers)] * len(teachers)
-        if sharded:
-            # Teachers are frozen throughout the adversarial phase, so
-            # snapshot their states once and publish them once into the
-            # state store: every forward/VJP shard task of every synthesis
-            # iteration then carries a tiny ref, and each worker fetches a
-            # teacher's blob at most once for the whole round.  phase_refs
-            # live until the phase ends; iteration_refs (synthetic batches,
-            # upstream gradients) are dropped as soon as the next iteration
-            # starts.
-            teacher_ids = list(teacher_ids)
-            snapshots = [teacher.state_dict() for teacher in teachers]
-            phase_refs: List = []
-            iteration_refs: List = []
-            shipped_states = [self._publish(state, "teacher", phase_refs)
-                              for state in snapshots]
-            shards = partition_shards(list(range(len(teachers))), self.config.server_shards)
-
+        # Teachers are frozen throughout the adversarial phase, so snapshot
+        # their states once and publish them once into the state store: every
+        # forward/VJP shard task of every synthesis iteration then carries a
+        # tiny ref, and each worker fetches a teacher's blob at most once for
+        # the whole round.  phase_refs live until the phase ends;
+        # iteration_refs (synthetic batches, upstream gradients) are dropped
+        # as soon as the next iteration starts.
+        phase_refs: List = []
+        iteration_refs: List = []
+        shipped = [(device_id, self._publish(backend, model.state_dict(), "teacher", phase_refs),
+                    1.0 / len(teachers)) for device_id, model in teachers.items()]
+        # Each shard as its teachers' ids, published states and weights.
+        shards = [[list(column) for column in zip(*shard)]
+                  for shard in partition_shards(shipped, self.config.server_shards)]
         steps_per_generator = max(1, int(self.config.global_steps_per_generator_step))
 
         for iteration in range(iterations):
-            if sharded:
-                # Previous iteration's synthetic batches / upstream payloads
-                # are done with: drop them from the channel.
-                self._drain(iteration_refs)
+            # Previous iteration's synthetic batches / upstream payloads are
+            # done with: drop them from the channel.
+            self._drain(backend, iteration_refs)
             # ---- Generator step: maximize the disagreement -------------------
             # Run every ``steps_per_generator`` iterations; with the paper's
             # literal 1:1 alternation set the config knob to 1.
@@ -252,22 +246,16 @@ class ZeroShotDistiller:
                 # The input-gradient norm below reads this intermediate's
                 # gradient after backward; keep it through buffer reclaim.
                 synthetic.retain_grad()
-                # Only the generator steps here: F's and the teachers' weight
-                # gradients would be computed and thrown away (the sharded
-                # path's ``EnsembleVJPTask`` skips them the same way).
-                with frozen_parameters([self.global_model, *teachers]):
-                    if sharded:
-                        # Same op order as disagreement_loss: student branch
-                        # first, then the ensemble branch (here a
-                        # backend-backed graph node).
-                        student_logits = self.global_model(synthetic)
-                        teacher_out = self._sharded_ensemble_node(
-                            synthetic, teacher_ids, shipped_states, weights, mode,
-                            shards, iteration_refs)
-                        loss = loss_fn(student_logits, teacher_out)
-                    else:
-                        loss = disagreement_loss(self.global_model, teachers,
-                                                 synthetic, self._loss_name)
+                # Only the generator steps here: F's weight gradients would be
+                # computed and thrown away (``EnsembleVJPTask`` skips the
+                # teachers' the same way).
+                with frozen_parameters([self.global_model]):
+                    # Same op order as ``disagreement_loss``: student branch
+                    # first, then the ensemble branch (a backend-backed node).
+                    student_logits = self.global_model(synthetic)
+                    teacher_out = self._ensemble_node(backend, synthetic, shards, mode,
+                                                      iteration_refs)
+                    loss = loss_fn(student_logits, teacher_out)
                     generator_loss = loss * -1.0
                     # ``loss`` is an interior node of the graph backward is
                     # about to walk, which gives its storage back: read it now.
@@ -283,16 +271,9 @@ class ZeroShotDistiller:
             noise = self.generator.sample_noise(self.config.batch_size, self._rng)
             with no_grad():
                 synthetic = self.generator(noise)
-                if not sharded:
-                    teacher_out = ensemble_output(teachers, synthetic, mode=mode)
-            if sharded:
-                members = self._sharded_members(
-                    teacher_ids, shipped_states,
-                    self._publish(synthetic.data, "batch", iteration_refs),
-                    mode, shards)
-                teacher_data = self._reduce_members(members, weights)
-            else:
-                teacher_data = teacher_out.data
+            teacher_data = self._ensemble(
+                backend, self._publish(backend, synthetic.data, "batch", iteration_refs),
+                shards, mode)
             student_logits = self.global_model(Tensor(synthetic.data))
             global_loss = loss_fn(student_logits, Tensor(teacher_data))
             self.global_optimizer.zero_grad(set_to_none=False)
@@ -304,9 +285,8 @@ class ZeroShotDistiller:
             gen_scheduler.step()
             glob_scheduler.step()
 
-        if sharded:
-            self._drain(iteration_refs)
-            self._drain(phase_refs)
+        self._drain(backend, iteration_refs)
+        self._drain(backend, phase_refs)
         self.parameter_updates_total += updates
         return DistillationReport(
             generator_loss=float(np.mean(generator_losses)) if generator_losses else 0.0,
@@ -316,67 +296,50 @@ class ZeroShotDistiller:
         )
 
     # ------------------------------------------------------------------ #
-    # Sharded Phase-1 helpers
+    # Phase-1 helpers
     # ------------------------------------------------------------------ #
-    def _sharded_members(self, teacher_ids: List[int], shipped_states: List,
-                         inputs, mode: str,
-                         shards: List[List[int]]) -> List[np.ndarray]:
-        """Unweighted member outputs of every teacher, in teacher order.
-
-        ``inputs`` is a state-store ref (published once, shared by every
-        shard task and fetched at most once per worker).
-        """
-        tasks = [EnsembleForwardTask(device_ids=[teacher_ids[i] for i in shard],
-                                     states=[shipped_states[i] for i in shard],
-                                     inputs=inputs, mode=mode,
-                                     fuse=self.cohort_fusion)
-                 for shard in shards]
-        results = self.backend.run_tasks(tasks)
-        return [member for shard_members in results for member in shard_members]
-
-    @staticmethod
-    def _reduce_members(members: List[np.ndarray], weights: List[float]) -> np.ndarray:
-        """Weighted mean over members with the serial loop's exact reduction
-        order/association (term-by-term, ascending teacher index)."""
+    def _ensemble(self, backend: ExecutionBackend, inputs, shards: List[tuple],
+                  mode: str) -> np.ndarray:
+        """The weighted ensemble output on ``inputs`` (a state-store ref,
+        published once, shared by every shard task and fetched at most once
+        per worker), reduced term by term in ascending teacher order — the
+        association of :func:`~repro.core.distillation.ensemble_output`."""
+        tasks = [EnsembleForwardTask(ids, states, inputs, mode=mode, fuse=self.cohort_fusion)
+                 for ids, states, _ in shards]
+        weights = [weight for _, _, shard_weights in shards for weight in shard_weights]
+        members = [member for shard_members in backend.run_tasks(tasks)
+                   for member in shard_members]
         total: Optional[np.ndarray] = None
         for member, weight in zip(members, weights):
             term = member * float(weight)
             total = term if total is None else total + term
         return total
 
-    def _sharded_ensemble_node(self, x: Tensor, teacher_ids: List[int],
-                               shipped_states: List, weights: List[float],
-                               mode: str, shards: List[List[int]],
-                               ephemerals: List) -> Tensor:
+    def _ensemble_node(self, backend: ExecutionBackend, x: Tensor,
+                       shards: List[tuple], mode: str, ephemerals: List) -> Tensor:
         """Backend-backed ensemble output wired into the autograd graph.
 
         Forward fans member evaluation out as :class:`EnsembleForwardTask`
         shards; backward fans the input-gradient computation out as
         :class:`EnsembleVJPTask` shards and accumulates the per-teacher
         contributions into ``x.grad`` in ascending teacher order — the same
-        order the serial graph's reversed topological sort produces — so
-        the generator step is bit-identical to the in-process path.  The
-        synthesized inputs and the upstream gradient are published once
-        into ``ephemerals`` (dropped by the caller after the backward).
+        order the reversed topological sort of ``disagreement_loss``'s graph
+        produces.  The synthesized inputs and the upstream gradient are
+        published once into ``ephemerals`` (dropped by the caller after the
+        backward).
         """
-        shared_inputs = self._publish(x.data, "batch", ephemerals)
-        members = self._sharded_members(teacher_ids, shipped_states, shared_inputs,
-                                        mode, shards)
-        total = self._reduce_members(members, weights)
-        backend = self.backend
+        shared_inputs = self._publish(backend, x.data, "batch", ephemerals)
+        total = self._ensemble(backend, shared_inputs, shards, mode)
 
         def factory(out: Tensor):
             def backward() -> None:
                 if not x.requires_grad:
                     return
-                upstream = self._publish(np.asarray(out.grad, dtype=np.float64),
+                upstream = self._publish(backend, np.asarray(out.grad, dtype=np.float64),
                                          "batch", ephemerals)
-                tasks = [EnsembleVJPTask(device_ids=[teacher_ids[i] for i in shard],
-                                         states=[shipped_states[i] for i in shard],
-                                         weights=[weights[i] for i in shard],
-                                         inputs=shared_inputs, upstream=upstream,
+                tasks = [EnsembleVJPTask(ids, states, weights, shared_inputs, upstream,
                                          mode=mode, fuse=self.cohort_fusion)
-                         for shard in shards]
+                         for ids, states, weights in shards]
                 for shard_grads in backend.run_tasks(tasks):
                     for grad in shard_grads:
                         x._accumulate(grad)
@@ -390,10 +353,13 @@ class ZeroShotDistiller:
     # ------------------------------------------------------------------ #
     def transfer_to_devices(self, device_models: Dict[int, ClassificationModel],
                             iterations: Optional[int] = None) -> DistillationReport:
-        """Distill the global model back into every on-device model."""
+        """Distill the global model back into every on-device model: one
+        :class:`DeviceDistillTask` per shard of devices, every task consuming
+        the same precomputed synthetic batches."""
         if not device_models:
             raise ValueError("transfer requires at least one device model")
         iterations = iterations if iterations is not None else self.config.effective_transfer_iterations
+        backend = self._backend_for(device_models)
 
         self.global_model.eval()
         self.generator.eval()
@@ -401,23 +367,37 @@ class ZeroShotDistiller:
             device_id: self.device_optimizer_for(device_id, model)
             for device_id, model in device_models.items()
         }
-        for model in device_models.values():
-            model.train()
-
-        # Every student consumes the same precomputed batches, in process or
-        # sharded: the one distill body (``server_tasks.distill_students``)
-        # runs here on the live models and their persistent optimizers, or in
-        # a ``DeviceDistillTask`` per shard on borrowed replicas.
         batches, targets = self._synthesize_batches(iterations)
-        if self.sharding_active:
-            losses_by_device = self._transfer_sharded(device_models, optimizers,
-                                                      batches, targets)
-        else:
-            losses_by_device = dict(zip(device_models, distill_students(
-                [(model, optimizers[device_id])
-                 for device_id, model in device_models.items()],
-                batches, targets, self.config.device_distill_lr, 0.9,
-                self.config.device_distill_optimizer, fuse=self.cohort_fusion)))
+        # Publish the *shared* batch/target payloads once into the state
+        # store (every shard task carries the same ref; each worker fetches
+        # at most once), ephemeral and dropped after the dispatch.  The
+        # per-device states and momentum buffers stay inline: each is
+        # referenced by exactly one shard task, and for singly-referenced
+        # payloads publish-then-fetch would ship ~2x the bytes of an inline
+        # copy.  In-process backends store live objects (nothing is encoded).
+        ephemerals: List = []
+        shared_inputs = self._publish(backend, batches, "batch", ephemerals)
+        shared_targets = self._publish(backend, targets, "batch", ephemerals)
+        tasks = [DeviceDistillTask(
+            device_ids=list(shard),
+            states=[device_models[device_id].state_dict() for device_id in shard],
+            velocities=[distill_optimizer_state(optimizers[device_id])
+                        for device_id in shard],
+            inputs=shared_inputs, targets=shared_targets,
+            lr=self.config.device_distill_lr, momentum=0.9,
+            optimizer=self.config.device_distill_optimizer,
+            fuse=self.cohort_fusion,
+        ) for shard in partition_shards(device_models, self.config.server_shards)]
+
+        losses_by_device: Dict[int, List[float]] = {}
+        for result in backend.run_tasks(tasks):
+            for index, device_id in enumerate(result.device_ids):
+                device_models[device_id].load_state_dict(result.states[index])
+                load_distill_optimizer_state(optimizers[device_id],
+                                             result.velocities[index])
+                losses_by_device[device_id] = result.losses[index]
+        self._drain(backend, ephemerals)
+
         # Reassemble iteration-major so ``transfer_loss`` reduces in the
         # historical interleaved (iteration, device) order.
         transfer_losses = [losses_by_device[device_id][iteration]
@@ -458,54 +438,12 @@ class ZeroShotDistiller:
             targets.append(target)
         return batches, targets
 
-    def _transfer_sharded(self, device_models: Dict[int, ClassificationModel],
-                          optimizers: Dict[int, Optimizer],
-                          batches: List[np.ndarray],
-                          targets: List[np.ndarray]) -> Dict[int, List[float]]:
-        """Backend-sharded Phase 2: one distill task per shard of devices;
-        returns each device's per-iteration losses."""
-        shards = partition_shards(list(device_models), self.config.server_shards)
-        # Publish the *shared* batch/target payloads once into the state
-        # store (every shard task carries the same ref; each worker fetches
-        # at most once), ephemeral and dropped after the dispatch.  The
-        # per-device states and momentum buffers stay inline: each is
-        # referenced by exactly one shard task, and for singly-referenced
-        # payloads publish-then-fetch would ship ~2x the bytes of an inline
-        # copy.  In-process backends store live objects (nothing is encoded).
-        ephemerals: List = []
-        shared_inputs = self._publish(batches, "batch", ephemerals)
-        shared_targets = self._publish(targets, "batch", ephemerals)
-        tasks = [DeviceDistillTask(
-            device_ids=list(shard),
-            states=[device_models[device_id].state_dict() for device_id in shard],
-            velocities=[distill_optimizer_state(optimizers[device_id])
-                        for device_id in shard],
-            inputs=shared_inputs, targets=shared_targets,
-            lr=self.config.device_distill_lr, momentum=0.9,
-            optimizer=self.config.device_distill_optimizer,
-            fuse=self.cohort_fusion,
-        ) for shard in shards]
-        results = self.backend.run_tasks(tasks)
-
-        losses_by_device: Dict[int, List[float]] = {}
-        for result in results:
-            for index, device_id in enumerate(result.device_ids):
-                device_models[device_id].load_state_dict(result.states[index])
-                load_distill_optimizer_state(optimizers[device_id],
-                                             result.velocities[index])
-                losses_by_device[device_id] = result.losses[index]
-
-        self._drain(ephemerals)
-        return losses_by_device
-
     # ------------------------------------------------------------------ #
     # Full server update (Algorithm 3)
     # ------------------------------------------------------------------ #
     def server_update(self, device_models: Dict[int, ClassificationModel]) -> DistillationReport:
         """Run both phases and return the merged metrics."""
-        teachers = list(device_models.values())
-        phase1 = self.adversarial_distillation(teachers,
-                                               teacher_ids=list(device_models.keys()))
+        phase1 = self.adversarial_distillation(device_models)
         phase2 = self.transfer_to_devices(device_models)
         return DistillationReport(
             generator_loss=phase1["generator_loss"],

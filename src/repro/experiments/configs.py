@@ -146,8 +146,8 @@ def federated_config_for(scale: ExperimentScale, family: str, *, num_devices: in
 
     ``scheduler`` / ``heterogeneity`` select the round-scheduling policy and
     the device timing model (both default to the synchronous, homogeneous
-    historical behaviour); ``server_shards > 1`` dispatches the FedZKT
-    server update through the execution backend in that many shards.
+    historical behaviour); ``server_shards`` is how many shard tasks each
+    FedZKT server-update dispatch splits into on the execution backend.
     ``numeric_policy`` picks the floating dtype every model in the run is
     built and trained with (``"float64"``, the bit-identity tier, or the
     faster ``"float32"``).

@@ -176,12 +176,11 @@ class ServerConfig:
         at small iteration budgets (an implementation detail documented in
         DESIGN.md; set to 1 for the literal algorithm).
     server_shards:
-        Number of shards the server update is split into when dispatched
-        through the simulation's execution backend (``1`` keeps the
-        historical in-process path).  Teacher-ensemble evaluation (Phase 1)
-        and per-device back-transfer (Phase 2) shard over models; results
-        are reduced on the driver in model order, so sharded and serial
-        server updates are bit-identical (see
+        Number of shard tasks each server-update dispatch splits into on
+        the simulation's execution backend (``1`` is one task).
+        Teacher-ensemble evaluation (Phase 1) and per-device back-transfer
+        (Phase 2) shard over models; results are reduced on the driver in
+        model order, so every shard count is bit-identical (see
         :mod:`repro.core.server_tasks`).
     """
 
@@ -210,11 +209,6 @@ class ServerConfig:
     @property
     def effective_transfer_iterations(self) -> int:
         return self.transfer_iterations if self.transfer_iterations is not None else self.distillation_iterations
-
-    @property
-    def shard_server_update(self) -> bool:
-        """Whether the server update should be dispatched through the backend."""
-        return self.server_shards > 1
 
 
 @dataclass(frozen=True)

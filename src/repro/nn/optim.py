@@ -113,7 +113,7 @@ class SGD(Optimizer):
 
         Representing an uninitialized buffer as zeros is bit-exact: the next
         ``step`` computes ``momentum * 0 + grad == grad`` either way.  Used
-        by the sharded server update to ship optimizer state to workers.
+        by the server update's shard tasks to ship optimizer state to workers.
         Buffers are copied: ``step`` updates them in place, so handing out
         the live arrays would let a later step mutate a shipped snapshot.
         """

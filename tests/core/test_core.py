@@ -78,17 +78,18 @@ class TestZeroShotDistiller:
 
     def test_adversarial_phase_reports_metrics(self):
         distiller = self._distiller()
-        report = distiller.adversarial_distillation(_teachers(2))
+        report = distiller.adversarial_distillation(dict(enumerate(_teachers(2))))
         assert report["parameter_updates"] > 0
         assert np.isfinite(report["generator_loss"])
         assert np.isfinite(report["global_loss"])
         assert report["input_gradient_norm"] >= 0.0
 
     def test_generator_step_skips_weight_gradients_not_input_gradients(self):
-        """The generator step freezes F and the teachers: their parameters
-        come out with ``requires_grad`` restored and no ``.grad`` from it,
-        and the disagreement gradient at the synthesized batch is, bit for
-        bit, what the graph with every weight gradient attached computes."""
+        """The generator step freezes F (and ``EnsembleVJPTask`` the
+        teachers): their parameters come out with ``requires_grad`` restored
+        and no ``.grad`` from it, and the disagreement gradient at the
+        synthesized batch is, bit for bit, what the graph with every weight
+        gradient attached computes."""
         teachers = _teachers(2)
         reference = self._distiller(iterations=1)
         for teacher in teachers:
@@ -102,7 +103,7 @@ class TestZeroShotDistiller:
 
         teachers = _teachers(2)
         distiller = self._distiller(iterations=1)
-        report = distiller.adversarial_distillation(teachers)
+        report = distiller.adversarial_distillation(dict(enumerate(teachers)))
         assert report["input_gradient_norm"] == expected
         for model in teachers:
             assert all(param.requires_grad and param.grad is None
@@ -117,7 +118,7 @@ class TestZeroShotDistiller:
         teachers = _teachers(1) + [Broken(SHAPE, CLASSES, channels=(4, 8), hidden_size=16)]
         distiller = self._distiller(iterations=1)
         with pytest.raises(RuntimeError, match="teacher failed"):
-            distiller.adversarial_distillation(teachers)
+            distiller.adversarial_distillation(dict(enumerate(teachers)))
         for model in teachers + [distiller.global_model]:
             assert all(param.requires_grad for param in model.parameters())
 
@@ -141,7 +142,7 @@ class TestZeroShotDistiller:
     def test_requires_teachers(self):
         distiller = self._distiller()
         with pytest.raises(ValueError):
-            distiller.adversarial_distillation([])
+            distiller.adversarial_distillation({})
         with pytest.raises(ValueError):
             distiller.transfer_to_devices({})
 
@@ -154,7 +155,7 @@ class TestZeroShotDistiller:
             train_standalone(teacher, tiny_rgb_dataset, epochs=4, lr=0.05, batch_size=16,
                              seed=index)
         distiller = self._distiller(iterations=30)
-        distiller.adversarial_distillation(teachers)
+        distiller.adversarial_distillation(dict(enumerate(teachers)))
         accuracy = evaluate_accuracy(distiller.global_model, tiny_rgb_dataset)
         assert accuracy > 1.5 / CLASSES  # clearly above the 25% chance level
 

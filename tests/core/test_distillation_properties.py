@@ -1,7 +1,7 @@
 """Property-based tests for the ensemble/disagreement algebra (hypothesis).
 
-The serial `ensemble_output` is the reduction the sharded server update
-must reproduce bit for bit, so its algebraic invariants are pinned over
+`ensemble_output` is the reduction the server update's shard tasks must
+reproduce bit for bit, so its algebraic invariants are pinned over
 randomized inputs and weights rather than a handful of fixed examples:
 
 * explicit uniform weights are exactly the paper's default ``1/K`` mean;

@@ -1,13 +1,15 @@
-"""Sharded server update parity: backend-dispatched == in-process, bit for bit.
+"""Server update parity: every shard count on every backend == a reference
+written from the paper's ops on live models, bit for bit.
 
-The sharding contract (ISSUE 3) mirrors the device-side backend contract:
-dispatching the FedZKT server update through an execution backend must be a
-pure performance optimization.  Phase 1 (teacher-ensemble evaluation with
-the autograd path back to the synthesized inputs) and Phase 2 (per-device
-back-transfer) are compared against the serial path with exact equality —
-on model states, optimizer momentum and `DistillationReport` metrics — for
-both the serial backend and a 2-worker process pool.  Whole sharded FedZKT
-runs are rows of ``tests/integration/test_parity_matrix.py``.
+The server update runs only as shard tasks (Phase 1's teacher-ensemble
+evaluation with the autograd path back to the synthesized inputs, Phase 2's
+per-device back-transfer).  The oracle here is not that code:
+``_reference_server_update`` is Algorithm 3 written directly from
+``disagreement_loss`` / ``ensemble_output`` / ``kl_divergence_loss`` on the
+live models.  Model states, optimizer momentum and `DistillationReport`
+losses are compared with exact equality at 1, 2 and 3 shards, on the serial
+backend and a 2-worker process pool.  Whole FedZKT runs are rows of
+``tests/integration/test_parity_matrix.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import ZeroShotDistiller
+from repro.core import ZeroShotDistiller, disagreement_loss, ensemble_output
+from repro.core.distillation import ensemble_mode_for_loss
 from repro.core.server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
@@ -29,6 +32,10 @@ from repro.core.server_tasks import (
 )
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, LeNet, SimpleCNN, build_generator, build_global_model
+from repro.nn import no_grad
+from repro.nn.losses import get_distillation_loss, kl_divergence_loss
+from repro.nn.optim import SGD, Adam, MultiStepLR
+from repro.nn.tensor import Tensor
 
 SHAPE = (3, 8, 8)
 CLASSES = 4
@@ -51,10 +58,78 @@ def _device_models():
     }
 
 
-def _distiller(config, backend=None):
-    global_model = build_global_model(SHAPE, CLASSES, seed=7)
-    generator = build_generator(SHAPE, noise_dim=config.noise_dim, seed=13)
-    return ZeroShotDistiller(global_model, generator, config, seed=17, backend=backend)
+def _server_models(config):
+    return (build_global_model(SHAPE, CLASSES, seed=7),
+            build_generator(SHAPE, noise_dim=config.noise_dim, seed=13))
+
+
+def _distiller(config):
+    return ZeroShotDistiller(*_server_models(config), config, seed=17)
+
+
+def _reference_server_update(config, device_models):
+    """Algorithm 3 on live models, with the distiller's seeds and schedules.
+
+    Returns the global model, the generator, the report's losses and each
+    device's back-transfer momentum."""
+    global_model, generator = _server_models(config)
+    rng, teachers = np.random.default_rng(17), list(device_models.values())
+    iterations = config.distillation_iterations
+    gen_opt = Adam(generator.parameters(), lr=config.generator_lr)
+    glob_opt = SGD(global_model.parameters(), lr=config.global_lr, momentum=0.9)
+    schedules = [MultiStepLR(opt, [max(1, int(iterations * f)) for f in config.lr_decay_milestones],
+                             gamma=config.lr_decay_gamma) for opt in (gen_opt, glob_opt)]
+    loss_name = config.distillation_loss
+    loss_fn, mode = get_distillation_loss(loss_name), ensemble_mode_for_loss(loss_name)
+    gen_losses, glob_losses, norms = [], [], []
+    for teacher in teachers:
+        teacher.eval()
+    for iteration in range(iterations):
+        if iteration % config.global_steps_per_generator_step == 0:
+            synthetic = generator(generator.sample_noise(config.batch_size, rng))
+            synthetic.retain_grad()
+            with frozen_parameters([global_model, *teachers]):
+                loss = disagreement_loss(global_model, teachers, synthetic, loss_name)
+                gen_losses.append(loss.item())
+                gen_opt.zero_grad(set_to_none=False)
+                (loss * -1.0).backward()
+            norms.append(float(np.linalg.norm(synthetic.grad)))
+            gen_opt.step()
+        with no_grad():
+            synthetic = generator(generator.sample_noise(config.batch_size, rng))
+            target = ensemble_output(teachers, synthetic, mode=mode).data
+        loss = loss_fn(global_model(Tensor(synthetic.data)), Tensor(target))
+        glob_opt.zero_grad(set_to_none=False)
+        loss.backward()
+        glob_opt.step()
+        glob_losses.append(loss.item())
+        for schedule in schedules:
+            schedule.step()
+
+    global_model.eval()
+    generator.eval()
+    with no_grad():
+        batches = [generator(generator.sample_noise(config.batch_size, rng))
+                   for _ in range(iterations)]
+        targets = [global_model(batch).softmax(axis=-1).data for batch in batches]
+    momentum, transfer = {}, []
+    for device_id, model in device_models.items():
+        model.train()
+        optimizer = SGD(model.parameters(), lr=config.device_distill_lr, momentum=0.9)
+        for batch, target in zip(batches, targets):
+            loss = kl_divergence_loss(model(Tensor(batch.data)), Tensor(target))
+            optimizer.zero_grad(set_to_none=False)
+            loss.backward()
+            optimizer.step()
+            transfer.append(loss.item())
+        momentum[device_id] = optimizer.velocity_state()
+    # The report reduces the transfer losses iteration-major.
+    transfer = np.reshape(transfer, (len(device_models), iterations)).T.ravel().tolist()
+    report = dict(generator_loss=float(np.mean(gen_losses)),
+                  global_loss=float(np.mean(glob_losses)),
+                  input_gradient_norm=float(np.mean(norms)),
+                  transfer_loss=float(np.mean(transfer)))
+    return global_model, generator, report, momentum
 
 
 def _context_for(device_models):
@@ -71,36 +146,33 @@ def _assert_states_equal(state_a, state_b):
         np.testing.assert_array_equal(state_a[key], state_b[key], err_msg=key)
 
 
-def _run_server_update(backend, server_shards):
-    config = _server_config(server_shards=server_shards)
-    device_models = _device_models()
-    distiller = _distiller(config)
-    if backend is not None:
-        context = _context_for(device_models)
-        backend.start(context)
-        distiller.bind_backend(backend)
-    else:
-        context = None
-    report = distiller.server_update(device_models)
-    return distiller, device_models, report, context
-
-
+@pytest.mark.parametrize("server_shards", [1, 2, 3])
 @pytest.mark.parametrize("backend_factory", [
     SerialBackend,
     lambda: ProcessPoolBackend(max_workers=2),
 ], ids=["serial-backend", "process:2"])
-def test_sharded_server_update_is_bit_identical(backend_factory):
-    _, serial_models, serial_report, _ = _run_server_update(None, 1)
+def test_server_update_matches_the_reference(backend_factory, server_shards):
+    config = _server_config(server_shards=server_shards)
+    reference_models = _device_models()
+    global_model, generator, reference, momentum = _reference_server_update(
+        config, reference_models)
 
-    backend = backend_factory()
-    with backend:
-        sharded_distiller, sharded_models, sharded_report, context = _run_server_update(
-            backend, 2)
+    device_models = _device_models()
+    distiller = _distiller(config)
+    with backend_factory() as backend:
+        context = _context_for(device_models)
+        backend.start(context)
+        distiller.bind_backend(backend)
+        report = distiller.server_update(device_models)
 
-        assert serial_report == sharded_report
-        for device_id in serial_models:
-            _assert_states_equal(serial_models[device_id].state_dict(),
-                                 sharded_models[device_id].state_dict())
+        assert {key: report[key] for key in reference} == reference
+        _assert_states_equal(distiller.global_model.state_dict(), global_model.state_dict())
+        _assert_states_equal(distiller.generator.state_dict(), generator.state_dict())
+        for device_id, model in device_models.items():
+            _assert_states_equal(model.state_dict(), reference_models[device_id].state_dict())
+            velocity = distiller.device_optimizer_for(device_id, model).velocity_state()
+            for ours, theirs in zip(velocity, momentum[device_id]):
+                np.testing.assert_array_equal(ours, theirs)
 
         # The borrowed context models (the live device models on a serial
         # backend) are restored exactly: the server update must not leak
@@ -111,34 +183,30 @@ def test_sharded_server_update_is_bit_identical(backend_factory):
                                  pristine.models[device_id].state_dict())
 
 
-def test_sharded_phases_match_serial_individually():
-    config = _server_config(server_shards=3)
+def test_phases_match_across_shard_counts_individually():
     device_models_a = _device_models()
     device_models_b = _device_models()
-    serial = _distiller(_server_config(server_shards=1))
-    sharded = _distiller(config)
+    one = _distiller(_server_config(server_shards=1))
+    three = _distiller(_server_config(server_shards=3))
     backend = SerialBackend()
     backend.start(_context_for(device_models_b))
-    sharded.bind_backend(backend)
+    three.bind_backend(backend)
 
-    ids = list(device_models_a.keys())
-    report_a = serial.adversarial_distillation(list(device_models_a.values()),
-                                               teacher_ids=ids)
-    report_b = sharded.adversarial_distillation(list(device_models_b.values()),
-                                                teacher_ids=ids)
+    report_a = one.adversarial_distillation(device_models_a)
+    report_b = three.adversarial_distillation(device_models_b)
     assert report_a == report_b
-    _assert_states_equal(serial.global_model.state_dict(), sharded.global_model.state_dict())
-    _assert_states_equal(serial.generator.state_dict(), sharded.generator.state_dict())
+    _assert_states_equal(one.global_model.state_dict(), three.global_model.state_dict())
+    _assert_states_equal(one.generator.state_dict(), three.generator.state_dict())
 
-    report_a = serial.transfer_to_devices(device_models_a)
-    report_b = sharded.transfer_to_devices(device_models_b)
+    report_a = one.transfer_to_devices(device_models_a)
+    report_b = three.transfer_to_devices(device_models_b)
     assert report_a == report_b
-    for device_id in ids:
+    for device_id in device_models_a:
         _assert_states_equal(device_models_a[device_id].state_dict(),
                              device_models_b[device_id].state_dict())
         # Persisted back-transfer momentum matches too (next round stays equal).
-        vel_a = serial.device_optimizer_for(device_id, device_models_a[device_id])
-        vel_b = sharded.device_optimizer_for(device_id, device_models_b[device_id])
+        vel_a = one.device_optimizer_for(device_id, device_models_a[device_id])
+        vel_b = three.device_optimizer_for(device_id, device_models_b[device_id])
         for buffer_a, buffer_b in zip(vel_a.velocity_state(), vel_b.velocity_state()):
             np.testing.assert_array_equal(buffer_a, buffer_b)
 
@@ -152,20 +220,55 @@ def test_partition_shards_contiguous_and_even():
     assert flattened == list(range(11))
 
 
-def test_sharding_inactive_without_backend():
+def test_unbound_distiller_matches_a_serial_backend_bound_one():
+    """Without a simulation the distiller runs its tasks on a private serial
+    backend over the models it is handed; the bits are those of a bound one."""
     config = _server_config(server_shards=4)
-    distiller = _distiller(config)
-    assert not distiller.sharding_active
-    # Runs fine in process when no backend was ever bound.
-    report = distiller.server_update(_device_models())
-    assert np.isfinite(report["transfer_loss"])
+    unbound_models, bound_models = _device_models(), _device_models()
+    unbound, bound = _distiller(config), _distiller(config)
+    backend = SerialBackend()
+    backend.start(_context_for(bound_models))
+    bound.bind_backend(backend)
+    for _ in range(2):
+        assert unbound.server_update(unbound_models) == bound.server_update(bound_models)
+    _assert_states_equal(unbound.global_model.state_dict(), bound.global_model.state_dict())
+    for device_id in unbound_models:
+        _assert_states_equal(unbound_models[device_id].state_dict(),
+                             bound_models[device_id].state_dict())
+
+
+def test_borrowed_replica_keeps_its_own_arrays():
+    """A forward, a VJP and a training distill task load other states into
+    the context replica; afterwards it holds the very same parameter and
+    buffer arrays, with their values, in its own mode."""
+    replica = SimpleCNN(SHAPE, CLASSES, channels=(4, 8), hidden_size=16, seed=0).eval()
+    context = WorkerContext(models={0: replica})
+    arrays = [param.data for param in replica.parameters()] + [
+        buffer for _, buffer in replica.named_buffers()]
+    values = [array.copy() for array in arrays]
+    other = SimpleCNN(SHAPE, CLASSES, channels=(4, 8), hidden_size=16, seed=5)
+    state = other.state_dict()
+    rng = np.random.default_rng(0)
+    inputs = rng.normal(size=(6, *SHAPE))
+    EnsembleForwardTask([0], [state], inputs).run(context)
+    EnsembleVJPTask([0], [state], [1.0], inputs, rng.normal(size=(6, CLASSES))).run(context)
+    velocity = distill_optimizer_state(make_distill_optimizer(other, 0.02, 0.9))
+    result = DeviceDistillTask([0], [state], [velocity], [inputs],
+                               [rng.dirichlet(np.ones(CLASSES), size=6)], lr=0.02).run(context)
+    assert any(np.any(result.states[0][key] != state[key]) for key in state)
+
+    now = [param.data for param in replica.parameters()] + [
+        buffer for _, buffer in replica.named_buffers()]
+    assert all(ours is theirs for ours, theirs in zip(now, arrays))
+    for array, value in zip(now, values):
+        np.testing.assert_array_equal(array, value)
+    assert not replica.training
+    assert all(param.grad is None for param in replica.parameters())
 
 
 def test_server_shards_validation():
     with pytest.raises(ValueError):
         ServerConfig(server_shards=0)
-    assert not ServerConfig().shard_server_update
-    assert ServerConfig(server_shards=2).shard_server_update
 
 
 @pytest.mark.parametrize("raises", [False, True])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import ZeroShotDistiller
+from repro.core import server_tasks
 from repro.core.server_tasks import _fusion_groups, distill_optimizer_state
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, SimpleCNN, build_generator, build_global_model
@@ -46,11 +47,11 @@ def _device_models():
     return models
 
 
-def _distiller(config, fused, backend=None):
+def _distiller(config, fused):
     global_model = build_global_model(SHAPE, CLASSES, seed=7)
     generator = build_generator(SHAPE, noise_dim=config.noise_dim, seed=13)
     return ZeroShotDistiller(global_model, generator, config, seed=17,
-                             backend=backend, cohort_fusion=fused)
+                             cohort_fusion=fused)
 
 
 def _context_for(device_models):
@@ -138,7 +139,8 @@ def test_sharded_fused_transfer_matches_unfused_serial(backend_factory,
     backend = backend_factory()
     with backend:
         backend.start(_context_for(device_models))
-        distiller = _distiller(config, fused=True, backend=backend)
+        distiller = _distiller(config, fused=True)
+        distiller.bind_backend(backend)
         report = distiller.transfer_to_devices(device_models)
 
     assert report == unfused_report
@@ -147,12 +149,25 @@ def test_sharded_fused_transfer_matches_unfused_serial(backend_factory,
                              device_models[device_id].state_dict())
 
 
-def test_fused_server_update_is_bit_identical():
-    # End to end: a full server update (Phase 1 + fused Phase 2).
+def test_fused_server_update_is_bit_identical(monkeypatch):
+    # End to end: a full server update (fused Phase 1 + fused Phase 2), at
+    # the default one shard.
     def _run(fused):
         device_models = _device_models()
         distiller = _distiller(_server_config(), fused)
         report = distiller.server_update(device_models)
         return device_models, report, _optimizer_states(distiller)
 
-    _assert_runs_equal(_run(False), _run(True))
+    unfused = _run(False)
+    stacks = []
+
+    class Recorded(server_tasks.BatchedModule):
+        def __init__(self, template, states, *args, requires_grad=True, **kwargs):
+            stacks.append((len(states), requires_grad))
+            super().__init__(template, states, *args, requires_grad=requires_grad, **kwargs)
+
+    monkeypatch.setattr(server_tasks, "BatchedModule", Recorded)
+    _assert_runs_equal(unfused, _run(True))
+    # Phase 1's forward/VJP tasks (grad-free stacks) ran the four CNN
+    # teachers as one stack; Phase 2 stacked the four students.
+    assert (4, False) in stacks and (4, True) in stacks

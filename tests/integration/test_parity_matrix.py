@@ -398,9 +398,15 @@ def _assert_mode_fired(row: Row, outcome: Outcome, expected: Outcome) -> None:
         # One fused task a round carries all eight; width 3 runs it as 3 + 3 + 2.
         assert tasks["FusedLocalTrainTask"] == rounds(row) and tasks["widest"] == 8
         assert tasks["tiles"] == 3 * rounds(row)
-    shard_tasks = [tasks[name] for name in
-                   ("EnsembleForwardTask", "EnsembleVJPTask", "DeviceDistillTask")]
-    assert all(shard_tasks) if row.shards > 1 else not any(shard_tasks)
+    # The server update is shard tasks at every shard count: each of a
+    # FedZKT row's dispatches splits into ``row.shards`` tasks where its
+    # one-shard oracle's makes one.  No other algorithm dispatches any.
+    shard_tasks = ("EnsembleForwardTask", "EnsembleVJPTask", "DeviceDistillTask")
+    if row.algorithm == "fedzkt":
+        assert all(expected.tasks[name] for name in shard_tasks)
+        assert all(tasks[name] == row.shards * expected.tasks[name] for name in shard_tasks)
+    else:
+        assert not any(tasks[name] for name in shard_tasks)
     if row.scheduler != "sync":
         # Some round aggregates an upload two or more rounds stale: its
         # staleness sums past the count of late uploads.
