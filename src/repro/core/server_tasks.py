@@ -16,7 +16,7 @@ how many tasks a dispatch splits into, and one shard is one task).  State
 payloads arrive either as :class:`~repro.utils.serialization.StateRef`
 handles into the backend's content-addressed state store (teacher states
 and shared synthetic batches, published once and referenced by many tasks)
-or inline as live arrays (a device's own state and optimizer buffers,
+or inline as live arrays (a device's own state and momentum buffers,
 referenced by exactly one task); tasks resolve both uniformly and carry no
 encoding of their own — the backend pickles a task whole.  Execution
 borrows the per-process :class:`~repro.federated.backend.WorkerContext`
@@ -41,14 +41,13 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from ..federated.backend import WorkerContext, _single_array, resolve_arrays, resolve_state
 from ..nn import no_grad
 from ..nn.batched import (
-    BatchedAdam,
     BatchedModule,
     BatchedSGD,
     batched_kl_divergence,
@@ -56,16 +55,13 @@ from ..nn.batched import (
     fusion_signature,
 )
 from ..nn.losses import kl_divergence_loss
-from ..nn.optim import SGD, Adam, Optimizer
+from ..nn.optim import SGD
 from ..nn.tensor import Tensor
 from ..utils.serialization import StateLike, StateRef
 
 __all__ = [
     "partition_shards",
     "borrowed_model",
-    "make_distill_optimizer",
-    "distill_optimizer_state",
-    "load_distill_optimizer_state",
     "distill_group_fused",
     "EnsembleForwardTask",
     "EnsembleVJPTask",
@@ -282,54 +278,21 @@ class EnsembleVJPTask:
         return grads
 
 
-# --------------------------------------------------------------------------- #
-# Phase-2 optimizer plumbing (the driver's persistent optimizers <-> tasks)
-# --------------------------------------------------------------------------- #
-def make_distill_optimizer(model, lr: float, momentum: float,
-                           kind: str = "sgd") -> Optimizer:
-    """The back-transfer optimizer for one device model (``"sgd"``/``"adam"``)."""
-    if kind == "adam":
-        return Adam(model.parameters(), lr=lr)
-    return SGD(model.parameters(), lr=lr, momentum=momentum)
-
-
-def distill_optimizer_state(optimizer: Optimizer) -> List[np.ndarray]:
-    """A back-transfer optimizer's persistent state as a flat array list.
-
-    SGD ships its momentum buffers, Adam its ``[step, m..., v...]`` flat
-    state — both fit the single ``DeviceDistillTask.velocities`` wire slot.
-    """
-    if isinstance(optimizer, Adam):
-        return optimizer.state_arrays()
-    return optimizer.velocity_state()
-
-
-def load_distill_optimizer_state(optimizer: Optimizer,
-                                 arrays: Sequence[np.ndarray]) -> None:
-    """Install a flat state list produced by :func:`distill_optimizer_state`."""
-    if isinstance(optimizer, Adam):
-        optimizer.load_state_arrays(arrays)
-    else:
-        optimizer.load_velocity_state(arrays)
-
-
 def distill_group_fused(template, states: Sequence[Dict[str, np.ndarray]],
                         velocity_lists: Sequence[Sequence[np.ndarray]],
                         inputs: Sequence[np.ndarray],
                         targets: Sequence[np.ndarray],
-                        lr: float, momentum: float, optimizer_kind: str = "sgd",
-                        members=None,
+                        lr: float, momentum: float, members=None,
                         ) -> "tuple[List[Dict[str, np.ndarray]], List[List[np.ndarray]], List[List[float]]]":
     """Distill into a group of same-signature device models in fused loops.
 
     The group runs as consecutive tiles (``nn.batched.cohort_tiles``), each
-    stacked through a :class:`BatchedModule` with the per-device persisted
-    optimizer state loaded into a :class:`BatchedSGD` / :class:`BatchedAdam`
-    (stacked buffers, per-slice Adam step counters), and each replaying
-    every shared synthetic batch once for all its members.  Slice ``b`` of
-    the fused trajectory is bitwise identical to running the serial
-    per-device loop on member ``b`` alone.  Returns the final state dicts,
-    updated flat optimizer states, and per-device loss lists.
+    stacked through a :class:`BatchedModule` with the per-device momentum
+    stacked into a :class:`BatchedSGD`, and each replaying every shared
+    synthetic batch once for all its members.  Slice ``b`` of the fused
+    trajectory is bitwise identical to running the serial per-device loop
+    on member ``b`` alone.  Returns the final state dicts, updated momentum
+    buffers, and per-device loss lists.
     """
     out_states: List[Dict[str, np.ndarray]] = []
     out_velocities: List[List[np.ndarray]] = []
@@ -341,35 +304,21 @@ def distill_group_fused(template, states: Sequence[Dict[str, np.ndarray]],
     for lo, hi in tiles:
         tile = _distill_tile(
             template, states[lo:hi], velocity_lists[lo:hi], inputs, targets,
-            lr, momentum, optimizer_kind,
-            None if members is None else members[lo:hi])
+            lr, momentum, None if members is None else members[lo:hi])
         for collected, part in zip((out_states, out_velocities, losses), tile):
             collected.extend(part)
     return out_states, out_velocities, losses
 
 
 def _distill_tile(template, states, velocity_lists, inputs, targets, lr, momentum,
-                  optimizer_kind, members):
+                  members):
     """One stacked tile of :func:`distill_group_fused` (same returns)."""
     group = len(states)
     module = BatchedModule(template, list(states), members=members)
     module.train()
-    count = len(module.parameters())
-    if optimizer_kind == "adam":
-        optimizer = BatchedAdam(module.parameters(), group, lr=lr)
-        optimizer.load_state({
-            "step": np.array([int(np.asarray(wire[0])) for wire in velocity_lists],
-                             dtype=np.int64),
-            "m": [np.stack([np.asarray(wire[1 + index]) for wire in velocity_lists])
-                  for index in range(count)],
-            "v": [np.stack([np.asarray(wire[1 + count + index]) for wire in velocity_lists])
-                  for index in range(count)],
-        })
-    else:
-        optimizer = BatchedSGD(module.parameters(), group, lr=lr, momentum=momentum)
-        optimizer.load_velocity_state(
-            [np.stack([np.asarray(wire[index]) for wire in velocity_lists])
-             for index in range(count)])
+    optimizer = BatchedSGD(module.parameters(), group, lr=lr, momentum=momentum)
+    # Stacking copies: the caller's buffers are never stepped in place.
+    optimizer.load_velocity_state([np.stack(buffers) for buffers in zip(*velocity_lists)])
 
     losses: List[List[float]] = [[] for _ in range(group)]
     for batch, target in zip(inputs, targets):
@@ -394,53 +343,44 @@ def _distill_tile(template, states, velocity_lists, inputs, targets, lr, momentu
         for member in range(group):
             losses[member].append(float(loss_vec.data[member]))
 
-    out_states = module.state_dicts()
-    if optimizer_kind == "adam":
-        state = optimizer.state()
-        out_velocities = [
-            [np.asarray(int(state["step"][member]), dtype=np.int64)]
-            + [moment[member].copy() for moment in state["m"]]
-            + [moment[member].copy() for moment in state["v"]]
-            for member in range(group)]
-    else:
-        stacked = optimizer.velocity_state()
-        out_velocities = [[buffer[member].copy() for buffer in stacked]
-                          for member in range(group)]
-    return out_states, out_velocities, losses
+    stacked = optimizer.velocity_state()
+    out_velocities = [[buffer[member] for buffer in stacked] for member in range(group)]
+    return module.state_dicts(), out_velocities, losses
 
 
-def distill_students(students: Sequence[Tuple[object, Optimizer]],
+def distill_students(models: Sequence, velocities: Sequence[Sequence[np.ndarray]],
                      inputs: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                     lr: float, momentum: float, optimizer_kind: str = "sgd",
-                     fuse: bool = False) -> List[List[float]]:
+                     lr: float, momentum: float, fuse: bool = False,
+                     ) -> "tuple[List[List[np.ndarray]], List[List[float]]]":
     """Phase 2 for one shard of device models sharing the same synthetic
     batches (the body of :class:`DeviceDistillTask`).
 
-    ``students`` are ``(model, optimizer)`` pairs, each model in train mode
-    holding the state to distill into and each optimizer its persisted
-    state; both are updated in place.  With ``fuse``, same-signature models
-    train through one :func:`distill_group_fused` stacked loop per group
-    (their states and optimizer buffers stacked out of the pairs and written
-    back); every other model runs the per-model KL loop.  Returns each
-    student's per-iteration losses.
+    Each model is in train mode, holds the state to distill into, and is
+    updated in place; ``velocities[i]`` is model ``i``'s SGD momentum, one
+    array per parameter, read but never written.  With ``fuse``,
+    same-signature models train through one :func:`distill_group_fused`
+    stacked loop per group; every other model runs the per-model KL loop.
+    Returns each model's updated momentum and per-iteration losses.
     """
-    losses: List[List[float]] = [None] * len(students)
+    out_velocities: List[List[np.ndarray]] = [None] * len(models)
+    losses: List[List[float]] = [None] * len(models)
     if fuse:
-        for group in _fusion_groups([model for model, _ in students]):
-            members, optimizers = zip(*(students[position] for position in group))
-            states, velocities, group_losses = distill_group_fused(
-                members[0],
-                [model.state_dict() for model in members],
-                [distill_optimizer_state(optimizer) for optimizer in optimizers],
-                inputs, targets, lr, momentum, optimizer_kind, members=members)
+        for group in _fusion_groups(models):
+            members = [models[position] for position in group]
+            states, group_velocities, group_losses = distill_group_fused(
+                members[0], [model.state_dict() for model in members],
+                [velocities[position] for position in group],
+                inputs, targets, lr, momentum, members=members)
             for slot, position in enumerate(group):
                 members[slot].load_state_dict(states[slot])
-                load_distill_optimizer_state(optimizers[slot], velocities[slot])
+                out_velocities[position] = group_velocities[slot]
                 losses[position] = group_losses[slot]
 
-    for position, (model, optimizer) in enumerate(students):
+    for position, model in enumerate(models):
         if losses[position] is not None:
             continue
+        optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
+        optimizer.load_velocity_state(velocities[position])
         losses[position] = []
         for batch, target in zip(inputs, targets):
             student_logits = model(Tensor(batch))
@@ -449,7 +389,8 @@ def distill_students(students: Sequence[Tuple[object, Optimizer]],
             loss.backward()
             optimizer.step()
             losses[position].append(loss.item())
-    return losses
+        out_velocities[position] = optimizer.velocity_state()
+    return out_velocities, losses
 
 
 @dataclass
@@ -459,48 +400,38 @@ class DeviceDistillTask:
     Every device in the shard consumes the *same* per-iteration synthetic
     inputs and teacher targets (precomputed on the driver, so the
     generator/global-model RNG stream does not depend on the sharding) and
-    trains independently with its own persisted optimizer state (SGD
-    momentum by default, Adam moments + per-device step count with
-    ``optimizer="adam"``).  The shard's context replicas are borrowed for
-    the length of the task and handed to :func:`distill_students`.
+    trains independently with SGD from its own persisted momentum
+    (``velocities``, one array per parameter).  The shard's context
+    replicas are borrowed for the length of the task and handed to
+    :func:`distill_students`.
     """
 
     device_ids: List[int]
     states: List[ShardState]
-    velocities: List[Union[StateRef, List[np.ndarray]]]
+    velocities: List[List[np.ndarray]]
     inputs: Union[StateRef, List[np.ndarray]]
     targets: Union[StateRef, List[np.ndarray]]
     lr: float
     momentum: float = 0.9
-    optimizer: str = "sgd"
     fuse: bool = False
 
     def run(self, context: WorkerContext) -> "DeviceDistillResult":
-        inputs = resolve_arrays(self.inputs)
-        targets = resolve_arrays(self.targets)
         with ExitStack() as borrowed:
-            students = []
-            for device_id, state, velocity in zip(self.device_ids, self.states,
-                                                  self.velocities):
-                model = borrowed.enter_context(
-                    borrowed_model(context, device_id, state, train=True))
-                optimizer = make_distill_optimizer(model, self.lr, self.momentum,
-                                                   self.optimizer)
-                load_distill_optimizer_state(optimizer, resolve_arrays(velocity))
-                students.append((model, optimizer))
-            losses = distill_students(students, inputs, targets, self.lr, self.momentum,
-                                      self.optimizer, self.fuse)
+            models = [borrowed.enter_context(borrowed_model(context, device_id, state,
+                                                            train=True))
+                      for device_id, state in zip(self.device_ids, self.states)]
+            velocities, losses = distill_students(
+                models, self.velocities, resolve_arrays(self.inputs),
+                resolve_arrays(self.targets), self.lr, self.momentum, self.fuse)
             return DeviceDistillResult(
                 device_ids=list(self.device_ids),
-                states=[model.state_dict() for model, _ in students],
-                velocities=[distill_optimizer_state(optimizer)
-                            for _, optimizer in students],
-                losses=losses)
+                states=[model.state_dict() for model in models],
+                velocities=velocities, losses=losses)
 
 
 @dataclass
 class DeviceDistillResult:
-    """Updated states, optimizer buffers, and per-iteration losses of a shard."""
+    """Updated states, momentum buffers, and per-iteration losses of a shard."""
 
     device_ids: List[int]
     states: List[StateLike]

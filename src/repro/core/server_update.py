@@ -48,17 +48,14 @@ from ..models.base import ClassificationModel
 from ..models.generator import Generator
 from ..nn import no_grad
 from ..nn.losses import get_distillation_loss
-from ..nn.optim import SGD, Adam, MultiStepLR, Optimizer
+from ..nn.optim import SGD, Adam, MultiStepLR
 from ..nn.tensor import Tensor
 from .distillation import ensemble_mode_for_loss
 from .server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
     EnsembleVJPTask,
-    distill_optimizer_state,
     frozen_parameters,
-    load_distill_optimizer_state,
-    make_distill_optimizer,
     partition_shards,
 )
 
@@ -101,11 +98,10 @@ class ZeroShotDistiller:
         Fuse both phases over same-architecture groups.  Phase 1: shard
         tasks evaluate their same-signature teachers through one stacked
         forward/VJP.  Phase 2 (:func:`~repro.core.server_tasks.distill_students`):
-        same-signature device replicas distill in one stacked loop —
-        per-device persisted optimizer state rides along as stacked
-        momentum (or stacked Adam moments with per-slice step counters).
-        Both are bit-identical to the unfused path; heterogeneous models
-        fall back per model.
+        same-signature device replicas distill in one stacked loop, each
+        device's persisted momentum stacked into one
+        :class:`~repro.nn.batched.BatchedSGD`.  Both are bit-identical to
+        the unfused path; heterogeneous models fall back per model.
     """
 
     def __init__(self, global_model: ClassificationModel, generator: Generator,
@@ -122,10 +118,10 @@ class ZeroShotDistiller:
         self.generator_optimizer = Adam(generator.parameters(), lr=config.generator_lr)
         self.global_optimizer = SGD(global_model.parameters(), lr=config.global_lr,
                                     momentum=0.9)
-        # Device-distill optimizers persist too (keyed by device id), so the
-        # back-transfer momentum carries across rounds instead of silently
-        # resetting every server update.
-        self._device_optimizers: Dict[int, Tuple[ClassificationModel, Optimizer]] = {}
+        # Each device's back-transfer SGD momentum (one array per parameter,
+        # keyed by device id) persists too, so it carries across rounds
+        # instead of silently resetting every server update.
+        self.device_momentum: Dict[int, List[np.ndarray]] = {}
         self.parameter_updates_total = 0
 
     # ------------------------------------------------------------------ #
@@ -172,24 +168,6 @@ class ZeroShotDistiller:
         if ephemerals:
             backend.state_store.discard(list(ephemerals))
         ephemerals.clear()
-
-    def device_optimizer_for(self, device_id: int,
-                             model: ClassificationModel) -> Optimizer:
-        """The persistent back-transfer optimizer for a device model.
-
-        Created lazily per ``config.device_distill_optimizer`` (SGD with
-        momentum 0.9, or Adam); recreated only when the model object for
-        the id changes (the optimizer holds references to the model's
-        parameter tensors).
-        """
-        cached = self._device_optimizers.get(device_id)
-        if cached is None or cached[0] is not model:
-            optimizer = make_distill_optimizer(
-                model, self.config.device_distill_lr, 0.9,
-                self.config.device_distill_optimizer)
-            self._device_optimizers[device_id] = (model, optimizer)
-            return optimizer
-        return cached[1]
 
     # ------------------------------------------------------------------ #
     # Phase 1: device knowledge -> global model (adversarial game, Eq. 2)
@@ -363,10 +341,11 @@ class ZeroShotDistiller:
 
         self.global_model.eval()
         self.generator.eval()
-        optimizers = {
-            device_id: self.device_optimizer_for(device_id, model)
-            for device_id, model in device_models.items()
-        }
+        for device_id, model in device_models.items():
+            # A never-stepped SGD's momentum: zeros in the parameter's dtype.
+            if device_id not in self.device_momentum:
+                self.device_momentum[device_id] = [np.zeros_like(param.data)
+                                                   for param in model.parameters()]
         batches, targets = self._synthesize_batches(iterations)
         # Publish the *shared* batch/target payloads once into the state
         # store (every shard task carries the same ref; each worker fetches
@@ -381,11 +360,9 @@ class ZeroShotDistiller:
         tasks = [DeviceDistillTask(
             device_ids=list(shard),
             states=[device_models[device_id].state_dict() for device_id in shard],
-            velocities=[distill_optimizer_state(optimizers[device_id])
-                        for device_id in shard],
+            velocities=[self.device_momentum[device_id] for device_id in shard],
             inputs=shared_inputs, targets=shared_targets,
             lr=self.config.device_distill_lr, momentum=0.9,
-            optimizer=self.config.device_distill_optimizer,
             fuse=self.cohort_fusion,
         ) for shard in partition_shards(device_models, self.config.server_shards)]
 
@@ -393,8 +370,7 @@ class ZeroShotDistiller:
         for result in backend.run_tasks(tasks):
             for index, device_id in enumerate(result.device_ids):
                 device_models[device_id].load_state_dict(result.states[index])
-                load_distill_optimizer_state(optimizers[device_id],
-                                             result.velocities[index])
+                self.device_momentum[device_id] = result.velocities[index]
                 losses_by_device[device_id] = result.losses[index]
         self._drain(backend, ephemerals)
 
@@ -460,9 +436,7 @@ class ZeroShotDistiller:
         optimizer.lr = base_lr
         milestones = [max(1, int(iterations * fraction))
                       for fraction in self.config.lr_decay_milestones]
-        scheduler = MultiStepLR(optimizer, milestones=milestones, gamma=self.config.lr_decay_gamma)
-        scheduler.base_lr = base_lr
-        return scheduler
+        return MultiStepLR(optimizer, milestones=milestones, gamma=self.config.lr_decay_gamma)
 
     @staticmethod
     def _count_parameters(model) -> int:

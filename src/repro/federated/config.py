@@ -154,13 +154,9 @@ class ServerConfig:
     global_lr:
         SGD learning rate for the global model (paper: 0.01).
     device_distill_lr:
-        Learning rate used when distilling back into on-device models.
-    device_distill_optimizer:
-        Optimizer for the Phase-2 back-transfer: ``"sgd"`` (paper default,
-        momentum 0.9) or ``"adam"``.  Both persist their state across
-        rounds per device, both fuse under ``cohort_fusion`` (``"adam"``
-        via :class:`~repro.nn.batched.BatchedAdam`'s per-slice step
-        counters), and both are bit-identical fused vs. unfused.
+        Learning rate of the back-transfer (Eq. 8): SGD with momentum 0.9
+        distilling the global model into every on-device model, each
+        device's momentum persisting across rounds.
     lr_decay_gamma / lr_decay_milestones:
         Learning-rate decay applied at fractions of the total iterations
         (paper: ×0.3 at 1/2 and 3/4).
@@ -190,7 +186,6 @@ class ServerConfig:
     generator_lr: float = 1e-3
     global_lr: float = 0.01
     device_distill_lr: float = 0.01
-    device_distill_optimizer: str = "sgd"
     lr_decay_gamma: float = 0.3
     lr_decay_milestones: tuple = (0.5, 0.75)
     noise_dim: int = 64
@@ -201,10 +196,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.server_shards < 1:
             raise ValueError("server_shards must be at least 1")
-        if self.device_distill_optimizer not in ("sgd", "adam"):
-            raise ValueError(
-                "device_distill_optimizer must be 'sgd' or 'adam', "
-                f"got {self.device_distill_optimizer!r}")
 
     @property
     def effective_transfer_iterations(self) -> int:
@@ -349,8 +340,6 @@ class FederatedConfig:
             summary["speed_skew"] = self.heterogeneity.speed_skew
             summary["latency_mean"] = self.heterogeneity.latency_mean
             summary["dropout_rate"] = self.heterogeneity.dropout_rate
-        if self.server.device_distill_optimizer != "sgd":
-            summary["device_distill_optimizer"] = self.server.device_distill_optimizer
         if self.cohort_fusion:
             summary["cohort_fusion"] = self.cohort_fusion
         if self.numeric_policy != "float64":

@@ -172,15 +172,6 @@ class Simulation:
         """Whether the strategy tolerates reordered / partial uploads."""
         return self.strategy.supports_reordering
 
-    def __getattr__(self, name: str):
-        # Delegate unknown attributes to the strategy so algorithm-specific
-        # helpers (e.g. FedMD's digest knobs) stay reachable from the
-        # simulation, as they were on the per-algorithm engine classes.
-        strategy = self.__dict__.get("strategy")
-        if strategy is not None and hasattr(strategy, name):
-            return getattr(strategy, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
     # ------------------------------------------------------------------ #
     # Backend plumbing and lifetime
     # ------------------------------------------------------------------ #

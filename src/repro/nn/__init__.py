@@ -9,7 +9,6 @@ and the classification / distillation losses (:mod:`repro.nn.losses`).
 
 from . import batched, buffers, conv, functional, init, losses, optim
 from .batched import (
-    BatchedAdam,
     BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
@@ -44,7 +43,7 @@ from .layers import (
     UpsampleNearest2d,
 )
 from .module import Module, ModuleList, Parameter, Sequential
-from .optim import SGD, Adam, MultiStepLR, StepLR
+from .optim import SGD, Adam, MultiStepLR
 from .tensor import (
     Tensor,
     as_tensor,
@@ -92,8 +91,6 @@ __all__ = [
     "SGD",
     "Adam",
     "MultiStepLR",
-    "StepLR",
-    "BatchedAdam",
     "BatchedEvaluator",
     "BatchedModule",
     "BatchedSGD",

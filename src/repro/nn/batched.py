@@ -53,12 +53,11 @@ from . import layers as layer_types
 from .buffers import fresh_pool
 from .conv import _conv2d
 from .module import Module, _as_floating
-from .optim import SGD, Adam
+from .optim import SGD
 from .policy import policy_dtype
 from .tensor import Tensor, batch_norm, no_grad
 
 __all__ = [
-    "BatchedAdam",
     "BatchedEvaluator",
     "BatchedModule",
     "BatchedSGD",
@@ -676,94 +675,21 @@ class BatchedSGD(SGD):
     def __init__(self, parameters: Sequence[Tensor], batch_size: int, lr: float = 0.01,
                  momentum: float = 0.0, weight_decay: float = 0.0) -> None:
         super().__init__(parameters, lr=lr, momentum=momentum, weight_decay=weight_decay)
-        self.batch_size = _validate_stacked(self.parameters, batch_size)
-
-def _validate_stacked(parameters: Sequence[Tensor], batch_size: int) -> int:
-    size = int(batch_size)
-    for param in parameters:
-        if param.data.shape[0] != size:
-            raise ValueError(
-                f"stacked parameter has leading axis {param.data.shape[0]}, "
-                f"expected cohort size {size}")
-    return size
+        self.batch_size = int(batch_size)
+        for param in self.parameters:
+            if param.data.shape[0] != self.batch_size:
+                raise ValueError(
+                    f"stacked parameter has leading axis {param.data.shape[0]}, "
+                    f"expected cohort size {self.batch_size}")
 
 
-class BatchedAdam(Adam):
-    """Adam over stacked ``(B, *shape)`` parameter blocks.
+class BatchedAdam:
+    """Removed: the back-transfer steps SGD only (:class:`BatchedSGD`).
 
-    Unlike SGD, Adam is *not* purely element-wise across the stack: the
-    bias corrections depend on each slice's step count.  The step counter
-    is therefore a ``(B,)`` vector and the corrections broadcast as
-    ``(B, 1, ...)`` factors, which keeps every ufunc element-wise per slice
-    — slice ``b`` of a fused step is bitwise identical to an independent
-    :class:`~repro.nn.optim.Adam` at step ``steps[b]``.  Corrections are
-    cast to the parameter dtype before dividing, matching the effective
-    precision of the scalar corrections in the serial formulation.
+    The name stays importable because the e2e harness's probe
+    (``benchmarks/e2e/probe.py``) lists it among the optimizer classes whose
+    ``step`` it times; with no ``step`` of its own, the probe skips it.
     """
 
-    def __init__(self, parameters: Sequence[Tensor], batch_size: int, lr: float = 0.001,
-                 betas: Sequence[float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, lr=lr, betas=betas, eps=eps,
-                         weight_decay=weight_decay)
-        self.batch_size = _validate_stacked(self.parameters, batch_size)
-        self._steps = np.zeros(self.batch_size, dtype=np.int64)
-
-    def step(self) -> None:
-        self._steps += 1
-        # Python-float pow per slice: ``np.power(beta, int64_vector)`` takes
-        # numpy's repeated-squaring fast path for integer exponents, which can
-        # differ from libm ``pow`` by 1 ulp — enough to break bit-parity with
-        # the serial optimizer's scalar ``beta ** step``.
-        correction1 = np.array([1.0 - self.beta1 ** int(step)
-                                for step in self._steps])
-        correction2 = np.array([1.0 - self.beta2 ** int(step)
-                                for step in self._steps])
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            scratch = self._scratch_for(index, param)
-            extra = self._scratch2_for(index, param)
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=extra)
-                np.add(extra, grad, out=extra)
-                grad = extra
-            m, v = self._m[index], self._v[index]
-            if m is None:
-                m = self._m[index] = np.zeros_like(param.data)
-                v = self._v[index] = np.zeros_like(param.data)
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(grad, 1 - self.beta1, out=scratch)
-            np.add(m, scratch, out=m)
-            np.multiply(v, self.beta2, out=v)
-            np.power(grad, 2, out=scratch)
-            np.multiply(scratch, 1 - self.beta2, out=scratch)
-            np.add(v, scratch, out=v)
-            shape = (self.batch_size,) + (1,) * (param.data.ndim - 1)
-            c1 = correction1.reshape(shape).astype(param.data.dtype, copy=False)
-            c2 = correction2.reshape(shape).astype(param.data.dtype, copy=False)
-            np.divide(m, c1, out=extra)
-            np.multiply(extra, self.lr, out=extra)
-            np.divide(v, c2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            np.add(scratch, self.eps, out=scratch)
-            np.divide(extra, scratch, out=extra)
-            np.subtract(param.data, extra, out=param.data)
-
-    def state(self) -> dict:
-        """Like :meth:`Adam.state`, with a ``(B,)`` per-slice step vector."""
-        payload = super().state()
-        payload["step"] = self._steps.copy()
-        return payload
-
-    def load_state(self, state: dict) -> None:
-        """Install stacked state; a scalar ``step`` broadcasts to all slices."""
-        steps = np.asarray(state["step"])
-        if steps.ndim == 0:
-            steps = np.full(self.batch_size, int(steps), dtype=np.int64)
-        if steps.shape != (self.batch_size,):
-            raise ValueError(
-                f"expected a ({self.batch_size},) step vector, got shape {steps.shape}")
-        super().load_state({**state, "step": 0})
-        self._steps = steps.astype(np.int64, copy=True)
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("BatchedAdam is removed: Phase 2 runs SGD only (BatchedSGD)")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "LRScheduler", "MultiStepLR", "StepLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "LRScheduler", "MultiStepLR"]
 
 
 class Optimizer:
@@ -113,7 +113,8 @@ class SGD(Optimizer):
 
         Representing an uninitialized buffer as zeros is bit-exact: the next
         ``step`` computes ``momentum * 0 + grad == grad`` either way.  Used
-        by the server update's shard tasks to ship optimizer state to workers.
+        by the server update's Phase-2 task to hand each device's momentum
+        back to the driver.
         Buffers are copied: ``step`` updates them in place, so handing out
         the live arrays would let a later step mutate a shipped snapshot.
         """
@@ -196,63 +197,6 @@ class Adam(Optimizer):
             np.divide(extra, scratch, out=extra)
             np.subtract(param.data, extra, out=param.data)
 
-    def state(self) -> dict:
-        """Optimizer state (step count + first/second-moment buffers).
-
-        Mirrors :meth:`SGD.velocity_state`: never-stepped parameters report
-        zero buffers (bit-exact — the next step computes ``beta*0 + term``
-        either way) and live buffers are copied because ``step`` mutates
-        them in place.
-        """
-        return {
-            "step": int(self._step),
-            "m": [np.zeros_like(param.data) if m is None else m.copy()
-                  for m, param in zip(self._m, self.parameters)],
-            "v": [np.zeros_like(param.data) if v is None else v.copy()
-                  for v, param in zip(self._v, self.parameters)],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Install state previously produced by :meth:`state`.
-
-        Buffers keep each parameter's dtype and are copied, mirroring
-        :meth:`SGD.load_velocity_state`.
-        """
-        moments1 = list(state["m"])
-        moments2 = list(state["v"])
-        if len(moments1) != len(self.parameters) or len(moments2) != len(self.parameters):
-            raise ValueError(
-                f"expected {len(self.parameters)} moment buffers, got "
-                f"{len(moments1)}/{len(moments2)}")
-        self._step = int(state["step"])
-        self._m = [np.array(buffer, dtype=param.data.dtype, copy=True)
-                   for buffer, param in zip(moments1, self.parameters)]
-        self._v = [np.array(buffer, dtype=param.data.dtype, copy=True)
-                   for buffer, param in zip(moments2, self.parameters)]
-
-    def state_arrays(self) -> List[np.ndarray]:
-        """State as a flat array list: ``[step, m..., v...]``.
-
-        This is the wire format that lets Adam ride in the same transport
-        slot as :meth:`SGD.velocity_state` (a plain list of arrays, e.g.
-        ``DeviceDistillTask.velocities``) without a second packing scheme.
-        """
-        state = self.state()
-        return [np.asarray(state["step"], dtype=np.int64)] + state["m"] + state["v"]
-
-    def load_state_arrays(self, arrays: Sequence[np.ndarray]) -> None:
-        """Install state previously produced by :meth:`state_arrays`."""
-        arrays = list(arrays)
-        count = len(self.parameters)
-        if len(arrays) != 1 + 2 * count:
-            raise ValueError(
-                f"expected {1 + 2 * count} state arrays, got {len(arrays)}")
-        self.load_state({
-            "step": int(np.asarray(arrays[0])),
-            "m": arrays[1:1 + count],
-            "v": arrays[1 + count:],
-        })
-
 
 class LRScheduler:
     """Base class for learning-rate schedules attached to an optimizer."""
@@ -289,17 +233,3 @@ class MultiStepLR(LRScheduler):
     def get_lr(self, step: int) -> float:
         passed = sum(1 for milestone in self.milestones if step >= milestone)
         return self.base_lr * (self.gamma ** passed)
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, step: int) -> float:
-        return self.base_lr * (self.gamma ** (step // self.step_size))

@@ -58,9 +58,9 @@ class TestFedMD:
                                  digest_epochs=2)
         device = simulation.devices[0]
         consensus = np.zeros((len(tiny_rgb_dataset), CLASSES))
-        before = simulation._public_logits(device.model)
-        simulation._digest(device, consensus)
-        after = simulation._public_logits(device.model)
+        before = simulation.strategy._public_logits(device.model)
+        simulation.strategy._digest(device, consensus)
+        after = simulation.strategy._public_logits(device.model)
         assert np.abs(after).mean() < np.abs(before).mean()
 
     def test_requires_devices(self, micro_config, tiny_rgb_dataset, tiny_test_dataset):

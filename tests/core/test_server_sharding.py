@@ -25,9 +25,7 @@ from repro.core.server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
     EnsembleVJPTask,
-    distill_optimizer_state,
     frozen_parameters,
-    make_distill_optimizer,
     partition_shards,
 )
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
@@ -170,7 +168,8 @@ def test_server_update_matches_the_reference(backend_factory, server_shards):
         _assert_states_equal(distiller.generator.state_dict(), generator.state_dict())
         for device_id, model in device_models.items():
             _assert_states_equal(model.state_dict(), reference_models[device_id].state_dict())
-            velocity = distiller.device_optimizer_for(device_id, model).velocity_state()
+            velocity = distiller.device_momentum[device_id]
+            assert len(velocity) == len(momentum[device_id])
             for ours, theirs in zip(velocity, momentum[device_id]):
                 np.testing.assert_array_equal(ours, theirs)
 
@@ -205,9 +204,8 @@ def test_phases_match_across_shard_counts_individually():
         _assert_states_equal(device_models_a[device_id].state_dict(),
                              device_models_b[device_id].state_dict())
         # Persisted back-transfer momentum matches too (next round stays equal).
-        vel_a = one.device_optimizer_for(device_id, device_models_a[device_id])
-        vel_b = three.device_optimizer_for(device_id, device_models_b[device_id])
-        for buffer_a, buffer_b in zip(vel_a.velocity_state(), vel_b.velocity_state()):
+        for buffer_a, buffer_b in zip(one.device_momentum[device_id],
+                                      three.device_momentum[device_id]):
             np.testing.assert_array_equal(buffer_a, buffer_b)
 
 
@@ -252,7 +250,7 @@ def test_borrowed_replica_keeps_its_own_arrays():
     inputs = rng.normal(size=(6, *SHAPE))
     EnsembleForwardTask([0], [state], inputs).run(context)
     EnsembleVJPTask([0], [state], [1.0], inputs, rng.normal(size=(6, CLASSES))).run(context)
-    velocity = distill_optimizer_state(make_distill_optimizer(other, 0.02, 0.9))
+    velocity = [np.zeros_like(param.data) for param in other.parameters()]
     result = DeviceDistillTask([0], [state], [velocity], [inputs],
                                [rng.dirichlet(np.ones(CLASSES), size=6)], lr=0.02).run(context)
     assert any(np.any(result.states[0][key] != state[key]) for key in state)
@@ -293,12 +291,12 @@ def test_frozen_parameters_gives_each_parameter_its_own_flag_back(raises):
     assert others and all(param.requires_grad for param in others)
 
 
-class TestPersistentDeviceDistillOptimizers:
-    """Pin the Phase-2 optimizer fix: back-transfer momentum must carry
+class TestPersistentDeviceMomentum:
+    """Pin the Phase-2 momentum fix: back-transfer momentum must carry
     across server updates instead of silently resetting every round."""
 
     def test_two_single_iteration_calls_equal_one_two_iteration_call(self):
-        # With persistent optimizers, splitting the transfer across calls is
+        # With persistent momentum, splitting the transfer across calls is
         # invisible: same RNG stream + same momentum state => same models.
         split = _distiller(_server_config())
         merged = _distiller(_server_config())
@@ -313,24 +311,24 @@ class TestPersistentDeviceDistillOptimizers:
             _assert_states_equal(models_split[device_id].state_dict(),
                                  models_merged[device_id].state_dict())
 
-    def test_optimizer_objects_persist_across_calls(self):
+    def test_momentum_persists_across_calls(self):
+        # Each call replaces a device's momentum with what its task handed
+        # back; the arrays the driver held are read, never stepped in place.
         distiller = _distiller(_server_config())
         models = _device_models()
         distiller.transfer_to_devices(models, iterations=1)
-        first = {device_id: distiller.device_optimizer_for(device_id, model)
-                 for device_id, model in models.items()}
+        held = dict(distiller.device_momentum)
+        snapshots = {device_id: [buffer.copy() for buffer in buffers]
+                     for device_id, buffers in held.items()}
         distiller.transfer_to_devices(models, iterations=1)
-        for device_id, model in models.items():
-            assert distiller.device_optimizer_for(device_id, model) is first[device_id]
-            velocity = first[device_id].velocity_state()
-            assert any(np.any(buffer != 0) for buffer in velocity)
-
-    def test_optimizer_recreated_when_model_object_changes(self):
-        distiller = _distiller(_server_config())
-        model = SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=5)
-        optimizer = distiller.device_optimizer_for(0, model)
-        replacement = SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=6)
-        assert distiller.device_optimizer_for(0, replacement) is not optimizer
+        assert set(held) == set(distiller.device_momentum) == set(models)
+        for device_id, buffers in held.items():
+            assert len(buffers) == len(models[device_id].parameters())
+            assert any(np.any(buffer != 0) for buffer in buffers)
+            for buffer, snapshot in zip(buffers, snapshots[device_id]):
+                np.testing.assert_array_equal(buffer, snapshot)
+            assert any(np.any(new != old) for new, old in
+                       zip(distiller.device_momentum[device_id], buffers))
 
 
 # --------------------------------------------------------------------------- #
@@ -373,9 +371,7 @@ class TestTiledShardTasks:
             np.testing.assert_array_equal(ours, theirs)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
-    @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
-    def test_phase2_distillation_and_its_optimizer_state(self, width, optimizer_kind,
-                                                         force_tile_width):
+    def test_phase2_distillation_and_its_momentum(self, width, force_tile_width):
         models = _homogeneous_cohort()
         context = _context_for(models)
         ids = list(models)
@@ -385,14 +381,13 @@ class TestTiledShardTasks:
 
         def run(fuse):
             # Two dispatches, the second resuming from the first's states and
-            # flat optimizer state, as consecutive rounds do.
+            # momentum, as consecutive rounds do.
             states = [models[device_id].state_dict() for device_id in ids]
-            velocities = [distill_optimizer_state(make_distill_optimizer(
-                models[device_id], 0.02, 0.9, optimizer_kind)) for device_id in ids]
+            velocities = [[np.zeros_like(param.data) for param in models[device_id].parameters()]
+                          for device_id in ids]
             for _ in range(2):
                 result = DeviceDistillTask(ids, states, velocities, batches, targets,
-                                           lr=0.02, optimizer=optimizer_kind,
-                                           fuse=fuse).run(context)
+                                           lr=0.02, fuse=fuse).run(context)
                 states, velocities = result.states, result.velocities
             return result
 

@@ -1,13 +1,12 @@
 """Fused Phase-2 back-transfer parity: fused == unfused, bit for bit.
 
-ISSUE 7's second tentpole leg: when ``cohort_fusion`` is enabled, devices
-whose models share a fusion signature are distilled as one stacked
-:class:`BatchedModule` over the shared synthetic batches, with their
-persisted optimizer state stacked into :class:`BatchedSGD` /
-:class:`BatchedAdam`.  The contract is exact equality with the historical
-per-device loop — on model states, persisted optimizer state (momentum or
-Adam moments + step counts), and the `DistillationReport` — including
-across resume boundaries and through sharded backends.
+When ``cohort_fusion`` is enabled, devices whose models share a fusion
+signature are distilled as one stacked :class:`BatchedModule` over the
+shared synthetic batches, with their persisted SGD momentum stacked into
+:class:`BatchedSGD`.  The contract is exact equality with the historical
+per-device loop — on model states, the distiller's ``device_momentum``,
+and the `DistillationReport` — including across resume boundaries,
+through sharded backends, and under the float32 numeric policy.
 """
 
 from __future__ import annotations
@@ -19,9 +18,10 @@ import pytest
 
 from repro.core import ZeroShotDistiller
 from repro.core import server_tasks
-from repro.core.server_tasks import _fusion_groups, distill_optimizer_state
+from repro.core.server_tasks import _fusion_groups
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, SimpleCNN, build_generator, build_global_model
+from repro.nn import using_numeric_policy
 
 SHAPE = (3, 8, 8)
 CLASSES = 4
@@ -65,37 +65,31 @@ def _assert_states_equal(state_a, state_b):
         np.testing.assert_array_equal(state_a[key], state_b[key], err_msg=key)
 
 
-def _optimizer_states(distiller):
-    return {device_id: distill_optimizer_state(optimizer)
-            for device_id, (_, optimizer) in distiller._device_optimizers.items()}
-
-
 def _assert_runs_equal(run_a, run_b):
-    models_a, report_a, opt_a = run_a
-    models_b, report_b, opt_b = run_b
+    models_a, report_a, momentum_a = run_a
+    models_b, report_b, momentum_b = run_b
     assert report_a == report_b
     assert set(models_a) == set(models_b)
     for device_id in models_a:
         _assert_states_equal(models_a[device_id].state_dict(),
                              models_b[device_id].state_dict())
-    assert set(opt_a) == set(opt_b)
-    for device_id in opt_a:
-        assert len(opt_a[device_id]) == len(opt_b[device_id])
-        for array_a, array_b in zip(opt_a[device_id], opt_b[device_id]):
+    assert set(momentum_a) == set(momentum_b)
+    for device_id in momentum_a:
+        assert len(momentum_a[device_id]) == len(momentum_b[device_id])
+        for array_a, array_b in zip(momentum_a[device_id], momentum_b[device_id]):
             assert np.asarray(array_a).dtype == np.asarray(array_b).dtype
             np.testing.assert_array_equal(array_a, array_b)
 
 
-def _run_transfer(optimizer_kind, fused, transfers=(None,)):
+def _run_transfer(fused, transfers=(None,)):
     """Run ``transfer_to_devices`` once per entry of ``transfers`` (an
     iteration count, or None for the config default) on one distiller, so
-    persisted optimizer state carries across calls."""
-    config = _server_config(device_distill_optimizer=optimizer_kind)
+    persisted momentum carries across calls."""
     device_models = _device_models()
-    distiller = _distiller(config, fused)
+    distiller = _distiller(_server_config(), fused)
     for iterations in transfers:
         report = distiller.transfer_to_devices(device_models, iterations=iterations)
-    return device_models, report, _optimizer_states(distiller)
+    return device_models, report, distiller.device_momentum
 
 
 def test_cohort_is_actually_fusable():
@@ -104,37 +98,34 @@ def test_cohort_is_actually_fusable():
     assert _fusion_groups(list(_device_models().values())) == [[0, 1, 2, 3]]
 
 
-@pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
-def test_fused_transfer_is_bit_identical(optimizer_kind):
-    unfused = _run_transfer(optimizer_kind, fused=False)
-    fused = _run_transfer(optimizer_kind, fused=True)
-    _assert_runs_equal(unfused, fused)
+def test_fused_transfer_is_bit_identical():
+    _assert_runs_equal(_run_transfer(fused=False), _run_transfer(fused=True))
 
 
-@pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
-def test_fused_transfer_resumes_bit_identically(optimizer_kind):
+@pytest.mark.parametrize("policy", ["float64", "float32"])
+def test_fused_transfer_resumes_bit_identically(policy):
     # Two fused 1-iteration transfers == one unfused 2-iteration transfer:
-    # the stacked optimizer state (momentum, or Adam moments + per-slice
-    # step counts) round-trips losslessly across the resume boundary.
-    split = _run_transfer(optimizer_kind, fused=True, transfers=(1, 1))
-    merged = _run_transfer(optimizer_kind, fused=False, transfers=(2,))
-    split_models, _, split_opt = split
-    merged_models, _, merged_opt = merged
-    _assert_runs_equal((split_models, None, split_opt),
-                       (merged_models, None, merged_opt))
+    # the stacked momentum round-trips losslessly across the resume boundary.
+    # The driver creates each device's zero momentum itself, in its
+    # parameters' dtype, and every buffer a task hands back keeps that dtype.
+    with using_numeric_policy(policy):
+        split_models, _, split_momentum = _run_transfer(fused=True, transfers=(1, 1))
+        merged_models, _, merged_momentum = _run_transfer(fused=False, transfers=(2,))
+    _assert_runs_equal((split_models, None, split_momentum),
+                       (merged_models, None, merged_momentum))
+    assert len(split_momentum) == len(split_models)
+    for buffers in split_momentum.values():
+        assert buffers and all(buffer.dtype == np.dtype(policy) for buffer in buffers)
 
 
-@pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
 @pytest.mark.parametrize("backend_factory", [
     SerialBackend,
     lambda: ProcessPoolBackend(max_workers=2),
 ], ids=["serial-backend", "process:2"])
-def test_sharded_fused_transfer_matches_unfused_serial(backend_factory,
-                                                       optimizer_kind):
-    unfused_models, unfused_report, _ = _run_transfer(optimizer_kind, fused=False)
+def test_sharded_fused_transfer_matches_unfused_serial(backend_factory):
+    unfused_models, unfused_report, _ = _run_transfer(fused=False)
 
-    config = _server_config(device_distill_optimizer=optimizer_kind,
-                            server_shards=2)
+    config = _server_config(server_shards=2)
     device_models = _device_models()
     backend = backend_factory()
     with backend:
@@ -156,7 +147,7 @@ def test_fused_server_update_is_bit_identical(monkeypatch):
         device_models = _device_models()
         distiller = _distiller(_server_config(), fused)
         report = distiller.server_update(device_models)
-        return device_models, report, _optimizer_states(distiller)
+        return device_models, report, distiller.device_momentum
 
     unfused = _run(False)
     stacks = []

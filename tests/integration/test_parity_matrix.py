@@ -77,14 +77,13 @@ class Row:
     shards: int = 1
     fusion: bool = False
     tile: Optional[int] = None  # forced cohort tile width
-    optimizer: str = "sgd"      # Phase-2 device-distill optimizer
     policy: str = "float64"
     poison: bool = False
 
     @property
     def oracle(self) -> "Row":
         return Row(self.algorithm, self.population, self.scheduler, self.participation,
-                   optimizer=self.optimizer, policy=self.policy)
+                   policy=self.policy)
 
     def __str__(self) -> str:
         default = Row(self.algorithm, self.population)
@@ -175,8 +174,7 @@ def _simulation(row: Row, backend: ExecutionBackend) -> Simulation:
         base, num_devices=population.devices, participation_fraction=row.participation,
         cohort_fusion=row.fusion, numeric_policy=row.policy,
         prox_mu=PROX_MU if row.algorithm == "fedprox" else 0.0,
-        server=replace(base.server, server_shards=row.shards,
-                       device_distill_optimizer=row.optimizer),
+        server=replace(base.server, server_shards=row.shards),
         scheduler=SchedulerConfig(kind=row.scheduler),  # deadline 1.5, buffer of 2
         heterogeneity=(HeterogeneityConfig(speed_skew=4.0, latency_mean=0.1)
                        if row.scheduler != "sync" else HeterogeneityConfig()))
@@ -326,7 +324,7 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     *_grid(Row("fedmd", "cnn", fusion=True), tile=[1, 3]),
     # FedZKT on one architecture: fused Phase 1 shards and Phase 2 transfer.
     *_grid(Row("fedzkt", "cnn", fusion=True), shards=[1, 2], tile=[None, 1, 3]),
-    Row("fedzkt", "cnn", fusion=True, optimizer="adam", shards=2, backend=P2),
+    Row("fedzkt", "cnn", fusion=True, shards=2, backend=P2),
     # Evaluation dedup: every algorithm x sync/deadline x fusion x backend.
     *[row for algorithm in ("fedavg", "fedmd", "fedzkt")
       for row in _grid(Row(algorithm, "cnn"), scheduler=["sync", "deadline"],

@@ -163,46 +163,3 @@ class TestAdamInPlaceParity:
                                  weight_decay, moments, step)
             for actual, expected in zip(params, reference):
                 np.testing.assert_array_equal(actual.data, expected.data)
-
-    def test_state_roundtrip_resume_is_bitwise(self):
-        rng = np.random.default_rng(2)
-        params, resumed = _param_pair(rng)
-        optimizer = Adam(params, lr=0.002)
-        other = Adam(resumed, lr=0.002)
-        for _ in range(4):
-            _seed_grads(params, resumed, rng)
-            optimizer.step()
-            other.step()
-        fresh = Adam(resumed, lr=0.002)
-        fresh.load_state(other.state())
-        assert fresh._step == other._step
-        for _ in range(4):
-            _seed_grads(params, resumed, rng)
-            optimizer.step()
-            fresh.step()
-            for actual, expected in zip(params, resumed):
-                np.testing.assert_array_equal(actual.data, expected.data)
-
-    def test_state_returns_copies_and_zero_defaults(self):
-        params = [Tensor(np.ones(3), requires_grad=True)]
-        optimizer = Adam(params, lr=0.01)
-        state = optimizer.state()
-        assert state["step"] == 0
-        np.testing.assert_array_equal(state["m"][0], np.zeros(3))
-        params[0].grad = np.ones(3)
-        optimizer.step()
-        snapshot = optimizer.state()
-        params[0].grad = np.ones(3)
-        optimizer.step()  # in-place moment update must not touch the snapshot
-        assert not np.array_equal(snapshot["m"][0], optimizer.state()["m"][0])
-
-    def test_load_state_preserves_param_dtype_and_validates(self):
-        params = [Tensor(np.ones(3))]
-        params[0].data = params[0].data.astype(np.float32)
-        optimizer = Adam(params, lr=0.01)
-        optimizer.load_state({"step": 3, "m": [np.ones(3)], "v": [np.ones(3)]})
-        assert optimizer._step == 3
-        assert optimizer._m[0].dtype == np.float32
-        assert optimizer._v[0].dtype == np.float32
-        with pytest.raises(ValueError, match="moment buffers"):
-            optimizer.load_state({"step": 0, "m": [], "v": []})

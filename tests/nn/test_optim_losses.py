@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Linear, MultiStepLR, ReLU, Sequential, StepLR, Tensor
+from repro.nn import SGD, Adam, Linear, MultiStepLR, ReLU, Sequential, Tensor
 from repro.nn.functional import (
     accuracy,
     clip_grad_norm,
@@ -100,18 +100,6 @@ class TestSchedulers:
         scheduler = MultiStepLR(optimizer, milestones=[2, 4], gamma=0.1)
         lrs = [scheduler.step() for _ in range(5)]
         np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01, 0.01])
-
-    def test_steplr(self):
-        param = Tensor(np.array([1.0]), requires_grad=True)
-        optimizer = SGD([param], lr=1.0)
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.5)
-        lrs = [scheduler.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [1.0, 0.5, 0.5, 0.25])
-
-    def test_steplr_validation(self):
-        param = Tensor(np.array([1.0]), requires_grad=True)
-        with pytest.raises(ValueError):
-            StepLR(SGD([param], lr=1.0), step_size=0)
 
 
 class TestClassificationLosses:
