@@ -63,6 +63,19 @@ class TestFedMD:
         after = simulation.strategy._public_logits(device.model)
         assert np.abs(after).mean() < np.abs(before).mean()
 
+    def test_strategy_helpers_are_not_simulation_attributes(self, micro_config,
+                                                            tiny_rgb_dataset, tiny_test_dataset):
+        # A simulation forwards nothing: strategy internals are reached
+        # through ``simulation.strategy``.
+        simulation = build_fedmd(tiny_rgb_dataset, tiny_test_dataset, tiny_rgb_dataset,
+                                 micro_config, family="small",
+                                 device_models=[SimpleCNN(SHAPE, CLASSES, channels=(4,),
+                                                          hidden_size=8, seed=i)
+                                                for i in range(micro_config.num_devices)])
+        assert hasattr(simulation.strategy, "_digest")
+        with pytest.raises(AttributeError, match="'Simulation' object has no attribute '_digest'"):
+            simulation._digest
+
     def test_requires_devices(self, micro_config, tiny_rgb_dataset, tiny_test_dataset):
         with pytest.raises(ValueError):
             Simulation([], micro_config, tiny_test_dataset, FedMDStrategy(tiny_rgb_dataset))

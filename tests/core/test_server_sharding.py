@@ -30,7 +30,7 @@ from repro.core.server_tasks import (
 )
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, LeNet, SimpleCNN, build_generator, build_global_model
-from repro.nn import no_grad
+from repro.nn import no_grad, using_numeric_policy
 from repro.nn.losses import get_distillation_loss, kl_divergence_loss
 from repro.nn.optim import SGD, Adam, MultiStepLR
 from repro.nn.tensor import Tensor
@@ -329,6 +329,61 @@ class TestPersistentDeviceMomentum:
                 np.testing.assert_array_equal(buffer, snapshot)
             assert any(np.any(new != old) for new, old in
                        zip(distiller.device_momentum[device_id], buffers))
+
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    def test_a_first_transfer_starts_from_zero_momentum(self, policy):
+        # A device's first transfer starts from what a never-stepped SGD
+        # holds: one zero array per parameter, in the parameter's dtype.
+        with using_numeric_policy(policy):
+            distiller = _distiller(_server_config())
+            models = _device_models()
+            before = {device_id: model.state_dict() for device_id, model in models.items()}
+            assert distiller.device_momentum == {}
+            report = distiller.transfer_to_devices(models, iterations=0)
+        assert report == {"transfer_loss": 0.0, "parameter_updates": 0}
+        assert set(distiller.device_momentum) == set(models)
+        for device_id, model in models.items():
+            buffers = distiller.device_momentum[device_id]
+            params = model.parameters()
+            assert len(buffers) == len(params)
+            for buffer, param in zip(buffers, params):
+                assert buffer.shape == param.data.shape
+                assert buffer.dtype == param.data.dtype == np.dtype(policy)
+                assert not np.any(buffer)
+            _assert_states_equal(model.state_dict(), before[device_id])
+
+    def test_momentum_follows_device_ids_not_dict_order(self):
+        # Every device consumes the same synthetic batches, so handing the
+        # replicas over in another order changes nothing any id holds.
+        forward, backward = _distiller(_server_config()), _distiller(_server_config())
+        models_forward = _device_models()
+        models_backward = dict(reversed(list(_device_models().items())))
+        for _ in range(2):
+            forward.transfer_to_devices(models_forward, iterations=1)
+            backward.transfer_to_devices(models_backward, iterations=1)
+        assert list(backward.device_momentum) == list(models_backward)
+        for device_id, model in models_forward.items():
+            _assert_states_equal(model.state_dict(), models_backward[device_id].state_dict())
+            for ours, theirs in zip(forward.device_momentum[device_id],
+                                    backward.device_momentum[device_id]):
+                np.testing.assert_array_equal(ours, theirs)
+
+
+def test_each_server_update_restarts_the_schedules_at_the_config_rates():
+    # The previous round left both optimizers at a decayed rate; the next
+    # round's schedules start again from the configured ones.
+    config = _server_config(distillation_iterations=8)
+    distiller = _distiller(config)
+    for optimizer, base_lr in ((distiller.generator_optimizer, config.generator_lr),
+                               (distiller.global_optimizer, config.global_lr)):
+        optimizer.lr = base_lr * 1e-3
+        scheduler = distiller._make_scheduler(optimizer, 8, base_lr)
+        assert scheduler.base_lr == optimizer.lr == base_lr
+        milestones = [max(1, int(8 * fraction)) for fraction in config.lr_decay_milestones]
+        expected = [base_lr * config.lr_decay_gamma ** sum(step >= m for m in milestones)
+                    for step in range(1, 9)]
+        assert [scheduler.step() for _ in range(8)] == expected
+        assert optimizer.lr == expected[-1] < base_lr
 
 
 # --------------------------------------------------------------------------- #

@@ -162,3 +162,109 @@ def test_fused_server_update_is_bit_identical(monkeypatch):
     # Phase 1's forward/VJP tasks (grad-free stacks) ran the four CNN
     # teachers as one stack; Phase 2 stacked the four students.
     assert (4, False) in stacks and (4, True) in stacks
+
+
+# --------------------------------------------------------------------------- #
+# distill_students: the Phase-2 task body, on plain momentum lists
+# --------------------------------------------------------------------------- #
+def _distill_inputs(iterations=2, seed=6):
+    rng = np.random.default_rng(seed)
+    batches = [rng.normal(size=(6, *SHAPE)) for _ in range(iterations)]
+    targets = [rng.dirichlet(np.ones(CLASSES), size=6) for _ in range(iterations)]
+    return batches, targets
+
+
+def _students(seed=8):
+    """The fusable cohort in train mode, each with nonzero starting momentum."""
+    models = list(_device_models().values())
+    rng = np.random.default_rng(seed)
+    velocities = []
+    for model in models:
+        model.train()
+        velocities.append([(0.1 * rng.normal(size=param.data.shape)).astype(param.data.dtype)
+                           for param in model.parameters()])
+    return models, velocities
+
+
+def _distill(models, velocities, batches, targets, fuse):
+    return server_tasks.distill_students(models, velocities, batches, targets,
+                                         lr=0.02, momentum=0.9, fuse=fuse)
+
+
+def _assert_momentum_equal(velocities_a, velocities_b):
+    assert len(velocities_a) == len(velocities_b)
+    for buffers_a, buffers_b in zip(velocities_a, velocities_b):
+        assert len(buffers_a) == len(buffers_b)
+        for array_a, array_b in zip(buffers_a, buffers_b):
+            assert array_a.dtype == array_b.dtype
+            np.testing.assert_array_equal(array_a, array_b)
+
+
+@pytest.mark.parametrize("policy", ["float64", "float32"])
+def test_distill_students_fused_equals_per_model(policy):
+    with using_numeric_policy(policy):
+        batches, targets = _distill_inputs()
+        serial_models, serial_velocities = _students()
+        fused_models, fused_velocities = _students()
+        serial = _distill(serial_models, serial_velocities, batches, targets, fuse=False)
+        fused = _distill(fused_models, fused_velocities, batches, targets, fuse=True)
+    assert fused[1] == serial[1]
+    _assert_momentum_equal(fused[0], serial[0])
+    for buffers in fused[0]:
+        assert all(buffer.dtype == np.dtype(policy) for buffer in buffers)
+    for fused_model, serial_model in zip(fused_models, serial_models):
+        _assert_states_equal(fused_model.state_dict(), serial_model.state_dict())
+
+
+@pytest.mark.parametrize("fuse", [False, True], ids=["per-model", "fused"])
+def test_distill_students_never_writes_the_callers_momentum(fuse):
+    batches, targets = _distill_inputs()
+    models, velocities = _students()
+    snapshots = [[buffer.copy() for buffer in buffers] for buffers in velocities]
+    returned, _ = _distill(models, velocities, batches, targets, fuse)
+    _assert_momentum_equal(velocities, snapshots)
+    for given, handed_back in zip(velocities, returned):
+        for buffer, new in zip(given, handed_back):
+            assert not np.shares_memory(buffer, new)
+            assert np.any(new != buffer)
+
+
+@pytest.mark.parametrize("fuse", [False, True], ids=["per-model", "fused"])
+def test_distill_students_resumes_from_the_momentum_it_returns(fuse):
+    # Two one-batch calls, the second fed the first's momentum, equal one
+    # two-batch call: the returned lists are the whole optimizer state.
+    batches, targets = _distill_inputs()
+    split_models, velocities = _students()
+    merged_models, merged_velocities = _students()
+    split_losses = []
+    for batch, target in zip(batches, targets):
+        velocities, losses = _distill(split_models, velocities, [batch], [target], fuse)
+        split_losses.append(losses)
+    merged_velocities, merged_losses = _distill(merged_models, merged_velocities,
+                                                batches, targets, fuse)
+    assert [sum(per_call, []) for per_call in zip(*split_losses)] == merged_losses
+    _assert_momentum_equal(velocities, merged_velocities)
+    for split_model, merged_model in zip(split_models, merged_models):
+        _assert_states_equal(split_model.state_dict(), merged_model.state_dict())
+
+
+@pytest.mark.parametrize("fuse", [False, True], ids=["per-model", "fused"])
+def test_distill_students_without_batches_changes_nothing(fuse):
+    models, velocities = _students()
+    before = [model.state_dict() for model in models]
+    returned, losses = _distill(models, velocities, [], [], fuse)
+    assert losses == [[] for _ in models]
+    _assert_momentum_equal(returned, velocities)
+    for model, state in zip(models, before):
+        _assert_states_equal(model.state_dict(), state)
+
+
+@pytest.mark.parametrize("fuse", [False, True], ids=["per-model", "fused"])
+def test_distill_students_rejects_a_short_momentum_list(fuse):
+    # Model 0 is a CNN: with fusion it is stacked with three others, whose
+    # lists are then zipped against its short one.
+    batches, targets = _distill_inputs(iterations=1)
+    models, velocities = _students()
+    velocities[0] = velocities[0][:-1]
+    with pytest.raises(ValueError, match="momentum buffers"):
+        _distill(models, velocities, batches, targets, fuse)

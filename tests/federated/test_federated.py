@@ -187,6 +187,13 @@ class TestConfig:
         assert server.effective_transfer_iterations == 9
         assert ServerConfig(distillation_iterations=9, transfer_iterations=3).effective_transfer_iterations == 3
 
+    def test_back_transfer_optimizer_is_not_configurable(self):
+        # Phase 2 steps SGD only: the removed knob is an unknown argument,
+        # and no optimizer appears in the flat description.
+        with pytest.raises(TypeError, match="device_distill_optimizer"):
+            ServerConfig(device_distill_optimizer="adam")
+        assert not any("optimizer" in key for key in FederatedConfig(num_devices=2).describe())
+
 
 class TestMetrics:
     def test_model_size_and_compute_estimate(self, tiny_rgb_dataset):

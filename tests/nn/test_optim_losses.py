@@ -101,6 +101,17 @@ class TestSchedulers:
         lrs = [scheduler.step() for _ in range(5)]
         np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01, 0.01])
 
+    def test_multistep_reads_its_base_rate_from_the_optimizer(self):
+        # Milestones may come in any order; the schedule starts from the
+        # optimizer's rate when the scheduler is built.
+        param = Tensor(np.array([1.0]), requires_grad=True)
+        optimizer = SGD([param], lr=2.0)
+        optimizer.lr = 0.5
+        scheduler = MultiStepLR(optimizer, milestones=[3, 1], gamma=0.5)
+        assert scheduler.base_lr == 0.5 and scheduler.milestones == [1, 3]
+        assert [scheduler.step() for _ in range(4)] == [0.25, 0.25, 0.125, 0.125]
+        assert optimizer.lr == 0.125
+
 
 class TestClassificationLosses:
     def test_one_hot(self):
