@@ -63,14 +63,12 @@ def _smooth_field(rng: np.random.Generator, channels: int, height: int, width: i
     reps_h = int(np.ceil(height / low_h))
     reps_w = int(np.ceil(width / low_w))
     field = np.repeat(np.repeat(coarse, reps_h, axis=1), reps_w, axis=2)[:, :height, :width]
-    kernel = np.ones((3, 3)) / 9.0
-    blurred = np.empty_like(field)
-    padded = np.pad(field, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    for c in range(channels):
-        for i in range(height):
-            for j in range(width):
-                blurred[c, i, j] = np.sum(padded[c, i:i + 3, j:j + 3] * kernel)
-    return blurred
+    # 3x3 box blur: the nine shifted planes, each times 1/9, added in the
+    # order ``np.sum`` adds one contiguous 3x3 window (pairwise over the
+    # first eight, then the ninth), so every pixel keeps its bits.
+    padded = np.pad(field, ((0, 0), (1, 1), (1, 1)), mode="edge") * (1.0 / 9.0)
+    p = [padded[:, di:di + height, dj:dj + width] for di in range(3) for dj in range(3)]
+    return (((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))) + p[8]
 
 
 def make_prototypes(num_classes: int, channels: int, height: int, width: int,

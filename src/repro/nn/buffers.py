@@ -20,11 +20,16 @@ numeric policy"):
 * ``release`` returns the region behind an acquired array for reuse.
   Callers release inside the backward closure (which
   :meth:`Tensor.backward` guarantees runs at most once) *after* every read
-  of the buffer, or immediately on no-grad paths.  Only the array
-  ``acquire`` handed out is accepted — views of it, arrays from elsewhere
-  and second releases are ignored.  An array that is never released gives
-  its region back when it is garbage-collected — forgetting to release can
-  never corrupt data, it only delays reuse.
+  of the buffer, or, for scratch nothing records, after its last read in
+  the forward.  Only the array ``acquire`` handed out is accepted — views
+  of it, arrays from elsewhere and second releases are ignored.  An array
+  that is never released gives its region back when it is
+  garbage-collected — forgetting to release can never corrupt data, it
+  only delays reuse.
+* Every forward output in the numeric policy's dtype is an acquired
+  array, recorded or not: a recorded one goes back in ``backward()``, an
+  unrecorded one (evaluation, public logits, teacher forwards) when the
+  last reference to it is dropped.
 * Pooled arrays are always handed to ``Tensor._accumulate`` with
   ``owned=False`` (the accumulator copies or adds; it never adopts them).
 * The pool is **per-thread** module state.  It is never pickled and never

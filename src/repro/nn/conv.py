@@ -306,7 +306,6 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
     pool = scratch_pool()
     w_mat = w.data.reshape(lead + (out_channels, taps))
     parents = (x, w) if bias is None else (x, w, bias)
-    recorded = is_grad_enabled() and any(p.requires_grad for p in parents)
     # Fixed at graph construction: the columns below are kept for backward
     # only if the weight gradient will read them.
     weight_grad = w.requires_grad
@@ -317,7 +316,7 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
     if as_gemm:
         columns, _, _ = _unfold(x.data, kernel, stride, padding, pool, tap_major=True)
         base_shape = lead + (samples, length, out_channels)
-        base = pool.acquire(base_shape, dtype) if recorded else np.empty(base_shape, dtype)
+        base = pool.acquire(base_shape, dtype)
         rows = transposed = np.swapaxes(columns, -1, -2)
         if out_channels * taps * samples * length <= _BLAS_SMALL_PRODUCT:
             rows = pool.acquire(transposed.shape, dtype)
@@ -370,7 +369,7 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
 
         return backward
 
-    out = Tensor._make(out_data, parents, factory, as_gemm and recorded)
+    out = Tensor._make(out_data, parents, factory, as_gemm)
     if out._backward is None or not weight_grad:
         # Only the weight gradient reads the columns again: on the inference
         # path and under a frozen weight they are free as of now.
@@ -431,12 +430,9 @@ def depthwise_conv2d(
     weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
 
     # einsum's "cf,ncfl->ncl" result is a (c, n, l)-contiguous array viewed
-    # as (n, c, l); a recorded forward writes into a pooled buffer of that
-    # layout (downstream batch-norm statistics iterate in its order), which
-    # ``backward()`` reclaims.
-    base = None
-    if any(p.requires_grad for p in parents):
-        base = _forward_buffer((channels, batch, out_h * out_w), cols.dtype)
+    # as (n, c, l); the forward writes into a pooled buffer of that layout
+    # (downstream batch-norm statistics iterate in its order).
+    base = _forward_buffer((channels, batch, out_h * out_w), cols.dtype)
     view = None if base is None else base.transpose(1, 0, 2)
     out_data = contract("cf,ncfl->ncl", w_mat, cols, out=view)
     pooled = out_data is view
@@ -509,7 +505,8 @@ def _max_pool_windows(x: Tensor, kernel: int) -> Optional[Tensor]:
         return None
     record = is_grad_enabled() and x.requires_grad
     taps = _window_taps(x.data, kernel, out_h, out_w)
-    out_data = np.empty(shape, x.data.dtype)
+    buffer = _forward_buffer(shape, x.data.dtype)
+    out_data = np.empty(shape, x.data.dtype) if buffer is None else buffer
     np.copyto(out_data, taps[0])
     if record:
         arg = np.zeros(shape, np.uint8)
@@ -558,7 +555,7 @@ def _max_pool_windows(x: Tensor, kernel: int) -> Optional[Tensor]:
 
         return backward
 
-    return Tensor._make(out_data, (x,), factory)
+    return Tensor._make(out_data, (x,), factory, buffer is not None)
 
 
 def max_pool2d(inputs: Tensor, kernel: int = 2, stride: int = None) -> Tensor:

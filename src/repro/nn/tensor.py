@@ -103,24 +103,25 @@ def as_tensor(value: ArrayLike) -> "Tensor":
 
 
 def _forward_buffer(shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
-    """A pooled buffer for a *training-forward* output, or None.
+    """A pooled buffer for a forward output, or None.
 
-    Forward outputs are only pooled when the graph will be recorded (the
-    backward cleanup is what returns the buffer) and the buffer's dtype
-    matches the numeric policy (so ``Tensor.__init__`` adopts the array
-    without a coercing copy).  No-grad forwards keep plain allocation —
-    op-level callers that know their buffer lifetimes (the fused inference
-    path, conv's im2col staging) manage the pool directly instead.
+    Every forward output in the numeric policy's dtype comes from the
+    scratch arena (another dtype returns None and the caller allocates, so
+    ``Tensor.__init__`` never meets a pooled array it would have to copy).
+    Whether a graph records the output decides only when the bytes go back:
+    a recorded output in ``backward()``, as its node's closure has run; an
+    unrecorded one (evaluation, public logits, a teacher forward) when its
+    array is dropped, through the arena's lease morgue.
     """
-    if not _GRAD_MODE.enabled or np.dtype(dtype) != policy_dtype():
+    if np.dtype(dtype) != policy_dtype():
         return None
     return scratch_pool().acquire(shape, dtype)
 
 
 def _forward_buffer_like(arr: np.ndarray) -> Optional[np.ndarray]:
     """A pooled buffer matching ``arr``'s shape, dtype, AND memory layout,
-    under :func:`_forward_buffer`'s conditions (else None)."""
-    if not _GRAD_MODE.enabled or arr.dtype != policy_dtype():
+    under :func:`_forward_buffer`'s condition (else None)."""
+    if arr.dtype != policy_dtype():
         return None
     return _scratch_like(arr)
 
@@ -174,7 +175,7 @@ def _binary_forward(ufunc, a: "Tensor", b: "Tensor"):
     """
     av, bv = a.data, b.data
     buffer = None
-    if av.dtype == bv.dtype and (a.requires_grad or b.requires_grad):
+    if av.dtype == bv.dtype:
         if av.shape == bv.shape:
             if av.flags.c_contiguous and bv.flags.c_contiguous:
                 buffer = _forward_buffer(av.shape, av.dtype)
@@ -345,7 +346,8 @@ class Tensor:
         parents.  The factory is only invoked when gradients are enabled and
         at least one parent requires them, so inference pays no graph cost.
         ``pooled`` says ``data`` lives in a pooled forward buffer, which
-        ``backward()`` reclaims with the graph.
+        ``backward()`` reclaims with the graph when the node is recorded; an
+        unrecorded node's buffer goes back when its array is dropped.
         """
         out = Tensor(data)
         if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
@@ -562,7 +564,7 @@ class Tensor:
 
             return backward
 
-        buffer = _forward_buffer_like(a.data) if a.requires_grad else None
+        buffer = _forward_buffer_like(a.data)
         if buffer is None:
             data, pooled = -a.data, False
         else:
@@ -862,14 +864,11 @@ class Tensor:
 
             return backward
 
-        # Training forwards write the product into a pooled buffer
-        # (``np.matmul(..., out=)`` runs the identical gufunc/BLAS kernel,
-        # so values are bit-identical); backward's cleanup reclaims it.
+        # The product goes into a pooled buffer (``np.matmul(..., out=)``
+        # runs the identical gufunc/BLAS kernel, so values are bit-identical).
         data = None
         pooled = False
-        if (a.data.ndim >= 2 and b.data.ndim >= 2
-                and a.data.dtype == b.data.dtype
-                and (a.requires_grad or b.requires_grad)):
+        if a.data.ndim >= 2 and b.data.ndim >= 2 and a.data.dtype == b.data.dtype:
             shape = np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2]) \
                 + (a.data.shape[-2], b.data.shape[-1])
             buffer = _forward_buffer(shape, a.data.dtype)
@@ -1005,25 +1004,19 @@ class Tensor:
 def _masked_activation(a: "Tensor",
                        alloc_mask: Callable[[], np.ndarray],
                        write_mask: Callable[[np.ndarray], np.ndarray]) -> "Tensor":
-    """Shared ReLU/leaky-ReLU body: ``a * mask`` with pooled training forwards.
+    """Shared ReLU/leaky-ReLU body: ``a * mask`` with pooled forwards.
 
     Both the mask and the output come from layout-matched pooled buffers
     when available (``_forward_buffer_like`` guarantees the exact strides
     the allocating path would produce, so values AND layout are
-    bit-identical).  The output is reclaimed by backward's cleanup like
-    every pooled forward; the mask — a closure capture, not a graph node —
-    is released by the backward closure itself once the gradient has been
-    accumulated through it.
+    bit-identical).  The output goes back like every pooled forward; the
+    mask — a closure capture, not a graph node — is released by the
+    backward closure itself once the gradient has been accumulated through
+    it, or right after the multiply when nothing records.
     """
-    mask = None
-    mask_pooled = False
-    if a.requires_grad:
-        mask_buffer = _forward_buffer_like(a.data)
-        if mask_buffer is not None:
-            mask = write_mask(mask_buffer)
-            mask_pooled = True
-    if mask is None:
-        mask = alloc_mask()
+    mask_buffer = _forward_buffer_like(a.data)
+    mask_pooled = mask_buffer is not None
+    mask = write_mask(mask_buffer) if mask_pooled else alloc_mask()
 
     def factory(out: "Tensor") -> Callable[[], None]:
         def backward() -> None:
@@ -1034,17 +1027,13 @@ def _masked_activation(a: "Tensor",
 
         return backward
 
-    data = None
-    pooled = False
-    if a.requires_grad:
-        buffer = _forward_buffer_like(a.data)
-        if buffer is not None:
-            np.multiply(a.data, mask, out=buffer)
-            data = buffer
-            pooled = True
-    if data is None:
-        data = a.data * mask
-    return Tensor._make(data, (a,), factory, pooled)
+    buffer = _forward_buffer_like(a.data)
+    pooled = buffer is not None
+    data = np.multiply(a.data, mask, out=buffer)
+    out = Tensor._make(data, (a,), factory, pooled)
+    if out._backward is None and mask_pooled:
+        scratch_pool().release_base(mask)
+    return out
 
 
 def _matmul_accumulate(target: "Tensor", left: np.ndarray, right: np.ndarray) -> None:
@@ -1138,7 +1127,7 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, running_mean: np.ndarray
     The forward keeps ``centered`` only when ``x`` needs a gradient in
     training mode and ``normalized`` only when ``weight`` needs one; whatever
     is not kept is overwritten by the next step of the chain, down to one
-    buffer for a no-grad or frozen-parameter evaluation forward.
+    arena block for a no-grad or frozen-parameter evaluation forward.
 
     The four contributions to ``x.grad`` land together in this node's
     closure.  In the composed graph the closures of another consumer of ``x``
@@ -1153,7 +1142,7 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, running_mean: np.ndarray
     keep_normalized = recorded and weight.requires_grad
     bias_grad = bias.requires_grad
     scale, shift = weight.data.reshape(shape), bias.data.reshape(shape)
-    buffer = _forward_buffer_like(xv) if recorded else None
+    buffer = _forward_buffer_like(xv)
     if training:
         inverse = Tensor(1.0 / math.prod(xv.shape[axis] for axis in axes)).data
         mean = xv.sum(axis=axes, keepdims=True) * inverse

@@ -19,6 +19,7 @@ from repro.datasets import (
     public_dataset_for,
     train_test_split,
 )
+from repro.datasets.synthetic import _smooth_field
 from repro.datasets.transforms import (
     apply_transforms,
     normalize,
@@ -103,6 +104,32 @@ class TestSyntheticGenerator:
         predictions = np.argmax(flattened @ references.T, axis=1)
         # Well above the 25% chance level of a 4-class problem.
         assert (predictions == dataset.labels).mean() > 0.5
+
+    @pytest.mark.parametrize("channels,height,width,smoothness", [
+        (1, 16, 16, 3), (3, 32, 32, 3), (1, 28, 28, 4), (2, 7, 11, 2)])
+    def test_smooth_field_keeps_the_bits_of_the_per_pixel_blur(
+            self, channels, height, width, smoothness):
+        """The vectorized box blur against the per-pixel loop it replaced."""
+        def per_pixel(rng):
+            low_h, low_w = max(2, height // smoothness), max(2, width // smoothness)
+            coarse = rng.normal(size=(channels, low_h, low_w))
+            field = np.repeat(np.repeat(coarse, int(np.ceil(height / low_h)), axis=1),
+                              int(np.ceil(width / low_w)), axis=2)[:, :height, :width]
+            kernel = np.ones((3, 3)) / 9.0
+            blurred = np.empty_like(field)
+            padded = np.pad(field, ((0, 0), (1, 1), (1, 1)), mode="edge")
+            for c in range(channels):
+                for i in range(height):
+                    for j in range(width):
+                        blurred[c, i, j] = np.sum(padded[c, i:i + 3, j:j + 3] * kernel)
+            return blurred
+
+        for seed in range(5):
+            field = _smooth_field(np.random.default_rng(seed), channels, height, width,
+                                  smoothness=smoothness)
+            expected = per_pixel(np.random.default_rng(seed))
+            assert field.shape == expected.shape
+            assert field.tobytes() == expected.tobytes()
 
     def test_value_range_is_bounded(self, tiny_rgb_dataset):
         assert np.abs(tiny_rgb_dataset.images).max() <= 1.5

@@ -258,8 +258,13 @@ class TestTheWorkIsGone:
             with no_grad():
                 out = layer(x)
             stats = pool.stats()
-        # the squares of a training forward are scratch; nothing else is the arena's
-        assert stats["acquires"] == (1 if training else 0)
-        assert stats["outstanding_bytes"] == 0
-        assert stats["outstanding_high_water"] == (x.data.nbytes if training else 0)
-        assert not out.requires_grad and out.data.base is None
+            assert not out.requires_grad and out._backward is None
+            # the output is one arena block; a training forward's squares
+            # are scratch beside it, back before the call returns
+            assert stats["acquires"] == (2 if training else 1)
+            assert stats["outstanding_bytes"] == x.data.nbytes
+            assert stats["outstanding_high_water"] == (2 if training else 1) * x.data.nbytes
+            assert out.data.base.nbytes == x.data.nbytes
+            # nothing records the output, so dropping it is what gives it back
+            del out
+            assert pool.stats()["outstanding_bytes"] == 0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN
-from repro.nn import SGD, Tensor, batched, layers
+from repro.nn import SGD, Tensor, batched, layers, no_grad
 from repro.nn import conv as conv_ops
 from repro.nn.batched import (
     TILE_ARRAY_BYTES,
@@ -621,6 +621,29 @@ class TestMemoryBudgets:
             finally:
                 tracemalloc.stop()
         assert worst <= FORWARD_BUDGET_BYTES[name]
+
+    def test_unrecorded_sweep_holds_one_layer_at_a_time(self):
+        """An eval-mode ``SimpleCNN`` over a 250-sample public batch at 16x16
+        (the FedMD sweep): every activation is an arena block that goes
+        back as the forward drops it, so the peak is one layer's arrays —
+        the first ReLU's input, mask and output, or the second
+        convolution's tap-major columns, input and output, 23.4 MiB either
+        way at this geometry — and the logits are all that is out until
+        they are dropped."""
+        samples = 250
+        model = SimpleCNN((1, 16, 16), 10, seed=0).eval()
+        images = np.random.default_rng(31).normal(size=(samples, 1, 16, 16))
+        with fresh_pool() as pool:
+            with no_grad():
+                logits = model(Tensor(images)).data
+            stats = pool.stats()
+            assert stats["outstanding_bytes"] == logits.nbytes
+            del logits
+            assert pool.stats()["outstanding_bytes"] == 0
+        first_relu = 3 * samples * 16 * 16 * 16 * 8
+        columns = 16 * 3 * 3 * samples * 8 * 8 * 8
+        second_conv = columns + samples * 16 * 8 * 8 * 8 + samples * 32 * 8 * 8 * 8
+        assert stats["outstanding_high_water"] == max(first_relu, second_conv)
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_arena_retention_after_the_fused_loop(self, name):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.simple import SimpleCNN
-from repro.nn import SGD, Tensor, buffers, scratch_pool
+from repro.nn import SGD, Tensor, buffers, no_grad, scratch_pool
 from repro.nn.buffers import BufferPool, fresh_pool
 from repro.nn.losses import cross_entropy
 
@@ -58,6 +58,37 @@ class TestAliasing:
                     assert not np.shares_memory(array, other)
         stats = pool.stats()
         assert stats["hits"] + stats["misses"] == stats["acquires"]
+
+
+class TestUnrecordedOutputs:
+    def test_kept_logits_outlive_training_and_evaluation(self, rng):
+        """An unrecorded forward's output is an arena block that nothing
+        releases: it keeps its bits through further training steps and
+        evaluation forwards on the same arena, and goes back when it is
+        dropped."""
+        model = SimpleCNN((3, 8, 8), 4, channels=(4, 8), hidden_size=16, seed=0)
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        images = rng.normal(size=(6, 8, 3, 8, 8))
+        labels = rng.integers(0, 4, size=(6, 8))
+        with fresh_pool() as pool:
+            model.eval()
+            with no_grad():
+                kept = model(Tensor(images[0])).data
+            snapshot = kept.copy()
+            assert np.isfinite(snapshot).all()  # not a released (poisoned) block
+            # the forward leaves its logits out, and nothing else
+            assert pool.stats()["outstanding_bytes"] == kept.nbytes
+            for index in range(1, 6):
+                model.train()
+                optimizer.zero_grad(set_to_none=False)
+                cross_entropy(model(Tensor(images[index])), labels[index]).backward()
+                optimizer.step()
+                model.eval()
+                with no_grad():
+                    model(Tensor(images[index]))
+                assert kept.tobytes() == snapshot.tobytes()
+            del kept
+            assert pool.stats()["outstanding_bytes"] == 0
 
 
 class TestRelease:

@@ -332,11 +332,22 @@ class TestMaxPoolWindows:
         max_pool2d(Tensor(images, requires_grad=True), 2)
         assert len(updates) == 3
 
-    def test_takes_nothing_from_the_arena_on_the_way_forward(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-        before = scratch_pool().stats()["acquires"]
-        max_pool2d(x, 2)
-        assert scratch_pool().stats()["acquires"] == before
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_takes_exactly_its_output_from_the_arena_on_the_way_forward(self, rng, recorded):
+        """The one array a forward takes is its output, recorded or not; it
+        goes back in ``backward()``, or when it is dropped if nothing records
+        it."""
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=recorded)
+        with buffers.fresh_pool() as pool:
+            out = max_pool2d(x, 2)
+            stats = pool.stats()
+            assert stats["acquires"] == 1
+            assert stats["outstanding_bytes"] == out.data.nbytes == 2 * 3 * 3 * 3 * 8
+            if recorded:
+                out.sum().backward()
+                assert out.data is None
+            del out
+            assert pool.stats()["outstanding_bytes"] == 0
 
     @pytest.mark.parametrize("cohort", [1, 3, 8])
     def test_through_a_batched_cohort(self, rng, cohort):
@@ -347,12 +358,15 @@ class TestMaxPoolWindows:
             cohort, 4, 3, 6, 7)
         x = Tensor(images, requires_grad=True)
         out = run(x)
+        references = [_im2col_max_pool(np.ascontiguousarray(images[member]), 2, 2)
+                      for member in range(cohort)]
+        # ``out`` is a view of the pooled max-pool output, which backward()
+        # gives back to the arena: its values are read before.
+        for member, (expected, _) in enumerate(references):
+            np.testing.assert_array_equal(out.data[member], expected)
         seed = rng.normal(size=out.shape)
         out.backward(seed)
-        for member in range(cohort):
-            expected, expected_grad = _im2col_max_pool(
-                np.ascontiguousarray(images[member]), 2, 2)
-            np.testing.assert_array_equal(out.data[member], expected)
+        for member, (_, expected_grad) in enumerate(references):
             _same_bits(x.grad[member], expected_grad(seed[member]))
 
 
