@@ -21,7 +21,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..federated.backend import ExecutionBackend
 from ..federated.config import FederatedConfig
-from ..federated.device import Device
+from ..federated.device import build_devices
 from ..federated.sampling import DeviceSampler
 from ..federated.server import FederatedServer
 from ..federated.simulation import Simulation
@@ -29,7 +29,6 @@ from ..federated.strategy import ParameterServerStrategy
 from ..models.base import ClassificationModel
 from ..models.registry import ModelSpec, build_model
 from ..partition.base import Partitioner
-from ..partition.iid import IIDPartitioner
 
 __all__ = ["FedAvgServer", "FedAvgStrategy", "build_fedavg", "build_fedprox"]
 
@@ -129,20 +128,12 @@ def _build_homogeneous(train_dataset: ImageDataset, test_dataset: ImageDataset,
                        prox_mu: float,
                        backend: Optional[ExecutionBackend] = None) -> Simulation:
     config = config.with_strategy("fedavg")
-    num_classes = train_dataset.num_classes
-    input_shape = train_dataset.input_shape
-    partitioner = partitioner or IIDPartitioner(config.num_devices, seed=config.seed)
-    shards = partitioner.partition(train_dataset)
-
-    reference = build_model(model_spec, input_shape, num_classes, seed=config.seed)
-    devices = []
-    for index, shard in enumerate(shards):
-        model = copy.deepcopy(reference)
-        devices.append(Device(device_id=index, model=model, dataset=shard,
-                              lr=config.device_lr, momentum=config.device_momentum,
-                              weight_decay=config.device_weight_decay,
-                              batch_size=config.batch_size, prox_mu=prox_mu,
-                              seed=config.seed + 1000 + index))
+    reference = build_model(model_spec, train_dataset.input_shape,
+                            train_dataset.num_classes, seed=config.seed)
+    devices = build_devices(
+        train_dataset, config,
+        [copy.deepcopy(reference) for _ in range(config.num_devices)],
+        partitioner=partitioner, prox_mu=prox_mu)
     weights = {device.device_id: float(len(device.dataset)) for device in devices}
     server = FedAvgServer(copy.deepcopy(reference), device_weights=weights)
     return Simulation(devices, config, test_dataset, FedAvgStrategy(server),

@@ -53,14 +53,13 @@ from ..federated.backend import (
     PublicLogitsTask,
 )
 from ..federated.config import FederatedConfig
-from ..federated.device import Device
+from ..federated.device import Device, build_devices
 from ..federated.sampling import DeviceSampler
 from ..federated.server import UploadMeta
 from ..federated.simulation import Simulation
 from ..federated.strategy import Strategy
 from ..models.base import ClassificationModel
 from ..partition.base import Partitioner
-from ..partition.iid import IIDPartitioner
 from ..federated.trainer import compute_public_logits, digest_on_public
 
 __all__ = ["FedMDStrategy", "build_fedmd"]
@@ -224,30 +223,10 @@ def build_fedmd(train_dataset: ImageDataset, test_dataset: ImageDataset,
     ``digest_epochs`` defaults to the config's strategy block
     (``config.strategy.digest_epochs``).
     """
-    from ..models.registry import device_suite_for_family  # local import to avoid cycle
-
     if digest_epochs is None:
         digest_epochs = config.strategy.digest_epochs
     config = config.with_strategy("fedmd", digest_epochs=digest_epochs)
-    num_classes = train_dataset.num_classes
-    input_shape = train_dataset.input_shape
-    partitioner = partitioner or IIDPartitioner(config.num_devices, seed=config.seed)
-    shards = partitioner.partition(train_dataset)
-
-    if device_models is None:
-        device_models = device_suite_for_family(family, config.num_devices, input_shape,
-                                                num_classes, seed=config.seed)
-    device_models = list(device_models)
-    if len(device_models) != config.num_devices:
-        raise ValueError("need exactly one model per device")
-
-    devices = [
-        Device(device_id=index, model=model, dataset=shard,
-               lr=config.device_lr, momentum=config.device_momentum,
-               weight_decay=config.device_weight_decay, batch_size=config.batch_size,
-               prox_mu=config.prox_mu, seed=config.seed + 1000 + index)
-        for index, (model, shard) in enumerate(zip(device_models, shards))
-    ]
+    devices = build_devices(train_dataset, config, device_models, family, partitioner)
     strategy = FedMDStrategy(public_dataset, digest_epochs=digest_epochs)
     return Simulation(devices, config, test_dataset, strategy,
                       sampler=sampler, backend=backend)

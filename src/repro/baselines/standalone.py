@@ -33,14 +33,13 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..federated.backend import ExecutionBackend
 from ..federated.config import FederatedConfig
-from ..federated.device import Device
+from ..federated.device import build_devices
 from ..federated.sampling import DeviceSampler
 from ..federated.simulation import Simulation
 from ..federated.strategy import Strategy
 from ..federated.trainer import DeviceTrainingConfig, evaluate_accuracy, local_sgd_train
 from ..models.base import ClassificationModel
 from ..partition.base import Partitioner
-from ..partition.iid import IIDPartitioner
 
 __all__ = [
     "StandaloneBounds",
@@ -87,27 +86,8 @@ def build_standalone(train_dataset: ImageDataset, test_dataset: ImageDataset,
     histories are directly comparable with FedZKT/FedMD runs on the same
     config.
     """
-    from ..models.registry import device_suite_for_family  # local import to avoid cycle
-
     config = config.with_strategy("standalone")
-    partitioner = partitioner or IIDPartitioner(config.num_devices, seed=config.seed)
-    shards = partitioner.partition(train_dataset)
-
-    if device_models is None:
-        device_models = device_suite_for_family(
-            family, config.num_devices, train_dataset.input_shape,
-            train_dataset.num_classes, seed=config.seed)
-    device_models = list(device_models)
-    if len(device_models) != config.num_devices:
-        raise ValueError("need exactly one model per device")
-
-    devices = [
-        Device(device_id=index, model=model, dataset=shard,
-               lr=config.device_lr, momentum=config.device_momentum,
-               weight_decay=config.device_weight_decay, batch_size=config.batch_size,
-               prox_mu=config.prox_mu, seed=config.seed + 1000 + index)
-        for index, (model, shard) in enumerate(zip(device_models, shards))
-    ]
+    devices = build_devices(train_dataset, config, device_models, family, partitioner)
     return Simulation(devices, config, test_dataset, StandaloneStrategy(),
                       sampler=sampler, backend=backend)
 

@@ -28,16 +28,15 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..federated.backend import ExecutionBackend
 from ..federated.config import FederatedConfig
-from ..federated.device import Device
+from ..federated.device import build_devices
 from ..federated.sampling import DeviceSampler
 from ..federated.server import FederatedServer
 from ..federated.simulation import Simulation
 from ..federated.strategy import ParameterServerStrategy
 from ..models.base import ClassificationModel
 from ..models.generator import Generator
-from ..models.registry import build_generator, build_global_model, device_suite_for_family
+from ..models.registry import build_generator, build_global_model
 from ..partition.base import Partitioner
-from ..partition.iid import IIDPartitioner
 from .server_update import ZeroShotDistiller
 
 __all__ = ["FedZKTServer", "FedZKTStrategy", "build_fedzkt"]
@@ -183,23 +182,7 @@ def build_fedzkt(train_dataset: ImageDataset, test_dataset: ImageDataset,
     config = config.with_strategy("fedzkt")
     num_classes = train_dataset.num_classes
     input_shape = train_dataset.input_shape
-    partitioner = partitioner or IIDPartitioner(config.num_devices, seed=config.seed)
-    shards = partitioner.partition(train_dataset)
-
-    if device_models is None:
-        device_models = device_suite_for_family(family, config.num_devices, input_shape,
-                                                num_classes, seed=config.seed)
-    device_models = list(device_models)
-    if len(device_models) != config.num_devices:
-        raise ValueError("need exactly one model per device")
-
-    devices = [
-        Device(device_id=index, model=model, dataset=shard,
-               lr=config.device_lr, momentum=config.device_momentum,
-               weight_decay=config.device_weight_decay, batch_size=config.batch_size,
-               prox_mu=config.prox_mu, seed=config.seed + 1000 + index)
-        for index, (model, shard) in enumerate(zip(device_models, shards))
-    ]
+    devices = build_devices(train_dataset, config, device_models, family, partitioner)
 
     # Server-side replicas share the architectures but are distinct objects:
     # parameters flow only through the explicit upload/download payloads.

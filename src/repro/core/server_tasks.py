@@ -46,14 +46,9 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from ..federated.backend import WorkerContext, _single_array, resolve_arrays, resolve_state
+from ..federated.trainer import by_member, sgd_steps, stack_batches
 from ..nn import no_grad
-from ..nn.batched import (
-    BatchedModule,
-    BatchedSGD,
-    batched_kl_divergence,
-    cohort_tiles,
-    fusion_signature,
-)
+from ..nn.batched import BatchedModule, BatchedSGD, cohort_tiles, fusion_signature
 from ..nn.losses import kl_divergence_loss
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor
@@ -315,33 +310,16 @@ def _distill_tile(template, states, velocity_lists, inputs, targets, lr, momentu
     """One stacked tile of :func:`distill_group_fused` (same returns)."""
     group = len(states)
     module = BatchedModule(template, list(states), members=members)
-    module.train()
     optimizer = BatchedSGD(module.parameters(), group, lr=lr, momentum=momentum)
     # Stacking copies: the caller's buffers are never stepped in place.
     optimizer.load_velocity_state([np.stack(buffers) for buffers in zip(*velocity_lists)])
 
-    losses: List[List[float]] = [[] for _ in range(group)]
-    for batch, target in zip(inputs, targets):
-        batch = np.asarray(batch)
-        target = np.asarray(target)
-        # Every group member consumes the same synthetic batch; materialize
-        # the stacked (B, N, ...) layout the batched ops expect.
-        stacked_batch = np.ascontiguousarray(
-            np.broadcast_to(batch, (group,) + batch.shape))
-        stacked_target = np.ascontiguousarray(
-            np.broadcast_to(target, (group,) + target.shape))
-        optimizer.zero_grad(set_to_none=False)
-        logits = module(Tensor(stacked_batch))
-        loss_vec = batched_kl_divergence(logits, Tensor(stacked_target))
-        # Read after backward below, so pin the (B,) vector against
-        # pooled-forward reclaim.
-        loss_vec.retain_data()
-        # Summing the (B,) loss vector seeds each device's slice of the
-        # backward pass with exactly the serial upstream of 1.
-        loss_vec.sum().backward()
-        optimizer.step()
-        for member in range(group):
-            losses[member].append(float(loss_vec.data[member]))
+    # Every member consumes the same synthetic batch, stacked on the cohort axis.
+    losses = by_member(
+        sgd_steps(module, optimizer,
+                  stack_batches([zip(inputs, targets) for _ in range(group)]),
+                  kl_divergence_loss),
+        group)
 
     stacked = optimizer.velocity_state()
     out_velocities = [[buffer[member] for buffer in stacked] for member in range(group)]
@@ -381,14 +359,8 @@ def distill_students(models: Sequence, velocities: Sequence[Sequence[np.ndarray]
             continue
         optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
         optimizer.load_velocity_state(velocities[position])
-        losses[position] = []
-        for batch, target in zip(inputs, targets):
-            student_logits = model(Tensor(batch))
-            loss = kl_divergence_loss(student_logits, Tensor(target))
-            optimizer.zero_grad(set_to_none=False)
-            loss.backward()
-            optimizer.step()
-            losses[position].append(loss.item())
+        losses[position] = sgd_steps(model, optimizer, zip(inputs, targets),
+                                     kl_divergence_loss)
         out_velocities[position] = optimizer.velocity_state()
     return out_velocities, losses
 

@@ -6,7 +6,7 @@ controlled inter-dataset distribution distances).
 """
 
 from .base import ImageDataset, train_test_split
-from .dataloader import DataLoader
+from .dataloader import shuffled_batches
 from .registry import (
     PUBLIC_DATASET_PAIRS,
     DatasetBundle,
@@ -21,7 +21,7 @@ from .synthetic import SyntheticImageConfig, SyntheticImageGenerator, make_proto
 __all__ = [
     "ImageDataset",
     "train_test_split",
-    "DataLoader",
+    "shuffled_batches",
     "DatasetBundle",
     "available_datasets",
     "dataset_config",

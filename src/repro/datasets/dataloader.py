@@ -1,61 +1,28 @@
-"""Mini-batch iteration over :class:`ImageDataset` objects."""
+"""The shuffled mini-batch draw every training loop shares."""
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
 import numpy as np
 
-from ..nn.tensor import Tensor
-from .base import ImageDataset
-
-__all__ = ["DataLoader"]
+__all__ = ["shuffled_batches"]
 
 
-class DataLoader:
-    """Iterate over a dataset in shuffled mini-batches.
+def shuffled_batches(size: int, batch_size: int, epochs: int,
+                     rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Sample indices of ``epochs`` shuffled passes over ``size`` samples.
 
-    Parameters
-    ----------
-    dataset:
-        The dataset to iterate.
-    batch_size:
-        Number of samples per batch (the final batch may be smaller unless
-        ``drop_last`` is set).
-    shuffle:
-        Reshuffle the sample order at the start of every epoch.
-    rng:
-        Random generator controlling the shuffle (defaults to a fresh
-        generator seeded from ``seed``).
-    drop_last:
-        Drop a trailing partial batch.
+    Each epoch draws ``rng.permutation(np.arange(size))`` and cuts it into
+    consecutive ``batch_size`` slices, the last one shorter when
+    ``batch_size`` does not divide ``size``.  A cohort gives every member a
+    generator of its own, so each member's shuffle stream advances exactly
+    as it would if the member trained alone.
     """
-
-    def __init__(self, dataset: ImageDataset, batch_size: int = 32, shuffle: bool = True,
-                 rng: Optional[np.random.Generator] = None, seed: int = 0,
-                 drop_last: bool = False) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        self.dataset = dataset
-        self.batch_size = int(batch_size)
-        self.shuffle = bool(shuffle)
-        self.drop_last = bool(drop_last)
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
-
-    def __len__(self) -> int:
-        full, remainder = divmod(len(self.dataset), self.batch_size)
-        if remainder and not self.drop_last:
-            return full + 1
-        return full
-
-    def __iter__(self) -> Iterator[Tuple[Tensor, np.ndarray]]:
-        order = np.arange(len(self.dataset))
-        if self.shuffle:
-            order = self._rng.permutation(order)
-        for start in range(0, len(order), self.batch_size):
-            batch = order[start:start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                break
-            images = Tensor(self.dataset.images[batch])
-            labels = self.dataset.labels[batch]
-            yield images, labels
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    indices = np.arange(size)
+    for _ in range(epochs):
+        order = rng.permutation(indices)
+        for start in range(0, size, batch_size):
+            yield order[start:start + batch_size]

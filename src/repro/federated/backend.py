@@ -319,6 +319,13 @@ def _single_array(value) -> np.ndarray:
     return value
 
 
+def _restored_rng(state: dict) -> np.random.Generator:
+    """A generator resumed at a task's shipped ``bit_generator.state``."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
 # --------------------------------------------------------------------------- #
 # Device tasks
 # --------------------------------------------------------------------------- #
@@ -380,8 +387,7 @@ class LocalTrainTask:
         model = context.model_for(self.device_id)
         model.load_state_dict(resolve_state(self.state))
         config = context.train_configs[self.device_id]
-        rng = np.random.default_rng()
-        rng.bit_generator.state = self.rng_state
+        rng = _restored_rng(self.rng_state)
 
         digest_loss: Optional[float] = None
         if self.digest is not None:

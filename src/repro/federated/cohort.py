@@ -9,6 +9,15 @@ signature and replaces each group of two or more with a single
 leading axis and drives one vectorized loop through
 :class:`repro.nn.batched.BatchedModule` / :class:`BatchedSGD`.
 
+The loops are not written here.  Training runs
+:func:`~repro.federated.trainer.sgd_steps`, the step loop the per-device
+tasks run, on batches :func:`~repro.federated.trainer.stack_batches`
+gathers from every member's own shuffle stream; the no-grad tasks run
+:func:`~repro.federated.trainer.sweep` with a
+:class:`~repro.nn.batched.BatchedEvaluator` as its forward.  What this
+module adds is the gathering, the stacked module and optimizer, and the
+planning.
+
 The fused path is bit-identical to the serial path by construction: every
 batched op reduces over the same axes in the same order per device slice
 (see ``repro.nn.batched``), each device keeps its own shuffle RNG stream,
@@ -30,13 +39,10 @@ from ..nn.batched import (
     BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
-    batched_cross_entropy,
     batched_l2_proximal,
     batched_mse_loss,
     cohort_tiles,
 )
-from ..nn.functional import accuracy
-from ..nn.tensor import Tensor
 from .backend import (
     DigestSpec,
     EvaluateTask,
@@ -44,11 +50,21 @@ from .backend import (
     LocalTrainTask,
     PublicLogitsTask,
     WorkerContext,
+    _restored_rng,
     _single_array,
     resolve_arrays,
     resolve_state,
 )
-from .trainer import LocalTrainingReport
+from .trainer import (
+    LocalTrainingReport,
+    by_member,
+    sgd_steps,
+    shard_batches,
+    stack_batches,
+    supervised_loss,
+    sweep_accuracies,
+    sweep_logits,
+)
 
 __all__ = [
     "FusedEvaluateTask",
@@ -57,12 +73,6 @@ __all__ = [
     "CohortPlan",
     "plan_cohorts",
 ]
-
-
-def _restored_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
 
 
 @dataclass
@@ -82,43 +92,23 @@ class FusedLocalTrainTask:
     anchors: Optional[List[object]] = None  # per-device StateRef | array list
     digests: Optional[List[DigestSpec]] = None
 
-    # ------------------------------------------------------------------ #
-    # Fused FedMD digest phase (mirrors trainer.digest_on_public)
-    # ------------------------------------------------------------------ #
     def _run_digests(self, module: BatchedModule, context: WorkerContext) -> List[float]:
+        """The stacked FedMD digest: :func:`~repro.federated.trainer.digest_on_public`
+        with every member's public batch stacked on the cohort axis."""
         if context.public_dataset is None:
             raise RuntimeError("digest task requires a public dataset in the worker context")
         public = context.public_dataset
-        batch = len(self.device_ids)
         spec = self.digests[0]  # planner guarantees identical (epochs, lr, batch_size)
-        consensus = [np.asarray(_single_array(item.consensus)) for item in self.digests]
-        rngs = [np.random.default_rng(item.seed) for item in self.digests]
-
-        module.train()
-        optimizer = BatchedSGD(module.parameters(), batch, lr=spec.lr, momentum=0.9)
-        losses: List[List[float]] = [[] for _ in range(batch)]
-        indices = np.arange(len(public))
-        for _ in range(spec.epochs):
-            orders = [rng.permutation(indices) for rng in rngs]
-            for start in range(0, len(indices), spec.batch_size):
-                chosen = [order[start:start + spec.batch_size] for order in orders]
-                images = np.stack([public.images[chosen[b]] for b in range(batch)])
-                targets = np.stack([consensus[b][chosen[b]] for b in range(batch)])
-                optimizer.zero_grad(set_to_none=False)
-                prediction = module(Tensor(images))
-                loss_vec = batched_mse_loss(prediction, Tensor(targets))
-                # Read after backward below, so pin the (B,) vector against
-                # pooled-forward reclaim.
-                loss_vec.retain_data()
-                loss_vec.sum().backward()
-                optimizer.step()
-                for b in range(batch):
-                    losses[b].append(float(loss_vec.data[b]))
+        optimizer = BatchedSGD(module.parameters(), len(self.device_ids), lr=spec.lr,
+                               momentum=0.9)
+        batches = stack_batches([
+            shard_batches(public.images, np.asarray(_single_array(item.consensus)),
+                          spec.batch_size, spec.epochs, np.random.default_rng(item.seed))
+            for item in self.digests])
+        losses = by_member(sgd_steps(module, optimizer, batches, batched_mse_loss),
+                           len(self.device_ids))
         return [float(np.mean(item)) if item else 0.0 for item in losses]
 
-    # ------------------------------------------------------------------ #
-    # Fused local SGD (mirrors trainer.local_sgd_train batch for batch)
-    # ------------------------------------------------------------------ #
     def run(self, context: WorkerContext) -> List[LocalTrainResult]:
         """Train the cohort as consecutive tiles (see ``nn.batched.cohort_tiles``).
 
@@ -172,61 +162,27 @@ class FusedLocalTrainTask:
                        for i in range(len(per_device[0]))]
 
         shards = [context.shards[device_id] for device_id in self.device_ids]
-        module.train()
-        optimizer = BatchedSGD(module.parameters(), batch, lr=config.lr,
-                               momentum=config.momentum,
+        parameters = module.parameters()
+        optimizer = BatchedSGD(parameters, batch, lr=config.lr, momentum=config.momentum,
                                weight_decay=config.weight_decay)
-        losses: List[List[float]] = [[] for _ in range(batch)]
-        samples_seen = 0
-        size = len(shards[0])
-        base = np.arange(size)
-        for _ in range(self.epochs):
-            # Each device replays exactly the shuffle DataLoader would draw
-            # from its own RNG stream.
-            orders = [rng.permutation(base) for rng in rngs]
-            for start in range(0, size, config.batch_size):
-                chosen = [order[start:start + config.batch_size] for order in orders]
-                images = np.stack([shards[b].images[chosen[b]] for b in range(batch)])
-                labels = np.stack([shards[b].labels[chosen[b]] for b in range(batch)])
-                optimizer.zero_grad(set_to_none=False)
-                logits = module(Tensor(images))
-                loss_vec = batched_cross_entropy(logits, labels)
-                if config.prox_mu > 0 and anchors is not None:
-                    loss_vec = loss_vec + batched_l2_proximal(
-                        module.parameters(), anchors, mu=config.prox_mu)
-                # Summing the (B,) loss vector seeds each device's slice of
-                # the backward pass with exactly the serial upstream of 1.
-                # The per-device losses are read back after backward, so the
-                # vector is pinned against pooled-forward reclaim.
-                loss_vec.retain_data()
-                loss_vec.sum().backward()
-                optimizer.step()
-                for b in range(batch):
-                    losses[b].append(float(loss_vec.data[b]))
-                samples_seen += int(labels.shape[1])
+        losses = by_member(sgd_steps(
+            module, optimizer,
+            stack_batches([shard_batches(shard.images, shard.labels, config.batch_size,
+                                         self.epochs, rng)
+                           for shard, rng in zip(shards, rngs)]),
+            supervised_loss(parameters, anchors, config.prox_mu, batched_l2_proximal)), batch)
 
         parameter_count = template.num_parameters()
-        results: List[LocalTrainResult] = []
-        final_states = module.state_dicts()
-        for b, device_id in enumerate(self.device_ids):
-            device_losses = losses[b]
-            report = LocalTrainingReport(
+        return [
+            LocalTrainResult(
                 device_id=device_id,
-                epochs=self.epochs,
-                batches=len(device_losses),
-                final_loss=device_losses[-1] if device_losses else 0.0,
-                mean_loss=float(np.mean(device_losses)) if device_losses else 0.0,
-                samples_seen=samples_seen,
-                parameter_updates=len(device_losses) * parameter_count,
-            )
-            results.append(LocalTrainResult(
-                device_id=device_id,
-                state=final_states[b],
-                report=report,
-                rng_state=rngs[b].bit_generator.state,
-                digest_loss=digest_losses[b],
-            ))
-        return results
+                state=state,
+                report=LocalTrainingReport.from_losses(
+                    device_id, self.epochs, device_losses, len(shards[0]), parameter_count),
+                rng_state=rng.bit_generator.state,
+                digest_loss=digest_loss)
+            for device_id, state, device_losses, rng, digest_loss in zip(
+                self.device_ids, module.state_dicts(), losses, rngs, digest_losses)]
 
 
 # --------------------------------------------------------------------------- #
@@ -254,28 +210,18 @@ class FusedEvaluateTask(_FusedForwardTask):
     """Evaluate a same-architecture cohort on the held-out test set at once.
 
     One stacked eval forward per test batch replaces B sequential model
-    sweeps; the per-device accuracies are read off the cohort axis with the
-    exact chunked float reduction of
-    :func:`~repro.federated.trainer.evaluate_accuracy` (per-batch mean, ×
-    batch length, summed, / total), so each slice's accuracy is bitwise
-    equal to the per-device :class:`~repro.federated.backend.EvaluateTask`.
+    sweeps; the per-device accuracies are read off the cohort axis by
+    :func:`~repro.federated.trainer.sweep_accuracies`, the reduction
+    :func:`~repro.federated.trainer.evaluate_accuracy` runs, so each slice's
+    accuracy is bitwise equal to the per-device
+    :class:`~repro.federated.backend.EvaluateTask`.
     """
 
     def run(self, context: WorkerContext) -> List[float]:
         if context.eval_dataset is None:
             raise RuntimeError("evaluate task requires an eval dataset in the worker context")
-        dataset = context.eval_dataset
-        batch = len(self.device_ids)
-        correct = [0.0] * batch
-        total = 0
-        evaluator = self._evaluator(context, dataset)
-        for start in range(0, len(dataset), self.batch_size):
-            labels = dataset.labels[start:start + self.batch_size]
-            logits = evaluator.predict(dataset.images[start:start + self.batch_size])
-            for b in range(batch):
-                correct[b] += accuracy(logits[b], labels) * len(labels)
-            total += len(labels)
-        return [float(value / total) if total else 0.0 for value in correct]
+        return sweep_accuracies(self._evaluator(context, context.eval_dataset).predict,
+                                context.eval_dataset, self.batch_size, len(self.device_ids))
 
 
 class FusedPublicLogitsTask(_FusedForwardTask):
@@ -286,13 +232,8 @@ class FusedPublicLogitsTask(_FusedForwardTask):
     def run(self, context: WorkerContext) -> List[np.ndarray]:
         if context.public_dataset is None:
             raise RuntimeError("public-logits task requires a public dataset in the worker context")
-        dataset = context.public_dataset
-        batch = len(self.device_ids)
-        evaluator = self._evaluator(context, dataset)
-        chunks = [evaluator.predict(dataset.images[start:start + self.batch_size])
-                  for start in range(0, len(dataset), self.batch_size)]
-        return [np.concatenate([chunk[b] for chunk in chunks], axis=0)
-                for b in range(batch)]
+        return sweep_logits(self._evaluator(context, context.public_dataset).predict,
+                            context.public_dataset, self.batch_size, len(self.device_ids))
 
 
 #: Task types the planner may emit in place of a fused group.

@@ -14,14 +14,18 @@ so both paths produce bit-identical results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
+from ..models.registry import device_suite_for_family
+from ..partition.base import Partitioner
+from ..partition.iid import IIDPartitioner
 from ..utils.serialization import StateRef, StateStore
 from .backend import EvaluateTask, LocalTrainResult, LocalTrainTask
+from .config import FederatedConfig
 from .trainer import (
     DeviceTrainingConfig,
     LocalTrainingReport,
@@ -29,7 +33,7 @@ from .trainer import (
     local_sgd_train,
 )
 
-__all__ = ["Device", "LocalTrainingReport"]
+__all__ = ["Device", "LocalTrainingReport", "build_devices"]
 
 
 class Device:
@@ -195,3 +199,34 @@ class Device:
             f"device {self.device_id}: {self.model.__class__.__name__} "
             f"({self.model.num_parameters()} params, {len(self.dataset)} samples)"
         )
+
+
+def build_devices(train_dataset: ImageDataset, config: FederatedConfig,
+                  device_models: Optional[Sequence[ClassificationModel]] = None,
+                  family: str = "cifar", partitioner: Optional[Partitioner] = None,
+                  prox_mu: Optional[float] = None) -> List[Device]:
+    """One :class:`Device` per shard of ``train_dataset``, as every builder wires them.
+
+    The shards come from ``partitioner`` (IID by default); the models from
+    ``device_models`` or, when it is ``None``, the ``family`` device suite.
+    Device ``k`` takes the config's local SGD settings (``prox_mu``
+    overrides the config's proximal coefficient) and shuffles with seed
+    ``config.seed + 1000 + k``.
+    """
+    partitioner = partitioner or IIDPartitioner(config.num_devices, seed=config.seed)
+    shards = partitioner.partition(train_dataset)
+    if device_models is None:
+        device_models = device_suite_for_family(
+            family, config.num_devices, train_dataset.input_shape,
+            train_dataset.num_classes, seed=config.seed)
+    device_models = list(device_models)
+    if len(device_models) != config.num_devices:
+        raise ValueError("need exactly one model per device")
+    return [
+        Device(device_id=index, model=model, dataset=shard,
+               lr=config.device_lr, momentum=config.device_momentum,
+               weight_decay=config.device_weight_decay, batch_size=config.batch_size,
+               prox_mu=config.prox_mu if prox_mu is None else prox_mu,
+               seed=config.seed + 1000 + index)
+        for index, (model, shard) in enumerate(zip(device_models, shards))
+    ]

@@ -33,12 +33,12 @@ delegating to its :class:`~repro.federated.strategy.Strategy`):
 ``evaluate_round(round_index, active, losses, sim_time, extra_metrics)``
     evaluate, append and return the :class:`RoundRecord`;
 ``verbose_line(record, total_rounds)``
-    the progress line printed in verbose mode;
-``supports_async``
-    flag; engines whose round structure cannot tolerate reordered or
-    partial uploads set it to ``False`` and only run under
-    :class:`SynchronousScheduler` (the generic engine derives it from its
-    strategy's ``supports_schedulers`` capability declaration).
+    the progress line printed in verbose mode.
+
+Which schedulers a strategy runs under is its ``supports_schedulers``
+declaration, checked once when the engine is built
+(:meth:`~repro.federated.simulation.Simulation._init_engine`) and at
+config time by :func:`~repro.federated.strategies.validate_strategy`.
 
 Engines may also expose a ``strategy`` attribute with
 ``on_round_start(round_index)`` / ``on_round_end(record)`` lifecycle
@@ -116,10 +116,6 @@ class RoundScheduler:
 
     name = "base"
 
-    #: Whether this scheduler reorders/partially aggregates uploads — such
-    #: schedulers refuse engines with ``supports_async = False`` (FedMD).
-    reorders_uploads = False
-
     def __init__(self, config: Optional[SchedulerConfig] = None) -> None:
         self.config = config or SchedulerConfig()
 
@@ -133,7 +129,6 @@ class RoundScheduler:
         calls (clock and in-flight uploads carry over); ``None`` starts
         fresh.
         """
-        self.check_engine(engine)
         if state is None:
             state = self.initial_state(engine)
         for round_index in range(1, total_rounds + 1):
@@ -141,14 +136,6 @@ class RoundScheduler:
             if verbose:
                 print(engine.verbose_line(record, total_rounds))
         return engine.history
-
-    def check_engine(self, engine) -> None:
-        """Validate that ``engine`` can run under this scheduler."""
-        if self.reorders_uploads and not engine.supports_async:
-            raise ValueError(
-                f"{type(engine).__name__} only supports the synchronous scheduler "
-                f"(requested {self.name!r}); its round structure needs every "
-                "active upload before aggregation")
 
     def initial_state(self, engine) -> SchedulerState:
         engine.ensure_backend()
@@ -269,7 +256,6 @@ class DeadlineScheduler(RoundScheduler):
     """
 
     name = "deadline"
-    reorders_uploads = True
 
     def _run_round(self, engine, round_index: int, state: SchedulerState) -> RoundRecord:
         engine.ensure_backend()
@@ -331,7 +317,6 @@ class AsyncBufferedScheduler(RoundScheduler):
     """
 
     name = "async"
-    reorders_uploads = True
 
     def initial_state(self, engine) -> SchedulerState:
         engine.ensure_backend()

@@ -148,7 +148,6 @@ class Simulation:
             raise ValueError(
                 f"strategy {self.strategy.name!r} does not support the {kind!r} "
                 f"scheduler (supported: {', '.join(self.strategy.supports_schedulers)})")
-        self.scheduler.check_engine(self)
         self.heterogeneity = heterogeneity or HeterogeneityModel(
             len(self.devices), config.heterogeneity, seed=config.seed)
         self._context: Optional[WorkerContext] = None
@@ -166,11 +165,6 @@ class Simulation:
     def state_store(self) -> StateStore:
         """The backend's content-addressed state store."""
         return self.backend.state_store
-
-    @property
-    def supports_async(self) -> bool:
-        """Whether the strategy tolerates reordered / partial uploads."""
-        return self.strategy.supports_reordering
 
     # ------------------------------------------------------------------ #
     # Backend plumbing and lifetime

@@ -109,11 +109,6 @@ class Strategy:
                 "construct one strategy instance per Simulation")
         self.simulation = simulation
 
-    @property
-    def supports_reordering(self) -> bool:
-        """Whether any reordering scheduler (deadline/async) is supported."""
-        return any(kind in self.supports_schedulers for kind in ("deadline", "async"))
-
     # ------------------------------------------------------------------ #
     # Lifecycle hooks
     # ------------------------------------------------------------------ #

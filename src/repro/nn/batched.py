@@ -10,11 +10,12 @@ loops into one fused element-wise update.
 
 :class:`BatchedModule` replays a template model's ``fusion_layers()``
 sequence over inputs of shape ``(B, N, ...)`` with every parameter stacked
-to ``(B, *shape)``; :func:`batched_cross_entropy` /
-:func:`batched_l2_proximal` / :func:`batched_mse_loss` return per-device
-``(B,)`` loss vectors whose ``.sum()`` seeds the backward pass with exactly
-the per-slice gradients of B independent scalar losses; :class:`BatchedSGD`
-steps the stacked parameter blocks in fused in-place ufuncs.
+to ``(B, *shape)``; the losses of :mod:`repro.nn.losses` (cross-entropy and
+KL average over the sample axis only) and the two stacked losses kept here,
+:func:`batched_l2_proximal` / :func:`batched_mse_loss`, return per-device
+``(B,)`` loss vectors whose ``backward()`` seeds each slice with exactly
+the gradient of its own scalar loss; :class:`BatchedSGD` steps the stacked
+parameter blocks in fused in-place ufuncs.
 
 Numeric policy — the house invariant is *bit identity* with the per-device
 path, so every batched op mirrors its serial counterpart's reduction order
@@ -63,8 +64,6 @@ __all__ = [
     "BatchedSGD",
     "UnfusableModelError",
     "batched_conv2d",
-    "batched_cross_entropy",
-    "batched_kl_divergence",
     "batched_l2_proximal",
     "batched_mse_loss",
     "cohort_tiles",
@@ -130,31 +129,16 @@ def batched_conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None
 
 
 # --------------------------------------------------------------------------- #
-# Batched losses — per-device (B,) vectors
+# Stacked losses with no serial twin.  Cross-entropy and KL need none:
+# ``repro.nn.losses`` averages them over the sample axis only.
 # --------------------------------------------------------------------------- #
-def _stacked_one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2:
-        raise ValueError("stacked labels must be a (B, N) integer array")
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= num_classes):
-        raise ValueError("labels out of range for the requested number of classes")
-    batch, samples = labels.shape
-    encoded = np.zeros((batch, samples, num_classes), dtype=np.float64)
-    encoded[np.arange(batch)[:, None], np.arange(samples)[None, :], labels] = 1.0
-    return encoded
-
-
-def batched_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-device softmax cross-entropy: ``(B, N, C)`` logits → ``(B,)`` losses."""
-    num_classes = logits.shape[-1]
-    targets = _stacked_one_hot(np.asarray(labels), num_classes)
-    log_probs = logits.log_softmax(axis=-1)
-    return -(log_probs * Tensor(targets)).sum(axis=-1).mean(axis=-1)
-
-
 def batched_l2_proximal(parameters: Sequence[Tensor], anchors: Sequence[np.ndarray],
                         mu: float = 1.0) -> Tensor:
-    """Per-device ℓ2 proximal term over stacked ``(B, *shape)`` parameters."""
+    """Per-device ℓ2 proximal term over stacked ``(B, *shape)`` parameters.
+
+    Kept beside :func:`~repro.nn.losses.l2_proximal` because a parameter's
+    shape cannot say whether its leading axis is a cohort.
+    """
     parameters = list(parameters)
     anchors = list(anchors)
     if len(parameters) != len(anchors):
@@ -170,23 +154,13 @@ def batched_l2_proximal(parameters: Sequence[Tensor], anchors: Sequence[np.ndarr
 
 
 def batched_mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Per-device mean squared error: ``(B, N, ...)`` → ``(B,)``."""
+    """Per-device mean squared error: ``(B, N, ...)`` → ``(B,)``.
+
+    Kept beside :func:`~repro.nn.losses.mse_loss`, a whole-tensor mean that
+    its 1-D callers rely on.
+    """
     diff = prediction - target
     return (diff * diff).mean(axis=tuple(range(1, diff.data.ndim)))
-
-
-def batched_kl_divergence(student_logits: Tensor, teacher_probs: Tensor) -> Tensor:
-    """Per-device KL(student || teacher): ``(B, N, C)`` → ``(B,)`` losses.
-
-    Mirrors :func:`repro.nn.losses.kl_divergence_loss` op for op (log-softmax,
-    exp, clipped teacher log, sum over classes, mean over samples) with every
-    reduction shifted one axis up, so slice ``b`` is bitwise equal to the
-    serial loss on slice ``b`` alone.
-    """
-    student_log_probs = student_logits.log_softmax(axis=-1)
-    student_probs = student_log_probs.exp()
-    log_teacher = teacher_probs.clip(1e-12, 1.0).log()
-    return (student_probs * (student_log_probs - log_teacher)).sum(axis=-1).mean(axis=-1)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,14 +1,13 @@
 """Functional helpers shared across the library.
 
 Small, stateless utilities on top of the autograd engine: accuracy
-computation, parameter flattening, numerical gradient checking (used by the
-test suite to validate every layer's backward pass), and gradient-norm
-measurement (used by the Fig. 2 gradient probe).
+computation and numerical gradient checking (used by the test suite to
+validate every layer's backward pass).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -17,11 +16,7 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "accuracy",
     "predict_classes",
-    "flatten_parameters",
-    "unflatten_parameters",
-    "global_grad_norm",
     "numerical_gradient",
-    "clip_grad_norm",
 ]
 
 
@@ -36,52 +31,6 @@ def accuracy(logits: Tensor, labels: np.ndarray) -> float:
     if labels.size == 0:
         return 0.0
     return float(np.mean(predict_classes(logits) == labels))
-
-
-def flatten_parameters(parameters: Iterable[Tensor]) -> np.ndarray:
-    """Concatenate all parameter arrays into a single flat vector."""
-    arrays = [np.asarray(p.data if isinstance(p, Tensor) else p).reshape(-1) for p in parameters]
-    if not arrays:
-        return np.zeros(0)
-    return np.concatenate(arrays)
-
-
-def unflatten_parameters(vector: np.ndarray, like: Sequence[Tensor]) -> List[np.ndarray]:
-    """Split a flat vector back into arrays shaped like the given parameters."""
-    vector = np.asarray(vector)
-    shapes = [p.data.shape for p in like]
-    sizes = [int(np.prod(s)) for s in shapes]
-    if vector.size != sum(sizes):
-        raise ValueError(f"vector of size {vector.size} cannot fill parameters of total size {sum(sizes)}")
-    out: List[np.ndarray] = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(vector[offset:offset + size].reshape(shape))
-        offset += size
-    return out
-
-
-def global_grad_norm(parameters: Iterable[Tensor]) -> float:
-    """ℓ2 norm of the concatenation of all parameter gradients (zeros if absent)."""
-    total = 0.0
-    for param in parameters:
-        if param.grad is not None:
-            total += float(np.sum(param.grad ** 2))
-    return float(np.sqrt(total))
-
-
-def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
-    """Scale gradients in place so their global norm does not exceed ``max_norm``.
-
-    Returns the pre-clipping norm.
-    """
-    parameters = [p for p in parameters if p.grad is not None]
-    norm = global_grad_norm(parameters)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for param in parameters:
-            param.grad = param.grad * scale
-    return norm
 
 
 def numerical_gradient(func: Callable[[np.ndarray], float], x: np.ndarray,

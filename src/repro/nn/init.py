@@ -1,8 +1,7 @@
 """Weight initialization schemes.
 
 The paper initializes all models with Glorot (Xavier) initialization
-(footnote 1 of Algorithm 1); Kaiming initialization is provided as well for
-the ReLU-heavy compact CNNs.  All initializers draw from an explicit
+(footnote 1 of Algorithm 1).  All initializers draw from an explicit
 ``numpy.random.Generator`` so that experiments are reproducible end to end.
 """
 
@@ -14,9 +13,6 @@ import numpy as np
 
 __all__ = [
     "glorot_uniform",
-    "glorot_normal",
-    "kaiming_uniform",
-    "kaiming_normal",
     "zeros",
     "ones",
     "compute_fans",
@@ -46,27 +42,6 @@ def glorot_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray
     fan_in, fan_out = compute_fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def glorot_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialization: N(0, 2/(fan_in+fan_out))."""
-    fan_in, fan_out = compute_fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming/He uniform initialization for ReLU networks."""
-    fan_in, _ = compute_fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def kaiming_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming/He normal initialization for ReLU networks."""
-    fan_in, _ = compute_fans(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def zeros(shape: Sequence[int]) -> np.ndarray:

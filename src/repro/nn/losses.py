@@ -26,7 +26,6 @@ from .tensor import Tensor, as_tensor
 
 __all__ = [
     "cross_entropy",
-    "nll_loss",
     "kl_divergence_loss",
     "logit_l1_loss",
     "softmax_l1_loss",
@@ -53,26 +52,26 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Softmax cross-entropy between ``logits`` (N, C) and integer ``labels`` (N,).
+    """Softmax cross-entropy between ``logits`` (..., N, C) and integer ``labels`` (..., N).
 
-    This is the on-device supervised loss ``L_CE`` of Algorithm 2.
+    This is the on-device supervised loss ``L_CE`` of Algorithm 2.  The mean
+    runs over the sample axis only, so a leading cohort axis passes through:
+    stacked ``(B, N, C)`` logits give a ``(B,)`` loss vector whose slice
+    ``b`` is bitwise the loss of slice ``b`` alone.
     """
     logits = as_tensor(logits)
+    labels = np.asarray(labels)
     num_classes = logits.shape[-1]
-    targets = one_hot(np.asarray(labels), num_classes)
+    targets = one_hot(labels.ravel(), num_classes).reshape(labels.shape + (num_classes,))
     log_probs = logits.log_softmax(axis=-1)
-    return -(log_probs * Tensor(targets)).sum(axis=-1).mean()
-
-
-def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Negative log-likelihood given precomputed log-probabilities."""
-    log_probs = as_tensor(log_probs)
-    targets = one_hot(np.asarray(labels), log_probs.shape[-1])
-    return -(log_probs * Tensor(targets)).sum(axis=-1).mean()
+    return -(log_probs * Tensor(targets)).sum(axis=-1).mean(axis=-1)
 
 
 def kl_divergence_loss(student_logits: Tensor, teacher_probs: Tensor) -> Tensor:
     """KL(student || teacher) averaged over the batch (Eq. 3).
+
+    Like :func:`cross_entropy`, the mean runs over the sample axis only: a
+    stacked ``(B, N, C)`` student gives one loss per cohort member.
 
     ``teacher_probs`` are post-softmax probabilities (the ensemble average of
     per-device softmax outputs).  The teacher term stays inside the autograd
@@ -86,7 +85,7 @@ def kl_divergence_loss(student_logits: Tensor, teacher_probs: Tensor) -> Tensor:
     student_log_probs = student_logits.log_softmax(axis=-1)
     student_probs = student_log_probs.exp()
     log_teacher = teacher.clip(_EPS, 1.0).log()
-    return (student_probs * (student_log_probs - log_teacher)).sum(axis=-1).mean()
+    return (student_probs * (student_log_probs - log_teacher)).sum(axis=-1).mean(axis=-1)
 
 
 def logit_l1_loss(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:

@@ -827,26 +827,6 @@ class Tensor:
 
         return Tensor._make(a.data[index], (a,), factory)
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions symmetrically."""
-        if padding == 0:
-            return self
-        a = self
-        pad_width = [(0, 0)] * (a.data.ndim - 2) + [(padding, padding), (padding, padding)]
-
-        def factory(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if a.requires_grad:
-                    slicer = [slice(None)] * (a.data.ndim - 2) + [
-                        slice(padding, -padding),
-                        slice(padding, -padding),
-                    ]
-                    a._accumulate(np.asarray(out.grad)[tuple(slicer)])
-
-            return backward
-
-        return Tensor._make(np.pad(a.data, pad_width), (a,), factory)
-
     # ------------------------------------------------------------------ #
     # Linear algebra
     # ------------------------------------------------------------------ #

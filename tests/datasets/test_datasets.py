@@ -1,4 +1,4 @@
-"""Tests for the synthetic datasets, registry, dataloader, and transforms."""
+"""Tests for the synthetic datasets, registry, and the shuffled batch draw."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import (
-    DataLoader,
     ImageDataset,
     PUBLIC_DATASET_PAIRS,
     SyntheticImageConfig,
@@ -17,15 +16,10 @@ from repro.datasets import (
     load_dataset,
     make_prototypes,
     public_dataset_for,
+    shuffled_batches,
     train_test_split,
 )
 from repro.datasets.synthetic import _smooth_field
-from repro.datasets.transforms import (
-    apply_transforms,
-    normalize,
-    random_horizontal_flip,
-    random_translate,
-)
 
 
 class TestImageDataset:
@@ -185,59 +179,25 @@ class TestRegistry:
         assert close < far
 
 
-class TestDataLoader:
-    def test_batch_shapes_and_count(self, tiny_gray_dataset):
-        loader = DataLoader(tiny_gray_dataset, batch_size=32, seed=0)
-        batches = list(loader)
-        assert len(batches) == len(loader) == int(np.ceil(len(tiny_gray_dataset) / 32))
-        images, labels = batches[0]
-        assert images.shape == (32, 1, 8, 8)
-        assert labels.shape == (32,)
+class TestShuffledBatches:
+    def test_batch_sizes_and_count(self):
+        batches = list(shuffled_batches(100, 32, 1, np.random.default_rng(0)))
+        assert [len(batch) for batch in batches] == [32, 32, 32, 4]
 
-    def test_covers_every_sample_once(self, tiny_gray_dataset):
-        loader = DataLoader(tiny_gray_dataset, batch_size=16, seed=0)
-        seen = sum(len(labels) for _, labels in loader)
-        assert seen == len(tiny_gray_dataset)
-
-    def test_drop_last(self, tiny_gray_dataset):
-        loader = DataLoader(tiny_gray_dataset, batch_size=50, drop_last=True, seed=0)
-        assert all(len(labels) == 50 for _, labels in loader)
-
-    def test_shuffle_changes_order_between_epochs(self, tiny_gray_dataset):
-        loader = DataLoader(tiny_gray_dataset, batch_size=len(tiny_gray_dataset), seed=0)
-        first = next(iter(loader))[1].copy()
-        second = next(iter(loader))[1].copy()
+    def test_every_epoch_covers_every_sample_once(self):
+        batches = list(shuffled_batches(50, 16, 2, np.random.default_rng(0)))
+        first, second = np.concatenate(batches[:4]), np.concatenate(batches[4:])
+        np.testing.assert_array_equal(np.sort(first), np.arange(50))
+        np.testing.assert_array_equal(np.sort(second), np.arange(50))
         assert not np.array_equal(first, second)
 
-    def test_no_shuffle_keeps_order(self, tiny_gray_dataset):
-        loader = DataLoader(tiny_gray_dataset, batch_size=len(tiny_gray_dataset), shuffle=False)
-        labels = next(iter(loader))[1]
-        np.testing.assert_array_equal(labels, tiny_gray_dataset.labels)
+    def test_draw_is_one_permutation_per_epoch(self):
+        rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+        drawn = np.concatenate(list(shuffled_batches(20, 6, 2, rng)))
+        expected = np.concatenate([replay.permutation(np.arange(20)) for _ in range(2)])
+        np.testing.assert_array_equal(drawn, expected)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
-    def test_invalid_batch_size(self, tiny_gray_dataset):
+    def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            DataLoader(tiny_gray_dataset, batch_size=0)
-
-
-class TestTransforms:
-    def test_normalize(self, tiny_rgb_dataset):
-        normalized = normalize(tiny_rgb_dataset)
-        assert abs(normalized.images.mean()) < 1e-9
-        assert normalized.images.std() == pytest.approx(1.0, abs=1e-9)
-
-    def test_normalize_constant_dataset_raises(self):
-        dataset = ImageDataset(images=np.ones((4, 1, 2, 2)), labels=np.zeros(4, dtype=int),
-                               num_classes=2)
-        with pytest.raises(ValueError):
-            normalize(dataset)
-
-    def test_flip_and_translate_preserve_shape_and_labels(self, tiny_rgb_dataset, rng):
-        flipped = random_horizontal_flip(tiny_rgb_dataset, probability=1.0, rng=rng)
-        np.testing.assert_allclose(flipped.images, tiny_rgb_dataset.images[:, :, :, ::-1])
-        shifted = random_translate(tiny_rgb_dataset, max_shift=1, rng=rng)
-        assert shifted.images.shape == tiny_rgb_dataset.images.shape
-        np.testing.assert_array_equal(shifted.labels, tiny_rgb_dataset.labels)
-
-    def test_apply_transforms_composes(self, tiny_rgb_dataset):
-        out = apply_transforms(tiny_rgb_dataset, [normalize])
-        assert out.name.endswith("-norm")
+            list(shuffled_batches(10, 0, 1, np.random.default_rng(0)))

@@ -27,7 +27,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import pytest
@@ -48,10 +48,12 @@ from repro.nn import batched, scratch_pool, using_numeric_policy
 
 PROX_MU = 0.05
 _CNN = {"channels": (4, 8), "hidden_size": 16}
+_LENET = {"conv_channels": (4, 8), "fc_sizes": (16,)}
 
 
 class Population(NamedTuple):
-    spec: Optional[ModelSpec]  # None: the heterogeneous ``small`` family
+    spec: Union[None, ModelSpec, Tuple[ModelSpec, ...]]  # None: the ``small`` family;
+    #                                                     a tuple: one spec per device
     train_size: int = 160      # of the golden training set: 160 / 4 devices is 40 each
     devices: int = 4
 
@@ -64,6 +66,12 @@ POPULATIONS = {
     "fc": Population(ModelSpec("fc", {"hidden_sizes": (24,)}), train_size=130),
     # A cohort of eight, 20 samples each: at a forced width of 3 it runs as 3 + 3 + 2.
     "cnn8": Population(ModelSpec("cnn", _CNN), devices=8),
+    # ShuffleNetV2 and MobileNetV2 have no ``fusion_layers()``: under fusion
+    # they run per device beside a fused LeNet pair.
+    "mixed": Population((
+        ModelSpec("shufflenetv2", {"net_size": 0.5, "stage_channels": (8, 16)}),
+        ModelSpec("mobilenetv2", {"width_multiplier": 0.5, "stage_channels": (8, 16, 16)}),
+        ModelSpec("lenet", _LENET), ModelSpec("lenet", _LENET))),
 }
 
 
@@ -183,9 +191,11 @@ def _simulation(row: Row, backend: ExecutionBackend) -> Simulation:
         extra = {"prox_mu": PROX_MU} if row.algorithm == "fedprox" else {}
         return builder(train, test, config, model_spec=population.spec, backend=backend,
                        **extra)
+    specs = (population.spec if isinstance(population.spec, tuple)
+             else (population.spec,) * config.num_devices)
     models = ({"family": "small"} if population.spec is None else {"device_models": [
-        build_model(population.spec, train.input_shape, train.num_classes,
-                    seed=config.seed + index) for index in range(config.num_devices)]})
+        build_model(spec, train.input_shape, train.num_classes, seed=config.seed + index)
+        for index, spec in enumerate(specs)]})
     if row.algorithm == "fedmd":
         return build_fedmd(train, test, public, config, backend=backend, **models)
     return build_fedzkt(train, test, config, backend=backend, **models)
@@ -287,7 +297,7 @@ def backends():
 # The rows
 # --------------------------------------------------------------------------- #
 P2, TCP = "process:2", "tcp://:0?workers=2"
-_FUSABLE = {"cnn", "cnn8", "dropout", "fc"}
+_FUSABLE = {"cnn", "cnn8", "dropout", "fc", "mixed"}
 
 
 def _grid(base: Row, **axes) -> list:
@@ -318,6 +328,8 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     Row("fedavg", "dropout", fusion=True),
     Row("fedavg", "fc", fusion=True),
     Row("fedprox", "fc", fusion=True),
+    # Unfusable architectures fall back per device beside a fused pair.
+    *[Row(algorithm, "mixed", fusion=True) for algorithm in ("fedzkt", "fedmd")],
     # FedMD: heterogeneous digests fall back, homogeneous ones fuse.
     *_grid(Row("fedmd", "small"), backend=[P2, TCP]),
     *_grid(Row("fedmd", "small"), scheduler=["deadline", "async"]),
@@ -388,6 +400,11 @@ def _assert_mode_fired(row: Row, outcome: Outcome, expected: Outcome) -> None:
             # Only equal shards fuse: 33 + 33 and 32 + 32, two pairs a round.
             assert tasks["FusedLocalTrainTask"] == 2 * rounds(row)
             assert tasks["widest"] == 2
+        if row.population == "mixed":
+            # ShuffleNetV2 and MobileNetV2 train alone beside each round's
+            # fused LeNet pair.
+            assert tasks["FusedLocalTrainTask"] == rounds(row) and tasks["widest"] == 2
+            assert tasks["LocalTrainTask"] >= 2 * rounds(row)
     else:
         assert not fused
     if row.tile is not None:

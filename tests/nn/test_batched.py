@@ -29,7 +29,6 @@ from repro.nn.batched import (
     BatchedSGD,
     UnfusableModelError,
     _sample_footprint,
-    batched_cross_entropy,
     batched_l2_proximal,
     cohort_tiles,
     fusion_signature,
@@ -75,10 +74,10 @@ def _train_fused(module, images, labels, lr=0.05, momentum=0.9, mu=0.0, anchors=
     optimizer = BatchedSGD(module.parameters(), BATCH, lr=lr, momentum=momentum)
     for step in range(images.shape[0]):
         optimizer.zero_grad()
-        loss_vec = batched_cross_entropy(module(Tensor(images[step])), labels[step])
+        loss_vec = cross_entropy(module(Tensor(images[step])), labels[step])
         if mu > 0:
             loss_vec = loss_vec + batched_l2_proximal(module.parameters(), anchors, mu=mu)
-        loss_vec.sum().backward()
+        loss_vec.backward()
         optimizer.step()
 
 
@@ -572,7 +571,7 @@ class TestMemoryBudgets:
         optimizer = BatchedSGD(module.parameters(), _COHORT, lr=0.05, momentum=0.9)
         for step in range(len(images)):
             optimizer.zero_grad(set_to_none=False)
-            batched_cross_entropy(module(Tensor(images[step])), labels[step]).sum().backward()
+            cross_entropy(module(Tensor(images[step])), labels[step]).backward()
             optimizer.step()
             yield step
 

@@ -228,10 +228,6 @@ class TestInit:
         fan_in, fan_out = nn_init.compute_fans((8, 4, 3, 3))
         assert fan_in == 4 * 9 and fan_out == 8 * 9
 
-    def test_kaiming_normal_scale(self, rng):
-        weights = nn_init.kaiming_normal((2000, 100), rng)
-        assert weights.std() == pytest.approx(np.sqrt(2.0 / 100), rel=0.1)
-
     def test_zeros_ones(self):
         np.testing.assert_allclose(nn_init.zeros((3,)), 0.0)
         np.testing.assert_allclose(nn_init.ones((3,)), 1.0)

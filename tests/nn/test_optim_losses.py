@@ -8,12 +8,8 @@ import pytest
 from repro.nn import SGD, Adam, Linear, MultiStepLR, ReLU, Sequential, Tensor
 from repro.nn.functional import (
     accuracy,
-    clip_grad_norm,
-    flatten_parameters,
-    global_grad_norm,
     numerical_gradient,
     predict_classes,
-    unflatten_parameters,
 )
 from repro.nn.losses import (
     cross_entropy,
@@ -22,7 +18,6 @@ from repro.nn.losses import (
     l2_proximal,
     logit_l1_loss,
     mse_loss,
-    nll_loss,
     one_hot,
     softmax_l1_loss,
 )
@@ -131,7 +126,9 @@ class TestClassificationLosses:
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
         ce = cross_entropy(Tensor(logits), labels).item()
-        nll = nll_loss(Tensor(logits).log_softmax(-1), labels).item()
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        nll = -log_probs[np.arange(len(labels)), labels].mean()
         assert ce == pytest.approx(nll, rel=1e-10)
 
     def test_cross_entropy_gradient(self, rng):
@@ -207,6 +204,34 @@ class TestDistillationLosses:
         assert teacher_logits.grad is not None
 
 
+class TestStackedLosses:
+    """A leading cohort axis passes through cross-entropy and KL: slice ``b``
+    of a ``(B, N, C)`` call is the 2-D call on slice ``b``, bit for bit, in
+    value and in gradient."""
+
+    @staticmethod
+    def _targets(rng, kind, shape):
+        if kind == "ce":
+            return rng.integers(0, shape[-1], size=shape[:-1])
+        return Tensor(rng.normal(size=shape)).softmax(axis=-1).data
+
+    @pytest.mark.parametrize("kind", ["ce", "kl"])
+    def test_slices_equal_serial_calls(self, rng, kind):
+        loss = cross_entropy if kind == "ce" else kl_divergence_loss
+        logits = rng.normal(size=(3, 5, 4))
+        targets = self._targets(rng, kind, logits.shape)
+        stacked = Tensor(logits, requires_grad=True)
+        values = loss(stacked, targets)
+        assert values.shape == (3,)
+        values.backward()
+        for member in range(3):
+            alone = Tensor(logits[member], requires_grad=True)
+            value = loss(alone, targets[member])
+            value.backward()
+            assert values.data[member] == value.item()
+            np.testing.assert_array_equal(stacked.grad[member], alone.grad)
+
+
 class TestFunctionalHelpers:
     def test_accuracy_and_predictions(self):
         logits = Tensor(np.array([[2.0, 1.0], [0.0, 3.0]]))
@@ -214,26 +239,6 @@ class TestFunctionalHelpers:
         assert accuracy(logits, np.array([0, 1])) == 1.0
         assert accuracy(logits, np.array([1, 1])) == 0.5
         assert accuracy(logits, np.array([])[:0]) == 0.0
-
-    def test_flatten_unflatten_roundtrip(self, rng):
-        params = [Tensor(rng.normal(size=(3, 2)), requires_grad=True),
-                  Tensor(rng.normal(size=(4,)), requires_grad=True)]
-        flat = flatten_parameters(params)
-        assert flat.shape == (10,)
-        restored = unflatten_parameters(flat, params)
-        np.testing.assert_allclose(restored[0], params[0].data)
-        np.testing.assert_allclose(restored[1], params[1].data)
-        with pytest.raises(ValueError):
-            unflatten_parameters(np.zeros(3), params)
-
-    def test_global_grad_norm_and_clip(self):
-        params = [Tensor(np.zeros(3), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)]
-        params[0].grad = np.array([3.0, 0.0, 0.0])
-        params[1].grad = np.array([0.0, 4.0, 0.0, 0.0])
-        assert global_grad_norm(params) == pytest.approx(5.0)
-        pre = clip_grad_norm(params, max_norm=1.0)
-        assert pre == pytest.approx(5.0)
-        assert global_grad_norm(params) == pytest.approx(1.0)
 
     def test_training_loop_reduces_loss(self, rng):
         """End-to-end: a small MLP fits a linearly separable problem."""

@@ -123,14 +123,6 @@ class TestReductionsAndShapes:
         expected[1:3, ::2] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
-    def test_pad2d_grad(self, rng):
-        a = rng.normal(size=(2, 1, 3, 3))
-        x = Tensor(a, requires_grad=True)
-        out = x.pad2d(2)
-        assert out.shape == (2, 1, 7, 7)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones_like(a))
-
     def test_concatenate_and_stack_grads(self, rng):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))
