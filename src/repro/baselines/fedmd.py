@@ -53,14 +53,13 @@ from ..federated.backend import (
     PublicLogitsTask,
 )
 from ..federated.config import FederatedConfig
-from ..federated.device import Device, build_devices
+from ..federated.device import build_devices
 from ..federated.sampling import DeviceSampler
 from ..federated.server import UploadMeta
 from ..federated.simulation import Simulation
 from ..federated.strategy import Strategy
 from ..models.base import ClassificationModel
 from ..partition.base import Partitioner
-from ..federated.trainer import compute_public_logits, digest_on_public
 
 __all__ = ["FedMDStrategy", "build_fedmd"]
 
@@ -105,34 +104,18 @@ class FedMDStrategy(Strategy):
         return self.simulation.config.seed + 500 + device_id
 
     # ------------------------------------------------------------------ #
-    # In-process helpers (kept for direct use and tests; same code paths
-    # the backend tasks execute in workers)
-    # ------------------------------------------------------------------ #
-    def _public_logits(self, model: ClassificationModel, batch_size: int = 256) -> np.ndarray:
-        """Class scores of ``model`` on the whole public dataset (no gradients)."""
-        return compute_public_logits(model, self.public_dataset, batch_size=batch_size)
-
-    def _digest(self, device: Device, consensus: np.ndarray) -> float:
-        """Train the device model to match the consensus scores on public data."""
-        config = self.simulation.config
-        return digest_on_public(
-            device.model, self.public_dataset, consensus,
-            lr=config.server.device_distill_lr,
-            batch_size=config.batch_size, epochs=self.digest_epochs,
-            rng=np.random.default_rng(self._digest_seed(device.device_id)))
-
-    # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def on_run_start(self, total_rounds: int) -> None:
         """FedMD's transfer-learning warm-up: each device first trains on
         its private data before any communication (fanned out through the
-        backend)."""
+        backend, same-architecture cohorts stacked when ``cohort_fusion``
+        is on)."""
         simulation = self.simulation
         store = simulation.state_store
         warmup_tasks = [device.local_train_task(simulation.config.local_epochs, store=store)
                         for device in simulation.devices]
-        for result in simulation.backend.run_tasks(warmup_tasks):
+        for result in simulation.run_device_tasks(warmup_tasks):
             simulation.devices[result.device_id].absorb_training_result(result)
 
     # ------------------------------------------------------------------ #

@@ -34,8 +34,9 @@ counters (bytes published/fetched/shipped, cache hit rates, per-label
 breakdown) after the run.
 ``repro run`` accepts ``--dtype float32`` to run the whole session under
 the float32 numeric policy (see ``repro.nn.policy``) and ``--cohort-fusion``
-to fuse each round's same-architecture training *and* evaluation cohorts
-into stacked vectorized tasks.
+to dispatch each round's same-architecture training *and* evaluation tasks
+as one stacked task per group (the FedZKT server phases stack
+same-architecture groups with or without it).
 ``repro run`` additionally accepts ``--scheduler sync|deadline|async``
 plus ``--deadline``, ``--buffer-size``, the device-heterogeneity knobs
 ``--speed-skew`` / ``--latency-mean`` / ``--dropout-rate``, and
@@ -100,11 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(bytes published/fetched/shipped, cache hit "
                                  "rates, per-label breakdown) after the run")
     run_parser.add_argument("--cohort-fusion", action="store_true",
-                            help="fuse each round's same-architecture device cohort "
-                                 "(and FedZKT's teacher ensemble and back-transfer) into stacked "
-                                 "vectorized training tasks; bit-identical to the "
+                            help="dispatch each round's same-architecture device tasks "
+                                 "(training, evaluation, FedMD public logits) as one "
+                                 "stacked task per group; bit-identical to the "
                                  "per-device path, heterogeneous groups or unequal "
-                                 "shard sizes fall back")
+                                 "shard sizes stay per device.  Only groups device "
+                                 "tasks: FedZKT's server phases always stack "
+                                 "same-architecture models")
     run_parser.add_argument("--dtype", default="float64",
                             choices=["float64", "float32"],
                             help="numeric policy for the whole run: float64 "

@@ -73,8 +73,7 @@ class FedZKTServer(FederatedServer):
         self.device_models = dict(device_models)
         self.config = config
         self.distiller = ZeroShotDistiller(global_model, generator, config.server,
-                                           seed=config.seed + 17,
-                                           cohort_fusion=config.cohort_fusion)
+                                           seed=config.seed + 17)
         self._payloads: Dict[int, Dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #

@@ -28,6 +28,15 @@ rebind what they held — so on the serial backend (where context models are
 the live device models) a server update never leaks state into the
 devices.
 
+Inside a task, every group of two or more same-signature models runs as
+stacked tiles (:func:`_fusion_tiles`: one
+:class:`~repro.nn.batched.BatchedModule` per tile) and every other model
+— a singleton, one without a batched adapter, or a tile of one — on its
+own; there is no switch, since each slice of a tile is bitwise the
+per-model computation.
+``FederatedConfig.cohort_fusion`` does not reach here: it only groups
+device tasks for dispatch.
+
 Bit-identity contract (pinned by ``tests/core/test_server_sharding.py``):
 every task replays the exact Tensor ops of
 :func:`~repro.core.distillation.disagreement_loss` /
@@ -41,7 +50,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,7 +66,7 @@ from ..utils.serialization import StateLike, StateRef
 __all__ = [
     "partition_shards",
     "borrowed_model",
-    "distill_group_fused",
+    "distill_students",
     "EnsembleForwardTask",
     "EnsembleVJPTask",
     "DeviceDistillTask",
@@ -142,7 +151,7 @@ def _member_output(model, x: Tensor, mode: str) -> Tensor:
 
 
 def _fusion_groups(models: Sequence) -> List[List[int]]:
-    """Positions of same-signature models that may share a fused loop.
+    """Positions of same-signature models that share a stacked loop.
 
     Only groups of two or more are returned; singletons and models without
     a batched adapter stay on the per-model path.
@@ -156,15 +165,18 @@ def _fusion_groups(models: Sequence) -> List[List[int]]:
     return [positions for positions in groups.values() if len(positions) >= 2]
 
 
-def _fusion_tiles(context: WorkerContext, device_ids: Sequence[int],
-                  batch_shape: Sequence[int]) -> List[List[int]]:
-    """Every fusion group's positions, cut into the tiles it stacks as."""
+def _fusion_tiles(models: Sequence, batch_shape: Sequence[int]) -> List[List[int]]:
+    """Every fusion group's positions, cut into the tiles it stacks as
+    (``nn.batched.cohort_tiles``, sized for a ``batch_shape`` batch).
+
+    A tile of one is dropped: its model takes the per-model arm, which gives
+    the same bits without the stacked step's per-call overhead.
+    """
     tiles: List[List[int]] = []
-    models = [context.model_for(device_id) for device_id in device_ids]
     for positions in _fusion_groups(models):
-        template = models[positions[0]]
         tiles.extend(positions[lo:hi] for lo, hi in
-                     cohort_tiles(template, len(positions), batch_shape))
+                     cohort_tiles(models[positions[0]], len(positions), batch_shape)
+                     if hi - lo >= 2)
     return tiles
 
 
@@ -181,37 +193,34 @@ class EnsembleForwardTask:
     ``"prob"`` mode, raw logits in ``"logit"`` mode) in ``device_ids``
     order; the driver applies the ensemble weights and reduces across all
     shards in ascending teacher order so the weighted mean is bit-identical
-    to :func:`~repro.core.distillation.ensemble_output`.
+    to :func:`~repro.core.distillation.ensemble_output`.  Same-signature
+    teachers run as stacked tiles, the rest one at a time.
     """
 
     device_ids: List[int]
     states: List[ShardState]
     inputs: Union[StateRef, np.ndarray]
     mode: str = "prob"
-    fuse: bool = False
 
     def run(self, context: WorkerContext) -> List[np.ndarray]:
         inputs = _single_array(self.inputs)
-        fused: Dict[int, np.ndarray] = {}
-        if self.fuse:
-            for positions in _fusion_tiles(context, self.device_ids, inputs.shape):
-                template = context.model_for(self.device_ids[positions[0]])
-                states = [resolve_state(self.states[i]) for i in positions]
-                module = BatchedModule(template, states, requires_grad=False).eval()
-                with no_grad():
-                    out = module(Tensor(_tile(inputs, len(positions))))
-                    if self.mode == "prob":
-                        out = out.softmax(axis=-1)
-                for slot, position in enumerate(positions):
-                    fused[position] = np.ascontiguousarray(out.data[slot])
-        members: List[np.ndarray] = []
+        models = [context.model_for(device_id) for device_id in self.device_ids]
+        members: List[Optional[np.ndarray]] = [None] * len(models)
+        for positions in _fusion_tiles(models, inputs.shape):
+            states = [resolve_state(self.states[i]) for i in positions]
+            module = BatchedModule(models[positions[0]], states, requires_grad=False).eval()
+            with no_grad():
+                out = module(Tensor(_tile(inputs, len(positions))))
+                if self.mode == "prob":
+                    out = out.softmax(axis=-1)
+            for slot, position in enumerate(positions):
+                members[position] = np.ascontiguousarray(out.data[slot])
         for position, (device_id, state) in enumerate(zip(self.device_ids, self.states)):
-            if position in fused:
-                members.append(fused[position])
+            if members[position] is not None:
                 continue
             with borrowed_model(context, device_id, state, train=False) as model:
                 with no_grad():
-                    members.append(_member_output(model, Tensor(inputs), self.mode).data)
+                    members[position] = _member_output(model, Tensor(inputs), self.mode).data
         return members
 
 
@@ -226,7 +235,8 @@ class EnsembleVJPTask:
     and backpropagating ``upstream`` through them.  Parameter gradients are
     skipped (:func:`frozen_parameters`) — only the
     input-gradient path is needed, and skipping the weight-gradient work
-    does not change the values that flow to the inputs.
+    does not change the values that flow to the inputs.  Same-signature
+    teachers run as stacked tiles, the rest one at a time.
     """
 
     device_ids: List[int]
@@ -235,124 +245,81 @@ class EnsembleVJPTask:
     inputs: Union[StateRef, np.ndarray]
     upstream: Union[StateRef, np.ndarray]
     mode: str = "prob"
-    fuse: bool = False
 
     def run(self, context: WorkerContext) -> List[np.ndarray]:
         inputs = _single_array(self.inputs)
         upstream = _single_array(self.upstream)
-        fused: Dict[int, np.ndarray] = {}
-        if self.fuse:
-            for positions in _fusion_tiles(context, self.device_ids, inputs.shape):
-                batch = len(positions)
-                template = context.model_for(self.device_ids[positions[0]])
-                states = [resolve_state(self.states[i]) for i in positions]
-                # Stacked parameters stay grad-free — only the input-gradient
-                # path is materialized, matching the per-model branch below.
-                module = BatchedModule(template, states, requires_grad=False).eval()
-                x = Tensor(_tile(inputs, batch), requires_grad=True)
-                out = module(x)
-                if self.mode == "prob":
-                    out = out.softmax(axis=-1)
-                weights = np.asarray([self.weights[i] for i in positions], dtype=np.float64)
-                term = out * Tensor(weights.reshape((batch,) + (1,) * (out.data.ndim - 1)))
-                term.backward(_tile(upstream, batch))
-                for slot, position in enumerate(positions):
-                    fused[position] = np.ascontiguousarray(x.grad[slot])
-        grads: List[np.ndarray] = []
+        models = [context.model_for(device_id) for device_id in self.device_ids]
+        grads: List[Optional[np.ndarray]] = [None] * len(models)
+        for positions in _fusion_tiles(models, inputs.shape):
+            batch = len(positions)
+            states = [resolve_state(self.states[i]) for i in positions]
+            # Stacked parameters stay grad-free — only the input-gradient
+            # path is materialized, matching the per-model branch below.
+            module = BatchedModule(models[positions[0]], states, requires_grad=False).eval()
+            x = Tensor(_tile(inputs, batch), requires_grad=True)
+            out = module(x)
+            if self.mode == "prob":
+                out = out.softmax(axis=-1)
+            weights = np.asarray([self.weights[i] for i in positions], dtype=np.float64)
+            term = out * Tensor(weights.reshape((batch,) + (1,) * (out.data.ndim - 1)))
+            term.backward(_tile(upstream, batch))
+            for slot, position in enumerate(positions):
+                grads[position] = np.ascontiguousarray(x.grad[slot])
         for position, (device_id, state, weight) in enumerate(
                 zip(self.device_ids, self.states, self.weights)):
-            if position in fused:
-                grads.append(fused[position])
+            if grads[position] is not None:
                 continue
             with borrowed_model(context, device_id, state, train=False) as model:
                 with frozen_parameters([model]):
                     x = Tensor(inputs, requires_grad=True)
                     term = _member_output(model, x, self.mode) * float(weight)
                     term.backward(upstream)
-                grads.append(x.grad)
+                grads[position] = x.grad
         return grads
-
-
-def distill_group_fused(template, states: Sequence[Dict[str, np.ndarray]],
-                        velocity_lists: Sequence[Sequence[np.ndarray]],
-                        inputs: Sequence[np.ndarray],
-                        targets: Sequence[np.ndarray],
-                        lr: float, momentum: float, members=None,
-                        ) -> "tuple[List[Dict[str, np.ndarray]], List[List[np.ndarray]], List[List[float]]]":
-    """Distill into a group of same-signature device models in fused loops.
-
-    The group runs as consecutive tiles (``nn.batched.cohort_tiles``), each
-    stacked through a :class:`BatchedModule` with the per-device momentum
-    stacked into a :class:`BatchedSGD`, and each replaying every shared
-    synthetic batch once for all its members.  Slice ``b`` of the fused
-    trajectory is bitwise identical to running the serial per-device loop
-    on member ``b`` alone.  Returns the final state dicts, updated momentum
-    buffers, and per-device loss lists.
-    """
-    out_states: List[Dict[str, np.ndarray]] = []
-    out_velocities: List[List[np.ndarray]] = []
-    losses: List[List[float]] = []
-    # Every iteration's synthetic batch has one shape; with no iterations
-    # there is no step to size a tile for.
-    tiles = (cohort_tiles(template, len(states), np.shape(inputs[0]))
-             if len(inputs) else [(0, len(states))])
-    for lo, hi in tiles:
-        tile = _distill_tile(
-            template, states[lo:hi], velocity_lists[lo:hi], inputs, targets,
-            lr, momentum, None if members is None else members[lo:hi])
-        for collected, part in zip((out_states, out_velocities, losses), tile):
-            collected.extend(part)
-    return out_states, out_velocities, losses
-
-
-def _distill_tile(template, states, velocity_lists, inputs, targets, lr, momentum,
-                  members):
-    """One stacked tile of :func:`distill_group_fused` (same returns)."""
-    group = len(states)
-    module = BatchedModule(template, list(states), members=members)
-    optimizer = BatchedSGD(module.parameters(), group, lr=lr, momentum=momentum)
-    # Stacking copies: the caller's buffers are never stepped in place.
-    optimizer.load_velocity_state([np.stack(buffers) for buffers in zip(*velocity_lists)])
-
-    # Every member consumes the same synthetic batch, stacked on the cohort axis.
-    losses = by_member(
-        sgd_steps(module, optimizer,
-                  stack_batches([zip(inputs, targets) for _ in range(group)]),
-                  kl_divergence_loss),
-        group)
-
-    stacked = optimizer.velocity_state()
-    out_velocities = [[buffer[member] for buffer in stacked] for member in range(group)]
-    return module.state_dicts(), out_velocities, losses
 
 
 def distill_students(models: Sequence, velocities: Sequence[Sequence[np.ndarray]],
                      inputs: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                     lr: float, momentum: float, fuse: bool = False,
+                     lr: float, momentum: float,
                      ) -> "tuple[List[List[np.ndarray]], List[List[float]]]":
     """Phase 2 for one shard of device models sharing the same synthetic
     batches (the body of :class:`DeviceDistillTask`).
 
     Each model is in train mode, holds the state to distill into, and is
     updated in place; ``velocities[i]`` is model ``i``'s SGD momentum, one
-    array per parameter, read but never written.  With ``fuse``,
-    same-signature models train through one :func:`distill_group_fused`
-    stacked loop per group; every other model runs the per-model KL loop.
-    Returns each model's updated momentum and per-iteration losses.
+    array per parameter, read but never written.  Same-signature models
+    train as stacked tiles (:func:`_fusion_tiles`): one
+    :class:`BatchedModule` over the live members, their momentum stacked
+    into one :class:`BatchedSGD`, every shared synthetic batch replayed
+    once for the tile.  Every other model runs the per-model KL loop, and
+    slice ``b`` of a tile is bitwise that loop on member ``b``.  Returns
+    each model's updated momentum and per-iteration losses.
     """
     out_velocities: List[List[np.ndarray]] = [None] * len(models)
     losses: List[List[float]] = [None] * len(models)
-    if fuse:
-        for group in _fusion_groups(models):
-            members = [models[position] for position in group]
-            states, group_velocities, group_losses = distill_group_fused(
-                members[0], [model.state_dict() for model in members],
-                [velocities[position] for position in group],
-                inputs, targets, lr, momentum, members=members)
-            for slot, position in enumerate(group):
-                members[slot].load_state_dict(states[slot])
-                out_velocities[position] = group_velocities[slot]
-                losses[position] = group_losses[slot]
+    # Every synthetic batch has one shape; with none there is no step to
+    # size a tile for, and nothing to stack.
+    tiles = _fusion_tiles(models, np.shape(inputs[0])) if len(inputs) else []
+    for positions in tiles:
+        members = [models[position] for position in positions]
+        module = BatchedModule(members[0], [model.state_dict() for model in members],
+                               members=members)
+        optimizer = BatchedSGD(module.parameters(), len(members), lr=lr, momentum=momentum)
+        # Stacking copies: the caller's buffers are never stepped in place.
+        optimizer.load_velocity_state(
+            [np.stack(buffers) for buffers in zip(*(velocities[p] for p in positions))])
+        tile_losses = by_member(
+            sgd_steps(module, optimizer,
+                      stack_batches([zip(inputs, targets) for _ in members]),
+                      kl_divergence_loss),
+            len(members))
+        stacked = optimizer.velocity_state()
+        for slot, (position, model, state) in enumerate(
+                zip(positions, members, module.state_dicts())):
+            model.load_state_dict(state)
+            out_velocities[position] = [buffer[slot] for buffer in stacked]
+            losses[position] = tile_losses[slot]
 
     for position, model in enumerate(models):
         if losses[position] is not None:
@@ -385,7 +352,6 @@ class DeviceDistillTask:
     targets: Union[StateRef, List[np.ndarray]]
     lr: float
     momentum: float = 0.9
-    fuse: bool = False
 
     def run(self, context: WorkerContext) -> "DeviceDistillResult":
         with ExitStack() as borrowed:
@@ -394,7 +360,7 @@ class DeviceDistillTask:
                       for device_id, state in zip(self.device_ids, self.states)]
             velocities, losses = distill_students(
                 models, self.velocities, resolve_arrays(self.inputs),
-                resolve_arrays(self.targets), self.lr, self.momentum, self.fuse)
+                resolve_arrays(self.targets), self.lr, self.momentum)
             return DeviceDistillResult(
                 device_ids=list(self.device_ids),
                 states=[model.state_dict() for model in models],

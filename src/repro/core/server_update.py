@@ -20,7 +20,11 @@ backward to the synthesized inputs — out as
 :class:`~repro.core.server_tasks.EnsembleVJPTask` shards and reduces the
 weighted mean on the driver in teacher order; Phase 2 dispatches one
 :class:`~repro.core.server_tasks.DeviceDistillTask` per shard of device
-models, each consuming identical precomputed synthetic batches.  Shared
+models, each consuming identical precomputed synthetic batches.  Inside
+every shard task, a group of two or more same-signature models runs as
+stacked tiles and everything else one model at a time, whatever
+``FederatedConfig.cohort_fusion`` says (that flag only groups device tasks
+for dispatch).  Shared
 payloads travel through the backend's content-addressed state store:
 teacher states are published **once per round** (every shard task of every
 synthesis iteration then carries a tiny ref, and each worker fetches a
@@ -94,24 +98,22 @@ class ZeroShotDistiller:
         distillation loss, server shard count).
     seed:
         Seed of the noise-sampling RNG.
-    cohort_fusion:
-        Fuse both phases over same-architecture groups.  Phase 1: shard
-        tasks evaluate their same-signature teachers through one stacked
-        forward/VJP.  Phase 2 (:func:`~repro.core.server_tasks.distill_students`):
-        same-signature device replicas distill in one stacked loop, each
-        device's persisted momentum stacked into one
-        :class:`~repro.nn.batched.BatchedSGD`.  Both are bit-identical to
-        the unfused path; heterogeneous models fall back per model.
+
+    Inside every shard task, same-architecture models stack: Phase 1's
+    same-signature teachers run one stacked forward/VJP, and Phase 2's
+    same-signature device replicas distill in one stacked loop with their
+    persisted momentum stacked into one :class:`~repro.nn.batched.BatchedSGD`
+    (:mod:`repro.core.server_tasks`).  Both are bit-identical to the
+    per-model path, which singletons, unfusable models and tiles of one
+    take.
     """
 
     def __init__(self, global_model: ClassificationModel, generator: Generator,
-                 config: ServerConfig, seed: int = 0,
-                 cohort_fusion: bool = False) -> None:
+                 config: ServerConfig, seed: int = 0) -> None:
         self.global_model = global_model
         self.generator = generator
         self.config = config
         self.backend: Optional[ExecutionBackend] = None
-        self.cohort_fusion = bool(cohort_fusion)
         self._rng = np.random.default_rng(seed)
         self._loss_name = config.distillation_loss
         # Optimizers persist across rounds so momentum/Adam state carries over.
@@ -282,7 +284,7 @@ class ZeroShotDistiller:
         published once, shared by every shard task and fetched at most once
         per worker), reduced term by term in ascending teacher order — the
         association of :func:`~repro.core.distillation.ensemble_output`."""
-        tasks = [EnsembleForwardTask(ids, states, inputs, mode=mode, fuse=self.cohort_fusion)
+        tasks = [EnsembleForwardTask(ids, states, inputs, mode=mode)
                  for ids, states, _ in shards]
         weights = [weight for _, _, shard_weights in shards for weight in shard_weights]
         members = [member for shard_members in backend.run_tasks(tasks)
@@ -316,7 +318,7 @@ class ZeroShotDistiller:
                 upstream = self._publish(backend, np.asarray(out.grad, dtype=np.float64),
                                          "batch", ephemerals)
                 tasks = [EnsembleVJPTask(ids, states, weights, shared_inputs, upstream,
-                                         mode=mode, fuse=self.cohort_fusion)
+                                         mode=mode)
                          for ids, states, weights in shards]
                 for shard_grads in backend.run_tasks(tasks):
                     for grad in shard_grads:
@@ -363,7 +365,6 @@ class ZeroShotDistiller:
             velocities=[self.device_momentum[device_id] for device_id in shard],
             inputs=shared_inputs, targets=shared_targets,
             lr=self.config.device_distill_lr, momentum=0.9,
-            fuse=self.cohort_fusion,
         ) for shard in partition_shards(device_models, self.config.server_shards)]
 
         losses_by_device: Dict[int, List[float]] = {}
@@ -404,7 +405,7 @@ class ZeroShotDistiller:
         The distill loops consume no driver RNG, so synthesizing up front
         draws the exact noise sequence the historical interleaved loop drew
         — batches are bit-identical, and sharing them across devices,
-        shards, and fused groups needs no further care.
+        shards, and stacked tiles needs no further care.
         """
         batches: List[np.ndarray] = []
         targets: List[np.ndarray] = []

@@ -24,7 +24,7 @@ from .config import (
     ServerConfig,
     StrategyConfig,
 )
-from .cohort import CohortPlan, FusedLocalTrainTask, plan_cohorts
+from .cohort import Cohort, CohortPlan, plan_cohorts
 from .device import Device, LocalTrainingReport
 from .heterogeneity import HeterogeneityModel
 from .history import RoundRecord, TrainingHistory
@@ -81,8 +81,8 @@ __all__ = [
     "ServerConfig",
     "Device",
     "LocalTrainingReport",
+    "Cohort",
     "CohortPlan",
-    "FusedLocalTrainTask",
     "plan_cohorts",
     "RoundRecord",
     "TrainingHistory",

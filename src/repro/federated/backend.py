@@ -347,23 +347,18 @@ class DigestSpec:
 
 def iter_state_refs(task) -> Iterator[StateRef]:
     """Yield every :class:`StateRef` a task carries (used by the backends'
-    dispatch accounting).  Walks direct fields, list/tuple fields, and a
-    nested :class:`DigestSpec` (directly or inside a list, as a fused
-    cohort task carries them)."""
+    dispatch accounting).  Walks direct fields, list/tuple fields, and the
+    objects they hold: a :class:`DigestSpec`, or a
+    :class:`~repro.federated.cohort.Cohort`'s member tasks."""
+    if isinstance(task, StateRef):
+        yield task
+        return
     payload = getattr(task, "__dict__", None)
     if not payload:
         return
     for value in payload.values():
-        if isinstance(value, StateRef):
-            yield value
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, StateRef):
-                    yield item
-                elif isinstance(item, DigestSpec):
-                    yield from iter_state_refs(item)
-        elif isinstance(value, DigestSpec):
-            yield from iter_state_refs(value)
+        for item in (value if isinstance(value, (list, tuple)) else (value,)):
+            yield from iter_state_refs(item)
 
 
 @dataclass

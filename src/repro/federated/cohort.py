@@ -1,13 +1,18 @@
-"""Fused cohort execution: train a batch of same-architecture devices at once.
+"""Cohort fusion: run a batch of same-architecture device tasks at once.
 
 Every FedZKT round trains a cohort of compact on-device models, and with
 homogeneous populations many of those models share one architecture.
-Instead of dispatching B independent Python training loops, the planner
-in this module groups a round's :class:`LocalTrainTask`s by fusion
-signature and replaces each group of two or more with a single
-:class:`FusedLocalTrainTask` that stacks the devices' parameters on a
-leading axis and drives one vectorized loop through
-:class:`repro.nn.batched.BatchedModule` / :class:`BatchedSGD`.
+With ``FederatedConfig.cohort_fusion`` on, the planner in this module
+groups a round's device tasks by fusion signature and wraps each group of
+two or more same-type tasks in one :class:`Cohort`, which the backend
+dispatches as a single unit.  A cohort's ``run`` stacks its members'
+parameters on a leading axis and drives one vectorized loop through
+:class:`repro.nn.batched.BatchedModule` / :class:`BatchedSGD`, using the
+stacked body :data:`_STACKED` registers for the member type: local
+training (FedMD digests included), evaluation, or public logits.  The
+flag decides only this grouping of device tasks for dispatch; the FedZKT
+server phases stack same-signature models inside a shard task whatever it
+says (:mod:`repro.core.server_tasks`).
 
 The loops are not written here.  Training runs
 :func:`~repro.federated.trainer.sgd_steps`, the step loop the per-device
@@ -18,20 +23,20 @@ gathers from every member's own shuffle stream; the no-grad tasks run
 module adds is the gathering, the stacked module and optimizer, and the
 planning.
 
-The fused path is bit-identical to the serial path by construction: every
-batched op reduces over the same axes in the same order per device slice
-(see ``repro.nn.batched``), each device keeps its own shuffle RNG stream,
-and the per-device loss scalars are read off the ``(B,)`` loss vector the
-backward pass is seeded from.  Groups that cannot be fused — heterogeneous
-architectures, models without ``fusion_layers()``, batch-incompatible
-layers, mismatched shard sizes or training configs — fall back to the
-untouched per-device tasks.
+The stacked path is bit-identical to the serial path by construction:
+every batched op reduces over the same axes in the same order per device
+slice (see ``repro.nn.batched``), each device keeps its own shuffle RNG
+stream, and the per-device loss scalars are read off the ``(B,)`` loss
+vector the backward pass is seeded from.  Groups that cannot be fused —
+heterogeneous architectures, models without ``fusion_layers()``,
+batch-incompatible layers, mismatched shard sizes or training configs —
+fall back to the untouched per-device tasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,177 +72,151 @@ from .trainer import (
 )
 
 __all__ = [
-    "FusedEvaluateTask",
-    "FusedLocalTrainTask",
-    "FusedPublicLogitsTask",
+    "Cohort",
     "CohortPlan",
     "plan_cohorts",
 ]
 
 
 @dataclass
-class FusedLocalTrainTask:
-    """Train a cohort of same-signature devices in one vectorized loop.
+class Cohort:
+    """Same-key device tasks dispatched as one unit and run stacked.
 
-    Field layout mirrors :class:`LocalTrainTask` with every per-device field
-    pluralized and aligned by position; ``run`` returns one
-    :class:`LocalTrainResult` per device, in ``device_ids`` order, each
-    indistinguishable from what the per-device task would have produced.
+    ``members`` are the ordinary per-device tasks, all of one type, in the
+    planner's order; ``run`` hands them to the stacked body registered for
+    that type in :data:`_STACKED` and returns one result per member, each
+    bitwise what the member's own ``run`` returns.
     """
 
-    device_ids: List[int]
-    states: List[object]  # StateRef | state dict, per device
-    epochs: int
-    rng_states: List[dict]
-    anchors: Optional[List[object]] = None  # per-device StateRef | array list
-    digests: Optional[List[DigestSpec]] = None
+    members: List[object]
 
-    def _run_digests(self, module: BatchedModule, context: WorkerContext) -> List[float]:
-        """The stacked FedMD digest: :func:`~repro.federated.trainer.digest_on_public`
-        with every member's public batch stacked on the cohort axis."""
-        if context.public_dataset is None:
-            raise RuntimeError("digest task requires a public dataset in the worker context")
-        public = context.public_dataset
-        spec = self.digests[0]  # planner guarantees identical (epochs, lr, batch_size)
-        optimizer = BatchedSGD(module.parameters(), len(self.device_ids), lr=spec.lr,
-                               momentum=0.9)
-        batches = stack_batches([
-            shard_batches(public.images, np.asarray(_single_array(item.consensus)),
-                          spec.batch_size, spec.epochs, np.random.default_rng(item.seed))
-            for item in self.digests])
-        losses = by_member(sgd_steps(module, optimizer, batches, batched_mse_loss),
-                           len(self.device_ids))
-        return [float(np.mean(item)) if item else 0.0 for item in losses]
-
-    def run(self, context: WorkerContext) -> List[LocalTrainResult]:
-        """Train the cohort as consecutive tiles (see ``nn.batched.cohort_tiles``).
-
-        Devices are independent, so each tile — itself a fused task over a
-        slice of this one's per-device fields — runs its digests and every
-        epoch to completion before the next tile stacks its states.
-        """
-        template = context.model_for(self.device_ids[0])
-        config = context.train_configs[self.device_ids[0]]
-        shards = [context.shards[device_id] for device_id in self.device_ids]
-        sizes = [len(shard) for shard in shards]
-        if len(set(sizes)) > 1:
-            raise ValueError(f"a fused training task needs equal shard sizes, got {sizes}")
-        # The widest batch any step feeds the module sizes the tile.
-        samples = min(config.batch_size, sizes[0])
-        if self.digests is not None and context.public_dataset is not None:
-            samples = max(samples, min(self.digests[0].batch_size,
-                                       len(context.public_dataset)))
-        batch_shape = (samples,) + shards[0].images.shape[1:]
-        results: List[LocalTrainResult] = []
-        for lo, hi in cohort_tiles(template, len(sizes), batch_shape):
-            tile = replace(
-                self, device_ids=self.device_ids[lo:hi], states=self.states[lo:hi],
-                rng_states=self.rng_states[lo:hi],
-                anchors=None if self.anchors is None else self.anchors[lo:hi],
-                digests=None if self.digests is None else self.digests[lo:hi])
-            results.extend(tile._run_stacked(context))
-        return results
-
-    def _run_stacked(self, context: WorkerContext) -> List[LocalTrainResult]:
-        batch = len(self.device_ids)
-        template = context.model_for(self.device_ids[0])
-        config = context.train_configs[self.device_ids[0]]
-        states = [resolve_state(value) for value in self.states]
-        # members= hands each stacked slice its own live model, so RNG-stateful
-        # layers (Dropout) draw per-device streams exactly as the serial
-        # fallback would on the same worker.
-        module = BatchedModule(
-            template, states,
-            members=[context.model_for(device_id) for device_id in self.device_ids])
-        rngs = [_restored_rng(state) for state in self.rng_states]
-
-        digest_losses: List[Optional[float]] = [None] * batch
-        if self.digests is not None:
-            digest_losses = self._run_digests(module, context)
-
-        anchors: Optional[List[np.ndarray]] = None
-        if self.anchors is not None:
-            per_device = [resolve_arrays(value) for value in self.anchors]
-            anchors = [np.stack([np.asarray(per_device[b][i]) for b in range(batch)])
-                       for i in range(len(per_device[0]))]
-
-        shards = [context.shards[device_id] for device_id in self.device_ids]
-        parameters = module.parameters()
-        optimizer = BatchedSGD(parameters, batch, lr=config.lr, momentum=config.momentum,
-                               weight_decay=config.weight_decay)
-        losses = by_member(sgd_steps(
-            module, optimizer,
-            stack_batches([shard_batches(shard.images, shard.labels, config.batch_size,
-                                         self.epochs, rng)
-                           for shard, rng in zip(shards, rngs)]),
-            supervised_loss(parameters, anchors, config.prox_mu, batched_l2_proximal)), batch)
-
-        parameter_count = template.num_parameters()
-        return [
-            LocalTrainResult(
-                device_id=device_id,
-                state=state,
-                report=LocalTrainingReport.from_losses(
-                    device_id, self.epochs, device_losses, len(shards[0]), parameter_count),
-                rng_state=rng.bit_generator.state,
-                digest_loss=digest_loss)
-            for device_id, state, device_losses, rng, digest_loss in zip(
-                self.device_ids, module.state_dicts(), losses, rngs, digest_losses)]
+    def run(self, context: WorkerContext) -> List:
+        return _STACKED[type(self.members[0])](self.members, context)
 
 
-# --------------------------------------------------------------------------- #
-# Fused no-grad forward tasks (evaluation and public-logit sweeps)
-# --------------------------------------------------------------------------- #
-@dataclass
-class _FusedForwardTask:
-    """Shared plumbing of the fused no-grad tasks: per-device state payloads
-    plus the chunked dataset sweep through a :class:`BatchedEvaluator`
-    (which runs the cohort as tiles)."""
+def _train_stacked(members: List[LocalTrainTask], context: WorkerContext,
+                   ) -> List[LocalTrainResult]:
+    """Train a cohort as consecutive tiles (see ``nn.batched.cohort_tiles``).
 
-    device_ids: List[int]
-    states: List[object]  # StateRef | state dict, per device
-    batch_size: int = 256
-
-    def _evaluator(self, context: WorkerContext, dataset) -> BatchedEvaluator:
-        template = context.model_for(self.device_ids[0])
-        states = [resolve_state(value) for value in self.states]
-        samples = min(self.batch_size, len(dataset))
-        return BatchedEvaluator(template, states,
-                                (samples,) + dataset.images.shape[1:])
-
-
-class FusedEvaluateTask(_FusedForwardTask):
-    """Evaluate a same-architecture cohort on the held-out test set at once.
-
-    One stacked eval forward per test batch replaces B sequential model
-    sweeps; the per-device accuracies are read off the cohort axis by
-    :func:`~repro.federated.trainer.sweep_accuracies`, the reduction
-    :func:`~repro.federated.trainer.evaluate_accuracy` runs, so each slice's
-    accuracy is bitwise equal to the per-device
-    :class:`~repro.federated.backend.EvaluateTask`.
+    Devices are independent, so each tile — a slice of ``members`` — runs
+    its digests and every epoch to completion before the next tile stacks
+    its states.
     """
-
-    def run(self, context: WorkerContext) -> List[float]:
-        if context.eval_dataset is None:
-            raise RuntimeError("evaluate task requires an eval dataset in the worker context")
-        return sweep_accuracies(self._evaluator(context, context.eval_dataset).predict,
-                                context.eval_dataset, self.batch_size, len(self.device_ids))
-
-
-class FusedPublicLogitsTask(_FusedForwardTask):
-    """Compute a cohort's class scores on the public dataset in one sweep
-    (FedMD communicate phase); slice ``b`` is bitwise equal to the serial
-    :class:`~repro.federated.backend.PublicLogitsTask` output."""
-
-    def run(self, context: WorkerContext) -> List[np.ndarray]:
-        if context.public_dataset is None:
-            raise RuntimeError("public-logits task requires a public dataset in the worker context")
-        return sweep_logits(self._evaluator(context, context.public_dataset).predict,
-                            context.public_dataset, self.batch_size, len(self.device_ids))
+    first = members[0]
+    shards = [context.shards[task.device_id] for task in members]
+    sizes = [len(shard) for shard in shards]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"a training cohort needs equal shard sizes, got {sizes}")
+    # The widest batch any step feeds the module sizes the tile.
+    samples = min(context.train_configs[first.device_id].batch_size, sizes[0])
+    if first.digest is not None and context.public_dataset is not None:
+        samples = max(samples, min(first.digest.batch_size, len(context.public_dataset)))
+    batch_shape = (samples,) + shards[0].images.shape[1:]
+    results: List[LocalTrainResult] = []
+    for lo, hi in cohort_tiles(context.model_for(first.device_id), len(members), batch_shape):
+        results.extend(_train_tile(members[lo:hi], context))
+    return results
 
 
-#: Task types the planner may emit in place of a fused group.
-_FUSED_TASK_TYPES = (FusedLocalTrainTask, FusedEvaluateTask, FusedPublicLogitsTask)
+def _train_tile(members: List[LocalTrainTask], context: WorkerContext,
+                ) -> List[LocalTrainResult]:
+    batch = len(members)
+    first = members[0]
+    template = context.model_for(first.device_id)
+    config = context.train_configs[first.device_id]
+    states = [resolve_state(task.state) for task in members]
+    # members= hands each stacked slice its own live model, so RNG-stateful
+    # layers (Dropout) draw per-device streams exactly as the serial
+    # fallback would on the same worker.
+    module = BatchedModule(template, states,
+                           members=[context.model_for(task.device_id) for task in members])
+    rngs = [_restored_rng(task.rng_state) for task in members]
+
+    digest_losses: List[Optional[float]] = [None] * batch
+    if first.digest is not None:
+        digest_losses = _digest_stacked(module, [task.digest for task in members], context)
+
+    anchors: Optional[List[np.ndarray]] = None
+    if first.anchor is not None:
+        anchors = [np.stack(column)
+                   for column in zip(*(resolve_arrays(task.anchor) for task in members))]
+
+    shards = [context.shards[task.device_id] for task in members]
+    parameters = module.parameters()
+    optimizer = BatchedSGD(parameters, batch, lr=config.lr, momentum=config.momentum,
+                           weight_decay=config.weight_decay)
+    losses = by_member(sgd_steps(
+        module, optimizer,
+        stack_batches([shard_batches(shard.images, shard.labels, config.batch_size,
+                                     first.epochs, rng)
+                       for shard, rng in zip(shards, rngs)]),
+        supervised_loss(parameters, anchors, config.prox_mu, batched_l2_proximal)), batch)
+
+    parameter_count = template.num_parameters()
+    return [
+        LocalTrainResult(
+            device_id=task.device_id,
+            state=state,
+            report=LocalTrainingReport.from_losses(
+                task.device_id, first.epochs, device_losses, len(shards[0]), parameter_count),
+            rng_state=rng.bit_generator.state,
+            digest_loss=digest_loss)
+        for task, state, device_losses, rng, digest_loss in zip(
+            members, module.state_dicts(), losses, rngs, digest_losses)]
+
+
+def _digest_stacked(module: BatchedModule, digests: List[DigestSpec],
+                    context: WorkerContext) -> List[float]:
+    """The stacked FedMD digest: :func:`~repro.federated.trainer.digest_on_public`
+    with every member's public batch stacked on the cohort axis."""
+    if context.public_dataset is None:
+        raise RuntimeError("digest task requires a public dataset in the worker context")
+    public = context.public_dataset
+    spec = digests[0]  # the planner keys on (epochs, lr, batch_size)
+    optimizer = BatchedSGD(module.parameters(), len(digests), lr=spec.lr, momentum=0.9)
+    batches = stack_batches([
+        shard_batches(public.images, np.asarray(_single_array(item.consensus)),
+                      spec.batch_size, spec.epochs, np.random.default_rng(item.seed))
+        for item in digests])
+    losses = by_member(sgd_steps(module, optimizer, batches, batched_mse_loss), len(digests))
+    return [float(np.mean(item)) if item else 0.0 for item in losses]
+
+
+def _evaluator(members: List, context: WorkerContext, dataset) -> BatchedEvaluator:
+    """A no-grad stacked forward over the members' states, tiled for the
+    widest chunk the sweep will feed it."""
+    samples = min(members[0].batch_size, len(dataset))
+    return BatchedEvaluator(context.model_for(members[0].device_id),
+                            [resolve_state(task.state) for task in members],
+                            (samples,) + dataset.images.shape[1:])
+
+
+def _evaluate_stacked(members: List[EvaluateTask], context: WorkerContext) -> List[float]:
+    """Each member's test-set accuracy from one stacked forward per chunk,
+    reduced by :func:`~repro.federated.trainer.sweep_accuracies` as the
+    per-device task reduces it."""
+    if context.eval_dataset is None:
+        raise RuntimeError("evaluate task requires an eval dataset in the worker context")
+    return sweep_accuracies(_evaluator(members, context, context.eval_dataset).predict,
+                            context.eval_dataset, members[0].batch_size, len(members))
+
+
+def _public_logits_stacked(members: List[PublicLogitsTask], context: WorkerContext,
+                           ) -> List[np.ndarray]:
+    """Each member's class scores on the public dataset (FedMD) in one sweep."""
+    if context.public_dataset is None:
+        raise RuntimeError("public-logits task requires a public dataset in the worker context")
+    return sweep_logits(_evaluator(members, context, context.public_dataset).predict,
+                        context.public_dataset, members[0].batch_size, len(members))
+
+
+#: The stacked body of each device task type a :class:`Cohort` can hold;
+#: the planner fuses no other type.
+_STACKED: Dict[type, Callable[[List, WorkerContext], List]] = {
+    LocalTrainTask: _train_stacked,
+    EvaluateTask: _evaluate_stacked,
+    PublicLogitsTask: _public_logits_stacked,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -247,31 +226,30 @@ _FUSED_TASK_TYPES = (FusedLocalTrainTask, FusedEvaluateTask, FusedPublicLogitsTa
 class CohortPlan:
     """Outcome of :func:`plan_cohorts`.
 
-    ``tasks`` is the dispatch list (fused tasks replacing their groups,
-    passthrough tasks untouched) and ``scatter[i]`` lists the positions in
-    the *original* task list that planned task ``i``'s results land in —
-    one position for a passthrough task, ``len(device_ids)`` positions (in
-    ``device_ids`` order) for a fused task.
+    ``tasks`` is the dispatch list (a :class:`Cohort` in place of each
+    group, passthrough tasks untouched) and ``scatter[i]`` lists the
+    positions in the *original* task list that planned task ``i``'s results
+    land in — one position for a passthrough task, one per member (in
+    member order) for a cohort.
     """
 
     tasks: List[object] = field(default_factory=list)
     scatter: List[List[int]] = field(default_factory=list)
 
-    @property
-    def fused_group_count(self) -> int:
-        return sum(1 for task in self.tasks if isinstance(task, _FUSED_TASK_TYPES))
+    def scattered(self, planned_index: int, result) -> Iterable[Tuple[int, object]]:
+        """``(original_index, result)`` for each task planned task
+        ``planned_index`` stands for, given what it returned."""
+        indices = self.scatter[planned_index]
+        if isinstance(self.tasks[planned_index], Cohort):
+            return zip(indices, result)
+        return ((indices[0], result),)
 
     def gather(self, raw_results: Sequence) -> List:
         """Re-assemble planned results into original task order."""
-        total = sum(len(indices) for indices in self.scatter)
-        results: List = [None] * total
+        results: List = [None] * sum(len(indices) for indices in self.scatter)
         for planned_index, result in enumerate(raw_results):
-            indices = self.scatter[planned_index]
-            if isinstance(self.tasks[planned_index], _FUSED_TASK_TYPES):
-                for slot, original_index in enumerate(indices):
-                    results[original_index] = result[slot]
-            else:
-                results[indices[0]] = result
+            for original_index, value in self.scattered(planned_index, result):
+                results[original_index] = value
         return results
 
 
@@ -284,6 +262,7 @@ def _digest_group_key(digest: Optional[DigestSpec]) -> Optional[Tuple]:
 def _task_fusion_key(task, group_key) -> Optional[Hashable]:
     """The full fusion key of one task, or ``None`` for the per-device path.
 
+    Only task types with a stacked body (:data:`_STACKED`) fuse.
     ``group_key`` covers the model/config dimensions; the task-level
     dimensions folded in here depend on the task kind — training tasks add
     epochs, anchor presence, and the digest hyperparameters, the no-grad
@@ -291,7 +270,7 @@ def _task_fusion_key(task, group_key) -> Optional[Hashable]:
     the key, so an evaluate task can never fuse with a logits task.
     """
     task_type = type(task)
-    if task_type not in (LocalTrainTask, EvaluateTask, PublicLogitsTask):
+    if task_type not in _STACKED:
         return None
     key = group_key(task)
     if key is None:
@@ -302,36 +281,13 @@ def _task_fusion_key(task, group_key) -> Optional[Hashable]:
     return (task_type.__name__, key, task.batch_size)
 
 
-def _fuse_group(cohort: List) -> object:
-    """Build the fused task replacing a planned group (same-type members)."""
-    first = cohort[0]
-    if type(first) is LocalTrainTask:
-        return FusedLocalTrainTask(
-            device_ids=[t.device_id for t in cohort],
-            states=[t.state for t in cohort],
-            epochs=first.epochs,
-            rng_states=[t.rng_state for t in cohort],
-            anchors=([t.anchor for t in cohort]
-                     if any(t.anchor is not None for t in cohort) else None),
-            digests=([t.digest for t in cohort]
-                     if any(t.digest is not None for t in cohort) else None),
-        )
-    fused_type = (FusedEvaluateTask if type(first) is EvaluateTask
-                  else FusedPublicLogitsTask)
-    return fused_type(
-        device_ids=[t.device_id for t in cohort],
-        states=[t.state for t in cohort],
-        batch_size=first.batch_size,
-    )
-
-
 #: Smallest group the planner fuses; a lone task keeps its per-device path.
 _MIN_GROUP = 2
 
 
 def plan_cohorts(tasks: Sequence,
                  group_key: Callable[[object], Optional[Hashable]]) -> CohortPlan:
-    """Group a round's tasks into fused cohorts.
+    """Group a round's tasks into cohorts.
 
     ``group_key(task)`` returns a hashable fusion key covering the model
     and training-config dimensions, or ``None`` when the task must stay on
@@ -340,9 +296,10 @@ def plan_cohorts(tasks: Sequence,
     presence, digest presence and digest hyperparameters for training
     tasks; eval batch size for the no-grad forward tasks (evaluate /
     public-logits sweeps) — so two tasks fuse only when every knob that
-    shapes the work agrees.  Tasks sharing a key are fused when the group
-    reaches ``_MIN_GROUP``; each fused task is emitted at its first member's
-    position, so single-group rounds keep their dispatch order stable.
+    shapes the work agrees.  Tasks sharing a key become one
+    :class:`Cohort` when the group reaches ``_MIN_GROUP``; each cohort is
+    emitted at its first member's position, so single-group rounds keep
+    their dispatch order stable.
     """
     keys: List[Optional[Hashable]] = []
     groups: Dict[Hashable, List[int]] = {}
@@ -364,7 +321,7 @@ def plan_cohorts(tasks: Sequence,
             plan.scatter.append([index])
             emitted.add(index)
             continue
-        plan.tasks.append(_fuse_group([tasks[i] for i in members]))
+        plan.tasks.append(Cohort([tasks[i] for i in members]))
         plan.scatter.append(list(members))
         emitted.update(members)
     return plan

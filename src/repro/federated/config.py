@@ -238,13 +238,16 @@ class FederatedConfig:
         is set, the scheduler kind and ``server_shards`` are validated
         against the strategy's capability declarations.
     cohort_fusion:
-        Opt-in: fuse each round's same-architecture device cohort into one
-        vectorized training task (bit-identical to the per-device path;
-        heterogeneous or batch-incompatible groups fall back per device).
-        Only exact-signature devices with equal shard sizes fuse.  With
-        fusion on, per-round device evaluation and FedMD's public-logit
-        sweeps also run as stacked no-grad forwards (bit-identical per
-        slice).
+        Opt-in: merge each round's same-key device tasks — training (FedMD
+        digests included), evaluation and FedMD's public-logit sweeps — into
+        one dispatch unit (a :class:`~repro.federated.cohort.Cohort`) that
+        runs them stacked, bit-identical to the per-device path.  Only
+        exact-signature devices with equal shard sizes and training
+        configs train together; heterogeneous or batch-incompatible groups
+        stay per device.  The trade is fewer, larger tasks against worker
+        parallelism.  The flag only groups device tasks for dispatch: the
+        FedZKT server phases always stack same-signature groups inside a
+        shard task.
     numeric_policy:
         Floating dtype tier the run computes in: ``"float64"`` (default —
         the dtype the bit-identity contract and golden fixtures are defined

@@ -227,7 +227,8 @@ class Simulation:
         return self.strategy.device_tasks(device_ids, round_index)
 
     # ------------------------------------------------------------------ #
-    # Cohort fusion (opt-in via ``config.cohort_fusion``)
+    # Cohort fusion (opt-in via ``config.cohort_fusion``): which device
+    # tasks the driver merges into one dispatch unit
     # ------------------------------------------------------------------ #
     def _signature(self, device_id: int):
         """Cached ``fusion_signature`` of a device's model."""
@@ -259,10 +260,12 @@ class Simulation:
         return (signature, device.training_config, len(device.dataset))
 
     def run_device_tasks(self, tasks: Sequence) -> List:
-        """Execute a round's device tasks, fusing cohorts when enabled.
+        """Execute device tasks, merging same-key ones into one dispatch unit
+        (a :class:`~repro.federated.cohort.Cohort`) when
+        ``config.cohort_fusion`` is on.
 
         Results come back in task order and are indistinguishable from
-        per-device execution (the fused path is bit-identical).
+        per-device execution (the stacked path is bit-identical).
         """
         if not self.config.cohort_fusion:
             return self.backend.run_tasks(tasks)
@@ -272,21 +275,15 @@ class Simulation:
     def run_device_tasks_as_completed(self, tasks: Sequence):
         """As-completed variant for deadline/async schedulers.
 
-        Yields ``(original_task_index, result)``; a fused cohort surfaces
-        its members when the fused task completes, in cohort order.
+        Yields ``(original_task_index, result)``; a cohort surfaces its
+        members when it completes, in member order.
         """
         if not self.config.cohort_fusion:
             yield from self.backend.run_tasks_as_completed(tasks)
             return
         plan = plan_cohorts(tasks, self._fusion_group_key)
-        fused = {index: scatter for index, scatter in enumerate(plan.scatter)
-                 if len(scatter) > 1}
         for planned_index, result in self.backend.run_tasks_as_completed(plan.tasks):
-            if planned_index in fused:
-                for slot, original_index in enumerate(fused[planned_index]):
-                    yield original_index, result[slot]
-            else:
-                yield plan.scatter[planned_index][0], result
+            yield from plan.scattered(planned_index, result)
 
     def restore_model_state(self, device_id: int, state: StateRef) -> None:
         """Reset a device's published parameters to a pre-dispatch snapshot.

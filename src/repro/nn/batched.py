@@ -459,8 +459,9 @@ def cohort_tiles(template: Module, cohort_size: int,
                  batch_shape: Sequence[int]) -> List[Tuple[int, int]]:
     """``(start, stop)`` bounds of the consecutive tiles a cohort runs as.
 
-    Every site that stacks a cohort asks here, so a fused task stays the
-    unit of dispatch while the tile is the unit of compute.  Cohort members
+    Every site that stacks a cohort asks here, so a dispatched task (a
+    device-side ``Cohort`` or a server shard task) stays the unit of
+    dispatch while the tile is the unit of compute.  Cohort members
     are independent and every batched op is bitwise equal per slice at any
     stack size, so the tiling never changes a bit.
     """
@@ -630,11 +631,15 @@ class BatchedEvaluator:
             for lo, hi in cohort_tiles(template, self.batch_size, batch_shape)]
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """Stacked logits ``(B, N, C)`` for one input batch shared by all slices."""
+        """Stacked logits ``(B, N, C)`` for one input batch shared by all slices.
+
+        A one-tile cohort's output is the tile's own (a scratch-arena block,
+        given back when the caller drops it); several tiles are concatenated.
+        """
         images = np.asarray(images)
-        return np.concatenate(
-            [module.predict(np.broadcast_to(images, (module.batch_size,) + images.shape))
-             for module in self._modules], axis=0)
+        outputs = [module.predict(np.broadcast_to(images, (module.batch_size,) + images.shape))
+                   for module in self._modules]
+        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
 
 
 class BatchedSGD(SGD):

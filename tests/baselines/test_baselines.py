@@ -15,7 +15,7 @@ from repro.baselines import (
     train_standalone,
 )
 from repro.federated import Simulation
-from repro.federated.trainer import evaluate_accuracy
+from repro.federated.trainer import compute_public_logits, digest_on_public, evaluate_accuracy
 from repro.models import ModelSpec, SimpleCNN
 from repro.partition import IIDPartitioner
 
@@ -56,11 +56,14 @@ class TestFedMD:
                                                           hidden_size=16, seed=i)
                                                 for i in range(micro_config.num_devices)],
                                  digest_epochs=2)
-        device = simulation.devices[0]
+        device, strategy, config = simulation.devices[0], simulation.strategy, simulation.config
         consensus = np.zeros((len(tiny_rgb_dataset), CLASSES))
-        before = simulation.strategy._public_logits(device.model)
-        simulation.strategy._digest(device, consensus)
-        after = simulation.strategy._public_logits(device.model)
+        before = compute_public_logits(device.model, strategy.public_dataset)
+        digest_on_public(device.model, strategy.public_dataset, consensus,
+                         lr=config.server.device_distill_lr,
+                         batch_size=config.batch_size, epochs=strategy.digest_epochs,
+                         rng=np.random.default_rng(strategy._digest_seed(device.device_id)))
+        after = compute_public_logits(device.model, strategy.public_dataset)
         assert np.abs(after).mean() < np.abs(before).mean()
 
     def test_strategy_helpers_are_not_simulation_attributes(self, micro_config,
@@ -72,9 +75,10 @@ class TestFedMD:
                                  device_models=[SimpleCNN(SHAPE, CLASSES, channels=(4,),
                                                           hidden_size=8, seed=i)
                                                 for i in range(micro_config.num_devices)])
-        assert hasattr(simulation.strategy, "_digest")
-        with pytest.raises(AttributeError, match="'Simulation' object has no attribute '_digest'"):
-            simulation._digest
+        assert hasattr(simulation.strategy, "_digest_seed")
+        with pytest.raises(AttributeError,
+                           match="'Simulation' object has no attribute '_digest_seed'"):
+            simulation._digest_seed
 
     def test_requires_devices(self, micro_config, tiny_rgb_dataset, tiny_test_dataset):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from repro.core.server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
     EnsembleVJPTask,
+    _fusion_tiles,
     frozen_parameters,
     partition_shards,
 )
@@ -387,7 +388,7 @@ def test_each_server_update_restarts_the_schedules_at_the_config_rates():
 
 
 # --------------------------------------------------------------------------- #
-# Tile widths: a fused shard task run as tiles returns the same bytes
+# Tile widths: a shard task stacks its same-architecture models, bit for bit
 # --------------------------------------------------------------------------- #
 def _homogeneous_cohort():
     """Eight same-architecture replicas plus one that cannot join them."""
@@ -397,9 +398,23 @@ def _homogeneous_cohort():
     return models
 
 
+@pytest.mark.parametrize("width, tiles", [
+    (1, []),
+    (3, [[0, 1, 2], [3, 4, 5], [6, 7]]),
+    (7, [[0, 1, 2, 3, 4, 5, 6]]),
+    (8, [list(range(8))]),
+])
+def test_tiles_of_one_take_the_per_model_arm(width, tiles, force_tile_width):
+    # Position 8 (the one FullyConnected) is a singleton; a group's tile of
+    # one (all of them at width 1, the eighth CNN at width 7) is left out too.
+    force_tile_width(width)
+    assert _fusion_tiles(list(_homogeneous_cohort().values()), (6, *SHAPE)) == tiles
+
+
 class TestTiledShardTasks:
-    """Cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2) and 8, against the
-    unfused per-model branch of the same task."""
+    """Cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2) and 8, against
+    one-member tasks: a singleton never stacks, so they run the per-model
+    path."""
 
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
     @pytest.mark.parametrize("mode", ["prob", "logit"])
@@ -413,48 +428,54 @@ class TestTiledShardTasks:
         upstream = rng.normal(size=(6, CLASSES))
         weights = list(rng.uniform(0.5, 1.5, size=len(ids)))
 
-        def run(fuse):
-            forward = EnsembleForwardTask(ids, states, inputs, mode=mode, fuse=fuse)
-            vjp = EnsembleVJPTask(ids, states, weights, inputs, upstream, mode=mode,
-                                  fuse=fuse)
+        def run(ids, states, weights):
+            forward = EnsembleForwardTask(ids, states, inputs, mode=mode)
+            vjp = EnsembleVJPTask(ids, states, weights, inputs, upstream, mode=mode)
             return forward.run(context), vjp.run(context)
 
-        members, grads = run(fuse=False)
+        alone = [run([device_id], [state], [weight])
+                 for device_id, state, weight in zip(ids, states, weights)]
+        members = [outputs[0] for outputs, _ in alone]
+        grads = [outputs[0] for _, outputs in alone]
         force_tile_width(width)
-        tiled_members, tiled_grads = run(fuse=True)
+        tiled_members, tiled_grads = run(ids, states, weights)
         for ours, theirs in zip(tiled_members + tiled_grads, members + grads):
             np.testing.assert_array_equal(ours, theirs)
 
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
-    def test_phase2_distillation_and_its_momentum(self, width, force_tile_width):
-        models = _homogeneous_cohort()
-        context = _context_for(models)
-        ids = list(models)
-        rng = np.random.default_rng(5)
-        batches = [rng.normal(size=(6, *SHAPE)) for _ in range(3)]
-        targets = [rng.dirichlet(np.ones(CLASSES), size=6) for _ in range(3)]
+    def test_phase2_distillation_and_its_momentum(self, width, policy, force_tile_width):
+        with using_numeric_policy(policy):
+            models = _homogeneous_cohort()
+            context = _context_for(models)
+            ids = list(models)
+            rng = np.random.default_rng(5)
+            batches = [rng.normal(size=(6, *SHAPE)) for _ in range(3)]
+            targets = [rng.dirichlet(np.ones(CLASSES), size=6) for _ in range(3)]
 
-        def run(fuse):
-            # Two dispatches, the second resuming from the first's states and
-            # momentum, as consecutive rounds do.
-            states = [models[device_id].state_dict() for device_id in ids]
-            velocities = [[np.zeros_like(param.data) for param in models[device_id].parameters()]
-                          for device_id in ids]
-            for _ in range(2):
-                result = DeviceDistillTask(ids, states, velocities, batches, targets,
-                                           lr=0.02, fuse=fuse).run(context)
-                states, velocities = result.states, result.velocities
-            return result
+            def run(ids):
+                # Two dispatches, the second resuming from the first's states
+                # and momentum, as consecutive rounds do.
+                states = [models[device_id].state_dict() for device_id in ids]
+                velocities = [[np.zeros_like(param.data)
+                               for param in models[device_id].parameters()]
+                              for device_id in ids]
+                for _ in range(2):
+                    result = DeviceDistillTask(ids, states, velocities, batches, targets,
+                                               lr=0.02).run(context)
+                    states, velocities = result.states, result.velocities
+                return result
 
-        unfused = run(fuse=False)
-        force_tile_width(width)
-        tiled = run(fuse=True)
-        assert tiled.device_ids == unfused.device_ids
-        assert tiled.losses == unfused.losses
-        for ours, theirs in zip(tiled.states, unfused.states):
-            _assert_states_equal(ours, theirs)
-        for ours, theirs in zip(tiled.velocities, unfused.velocities):
+            alone = [run([device_id]) for device_id in ids]
+            force_tile_width(width)
+            tiled = run(ids)
+        assert tiled.device_ids == ids
+        assert tiled.losses == [result.losses[0] for result in alone]
+        for ours, result in zip(tiled.states, alone):
+            _assert_states_equal(ours, result.states[0])
+        for ours, result in zip(tiled.velocities, alone):
+            theirs = result.velocities[0]
             assert len(ours) == len(theirs)
             for array_a, array_b in zip(ours, theirs):
-                assert np.asarray(array_a).dtype == np.asarray(array_b).dtype
+                assert np.asarray(array_a).dtype == np.asarray(array_b).dtype == policy
                 np.testing.assert_array_equal(array_a, array_b)

@@ -1,12 +1,14 @@
-"""Fused Phase-2 back-transfer parity: fused == unfused, bit for bit.
+"""Stacked Phase-2 back-transfer parity: stacked == per-model, bit for bit.
 
-When ``cohort_fusion`` is enabled, devices whose models share a fusion
-signature are distilled as one stacked :class:`BatchedModule` over the
-shared synthetic batches, with their persisted SGD momentum stacked into
-:class:`BatchedSGD`.  The contract is exact equality with the historical
-per-device loop — on model states, the distiller's ``device_momentum``,
-and the `DistillationReport` — including across resume boundaries,
-through sharded backends, and under the float32 numeric policy.
+Inside a shard task, devices whose models share a fusion signature are
+distilled as one stacked :class:`BatchedModule` over the shared synthetic
+batches, with their persisted SGD momentum stacked into
+:class:`BatchedSGD`.  The contract is exact equality with the per-device
+loop — on model states, the distiller's ``device_momentum``, and the
+`DistillationReport` — including across resume boundaries, through
+sharded backends, and under the float32 numeric policy.  The per-model
+oracle is the same transfer with one device per shard (or
+``distill_students`` called once per model): a singleton never stacks.
 """
 
 from __future__ import annotations
@@ -47,11 +49,16 @@ def _device_models():
     return models
 
 
-def _distiller(config, fused):
+def _distiller(stacked, server_shards=None):
+    """A distiller whose shard tasks stack the CNN cohort (one shard unless
+    ``server_shards`` says otherwise) or run every device alone (one device
+    per shard)."""
+    if server_shards is None:
+        server_shards = 1 if stacked else len(_device_models())
+    config = _server_config(server_shards=server_shards)
     global_model = build_global_model(SHAPE, CLASSES, seed=7)
     generator = build_generator(SHAPE, noise_dim=config.noise_dim, seed=13)
-    return ZeroShotDistiller(global_model, generator, config, seed=17,
-                             cohort_fusion=fused)
+    return ZeroShotDistiller(global_model, generator, config, seed=17)
 
 
 def _context_for(device_models):
@@ -81,12 +88,12 @@ def _assert_runs_equal(run_a, run_b):
             np.testing.assert_array_equal(array_a, array_b)
 
 
-def _run_transfer(fused, transfers=(None,)):
+def _run_transfer(stacked, transfers=(None,)):
     """Run ``transfer_to_devices`` once per entry of ``transfers`` (an
     iteration count, or None for the config default) on one distiller, so
     persisted momentum carries across calls."""
     device_models = _device_models()
-    distiller = _distiller(_server_config(), fused)
+    distiller = _distiller(stacked)
     for iterations in transfers:
         report = distiller.transfer_to_devices(device_models, iterations=iterations)
     return device_models, report, distiller.device_momentum
@@ -99,18 +106,18 @@ def test_cohort_is_actually_fusable():
 
 
 def test_fused_transfer_is_bit_identical():
-    _assert_runs_equal(_run_transfer(fused=False), _run_transfer(fused=True))
+    _assert_runs_equal(_run_transfer(stacked=False), _run_transfer(stacked=True))
 
 
 @pytest.mark.parametrize("policy", ["float64", "float32"])
 def test_fused_transfer_resumes_bit_identically(policy):
-    # Two fused 1-iteration transfers == one unfused 2-iteration transfer:
+    # Two stacked 1-iteration transfers == one per-model 2-iteration transfer:
     # the stacked momentum round-trips losslessly across the resume boundary.
     # The driver creates each device's zero momentum itself, in its
     # parameters' dtype, and every buffer a task hands back keeps that dtype.
     with using_numeric_policy(policy):
-        split_models, _, split_momentum = _run_transfer(fused=True, transfers=(1, 1))
-        merged_models, _, merged_momentum = _run_transfer(fused=False, transfers=(2,))
+        split_models, _, split_momentum = _run_transfer(stacked=True, transfers=(1, 1))
+        merged_models, _, merged_momentum = _run_transfer(stacked=False, transfers=(2,))
     _assert_runs_equal((split_models, None, split_momentum),
                        (merged_models, None, merged_momentum))
     assert len(split_momentum) == len(split_models)
@@ -123,14 +130,14 @@ def test_fused_transfer_resumes_bit_identically(policy):
     lambda: ProcessPoolBackend(max_workers=2),
 ], ids=["serial-backend", "process:2"])
 def test_sharded_fused_transfer_matches_unfused_serial(backend_factory):
-    unfused_models, unfused_report, _ = _run_transfer(fused=False)
+    unfused_models, unfused_report, _ = _run_transfer(stacked=False)
 
-    config = _server_config(server_shards=2)
     device_models = _device_models()
     backend = backend_factory()
     with backend:
         backend.start(_context_for(device_models))
-        distiller = _distiller(config, fused=True)
+        # Shards [0, 1] and [2, 3, 4]: each stacks a CNN pair.
+        distiller = _distiller(stacked=True, server_shards=2)
         distiller.bind_backend(backend)
         report = distiller.transfer_to_devices(device_models)
 
@@ -141,15 +148,14 @@ def test_sharded_fused_transfer_matches_unfused_serial(backend_factory):
 
 
 def test_fused_server_update_is_bit_identical(monkeypatch):
-    # End to end: a full server update (fused Phase 1 + fused Phase 2), at
-    # the default one shard.
-    def _run(fused):
+    # End to end: a full server update (stacked Phase 1 + stacked Phase 2) at
+    # one shard, against one device per shard.
+    def _run(stacked):
         device_models = _device_models()
-        distiller = _distiller(_server_config(), fused)
+        distiller = _distiller(stacked)
         report = distiller.server_update(device_models)
         return device_models, report, distiller.device_momentum
 
-    unfused = _run(False)
     stacks = []
 
     class Recorded(server_tasks.BatchedModule):
@@ -158,9 +164,12 @@ def test_fused_server_update_is_bit_identical(monkeypatch):
             super().__init__(template, states, *args, requires_grad=requires_grad, **kwargs)
 
     monkeypatch.setattr(server_tasks, "BatchedModule", Recorded)
+    unfused = _run(False)
+    # One device per shard stacks nothing.
+    assert stacks == []
     _assert_runs_equal(unfused, _run(True))
-    # Phase 1's forward/VJP tasks (grad-free stacks) ran the four CNN
-    # teachers as one stack; Phase 2 stacked the four students.
+    # At one shard Phase 1's forward/VJP tasks (grad-free stacks) ran the
+    # four CNN teachers as one stack; Phase 2 stacked the four students.
     assert (4, False) in stacks and (4, True) in stacks
 
 
@@ -187,8 +196,15 @@ def _students(seed=8):
 
 
 def _distill(models, velocities, batches, targets, fuse):
-    return server_tasks.distill_students(models, velocities, batches, targets,
-                                         lr=0.02, momentum=0.9, fuse=fuse)
+    """``distill_students`` over the whole cohort (``fuse``: the four CNNs
+    stack), or once per model (a singleton never stacks)."""
+    if fuse:
+        return server_tasks.distill_students(models, velocities, batches, targets,
+                                             lr=0.02, momentum=0.9)
+    runs = [server_tasks.distill_students([model], [velocity], batches, targets,
+                                          lr=0.02, momentum=0.9)
+            for model, velocity in zip(models, velocities)]
+    return [run[0][0] for run in runs], [run[1][0] for run in runs]
 
 
 def _assert_momentum_equal(velocities_a, velocities_b):

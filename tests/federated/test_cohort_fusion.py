@@ -1,10 +1,11 @@
-"""Fused-cohort execution: planner semantics and tiled training tasks.
+"""Cohort fusion: planner semantics and the stacked bodies a ``Cohort`` runs.
 
 ``cohort_fusion`` must be a pure performance knob.  Whole runs with fusion
-on — every algorithm and scheduler, serial or process backends, sharded or
-in-process server updates, forced tile widths — replay the fusion-off
-history in ``tests/integration/test_parity_matrix.py``; this module keeps
-the planner's grouping and the task-level tile comparisons.
+on — every algorithm and scheduler, serial or process backends, sharded
+server updates, forced tile widths — replay the fusion-off history in
+``tests/integration/test_parity_matrix.py``; this module keeps the
+planner's grouping and holds every stacked job, at every tile width, to
+its members' own ``run``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,16 @@ import pytest
 
 from repro.baselines import build_fedavg
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
-from repro.federated import FederatedConfig, FusedLocalTrainTask, plan_cohorts
-from repro.federated.backend import DigestSpec, EvaluateTask, LocalTrainTask
+from repro.federated import Cohort, FederatedConfig, plan_cohorts
+from repro.federated.backend import (
+    DigestSpec,
+    EvaluateTask,
+    LocalTrainTask,
+    PublicLogitsTask,
+    iter_state_refs,
+)
 from repro.models import ModelSpec, build_model
+from repro.utils import StateRef
 
 
 # --------------------------------------------------------------------------- #
@@ -35,21 +43,21 @@ def _digest(seed, epochs=1, lr=0.02, batch_size=8):
                       batch_size=batch_size, seed=seed)
 
 
+def _ids(cohort):
+    return [task.device_id for task in cohort.members]
+
+
 class TestPlanCohorts:
     def test_groups_same_key_and_scatters_in_order(self):
         tasks = [_task(0), _task(1), _task(2), _task(3)]
         plan = plan_cohorts(tasks, lambda task: "cnn")
-        assert len(plan.tasks) == 1 and plan.fused_group_count == 1
-        fused = plan.tasks[0]
-        assert isinstance(fused, FusedLocalTrainTask)
-        assert fused.device_ids == [0, 1, 2, 3]
+        assert plan.tasks == [Cohort(tasks)]
         assert plan.scatter == [[0, 1, 2, 3]]
 
     def test_unfusable_tasks_pass_through(self):
         tasks = [_task(0), _task(1), _task(2)]
         plan = plan_cohorts(tasks, lambda task: None)
         assert plan.tasks == tasks
-        assert plan.fused_group_count == 0
         assert plan.scatter == [[0], [1], [2]]
 
     def test_singleton_groups_pass_through(self):
@@ -61,29 +69,48 @@ class TestPlanCohorts:
         tasks = [_task(0), _task(1), _task(2), _task(3)]
         keys = {0: "a", 1: "b", 2: "a", 3: "b"}
         plan = plan_cohorts(tasks, lambda task: keys[task.device_id])
-        assert [t.device_ids for t in plan.tasks] == [[0, 2], [1, 3]]
+        assert [_ids(cohort) for cohort in plan.tasks] == [[0, 2], [1, 3]]
         assert plan.scatter == [[0, 2], [1, 3]]
 
     def test_epochs_and_anchor_layout_split_groups(self):
         tasks = [_task(0, epochs=1), _task(1, epochs=2),
                  _task(2, epochs=1, anchor=[np.zeros(2)]), _task(3, epochs=1)]
         plan = plan_cohorts(tasks, lambda task: "same")
-        fused = [t for t in plan.tasks if isinstance(t, FusedLocalTrainTask)]
-        assert len(fused) == 1 and fused[0].device_ids == [0, 3]
+        cohorts = [t for t in plan.tasks if isinstance(t, Cohort)]
+        assert len(cohorts) == 1 and _ids(cohorts[0]) == [0, 3]
 
     def test_digest_hyperparameters_split_groups(self):
         tasks = [_task(0, digest=_digest(0)), _task(1, digest=_digest(1)),
                  _task(2, digest=_digest(2, lr=0.5))]
         plan = plan_cohorts(tasks, lambda task: "same")
-        fused = [t for t in plan.tasks if isinstance(t, FusedLocalTrainTask)]
-        assert len(fused) == 1 and fused[0].device_ids == [0, 1]
-        assert [spec.seed for spec in fused[0].digests] == [0, 1]
+        cohorts = [t for t in plan.tasks if isinstance(t, Cohort)]
+        assert cohorts == [Cohort(tasks[:2])]
+
+    def test_only_task_types_with_a_stacked_body_fuse(self):
+        tasks = [PublicLogitsTask(0, {}), PublicLogitsTask(1, {}), EvaluateTask(2, {}),
+                 EvaluateTask(3, {}), _task(4), _task(5), "an unknown task", "another"]
+        plan = plan_cohorts(tasks, lambda task: "same")
+        assert plan.tasks == [Cohort(tasks[0:2]), Cohort(tasks[2:4]), Cohort(tasks[4:6]),
+                              *tasks[6:]]
+
+    def test_cohort_carries_every_members_refs(self):
+        # Dispatch accounting reads a cohort's refs through its members.
+        def ref(name):
+            return StateRef(key=name, kind="arrays" if name.startswith("a") else "state")
+        members = [LocalTrainTask(device_id=index, state=ref(f"s{index}"), epochs=1,
+                                  rng_state={}, anchor=ref(f"a{index}"),
+                                  digest=DigestSpec(ref("a-consensus"), 1, 0.1, 4, index))
+                   for index in range(3)]
+        refs = list(iter_state_refs(Cohort(members)))
+        assert refs == [ref for task in members for ref in iter_state_refs(task)]
+        assert [item.key for item in refs] == [
+            key for index in range(3) for key in (f"s{index}", f"a{index}", "a-consensus")]
 
     def test_gather_restores_original_order(self):
         tasks = [_task(0), _task(1), _task(2), _task(3)]
         keys = {0: "a", 1: None, 2: "a", 3: None}
         plan = plan_cohorts(tasks, lambda task: keys[task.device_id])
-        # Planned order: fused [0, 2] first, then passthrough 1 and 3.
+        # Planned order: cohort [0, 2] first, then passthrough 1 and 3.
         raw = [["r0", "r2"], "r1", "r3"]
         assert plan.gather(raw) == ["r0", "r1", "r2", "r3"]
 
@@ -118,7 +145,7 @@ class TestSimulationGroupKey:
 
 
 # --------------------------------------------------------------------------- #
-# Tile widths: a fused task run as tiles returns the undivided stack's bytes
+# Stacked jobs: per member, a cohort returns what the member's own run does
 # --------------------------------------------------------------------------- #
 def _cnn(seed):
     return build_model(ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16}), (3, 8, 8), 4,
@@ -129,84 +156,95 @@ def _fc(seed):
     return build_model(ModelSpec("fc", {"hidden_sizes": (24,)}), (3, 8, 8), 4, seed=seed)
 
 
-def _train_cohort(context, anchors=False, digests=False):
-    """Run one fused training task over the whole context."""
-    ids = sorted(context.models)
-    rng = np.random.default_rng(3)
-    task = FusedLocalTrainTask(
-        device_ids=ids,
-        states=[context.models[index].state_dict() for index in ids],
-        epochs=2,
-        rng_states=[np.random.default_rng(100 + index).bit_generator.state
-                    for index in ids],
-        anchors=([[param.data + 0.01 for param in context.models[index].parameters()]
-                  for index in ids] if anchors else None),
-        digests=([DigestSpec(consensus=rng.normal(size=(len(context.public_dataset), 4)),
-                             epochs=1, lr=0.02, batch_size=16, seed=50 + index)
-                  for index in ids] if digests else None))
-    return task.run(context)
+def _dropout_cnn(seed):
+    return build_model(ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16,
+                                         "dropout": 0.25}), (3, 8, 8), 4, seed=seed)
 
 
-def _assert_results_identical(tiled, whole):
-    assert [result.device_id for result in tiled] == [result.device_id for result in whole]
-    for ours, theirs in zip(tiled, whole):
-        assert ours.report == theirs.report            # batches, samples, both losses
-        assert ours.rng_state == theirs.rng_state
-        assert ours.digest_loss == theirs.digest_loss
-        assert list(ours.state) == list(theirs.state)
-        for key in theirs.state:
-            np.testing.assert_array_equal(ours.state[key], theirs.state[key], err_msg=key)
-
-
-class TestTiledTrainingMatchesTheWholeStack:
-    """Cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2) and 8."""
-
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_exact_cohort_with_proximal_anchors(self, width, cohort_context,
-                                                force_tile_width):
-        def run(forced):
-            force_tile_width(forced)
-            return _train_cohort(cohort_context(_cnn, [16] * 8, prox_mu=0.05),
-                                 anchors=True)
-        _assert_results_identical(run(width), run(8))
-
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_fully_connected_cohort_with_proximal_anchors(self, width, cohort_context,
-                                                          force_tile_width):
-        def run(forced):
-            force_tile_width(forced)
-            return _train_cohort(cohort_context(_fc, [16] * 8, prox_mu=0.05), anchors=True)
-        _assert_results_identical(run(width), run(8))
-
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_fedmd_digests(self, width, cohort_context, force_tile_width):
-        def run(forced):
-            force_tile_width(forced)
-            return _train_cohort(cohort_context(_cnn, [16] * 8), digests=True)
-        tiled, whole = run(width), run(8)
-        assert all(result.digest_loss is not None for result in whole)
-        _assert_results_identical(tiled, whole)
-
-    def test_the_whole_stack_matches_the_per_device_tasks(self, cohort_context,
-                                                          force_tile_width):
-        # Anchor for the comparisons above: width 8 is the per-device result.
-        force_tile_width(8)
-        whole = _train_cohort(cohort_context(_cnn, [16] * 8), digests=True)
-        context = cohort_context(_cnn, [16] * 8)
+def _train(anchors=False, digests=False):
+    def tasks(context):
+        ids = sorted(context.models)
         rng = np.random.default_rng(3)
-        serial = [LocalTrainTask(
+        return [LocalTrainTask(
             device_id=index, state=context.models[index].state_dict(), epochs=2,
             rng_state=np.random.default_rng(100 + index).bit_generator.state,
-            digest=DigestSpec(consensus=rng.normal(size=(40, 4)), epochs=1, lr=0.02,
-                              batch_size=16, seed=50 + index)).run(context)
-            for index in sorted(context.models)]
-        _assert_results_identical(whole, serial)
+            anchor=([param.data + 0.01 for param in context.models[index].parameters()]
+                    if anchors else None),
+            digest=(DigestSpec(consensus=rng.normal(size=(len(context.public_dataset), 4)),
+                               epochs=1, lr=0.02, batch_size=16, seed=50 + index)
+                    if digests else None))
+            for index in ids]
+    return tasks
+
+
+def _forward(task_type):
+    # batch_size 20 over 48 / 40 samples: full chunks and a short tail.
+    def tasks(context):
+        return [task_type(index, context.models[index].state_dict(), batch_size=20)
+                for index in sorted(context.models)]
+    return tasks
+
+
+#: job -> (model factory, training config overrides, member tasks of a context)
+JOBS = {
+    "train-prox": (_cnn, {"prox_mu": 0.05}, _train(anchors=True)),
+    "train-fc-prox": (_fc, {"prox_mu": 0.05}, _train(anchors=True)),
+    "train-digest": (_cnn, {}, _train(digests=True)),
+    "train-dropout": (_dropout_cnn, {}, _train()),
+    "evaluate": (_cnn, {}, _forward(EvaluateTask)),
+    "public-logits": (_cnn, {}, _forward(PublicLogitsTask)),
+}
+
+
+def _dropout_streams(context):
+    return [[layer._rng.bit_generator.state for layer in model.fusion_layers()
+             if type(layer).__name__ == "Dropout"]
+            for _, model in sorted(context.models.items())]
+
+
+def _assert_same_result(ours, theirs):
+    if isinstance(theirs, (float, np.ndarray)):
+        np.testing.assert_array_equal(ours, theirs)
+        assert np.asarray(ours).dtype == np.asarray(theirs).dtype
+        return
+    assert ours.device_id == theirs.device_id
+    assert ours.report == theirs.report            # batches, samples, both losses
+    assert ours.rng_state == theirs.rng_state
+    assert ours.digest_loss == theirs.digest_loss
+    assert list(ours.state) == list(theirs.state)
+    for key in theirs.state:
+        np.testing.assert_array_equal(ours.state[key], theirs.state[key], err_msg=key)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8])
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_cohort_returns_each_members_own_result(job, width, cohort_context,
+                                                force_tile_width):
+    """A cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2) and 8 (the whole
+    stack) against its members run one by one on a context of their own."""
+    factory, training, tasks = JOBS[job]
+    alone = cohort_context(factory, [16] * 8, **training)
+    expected = [task.run(alone) for task in tasks(alone)]
+
+    force_tile_width(width)
+    context = cohort_context(factory, [16] * 8, **training)
+    results = Cohort(tasks(context)).run(context)
+    assert len(results) == len(expected) == 8
+    for ours, theirs in zip(results, expected):
+        _assert_same_result(ours, theirs)
+    if job == "train-digest":
+        assert all(result.digest_loss is not None for result in expected)
+    # Each live member's mask generator ends where training alone leaves it:
+    # no tile drew from a neighbour's stream.
+    assert _dropout_streams(context) == _dropout_streams(alone)
+    assert all(_dropout_streams(alone)) == (job == "train-dropout")
 
 
 @pytest.mark.parametrize("sizes", [[17, 16, 16, 16, 16, 16, 16, 15], [16, 17], [17, 16]])
 def test_unequal_shards_are_rejected(sizes, cohort_context):
-    # The planner keys on shard size, so it never builds such a task; one
+    # The planner keys on shard size, so it never builds such a cohort; one
     # built by hand must fail loudly rather than train device 1 on 16 of
     # its 17 samples or index past a short shard.
+    context = cohort_context(_cnn, sizes)
     with pytest.raises(ValueError, match=re.escape(f"equal shard sizes, got {sizes}")):
-        _train_cohort(cohort_context(_cnn, sizes))
+        Cohort(_train()(context)).run(context)

@@ -5,8 +5,10 @@ be replayed under stacking), so SimpleCNN-with-dropout cohorts always fell
 back to per-device training.  The adapter added in ISSUE 7 draws slice
 ``b``'s mask from member ``b``'s own live layer generator — same shape,
 same order as the serial layer — so fused training is bitwise identical to
-the fallback *and* leaves every device's RNG in the identical state (a whole
-dropout-CNN FedAvg run is a row of ``tests/integration/test_parity_matrix.py``).
+the fallback *and* leaves every device's RNG in the identical state (a
+dropout-CNN cohort at every tile width is a job of
+``tests/federated/test_cohort_fusion.py``, and a whole dropout-CNN FedAvg
+run is a row of ``tests/integration/test_parity_matrix.py``).
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.federated import FusedLocalTrainTask
-from repro.models import ModelSpec, SimpleCNN, build_model
+from repro.models import SimpleCNN
 from repro.nn import Tensor
 from repro.nn.batched import BatchedModule, UnfusableModelError, fusion_signature
 
@@ -98,44 +99,3 @@ class TestBatchedDropoutForward:
         with pytest.raises(ValueError):
             BatchedModule(models[0], [m.state_dict() for m in models],
                           members=models[:2])
-
-
-# --------------------------------------------------------------------------- #
-# Tiles: every member keeps its own mask stream across tile boundaries
-# --------------------------------------------------------------------------- #
-_DROPOUT_SPEC = ModelSpec("cnn", {"channels": (4, 8), "hidden_size": 16,
-                                  "dropout": 0.25})
-
-
-def _dropout_rng_states(context):
-    return [[layer._rng.bit_generator.state for layer in model.fusion_layers()
-             if type(layer).__name__ == "Dropout"]
-            for _, model in sorted(context.models.items())]
-
-
-@pytest.mark.parametrize("width", [1, 2, 3])
-def test_tiled_dropout_cohort_matches_the_whole_stack(width, cohort_context,
-                                                      force_tile_width):
-    def factory(seed):
-        return build_model(_DROPOUT_SPEC, SHAPE, CLASSES, seed=seed)
-
-    def run(forced):
-        force_tile_width(forced)
-        context = cohort_context(factory, [16] * 8)
-        ids = sorted(context.models)
-        task = FusedLocalTrainTask(
-            device_ids=ids, states=[context.models[i].state_dict() for i in ids],
-            epochs=2, rng_states=[np.random.default_rng(100 + i).bit_generator.state
-                                  for i in ids])
-        return task.run(context), _dropout_rng_states(context)
-
-    (tiled, tiled_streams), (whole, whole_streams) = run(width), run(8)
-    for ours, theirs in zip(tiled, whole):
-        assert ours.report == theirs.report
-        assert ours.rng_state == theirs.rng_state
-        for key in theirs.state:
-            np.testing.assert_array_equal(ours.state[key], theirs.state[key], err_msg=key)
-    # The live members' mask generators end where the undivided stack (and so
-    # per-device training) leaves them: no tile drew from a neighbour's stream.
-    assert tiled_streams == whole_streams
-    assert all(streams for streams in whole_streams)

@@ -117,26 +117,28 @@ def rounds(row: Row) -> int:
 class Outcome(NamedTuple):
     history: dict      # ``history.to_dict()`` less the keys that name the mode
     rng_states: list   # each device's generator state after the run
-    tasks: Counter     # dispatched tasks by type, plus "evaluations", "widest", "tiles"
+    tasks: Counter     # dispatched tasks by type (a cohort as ``Cohort[<member type>]``),
+    #                    plus "evaluations", "widest", "tiles"
 
 
 # --------------------------------------------------------------------------- #
 # The builder
 # --------------------------------------------------------------------------- #
 def _count_dispatches(backend: ExecutionBackend) -> Counter:
-    """Count what ``backend`` is handed to run, by task type.  ``evaluations``
-    counts devices evaluated (a fused task counts its members) and ``widest``
-    is the largest fused cohort."""
+    """Count what ``backend`` is handed to run, by task type; a cohort counts
+    as ``Cohort[<member type>]``.  ``evaluations`` counts devices evaluated
+    (a cohort counts its members) and ``widest`` is the largest cohort."""
     counts = Counter()
 
     def counted(dispatch):
         def run(tasks):
             for task in tasks:
-                name, members = type(task).__name__, len(getattr(task, "device_ids", [0]))
-                counts[name] += 1
-                counts["evaluations"] += members if name.endswith("EvaluateTask") else 0
-                if name.startswith("Fused"):
-                    counts["widest"] = max(counts["widest"], members)
+                members = getattr(task, "members", [task])
+                kind = type(members[0]).__name__
+                counts[kind if members[0] is task else f"Cohort[{kind}]"] += 1
+                counts["evaluations"] += len(members) if kind == "EvaluateTask" else 0
+                if members[0] is not task:
+                    counts["widest"] = max(counts["widest"], len(members))
             return dispatch(tasks)
         return run
 
@@ -334,8 +336,10 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     *_grid(Row("fedmd", "small"), backend=[P2, TCP]),
     *_grid(Row("fedmd", "small"), scheduler=["deadline", "async"]),
     *_grid(Row("fedmd", "cnn", fusion=True), tile=[1, 3]),
-    # FedZKT on one architecture: fused Phase 1 shards and Phase 2 transfer.
+    # FedZKT on one architecture: its server phases stack the shard's models
+    # with fusion on or off, and stack nothing at one device per shard.
     *_grid(Row("fedzkt", "cnn", fusion=True), shards=[1, 2], tile=[None, 1, 3]),
+    Row("fedzkt", "cnn", shards=4),
     Row("fedzkt", "cnn", fusion=True, shards=2, backend=P2),
     # Evaluation dedup: every algorithm x sync/deadline x fusion x backend.
     *[row for algorithm in ("fedavg", "fedmd", "fedzkt")
@@ -389,30 +393,38 @@ def test_oracle(config, oracle):
 def _assert_mode_fired(row: Row, outcome: Outcome, expected: Outcome) -> None:
     """What ``row``'s dispatched tasks and history show of the modes it turns on."""
     tasks = outcome.tasks
-    fused = {name for name in tasks if name.startswith("Fused")}
+    fused = {name for name in tasks if name.startswith("Cohort[")}
     if row.fusion and row.population in _FUSABLE:
         # Every per-device phase fuses: training, FedMD's logit sweep, and the
         # evaluation of devices that hold states of their own.
-        assert fused >= {"FusedLocalTrainTask"} | {
-            "fedmd": {"FusedPublicLogitsTask", "FusedEvaluateTask"},
-            "fedzkt": {"FusedEvaluateTask"}}.get(row.algorithm, set())
+        assert fused >= {"Cohort[LocalTrainTask]"} | {
+            "fedmd": {"Cohort[PublicLogitsTask]", "Cohort[EvaluateTask]"},
+            "fedzkt": {"Cohort[EvaluateTask]"}}.get(row.algorithm, set())
         if row.population == "fc":
             # Only equal shards fuse: 33 + 33 and 32 + 32, two pairs a round.
-            assert tasks["FusedLocalTrainTask"] == 2 * rounds(row)
+            assert tasks["Cohort[LocalTrainTask]"] == 2 * rounds(row)
             assert tasks["widest"] == 2
         if row.population == "mixed":
             # ShuffleNetV2 and MobileNetV2 train alone beside each round's
-            # fused LeNet pair.
-            assert tasks["FusedLocalTrainTask"] == rounds(row) and tasks["widest"] == 2
-            assert tasks["LocalTrainTask"] >= 2 * rounds(row)
+            # LeNet pair, and beside FedMD's warm-up pair before round one.
+            trainings = rounds(row) + (row.algorithm == "fedmd")
+            assert tasks["Cohort[LocalTrainTask]"] == trainings and tasks["widest"] == 2
+            assert tasks["LocalTrainTask"] == 2 * trainings
     else:
         assert not fused
     if row.tile is not None:
         assert tasks["widest"] > row.tile
     if row.population == "cnn8" and row.fusion:
-        # One fused task a round carries all eight; width 3 runs it as 3 + 3 + 2.
-        assert tasks["FusedLocalTrainTask"] == rounds(row) and tasks["widest"] == 8
+        # One cohort a round carries all eight; width 3 runs it as 3 + 3 + 2.
+        assert tasks["Cohort[LocalTrainTask]"] == rounds(row) and tasks["widest"] == 8
         assert tasks["tiles"] == 3 * rounds(row)
+    if row.algorithm == "fedzkt" and row.population == "cnn" and not row.fusion \
+            and row.backend == "serial":
+        # The server phases stack a shard's same-architecture models without
+        # the flag (the one-shard oracle's four CNNs), and nothing at one
+        # device per shard: only they can have asked for tiles here.
+        assert expected.tasks["tiles"] > 0
+        assert (tasks["tiles"] > 0) == (row.shards < POPULATIONS[row.population].devices)
     # The server update is shard tasks at every shard count: each of a
     # FedZKT row's dispatches splits into ``row.shards`` tasks where its
     # one-shard oracle's makes one.  No other algorithm dispatches any.
@@ -433,7 +445,7 @@ def _assert_mode_fired(row: Row, outcome: Outcome, expected: Outcome) -> None:
         assert 0 < tasks["evaluations"] < expected.tasks["evaluations"]
     elif row.scheduler == "sync" and row.algorithm in ("fedavg", "fedprox"):
         # Every device holds the broadcast global, already evaluated.
-        assert tasks["EvaluateTask"] == tasks["FusedEvaluateTask"] == 0
+        assert tasks["EvaluateTask"] == tasks["Cohort[EvaluateTask]"] == 0
     elif row.scheduler == "sync" and row.participation == 1.0:
         # FedMD and FedZKT move every device to a state of its own.
         assert tasks["evaluations"] == expected.tasks["evaluations"]

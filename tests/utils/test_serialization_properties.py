@@ -4,7 +4,7 @@ The state transport's correctness rests on two invariants:
 
 * what carries a payload across a process boundary is lossless — the
   backend's pickle of a task or result holding live arrays inline
-  (``LocalTrainTask``, ``FusedLocalTrainTask``, ``DeviceDistillTask`` and
+  (``LocalTrainTask``, a ``Cohort`` of them, ``DeviceDistillTask`` and
   its result) and ``repro.net``'s ``DriverChannel`` publish/fetch:
   dtype, shape, values, and memory order all survive, for every dtype the
   models and optimizers produce (float32/64, ints, bools), including 0-d,
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.server_tasks import DeviceDistillResult, DeviceDistillTask
 from repro.federated.backend import LocalTrainTask
-from repro.federated.cohort import FusedLocalTrainTask
+from repro.federated.cohort import Cohort
 from repro.net import BlobService, DriverChannel
 from repro.utils import state_digest
 
@@ -101,14 +101,14 @@ def _assert_same_array(original: np.ndarray, restored: np.ndarray) -> None:
 def test_state_dict_roundtrip_lossless(state):
     train = _shipped(LocalTrainTask(device_id=0, state=state, epochs=1,
                                     rng_state=_RNG_STATE))
-    fused = _shipped(FusedLocalTrainTask(device_ids=[0, 1], states=[state, state],
-                                         epochs=1, rng_states=[_RNG_STATE] * 2))
+    fused = _shipped(Cohort([LocalTrainTask(device_id=index, state=state, epochs=1,
+                                            rng_state=_RNG_STATE) for index in range(2)]))
     distill = _shipped(DeviceDistillTask(device_ids=[0], states=[state], velocities=[[]],
                                          inputs=[], targets=[], lr=0.1))
     result = _shipped(DeviceDistillResult(device_ids=[0], states=[state],
                                           velocities=[[]], losses=[[]]))
-    for restored in (train.state, fused.states[0], fused.states[1], distill.states[0],
-                     result.states[0], _through_channel(state)):
+    for restored in (train.state, fused.members[0].state, fused.members[1].state,
+                     distill.states[0], result.states[0], _through_channel(state)):
         assert list(restored) == list(state)
         for key, value in state.items():
             _assert_same_array(value, restored[key])
@@ -119,14 +119,15 @@ def test_state_dict_roundtrip_lossless(state):
 def test_array_list_roundtrip_preserves_order_and_dtypes(arrays):
     train = _shipped(LocalTrainTask(device_id=0, state={}, epochs=1,
                                     rng_state=_RNG_STATE, anchor=arrays))
-    fused = _shipped(FusedLocalTrainTask(device_ids=[0], states=[{}], epochs=1,
-                                         rng_states=[_RNG_STATE], anchors=[arrays]))
+    fused = _shipped(Cohort([LocalTrainTask(device_id=0, state={}, epochs=1,
+                                            rng_state=_RNG_STATE, anchor=arrays)]))
     distill = _shipped(DeviceDistillTask(device_ids=[0], states=[{}], velocities=[arrays],
                                          inputs=arrays, targets=arrays, lr=0.1))
     result = _shipped(DeviceDistillResult(device_ids=[0], states=[{}],
                                           velocities=[arrays], losses=[[]]))
-    for restored in (train.anchor, fused.anchors[0], distill.velocities[0], distill.inputs,
-                     distill.targets, result.velocities[0], _through_channel(arrays)):
+    for restored in (train.anchor, fused.members[0].anchor, distill.velocities[0],
+                     distill.inputs, distill.targets, result.velocities[0],
+                     _through_channel(arrays)):
         # An empty list round-trips to an empty list, never to None.
         assert isinstance(restored, list) and len(restored) == len(arrays)
         for original, out in zip(arrays, restored):

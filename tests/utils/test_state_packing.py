@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.server_tasks import DeviceDistillResult, DeviceDistillTask
 from repro.federated.backend import LocalTrainTask, resolve_arrays, resolve_state
-from repro.federated.cohort import FusedLocalTrainTask
+from repro.federated.cohort import Cohort
 from repro.models import SimpleCNN
 from repro.net import BlobService, DriverChannel
 from repro.net.wire import pack_payload
@@ -54,10 +54,10 @@ def test_state_dict_roundtrip_is_bit_exact():
     task = shipped(LocalTrainTask(device_id=0, state=state, epochs=1,
                                   rng_state=_rng_state()))
     _assert_same_state(resolve_state(task.state), state)
-    fused = shipped(FusedLocalTrainTask(device_ids=[0, 1], states=[state, state],
-                                        epochs=1, rng_states=[_rng_state()] * 2))
-    for restored in fused.states:
-        _assert_same_state(restored, state)
+    fused = shipped(Cohort([LocalTrainTask(device_id=index, state=state, epochs=1,
+                                           rng_state=_rng_state()) for index in range(2)]))
+    for member in fused.members:
+        _assert_same_state(member.state, state)
     channel = published_channel()
     channel.publish("state", state)
     restored = channel.fetch("state")
