@@ -1,23 +1,15 @@
-"""Writing a new algorithm as a Strategy plugin (the ISSUE 4 API).
+"""Writing a new algorithm as a strategy.
 
-Adding an algorithm no longer means cloning a ~150-line simulation
-subclass: implement a :class:`~repro.federated.Strategy` (or subclass
-``ParameterServerStrategy`` if devices upload parameters), declare its
-capabilities, register it, and the generic ``Simulation`` engine — with
-every scheduler and execution backend — drives it.
+A new algorithm is a :class:`~repro.federated.Strategy` subclass (or a
+subclass of an existing strategy) passed to ``Simulation``; the generic
+engine — with every scheduler and execution backend — drives it.
 
 This example builds **median-FedAvg**: parameter averaging with the
 coordinate-wise *median* instead of the weighted mean (a classic
 robust-aggregation variant — a single corrupted upload cannot drag the
 global model arbitrarily far).  Everything except the server update is
-inherited:
-
-* the server overrides one method (``aggregate``);
-* the strategy is ~10 lines of capability declarations;
-* ``register_strategy`` makes it enumerable next to the built-ins
-  (``repro list`` shows it; to make ``repro run --algorithm fedmedian``
-  work too, attach a dataset-level entry point with
-  ``repro.experiments.runner.register_algorithm_runner``).
+inherited from :class:`~repro.baselines.FedAvgStrategy`: uploads,
+broadcast of the global parameters, global-model evaluation.
 
 Run with:  python examples/custom_strategy.py
 """
@@ -26,27 +18,21 @@ import copy
 
 import numpy as np
 
-from repro.baselines import FedAvgServer
+from repro.baselines import FedAvgStrategy
 from repro.datasets import load_dataset
-from repro.federated import (
-    Device,
-    FederatedConfig,
-    ParameterServerStrategy,
-    Simulation,
-    register_strategy,
-    strategy_names,
-)
+from repro.federated import Device, FederatedConfig, Simulation
 from repro.models import ModelSpec
 from repro.models.registry import build_model
 from repro.partition import IIDPartitioner
 
 
-class MedianServer(FedAvgServer):
-    """FedAvg server with coordinate-wise-median aggregation."""
+class MedianFedAvgStrategy(FedAvgStrategy):
+    """Robust parameter averaging: coordinate-wise median of the uploads."""
 
     name = "fedmedian"
+    supports_schedulers = ("sync",)  # the median ignores staleness weights
 
-    def aggregate(self, round_index, active_devices, upload_meta=None):
+    def server_update(self, round_index, device_ids):
         if not self.uploads:
             self._payload = self.global_model.state_dict()
             self.last_metrics = {"aggregated_devices": 0.0}
@@ -61,24 +47,10 @@ class MedianServer(FedAvgServer):
         self.last_metrics = {"aggregated_devices": float(len(self.uploads))}
 
 
-@register_strategy
-class MedianFedAvgStrategy(ParameterServerStrategy):
-    """Robust parameter averaging: coordinate-wise median of the uploads."""
-
-    name = "fedmedian"
-    supports_schedulers = ("sync",)  # median ignores staleness weights
-    supports_server_shards = False
-
-    def __init__(self, server: MedianServer) -> None:
-        super().__init__(server, name=self.name)
-
-
 def main() -> None:
-    print(f"registered strategies: {', '.join(strategy_names())}\n")
-
     train, test = load_dataset("mnist", train_size=800, test_size=200, seed=0)
     config = FederatedConfig(num_devices=4, rounds=3, local_epochs=2, batch_size=32,
-                             device_lr=0.05, seed=0).with_strategy("fedmedian")
+                             device_lr=0.05, seed=0)
 
     spec = ModelSpec("cnn", {"channels": (8, 16)})
     reference = build_model(spec, train.input_shape, train.num_classes, seed=0)
@@ -87,11 +59,11 @@ def main() -> None:
                       lr=config.device_lr, batch_size=config.batch_size, seed=1000 + i)
                for i, shard in enumerate(shards)]
 
-    server = MedianServer(copy.deepcopy(reference))
-    with Simulation(devices, config, test, MedianFedAvgStrategy(server)) as simulation:
+    strategy = MedianFedAvgStrategy(copy.deepcopy(reference))
+    with Simulation(devices, config, test, strategy) as simulation:
         history = simulation.run(verbose=True)
 
-    print("\nGlobal-model accuracy per round:",
+    print(f"\n{history.algorithm}: global-model accuracy per round",
           [f"{acc:.3f}" for acc in history.global_accuracy_curve()])
 
 

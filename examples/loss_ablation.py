@@ -44,9 +44,9 @@ def main() -> None:
     print("\nTable II shape: SL >= KL and SL >> l1 on the paper's CIFAR-10 runs.")
 
     # Figure 2-style probe: gradient norms w.r.t. the generator's samples.
-    server = last_simulation.server
-    samples = server.generator.generate(32, rng=__import__("numpy").random.default_rng(0))
-    norms = input_gradient_norms(server.global_model, list(server.device_models.values()),
+    strategy = last_simulation.strategy
+    samples = strategy.generator.generate(32, rng=__import__("numpy").random.default_rng(0))
+    norms = input_gradient_norms(strategy.global_model, list(strategy.device_models.values()),
                                  samples.data)
     print("\nInput-gradient norms on current models (Fig. 2 ordering: kl <= sl <= l1):")
     for name, value in sorted(norms.items()):

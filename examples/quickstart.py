@@ -7,11 +7,11 @@ This is the smallest end-to-end use of the public API:
    global model and generator, IID data partitioning;
 3. run a few communication rounds and print the learning curve.
 
-Since the Strategy redesign, every algorithm runs through the same generic
-``Simulation`` engine with a pluggable strategy: swap ``build_fedzkt`` for
-``build_fedavg`` / ``build_fedmd`` / ``build_standalone`` (or any strategy
-registered via ``repro.federated.register_strategy``) and everything else
-here stays the same.  The equivalent CLI one-liner is::
+Every algorithm runs through the same generic ``Simulation`` engine with
+its own strategy: swap ``build_fedzkt`` for ``build_fedavg`` /
+``build_fedmd`` / ``build_standalone`` (or pass your own strategy to
+``Simulation``, as ``custom_strategy.py`` does) and everything else here
+stays the same.  The equivalent CLI one-liner is::
 
     repro run mnist --algorithm fedzkt --rounds 3
 
@@ -54,7 +54,7 @@ def main(argv=None) -> None:
     print("On-device models (independently designed, heterogeneous):")
     for device in simulation.devices:
         print(f"  {device.describe()}")
-    print(f"server global model: {simulation.server.global_model.describe()}")
+    print(f"server global model: {simulation.strategy.global_model.describe()}")
 
     with Timer("training") as timer:
         history = simulation.run(verbose=True)

@@ -16,7 +16,7 @@ Subpackages
 ``repro.partition``
     IID and non-IID (quantity-skew, Dirichlet) data partitioners.
 ``repro.federated``
-    Federated-learning substrate: devices, server, sampling, simulation.
+    Federated-learning substrate: devices, strategies, sampling, simulation.
 ``repro.core``
     The FedZKT algorithm (zero-shot bidirectional knowledge transfer).
 ``repro.baselines``

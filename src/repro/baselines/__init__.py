@@ -6,7 +6,7 @@
 * standalone lower/upper bounds (Table III).
 """
 
-from .fedavg import FedAvgServer, FedAvgStrategy, build_fedavg, build_fedprox
+from .fedavg import FedAvgStrategy, build_fedavg, build_fedprox
 from .fedmd import FedMDStrategy, build_fedmd
 from .standalone import (
     StandaloneBounds,
@@ -17,7 +17,6 @@ from .standalone import (
 )
 
 __all__ = [
-    "FedAvgServer",
     "FedAvgStrategy",
     "build_fedavg",
     "build_fedprox",

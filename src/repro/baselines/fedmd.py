@@ -16,7 +16,7 @@ depends on how close the public data is to the private distribution, which
 is exactly the sensitivity the paper demonstrates with the CIFAR-100 vs
 SVHN pairing (reproduced here with the synthetic close/far datasets).
 
-:class:`FedMDStrategy` implements the protocol as a registry plugin for the
+:class:`FedMDStrategy` implements the protocol as a strategy for the
 generic :class:`~repro.federated.simulation.Simulation` engine.  The
 exchanged payloads are logit matrices rather than model parameters; the
 devices keep their own parameters throughout.  All device-side phases
@@ -55,7 +55,7 @@ from ..federated.backend import (
 from ..federated.config import FederatedConfig
 from ..federated.device import build_devices
 from ..federated.sampling import DeviceSampler
-from ..federated.server import UploadMeta
+from ..federated.scheduler import UploadMeta
 from ..federated.simulation import Simulation
 from ..federated.strategy import Strategy
 from ..models.base import ClassificationModel
@@ -86,6 +86,8 @@ class FedMDStrategy(Strategy):
 
     def __init__(self, public_dataset: ImageDataset, digest_epochs: int = 1) -> None:
         super().__init__()
+        if digest_epochs < 1:
+            raise ValueError("digest_epochs must be at least 1")
         self.public_dataset = public_dataset
         self.digest_epochs = int(digest_epochs)
         self._round_digest_losses: List[float] = []
@@ -199,16 +201,9 @@ def build_fedmd(train_dataset: ImageDataset, test_dataset: ImageDataset,
                 partitioner: Optional[Partitioner] = None,
                 device_models: Optional[Sequence[ClassificationModel]] = None,
                 sampler: Optional[DeviceSampler] = None,
-                digest_epochs: Optional[int] = None,
+                digest_epochs: int = 1,
                 backend: Optional[ExecutionBackend] = None) -> Simulation:
-    """Construct a ready-to-run FedMD simulation mirroring :func:`build_fedzkt`.
-
-    ``digest_epochs`` defaults to the config's strategy block
-    (``config.strategy.digest_epochs``).
-    """
-    if digest_epochs is None:
-        digest_epochs = config.strategy.digest_epochs
-    config = config.with_strategy("fedmd", digest_epochs=digest_epochs)
+    """Construct a ready-to-run FedMD simulation mirroring :func:`build_fedzkt`."""
     devices = build_devices(train_dataset, config, device_models, family, partitioner)
     strategy = FedMDStrategy(public_dataset, digest_epochs=digest_epochs)
     return Simulation(devices, config, test_dataset, strategy,

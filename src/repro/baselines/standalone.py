@@ -86,7 +86,6 @@ def build_standalone(train_dataset: ImageDataset, test_dataset: ImageDataset,
     histories are directly comparable with FedZKT/FedMD runs on the same
     config.
     """
-    config = config.with_strategy("standalone")
     devices = build_devices(train_dataset, config, device_models, family, partitioner)
     return Simulation(devices, config, test_dataset, StandaloneStrategy(),
                       sampler=sampler, backend=backend)

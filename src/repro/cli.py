@@ -6,12 +6,10 @@ also runnable as ``python -m repro.cli``.
 Subcommands
 -----------
 ``repro run``
-    Run a single federated training session with any registered algorithm
-    strategy (``--algorithm fedzkt|fedavg|fedmd|standalone``; plugins
-    registered via :func:`repro.federated.strategies.register_strategy`
-    are accepted once they attach a runner with
-    :func:`repro.experiments.runner.register_algorithm_runner`) and
-    optionally save its :class:`TrainingHistory` as JSON.
+    Run a single federated training session with one of the algorithms in
+    :data:`repro.experiments.runner.STRATEGIES`
+    (``--algorithm fedzkt|fedavg|fedmd|standalone``) and optionally save
+    its :class:`TrainingHistory` as JSON.
 ``repro experiment``
     Run one row of the paper's experiment table, printing its rendering
     and claims, and optionally writing its ``manifest.json`` /
@@ -22,13 +20,12 @@ Subcommands
     driver's blob server.
 ``repro list``
     List available strategies (with their capability declarations),
-    experiments, scales, registered backends, and schedulers.
+    experiments, scales, backends, and schedulers.
 
-Every subcommand accepts ``--backend`` with any registered backend spec
-(``serial``, ``process[:N]``, ``tcp://HOST:PORT[?workers=N]``,
-plus plugins registered via :func:`repro.federated.backend.register_backend`);
-``process`` and ``tcp`` fan device training (for ``run``) or whole
-experiment variants (for ``experiment``) out across worker processes.
+Every subcommand accepts ``--backend`` with a backend spec (``serial``,
+``process[:N]`` or ``tcp://HOST:PORT[?workers=N]``); ``process`` and
+``tcp`` fan device training (for ``run``) or whole experiment variants
+(for ``experiment``) out across worker processes.
 ``repro run --transport-stats`` prints the backend's state-transport
 counters (bytes published/fetched/shipped, cache hit rates, per-label
 breakdown) after the run.
@@ -41,11 +38,10 @@ same-architecture groups with or without it).
 plus ``--deadline``, ``--buffer-size``, the device-heterogeneity knobs
 ``--speed-skew`` / ``--latency-mean`` / ``--dropout-rate``, and
 ``--server-shards N`` to shard a strategy's server update through the
-selected backend.  Whether a given strategy supports a scheduler kind or
-server sharding is no longer hard-coded here: the strategy's capability
-declarations are validated in one place
-(:func:`repro.federated.strategies.validate_strategy`) and violations
-surface as the same message from every entry point.
+selected backend.  Each strategy declares which scheduler kinds it runs
+under and whether its server update shards; the ``Simulation``
+constructor checks those declarations, so a violation surfaces with the
+same message from every entry point.
 """
 
 from __future__ import annotations
@@ -58,9 +54,8 @@ from typing import List, Optional
 from . import __version__
 from .experiments.configs import SCALES
 from .experiments.reporting import format_claims
-from .experiments.runner import EXPERIMENTS, run_algorithm, run_experiment
-from .federated.backend import backend_descriptions, make_backend
-from .federated.strategies import get_strategy_class, strategy_capabilities, strategy_names
+from .experiments.runner import EXPERIMENTS, STRATEGIES, run_algorithm, run_experiment
+from .federated.backend import BACKENDS, make_backend
 from .utils.serialization import save_history_json
 
 __all__ = ["build_parser", "main"]
@@ -77,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     # ---------------------------------------------------------------- run
     run_parser = subparsers.add_parser("run", help="run one federated training session")
     run_parser.add_argument("dataset", help="dataset name (mnist, fashion, kmnist, cifar10, ...)")
-    run_parser.add_argument("--algorithm", choices=strategy_names(), default="fedzkt",
-                            help="algorithm strategy from the registry (default: fedzkt)")
+    run_parser.add_argument("--algorithm", choices=list(STRATEGIES), default="fedzkt",
+                            help="algorithm strategy (default: fedzkt)")
     run_parser.add_argument("--scale", default="tiny", choices=sorted(SCALES),
                             help="experiment scale preset (default: tiny)")
     run_parser.add_argument("--seed", type=int, default=0)
@@ -94,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--public-choice", default=None,
                             help="FedMD public dataset override (e.g. cifar100, svhn)")
     run_parser.add_argument("--backend", default="serial",
-                            help="execution backend: serial, process[:N], "
-                                 "tcp://HOST:PORT[?workers=N], or any registered scheme")
+                            help="execution backend: serial, process[:N], or "
+                                 "tcp://HOST:PORT[?workers=N]")
     run_parser.add_argument("--transport-stats", action="store_true",
                             help="print the backend's state-transport counters "
                                  "(bytes published/fetched/shipped, cache hit "
@@ -215,14 +210,13 @@ def _print_transport_stats(stats: dict) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     # Flag-consistency checks: reject knob combinations that would silently
     # do nothing.  (Capability checks — which strategies support which
-    # schedulers / server sharding — live in the config's strategy
-    # validation, not here.)
+    # schedulers / server sharding — live in the Simulation constructor.)
     if args.deadline is not None and args.scheduler != "deadline":
         raise SystemExit("--deadline only applies with --scheduler deadline")
     if args.buffer_size is not None and args.scheduler != "async":
         raise SystemExit("--buffer-size only applies with --scheduler async")
     if (args.public_choice is not None
-            and not get_strategy_class(args.algorithm).uses_public_dataset):
+            and not STRATEGIES[args.algorithm].uses_public_dataset):
         raise SystemExit(f"--public-choice only applies to strategies that use a "
                          f"public dataset (strategy {args.algorithm!r} does not)")
     kwargs = dict(
@@ -242,7 +236,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         history = run_algorithm(args.algorithm, args.dataset, backend=backend, **kwargs)
     except ValueError as exc:
         # Strategy capability violations (scheduler kind, server shards)
-        # surface here with the registry's uniform message.
+        # surface here with the Simulation constructor's message.
         raise SystemExit(str(exc))
     finally:
         backend.shutdown()
@@ -276,21 +270,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("strategies:")
-    for name in strategy_names():
-        caps = strategy_capabilities(name)
-        flags = [f"schedulers={','.join(caps['supports_schedulers'])}"]
-        if caps["supports_server_shards"]:
+    for name, cls in STRATEGIES.items():
+        flags = [f"schedulers={','.join(cls.supports_schedulers)}"]
+        if cls.supports_server_shards:
             flags.append("server-shards")
-        if caps["uses_public_dataset"]:
+        if cls.uses_public_dataset:
             flags.append("public-dataset")
-        print(f"  {name:15s} {caps['description']}")
+        print(f"  {name:15s} {cls.__doc__.strip().splitlines()[0]}")
         print(f"  {'':15s} [{'; '.join(flags)}]")
     print("\nexperiments:")
     for name in sorted(EXPERIMENTS):
         print(f"  {name:15s} {EXPERIMENTS[name].title}")
     print("\nscales: " + ", ".join(sorted(SCALES)))
     print("\nbackends:")
-    for name, description in backend_descriptions().items():
+    for name, description in BACKENDS.items():
         print(f"  {name:15s} {description}")
     print("\nschedulers: sync, deadline, async")
     return 0

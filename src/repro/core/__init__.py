@@ -6,7 +6,7 @@ trained generator and the Softmax-ℓ1 disagreement loss.
 """
 
 from .distillation import disagreement_loss, ensemble_mode_for_loss, ensemble_output
-from .fedzkt import FedZKTServer, FedZKTStrategy, build_fedzkt
+from .fedzkt import FedZKTStrategy, build_fedzkt
 from .gradient_probe import GradientNormProbe, input_gradient_norms
 from .server_tasks import (
     DeviceDistillTask,
@@ -20,7 +20,6 @@ __all__ = [
     "disagreement_loss",
     "ensemble_output",
     "ensemble_mode_for_loss",
-    "FedZKTServer",
     "FedZKTStrategy",
     "build_fedzkt",
     "GradientNormProbe",

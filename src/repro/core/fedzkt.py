@@ -1,27 +1,25 @@
-"""FedZKT server, strategy, and end-to-end builder (Algorithm 1 of the paper).
+"""FedZKT strategy and end-to-end builder (Algorithm 1 of the paper).
 
-``FedZKTServer`` plugs the zero-shot distiller into the generic federated
-round loop:
+:class:`FedZKTStrategy` is the FedZKT central server inside the generic
+federated round loop:
 
 * ``collect`` stores the parameters uploaded by active devices;
-* ``aggregate`` loads them into the server-side replicas of the on-device
-  models, runs the bidirectional zero-shot knowledge transfer
+* ``server_update`` loads them into the server-side replicas of the
+  on-device models, runs the bidirectional zero-shot knowledge transfer
   (:class:`repro.core.server_update.ZeroShotDistiller`), and prepares the
   updated per-device parameter payloads;
 * ``payload_for`` returns each device's updated parameters, which the
   broadcast phase delivers to **all** devices (stragglers included).
 
-``FedZKTStrategy`` is the registry plugin
-(``repro run --algorithm fedzkt``) wrapping that server in the generic
-parameter-upload phase protocol; ``build_fedzkt`` wires datasets,
-partitioners, heterogeneous device models, devices, server, and strategy
-into a ready-to-run :class:`repro.federated.simulation.Simulation`.
+``build_fedzkt`` wires datasets, partitioners, heterogeneous device models,
+devices, and the strategy into a ready-to-run
+:class:`repro.federated.simulation.Simulation`.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +28,6 @@ from ..federated.backend import ExecutionBackend
 from ..federated.config import FederatedConfig
 from ..federated.device import build_devices
 from ..federated.sampling import DeviceSampler
-from ..federated.server import FederatedServer
 from ..federated.simulation import Simulation
 from ..federated.strategy import ParameterServerStrategy
 from ..models.base import ClassificationModel
@@ -39,11 +36,18 @@ from ..models.registry import build_generator, build_global_model
 from ..partition.base import Partitioner
 from .server_update import ZeroShotDistiller
 
-__all__ = ["FedZKTServer", "FedZKTStrategy", "build_fedzkt"]
+__all__ = ["FedZKTStrategy", "build_fedzkt"]
 
 
-class FedZKTServer(FederatedServer):
-    """The FedZKT central server.
+class FedZKTStrategy(ParameterServerStrategy):
+    """Zero-shot knowledge transfer (the paper's algorithm, Algorithms 1–3).
+
+    Devices upload full parameters; the server runs the adversarial
+    generator / global-model distillation and distils the result back into
+    per-device replicas.  The server update runs as shard tasks on the
+    simulation's execution backend, split ``ServerConfig.server_shards``
+    ways, so this is the one built-in strategy declaring
+    ``supports_server_shards``.
 
     Parameters
     ----------
@@ -62,33 +66,29 @@ class FedZKTServer(FederatedServer):
     """
 
     name = "fedzkt"
+    supports_schedulers = ("sync", "deadline", "async")
+    supports_server_shards = True
 
     def __init__(self, global_model: ClassificationModel, generator: Generator,
                  device_models: Dict[int, ClassificationModel], config: FederatedConfig) -> None:
         super().__init__()
         if not device_models:
             raise ValueError("FedZKT requires at least one device model replica")
-        self._global_model = global_model
+        self.global_model = global_model
         self.generator = generator
         self.device_models = dict(device_models)
-        self.config = config
         self.distiller = ZeroShotDistiller(global_model, generator, config.server,
                                            seed=config.seed + 17)
         self._payloads: Dict[int, Dict[str, np.ndarray]] = {}
 
-    # ------------------------------------------------------------------ #
-    @property
-    def global_model(self) -> ClassificationModel:
-        return self._global_model
+    def bind(self, simulation) -> None:
+        """Bind to the simulation, and run the server update's shard tasks
+        (both phases, split ``config.server.server_shards`` ways per
+        dispatch) on its backend."""
+        super().bind(simulation)
+        self.distiller.bind_backend(simulation.backend)
 
-    def bind_backend(self, backend) -> None:
-        """Run the server update's shard tasks (both phases, split into
-        ``config.server.server_shards`` per dispatch) on the simulation's
-        backend."""
-        self.distiller.bind_backend(backend)
-
-    def aggregate(self, round_index: int, active_devices: List[int],
-                  upload_meta=None) -> None:
+    def server_update(self, round_index: int, device_ids: Sequence[int]) -> None:
         # Load the freshly uploaded parameters into the server-side replicas.
         # Devices that did not participate keep their last known parameters
         # (which are the ones the server itself distilled last round).  A
@@ -98,7 +98,7 @@ class FedZKTServer(FederatedServer):
             if device_id not in self.device_models:
                 raise KeyError(f"upload from unknown device {device_id}")
             replica = self.device_models[device_id]
-            weight = self.upload_weight(device_id, upload_meta)
+            weight = self.upload_weight(device_id)
             if weight >= 1.0:
                 replica.load_state_dict(state)
             else:
@@ -125,31 +125,10 @@ class FedZKTServer(FederatedServer):
     def payload_for(self, device_id: int) -> Optional[Dict[str, np.ndarray]]:
         return self._payloads.get(device_id)
 
-    # ------------------------------------------------------------------ #
     @property
     def server_parameter_updates(self) -> int:
         """Cumulative parameter-gradient evaluations performed by the server."""
         return self.distiller.parameter_updates_total
-
-
-class FedZKTStrategy(ParameterServerStrategy):
-    """Zero-shot knowledge transfer (the paper's algorithm, Algorithms 1–3).
-
-    A :class:`~repro.federated.strategy.ParameterServerStrategy` around
-    :class:`FedZKTServer`: devices upload full parameters, the server runs
-    the adversarial generator / global-model distillation and distils the
-    result back into per-device replicas.  The server update runs as shard
-    tasks on the execution backend, split ``ServerConfig.server_shards``
-    ways, so this is the one built-in strategy declaring
-    ``supports_server_shards``.
-    """
-
-    name = "fedzkt"
-    supports_schedulers = ("sync", "deadline", "async")
-    supports_server_shards = True
-
-    def __init__(self, server: FedZKTServer) -> None:
-        super().__init__(server, name=self.name)
 
 
 def build_fedzkt(train_dataset: ImageDataset, test_dataset: ImageDataset,
@@ -178,7 +157,6 @@ def build_fedzkt(train_dataset: ImageDataset, test_dataset: ImageDataset,
     backend:
         Execution backend for device-side work (default: serial).
     """
-    config = config.with_strategy("fedzkt")
     num_classes = train_dataset.num_classes
     input_shape = train_dataset.input_shape
     devices = build_devices(train_dataset, config, device_models, family, partitioner)
@@ -191,6 +169,6 @@ def build_fedzkt(train_dataset: ImageDataset, test_dataset: ImageDataset,
                                                       seed=config.seed + 7)
     generator = generator or build_generator(input_shape, noise_dim=config.server.noise_dim,
                                              seed=config.seed + 13)
-    server = FedZKTServer(global_model, generator, replicas, config)
-    return Simulation(devices, config, test_dataset, FedZKTStrategy(server),
+    strategy = FedZKTStrategy(global_model, generator, replicas, config)
+    return Simulation(devices, config, test_dataset, strategy,
                       sampler=sampler, backend=backend)

@@ -245,7 +245,7 @@ class ZeroShotDistiller:
                 if synthetic.grad is not None:
                     input_grad_norms.append(float(np.linalg.norm(synthetic.grad)))
                 self.generator_optimizer.step()
-                updates += self._count_parameters(self.generator)
+                updates += self.generator.num_parameters()
 
             # ---- Global-model step: minimize the disagreement ----------------
             noise = self.generator.sample_noise(self.config.batch_size, self._rng)
@@ -260,7 +260,7 @@ class ZeroShotDistiller:
             global_loss.backward()
             self.global_optimizer.step()
             global_losses.append(global_loss.item())
-            updates += self._count_parameters(self.global_model)
+            updates += self.global_model.num_parameters()
 
             gen_scheduler.step()
             glob_scheduler.step()
@@ -380,7 +380,7 @@ class ZeroShotDistiller:
         transfer_losses = [losses_by_device[device_id][iteration]
                            for iteration in range(iterations)
                            for device_id in device_models]
-        updates = iterations * sum(self._count_parameters(model)
+        updates = iterations * sum(model.num_parameters()
                                    for model in device_models.values())
 
         self.global_model.train()
@@ -438,7 +438,3 @@ class ZeroShotDistiller:
         milestones = [max(1, int(iterations * fraction))
                       for fraction in self.config.lr_decay_milestones]
         return MultiStepLR(optimizer, milestones=milestones, gamma=self.config.lr_decay_gamma)
-
-    @staticmethod
-    def _count_parameters(model) -> int:
-        return int(model.num_parameters()) if hasattr(model, "num_parameters") else 0

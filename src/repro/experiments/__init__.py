@@ -5,7 +5,7 @@ paper; :func:`run_experiment` runs a row at a configurable scale (``tiny``
 for the paper-claims suite, ``small`` for longer CPU runs, ``paper`` for the
 published hyper-parameters) and writes its ``manifest.json`` /
 ``metrics.jsonl`` / ``summary.json``.  :func:`run_algorithm` is one
-federated run of any registered algorithm.
+federated run of any algorithm in :data:`STRATEGIES`.
 """
 
 from .configs import SCALES, ExperimentScale, federated_config_for, get_scale
@@ -17,13 +17,12 @@ from .reporting import (
     format_table,
 )
 from .runner import (
-    ALGORITHM_RUNNERS,
     EXPERIMENTS,
+    STRATEGIES,
     Claim,
     Experiment,
     ExperimentError,
     Variant,
-    register_algorithm_runner,
     run_algorithm,
     run_experiment,
 )
@@ -33,8 +32,7 @@ __all__ = [
     "ExperimentScale",
     "get_scale",
     "federated_config_for",
-    "ALGORITHM_RUNNERS",
-    "register_algorithm_runner",
+    "STRATEGIES",
     "run_algorithm",
     "EXPERIMENTS",
     "Experiment",

@@ -1,10 +1,11 @@
 """The paper's experiments: one single-run builder, one table of rows, one runner.
 
 A single federated run is :func:`run_algorithm` ``(algorithm, dataset,
-**knobs)``, which ``repro run`` calls.  For the built-in algorithms it is
-:func:`_single_run`: resolve the scale, build the config, load and partition
-the data, build the algorithm's :class:`~repro.federated.Simulation` and run
-it, all under the run's numeric policy.  A row that needs more than the
+**knobs)``, which ``repro run`` calls, for any algorithm named in
+:data:`STRATEGIES`.  It is :func:`_single_run`: resolve the scale, build the
+config, load and partition the data, build the algorithm's
+:class:`~repro.federated.Simulation` and run it, all under the run's numeric
+policy.  A row that needs more than the
 history passes ``use=`` and gets the built simulation instead: Fig. 2's
 gradient probe, the compute split, Table III's bounds and the
 fresh-generator ablation.
@@ -27,14 +28,14 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..baselines.fedavg import build_fedavg, build_fedprox
-from ..baselines.fedmd import build_fedmd
-from ..baselines.standalone import build_standalone, compute_bounds
-from ..core.fedzkt import build_fedzkt
+from ..baselines.fedavg import FedAvgStrategy, build_fedavg, build_fedprox
+from ..baselines.fedmd import FedMDStrategy, build_fedmd
+from ..baselines.standalone import StandaloneStrategy, build_standalone, compute_bounds
+from ..core.fedzkt import FedZKTStrategy, build_fedzkt
 from ..core.gradient_probe import GradientNormProbe
 from ..datasets.registry import (
     PUBLIC_DATASET_PAIRS,
@@ -46,6 +47,7 @@ from ..federated.backend import ExecutionBackend, SerialBackend
 from ..federated.config import HeterogeneityConfig, SchedulerConfig
 from ..federated.history import TrainingHistory
 from ..federated.metrics import resource_split_summary
+from ..federated.strategy import Strategy
 from ..models.registry import build_generator, device_specs_for_family
 from ..nn.policy import using_numeric_policy
 from ..partition import make_partitioner
@@ -53,8 +55,7 @@ from .configs import ExperimentScale, federated_config_for, get_scale
 from .reporting import format_percent, format_series, format_table, format_timeline
 
 __all__ = [
-    "ALGORITHM_RUNNERS",
-    "register_algorithm_runner",
+    "STRATEGIES",
     "run_algorithm",
     "Claim",
     "Variant",
@@ -77,6 +78,16 @@ def _given(**values) -> Dict[str, object]:
 # --------------------------------------------------------------------------- #
 # One single-run builder
 # --------------------------------------------------------------------------- #
+#: The algorithms a single run can build, by name (``repro run --algorithm``
+#: and ``repro list`` read this table).
+STRATEGIES: Dict[str, Type[Strategy]] = {
+    "fedzkt": FedZKTStrategy,
+    "fedavg": FedAvgStrategy,
+    "fedmd": FedMDStrategy,
+    "standalone": StandaloneStrategy,
+}
+
+
 def _single_run(algorithm: str, dataset_name: str, use: Optional[Callable] = None, *,
                 scale="tiny", partition: Tuple[str, Dict] = ("iid", {}), seed: int = 0,
                 num_devices: Optional[int] = None, participation_fraction: float = 1.0,
@@ -97,11 +108,14 @@ def _single_run(algorithm: str, dataset_name: str, use: Optional[Callable] = Non
     ``digest_epochs`` apply to FedMD only and a non-default
     ``distillation_loss`` to FedZKT only; elsewhere they raise
     ``ValueError``.  Scheduler and sharding knobs a strategy does not
-    support are rejected by the config's strategy validation.  Build and
+    support are rejected when the ``Simulation`` is built.  Build and
     run both happen under ``numeric_policy``, so every parameter, activation
     and optimizer slot carries its dtype; process-pool workers take the
     policy from the worker context.
     """
+    if algorithm not in STRATEGIES:
+        raise ValueError(f"unknown algorithm {algorithm!r}; "
+                         f"choose from {', '.join(STRATEGIES)}")
     if algorithm != "fedmd" and (public_choice is not None or digest_epochs is not None):
         raise ValueError(f"public_choice and digest_epochs only apply to fedmd, "
                          f"not {algorithm!r}")
@@ -134,15 +148,13 @@ def _single_run(algorithm: str, dataset_name: str, use: Optional[Callable] = Non
                                         size=scale.public_size, image_size=scale.image_size,
                                         seed=seed + 321)
             simulation = build_fedmd(train, test, public, config, family=family,
-                                     digest_epochs=digest_epochs, **common)
+                                     **_given(digest_epochs=digest_epochs), **common)
         elif algorithm == "standalone":
             simulation = build_standalone(train, test, config, family=family, **common)
-        elif algorithm == "fedavg" and prox_mu > 0:
+        elif prox_mu > 0:  # fedavg with the proximal term is FedProx
             simulation = build_fedprox(train, test, config, prox_mu=prox_mu, **common)
-        elif algorithm == "fedavg":
-            simulation = build_fedavg(train, test, config, **common)
         else:
-            raise ValueError(f"no built-in single run for algorithm {algorithm!r}")
+            simulation = build_fedavg(train, test, config, **common)
         result = simulation.run(verbose=verbose) if use is None else use(simulation, train, family)
     if isinstance(result, TrainingHistory):
         result.config["dataset"] = dataset_name
@@ -152,51 +164,15 @@ def _single_run(algorithm: str, dataset_name: str, use: Optional[Callable] = Non
     return result
 
 
-#: Strategy-registry-name → single-run entry point; the CLI's
-#: ``repro run --algorithm`` dispatches through this.  Plugins registered
-#: with :func:`repro.federated.strategies.register_strategy` become CLI-
-#: runnable by attaching a runner via :func:`register_algorithm_runner`.
-ALGORITHM_RUNNERS: Dict[str, Callable[..., TrainingHistory]] = {
-    name: partial(_single_run, name) for name in ("fedzkt", "fedavg", "fedmd", "standalone")
-}
-
-
-def register_algorithm_runner(name: str, runner: Callable[..., TrainingHistory], *,
-                              replace: bool = False) -> Callable[..., TrainingHistory]:
-    """Attach a single-run entry point to a registered strategy name.
-
-    ``runner(dataset_name, **kwargs)`` should accept the knobs of the
-    built-in runners that apply to it (``scale``, ``seed``, ``rounds``,
-    ``backend``, ``verbose``, ...) and return a :class:`TrainingHistory`.
-    Once attached, the strategy is runnable via :func:`run_algorithm` and
-    ``repro run --algorithm <name>``.
-    """
-    if not replace and name in ALGORITHM_RUNNERS:
-        raise ValueError(f"algorithm runner {name!r} is already registered; "
-                         "pass replace=True to override")
-    ALGORITHM_RUNNERS[name] = runner
-    return runner
-
-
 def run_algorithm(algorithm: str, dataset_name: str, **knobs) -> TrainingHistory:
-    """Run any algorithm with a registered runner by strategy name.
+    """Run the algorithm named ``algorithm`` (a key of :data:`STRATEGIES`)
+    once on ``dataset_name`` and return its history.
 
     Capability violations (unsupported scheduler kind, ``server_shards``
-    on a strategy without a shardable server phase) surface as
-    ``ValueError`` from the config's strategy validation.
+    on a strategy without a shardable server phase) surface as the
+    ``ValueError`` the ``Simulation`` constructor raises.
     """
-    if algorithm not in ALGORITHM_RUNNERS:
-        from ..federated.strategies import strategy_names
-
-        if algorithm in strategy_names():
-            raise ValueError(
-                f"strategy {algorithm!r} is registered but has no single-run "
-                "entry point; attach one with repro.experiments.runner."
-                "register_algorithm_runner, or drive it from Python via "
-                "repro.federated.Simulation")
-        raise ValueError(f"unknown algorithm {algorithm!r}; "
-                         f"choose from {sorted(ALGORITHM_RUNNERS)}")
-    return ALGORITHM_RUNNERS[algorithm](dataset_name, **knobs)
+    return _single_run(algorithm, dataset_name, **knobs)
 
 
 # --------------------------------------------------------------------------- #
@@ -204,9 +180,9 @@ def run_algorithm(algorithm: str, dataset_name: str, **knobs) -> TrainingHistory
 # --------------------------------------------------------------------------- #
 def _probe_gradients(simulation, train, family) -> TrainingHistory:
     """Fig. 2: measure the three losses' input-gradient norms after every round."""
-    server, config = simulation.server, simulation.config
+    strategy, config = simulation.strategy, simulation.config
     simulation.round_callback = GradientNormProbe(
-        server.global_model, list(server.device_models.values()), server.generator,
+        strategy.global_model, list(strategy.device_models.values()), strategy.generator,
         batch_size=min(32, config.server.batch_size), seed=config.seed + 99)
     return simulation.run()
 
@@ -214,7 +190,7 @@ def _probe_gradients(simulation, train, family) -> TrainingHistory:
 def _compute_split(simulation, train, family) -> Dict[str, object]:
     """Train, then count the parameter-gradient work done on each side."""
     simulation.run()
-    return resource_split_summary(simulation.devices, simulation.server.server_parameter_updates,
+    return resource_split_summary(simulation.devices, simulation.strategy.server_parameter_updates,
                                   rounds=simulation.config.rounds,
                                   local_epochs=simulation.config.local_epochs)
 
@@ -237,7 +213,7 @@ def _bounds(simulation, train, family, bound_epochs: Optional[int] = None) -> Li
 def _fresh_generator(simulation, train, family) -> TrainingHistory:
     """Back-transfer (Eq. 8) from a fresh, untrained generator instead of
     the one trained adversarially in the device→global phase."""
-    distiller = simulation.server.distiller
+    distiller = simulation.strategy.distiller
     fresh = build_generator(train.input_shape, noise_dim=simulation.config.server.noise_dim,
                             seed=999)
     transfer = distiller.transfer_to_devices

@@ -1,29 +1,14 @@
 """``repro.federated`` — the federated-learning substrate.
 
-Devices (local training, parameter exchange), the abstract server
-interface, active-device sampling (stragglers), the round schedulers
+Devices (local training, parameter exchange), the strategy interface
+every algorithm implements, active-device sampling (stragglers), the round schedulers
 (synchronous / deadline / async) that drive Algorithm 1's phases on a
 simulated clock, the device heterogeneity model, per-round history, and
 resource accounting.
 """
 
-from .backend import (
-    ExecutionBackend,
-    SerialBackend,
-    WorkerContext,
-    backend_descriptions,
-    backend_names,
-    get_backend_factory,
-    make_backend,
-    register_backend,
-)
-from .config import (
-    FederatedConfig,
-    HeterogeneityConfig,
-    SchedulerConfig,
-    ServerConfig,
-    StrategyConfig,
-)
+from .backend import BACKENDS, ExecutionBackend, SerialBackend, WorkerContext, make_backend
+from .config import FederatedConfig, HeterogeneityConfig, SchedulerConfig, ServerConfig
 from .cohort import Cohort, CohortPlan, plan_cohorts
 from .device import Device, LocalTrainingReport
 from .heterogeneity import HeterogeneityModel
@@ -42,29 +27,19 @@ from .scheduler import (
     DeadlineScheduler,
     RoundScheduler,
     SynchronousScheduler,
+    UploadMeta,
     make_scheduler,
 )
-from .server import FederatedServer, UploadMeta
 from .simulation import Simulation
 from .strategy import ParameterServerStrategy, Strategy
-from .strategies import (
-    get_strategy_class,
-    register_strategy,
-    strategy_capabilities,
-    strategy_names,
-    validate_strategy,
-)
 
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "WorkerContext",
+    "BACKENDS",
     "make_backend",
-    "register_backend",
-    "get_backend_factory",
-    "backend_names",
-    "backend_descriptions",
     "SchedulerConfig",
     "HeterogeneityConfig",
     "HeterogeneityModel",
@@ -89,16 +64,9 @@ __all__ = [
     "DeviceSampler",
     "UniformSampler",
     "FixedSampler",
-    "FederatedServer",
     "Simulation",
     "Strategy",
     "ParameterServerStrategy",
-    "StrategyConfig",
-    "register_strategy",
-    "get_strategy_class",
-    "strategy_names",
-    "strategy_capabilities",
-    "validate_strategy",
     "CommunicationReport",
     "communication_report",
     "model_size_bytes",

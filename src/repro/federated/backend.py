@@ -32,7 +32,7 @@ live objects, so the serial path pays no serialization cost.
 Every backend whose workers are other processes runs on :mod:`repro.net`:
 ``process[:N]`` (:class:`~repro.net.backend.ProcessPoolBackend`, workers
 forked on this host over loopback) and ``tcp://`` (workers anywhere).  Both
-are registered here and imported on first use.
+are built by :func:`make_backend`, which imports them on first use.
 
 All backends produce **bit-identical** training histories (verified by the
 backend parity tests) and surface transport counters — cache hits/misses,
@@ -78,11 +78,8 @@ __all__ = [
     "DigestSpec",
     "ExecutionBackend",
     "SerialBackend",
+    "BACKENDS",
     "make_backend",
-    "register_backend",
-    "get_backend_factory",
-    "backend_names",
-    "backend_descriptions",
     "resolve_state",
     "resolve_arrays",
     "iter_state_refs",
@@ -574,83 +571,17 @@ class SerialBackend(ExecutionBackend):
 
 
 # --------------------------------------------------------------------------- #
-# Backend registry (mirrors the strategy registry in federated.strategies)
+# Backend specs
 # --------------------------------------------------------------------------- #
-#: name -> (factory(spec, max_workers) -> backend, one-line description).
-_BACKEND_REGISTRY: Dict[str, Tuple[Callable[[str, Optional[int]], ExecutionBackend], str]] = {}
-
-#: Backends that live in modules we do not want to import eagerly
-#: (``repro.net`` pulls in sockets/subprocess machinery): name ->
-#: ("module:factory", description), resolved on first use.
-_BUILTIN_BACKENDS: Dict[str, Tuple[str, str]] = {
-    "process": ("repro.net.backend:make_process_backend",
-                "worker processes forked on this host, over the tcp:// stack on "
+#: The schemes :func:`make_backend` accepts, each with the line ``repro list``
+#: prints for it.
+BACKENDS: Dict[str, str] = {
+    "serial": "in-process, zero-serialization (default)",
+    "process": ("worker processes forked on this host, over the tcp:// stack on "
                 "loopback (process[:N])"),
-    "tcp": ("repro.net.backend:make_tcp_backend",
-            "multi-node over TCP: tcp://HOST:PORT (external workers) or "
+    "tcp": ("multi-node over TCP: tcp://HOST:PORT (external workers) or "
             "tcp://:PORT?workers=N (spawned localhost daemons)"),
 }
-
-
-def register_backend(name: str,
-                     factory: Callable[[str, Optional[int]], ExecutionBackend],
-                     *, description: str = "", replace: bool = False) -> None:
-    """Register a backend scheme with :func:`make_backend`.
-
-    ``factory`` receives the *full* spec string (so schemes define their own
-    grammar after the name) and the ``max_workers`` override.  Third-party
-    schemes register exactly like the built-ins; ``repro list`` picks up
-    the description.
-    """
-    name = str(name)
-    if not replace and (name in _BACKEND_REGISTRY or name in _BUILTIN_BACKENDS):
-        raise ValueError(f"backend {name!r} is already registered; "
-                         "pass replace=True to override it")
-    _BUILTIN_BACKENDS.pop(name, None)
-    _BACKEND_REGISTRY[name] = (factory, description)
-
-
-def get_backend_factory(name: str) -> Callable[[str, Optional[int]], ExecutionBackend]:
-    """Resolve a registered backend factory (imports lazy built-ins)."""
-    entry = _BACKEND_REGISTRY.get(name)
-    if entry is not None:
-        return entry[0]
-    builtin = _BUILTIN_BACKENDS.get(name)
-    if builtin is not None:
-        import importlib
-
-        target, description = builtin
-        module_name, _, attribute = target.partition(":")
-        factory = getattr(importlib.import_module(module_name), attribute)
-        _BACKEND_REGISTRY[name] = (factory, description)
-        return factory
-    raise ValueError(f"unknown backend spec {name!r}; "
-                     f"registered backends: {', '.join(backend_names())}")
-
-
-def backend_names() -> List[str]:
-    """Sorted names of every registered backend scheme."""
-    return sorted(set(_BACKEND_REGISTRY) | set(_BUILTIN_BACKENDS))
-
-
-def backend_descriptions() -> Dict[str, str]:
-    """name -> one-line description for every registered backend."""
-    merged = {name: description for name, (_, description) in _BUILTIN_BACKENDS.items()}
-    merged.update({name: description
-                   for name, (_, description) in _BACKEND_REGISTRY.items()})
-    return dict(sorted(merged.items()))
-
-
-def _make_serial(spec: str, max_workers: Optional[int] = None) -> ExecutionBackend:
-    _, sep, _ = str(spec).partition(":")
-    if sep:
-        raise ValueError(f"invalid backend spec {spec!r}: "
-                         "'serial' does not take a worker count")
-    return SerialBackend()
-
-
-register_backend("serial", _make_serial,
-                 description="in-process, zero-serialization (default)")
 
 
 def make_backend(spec: Optional[str] = None, max_workers: Optional[int] = None) -> ExecutionBackend:
@@ -660,11 +591,24 @@ def make_backend(spec: Optional[str] = None, max_workers: Optional[int] = None) 
     ``"process"`` / ``"process:N"`` → :class:`~repro.net.backend.ProcessPoolBackend`
     with N forked workers;
     ``"tcp://HOST:PORT[?workers=N]"`` → the multi-node
-    :class:`~repro.net.backend.RemoteBackend`.  Additional schemes plug in
-    via :func:`register_backend`.
+    :class:`~repro.net.backend.RemoteBackend`.  ``repro.net`` (sockets,
+    subprocesses) is imported only for the last two.
     """
     if spec is None:
         return SerialBackend()
     spec = str(spec)
     kind = spec.split("://", 1)[0] if "://" in spec else spec.partition(":")[0]
-    return get_backend_factory(kind)(spec, max_workers)
+    if kind == "serial":
+        if spec != "serial":
+            raise ValueError(f"invalid backend spec {spec!r}: "
+                             "'serial' does not take a worker count")
+        return SerialBackend()
+    if kind == "process":
+        from ..net.backend import make_process_backend
+
+        return make_process_backend(spec, max_workers)
+    if kind == "tcp":
+        from ..net.backend import make_tcp_backend
+
+        return make_tcp_backend(spec, max_workers)
+    raise ValueError(f"unknown backend spec {spec!r}; backends: {', '.join(BACKENDS)}")

@@ -17,37 +17,7 @@ __all__ = [
     "ServerConfig",
     "SchedulerConfig",
     "HeterogeneityConfig",
-    "StrategyConfig",
 ]
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Which algorithm strategy runs the simulation (see
-    :mod:`repro.federated.strategies`).
-
-    Attributes
-    ----------
-    name:
-        Registry name of the strategy (``"fedzkt"``, ``"fedavg"``,
-        ``"fedmd"``, ``"standalone"``, or any
-        :func:`~repro.federated.strategies.register_strategy`-registered
-        plugin).  ``None`` (the default) means "decided by the builder" and
-        skips capability validation — the per-algorithm ``build_*`` helpers
-        normalize it to their algorithm, at which point the config's
-        scheduler kind and ``server_shards`` request are validated against
-        the strategy's capability declarations in
-        :func:`~repro.federated.strategies.validate_strategy`.
-    digest_epochs:
-        FedMD only: passes over the public dataset during the digest phase.
-    """
-
-    name: Optional[str] = None
-    digest_epochs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.digest_epochs < 1:
-            raise ValueError("digest_epochs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -167,10 +137,10 @@ class ServerConfig:
         ``"sl"`` (paper default), ``"kl"``, or ``"l1"``.
     global_steps_per_generator_step:
         How many global-model (student) updates are performed per generator
-        update.  Algorithm 3 alternates 1:1; giving the student several
-        steps per generator step keeps the adversarial game from saturating
-        at small iteration budgets (an implementation detail documented in
-        DESIGN.md; set to 1 for the literal algorithm).
+        update.  This departs from Algorithm 3, which alternates the two
+        1:1: giving the student several steps per generator step keeps the
+        adversarial game from saturating at small iteration budgets (see
+        ``docs/architecture.md``).  Set it to 1 for the literal algorithm.
     server_shards:
         Number of shard tasks each server-update dispatch splits into on
         the simulation's execution backend (``1`` is one task).
@@ -233,10 +203,6 @@ class FederatedConfig:
         Round-scheduling policy (sync / deadline / async).
     heterogeneity:
         Device compute-speed, latency, and availability model.
-    strategy:
-        Which algorithm strategy drives the simulation; when its ``name``
-        is set, the scheduler kind and ``server_shards`` are validated
-        against the strategy's capability declarations.
     cohort_fusion:
         Opt-in: merge each round's same-key device tasks — training (FedMD
         digests included), evaluation and FedMD's public-logit sweeps — into
@@ -271,7 +237,6 @@ class FederatedConfig:
     server: ServerConfig = field(default_factory=ServerConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     heterogeneity: HeterogeneityConfig = field(default_factory=HeterogeneityConfig)
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
     cohort_fusion: bool = False
     numeric_policy: str = "float64"
 
@@ -292,30 +257,10 @@ class FederatedConfig:
             raise ValueError("local_epochs must be non-negative")
         if self.prox_mu < 0:
             raise ValueError("prox_mu must be non-negative")
-        if self.strategy.name is not None:
-            # One-place capability validation (registry lookup is lazy to
-            # avoid an import cycle with the strategy modules).
-            from .strategies import validate_strategy
-
-            validate_strategy(self)
 
     def with_overrides(self, **kwargs) -> "FederatedConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
-
-    def with_strategy(self, name: str, **kwargs) -> "FederatedConfig":
-        """Return a copy whose strategy block names ``name``.
-
-        Used by the per-algorithm builders to normalize a config (and
-        thereby trigger capability validation).  Raises ``ValueError`` if
-        the config already names a *different* strategy — a config built
-        for one algorithm cannot silently run another.
-        """
-        if self.strategy.name is not None and self.strategy.name != name:
-            raise ValueError(
-                f"config names strategy {self.strategy.name!r} but is being "
-                f"used to build a {name!r} simulation")
-        return replace(self, strategy=replace(self.strategy, name=name, **kwargs))
 
     def describe(self) -> Dict[str, object]:
         """Flat dictionary of the configuration (for experiment reports)."""

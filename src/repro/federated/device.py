@@ -76,28 +76,6 @@ class Device:
         self.uploaded_parameters = 0
         self.downloaded_parameters = 0
 
-    # Convenience accessors kept for backwards compatibility with code and
-    # tests written against the pre-trainer Device attributes.
-    @property
-    def lr(self) -> float:
-        return self.training_config.lr
-
-    @property
-    def momentum(self) -> float:
-        return self.training_config.momentum
-
-    @property
-    def weight_decay(self) -> float:
-        return self.training_config.weight_decay
-
-    @property
-    def batch_size(self) -> int:
-        return self.training_config.batch_size
-
-    @property
-    def prox_mu(self) -> float:
-        return self.training_config.prox_mu
-
     # ------------------------------------------------------------------ #
     # Parameter exchange
     # ------------------------------------------------------------------ #

@@ -102,7 +102,7 @@ def resource_split_summary(devices: Sequence[Device], server_parameter_updates: 
     per_device = []
     for device in devices:
         estimate = device_compute_estimate(device.model, len(device.dataset), local_epochs, rounds,
-                                           batch_size=device.batch_size)
+                                           batch_size=device.training_config.batch_size)
         per_device.append({
             "device_id": device.device_id,
             "model_parameters": device.model.num_parameters(),

@@ -24,8 +24,7 @@ delegating to its :class:`~repro.federated.strategy.Strategy`):
     package the round's device-side work as backend tasks (one per id);
 ``process_result(result, meta) -> float``
     absorb one completed task into its device, hand the upload (plus its
-    :class:`~repro.federated.server.UploadMeta`) to the server, and return
-    the local loss;
+    :class:`UploadMeta`) to the strategy, and return the local loss;
 ``aggregate_round(round_index, device_ids, upload_meta)``
     the server-side computation over the uploads that made this round;
 ``broadcast(device_ids=None)``
@@ -37,8 +36,7 @@ delegating to its :class:`~repro.federated.strategy.Strategy`):
 
 Which schedulers a strategy runs under is its ``supports_schedulers``
 declaration, checked once when the engine is built
-(:meth:`~repro.federated.simulation.Simulation._init_engine`) and at
-config time by :func:`~repro.federated.strategies.validate_strategy`.
+(:class:`~repro.federated.simulation.Simulation`).
 
 Engines may also expose a ``strategy`` attribute with
 ``on_round_start(round_index)`` / ``on_round_end(record)`` lifecycle
@@ -72,7 +70,6 @@ import numpy as np
 
 from .config import SchedulerConfig
 from .history import RoundRecord, TrainingHistory
-from .server import UploadMeta
 
 __all__ = [
     "RoundScheduler",
@@ -81,12 +78,41 @@ __all__ = [
     "AsyncBufferedScheduler",
     "SchedulerState",
     "PendingUpload",
+    "UploadMeta",
     "make_scheduler",
 ]
 
 # Tag for the async scheduler's refill-permutation draws (namespaced away
 # from the heterogeneity model's tags).
 _TAG_REFILL = 29
+
+
+@dataclass(frozen=True)
+class UploadMeta:
+    """Per-upload metadata attached by the round scheduler.
+
+    Attributes
+    ----------
+    device_id:
+        The uploading device.
+    dispatch_round:
+        Round (or async dispatch event) in which the local training that
+        produced this upload started.
+    arrival_time:
+        Simulated time at which the upload reached the server.
+    staleness:
+        How many aggregations happened between dispatch and arrival
+        (0 = fresh, i.e. the synchronous case).
+    weight:
+        Aggregation weight assigned by the scheduler's staleness policy
+        (``1.0`` for fresh uploads).
+    """
+
+    device_id: int
+    dispatch_round: int = 0
+    arrival_time: float = 0.0
+    staleness: int = 0
+    weight: float = 1.0
 
 
 @dataclass

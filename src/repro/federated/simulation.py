@@ -13,8 +13,8 @@ history — and delegates the algorithm-specific round phases to a pluggable
    fanned out through the configured
    :class:`~repro.federated.backend.ExecutionBackend`;
 3. ``collect``         — ``strategy.process_result`` absorbs each completed
-   task and hands any upload (with scheduler-attached staleness metadata)
-   to its server;
+   task and collects any upload (with scheduler-attached staleness
+   metadata);
 4. ``aggregate``       — ``strategy.aggregate`` runs the central
    computation (FedZKT: Algorithm 3; FedAvg: weighted averaging; FedMD /
    standalone: nothing), staleness-aware when uploads arrive late;
@@ -62,9 +62,8 @@ from .device import Device
 from .heterogeneity import HeterogeneityModel
 from .history import RoundRecord, TrainingHistory
 from .sampling import DeviceSampler, UniformSampler
-from .scheduler import RoundScheduler, SchedulerState, make_scheduler
-from .server import GLOBAL_EVAL_BATCH_SIZE, FederatedServer, UploadMeta
-from .strategy import Strategy
+from .scheduler import RoundScheduler, SchedulerState, UploadMeta, make_scheduler
+from .strategy import GLOBAL_EVAL_BATCH_SIZE, Strategy
 
 __all__ = ["Simulation"]
 
@@ -78,11 +77,11 @@ class Simulation:
         The federated devices (with their heterogeneous models and shards).
     config:
         Federated configuration (rounds, local epochs, participation,
-        strategy / scheduler / heterogeneity blocks, ...).
+        server / scheduler / heterogeneity blocks, ...).
     test_dataset:
         Held-out test set used for per-round evaluation.
     strategy:
-        The algorithm plugin implementing the round phases (see
+        The algorithm implementing the round phases (see
         :mod:`repro.federated.strategy`); bound to this engine on
         construction.
     sampler:
@@ -103,7 +102,10 @@ class Simulation:
     scheduler:
         Round scheduler; defaults to the one described by
         ``config.scheduler`` (synchronous unless configured otherwise).
-        Must be a kind the strategy declares in ``supports_schedulers``.
+        Must be a kind the strategy declares in ``supports_schedulers``,
+        and ``config.server.server_shards > 1`` needs a strategy declaring
+        ``supports_server_shards``: the constructor is the one place these
+        capabilities are checked.
     heterogeneity:
         Device timing/availability model; defaults to one built from
         ``config.heterogeneity`` and the config seed.
@@ -128,26 +130,20 @@ class Simulation:
         self.sampler = sampler or UniformSampler(config.participation_fraction, seed=config.seed)
         self.evaluate_devices = evaluate_devices
         self.round_callback = round_callback
-        strategy.bind(self)
-        self._init_engine(config, backend, scheduler, heterogeneity)
-        self.history = TrainingHistory(algorithm=strategy.name, config=config.describe())
-
-    # ------------------------------------------------------------------ #
-    # Engine wiring
-    # ------------------------------------------------------------------ #
-    def _init_engine(self, config: FederatedConfig,
-                     backend: Optional[ExecutionBackend],
-                     scheduler: Optional[RoundScheduler],
-                     heterogeneity: Optional[HeterogeneityModel] = None) -> None:
-        """Wire backend/scheduler/heterogeneity; called after ``devices``."""
-        self._owns_backend = backend is None
-        self.backend = backend or SerialBackend()
         self.scheduler = scheduler or make_scheduler(config.scheduler)
         kind = getattr(self.scheduler, "name", None)
-        if kind is not None and kind not in self.strategy.supports_schedulers:
+        if kind is not None and kind not in strategy.supports_schedulers:
             raise ValueError(
-                f"strategy {self.strategy.name!r} does not support the {kind!r} "
-                f"scheduler (supported: {', '.join(self.strategy.supports_schedulers)})")
+                f"strategy {strategy.name!r} does not support the {kind!r} "
+                f"scheduler (supported: {', '.join(strategy.supports_schedulers)})")
+        if config.server.server_shards > 1 and not strategy.supports_server_shards:
+            raise ValueError(
+                f"server_shards={config.server.server_shards} requires a strategy "
+                f"with a shardable server-side phase, but strategy {strategy.name!r} "
+                "does not declare supports_server_shards (only fedzkt's zero-shot "
+                "distillation shards through the backend)")
+        self._owns_backend = backend is None
+        self.backend = backend or SerialBackend()
         self.heterogeneity = heterogeneity or HeterogeneityModel(
             len(self.devices), config.heterogeneity, seed=config.seed)
         self._context: Optional[WorkerContext] = None
@@ -155,11 +151,16 @@ class Simulation:
         self._fusion_signatures: Dict[int, object] = {}
         self._eval_results: Dict[tuple, float] = {}
         self._closed = False
+        strategy.bind(self)
+        self.history = TrainingHistory(algorithm=strategy.name, config=config.describe())
 
     @property
-    def server(self) -> Optional[FederatedServer]:
-        """The strategy's server, if the algorithm has one."""
-        return self.strategy.server
+    def server(self) -> Strategy:
+        """Another name for :attr:`strategy`, which holds the server state.
+        Kept only because the benchmark harness's ``benchmarks/e2e/probe.py``
+        and ``benchmarks/e2e/test_harness.py`` read
+        ``simulation.server.distiller``; everything else uses :attr:`strategy`."""
+        return self.strategy
 
     @property
     def state_store(self) -> StateStore:
@@ -174,17 +175,10 @@ class Simulation:
                                     public_dataset=self.strategy.public_dataset)
 
     def ensure_backend(self) -> None:
-        """Build the worker context lazily and (re)start the backend with it.
-
-        Also hands the backend to the strategy's server (``bind_backend``)
-        so servers that shard their aggregation — FedZKT's server update —
-        dispatch through the same worker pool as the device phases.
-        """
+        """Build the worker context lazily and (re)start the backend with it."""
         if self._context is None:
             self._context = self._build_context()
         self.backend.start(self._context)
-        if self.server is not None:
-            self.server.bind_backend(self.backend)
         self._closed = False
 
     def close(self) -> None:
@@ -311,7 +305,7 @@ class Simulation:
 
     def aggregate_round(self, round_index: int, device_ids: Sequence[int],
                         upload_meta: Dict[int, UploadMeta]) -> None:
-        """Strategy server update over this round's uploads, staleness-aware."""
+        """The strategy's server update over this round's uploads, staleness-aware."""
         self.strategy.aggregate(round_index, device_ids, upload_meta)
 
     def broadcast(self, device_ids: Optional[Sequence[int]] = None) -> None:
@@ -359,7 +353,7 @@ class Simulation:
         one round unless it is hit again.
         """
         previous, table = self._eval_results, {}
-        global_model = getattr(self.server, "global_model", None)
+        global_model = self.strategy.global_model
         if (global_model is not None
                 and record.global_accuracy is not None and self._context is not None
                 and self._context.eval_dataset is self.test_dataset):

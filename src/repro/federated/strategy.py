@@ -1,16 +1,14 @@
-"""The ``Strategy`` protocol: federated algorithms as pluggable plugins.
+"""The ``Strategy`` protocol: one object per federated algorithm.
 
 The paper's contribution (FedZKT) is *one algorithm among peers* — its
-experiments compare against FedAvg, FedMD, and standalone training.  Before
-this layer existed, each algorithm hard-wired its own simulation class
-(``FederatedSimulation`` for parameter-upload algorithms, ``FedMDSimulation``
-for logit consensus, a bespoke loop for standalone bounds), duck-typed
-against the scheduler's phase protocol.  A :class:`Strategy` inverts that:
-one generic :class:`~repro.federated.simulation.Simulation` engine owns the
+experiments compare against FedAvg, FedMD, and standalone training.  One
+generic :class:`~repro.federated.simulation.Simulation` engine owns the
 devices, execution backend, round scheduler, simulated clock, and training
-history, and delegates everything algorithm-specific to a strategy object —
-the same shape Flower's ``Strategy`` abstraction uses over its generic
-simulation engine.
+history, and delegates everything algorithm-specific to a
+:class:`Strategy` — the same shape Flower's ``Strategy`` abstraction uses
+over its generic simulation engine.  An algorithm's server state (global
+model, replicas, generator, payloads) lives on its strategy: the strategy
+*is* the server.
 
 Hook order for one scheduler round (``S`` = strategy hook, ``E`` = engine)::
 
@@ -29,30 +27,31 @@ Hook order for one scheduler round (``S`` = strategy hook, ``E`` = engine)::
 
 The scheduler decides *when* each phase runs on the simulated clock
 (synchronous lockstep, deadline-bounded, or async buffered); the strategy
-decides *what* each phase does.  Capability declarations
+decides *what* each phase does.  The capability declarations
 (:attr:`Strategy.supports_schedulers`, :attr:`Strategy.supports_server_shards`,
-:attr:`Strategy.uses_public_dataset`) are validated in one place —
-:func:`repro.federated.strategies.validate_strategy` — instead of ad-hoc
-checks scattered through the CLI and builders.
-
-Strategies register themselves in the
-:mod:`repro.federated.strategies` registry (``register_strategy``) so the
-CLI, the experiment harness, and config validation can enumerate and look
-them up by name.
+:attr:`Strategy.uses_public_dataset`) are checked in one place, when a
+``Simulation`` is constructed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from .server import FederatedServer, UploadMeta
+import numpy as np
+
+from .scheduler import UploadMeta
+from .trainer import evaluate_accuracy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..datasets.base import ImageDataset
+    from ..models.base import ClassificationModel
     from .history import RoundRecord
     from .simulation import Simulation
 
-__all__ = ["Strategy", "ParameterServerStrategy"]
+__all__ = ["GLOBAL_EVAL_BATCH_SIZE", "Strategy", "ParameterServerStrategy"]
+
+#: Batch size of the global model's evaluation sweep.
+GLOBAL_EVAL_BATCH_SIZE = 256
 
 
 class Strategy:
@@ -64,8 +63,8 @@ class Strategy:
     Subclasses override the phase hooks they need; the defaults describe an
     algorithm that trains devices locally and exchanges nothing.
 
-    Class-level capability declarations (consumed by
-    :func:`repro.federated.strategies.validate_strategy` and the CLI):
+    Class-level capability declarations (checked by ``Simulation`` and
+    listed by ``repro list``):
 
     ``supports_schedulers``
         Round-scheduler kinds this strategy's round structure tolerates.
@@ -79,17 +78,16 @@ class Strategy:
         Whether the strategy requires a shared public dataset (FedMD).
     """
 
-    #: Registry name of the strategy (also recorded as the history's
-    #: ``algorithm``); instances may override the class attribute.
+    #: Name of the strategy (also recorded as the history's ``algorithm``);
+    #: instances may override the class attribute.
     name = "base"
 
     supports_schedulers: Sequence[str] = ("sync", "deadline", "async")
     supports_server_shards = False
     uses_public_dataset = False
 
-    #: The algorithm's server, if it has one (bound to the execution
-    #: backend by ``Simulation.ensure_backend``).
-    server: Optional[FederatedServer] = None
+    #: The server's global model ``F``, if the algorithm maintains one.
+    global_model: Optional["ClassificationModel"] = None
 
     #: The shared public dataset, if the algorithm uses one (shipped to
     #: workers inside the :class:`~repro.federated.backend.WorkerContext`).
@@ -102,7 +100,8 @@ class Strategy:
     # Binding
     # ------------------------------------------------------------------ #
     def bind(self, simulation: "Simulation") -> None:
-        """Attach the strategy to its engine (called by ``Simulation``)."""
+        """Attach the strategy to its engine (called by ``Simulation`` once
+        its backend and scheduler exist)."""
         if self.simulation is not None and self.simulation is not simulation:
             raise RuntimeError(
                 f"strategy {self.name!r} is already bound to a simulation; "
@@ -161,8 +160,11 @@ class Strategy:
         """Deliver server payloads (``None`` = every device; no-op default)."""
 
     def evaluate_global(self, dataset: "ImageDataset") -> Optional[float]:
-        """Global-model accuracy, or ``None`` for algorithms without one."""
-        return None
+        """Accuracy of :attr:`global_model`, or ``None`` without one."""
+        if self.global_model is None:
+            return None
+        return evaluate_accuracy(self.global_model, dataset,
+                                 batch_size=GLOBAL_EVAL_BATCH_SIZE)
 
     def round_metrics(self) -> Dict[str, float]:
         """Algorithm-specific metrics recorded on the round's record."""
@@ -178,47 +180,92 @@ class Strategy:
 
 
 class ParameterServerStrategy(Strategy):
-    """Generic strategy for parameter-upload algorithms (FedZKT, FedAvg).
+    """Base for parameter-upload algorithms (FedZKT, FedAvg).
 
-    Devices train locally and upload their parameters; a
-    :class:`~repro.federated.server.FederatedServer` aggregates them
-    (:meth:`server_update`) and prepares per-device payloads that the
-    broadcast phase delivers.  This is exactly the phase protocol the old
-    ``FederatedSimulation`` hard-wired; algorithm subclasses normally only
-    declare capabilities and a constructor.
+    Devices train locally and upload their parameters; :meth:`collect`
+    keeps each round's uploads with the scheduler's :class:`UploadMeta`
+    (dispatch round, arrival time, staleness, aggregation weight).
+    Subclasses implement :meth:`server_update` (the central computation)
+    and :meth:`payload_for` (what each device receives back); the
+    broadcast phase delivers the payloads and clears the round's uploads.
+
+    Synchronous rounds collect every upload with staleness 0 and weight
+    1.0; the deadline and async schedulers attach staleness-discounted
+    weights to late uploads, which :meth:`upload_weight` reports.  The
+    ``upload_meta`` the scheduler passes to :meth:`aggregate` is what
+    :meth:`collect` recorded, so the server update reads the latter.
 
     Parameters
     ----------
-    server:
-        The algorithm-specific server.
     name:
-        Optional display/registry name override (defaults to the server's
-        ``name``, preserving e.g. the ``fedprox`` labelling).
+        Optional name override (e.g. ``fedprox`` for FedAvg with a
+        proximal term); defaults to the class's ``name``.
     """
 
-    def __init__(self, server: FederatedServer, name: Optional[str] = None) -> None:
+    def __init__(self, name: Optional[str] = None) -> None:
         super().__init__()
-        if server is None:
-            raise ValueError("ParameterServerStrategy requires a server")
-        self.server = server
-        self.name = name if name is not None else server.name
+        if name is not None:
+            self.name = name
+        #: Device uploads collected so far this round.
+        self.uploads: Dict[int, Dict[str, np.ndarray]] = {}
+        #: Metadata of the uploads collected so far this round.
+        self.upload_meta: Dict[int, UploadMeta] = {}
+        #: Metrics of the last server update (the round record's).
+        self.last_metrics: Dict[str, float] = {}
 
+    # ------------------------------------------------------------------ #
+    # Upload bookkeeping
+    # ------------------------------------------------------------------ #
+    def collect(self, device_id: int, state: Dict[str, np.ndarray],
+                meta: Optional[UploadMeta] = None) -> None:
+        """Receive an uploaded parameter set from an active device.
+
+        ``meta`` carries the scheduler's staleness bookkeeping; when omitted
+        (direct synchronous use) the upload is treated as fresh.
+        """
+        self.uploads[device_id] = state
+        self.upload_meta[device_id] = meta if meta is not None else UploadMeta(device_id)
+
+    def upload_weight(self, device_id: int) -> float:
+        """The scheduler-assigned aggregation weight for a device's upload."""
+        meta = self.upload_meta.get(device_id)
+        return meta.weight if meta is not None else 1.0
+
+    def staleness_summary(self) -> Dict[str, float]:
+        """Mean/max staleness of the uploads collected this round."""
+        if not self.upload_meta:
+            return {"mean_staleness": 0.0, "max_staleness": 0.0}
+        staleness = [meta.staleness for meta in self.upload_meta.values()]
+        return {"mean_staleness": float(np.mean(staleness)),
+                "max_staleness": float(max(staleness))}
+
+    def finish_round(self) -> None:
+        """Clear the round's uploads (called by :meth:`broadcast`)."""
+        self.uploads.clear()
+        self.upload_meta.clear()
+
+    # ------------------------------------------------------------------ #
+    # Round phases
+    # ------------------------------------------------------------------ #
     def process_result(self, result, meta: UploadMeta) -> float:
         """Absorb one training result and upload the parameters."""
         device = self.simulation.devices[result.device_id]
         report = device.absorb_training_result(result)
-        self.server.collect(device.device_id, device.send_parameters(), meta=meta)
+        self.collect(device.device_id, device.send_parameters(), meta=meta)
         return report.mean_loss
 
     def aggregate(self, round_index: int, device_ids: Sequence[int],
                   upload_meta: Dict[int, UploadMeta]) -> None:
-        self.server_update(round_index, device_ids, upload_meta)
+        self.server_update(round_index, device_ids)
 
-    def server_update(self, round_index: int, device_ids: Sequence[int],
-                      upload_meta: Dict[int, UploadMeta]) -> None:
-        """The central computation (Algorithm 3 for FedZKT; averaging for
-        FedAvg) — the overridable core of the aggregate phase."""
-        self.server.aggregate(round_index, list(device_ids), upload_meta=upload_meta)
+    def server_update(self, round_index: int, device_ids: Sequence[int]) -> None:
+        """The central computation over :attr:`uploads` and their
+        :attr:`upload_meta` (Algorithm 3 for FedZKT; averaging for FedAvg)."""
+        raise NotImplementedError
+
+    def payload_for(self, device_id: int) -> Optional[Dict[str, np.ndarray]]:
+        """Parameters to send back to ``device_id`` (None = nothing to send)."""
+        raise NotImplementedError
 
     def broadcast(self, device_ids: Optional[Sequence[int]] = None) -> None:
         """Deliver per-device payloads (Algorithm 1, lines 11–13)."""
@@ -226,13 +273,10 @@ class ParameterServerStrategy(Strategy):
         targets = (devices if device_ids is None
                    else [devices[device_id] for device_id in device_ids])
         for device in targets:
-            payload = self.server.payload_for(device.device_id)
+            payload = self.payload_for(device.device_id)
             if payload is not None:
                 device.receive_parameters(payload)
-        self.server.finish_round()
-
-    def evaluate_global(self, dataset: "ImageDataset") -> Optional[float]:
-        return self.server.evaluate_global(dataset)
+        self.finish_round()
 
     def round_metrics(self) -> Dict[str, float]:
-        return dict(self.server.last_metrics)
+        return dict(self.last_metrics)

@@ -81,8 +81,7 @@ class DeviceTrainingConfig:
     prox_mu:
         Coefficient of the ℓ2 proximal term of Eq. 9 (0 disables it).
     eval_batch_size:
-        Batch size used for on-device evaluation (was previously hardcoded
-        to 256 in several call sites).
+        Batch size used for on-device evaluation.
     """
 
     lr: float = 0.01

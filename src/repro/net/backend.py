@@ -376,7 +376,7 @@ class ProcessPoolBackend(RemoteBackend):
 
 
 # --------------------------------------------------------------------------- #
-# Spec parsing (registered under the "tcp" and "process" schemes)
+# Spec parsing (the "process" and "tcp" schemes of make_backend)
 # --------------------------------------------------------------------------- #
 def make_process_backend(spec: str, max_workers: Optional[int] = None) -> ProcessPoolBackend:
     """Build a :class:`ProcessPoolBackend` from a ``process[:N]`` spec string."""

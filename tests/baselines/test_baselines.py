@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    FedAvgServer,
+    FedAvgStrategy,
     FedMDStrategy,
     build_fedavg,
     build_fedmd,
@@ -89,11 +89,11 @@ class TestFedAvgFedProx:
     def test_fedavg_aggregation_is_weighted_average(self):
         model_a = SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=0)
         model_b = SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=1)
-        server = FedAvgServer(SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=2),
-                              device_weights={0: 1.0, 1: 3.0})
+        server = FedAvgStrategy(SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=2),
+                                device_weights={0: 1.0, 1: 3.0})
         server.collect(0, model_a.state_dict())
         server.collect(1, model_b.state_dict())
-        server.aggregate(1, [0, 1])
+        server.server_update(1, [0, 1])
         payload = server.payload_for(0)
         key = "classifier.1.weight"
         expected = 0.25 * model_a.state_dict()[key] + 0.75 * model_b.state_dict()[key]
@@ -101,9 +101,9 @@ class TestFedAvgFedProx:
 
     def test_fedavg_no_uploads_keeps_global(self):
         reference = SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=0)
-        server = FedAvgServer(reference)
+        server = FedAvgStrategy(reference)
         before = reference.state_dict()
-        server.aggregate(1, [])
+        server.server_update(1, [])
         after = server.payload_for(0)
         for key in before:
             np.testing.assert_allclose(before[key], after[key])
@@ -125,8 +125,8 @@ class TestFedAvgFedProx:
                                    prox_mu=0.5,
                                    model_spec=ModelSpec("cnn", {"channels": (4,),
                                                                 "hidden_size": 8}))
-        assert simulation.history.algorithm == "fedprox"
-        assert all(device.prox_mu == 0.5 for device in simulation.devices)
+        assert simulation.history.algorithm == simulation.strategy.name == "fedprox"
+        assert all(device.training_config.prox_mu == 0.5 for device in simulation.devices)
 
 
 class TestStandalone:

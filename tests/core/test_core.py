@@ -160,7 +160,7 @@ class TestZeroShotDistiller:
         assert accuracy > 1.5 / CLASSES  # clearly above the 25% chance level
 
 
-class TestFedZKTServer:
+class TestFedZKTStrategy:
     def _build(self, micro_config, tiny_rgb_dataset, tiny_test_dataset):
         return build_fedzkt(tiny_rgb_dataset, tiny_test_dataset, micro_config, family="small",
                             device_models=[SimpleCNN(SHAPE, CLASSES, channels=(4, 8),
@@ -180,16 +180,16 @@ class TestFedZKTServer:
     def test_unknown_device_upload_rejected(self, micro_config, tiny_rgb_dataset,
                                             tiny_test_dataset):
         simulation = self._build(micro_config, tiny_rgb_dataset, tiny_test_dataset)
-        server = simulation.server
-        server.collect(99, simulation.devices[0].model.state_dict())
+        strategy = simulation.strategy
+        strategy.collect(99, simulation.devices[0].model.state_dict())
         with pytest.raises(KeyError):
-            server.aggregate(1, [99])
+            strategy.server_update(1, [99])
 
     def test_replicas_are_independent_objects(self, micro_config, tiny_rgb_dataset,
                                               tiny_test_dataset):
         simulation = self._build(micro_config, tiny_rgb_dataset, tiny_test_dataset)
         device = simulation.devices[0]
-        replica = simulation.server.device_models[0]
+        replica = simulation.strategy.device_models[0]
         assert replica is not device.model
         device.model.parameters()[0].data += 1.0
         assert not np.allclose(replica.parameters()[0].data, device.model.parameters()[0].data)
@@ -213,9 +213,10 @@ class TestFedZKTServer:
                                    test_size=scale.test_size, image_size=scale.image_size,
                                    seed=0)
         with build_fedzkt(train, test, config, family=family) as simulation:
-            server = simulation.strategy.server
+            simulation.ensure_backend()
+            strategy = simulation.strategy
             with fresh_pool() as pool:
-                server.distiller.server_update(server.device_models)
+                strategy.distiller.server_update(strategy.device_models)
         stats = pool.stats()
         assert (stats["free_bytes"] + stats["outstanding_bytes"]
                 <= 1.25 * stats["outstanding_high_water"])
@@ -274,8 +275,9 @@ def test_only_unit_dimension_contractions_reach_einsum(monkeypatch):
         return real(subscripts, *operands, **kwargs)
 
     with build_fedzkt(train, test, config, family=family) as simulation:
+        simulation.ensure_backend()
         monkeypatch.setattr(np, "einsum", counting)
-        server = simulation.server
-        server.distiller.server_update(server.device_models)
+        strategy = simulation.strategy
+        strategy.distiller.server_update(strategy.device_models)
     assert {subscripts for subscripts, _ in calls} == {"of,nfl->nol", "nol,nfl->of"}
     assert all(any(1 in shape for shape in shapes) for _, shapes in calls), calls[:3]

@@ -146,5 +146,5 @@ class TestGlobalSeed:
             # Devices still evaluate on the worker context's dataset, once
             # for the one broadcast state, never on the global's result.
             assert eval_runs["count"] == 1
-            expected = evaluate_accuracy(simulation.server.global_model, test)
+            expected = evaluate_accuracy(simulation.strategy.global_model, test)
             assert set(record.device_accuracies.values()) == {expected}

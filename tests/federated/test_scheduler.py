@@ -211,7 +211,7 @@ def test_staleness_weight_discounts_late_uploads():
 
 
 def test_fedavg_server_applies_staleness_weights(tiny_rgb_dataset):
-    from repro.baselines.fedavg import FedAvgServer
+    from repro.baselines.fedavg import FedAvgStrategy
     from repro.models import SimpleCNN
 
     def fresh_model():
@@ -225,11 +225,11 @@ def test_fedavg_server_applies_staleness_weights(tiny_rgb_dataset):
     # Equal shard weights; device 1's upload is 1 round stale with weight 0.5.
     # The discount is absolute: the stale upload's lost mass (0.25) stays
     # with the current global -> averaged = 0.5*0 + 0.25*1 + 0.25*global.
-    server = FedAvgServer(fresh_model(), device_weights={0: 1.0, 1: 1.0})
+    server = FedAvgStrategy(fresh_model(), device_weights={0: 1.0, 1: 1.0})
     meta = {0: UploadMeta(0), 1: UploadMeta(1, staleness=1, weight=0.5)}
     for device_id in (0, 1):
         server.collect(device_id, uploads[device_id], meta=meta[device_id])
-    server.aggregate(1, [0, 1], upload_meta=meta)
+    server.server_update(1, [0, 1])
     key = next(iter(uploads[0]))
     np.testing.assert_allclose(server.payload_for(0)[key], 0.25 + 0.25 * initial[key])
     assert server.last_metrics["mean_staleness"] == 0.5
@@ -238,17 +238,17 @@ def test_fedavg_server_applies_staleness_weights(tiny_rgb_dataset):
 def test_fedavg_lone_stale_upload_cannot_overwrite_global(tiny_rgb_dataset):
     """With a single stale arrival (the common deadline-scheduler case) the
     discount must not renormalize back to full weight."""
-    from repro.baselines.fedavg import FedAvgServer
+    from repro.baselines.fedavg import FedAvgStrategy
     from repro.models import SimpleCNN
 
     model = SimpleCNN(tiny_rgb_dataset.input_shape, tiny_rgb_dataset.num_classes,
                       channels=(4,), hidden_size=8, seed=0)
     initial = model.state_dict()
     upload = {k: np.ones_like(v) for k, v in initial.items()}
-    server = FedAvgServer(model, device_weights={1: 3.0})
+    server = FedAvgStrategy(model, device_weights={1: 3.0})
     meta = {1: UploadMeta(1, staleness=1, weight=0.5)}
     server.collect(1, upload, meta=meta[1])
-    server.aggregate(1, [1], upload_meta=meta)
+    server.server_update(1, [1])
     key = next(iter(initial))
     np.testing.assert_allclose(server.payload_for(1)[key], 0.5 + 0.5 * initial[key])
 
@@ -264,7 +264,7 @@ def test_async_buffer_size_must_fit_concurrency():
 
 
 def test_fedzkt_server_blends_stale_uploads(tiny_rgb_dataset, monkeypatch):
-    from repro.core.fedzkt import FedZKTServer
+    from repro.core.fedzkt import FedZKTStrategy
     from repro.models import SimpleCNN
     from repro.models.registry import build_generator
 
@@ -274,8 +274,8 @@ def test_fedzkt_server_blends_stale_uploads(tiny_rgb_dataset, monkeypatch):
     global_model = SimpleCNN(tiny_rgb_dataset.input_shape, tiny_rgb_dataset.num_classes,
                              channels=(4,), hidden_size=8, seed=1)
     generator = build_generator(tiny_rgb_dataset.input_shape, noise_dim=16, seed=2)
-    server = FedZKTServer(global_model, generator, {0: replica}, config)
-    # Freeze the distiller so the replica state after aggregate() exposes
+    server = FedZKTStrategy(global_model, generator, {0: replica}, config)
+    # Freeze the distiller so the replica state after server_update() exposes
     # exactly what the staleness blend loaded.
     monkeypatch.setattr(server.distiller, "server_update", lambda models: {})
 
@@ -283,7 +283,7 @@ def test_fedzkt_server_blends_stale_uploads(tiny_rgb_dataset, monkeypatch):
     upload = {key: value + 1.0 for key, value in before.items()}
     stale_meta = {0: UploadMeta(0, staleness=1, weight=0.5)}
     server.collect(0, upload, meta=stale_meta[0])
-    server.aggregate(1, [0], upload_meta=stale_meta)
+    server.server_update(1, [0])
     key = next(iter(before))
     # replica <- 0.5 * (before + 1) + 0.5 * before = before + 0.5
     np.testing.assert_allclose(replica.state_dict()[key], before[key] + 0.5)
@@ -292,7 +292,7 @@ def test_fedzkt_server_blends_stale_uploads(tiny_rgb_dataset, monkeypatch):
     # Fresh uploads (weight 1.0) overwrite exactly, as in the sync path.
     server.finish_round()
     server.collect(0, upload, meta=UploadMeta(0))
-    server.aggregate(2, [0])
+    server.server_update(2, [0])
     np.testing.assert_allclose(replica.state_dict()[key], upload[key])
 
 

@@ -532,55 +532,22 @@ class TestMakeBackendValidation:
             make_backend("serial:2")
 
 
-class TestBackendRegistry:
-    def test_builtin_schemes_are_registered(self):
-        from repro.federated import backend_names
+class TestBackendTable:
+    def test_every_listed_scheme_builds_and_documents_itself(self):
+        from repro.federated import BACKENDS
+        from repro.net.backend import RemoteBackend
 
-        names = backend_names()
-        for expected in ("serial", "process", "tcp"):
-            assert expected in names
+        assert list(BACKENDS) == ["serial", "process", "tcp"]
+        assert all(BACKENDS.values())
+        # Construction only: nothing forks or listens before start().
+        assert isinstance(make_backend("serial"), SerialBackend)
+        assert isinstance(make_backend("process:1"), ProcessPoolBackend)
+        assert isinstance(make_backend("tcp://:0"), RemoteBackend)
 
-    def test_descriptions_cover_every_registered_name(self):
-        from repro.federated import backend_descriptions, backend_names
-
-        descriptions = backend_descriptions()
-        assert sorted(descriptions) == backend_names()
-        assert all(descriptions.values())  # every backend documents itself
-
-    def test_duplicate_registration_rejected_without_replace(self):
-        from repro.federated import register_backend
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda spec, max_workers: SerialBackend())
-        # The lazily-imported builtins are protected too.
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("tcp", lambda spec, max_workers: SerialBackend())
-
-    def test_registered_scheme_is_reachable_through_make_backend(self):
-        from repro.federated import register_backend
-        from repro.federated.backend import _BACKEND_REGISTRY
-
-        calls = {}
-
-        def factory(spec, max_workers):
-            calls["spec"] = spec
-            calls["max_workers"] = max_workers
-            return SerialBackend()
-
-        register_backend("loopback", factory, description="test-only scheme")
-        try:
-            # Factories receive the *full* spec: both the bare-name form and
-            # the scheme://... form route on the part before '://' or ':'.
-            assert isinstance(make_backend("loopback"), SerialBackend)
-            assert calls["spec"] == "loopback"
-            make_backend("loopback://somewhere:9?x=1", max_workers=4)
-            assert calls["spec"] == "loopback://somewhere:9?x=1"
-            assert calls["max_workers"] == 4
-        finally:
-            _BACKEND_REGISTRY.pop("loopback", None)
-
-    def test_unknown_scheme_error_lists_registered_backends(self):
-        with pytest.raises(ValueError, match="registered backends.*serial"):
+    def test_unknown_scheme_error_lists_the_backends(self):
+        with pytest.raises(ValueError,
+                           match="unknown backend spec 'udp://:0'; backends: serial, "
+                                 "process, tcp"):
             make_backend("udp://:0")
 
 

@@ -1,8 +1,10 @@
-"""Strategy-layer tests (ISSUE 4 acceptance criteria).
+"""Strategy-layer tests.
 
-* registry: register / lookup / duplicate-name error / enumeration;
-* capability validation: one uniform rejection message per violation,
-  raised from the config (the single validation point);
+* the strategy table: every built-in algorithm by name, with its
+  capability declarations;
+* the capability check: ``Simulation`` is the one place a scheduler kind
+  or a ``server_shards`` request is checked against the strategy, and
+  ``run_algorithm`` surfaces the same message;
 * partial-consensus FedMD under the ``deadline`` and ``async`` schedulers
   (their histories replay bit for bit in
   ``tests/integration/test_parity_matrix.py``).
@@ -16,30 +18,26 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    FedAvgServer,
     FedMDStrategy,
     StandaloneStrategy,
     build_fedmd,
     build_standalone,
 )
 from repro.baselines.fedavg import FedAvgStrategy
-from repro.core import FedZKTStrategy, build_fedzkt
+from repro.core import FedZKTStrategy
 from repro.datasets import SyntheticImageConfig, SyntheticImageGenerator
+from repro.experiments import STRATEGIES, ExperimentScale, run_algorithm
 from repro.federated import (
+    Device,
     FederatedConfig,
-    ParameterServerStrategy,
     SchedulerConfig,
     ServerConfig,
     Simulation,
-    Strategy,
-    StrategyConfig,
-    get_strategy_class,
-    register_strategy,
-    strategy_capabilities,
-    strategy_names,
+    SynchronousScheduler,
 )
-from repro.federated.strategies import _REGISTRY
 from repro.models import SimpleCNN
+from repro.models.registry import build_generator
+from repro.partition import IIDPartitioner
 
 SHAPE = (3, 8, 8)
 CLASSES = 4
@@ -70,130 +68,128 @@ def _config(rounds=2, **overrides):
     return FederatedConfig(**base)
 
 
-# --------------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------------- #
-class TestRegistry:
-    def test_builtins_enumerate_and_resolve(self):
-        names = strategy_names()
-        assert {"fedzkt", "fedavg", "fedmd", "standalone"} <= set(names)
-        assert names == sorted(names)
-        assert get_strategy_class("fedzkt") is FedZKTStrategy
-        assert get_strategy_class("fedavg") is FedAvgStrategy
-        assert get_strategy_class("fedmd") is FedMDStrategy
-        assert get_strategy_class("standalone") is StandaloneStrategy
+def _model(seed):
+    return SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=seed)
 
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(KeyError, match="unknown strategy 'bogus'"):
-            get_strategy_class("bogus")
 
-    def test_register_lookup_and_duplicate_error(self):
-        class DemoStrategy(Strategy):
-            name = "demo-registry-test"
+def _devices(train, config):
+    shards = IIDPartitioner(config.num_devices, seed=config.seed).partition(train)
+    return [Device(device_id=i, model=_model(i), dataset=shard, batch_size=16,
+                   seed=config.seed + 1000 + i)
+            for i, shard in enumerate(shards)]
 
-        try:
-            returned = register_strategy(DemoStrategy)
-            assert returned is DemoStrategy
-            assert get_strategy_class("demo-registry-test") is DemoStrategy
-            assert "demo-registry-test" in strategy_names()
-            # Re-registering the same class is a no-op...
-            register_strategy(DemoStrategy)
 
-            # ...but a different class under the same name is an error.
-            class Imposter(Strategy):
-                name = "demo-registry-test"
+def _strategy(name, devices, config):
+    """A fresh, unbound instance of the built-in strategy ``name``."""
+    if name == "fedzkt":
+        replicas = {device.device_id: copy.deepcopy(device.model) for device in devices}
+        return FedZKTStrategy(_model(7), build_generator(SHAPE, noise_dim=16, seed=13),
+                              replicas, config)
+    if name == "fedavg":
+        return FedAvgStrategy(_model(7))
+    if name == "fedmd":
+        return FedMDStrategy(_public())
+    return StandaloneStrategy()
 
-            with pytest.raises(ValueError, match="already registered"):
-                register_strategy(Imposter)
-            # Unless explicitly replaced.
-            register_strategy(Imposter, replace=True)
-            assert get_strategy_class("demo-registry-test") is Imposter
-        finally:
-            _REGISTRY.pop("demo-registry-test", None)
 
-    def test_register_rejects_builtin_shadowing_and_bad_types(self):
-        class NotAStrategy:
-            name = "fedzkt"
+class _LockstepScheduler(SynchronousScheduler):
+    """A scheduler kind no built-in strategy declares."""
 
-        with pytest.raises(TypeError):
-            register_strategy(NotAStrategy)
+    name = "lockstep"
 
-        class FakeFedZKT(Strategy):
-            name = "fedzkt"
 
-        with pytest.raises(ValueError, match="already registered"):
-            register_strategy(FakeFedZKT)
-
-        class Anonymous(Strategy):
-            pass  # inherits name = "base"
-
-        with pytest.raises(ValueError, match="explicit name"):
-            register_strategy(Anonymous)
-
-    def test_capability_summaries(self):
-        fedzkt = strategy_capabilities("fedzkt")
-        assert fedzkt["supports_server_shards"] is True
-        assert set(fedzkt["supports_schedulers"]) == {"sync", "deadline", "async"}
-        fedmd = strategy_capabilities("fedmd")
-        assert fedmd["uses_public_dataset"] is True
-        assert fedmd["supports_server_shards"] is False
-        standalone = strategy_capabilities("standalone")
-        assert standalone["supports_schedulers"] == ("sync",)
+MICRO_SCALE = ExperimentScale(
+    name="micro", rounds_small=1, rounds_cifar=1, local_epochs_small=1,
+    local_epochs_cifar=1, distillation_iterations_small=2,
+    distillation_iterations_cifar=2, num_devices=2, train_size=60, test_size=20,
+    public_size=20, batch_size=16, server_batch_size=8, device_lr=0.05, global_lr=0.05,
+    device_distill_lr=0.02, generator_lr=1e-3, image_size=8)
 
 
 # --------------------------------------------------------------------------- #
-# Capability validation (the one place, with one message per violation)
+# The strategy table
 # --------------------------------------------------------------------------- #
-class TestCapabilityValidation:
-    def test_unset_strategy_name_skips_validation(self):
-        config = _config(scheduler=SchedulerConfig(kind="async"))
-        assert config.strategy.name is None  # builders fill it in
+class TestStrategyTable:
+    def test_table_names_every_builtin_by_its_own_name(self):
+        assert STRATEGIES == {"fedzkt": FedZKTStrategy, "fedavg": FedAvgStrategy,
+                              "fedmd": FedMDStrategy, "standalone": StandaloneStrategy}
+        assert all(cls.name == name for name, cls in STRATEGIES.items())
 
-    def test_unknown_strategy_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
-            _config(strategy=StrategyConfig(name="bogus"))
+    def test_capability_declarations(self):
+        assert FedZKTStrategy.supports_server_shards is True
+        assert set(FedZKTStrategy.supports_schedulers) == {"sync", "deadline", "async"}
+        assert FedMDStrategy.uses_public_dataset is True
+        assert FedMDStrategy.supports_server_shards is False
+        assert StandaloneStrategy.supports_schedulers == ("sync",)
 
-    def test_scheduler_capability_rejected_in_config(self):
+    def test_unknown_algorithm_lists_the_table(self):
         with pytest.raises(ValueError,
-                           match="strategy 'standalone' does not support the "
-                                 "'deadline' scheduler"):
-            _config(strategy=StrategyConfig(name="standalone"),
-                    scheduler=SchedulerConfig(kind="deadline"))
+                           match="unknown algorithm 'not-a-strategy'; choose from fedzkt"):
+            run_algorithm("not-a-strategy", "mnist")
 
-    def test_server_shards_capability_rejected_in_config(self):
-        for name in ("fedavg", "fedmd", "standalone"):
-            with pytest.raises(ValueError,
-                               match=f"strategy '{name}' does not declare "
-                                     "supports_server_shards"):
-                _config(strategy=StrategyConfig(name=name),
-                        server=ServerConfig(server_shards=2))
-        # fedzkt declares the capability: accepted.
-        config = _config(strategy=StrategyConfig(name="fedzkt"),
-                         server=ServerConfig(server_shards=2))
-        assert config.server.server_shards == 2
+
+# --------------------------------------------------------------------------- #
+# The capability check (one place: the Simulation constructor)
+# --------------------------------------------------------------------------- #
+_UNDECLARED_KINDS = [(name, kind) for name, cls in STRATEGIES.items()
+                     for kind in ("sync", "deadline", "async", "lockstep")
+                     if kind not in cls.supports_schedulers]
+
+
+class TestCapabilityCheck:
+    @pytest.mark.parametrize("name, kind", _UNDECLARED_KINDS,
+                             ids=[f"{name}-{kind}" for name, kind in _UNDECLARED_KINDS])
+    def test_strategy_rejects_an_undeclared_scheduler_kind(self, name, kind):
+        train, test = _data()
+        if kind == "lockstep":
+            config, scheduler = _config(), _LockstepScheduler()
+        else:
+            config, scheduler = _config(scheduler=SchedulerConfig(kind=kind)), None
+        devices = _devices(train, config)
+        supported = ", ".join(STRATEGIES[name].supports_schedulers)
+        with pytest.raises(ValueError) as caught:
+            Simulation(devices, config, test, _strategy(name, devices, config),
+                       scheduler=scheduler)
+        assert str(caught.value) == (f"strategy {name!r} does not support the {kind!r} "
+                                     f"scheduler (supported: {supported})")
+
+    @pytest.mark.parametrize("name", ["fedavg", "fedmd", "standalone"])
+    def test_strategy_without_a_shardable_server_rejects_shards(self, name):
+        train, test = _data()
+        config = _config(server=ServerConfig(server_shards=2))
+        devices = _devices(train, config)
+        with pytest.raises(ValueError,
+                           match=f"server_shards=2 requires a strategy with a shardable "
+                                 f"server-side phase, but strategy '{name}' does not "
+                                 "declare supports_server_shards"):
+            Simulation(devices, config, test, _strategy(name, devices, config))
+
+    def test_fedzkt_accepts_server_shards(self):
+        train, test = _data()
+        config = _config(server=ServerConfig(server_shards=2))
+        devices = _devices(train, config)
+        with Simulation(devices, config, test, _strategy("fedzkt", devices, config)) as sim:
+            assert sim.strategy.distiller.backend is sim.backend
+
+    @pytest.mark.parametrize("name, knobs, config_overrides", [
+        ("standalone", {"scheduler": "deadline"},
+         {"scheduler": SchedulerConfig(kind="deadline")}),
+        ("fedavg", {"server_shards": 2}, {"server": ServerConfig(server_shards=2)}),
+    ])
+    def test_run_algorithm_raises_the_simulation_message(self, name, knobs,
+                                                         config_overrides):
+        train, test = _data()
+        config = _config(**config_overrides)
+        devices = _devices(train, config)
+        with pytest.raises(ValueError) as direct:
+            Simulation(devices, config, test, _strategy(name, devices, config))
+        with pytest.raises(ValueError) as via_runner:
+            run_algorithm(name, "mnist", scale=MICRO_SCALE, **knobs)
+        assert str(via_runner.value) == str(direct.value)
 
     def test_digest_epochs_validated(self):
-        with pytest.raises(ValueError, match="digest_epochs"):
-            StrategyConfig(digest_epochs=0)
-
-    def test_builder_rejects_mismatched_strategy_block(self):
-        train, test = _data()
-        config = _config(strategy=StrategyConfig(name="fedmd"))
-        with pytest.raises(ValueError, match="names strategy 'fedmd'"):
-            build_fedzkt(train, test, config, family="small")
-
-    def test_engine_rejects_scheduler_outside_declared_support(self):
-        """Passing a scheduler object directly (bypassing the config) hits
-        the engine-level guard with the same capability message."""
-        from repro.federated import DeadlineScheduler
-
-        train, test = _data()
-        config = _config()
-        simulation = build_standalone(train, test, config, family="small")
-        devices = simulation.devices
-        with pytest.raises(ValueError, match="does not support the 'deadline'"):
-            Simulation(devices, config, test, StandaloneStrategy(),
-                       scheduler=DeadlineScheduler())
+        with pytest.raises(ValueError, match="digest_epochs must be at least 1"):
+            FedMDStrategy(_public(), digest_epochs=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -218,10 +214,6 @@ class TestStrategyBasics:
         with pytest.raises(ValueError, match="at least one device"):
             Simulation([], _config(), test, FedMDStrategy(_public()))
 
-    def test_parameter_server_strategy_requires_server(self):
-        with pytest.raises(ValueError, match="requires a server"):
-            ParameterServerStrategy(None)
-
     def test_lifecycle_hooks_fire_in_order(self):
         calls = []
 
@@ -237,21 +229,22 @@ class TestStrategyBasics:
 
         train, test = _data()
         config = _config(rounds=2)
-        shards_config = config.with_strategy("standalone")
-        from repro.partition import IIDPartitioner
-        from repro.federated import Device
-
-        shards = IIDPartitioner(4, seed=config.seed).partition(train)
-        devices = [Device(device_id=i,
-                          model=SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8,
-                                          seed=i),
-                          dataset=shard, batch_size=16, seed=config.seed + 1000 + i)
-                   for i, shard in enumerate(shards)]
-        with Simulation(devices, shards_config, test, HookedStandalone()) as simulation:
+        with Simulation(_devices(train, config), config, test,
+                        HookedStandalone()) as simulation:
             simulation.run()
         assert calls == [("run_start", 2),
                          ("round_start", 1), ("round_end", 1),
                          ("round_start", 2), ("round_end", 2)]
+
+    def test_server_alias_is_the_strategy(self):
+        """The benchmark harness reads ``simulation.server.distiller``."""
+        train, test = _data()
+        config = _config()
+        devices = _devices(train, config)
+        strategy = _strategy("fedzkt", devices, config)
+        with Simulation(devices, config, test, strategy) as simulation:
+            assert simulation.server is strategy
+            assert simulation.server.distiller.backend is simulation.backend
 
     def test_standalone_run_has_no_global_and_no_exchange(self):
         train, test = _data()
@@ -259,7 +252,7 @@ class TestStrategyBasics:
         with simulation:
             history = simulation.run()
         assert history.algorithm == "standalone"
-        assert simulation.server is None
+        assert simulation.strategy.global_model is None
         assert all(record.global_accuracy is None for record in history)
         assert all(len(record.device_accuracies) == 4 for record in history)
         # No parameters ever flowed down to the devices.
@@ -324,37 +317,6 @@ class TestPartialConsensusFedMD:
         assert simulation.strategy.consensus_mode == "full"
 
 
-def test_run_algorithm_plugin_dispatch_and_errors():
-    """A registered plugin without a runner gets a pointed message; attaching
-    one via register_algorithm_runner makes it dispatchable."""
-    from repro.experiments.runner import (
-        ALGORITHM_RUNNERS,
-        register_algorithm_runner,
-        run_algorithm,
-    )
-
-    class PluginStrategy(Strategy):
-        name = "plugin-no-runner"
-
-    try:
-        register_strategy(PluginStrategy)
-        with pytest.raises(ValueError, match="no single-run entry point"):
-            run_algorithm("plugin-no-runner", "mnist")
-
-        def runner(dataset_name, **kwargs):
-            return ("ran", dataset_name)
-
-        register_algorithm_runner("plugin-no-runner", runner)
-        assert run_algorithm("plugin-no-runner", "mnist") == ("ran", "mnist")
-        with pytest.raises(ValueError, match="already registered"):
-            register_algorithm_runner("plugin-no-runner", runner)
-    finally:
-        _REGISTRY.pop("plugin-no-runner", None)
-        ALGORITHM_RUNNERS.pop("plugin-no-runner", None)
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        run_algorithm("not-a-strategy", "mnist")
-
-
 def test_verbose_lines_per_strategy(capsys):
     """Each strategy renders a progress line through the generic engine."""
     from repro.federated.history import RoundRecord
@@ -364,8 +326,7 @@ def test_verbose_lines_per_strategy(capsys):
     fedmd = FedMDStrategy(_public())
     assert "fedmd" in fedmd.verbose_line(record, 2)
     assert "standalone" in StandaloneStrategy().verbose_line(record, 2)
-    server = FedAvgServer(SimpleCNN(SHAPE, CLASSES, channels=(4,), hidden_size=8, seed=0))
-    line = FedAvgStrategy(server).verbose_line(record, 2)
+    line = FedAvgStrategy(_model(0)).verbose_line(record, 2)
     assert "fedavg" in line and "global=0.500" in line
 
     train, test = _data()

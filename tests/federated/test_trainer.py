@@ -40,8 +40,6 @@ class TestDeviceTrainingConfig:
         config = device.training_config
         assert config == DeviceTrainingConfig(lr=0.03, momentum=0.8, weight_decay=1e-4,
                                               batch_size=24, prox_mu=0.2, eval_batch_size=48)
-        # Legacy attribute accessors still work.
-        assert device.lr == 0.03 and device.batch_size == 24 and device.prox_mu == 0.2
 
     def test_evaluate_uses_configured_eval_batch_size(self, tiny_rgb_dataset,
                                                       tiny_test_dataset):
@@ -179,7 +177,8 @@ class TestBuildDevices:
         for index, (device, model, shard) in enumerate(zip(devices, models, shards)):
             assert device.device_id == index and device.model is model
             np.testing.assert_array_equal(device.dataset.labels, shard.labels)
-            assert device.prox_mu == 0.3 and device.lr == micro_config.device_lr
+            assert device.training_config.prox_mu == 0.3
+            assert device.training_config.lr == micro_config.device_lr
             assert (device._rng.bit_generator.state
                     == np.random.default_rng(micro_config.seed + 1000 + index)
                     .bit_generator.state)

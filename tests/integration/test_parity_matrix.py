@@ -244,22 +244,23 @@ def _reference_parameter_round(simulation, round_index):
     epochs, store = simulation.config.local_epochs, simulation.state_store
     tasks = [simulation.devices[device_id].local_train_task(epochs, store)
              for device_id in active]
+    strategy = simulation.strategy
     local_losses = []
     for result in simulation.backend.run_tasks(tasks):
         device = simulation.devices[result.device_id]
         local_losses.append(device.absorb_training_result(result).mean_loss)
-        simulation.server.collect(device.device_id, device.send_parameters())
-    simulation.server.aggregate(round_index, active)
+        strategy.collect(device.device_id, device.send_parameters())
+    strategy.server_update(round_index, active)
     for device in simulation.devices:
-        payload = simulation.server.payload_for(device.device_id)
+        payload = strategy.payload_for(device.device_id)
         if payload is not None:
             device.receive_parameters(payload)
-    simulation.server.finish_round()
+    strategy.finish_round()
     accuracies = simulation.backend.run_tasks(
         [device.evaluate_task(store) for device in simulation.devices])
     return {"active_devices": list(active),
             "local_loss": float(np.mean(local_losses)) if local_losses else None,
-            "global_accuracy": simulation.server.evaluate_global(simulation.test_dataset),
+            "global_accuracy": strategy.evaluate_global(simulation.test_dataset),
             "device_accuracies": {str(device.device_id): accuracy
                                   for device, accuracy in zip(simulation.devices, accuracies)}}
 

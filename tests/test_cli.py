@@ -169,29 +169,29 @@ def test_list_command(capsys):
     assert "fig7" in out
 
 
-def test_list_command_enumerates_backend_registry(capsys):
-    from repro.federated import backend_descriptions
+def test_list_command_enumerates_backends(capsys):
+    from repro.federated import BACKENDS
 
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
     assert "backends:" in out
-    for name, description in backend_descriptions().items():
-        assert name in out
-        assert description in out
-    assert "tcp" in out  # the multi-node scheme is registered out of the box
+    for name, description in BACKENDS.items():
+        assert f"  {name:15s} {description}" in out
+    assert "tcp" in out  # the multi-node scheme is listed out of the box
 
 
-def test_list_command_enumerates_strategy_registry(capsys):
-    from repro.federated import strategy_names
+def test_list_command_enumerates_strategies(capsys):
+    from repro.experiments import STRATEGIES
 
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
     assert "strategies:" in out
-    for name in strategy_names():
-        assert name in out
+    for name in STRATEGIES:
+        assert f"  {name:15s} " in out
     # Capability flags are surfaced.
-    assert "server-shards" in out
-    assert "public-dataset" in out
+    assert "[schedulers=sync,deadline,async; server-shards]" in out
+    assert "[schedulers=sync,deadline,async; public-dataset]" in out
+    assert "[schedulers=sync]" in out
 
 
 def test_run_command_micro(monkeypatch, tmp_path, capsys):
