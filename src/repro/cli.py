@@ -32,8 +32,8 @@ breakdown) after the run.
 ``repro run`` accepts ``--dtype float32`` to run the whole session under
 the float32 numeric policy (see ``repro.nn.policy``) and ``--cohort-fusion``
 to dispatch each round's same-architecture training *and* evaluation tasks
-as one stacked task per group (the FedZKT server phases stack
-same-architecture groups with or without it).
+as one task per group, run as stacked tiles (the FedZKT server phases
+stack same-architecture groups with or without it).
 ``repro run`` additionally accepts ``--scheduler sync|deadline|async``
 plus ``--deadline``, ``--buffer-size``, the device-heterogeneity knobs
 ``--speed-skew`` / ``--latency-mean`` / ``--dropout-rate``, and
@@ -98,11 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--cohort-fusion", action="store_true",
                             help="dispatch each round's same-architecture device tasks "
                                  "(training, evaluation, FedMD public logits) as one "
-                                 "stacked task per group; bit-identical to the "
-                                 "per-device path, heterogeneous groups or unequal "
-                                 "shard sizes stay per device.  Only groups device "
-                                 "tasks: FedZKT's server phases always stack "
-                                 "same-architecture models")
+                                 "task per group, which stacks them in tiles as wide "
+                                 "as the batch allows and runs a tile of one as the "
+                                 "model itself; bit-identical to the per-device path, "
+                                 "heterogeneous groups or unequal shard sizes stay per "
+                                 "device.  Only groups device tasks: FedZKT's server "
+                                 "phases always stack same-architecture models by the "
+                                 "same rule")
     run_parser.add_argument("--dtype", default="float64",
                             choices=["float64", "float32"],
                             help="numeric policy for the whole run: float64 "

@@ -28,12 +28,12 @@ rebind what they held — so on the serial backend (where context models are
 the live device models) a server update never leaks state into the
 devices.
 
-Inside a task, every group of two or more same-signature models runs as
-stacked tiles (:func:`_fusion_tiles`: one
-:class:`~repro.nn.batched.BatchedModule` per tile) and every other model
-— a singleton, one without a batched adapter, or a tile of one — on its
-own; there is no switch, since each slice of a tile is bitwise the
-per-model computation.
+Inside a task, the models run as the tiles
+:func:`~repro.nn.batched.stack_tiles` plans: a tile of two or more
+same-signature models is one :class:`~repro.nn.batched.BatchedModule`, and
+every other model — a singleton, one without a batched adapter, or a tile
+of one — runs on its own; there is no switch, since each slice of a tile
+is bitwise the per-model computation.
 ``FederatedConfig.cohort_fusion`` does not reach here: it only groups
 device tasks for dispatch.
 
@@ -50,14 +50,14 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..federated.backend import WorkerContext, _single_array, resolve_arrays, resolve_state
 from ..federated.trainer import by_member, sgd_steps, stack_batches
 from ..nn import no_grad
-from ..nn.batched import BatchedModule, BatchedSGD, cohort_tiles, fusion_signature
+from ..nn.batched import BatchedModule, BatchedSGD, run_tiles, stack_tiles
 from ..nn.losses import kl_divergence_loss
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor
@@ -150,36 +150,6 @@ def _member_output(model, x: Tensor, mode: str) -> Tensor:
     return logits.softmax(axis=-1) if mode == "prob" else logits
 
 
-def _fusion_groups(models: Sequence) -> List[List[int]]:
-    """Positions of same-signature models that share a stacked loop.
-
-    Only groups of two or more are returned; singletons and models without
-    a batched adapter stay on the per-model path.
-    """
-    groups: Dict[tuple, List[int]] = {}
-    for position, model in enumerate(models):
-        signature = fusion_signature(model)
-        if signature is None:
-            continue
-        groups.setdefault(signature, []).append(position)
-    return [positions for positions in groups.values() if len(positions) >= 2]
-
-
-def _fusion_tiles(models: Sequence, batch_shape: Sequence[int]) -> List[List[int]]:
-    """Every fusion group's positions, cut into the tiles it stacks as
-    (``nn.batched.cohort_tiles``, sized for a ``batch_shape`` batch).
-
-    A tile of one is dropped: its model takes the per-model arm, which gives
-    the same bits without the stacked step's per-call overhead.
-    """
-    tiles: List[List[int]] = []
-    for positions in _fusion_groups(models):
-        tiles.extend(positions[lo:hi] for lo, hi in
-                     cohort_tiles(models[positions[0]], len(positions), batch_shape)
-                     if hi - lo >= 2)
-    return tiles
-
-
 def _tile(array: np.ndarray, batch: int) -> np.ndarray:
     """Replicate one batch along a new leading device axis (contiguous)."""
     return np.repeat(array[None], batch, axis=0)
@@ -205,23 +175,23 @@ class EnsembleForwardTask:
     def run(self, context: WorkerContext) -> List[np.ndarray]:
         inputs = _single_array(self.inputs)
         models = [context.model_for(device_id) for device_id in self.device_ids]
-        members: List[Optional[np.ndarray]] = [None] * len(models)
-        for positions in _fusion_tiles(models, inputs.shape):
+
+        def alone(position: int) -> np.ndarray:
+            with borrowed_model(context, self.device_ids[position], self.states[position],
+                                train=False) as model:
+                with no_grad():
+                    return _member_output(model, Tensor(inputs), self.mode).data
+
+        def stacked(positions: List[int]) -> List[np.ndarray]:
             states = [resolve_state(self.states[i]) for i in positions]
             module = BatchedModule(models[positions[0]], states, requires_grad=False).eval()
             with no_grad():
                 out = module(Tensor(_tile(inputs, len(positions))))
                 if self.mode == "prob":
                     out = out.softmax(axis=-1)
-            for slot, position in enumerate(positions):
-                members[position] = np.ascontiguousarray(out.data[slot])
-        for position, (device_id, state) in enumerate(zip(self.device_ids, self.states)):
-            if members[position] is not None:
-                continue
-            with borrowed_model(context, device_id, state, train=False) as model:
-                with no_grad():
-                    members[position] = _member_output(model, Tensor(inputs), self.mode).data
-        return members
+            return [np.ascontiguousarray(member) for member in out.data]
+
+        return run_tiles(stack_tiles(models, inputs.shape), alone, stacked)
 
 
 @dataclass
@@ -250,12 +220,21 @@ class EnsembleVJPTask:
         inputs = _single_array(self.inputs)
         upstream = _single_array(self.upstream)
         models = [context.model_for(device_id) for device_id in self.device_ids]
-        grads: List[Optional[np.ndarray]] = [None] * len(models)
-        for positions in _fusion_tiles(models, inputs.shape):
+
+        def alone(position: int) -> np.ndarray:
+            with borrowed_model(context, self.device_ids[position], self.states[position],
+                                train=False) as model:
+                with frozen_parameters([model]):
+                    x = Tensor(inputs, requires_grad=True)
+                    term = _member_output(model, x, self.mode) * float(self.weights[position])
+                    term.backward(upstream)
+                return x.grad
+
+        def stacked(positions: List[int]) -> List[np.ndarray]:
             batch = len(positions)
             states = [resolve_state(self.states[i]) for i in positions]
             # Stacked parameters stay grad-free — only the input-gradient
-            # path is materialized, matching the per-model branch below.
+            # path is materialized, matching a model run alone.
             module = BatchedModule(models[positions[0]], states, requires_grad=False).eval()
             x = Tensor(_tile(inputs, batch), requires_grad=True)
             out = module(x)
@@ -264,19 +243,9 @@ class EnsembleVJPTask:
             weights = np.asarray([self.weights[i] for i in positions], dtype=np.float64)
             term = out * Tensor(weights.reshape((batch,) + (1,) * (out.data.ndim - 1)))
             term.backward(_tile(upstream, batch))
-            for slot, position in enumerate(positions):
-                grads[position] = np.ascontiguousarray(x.grad[slot])
-        for position, (device_id, state, weight) in enumerate(
-                zip(self.device_ids, self.states, self.weights)):
-            if grads[position] is not None:
-                continue
-            with borrowed_model(context, device_id, state, train=False) as model:
-                with frozen_parameters([model]):
-                    x = Tensor(inputs, requires_grad=True)
-                    term = _member_output(model, x, self.mode) * float(weight)
-                    term.backward(upstream)
-                grads[position] = x.grad
-        return grads
+            return [np.ascontiguousarray(grad) for grad in x.grad]
+
+        return run_tiles(stack_tiles(models, inputs.shape), alone, stacked)
 
 
 def distill_students(models: Sequence, velocities: Sequence[Sequence[np.ndarray]],
@@ -288,20 +257,22 @@ def distill_students(models: Sequence, velocities: Sequence[Sequence[np.ndarray]
 
     Each model is in train mode, holds the state to distill into, and is
     updated in place; ``velocities[i]`` is model ``i``'s SGD momentum, one
-    array per parameter, read but never written.  Same-signature models
-    train as stacked tiles (:func:`_fusion_tiles`): one
-    :class:`BatchedModule` over the live members, their momentum stacked
-    into one :class:`BatchedSGD`, every shared synthetic batch replayed
-    once for the tile.  Every other model runs the per-model KL loop, and
-    slice ``b`` of a tile is bitwise that loop on member ``b``.  Returns
-    each model's updated momentum and per-iteration losses.
+    array per parameter, read but never written.  The models run as the
+    tiles :func:`~repro.nn.batched.stack_tiles` plans: a tile of two or more
+    is one :class:`BatchedModule` over the live members, their momentum
+    stacked into one :class:`BatchedSGD`, every shared synthetic batch
+    replayed once for the tile; a model on its own runs the per-model KL
+    loop, and slice ``b`` of a tile is bitwise that loop on member ``b``.
+    Returns each model's updated momentum and per-iteration losses.
     """
-    out_velocities: List[List[np.ndarray]] = [None] * len(models)
-    losses: List[List[float]] = [None] * len(models)
-    # Every synthetic batch has one shape; with none there is no step to
-    # size a tile for, and nothing to stack.
-    tiles = _fusion_tiles(models, np.shape(inputs[0])) if len(inputs) else []
-    for positions in tiles:
+    def alone(position: int):
+        model = models[position]
+        optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
+        optimizer.load_velocity_state(velocities[position])
+        losses = sgd_steps(model, optimizer, zip(inputs, targets), kl_divergence_loss)
+        return optimizer.velocity_state(), losses
+
+    def stacked(positions: List[int]):
         members = [models[position] for position in positions]
         module = BatchedModule(members[0], [model.state_dict() for model in members],
                                members=members)
@@ -309,27 +280,23 @@ def distill_students(models: Sequence, velocities: Sequence[Sequence[np.ndarray]
         # Stacking copies: the caller's buffers are never stepped in place.
         optimizer.load_velocity_state(
             [np.stack(buffers) for buffers in zip(*(velocities[p] for p in positions))])
-        tile_losses = by_member(
+        losses = by_member(
             sgd_steps(module, optimizer,
                       stack_batches([zip(inputs, targets) for _ in members]),
                       kl_divergence_loss),
             len(members))
-        stacked = optimizer.velocity_state()
-        for slot, (position, model, state) in enumerate(
-                zip(positions, members, module.state_dicts())):
+        velocity = optimizer.velocity_state()
+        for model, state in zip(members, module.state_dicts()):
             model.load_state_dict(state)
-            out_velocities[position] = [buffer[slot] for buffer in stacked]
-            losses[position] = tile_losses[slot]
+        return [([buffer[slot] for buffer in velocity], losses[slot])
+                for slot in range(len(members))]
 
-    for position, model in enumerate(models):
-        if losses[position] is not None:
-            continue
-        optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
-        optimizer.load_velocity_state(velocities[position])
-        losses[position] = sgd_steps(model, optimizer, zip(inputs, targets),
-                                     kl_divergence_loss)
-        out_velocities[position] = optimizer.velocity_state()
-    return out_velocities, losses
+    # Every synthetic batch has one shape; with none there is no step to
+    # size a tile for, and each model runs on its own.
+    tiles = (stack_tiles(models, np.shape(inputs[0])) if len(inputs)
+             else [[position] for position in range(len(models))])
+    results = run_tiles(tiles, alone, stacked)
+    return [velocity for velocity, _ in results], [losses for _, losses in results]
 
 
 @dataclass

@@ -5,11 +5,14 @@ homogeneous populations many of those models share one architecture.
 With ``FederatedConfig.cohort_fusion`` on, the planner in this module
 groups a round's device tasks by fusion signature and wraps each group of
 two or more same-type tasks in one :class:`Cohort`, which the backend
-dispatches as a single unit.  A cohort's ``run`` stacks its members'
+dispatches as a single unit.  A cohort's ``run`` cuts its members into
+the tiles :func:`repro.nn.batched.stack_tiles` plans, the rule the server
+shard tasks follow too: a tile of two or more stacks its members'
 parameters on a leading axis and drives one vectorized loop through
 :class:`repro.nn.batched.BatchedModule` / :class:`BatchedSGD`, using the
-stacked body :data:`_STACKED` registers for the member type: local
-training (FedMD digests included), evaluation, or public logits.  The
+stacked body :data:`_STACKED` registers for the member type — local
+training (FedMD digests included), evaluation, or public logits — and a
+tile of one is that member's own ``run``.  The
 flag decides only this grouping of device tasks for dispatch; the FedZKT
 server phases stack same-signature models inside a shard task whatever it
 says (:mod:`repro.core.server_tasks`).
@@ -18,8 +21,8 @@ The loops are not written here.  Training runs
 :func:`~repro.federated.trainer.sgd_steps`, the step loop the per-device
 tasks run, on batches :func:`~repro.federated.trainer.stack_batches`
 gathers from every member's own shuffle stream; the no-grad tasks run
-:func:`~repro.federated.trainer.sweep` with a
-:class:`~repro.nn.batched.BatchedEvaluator` as its forward.  What this
+:func:`~repro.federated.trainer.sweep` with a tile's
+:meth:`~repro.nn.batched.BatchedModule.predict` as its forward.  What this
 module adds is the gathering, the stacked module and optimizer, and the
 planning.
 
@@ -41,12 +44,12 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 import numpy as np
 
 from ..nn.batched import (
-    BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
     batched_l2_proximal,
     batched_mse_loss,
-    cohort_tiles,
+    run_tiles,
+    stack_tiles,
 )
 from .backend import (
     DigestSpec,
@@ -96,11 +99,11 @@ class Cohort:
 
 def _train_stacked(members: List[LocalTrainTask], context: WorkerContext,
                    ) -> List[LocalTrainResult]:
-    """Train a cohort as consecutive tiles (see ``nn.batched.cohort_tiles``).
+    """Train a cohort as the tiles ``nn.batched.stack_tiles`` plans.
 
     Devices are independent, so each tile — a slice of ``members`` — runs
     its digests and every epoch to completion before the next tile stacks
-    its states.
+    its states; a tile of one is that member's own ``run``.
     """
     first = members[0]
     shards = [context.shards[task.device_id] for task in members]
@@ -112,10 +115,10 @@ def _train_stacked(members: List[LocalTrainTask], context: WorkerContext,
     if first.digest is not None and context.public_dataset is not None:
         samples = max(samples, min(first.digest.batch_size, len(context.public_dataset)))
     batch_shape = (samples,) + shards[0].images.shape[1:]
-    results: List[LocalTrainResult] = []
-    for lo, hi in cohort_tiles(context.model_for(first.device_id), len(members), batch_shape):
-        results.extend(_train_tile(members[lo:hi], context))
-    return results
+    return run_tiles(stack_tiles([context.model_for(task.device_id) for task in members],
+                                 batch_shape),
+                     lambda position: members[position].run(context),
+                     lambda tile: _train_tile([members[i] for i in tile], context))
 
 
 def _train_tile(members: List[LocalTrainTask], context: WorkerContext,
@@ -182,32 +185,42 @@ def _digest_stacked(module: BatchedModule, digests: List[DigestSpec],
     return [float(np.mean(item)) if item else 0.0 for item in losses]
 
 
-def _evaluator(members: List, context: WorkerContext, dataset) -> BatchedEvaluator:
-    """A no-grad stacked forward over the members' states, tiled for the
-    widest chunk the sweep will feed it."""
-    samples = min(members[0].batch_size, len(dataset))
-    return BatchedEvaluator(context.model_for(members[0].device_id),
-                            [resolve_state(task.state) for task in members],
-                            (samples,) + dataset.images.shape[1:])
+def _sweep_stacked(members: List, context: WorkerContext, dataset, reduce) -> List:
+    """Each member's ``reduce`` (``sweep_accuracies`` / ``sweep_logits``)
+    over ``dataset``, as the tiles ``nn.batched.stack_tiles`` plans for the
+    widest chunk the sweep feeds: a stacked tile is one eval-mode
+    :class:`BatchedModule` whose ``predict`` takes each chunk broadcast onto
+    its leading axis, and a tile of one is that member's own ``run``."""
+    models = [context.model_for(task.device_id) for task in members]
+    batch_size = members[0].batch_size
+    batch_shape = (min(batch_size, len(dataset)),) + dataset.images.shape[1:]
+
+    def stacked(tile: List[int]) -> List:
+        module = BatchedModule(models[tile[0]], [resolve_state(members[i].state) for i in tile],
+                               requires_grad=False).eval()
+        return reduce(
+            lambda images: module.predict(np.broadcast_to(images, (len(tile),) + images.shape)),
+            dataset, batch_size, len(tile))
+
+    return run_tiles(stack_tiles(models, batch_shape),
+                     lambda position: members[position].run(context), stacked)
 
 
 def _evaluate_stacked(members: List[EvaluateTask], context: WorkerContext) -> List[float]:
-    """Each member's test-set accuracy from one stacked forward per chunk,
-    reduced by :func:`~repro.federated.trainer.sweep_accuracies` as the
-    per-device task reduces it."""
+    """Each member's test-set accuracy, reduced by
+    :func:`~repro.federated.trainer.sweep_accuracies` as the per-device task
+    reduces it."""
     if context.eval_dataset is None:
         raise RuntimeError("evaluate task requires an eval dataset in the worker context")
-    return sweep_accuracies(_evaluator(members, context, context.eval_dataset).predict,
-                            context.eval_dataset, members[0].batch_size, len(members))
+    return _sweep_stacked(members, context, context.eval_dataset, sweep_accuracies)
 
 
 def _public_logits_stacked(members: List[PublicLogitsTask], context: WorkerContext,
                            ) -> List[np.ndarray]:
-    """Each member's class scores on the public dataset (FedMD) in one sweep."""
+    """Each member's class scores on the public dataset (FedMD)."""
     if context.public_dataset is None:
         raise RuntimeError("public-logits task requires a public dataset in the worker context")
-    return sweep_logits(_evaluator(members, context, context.public_dataset).predict,
-                        context.public_dataset, members[0].batch_size, len(members))
+    return _sweep_stacked(members, context, context.public_dataset, sweep_logits)
 
 
 #: The stacked body of each device task type a :class:`Cohort` can hold;

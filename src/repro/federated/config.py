@@ -206,14 +206,18 @@ class FederatedConfig:
     cohort_fusion:
         Opt-in: merge each round's same-key device tasks — training (FedMD
         digests included), evaluation and FedMD's public-logit sweeps — into
-        one dispatch unit (a :class:`~repro.federated.cohort.Cohort`) that
-        runs them stacked, bit-identical to the per-device path.  Only
-        exact-signature devices with equal shard sizes and training
-        configs train together; heterogeneous or batch-incompatible groups
-        stay per device.  The trade is fewer, larger tasks against worker
-        parallelism.  The flag only groups device tasks for dispatch: the
-        FedZKT server phases always stack same-signature groups inside a
-        shard task.
+        one dispatch unit (a :class:`~repro.federated.cohort.Cohort`),
+        bit-identical to the per-device path.  The cohort runs as the tiles
+        :func:`~repro.nn.batched.stack_tiles` plans for the batch: a tile of
+        two or more is stacked, and a tile of one is the member's own task
+        (at the ``tiny`` scale's 1x16x16 CNN every tile is one wide, so the
+        flag then changes the dispatch only).  Only exact-signature devices
+        with equal shard sizes and training configs train together;
+        heterogeneous or batch-incompatible groups stay per device.  The
+        trade is fewer, larger tasks against worker parallelism.  The flag
+        only groups device tasks for dispatch: the FedZKT server phases
+        always plan same-signature groups inside a shard task by the same
+        rule.
     numeric_policy:
         Floating dtype tier the run computes in: ``"float64"`` (default —
         the dtype the bit-identity contract and golden fixtures are defined

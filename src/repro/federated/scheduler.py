@@ -64,7 +64,7 @@ and across serial vs process execution backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -218,6 +218,25 @@ class RoundScheduler:
             engine.restore_model_state(device_id, state)
         return results
 
+    def _absorb(self, engine, uploads: Sequence[PendingUpload],
+                staleness: Callable[[PendingUpload], int],
+                ) -> Tuple[List[float], Dict[int, UploadMeta]]:
+        """Hand ``uploads`` to ``engine.process_result`` in order, each with
+        its ``staleness(upload)`` and the weight that staleness earns; returns
+        the local losses in that order and the metadata by device id."""
+        losses: List[float] = []
+        meta: Dict[int, UploadMeta] = {}
+        for upload in uploads:
+            stale = staleness(upload)
+            upload_meta = UploadMeta(
+                device_id=upload.device_id, dispatch_round=upload.dispatch_round,
+                arrival_time=upload.ready_time, staleness=stale,
+                weight=self.staleness_weight(stale),
+            )
+            losses.append(engine.process_result(upload.result, upload_meta))
+            meta[upload.device_id] = upload_meta
+        return losses, meta
+
     @staticmethod
     def _staleness_metrics(meta: Dict[int, UploadMeta], state: SchedulerState) -> Dict[str, float]:
         staleness = [m.staleness for m in meta.values()]
@@ -306,18 +325,10 @@ class DeadlineScheduler(RoundScheduler):
             key=lambda upload: (upload.ready_time, upload.device_id),
         )
 
-        losses: List[float] = []
-        meta: Dict[int, UploadMeta] = {}
         for upload in arrived:
             del state.in_flight[upload.device_id]
-            staleness = round_index - upload.dispatch_round
-            upload_meta = UploadMeta(
-                device_id=upload.device_id, dispatch_round=upload.dispatch_round,
-                arrival_time=upload.ready_time, staleness=staleness,
-                weight=self.staleness_weight(staleness),
-            )
-            losses.append(engine.process_result(upload.result, upload_meta))
-            meta[upload.device_id] = upload_meta
+        losses, meta = self._absorb(engine, arrived,
+                                    lambda upload: round_index - upload.dispatch_round)
 
         arrived_ids = [upload.device_id for upload in arrived]
         engine.aggregate_round(round_index, arrived_ids, meta)
@@ -389,17 +400,8 @@ class AsyncBufferedScheduler(RoundScheduler):
             state.now = max(state.now, upload.ready_time)
             buffer.append(upload)
 
-        losses: List[float] = []
-        meta: Dict[int, UploadMeta] = {}
-        for upload in buffer:
-            staleness = state.version - upload.version
-            upload_meta = UploadMeta(
-                device_id=upload.device_id, dispatch_round=upload.dispatch_round,
-                arrival_time=upload.ready_time, staleness=staleness,
-                weight=self.staleness_weight(staleness),
-            )
-            losses.append(engine.process_result(upload.result, upload_meta))
-            meta[upload.device_id] = upload_meta
+        losses, meta = self._absorb(engine, buffer,
+                                    lambda upload: state.version - upload.version)
         aggregated_ids = [upload.device_id for upload in buffer]
 
         engine.aggregate_round(round_index, aggregated_ids, meta)

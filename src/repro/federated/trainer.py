@@ -191,7 +191,8 @@ def sweep(forward: Callable[[np.ndarray], np.ndarray], dataset: ImageDataset,
     """The one evaluation sweep: ``(logits, labels)`` per chunk of ``dataset``.
 
     ``forward`` maps a chunk of images to stacked ``(B, n, C)`` logits: a
-    cohort's :meth:`~repro.nn.batched.BatchedEvaluator.predict`, or one
+    cohort tile's :meth:`~repro.nn.batched.BatchedModule.predict` over the
+    chunk broadcast onto its leading axis, or one
     model's output as a ``[None]`` view (:func:`_model_forward`).  One
     model's output is a scratch-arena block that goes back when its array
     does, so a reduction drops each chunk before asking for the next: the

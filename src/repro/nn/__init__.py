@@ -9,7 +9,6 @@ and the classification / distillation losses (:mod:`repro.nn.losses`).
 
 from . import batched, buffers, conv, functional, init, losses, optim
 from .batched import (
-    BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
     UnfusableModelError,
@@ -91,7 +90,6 @@ __all__ = [
     "SGD",
     "Adam",
     "MultiStepLR",
-    "BatchedEvaluator",
     "BatchedModule",
     "BatchedSGD",
     "UnfusableModelError",

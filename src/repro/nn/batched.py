@@ -59,17 +59,17 @@ from .policy import policy_dtype
 from .tensor import Tensor, batch_norm, no_grad
 
 __all__ = [
-    "BatchedEvaluator",
     "BatchedModule",
     "BatchedSGD",
     "UnfusableModelError",
     "batched_conv2d",
     "batched_l2_proximal",
     "batched_mse_loss",
-    "cohort_tiles",
     "fusion_signature",
     "register_batched_adapter",
+    "run_tiles",
     "stack_states",
+    "stack_tiles",
     "tile_width",
     "unstack_states",
 ]
@@ -455,19 +455,43 @@ def tile_width(template: Module, cohort_size: int, batch_shape: Sequence[int]) -
     return -(-cohort_size // tiles)
 
 
-def cohort_tiles(template: Module, cohort_size: int,
-                 batch_shape: Sequence[int]) -> List[Tuple[int, int]]:
-    """``(start, stop)`` bounds of the consecutive tiles a cohort runs as.
+def stack_tiles(models: Sequence[Module], batch_shape: Sequence[int]) -> List[List[int]]:
+    """The one stacking rule: the positions of ``models`` cut into the tiles
+    they run as, for a step that feeds each model a ``batch_shape`` batch.
 
-    Every site that stacks a cohort asks here, so a dispatched task (a
-    device-side ``Cohort`` or a server shard task) stays the unit of
-    dispatch while the tile is the unit of compute.  Cohort members
-    are independent and every batched op is bitwise equal per slice at any
+    Models group by :func:`fusion_signature`, in order of first appearance,
+    and each group is cut at its :func:`tile_width` into consecutive tiles.
+    Every position appears exactly once.  A tile of two or more is one
+    :class:`BatchedModule`; a list of one — a singleton, a model with no
+    batched adapter, or a tile of one — runs the model itself, which gives
+    the same bits without a stack's per-op overhead.  Cohort members are
+    independent and every batched op is bitwise equal per slice at any
     stack size, so the tiling never changes a bit.
     """
-    width = tile_width(template, cohort_size, batch_shape)
-    return [(start, min(start + width, cohort_size))
-            for start in range(0, cohort_size, width)]
+    groups: Dict[object, List[int]] = {}
+    for position, model in enumerate(models):
+        signature = fusion_signature(model)
+        # A position never equals a signature tuple: an unfusable model is a
+        # group of its own.
+        groups.setdefault(position if signature is None else signature, []).append(position)
+    tiles: List[List[int]] = []
+    for group in groups.values():
+        width = tile_width(models[group[0]], len(group), batch_shape) if len(group) > 1 else 1
+        tiles.extend(group[start:start + width] for start in range(0, len(group), width))
+    return tiles
+
+
+def run_tiles(tiles: Sequence[Sequence[int]], alone: Callable[[int], object],
+              stacked: Callable[[Sequence[int]], Sequence]) -> List:
+    """Each position's result from one pass over a :func:`stack_tiles` plan,
+    in position order: ``alone(position)`` for a tile of one,
+    ``stacked(tile)`` (one result per member, in tile order) otherwise."""
+    results: List = [None] * sum(len(tile) for tile in tiles)
+    for tile in tiles:
+        outputs = stacked(tile) if len(tile) > 1 else [alone(tile[0])]
+        for position, output in zip(tile, outputs):
+            results[position] = output
+    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -607,39 +631,6 @@ class BatchedModule:
         if was_training:
             self.train()
         return out.data
-
-
-class BatchedEvaluator:
-    """No-grad fused inference over a cohort, one tile at a time.
-
-    Builds one eval-mode :class:`BatchedModule` per tile of the cohort
-    (:func:`cohort_tiles`, sized for ``batch_shape`` — the widest batch
-    :meth:`predict` will be given).  Cohort slices are fully independent —
-    every batched op is bitwise equal per slice regardless of the stack
-    size — so the tiling does not change a bit.
-
-    The shared input batch is broadcast — not copied — onto each tile's
-    leading axis; downstream reshapes materialize per-tile copies exactly
-    where the fused ops need contiguous layouts.
-    """
-
-    def __init__(self, template: Module, states: Sequence[Dict[str, np.ndarray]],
-                 batch_shape: Sequence[int]) -> None:
-        self.batch_size = len(states)
-        self._modules = [
-            BatchedModule(template, list(states[lo:hi]), requires_grad=False).eval()
-            for lo, hi in cohort_tiles(template, self.batch_size, batch_shape)]
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        """Stacked logits ``(B, N, C)`` for one input batch shared by all slices.
-
-        A one-tile cohort's output is the tile's own (a scratch-arena block,
-        given back when the caller drops it); several tiles are concatenated.
-        """
-        images = np.asarray(images)
-        outputs = [module.predict(np.broadcast_to(images, (module.batch_size,) + images.shape))
-                   for module in self._modules]
-        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
 
 
 class BatchedSGD(SGD):

@@ -120,6 +120,21 @@ def force_tile_width(monkeypatch):
 
 
 @pytest.fixture
+def stacked_widths(monkeypatch):
+    """The width of every ``BatchedModule`` built while the test runs, in
+    construction order (``tile_width``'s own probe included)."""
+    widths = []
+    init = batched.BatchedModule.__init__
+
+    def recording(self, template, states, *args, **kwargs):
+        widths.append(len(states))
+        init(self, template, states, *args, **kwargs)
+
+    monkeypatch.setattr(batched.BatchedModule, "__init__", recording)
+    return widths
+
+
+@pytest.fixture
 def cohort_context():
     """``cohort_context(factory, shard_sizes)``: a fresh worker context for one
     same-architecture cohort — device ``i`` gets ``factory(seed=i)`` and the

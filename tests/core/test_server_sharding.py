@@ -25,13 +25,13 @@ from repro.core.server_tasks import (
     DeviceDistillTask,
     EnsembleForwardTask,
     EnsembleVJPTask,
-    _fusion_tiles,
     frozen_parameters,
     partition_shards,
 )
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, LeNet, SimpleCNN, build_generator, build_global_model
 from repro.nn import no_grad, using_numeric_policy
+from repro.nn.batched import stack_tiles
 from repro.nn.losses import get_distillation_loss, kl_divergence_loss
 from repro.nn.optim import SGD, Adam, MultiStepLR
 from repro.nn.tensor import Tensor
@@ -399,16 +399,21 @@ def _homogeneous_cohort():
 
 
 @pytest.mark.parametrize("width, tiles", [
-    (1, []),
-    (3, [[0, 1, 2], [3, 4, 5], [6, 7]]),
-    (7, [[0, 1, 2, 3, 4, 5, 6]]),
-    (8, [list(range(8))]),
+    (1, [[0], [1], [2], [3], [4], [5], [6], [7], [8]]),
+    (3, [[0, 1, 2], [3, 4, 5], [6, 7], [8]]),
+    (7, [[0, 1, 2, 3, 4, 5, 6], [7], [8]]),
+    (8, [list(range(8)), [8]]),
 ])
 def test_tiles_of_one_take_the_per_model_arm(width, tiles, force_tile_width):
     # Position 8 (the one FullyConnected) is a singleton; a group's tile of
-    # one (all of them at width 1, the eighth CNN at width 7) is left out too.
+    # one (all of them at width 1, the eighth CNN at width 7) runs alone too.
     force_tile_width(width)
-    assert _fusion_tiles(list(_homogeneous_cohort().values()), (6, *SHAPE)) == tiles
+    assert stack_tiles(list(_homogeneous_cohort().values()), (6, *SHAPE)) == tiles
+
+
+#: Forced width -> the stacks one shard task over ``_homogeneous_cohort``
+#: builds: none at width 1, and never one for a tile of one.
+STACKS = {1: [], 2: [2, 2, 2, 2], 3: [3, 3, 2], 8: [8]}
 
 
 class TestTiledShardTasks:
@@ -416,9 +421,9 @@ class TestTiledShardTasks:
     one-member tasks: a singleton never stacks, so they run the per-model
     path."""
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    @pytest.mark.parametrize("width", sorted(STACKS))
     @pytest.mark.parametrize("mode", ["prob", "logit"])
-    def test_ensemble_forward_and_vjp(self, width, mode, force_tile_width):
+    def test_ensemble_forward_and_vjp(self, width, mode, force_tile_width, stacked_widths):
         models = _homogeneous_cohort()
         context = _context_for(models)
         ids = list(models)
@@ -437,14 +442,17 @@ class TestTiledShardTasks:
                  for device_id, state, weight in zip(ids, states, weights)]
         members = [outputs[0] for outputs, _ in alone]
         grads = [outputs[0] for _, outputs in alone]
+        assert stacked_widths == []
         force_tile_width(width)
         tiled_members, tiled_grads = run(ids, states, weights)
+        assert stacked_widths == STACKS[width] * 2
         for ours, theirs in zip(tiled_members + tiled_grads, members + grads):
             np.testing.assert_array_equal(ours, theirs)
 
     @pytest.mark.parametrize("policy", ["float64", "float32"])
-    @pytest.mark.parametrize("width", [1, 2, 3, 8])
-    def test_phase2_distillation_and_its_momentum(self, width, policy, force_tile_width):
+    @pytest.mark.parametrize("width", sorted(STACKS))
+    def test_phase2_distillation_and_its_momentum(self, width, policy, force_tile_width,
+                                                  stacked_widths):
         with using_numeric_policy(policy):
             models = _homogeneous_cohort()
             context = _context_for(models)
@@ -467,8 +475,10 @@ class TestTiledShardTasks:
                 return result
 
             alone = [run([device_id]) for device_id in ids]
+            assert stacked_widths == []
             force_tile_width(width)
             tiled = run(ids)
+        assert stacked_widths == STACKS[width] * 2
         assert tiled.device_ids == ids
         assert tiled.losses == [result.losses[0] for result in alone]
         for ours, result in zip(tiled.states, alone):

@@ -20,10 +20,10 @@ import pytest
 
 from repro.core import ZeroShotDistiller
 from repro.core import server_tasks
-from repro.core.server_tasks import _fusion_groups
 from repro.federated import ProcessPoolBackend, SerialBackend, ServerConfig, WorkerContext
 from repro.models import FullyConnected, SimpleCNN, build_generator, build_global_model
 from repro.nn import using_numeric_policy
+from repro.nn.batched import stack_tiles
 
 SHAPE = (3, 8, 8)
 CLASSES = 4
@@ -101,8 +101,9 @@ def _run_transfer(stacked, transfers=(None,)):
 
 def test_cohort_is_actually_fusable():
     # Guard: the parity tests below are vacuous if the homogeneous group
-    # degenerates into singletons.
-    assert _fusion_groups(list(_device_models().values())) == [[0, 1, 2, 3]]
+    # runs as tiles of one at the transfer's batch of eight.
+    models = list(_device_models().values())
+    assert stack_tiles(models, (_server_config().batch_size, *SHAPE)) == [[0, 1, 2, 3], [4]]
 
 
 def test_fused_transfer_is_bit_identical():

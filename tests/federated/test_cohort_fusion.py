@@ -216,19 +216,27 @@ def _assert_same_result(ours, theirs):
         np.testing.assert_array_equal(ours.state[key], theirs.state[key], err_msg=key)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 8])
+#: Forced width -> the stacks a cohort of eight builds: none at width 1,
+#: and never one for a tile of one.
+STACKS = {1: [], 2: [2, 2, 2, 2], 3: [3, 3, 2], 7: [7], 8: [8]}
+
+
+@pytest.mark.parametrize("width", sorted(STACKS))
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_cohort_returns_each_members_own_result(job, width, cohort_context,
-                                                force_tile_width):
-    """A cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2) and 8 (the whole
-    stack) against its members run one by one on a context of their own."""
+                                                force_tile_width, stacked_widths):
+    """A cohort of eight at forced widths 1, 2, 3 (3 + 3 + 2), 7 (7 + 1) and
+    8 (the whole stack) against its members run one by one on a context of
+    their own.  A tile of one is its member's own run: it builds no stack."""
     factory, training, tasks = JOBS[job]
     alone = cohort_context(factory, [16] * 8, **training)
     expected = [task.run(alone) for task in tasks(alone)]
+    assert stacked_widths == []
 
     force_tile_width(width)
     context = cohort_context(factory, [16] * 8, **training)
     results = Cohort(tasks(context)).run(context)
+    assert stacked_widths == STACKS[width]
     assert len(results) == len(expected) == 8
     for ours, theirs in zip(results, expected):
         _assert_same_result(ours, theirs)

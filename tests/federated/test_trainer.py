@@ -21,7 +21,7 @@ from repro.federated.trainer import (
 )
 from repro.models import SimpleCNN
 from repro.nn import SGD
-from repro.nn.batched import BatchedEvaluator, BatchedModule, BatchedSGD
+from repro.nn.batched import BatchedModule, BatchedSGD
 from repro.nn.losses import cross_entropy
 from repro.partition import IIDPartitioner
 
@@ -148,10 +148,14 @@ class TestStepLoopAndSweep:
 
     def test_stacked_sweep_equals_each_models_sweep(self, tiny_rgb_dataset, tiny_test_dataset):
         models = [_model(tiny_rgb_dataset, seed=seed) for seed in (3, 4)]
-        evaluator = BatchedEvaluator(models[0], [model.state_dict() for model in models],
-                                     (17,) + tiny_test_dataset.input_shape)
-        accuracies = sweep_accuracies(evaluator.predict, tiny_test_dataset, 17, 2)
-        logits = sweep_logits(evaluator.predict, tiny_test_dataset, 17, 2)
+        tile = BatchedModule(models[0], [model.state_dict() for model in models],
+                             requires_grad=False).eval()
+
+        def forward(images):
+            return tile.predict(np.broadcast_to(images, (2,) + images.shape))
+
+        accuracies = sweep_accuracies(forward, tiny_test_dataset, 17, 2)
+        logits = sweep_logits(forward, tiny_test_dataset, 17, 2)
         for member, model in enumerate(models):
             assert accuracies[member] == evaluate_accuracy(model, tiny_test_dataset, 17)
             np.testing.assert_array_equal(

@@ -24,15 +24,14 @@ from repro.nn import SGD, Tensor, batched, layers, no_grad
 from repro.nn import conv as conv_ops
 from repro.nn.batched import (
     TILE_ARRAY_BYTES,
-    BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
     UnfusableModelError,
     _sample_footprint,
     batched_l2_proximal,
-    cohort_tiles,
     fusion_signature,
     stack_states,
+    stack_tiles,
     tile_width,
     unstack_states,
 )
@@ -475,38 +474,53 @@ class TestTileWidth:
 
 
 class TestCohortTiles:
+    @staticmethod
+    def _cohort(name, size):
+        return [FACTORIES[name](seed) for seed in range(size)]
+
     def test_uneven_tail(self, force_tile_width):
         force_tile_width(3)
-        model = FACTORIES["fully_connected"](0)
-        assert cohort_tiles(model, 8, (8, *INPUT_SHAPE)) == [(0, 3), (3, 6), (6, 8)]
+        assert (stack_tiles(self._cohort("fully_connected", 8), (8, *INPUT_SHAPE))
+                == [[0, 1, 2], [3, 4, 5], [6, 7]])
 
     def test_a_width_past_the_cohort_is_one_tile(self, force_tile_width):
         force_tile_width(99)
-        model = FACTORIES["fully_connected"](0)
-        assert cohort_tiles(model, 5, (8, *INPUT_SHAPE)) == [(0, 5)]
+        assert stack_tiles(self._cohort("fully_connected", 5), (8, *INPUT_SHAPE)) == [
+            [0, 1, 2, 3, 4]]
+
+    def test_groups_by_signature_and_runs_the_unfusable_alone(self, force_tile_width):
+        # Groups in order of first appearance, each cut at its own width; a
+        # model without a batched adapter and a singleton are tiles of one.
+        force_tile_width(2)
+        cnn, fc = self._cohort("simple_cnn", 3), self._cohort("fully_connected", 2)
+        models = [cnn[0], fc[0], cnn[1], layers.Linear(4, 2), fc[1], cnn[2],
+                  FACTORIES["lenet"](0)]
+        assert stack_tiles(models, (8, *INPUT_SHAPE)) == [[0, 2], [5], [1, 4], [3], [6]]
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_tiles_cover_the_cohort_once_in_order(self, name):
-        model = FACTORIES[name](0)
+        models = self._cohort(name, 12)
         for samples in (8, 32, 180):
             for cohort in range(1, 13):
-                tiles = cohort_tiles(model, cohort, (samples, *INPUT_SHAPE))
-                width = tiles[0][1] - tiles[0][0]
-                assert tiles[0][0] == 0 and tiles[-1][1] == cohort
-                assert all(stop == start for (_, stop), (start, _) in zip(tiles, tiles[1:]))
-                assert all(stop - start == width for start, stop in tiles[:-1])
-                assert 1 <= tiles[-1][1] - tiles[-1][0] <= width
+                batch_shape = (samples, *INPUT_SHAPE)
+                tiles = stack_tiles(models[:cohort], batch_shape)
+                width = tile_width(models[0], cohort, batch_shape)
+                assert [position for tile in tiles for position in tile] == list(range(cohort))
+                assert all(len(tile) == width for tile in tiles[:-1])
+                assert 1 <= len(tiles[-1]) <= width
                 assert len(tiles) == -(-cohort // width)
 
     def test_float32_policy_halves_the_bytes(self):
-        model = _SWEEP[(1, 16, 16)]["lenet"](0)
-        wide = cohort_tiles(model, 8, (32, 1, 16, 16))
+        models = [_SWEEP[(1, 16, 16)]["lenet"](seed) for seed in range(8)]
+        wide = stack_tiles(models, (32, 1, 16, 16))
         with using_numeric_policy("float32"):
-            assert len(cohort_tiles(model, 8, (32, 1, 16, 16))) <= len(wide)
+            assert len(stack_tiles(models, (32, 1, 16, 16))) <= len(wide)
 
 
 class TestTiledEvaluator:
-    """``BatchedEvaluator`` output is the same bytes at every tile width."""
+    """A cohort swept as the tiles ``stack_tiles`` plans gives each member the
+    bytes the whole stack's ``predict`` gives it, a tile of one by running
+    the model itself."""
 
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
     @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -520,10 +534,20 @@ class TestTiledEvaluator:
                     for batch in batches]
 
         force_tile_width(width)
-        evaluator = BatchedEvaluator(models[0], states, batches[0].shape)
-        for batch, reference in zip(batches, expected):
-            np.testing.assert_array_equal(evaluator.predict(batch), reference)
-        assert len(evaluator._modules) == -(-8 // width)
+        tiles = stack_tiles(models, batches[0].shape)
+        assert len(tiles) == -(-8 // width)
+        for tile in tiles:
+            if len(tile) == 1:
+                model = models[tile[0]].eval()
+                with no_grad():
+                    outputs = [model(Tensor(batch)).data[None] for batch in batches]
+            else:
+                module = BatchedModule(models[tile[0]], [states[i] for i in tile],
+                                       requires_grad=False).eval()
+                outputs = [module.predict(np.broadcast_to(batch, (len(tile),) + batch.shape))
+                           for batch in batches]
+            for output, reference in zip(outputs, expected):
+                np.testing.assert_array_equal(output, reference[tile])
 
 
 # --------------------------------------------------------------------------- #
