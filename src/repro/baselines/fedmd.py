@@ -142,8 +142,7 @@ class FedMDStrategy(Strategy):
                                    label="device")
 
         # Snapshot/publish each cohort member's state once; the digest +
-        # revisit training task below reuses the same payload (running the
-        # logits task does not move the model — it loads these very values).
+        # revisit training task below reuses the same payload.
         states = {device_id: published_state(device_id) for device_id in device_ids}
         logit_tasks = [
             PublicLogitsTask(device_id=device_id, state=states[device_id])
@@ -156,7 +155,7 @@ class FedMDStrategy(Strategy):
         consensus = np.mean(np.stack(uploaded, axis=0), axis=0)
         # The cohort shares one consensus matrix: publish it once and let
         # every digest spec carry the same ref instead of N inline copies.
-        consensus_payload = store.put_arrays([consensus], label="consensus")
+        consensus_payload = store.put_array(consensus, label="consensus")
 
         train_tasks = []
         for device_id in device_ids:

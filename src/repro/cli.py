@@ -56,6 +56,7 @@ from .experiments.configs import SCALES
 from .experiments.reporting import format_claims
 from .experiments.runner import EXPERIMENTS, STRATEGIES, run_algorithm, run_experiment
 from .federated.backend import BACKENDS, make_backend
+from .net.worker import add_worker_arguments, run_from_args
 from .utils.serialization import save_history_json
 
 __all__ = ["build_parser", "main"]
@@ -151,20 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "into OUTPUT_DIR/<name>/")
 
     # ------------------------------------------------------------- worker
-    worker_parser = subparsers.add_parser(
-        "worker", help="run a remote worker daemon for the tcp:// backend")
-    worker_parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                               help="driver blob-server address to connect to")
-    worker_parser.add_argument("--cache-bytes", type=int, default=None,
-                               help="byte cap of the worker state cache, which holds "
-                                    "the current and the previous round's fetches")
-    worker_parser.add_argument("--patience", type=float, default=30.0,
-                               help="seconds to wait for the driver to start listening")
-    worker_parser.add_argument("--secret", default=None,
-                               help="shared secret for the driver handshake "
-                                    "(default: the REPRO_NET_SECRET env var)")
-    worker_parser.add_argument("--quiet", action="store_true",
-                               help="suppress status lines")
+    add_worker_arguments(subparsers.add_parser(
+        "worker", help="run a remote worker daemon for the tcp:// backend"))
 
     # --------------------------------------------------------------- list
     subparsers.add_parser("list", help="list strategies, experiments, scales, and backends")
@@ -291,25 +280,10 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .net.worker import run_worker
-    from .net.wire import parse_hostport
-
-    try:
-        host, port = parse_hostport(args.connect)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    kwargs = {}
-    if args.cache_bytes is not None:
-        kwargs["cache_bytes"] = args.cache_bytes
-    return run_worker(host, port, patience=args.patience, quiet=args.quiet,
-                      secret=args.secret, **kwargs)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "experiment": _cmd_experiment,
-                "list": _cmd_list, "worker": _cmd_worker}
+                "list": _cmd_list, "worker": run_from_args}
     return handlers[args.command](args)
 
 

@@ -17,16 +17,14 @@ payloads arrive either as :class:`~repro.utils.serialization.StateRef`
 handles into the backend's content-addressed state store (teacher states
 and shared synthetic batches, published once and referenced by many tasks)
 or inline as live arrays (a device's own state and momentum buffers,
-referenced by exactly one task); tasks resolve both uniformly and carry no
-encoding of their own — the backend pickles a task whole.  Execution
-borrows the per-process :class:`~repro.federated.backend.WorkerContext`
-(whose model replicas share architectures with the server-side replicas,
-keyed by device id).  Tasks *borrow* a context model
-(:func:`borrowed_model`): they hold its parameters, buffers, and
-train/eval mode by reference, load the server-side state, compute, and
-rebind what they held — so on the serial backend (where context models are
-the live device models) a server update never leaks state into the
-devices.
+referenced by exactly one task); the worker's runtime resolves the refs
+before a task runs, and tasks carry no encoding of their own — the backend
+pickles a task whole.  A task runs on the
+:class:`~repro.federated.backend.WorkerContext`'s model replicas (which
+share architectures with the server-side replicas, keyed by device id):
+it loads the server-side state into a replica, sets its mode, and computes.
+The replicas belong to the worker on every backend, so a server update
+never touches a model the driver holds.
 
 Inside a task, the models run as the tiles
 :func:`~repro.nn.batched.stack_tiles` plans: a tile of two or more
@@ -48,16 +46,17 @@ metrics, and gradients.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
-from typing import List, Sequence, Union
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..federated.backend import WorkerContext, _single_array, resolve_arrays, resolve_state
+from ..federated.backend import WorkerContext
 from ..federated.trainer import by_member, sgd_steps, stack_batches
 from ..nn import no_grad
 from ..nn.batched import BatchedModule, BatchedSGD, run_tiles, stack_tiles
+from ..nn.layers import dropout_states, load_dropout_states
 from ..nn.losses import kl_divergence_loss
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor
@@ -65,7 +64,6 @@ from ..utils.serialization import StateLike, StateRef
 
 __all__ = [
     "partition_shards",
-    "borrowed_model",
     "distill_students",
     "EnsembleForwardTask",
     "EnsembleVJPTask",
@@ -94,34 +92,12 @@ def partition_shards(items: Sequence, num_shards: int) -> List[List]:
     return [items[start:stop] for start, stop in zip(bounds[:-1], bounds[1:]) if stop > start]
 
 
-@contextmanager
-def borrowed_model(context: WorkerContext, device_id: int, state: ShardState,
-                   train: bool):
-    """Temporarily load ``state`` into the context's replica for ``device_id``.
-
-    ``load_state_dict`` rebinds every parameter and buffer to a fresh copy,
-    so the replica's own arrays are never written while it is borrowed:
-    they are held by reference and rebound on exit, together with the
-    train/eval mode (and any gradients the task accumulated are cleared).
-    That makes server-side tasks safe on the serial backend, where context
-    models alias live models.
-    """
+def _loaded(context: WorkerContext, device_id: int, state: StateLike, train: bool):
+    """The context's replica for ``device_id``, holding ``state``, in the
+    given mode."""
     model = context.model_for(device_id)
-    parameters = [(param, param.data) for param in model.parameters()]
-    buffers = [(owner, name, owner._buffers[name])
-               for owner, name in model._buffer_owners().values()]
-    saved_mode = model.training
-    model.load_state_dict(resolve_state(state))
-    model.train(train)
-    try:
-        yield model
-    finally:
-        for param, data in parameters:
-            param.data = data
-        for owner, name, value in buffers:
-            owner._set_buffer(name, value)
-        model.train(saved_mode)
-        model.zero_grad()
+    model.load_state_dict(state)
+    return model.train(train)
 
 
 @contextmanager
@@ -173,17 +149,17 @@ class EnsembleForwardTask:
     mode: str = "prob"
 
     def run(self, context: WorkerContext) -> List[np.ndarray]:
-        inputs = _single_array(self.inputs)
+        inputs = self.inputs
         models = [context.model_for(device_id) for device_id in self.device_ids]
 
         def alone(position: int) -> np.ndarray:
-            with borrowed_model(context, self.device_ids[position], self.states[position],
-                                train=False) as model:
-                with no_grad():
-                    return _member_output(model, Tensor(inputs), self.mode).data
+            model = _loaded(context, self.device_ids[position], self.states[position],
+                            train=False)
+            with no_grad():
+                return _member_output(model, Tensor(inputs), self.mode).data
 
         def stacked(positions: List[int]) -> List[np.ndarray]:
-            states = [resolve_state(self.states[i]) for i in positions]
+            states = [self.states[i] for i in positions]
             module = BatchedModule(models[positions[0]], states, requires_grad=False).eval()
             with no_grad():
                 out = module(Tensor(_tile(inputs, len(positions))))
@@ -217,22 +193,21 @@ class EnsembleVJPTask:
     mode: str = "prob"
 
     def run(self, context: WorkerContext) -> List[np.ndarray]:
-        inputs = _single_array(self.inputs)
-        upstream = _single_array(self.upstream)
+        inputs, upstream = self.inputs, self.upstream
         models = [context.model_for(device_id) for device_id in self.device_ids]
 
         def alone(position: int) -> np.ndarray:
-            with borrowed_model(context, self.device_ids[position], self.states[position],
-                                train=False) as model:
-                with frozen_parameters([model]):
-                    x = Tensor(inputs, requires_grad=True)
-                    term = _member_output(model, x, self.mode) * float(self.weights[position])
-                    term.backward(upstream)
-                return x.grad
+            model = _loaded(context, self.device_ids[position], self.states[position],
+                            train=False)
+            with frozen_parameters([model]):
+                x = Tensor(inputs, requires_grad=True)
+                term = _member_output(model, x, self.mode) * float(self.weights[position])
+                term.backward(upstream)
+            return x.grad
 
         def stacked(positions: List[int]) -> List[np.ndarray]:
             batch = len(positions)
-            states = [resolve_state(self.states[i]) for i in positions]
+            states = [self.states[i] for i in positions]
             # Stacked parameters stay grad-free — only the input-gradient
             # path is materialized, matching a model run alone.
             module = BatchedModule(models[positions[0]], states, requires_grad=False).eval()
@@ -307,9 +282,10 @@ class DeviceDistillTask:
     inputs and teacher targets (precomputed on the driver, so the
     generator/global-model RNG stream does not depend on the sharding) and
     trains independently with SGD from its own persisted momentum
-    (``velocities``, one array per parameter).  The shard's context
-    replicas are borrowed for the length of the task and handed to
-    :func:`distill_students`.
+    (``velocities``, one array per parameter).  ``dropout_states`` carries
+    each server-side replica's Dropout streams (``None`` leaves the worker
+    replicas' own).  The shard's context replicas, loaded with ``states``
+    in train mode, are handed to :func:`distill_students`.
     """
 
     device_ids: List[int]
@@ -319,26 +295,32 @@ class DeviceDistillTask:
     targets: Union[StateRef, List[np.ndarray]]
     lr: float
     momentum: float = 0.9
+    dropout_states: Optional[List[List[dict]]] = None
 
     def run(self, context: WorkerContext) -> "DeviceDistillResult":
-        with ExitStack() as borrowed:
-            models = [borrowed.enter_context(borrowed_model(context, device_id, state,
-                                                            train=True))
-                      for device_id, state in zip(self.device_ids, self.states)]
-            velocities, losses = distill_students(
-                models, self.velocities, resolve_arrays(self.inputs),
-                resolve_arrays(self.targets), self.lr, self.momentum)
-            return DeviceDistillResult(
-                device_ids=list(self.device_ids),
-                states=[model.state_dict() for model in models],
-                velocities=velocities, losses=losses)
+        models = [_loaded(context, device_id, state, train=True)
+                  for device_id, state in zip(self.device_ids, self.states)]
+        for model, streams in zip(models, self.dropout_states or ()):
+            load_dropout_states(model, streams)
+        velocities, losses = distill_students(
+            models, self.velocities, self.inputs, self.targets, self.lr, self.momentum)
+        for model in models:
+            # The replica keeps no gradients between tasks.
+            model.zero_grad()
+        return DeviceDistillResult(
+            device_ids=list(self.device_ids),
+            states=[model.state_dict() for model in models],
+            velocities=velocities, losses=losses,
+            dropout_states=[dropout_states(model) for model in models])
 
 
 @dataclass
 class DeviceDistillResult:
-    """Updated states, momentum buffers, and per-iteration losses of a shard."""
+    """Updated states, momentum buffers, per-iteration losses and Dropout
+    streams of a shard."""
 
     device_ids: List[int]
     states: List[StateLike]
     velocities: List[List[np.ndarray]]
     losses: List[List[float]]
+    dropout_states: List[List[dict]] = field(default_factory=list)

@@ -51,6 +51,7 @@ from ..federated.config import ServerConfig
 from ..models.base import ClassificationModel
 from ..models.generator import Generator
 from ..nn import no_grad
+from ..nn.layers import dropout_states, load_dropout_states
 from ..nn.losses import get_distillation_loss
 from ..nn.optim import SGD, Adam, MultiStepLR
 from ..nn.tensor import Tensor
@@ -136,8 +137,8 @@ class ZeroShotDistiller:
 
     def _backend_for(self, models: Dict[int, ClassificationModel]) -> ExecutionBackend:
         """The bound backend; a distiller used without a simulation runs its
-        tasks on a private :class:`SerialBackend` whose context replicas are
-        ``models`` themselves (tasks restore what they borrow)."""
+        tasks on a private :class:`SerialBackend` whose context holds
+        replicas of ``models``."""
         if self.backend is not None:
             return self.backend
         backend = SerialBackend()
@@ -150,8 +151,8 @@ class ZeroShotDistiller:
         (tasks then carry a tiny ref; the payload ships at most once per
         worker).
 
-        A dict is a model state, a list an ordered array list, a bare array
-        (synthetic batch, upstream gradient) a list of one.  Published refs
+        A dict is a model state, a list an ordered array list, and a bare
+        array (synthetic batch, upstream gradient) resolves to itself.  Published refs
         are collected into ``ephemerals`` and dropped from the channel as
         soon as the tasks that referenced them have completed — per-iteration
         synthetic batches would otherwise accumulate for a whole round.
@@ -159,9 +160,10 @@ class ZeroShotDistiller:
         store = backend.state_store
         if isinstance(payload, dict):
             ref = store.put_state(payload, label=label)
+        elif isinstance(payload, np.ndarray):
+            ref = store.put_array(payload, label=label)
         else:
-            ref = store.put_arrays([payload] if isinstance(payload, np.ndarray) else payload,
-                                   label=label)
+            ref = store.put_arrays(payload, label=label)
         ephemerals.append(ref)
         return ref
 
@@ -365,12 +367,14 @@ class ZeroShotDistiller:
             velocities=[self.device_momentum[device_id] for device_id in shard],
             inputs=shared_inputs, targets=shared_targets,
             lr=self.config.device_distill_lr, momentum=0.9,
+            dropout_states=[dropout_states(device_models[device_id]) for device_id in shard],
         ) for shard in partition_shards(device_models, self.config.server_shards)]
 
         losses_by_device: Dict[int, List[float]] = {}
         for result in backend.run_tasks(tasks):
             for index, device_id in enumerate(result.device_ids):
                 device_models[device_id].load_state_dict(result.states[index])
+                load_dropout_states(device_models[device_id], result.dropout_states[index])
                 self.device_momentum[device_id] = result.velocities[index]
                 losses_by_device[device_id] = result.losses[index]
         self._drain(backend, ephemerals)

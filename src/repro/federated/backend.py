@@ -18,16 +18,20 @@ single time over the backend's
 :class:`~repro.utils.serialization.StateChannel`; every later task that
 references the same content is a cache hit.  The cache follows the store's
 round lifecycle: a worker holds what it fetched in the current and the
-previous round, under a byte cap.  A payload field holds one of
-two things — a ``StateRef`` or live numpy arrays (a state dict, an array
-list) — and :func:`resolve_state` / :func:`resolve_arrays` accept both, so
-tasks built directly in tests and third-party code work unchanged.  Nothing
-here encodes an inline payload: a task or result that crosses a process
-boundary is pickled whole by its backend, arrays included.
+previous round, under a byte cap.  Nothing here encodes an inline payload:
+a task or result that crosses a process boundary is pickled whole by its
+backend, arrays included.
+
+Every backend runs a task the same way, through its worker's
+:class:`WorkerRuntime`: on model replicas the worker owns, with every
+``StateRef`` the task carries already replaced by its payload
+(:meth:`WorkerRuntime.run`).  A task body therefore reads live arrays from
+its fields, whether it was dispatched with refs or built directly with
+arrays, and no task can write a model the driver holds.
 
 One backend lives here: :class:`SerialBackend` runs tasks in-process (the
-default; identical to the historical behaviour).  Its state table stores
-live objects, so the serial path pays no serialization cost.
+default).  Its runtime holds a copy of the context's models and its state
+table stores live objects, so the serial path pays no serialization cost.
 
 Every backend whose workers are other processes runs on :mod:`repro.net`:
 ``process[:N]`` (:class:`~repro.net.backend.ProcessPoolBackend`, workers
@@ -41,9 +45,10 @@ bytes published/fetched/shipped — via :meth:`ExecutionBackend.transport_stats`
 
 from __future__ import annotations
 
+import copy
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
@@ -51,6 +56,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
 from ..nn.buffers import scratch_pool
+from ..nn.layers import dropout_states, load_dropout_states
 from ..nn.policy import numeric_policy, set_numeric_policy
 from ..utils.serialization import (
     InProcessStateTable,
@@ -80,9 +86,8 @@ __all__ = [
     "SerialBackend",
     "BACKENDS",
     "make_backend",
-    "resolve_state",
-    "resolve_arrays",
     "iter_state_refs",
+    "with_refs_resolved",
     "LRUStateCache",
     "WorkerRuntime",
     "DEFAULT_WORKER_CACHE_BYTES",
@@ -106,7 +111,9 @@ class WorkerContext:
     Published to workers through the state channel when the backend starts
     (and re-published on context changes — the pool itself survives);
     per-round tasks then only carry :class:`StateRef` handles and
-    shard/device indices, never model architectures or pixel data.
+    shard/device indices, never model architectures or pixel data.  Each
+    worker holds its own replica of every model, which a task loads its
+    full state into before it computes.
     """
 
     models: Dict[int, ClassificationModel] = field(default_factory=dict)
@@ -217,7 +224,8 @@ class LRUStateCache:
 
 
 class WorkerRuntime:
-    """Per-worker state: the installed context plus the ref-resolution path.
+    """Per-worker state — the installed context and the ref-resolution path —
+    and the one place a task is run (:meth:`run`).
 
     In-process backends hand the runtime their live state ``table``
     (lookups are direct, nothing is ever copied or encoded); ``process:N``
@@ -225,6 +233,8 @@ class WorkerRuntime:
     keep an :class:`LRUStateCache` of fetched payloads in front of it — a
     cache miss fetches the payload exactly once, and the cache holds what
     was fetched in the current and the previous round, under its byte cap.
+    The context's models are the worker's own replicas: a worker process
+    unpickles them, and :class:`SerialBackend` gives its runtime a copy.
     """
 
     def __init__(self, channel=None, table: Optional[InProcessStateTable] = None,
@@ -237,9 +247,9 @@ class WorkerRuntime:
         self.context_version = -1
 
     def resolve(self, ref: StateRef):
-        """Materialize a :class:`StateRef` (dict for ``"state"``, list for
-        ``"arrays"``).  Resolved payloads are shared and must be treated as
-        read-only by tasks.
+        """Materialize a :class:`StateRef`: a dict for ``"state"``, a list for
+        ``"arrays"``, the array itself for ``"array"``.  Resolved payloads
+        are shared and must be treated as read-only by tasks.
 
         The ref's ``round_version`` is also how a worker learns that the
         driver moved to a new round, which is when its scratch pool trims
@@ -248,16 +258,26 @@ class WorkerRuntime:
         version = ref.round_version
         scratch_pool().enter_round(version)
         if self.table is not None:
-            return self.table.fetch(ref.key)
-        self.cache.enter_round(version)
-        cached = self.cache.get(ref.key, version)
-        if cached is not None:
-            self.cache.hits += 1
-            return cached
-        self.cache.misses += 1
-        value = self.channel.fetch(ref.key, True)
-        self.cache.put(ref.key, value, ref.nbytes, version)
-        return value
+            value = self.table.fetch(ref.key)
+        else:
+            self.cache.enter_round(version)
+            value = self.cache.get(ref.key, version)
+            if value is not None:
+                self.cache.hits += 1
+            else:
+                self.cache.misses += 1
+                value = self.channel.fetch(ref.key)
+                self.cache.put(ref.key, value, ref.nbytes, version)
+        return value[0] if ref.kind == "array" else value
+
+    def run(self, task):
+        """Run ``task`` on this worker's context, every ``StateRef`` it
+        carries resolved first (:func:`with_refs_resolved`)."""
+        if self.context is None and not getattr(task, "context_free", False):
+            raise RuntimeError(
+                "no WorkerContext installed; was the backend started "
+                "with a context before dispatching device tasks?")
+        return with_refs_resolved(task, self.resolve).run(self.context)
 
     def ensure_context(self, version: int) -> None:
         """Install the context version the driver stamped on a task batch,
@@ -274,46 +294,50 @@ class WorkerRuntime:
         self.context_version = current
 
 
-# The runtime active while tasks execute: set by the worker daemon loop in
-# worker processes, swapped around in-process execution by the serial
-# backend.
-_ACTIVE_RUNTIME: Optional[WorkerRuntime] = None
+def with_refs_resolved(value, resolve: Callable[[StateRef], object]):
+    """``value`` with every :class:`StateRef` it carries replaced by
+    ``resolve(ref)``.
 
-
-def _swap_runtime(runtime: Optional[WorkerRuntime]) -> Optional[WorkerRuntime]:
-    global _ACTIVE_RUNTIME
-    previous = _ACTIVE_RUNTIME
-    _ACTIVE_RUNTIME = runtime
-    return previous
-
-
-def _current_runtime() -> WorkerRuntime:
-    if _ACTIVE_RUNTIME is None:
-        raise RuntimeError(
-            "no worker runtime active; StateRef payloads can only be resolved "
-            "while a backend is executing tasks")
-    return _ACTIVE_RUNTIME
-
-
-def resolve_state(value: Union[StateRef, StateLike]) -> Dict[str, np.ndarray]:
-    """Materialize a task's state payload: a ref, or the plain dict itself."""
+    Walks direct fields, list/tuple fields, and the objects they hold — a
+    :class:`DigestSpec`, or a :class:`~repro.federated.cohort.Cohort`'s
+    member tasks.  Only what leads to a replaced ref is copied (shallowly),
+    so the caller's objects are never written and a value that carries no
+    ref, or whose refs ``resolve`` hands back unchanged, is returned as is.
+    """
     if isinstance(value, StateRef):
-        return _current_runtime().resolve(value)
-    return value
+        return resolve(value)
+    if isinstance(value, (list, tuple)):
+        items = [with_refs_resolved(item, resolve) for item in value]
+        if all(new is old for new, old in zip(items, value)):
+            return value
+        return items if isinstance(value, list) else tuple(items)
+    fields = getattr(value, "__dict__", None)
+    if not fields:
+        return value
+    changed = {}
+    for name, item in fields.items():
+        new = with_refs_resolved(item, resolve)
+        if new is not item:
+            changed[name] = new
+    if not changed:
+        return value
+    copied = copy.copy(value)
+    copied.__dict__.update(changed)
+    return copied
 
 
-def resolve_arrays(value) -> Optional[List[np.ndarray]]:
-    """Materialize an array-list payload: a ref, or the plain list itself."""
-    if isinstance(value, StateRef):
-        return _current_runtime().resolve(value)
-    return value
+def iter_state_refs(task) -> List[StateRef]:
+    """Every :class:`StateRef` a task carries, in the order
+    :meth:`WorkerRuntime.run` resolves them (the backends' dispatch
+    accounting)."""
+    refs: List[StateRef] = []
 
+    def note(ref: StateRef) -> StateRef:
+        refs.append(ref)
+        return ref
 
-def _single_array(value) -> np.ndarray:
-    """Materialize a single-array payload: a one-entry ref, or the array itself."""
-    if isinstance(value, StateRef):
-        return resolve_arrays(value)[0]
-    return value
+    with_refs_resolved(task, note)
+    return refs
 
 
 def _restored_rng(state: dict) -> np.random.Generator:
@@ -342,30 +366,15 @@ class DigestSpec:
     seed: int
 
 
-def iter_state_refs(task) -> Iterator[StateRef]:
-    """Yield every :class:`StateRef` a task carries (used by the backends'
-    dispatch accounting).  Walks direct fields, list/tuple fields, and the
-    objects they hold: a :class:`DigestSpec`, or a
-    :class:`~repro.federated.cohort.Cohort`'s member tasks."""
-    if isinstance(task, StateRef):
-        yield task
-        return
-    payload = getattr(task, "__dict__", None)
-    if not payload:
-        return
-    for value in payload.values():
-        for item in (value if isinstance(value, (list, tuple)) else (value,)):
-            yield from iter_state_refs(item)
-
-
 @dataclass
 class LocalTrainTask:
     """Train one device's model on its private shard (Algorithm 2).
 
     Carries the device's current parameters (a :class:`StateRef` when
-    dispatched through a simulation), the shuffle RNG state, and the
-    optional proximal anchor; ``digest`` prepends FedMD's digest phase so
-    digest + revisit ship as a single round trip.
+    dispatched through a simulation), the shuffle RNG state, the state of
+    each of the model's Dropout streams (``None`` leaves the replica's own),
+    and the optional proximal anchor; ``digest`` prepends FedMD's digest
+    phase so digest + revisit ship as a single round trip.
     """
 
     device_id: int
@@ -374,10 +383,19 @@ class LocalTrainTask:
     rng_state: dict
     anchor: Union[StateRef, List[np.ndarray], None] = None
     digest: Optional[DigestSpec] = None
+    dropout_states: Optional[List[dict]] = None
+
+    def replica(self, context: WorkerContext) -> ClassificationModel:
+        """The context's replica of this device, set to the task's
+        parameters and Dropout streams."""
+        model = context.model_for(self.device_id)
+        model.load_state_dict(self.state)
+        if self.dropout_states is not None:
+            load_dropout_states(model, self.dropout_states)
+        return model
 
     def run(self, context: WorkerContext) -> "LocalTrainResult":
-        model = context.model_for(self.device_id)
-        model.load_state_dict(resolve_state(self.state))
+        model = self.replica(context)
         config = context.train_configs[self.device_id]
         rng = _restored_rng(self.rng_state)
 
@@ -386,20 +404,21 @@ class LocalTrainTask:
             if context.public_dataset is None:
                 raise RuntimeError("digest task requires a public dataset in the worker context")
             digest_loss = digest_on_public(
-                model, context.public_dataset,
-                _single_array(self.digest.consensus), lr=self.digest.lr,
+                model, context.public_dataset, self.digest.consensus, lr=self.digest.lr,
                 batch_size=self.digest.batch_size, epochs=self.digest.epochs,
                 rng=np.random.default_rng(self.digest.seed))
 
-        anchor = resolve_arrays(self.anchor)
         report = local_sgd_train(model, context.shards[self.device_id], self.epochs,
-                                 config, rng, anchor=anchor, device_id=self.device_id)
+                                 config, rng, anchor=self.anchor, device_id=self.device_id)
+        # The replica keeps no gradients between tasks.
+        model.zero_grad()
         return LocalTrainResult(
             device_id=self.device_id,
             state=model.state_dict(),
             report=report,
             rng_state=rng.bit_generator.state,
             digest_loss=digest_loss,
+            dropout_states=dropout_states(model),
         )
 
 
@@ -416,6 +435,7 @@ class LocalTrainResult:
     report: LocalTrainingReport
     rng_state: dict
     digest_loss: Optional[float] = None
+    dropout_states: List[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -430,7 +450,7 @@ class EvaluateTask:
         if context.eval_dataset is None:
             raise RuntimeError("evaluate task requires an eval dataset in the worker context")
         model = context.model_for(self.device_id)
-        model.load_state_dict(resolve_state(self.state))
+        model.load_state_dict(self.state)
         return evaluate_accuracy(model, context.eval_dataset, batch_size=self.batch_size)
 
 
@@ -446,7 +466,7 @@ class PublicLogitsTask:
         if context.public_dataset is None:
             raise RuntimeError("public-logits task requires a public dataset in the worker context")
         model = context.model_for(self.device_id)
-        model.load_state_dict(resolve_state(self.state))
+        model.load_state_dict(self.state)
         return compute_public_logits(model, context.public_dataset, batch_size=self.batch_size)
 
 
@@ -541,7 +561,7 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every task in the calling process (default; historical behaviour)."""
+    """Run every task in the calling process (the default)."""
 
     name = "serial"
 
@@ -552,19 +572,19 @@ class SerialBackend(ExecutionBackend):
         self._context: Optional[WorkerContext] = None
 
     def start(self, context: Optional[WorkerContext] = None) -> None:
-        self._context = context
-        self._runtime.context = context
+        """Install ``context``.  The runtime gets a copy of its models, as a
+        worker process gets one by unpickling; shards and datasets are shared
+        (tasks only read them).  Copied once per context object."""
+        if context is not self._context or not self._started:
+            self._context = context
+            self._runtime.context = (
+                None if context is None
+                else replace(context, models=copy.deepcopy(context.models)))
         self._started = True
 
     def run_tasks(self, tasks: Sequence) -> List:
-        if self._context is None:
-            raise RuntimeError("SerialBackend.start(context) must be called before run_tasks")
         self._note_dispatch(tasks)
-        previous = _swap_runtime(self._runtime)
-        try:
-            return [task.run(self._context) for task in tasks]
-        finally:
-            _swap_runtime(previous)
+        return [self._runtime.run(task) for task in tasks]
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         return [fn(item) for item in items]

@@ -51,6 +51,7 @@ from ..nn.batched import (
     run_tiles,
     stack_tiles,
 )
+from ..nn.layers import dropout_states
 from .backend import (
     DigestSpec,
     EvaluateTask,
@@ -59,9 +60,6 @@ from .backend import (
     PublicLogitsTask,
     WorkerContext,
     _restored_rng,
-    _single_array,
-    resolve_arrays,
-    resolve_state,
 )
 from .trainer import (
     LocalTrainingReport,
@@ -125,14 +123,12 @@ def _train_tile(members: List[LocalTrainTask], context: WorkerContext,
                 ) -> List[LocalTrainResult]:
     batch = len(members)
     first = members[0]
-    template = context.model_for(first.device_id)
     config = context.train_configs[first.device_id]
-    states = [resolve_state(task.state) for task in members]
-    # members= hands each stacked slice its own live model, so RNG-stateful
-    # layers (Dropout) draw per-device streams exactly as the serial
-    # fallback would on the same worker.
-    module = BatchedModule(template, states,
-                           members=[context.model_for(task.device_id) for task in members])
+    # members= hands each stacked slice its own replica, set to its task's
+    # Dropout streams, so each slice draws its masks as the member's own
+    # run would.
+    replicas = [task.replica(context) for task in members]
+    module = BatchedModule(replicas[0], [task.state for task in members], members=replicas)
     rngs = [_restored_rng(task.rng_state) for task in members]
 
     digest_losses: List[Optional[float]] = [None] * batch
@@ -141,8 +137,7 @@ def _train_tile(members: List[LocalTrainTask], context: WorkerContext,
 
     anchors: Optional[List[np.ndarray]] = None
     if first.anchor is not None:
-        anchors = [np.stack(column)
-                   for column in zip(*(resolve_arrays(task.anchor) for task in members))]
+        anchors = [np.stack(column) for column in zip(*(task.anchor for task in members))]
 
     shards = [context.shards[task.device_id] for task in members]
     parameters = module.parameters()
@@ -155,7 +150,7 @@ def _train_tile(members: List[LocalTrainTask], context: WorkerContext,
                        for shard, rng in zip(shards, rngs)]),
         supervised_loss(parameters, anchors, config.prox_mu, batched_l2_proximal)), batch)
 
-    parameter_count = template.num_parameters()
+    parameter_count = replicas[0].num_parameters()
     return [
         LocalTrainResult(
             device_id=task.device_id,
@@ -163,9 +158,10 @@ def _train_tile(members: List[LocalTrainTask], context: WorkerContext,
             report=LocalTrainingReport.from_losses(
                 task.device_id, first.epochs, device_losses, len(shards[0]), parameter_count),
             rng_state=rng.bit_generator.state,
-            digest_loss=digest_loss)
-        for task, state, device_losses, rng, digest_loss in zip(
-            members, module.state_dicts(), losses, rngs, digest_losses)]
+            digest_loss=digest_loss,
+            dropout_states=dropout_states(replica))
+        for task, state, device_losses, rng, digest_loss, replica in zip(
+            members, module.state_dicts(), losses, rngs, digest_losses, replicas)]
 
 
 def _digest_stacked(module: BatchedModule, digests: List[DigestSpec],
@@ -178,7 +174,7 @@ def _digest_stacked(module: BatchedModule, digests: List[DigestSpec],
     spec = digests[0]  # the planner keys on (epochs, lr, batch_size)
     optimizer = BatchedSGD(module.parameters(), len(digests), lr=spec.lr, momentum=0.9)
     batches = stack_batches([
-        shard_batches(public.images, np.asarray(_single_array(item.consensus)),
+        shard_batches(public.images, np.asarray(item.consensus),
                       spec.batch_size, spec.epochs, np.random.default_rng(item.seed))
         for item in digests])
     losses = by_member(sgd_steps(module, optimizer, batches, batched_mse_loss), len(digests))
@@ -196,7 +192,7 @@ def _sweep_stacked(members: List, context: WorkerContext, dataset, reduce) -> Li
     batch_shape = (min(batch_size, len(dataset)),) + dataset.images.shape[1:]
 
     def stacked(tile: List[int]) -> List:
-        module = BatchedModule(models[tile[0]], [resolve_state(members[i].state) for i in tile],
+        module = BatchedModule(models[tile[0]], [members[i].state for i in tile],
                                requires_grad=False).eval()
         return reduce(
             lambda images: module.predict(np.broadcast_to(images, (len(tile),) + images.shape)),

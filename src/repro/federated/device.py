@@ -21,6 +21,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..models.base import ClassificationModel
 from ..models.registry import device_suite_for_family
+from ..nn.layers import dropout_states, load_dropout_states
 from ..partition.base import Partitioner
 from ..partition.iid import IIDPartitioner
 from ..utils.serialization import StateRef, StateStore
@@ -113,7 +114,7 @@ class Device:
         """Package the next local-training step as a backend task.
 
         The task snapshots the current parameters, proximal anchor, and the
-        exact shuffle-RNG state, so executing it (in-process or in a worker)
+        exact shuffle-RNG and Dropout-stream states, so executing it (in-process or in a worker)
         and absorbing the result is equivalent to calling
         :meth:`local_train` directly.  The parameter payloads are published
         once into ``store`` (the backend's content-addressed state store)
@@ -138,6 +139,7 @@ class Device:
             epochs=epochs,
             rng_state=self._rng.bit_generator.state,
             anchor=anchor,
+            dropout_states=dropout_states(self.model),
         )
 
     def absorb_training_result(self, result: LocalTrainResult) -> LocalTrainingReport:
@@ -147,6 +149,7 @@ class Device:
                              f"device {self.device_id}")
         self.model.load_state_dict(result.state)
         self._rng.bit_generator.state = result.rng_state
+        load_dropout_states(self.model, result.dropout_states)
         return result.report
 
     def evaluate_task(self, store: StateStore) -> EvaluateTask:

@@ -16,32 +16,32 @@ delegating to its :class:`~repro.federated.strategy.Strategy`):
 
 ``devices``, ``backend``, ``config``, ``history``, ``heterogeneity``
     attributes shared with the scheduler;
+``strategy``
+    the algorithm: the scheduler calls its ``sample(round_index)`` (the
+    candidate devices of a round or dispatch event),
+    ``on_round_start(round_index)`` / ``on_round_end(record)`` around every
+    round, and ``verbose_line(record, total_rounds)`` in verbose mode;
 ``ensure_backend()``
     start the execution backend with the simulation's worker context;
-``sample_round(round_index) -> List[int]``
-    the sampler's pick of candidate devices for a round (or dispatch event);
+``advance_round_version(round_index)``
+    move the state store (and scratch pool) to a new round;
 ``device_tasks(device_ids, round_index) -> List[task]``
     package the round's device-side work as backend tasks (one per id);
+``run_device_tasks(tasks)`` / ``run_device_tasks_as_completed(tasks)``
+    execute them, in task order or as they complete;
 ``process_result(result, meta) -> float``
     absorb one completed task into its device, hand the upload (plus its
     :class:`UploadMeta`) to the strategy, and return the local loss;
-``aggregate_round(round_index, device_ids, upload_meta)``
+``aggregate_round(round_index, device_ids)``
     the server-side computation over the uploads that made this round;
 ``broadcast(device_ids=None)``
     deliver server payloads (``None`` = every device);
 ``evaluate_round(round_index, active, losses, sim_time, extra_metrics)``
-    evaluate, append and return the :class:`RoundRecord`;
-``verbose_line(record, total_rounds)``
-    the progress line printed in verbose mode.
+    evaluate, append and return the :class:`RoundRecord`.
 
 Which schedulers a strategy runs under is its ``supports_schedulers``
 declaration, checked once when the engine is built
 (:class:`~repro.federated.simulation.Simulation`).
-
-Engines may also expose a ``strategy`` attribute with
-``on_round_start(round_index)`` / ``on_round_end(record)`` lifecycle
-hooks; the base :meth:`RoundScheduler.run_round` template invokes them
-around every round regardless of scheduler kind.
 
 Three schedulers ship:
 
@@ -160,7 +160,7 @@ class RoundScheduler:
         for round_index in range(1, total_rounds + 1):
             record = self.run_round(engine, round_index, state)
             if verbose:
-                print(engine.verbose_line(record, total_rounds))
+                print(engine.strategy.verbose_line(record, total_rounds))
         return engine.history
 
     def initial_state(self, engine) -> SchedulerState:
@@ -200,22 +200,16 @@ class RoundScheduler:
         simulated ordering applied afterwards is backend-independent.
 
         Deferred-absorb schedulers compute results eagerly but deliver them
-        at the upload's simulated arrival.  On the serial backend the worker
-        context shares model objects with the devices, so executing a task
-        trains the device's model in place; each device's *published* state
-        is therefore rolled back to the task's pre-dispatch snapshot until
-        the result is absorbed — matching process-pool semantics, where the
-        dispatching process's models never move.
+        at the upload's simulated arrival.  Tasks train the worker's own
+        replicas on every backend, so a device's model stays at its
+        dispatch-time state until its result is absorbed.
         """
         if not device_ids:
             return {}
         tasks = engine.device_tasks(device_ids, round_index)
-        snapshots = [(task.device_id, task.state) for task in tasks]
         results: Dict[int, object] = {}
         for index, result in engine.run_device_tasks_as_completed(tasks):
             results[device_ids[index]] = result
-        for device_id, state in snapshots:
-            engine.restore_model_state(device_id, state)
         return results
 
     def _absorb(self, engine, uploads: Sequence[PendingUpload],
@@ -264,14 +258,13 @@ class SynchronousScheduler(RoundScheduler):
     def _run_round(self, engine, round_index: int, state: SchedulerState) -> RoundRecord:
         engine.ensure_backend()
         hetero = engine.heterogeneity
-        sampled = engine.sample_round(round_index)
+        sampled = engine.strategy.sample(round_index)
         active = hetero.filter_available(sampled, round_index)
 
         tasks = engine.device_tasks(active, round_index)
         results = engine.run_device_tasks(tasks)
 
         losses: List[float] = []
-        meta: Dict[int, UploadMeta] = {}
         durations: List[float] = []
         for device_id, result in zip(active, results):
             duration = hetero.duration(device_id, round_index)
@@ -279,9 +272,8 @@ class SynchronousScheduler(RoundScheduler):
             upload = UploadMeta(device_id=device_id, dispatch_round=round_index,
                                 arrival_time=state.now + duration)
             losses.append(engine.process_result(result, upload))
-            meta[device_id] = upload
 
-        engine.aggregate_round(round_index, active, meta)
+        engine.aggregate_round(round_index, active)
         engine.broadcast()
         state.now += max(durations) if durations else 1.0
         return engine.evaluate_round(round_index, active, losses, sim_time=state.now)
@@ -305,7 +297,7 @@ class DeadlineScheduler(RoundScheduler):
     def _run_round(self, engine, round_index: int, state: SchedulerState) -> RoundRecord:
         engine.ensure_backend()
         hetero = engine.heterogeneity
-        sampled = engine.sample_round(round_index)
+        sampled = engine.strategy.sample(round_index)
         ready = [device_id for device_id in sampled
                  if device_id not in state.in_flight
                  and hetero.available(device_id, round_index)]
@@ -331,7 +323,7 @@ class DeadlineScheduler(RoundScheduler):
                                     lambda upload: round_index - upload.dispatch_round)
 
         arrived_ids = [upload.device_id for upload in arrived]
-        engine.aggregate_round(round_index, arrived_ids, meta)
+        engine.aggregate_round(round_index, arrived_ids)
         free = [device.device_id for device in engine.devices
                 if device.device_id not in state.in_flight]
         engine.broadcast(free)
@@ -369,7 +361,7 @@ class AsyncBufferedScheduler(RoundScheduler):
                 "fill — lower buffer_size or raise participation_fraction")
         # Same eligibility rules as the refill path: sampler's pick, then
         # the availability trace at event 0.
-        cohort = engine.heterogeneity.filter_available(engine.sample_round(0), 0)
+        cohort = engine.heterogeneity.filter_available(engine.strategy.sample(0), 0)
         self._dispatch(engine, cohort[:state.concurrency], state)
         return state
 
@@ -404,7 +396,7 @@ class AsyncBufferedScheduler(RoundScheduler):
                                     lambda upload: state.version - upload.version)
         aggregated_ids = [upload.device_id for upload in buffer]
 
-        engine.aggregate_round(round_index, aggregated_ids, meta)
+        engine.aggregate_round(round_index, aggregated_ids)
         if meta:
             state.version += 1
         idle = [device.device_id for device in engine.devices
@@ -415,7 +407,7 @@ class AsyncBufferedScheduler(RoundScheduler):
         # eligible this event (so FixedSampler-style participation
         # constraints keep holding after the first aggregation) that are
         # also available per the dropout trace.
-        eligible = set(engine.sample_round(round_index))
+        eligible = set(engine.strategy.sample(round_index))
         candidates = engine.heterogeneity.filter_available(
             [device_id for device_id in idle if device_id in eligible], round_index)
         need = max(0, state.concurrency - len(state.in_flight))

@@ -15,7 +15,7 @@ history — and delegates the algorithm-specific round phases to a pluggable
 3. ``collect``         — ``strategy.process_result`` absorbs each completed
    task and collects any upload (with scheduler-attached staleness
    metadata);
-4. ``aggregate``       — ``strategy.aggregate`` runs the central
+4. ``aggregate``       — ``strategy.server_update`` runs the central
    computation (FedZKT: Algorithm 3; FedAvg: weighted averaging; FedMD /
    standalone: nothing), staleness-aware when uploads arrive late;
 5. ``broadcast``       — ``strategy.broadcast`` delivers per-device
@@ -31,7 +31,8 @@ history — and delegates the algorithm-specific round phases to a pluggable
 historical lockstep loop bit for bit (pinned by the golden-history
 fixtures); ``deadline`` and ``async`` reorder the same phases on a
 simulated clock.  Serial and parallel backends remain bit-identical because
-each task carries exact parameters and RNG state.
+each task carries exact parameters and RNG state, and runs on model
+replicas its worker owns.
 
 Construct ``Simulation(devices, config, test_dataset, strategy)`` directly
 or use the per-algorithm builders (``build_fedzkt``, ``build_fedavg``,
@@ -47,7 +48,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..nn.batched import fusion_signature
 from ..nn.buffers import scratch_pool
-from ..utils.serialization import StateRef, StateStore, state_digest
+from ..utils.serialization import StateStore, state_digest
 from .backend import (
     EvaluateTask,
     ExecutionBackend,
@@ -212,10 +213,6 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # Round phases (driven by the scheduler, delegated to the strategy)
     # ------------------------------------------------------------------ #
-    def sample_round(self, round_index: int) -> List[int]:
-        """The strategy's candidate devices for this round."""
-        return self.strategy.sample(round_index)
-
     def device_tasks(self, device_ids: Sequence[int], round_index: int) -> List:
         """Package the round's device-side work (dispatch phase)."""
         return self.strategy.device_tasks(device_ids, round_index)
@@ -279,17 +276,6 @@ class Simulation:
         for planned_index, result in self.backend.run_tasks_as_completed(plan.tasks):
             yield from plan.scattered(planned_index, result)
 
-    def restore_model_state(self, device_id: int, state: StateRef) -> None:
-        """Reset a device's published parameters to a pre-dispatch snapshot.
-
-        Used by deferred-absorb schedulers after eager in-process execution
-        so a busy device's visible model stays at its dispatch-time state
-        until the upload's simulated arrival.  ``state`` is the dispatch
-        task's :class:`~repro.utils.serialization.StateRef`, materialized
-        through the store without touching the worker miss counters.
-        """
-        self.devices[device_id].model.load_state_dict(self.state_store.get(state))
-
     def advance_round_version(self, round_index: int) -> None:
         """Bump the state store's round version (called by the scheduler at
         the top of every round); entries from rounds before the previous one
@@ -303,10 +289,9 @@ class Simulation:
         """Absorb one completed task (collect phase); returns local loss."""
         return self.strategy.process_result(result, meta)
 
-    def aggregate_round(self, round_index: int, device_ids: Sequence[int],
-                        upload_meta: Dict[int, UploadMeta]) -> None:
+    def aggregate_round(self, round_index: int, device_ids: Sequence[int]) -> None:
         """The strategy's server update over this round's uploads, staleness-aware."""
-        self.strategy.aggregate(round_index, device_ids, upload_meta)
+        self.strategy.server_update(round_index, device_ids)
 
     def broadcast(self, device_ids: Optional[Sequence[int]] = None) -> None:
         """Deliver server payloads (``None`` = all devices)."""
@@ -379,9 +364,6 @@ class Simulation:
         for device, key in zip(self.devices, keys):
             record.device_accuracies[device.device_id] = table[key]
         self._eval_results = table
-
-    def verbose_line(self, record: RoundRecord, total_rounds: int) -> str:
-        return self.strategy.verbose_line(record, total_rounds)
 
     # ------------------------------------------------------------------ #
     def run(self, rounds: Optional[int] = None, verbose: bool = False) -> TrainingHistory:

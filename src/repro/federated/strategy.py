@@ -17,8 +17,7 @@ Hook order for one scheduler round (``S`` = strategy hook, ``E`` = engine)::
       S on_run_start(total_rounds)             E/S sample(round_index)
       loop: run_round(...)  ────────────▶      S device_tasks(ids, round)     (dispatch)
                                                S process_result(result, meta) (collect, per upload)
-                                               S aggregate(round, ids, meta)
-                                                 └─ S server_update(...)      (overridable core)
+                                               S server_update(round, ids)    (aggregate)
                                                S broadcast(ids)
                                                E evaluate_round               (evaluate)
                                                  ├─ S evaluate_global(test)
@@ -151,10 +150,9 @@ class Strategy:
         device = self.simulation.devices[result.device_id]
         return device.absorb_training_result(result).mean_loss
 
-    def aggregate(self, round_index: int, device_ids: Sequence[int],
-                  upload_meta: Dict[int, UploadMeta]) -> None:
-        """The server-side computation over this round's uploads (no-op by
-        default — algorithms without central state skip it)."""
+    def server_update(self, round_index: int, device_ids: Sequence[int]) -> None:
+        """The server-side computation over this round's uploads (aggregate
+        phase; no-op by default — algorithms without central state skip it)."""
 
     def broadcast(self, device_ids: Optional[Sequence[int]] = None) -> None:
         """Deliver server payloads (``None`` = every device; no-op default)."""
@@ -191,9 +189,7 @@ class ParameterServerStrategy(Strategy):
 
     Synchronous rounds collect every upload with staleness 0 and weight
     1.0; the deadline and async schedulers attach staleness-discounted
-    weights to late uploads, which :meth:`upload_weight` reports.  The
-    ``upload_meta`` the scheduler passes to :meth:`aggregate` is what
-    :meth:`collect` recorded, so the server update reads the latter.
+    weights to late uploads, which :meth:`upload_weight` reports.
 
     Parameters
     ----------
@@ -253,10 +249,6 @@ class ParameterServerStrategy(Strategy):
         report = device.absorb_training_result(result)
         self.collect(device.device_id, device.send_parameters(), meta=meta)
         return report.mean_loss
-
-    def aggregate(self, round_index: int, device_ids: Sequence[int],
-                  upload_meta: Dict[int, UploadMeta]) -> None:
-        self.server_update(round_index, device_ids)
 
     def server_update(self, round_index: int, device_ids: Sequence[int]) -> None:
         """The central computation over :attr:`uploads` and their

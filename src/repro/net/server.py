@@ -65,9 +65,9 @@ class DriverChannel:
         the store's ``published_bytes`` accounting."""
         return self._service.put(key, pack_payload(payload), label)
 
-    def fetch(self, key: str, count: bool = True):
-        """Materialize ``key`` driver-side as a live dict/list."""
-        return unpack_payload(self._service.get(key, count=count))
+    def fetch(self, key: str):
+        """Materialize ``key`` as a live dict/list (counted as a fetch)."""
+        return unpack_payload(self._service.get(key))
 
     def drop(self, keys: Sequence[str]) -> None:
         self._service.drop(list(keys))
@@ -163,8 +163,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                                 (remote_traceback, _load_exception(exception_blob)))
             return ("ok",)
         if op == "get":
-            _, key, count = message
-            return ("blob", service.get(key, count=count))
+            return ("blob", service.get(message[1]))
         if op == "context":
             version, blob = service.get_context(message[1])
             return ("context", version, blob)

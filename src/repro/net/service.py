@@ -42,9 +42,8 @@ class RemoteTaskError(RuntimeError):
 class BlobService:
     """The key-to-frame blob table served to workers.
 
-    All methods are safe to call from any thread.  ``count=True`` marks
-    worker-initiated transfers (cache misses) so driver-side reads never
-    pollute the hit/miss statistics.
+    All methods are safe to call from any thread.  Only workers read the
+    table, so every ``get`` is a cache miss and counts as a fetch.
     """
 
     def __init__(self) -> None:
@@ -66,7 +65,7 @@ class BlobService:
             self._blobs[key] = (blob, label)
         return len(blob)
 
-    def get(self, key: str, count: bool = True) -> bytes:
+    def get(self, key: str) -> bytes:
         """The frame bound to ``key``; raises ``KeyError`` if unknown."""
         with self._lock:
             entry = self._blobs.get(key)
@@ -74,13 +73,11 @@ class BlobService:
                 raise KeyError(f"state ref {key!r} is not in the blob table; it was "
                                "never published or was evicted before use")
             blob, label = entry
-            if count:
-                self._fetches += 1
-                self._fetched_bytes += len(blob)
-                bucket = self._by_label.setdefault(
-                    label, {"fetches": 0, "fetched_bytes": 0})
-                bucket["fetches"] += 1
-                bucket["fetched_bytes"] += len(blob)
+            self._fetches += 1
+            self._fetched_bytes += len(blob)
+            bucket = self._by_label.setdefault(label, {"fetches": 0, "fetched_bytes": 0})
+            bucket["fetches"] += 1
+            bucket["fetched_bytes"] += len(blob)
             return blob
 
     def drop(self, keys: Sequence[str]) -> None:

@@ -25,10 +25,10 @@ import sys
 import traceback
 from typing import Optional, Tuple
 
-from ..federated.backend import DEFAULT_WORKER_CACHE_BYTES, WorkerRuntime, _swap_runtime
+from ..federated.backend import DEFAULT_WORKER_CACHE_BYTES, WorkerRuntime
 from .wire import Connection, parse_hostport, unpack_payload
 
-__all__ = ["WorkerChannel", "run_worker", "main"]
+__all__ = ["WorkerChannel", "run_worker", "add_worker_arguments", "run_from_args", "main"]
 
 
 def _unwrap(reply):
@@ -54,8 +54,8 @@ class WorkerChannel:
         self.connection = connection
 
     # ------------------------------------------------------------------ #
-    def fetch(self, key: str, count: bool = True):
-        reply = _unwrap(self.connection.request(("get", key, bool(count))))
+    def fetch(self, key: str):
+        reply = _unwrap(self.connection.request(("get", key)))
         return unpack_payload(reply[1])
 
     def get_context(self, have_version: int) -> Tuple[int, Optional[bytes]]:
@@ -100,7 +100,6 @@ def run_worker(host: str, port: int, *,
     connection.connect(patience=patience)
     channel = WorkerChannel(connection)
     runtime = WorkerRuntime(channel=channel, cache_bytes=cache_bytes)
-    _swap_runtime(runtime)
     if not quiet:
         print(f"[repro-worker {os.getpid()}] connected to {host}:{port}", flush=True)
     completed = 0
@@ -119,12 +118,7 @@ def run_worker(host: str, port: int, *,
             context_version, task_blob = payload
             try:
                 runtime.ensure_context(context_version)
-                task = pickle.loads(task_blob)
-                if runtime.context is None and not getattr(task, "context_free", False):
-                    raise RuntimeError(
-                        "no WorkerContext installed; was the backend started "
-                        "with a context before dispatching device tasks?")
-                blob = pickle.dumps(task.run(runtime.context),
+                blob = pickle.dumps(runtime.run(pickle.loads(task_blob)),
                                     protocol=pickle.HIGHEST_PROTOCOL)
             except (ConnectionError, OSError):
                 raise  # transport failure: let the outer handler deal with it
@@ -141,31 +135,45 @@ def run_worker(host: str, port: int, *,
             print(f"[repro-worker {os.getpid()}] connection lost: {exc}", flush=True)
         return 1
     finally:
-        _swap_runtime(None)
         connection.close()
+
+
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """The worker daemon's options, shared by ``repro worker`` and
+    ``python -m repro.net.worker``."""
+    parser.add_argument("--connect", required=True, metavar="HOST:PORT",
+                        help="driver blob-server address to connect to")
+    parser.add_argument("--cache-bytes", type=int, default=None,
+                        help="byte cap of the worker state cache, which holds the "
+                             "current and the previous round's fetches "
+                             f"(default: {DEFAULT_WORKER_CACHE_BYTES})")
+    parser.add_argument("--patience", type=float, default=30.0,
+                        help="seconds to wait for the driver to start listening")
+    parser.add_argument("--secret", default=None,
+                        help="shared secret for the driver handshake "
+                             "(default: the REPRO_NET_SECRET environment variable)")
+    parser.add_argument("--quiet", action="store_true", help="suppress status lines")
+
+
+def run_from_args(args: argparse.Namespace) -> int:
+    """Run the daemon the parsed :func:`add_worker_arguments` options describe."""
+    try:
+        host, port = parse_hostport(args.connect)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    cache_bytes = DEFAULT_WORKER_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes
+    return run_worker(host, port, cache_bytes=cache_bytes, patience=args.patience,
+                      quiet=args.quiet, secret=args.secret,
+                      max_tasks=getattr(args, "max_tasks", None))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro worker",
         description="Remote worker daemon for the tcp:// execution backend.")
-    parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="driver blob-server address to connect to")
-    parser.add_argument("--cache-bytes", type=int, default=DEFAULT_WORKER_CACHE_BYTES,
-                        help="byte cap of the worker state cache, which holds the "
-                             "current and the previous round's fetches")
-    parser.add_argument("--patience", type=float, default=30.0,
-                        help="seconds to wait for the driver to start listening")
-    parser.add_argument("--secret", default=None,
-                        help="shared secret for the driver handshake "
-                             "(default: the REPRO_NET_SECRET environment variable)")
+    add_worker_arguments(parser)
     parser.add_argument("--max-tasks", type=int, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--quiet", action="store_true", help="suppress status lines")
-    args = parser.parse_args(argv)
-    host, port = parse_hostport(args.connect)
-    return run_worker(host, port, cache_bytes=args.cache_bytes,
-                      patience=args.patience, quiet=args.quiet,
-                      max_tasks=args.max_tasks, secret=args.secret)
+    return run_from_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

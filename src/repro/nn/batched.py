@@ -36,9 +36,9 @@ per slice:
 Any layer without a registered adapter makes the model unfusable and the
 cohort planner falls back to the per-device path.  Layers with per-instance
 RNG state (:class:`~repro.nn.layers.Dropout`) fuse only when the module is
-built with ``members=`` — the live per-device models — so each stacked slice
-draws its masks from its own device's generator, advancing it exactly as the
-serial path would.
+built with ``members=`` — one model instance per slice, holding that
+device's Dropout streams — so each stacked slice draws its masks from its
+own device's generator, advancing it exactly as the serial path would.
 """
 
 from __future__ import annotations

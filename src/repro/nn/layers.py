@@ -9,7 +9,7 @@ server-side generator).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "Dropout",
+    "dropout_states",
+    "load_dropout_states",
     "ReLU",
     "LeakyReLU",
     "Tanh",
@@ -168,6 +170,29 @@ class Dropout(Module):
             return x
         mask = (self._rng.random(x.shape) >= self.p).astype(x.data.dtype) / (1.0 - self.p)
         return x * Tensor(mask)
+
+
+def dropout_states(model: Module) -> List[dict]:
+    """The generator state of each :class:`Dropout` layer of ``model``, in
+    module order.
+
+    A Dropout layer's mask stream lives in the layer object, which no
+    parameter state carries; a task that trains a model ships these states
+    and its result returns them, the way the shuffle generator travels.
+    """
+    return [layer._rng.bit_generator.state for layer in model.modules()
+            if isinstance(layer, Dropout)]
+
+
+def load_dropout_states(model: Module, states: List[dict]) -> None:
+    """Resume each :class:`Dropout` layer of ``model`` at the matching entry
+    of ``states`` (as :func:`dropout_states` lists them)."""
+    layers = [layer for layer in model.modules() if isinstance(layer, Dropout)]
+    if len(layers) != len(states):
+        raise ValueError(f"{type(model).__name__} has {len(layers)} Dropout layers, "
+                         f"got {len(states)} generator states")
+    for layer, state in zip(layers, states):
+        layer._rng.bit_generator.state = state
 
 
 class ReLU(Module):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Union
 
@@ -88,8 +88,9 @@ class StateRef:
     Tasks carry these instead of inline state dicts: ``key`` is the content
     digest (the lookup key in the store / worker caches), ``round_version``
     records the store round that published it (lifecycle bookkeeping, not
-    part of the identity), ``kind`` says what the payload is
-    (``"state"`` → dict, ``"arrays"`` → ordered list), ``nbytes`` is the raw
+    part of the identity), ``kind`` says what the payload resolves to
+    (``"state"`` → dict, ``"arrays"`` → ordered list, ``"array"`` → the one
+    array :meth:`StateStore.put_array` published), ``nbytes`` is the raw
     payload size (used for the bytes-shipped accounting and worker cache
     budgets), and ``label`` tags the payload class (``"teacher"``,
     ``"device"``, ``"batch"``, ...) for per-class transport statistics.
@@ -124,12 +125,8 @@ class StateChannel:
         """
         raise NotImplementedError
 
-    def fetch(self, key: str, count: bool = True):
-        """Return the live payload for ``key``; raise ``KeyError`` if unknown.
-
-        ``count=False`` marks driver-side fetches (e.g. model-state
-        rollbacks) so they do not pollute the worker miss statistics.
-        """
+    def fetch(self, key: str):
+        """Return the live payload for ``key``; raise ``KeyError`` if unknown."""
         raise NotImplementedError
 
     def drop(self, keys: Sequence[str]) -> None:
@@ -163,7 +160,7 @@ class InProcessStateTable(StateChannel):
         self._entries[key] = payload
         return 0
 
-    def fetch(self, key: str, count: bool = True):
+    def fetch(self, key: str):
         try:
             return self._entries[key]
         except KeyError:
@@ -276,11 +273,13 @@ class StateStore:
         nbytes = int(sum(array.nbytes for array in canonical.values()))
         return self._put(key, "arrays", nbytes, label, arrays)
 
-    # ------------------------------------------------------------------ #
-    def get(self, ref: StateRef):
-        """Driver-side materialization of a ref (does not count as a miss)."""
-        return self.channel.fetch(ref.key, count=False)
+    def put_array(self, array: np.ndarray, label: str = "") -> StateRef:
+        """Publish one bare array (a synthetic batch, an upstream gradient, a
+        consensus matrix): it travels as a one-entry array list, under that
+        list's key, and its ref resolves to the array itself."""
+        return replace(self.put_arrays([array], label=label), kind="array")
 
+    # ------------------------------------------------------------------ #
     def discard(self, refs: Union[StateRef, Iterable[StateRef]]) -> None:
         """Drop ephemeral payloads (per-iteration batches) from the channel.
 

@@ -50,6 +50,39 @@ def test_task_dispatch_matches_direct_local_train(tiny_rgb_dataset):
     assert follow_direct.mean_loss == follow_task.mean_loss
 
 
+def test_serial_task_leaves_the_device_model_until_absorbed(tiny_rgb_dataset):
+    """A serial task trains the runtime's own replica: the device's model —
+    its parameter arrays, their values and its Dropout stream — moves only
+    when the result is absorbed, as on a worker process."""
+    from repro.federated import Device, WorkerContext
+    from repro.models import SimpleCNN
+    from repro.nn.layers import dropout_states
+
+    model = SimpleCNN(tiny_rgb_dataset.input_shape, tiny_rgb_dataset.num_classes,
+                      channels=(4, 8), hidden_size=16, dropout=0.25, seed=0)
+    device = Device(device_id=0, model=model, dataset=tiny_rgb_dataset, lr=0.05,
+                    momentum=0.9, batch_size=16, seed=7)
+    backend = SerialBackend()
+    backend.start(WorkerContext(models={0: model}, shards={0: device.dataset},
+                                train_configs={0: device.training_config}))
+    arrays = [param.data for param in model.parameters()]
+    before = model.state_dict()
+    streams = dropout_states(model)
+
+    (result,) = backend.run_tasks([device.local_train_task(1, backend.state_store)])
+    assert all(param.data is array for param, array in zip(model.parameters(), arrays))
+    for key, value in model.state_dict().items():
+        np.testing.assert_array_equal(value, before[key], err_msg=key)
+    assert dropout_states(model) == streams
+    assert all(param.grad is None for param in model.parameters())
+
+    device.absorb_training_result(result)
+    assert any(np.any(model.state_dict()[key] != before[key]) for key in before)
+    for key, value in model.state_dict().items():
+        np.testing.assert_array_equal(value, result.state[key], err_msg=key)
+    assert dropout_states(model) == result.dropout_states != streams
+
+
 def test_make_backend_specs():
     assert isinstance(make_backend(None), SerialBackend)
     assert isinstance(make_backend("serial"), SerialBackend)

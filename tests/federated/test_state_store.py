@@ -33,7 +33,8 @@ from repro.federated import (
     WorkerContext,
     make_backend,
 )
-from repro.federated.backend import LRUStateCache
+from repro.federated.backend import DigestSpec, LocalTrainTask, LRUStateCache, WorkerRuntime
+from repro.federated.cohort import Cohort
 from repro.utils import InProcessStateTable, StateRef, StateStore, state_digest
 
 
@@ -58,10 +59,10 @@ class TestStateStore:
         store = StateStore(InProcessStateTable())
         assert store.put_state(_state(0)).key != store.put_state(_state(1)).key
 
-    def test_get_roundtrips_state(self):
+    def test_published_state_roundtrips(self):
         store = StateStore(InProcessStateTable())
         state = _state(3)
-        restored = store.get(store.put_state(state))
+        restored = store.channel.fetch(store.put_state(state).key)
         for key, value in state.items():
             np.testing.assert_array_equal(restored[key], value)
 
@@ -70,7 +71,7 @@ class TestStateStore:
         arrays = [np.arange(4.0), np.zeros((2, 2)), np.full((1,), -3.5)]
         ref = store.put_arrays(arrays)
         assert ref.kind == "arrays"
-        restored = store.get(ref)
+        restored = store.channel.fetch(ref.key)
         assert len(restored) == 3
         for original, out in zip(arrays, restored):
             np.testing.assert_array_equal(original, out)
@@ -90,12 +91,12 @@ class TestStateStore:
         store.advance_round(2)
         ref_new = store.put_state(_state(1))
         # Round-1 entries survive round 2 (cross-round reuse window) ...
-        assert store.get(ref_old) is not None
+        assert table.fetch(ref_old.key) is not None
         store.advance_round(3)
         # ... but are evicted once they are two rounds old.
         with pytest.raises(KeyError):
             table.fetch(ref_old.key)
-        assert store.get(ref_new) is not None
+        assert table.fetch(ref_new.key) is not None
 
     def test_refresh_on_reput_protects_from_eviction(self):
         table = InProcessStateTable()
@@ -105,7 +106,7 @@ class TestStateStore:
         store.advance_round(2)
         store.put_state(_state(0))  # same content: refresh, no re-publish
         store.advance_round(3)
-        assert store.get(ref) is not None
+        assert table.fetch(ref.key) is not None
         assert store.stats()["publishes"] == 1
 
     def test_discard_drops_ephemerals(self):
@@ -144,7 +145,7 @@ class TestStateStore:
             table.fetch(old_ref.key)
         fresh = store.put_state(_state(1))
         store.advance_round(2)
-        assert store.get(fresh) is not None
+        assert table.fetch(fresh.key) is not None
 
     def test_note_dispatch_and_label_stats(self):
         store = StateStore(InProcessStateTable())
@@ -304,8 +305,6 @@ def test_refetch_after_grace_window_drop_is_clean():
     more rounds ago, i.e. past the one-round grace window), the next round's
     re-put of the same content — same digest, hence the same key — must make
     the re-fetch succeed cleanly rather than KeyError."""
-    from repro.federated.backend import WorkerRuntime
-
     table = InProcessStateTable()
     store = StateStore(table)
     runtime = WorkerRuntime(channel=table, cache_bytes=64)
@@ -334,6 +333,57 @@ def test_refetch_after_grace_window_drop_is_clean():
     restored = runtime.resolve(ref)
     np.testing.assert_array_equal(restored["w"], state["w"])
     assert runtime.cache.misses == 2  # cold fetch + post-eviction re-fetch
+
+
+# --------------------------------------------------------------------------- #
+# WorkerRuntime.run: every ref resolved, on copies
+# --------------------------------------------------------------------------- #
+class _Seen:
+    """A context-free task that returns what it carries, as ``run`` sees it."""
+
+    context_free = True
+
+    def __init__(self, carried) -> None:
+        self.carried = carried
+
+    def run(self, context):
+        return self.carried
+
+
+def test_run_resolves_refs_and_leaves_the_callers_objects_alone():
+    store = StateStore(InProcessStateTable())
+    runtime = WorkerRuntime(table=store.channel)
+    state, anchor, consensus = _state(0), [np.arange(3.0)], np.arange(6.0).reshape(3, 2)
+    digest = DigestSpec(consensus=store.put_array(consensus), epochs=1, lr=0.1,
+                        batch_size=2, seed=0)
+    members = [LocalTrainTask(device_id=index, state=store.put_state(state), epochs=1,
+                              rng_state={}, anchor=store.put_arrays(anchor), digest=digest)
+               for index in range(2)]
+    cohort = Cohort(list(members))
+    task = _Seen(cohort)
+
+    seen = runtime.run(task)
+    for member in seen.members:
+        assert member.state.keys() == state.keys()
+        np.testing.assert_array_equal(member.anchor[0], anchor[0])
+        np.testing.assert_array_equal(member.digest.consensus, consensus)
+    assert task.carried is cohort and cohort.members == members
+    for member in cohort.members:
+        assert isinstance(member.state, StateRef) and isinstance(member.anchor, StateRef)
+        assert member.digest is digest
+    assert isinstance(digest.consensus, StateRef)
+
+
+@pytest.mark.parametrize("spec", ["serial", "process:2"])
+def test_bare_array_ref_resolves_to_the_array(spec):
+    array = np.arange(6.0).reshape(2, 3)
+    with make_backend(spec) as backend:
+        backend.start(None)
+        ref = backend.state_store.put_array(array, label="batch")
+        assert ref.kind == "array"
+        (seen,) = backend.run_tasks([_Seen(ref)])
+    assert isinstance(seen, np.ndarray) and seen.dtype == array.dtype
+    np.testing.assert_array_equal(seen, array)
 
 
 # --------------------------------------------------------------------------- #

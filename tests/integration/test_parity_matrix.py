@@ -329,6 +329,9 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     Row("fedavg", "cnn", scheduler="async", fusion=True),
     Row("fedprox", "cnn", fusion=True),
     Row("fedavg", "dropout", fusion=True),
+    # A Dropout layer's mask stream travels with the task: whichever worker
+    # trains a device, its masks are the serial run's.
+    Row("fedavg", "dropout", backend=P2),
     Row("fedavg", "fc", fusion=True),
     Row("fedprox", "fc", fusion=True),
     # Unfusable architectures fall back per device beside a fused pair.
@@ -342,6 +345,7 @@ ROWS = list(dict.fromkeys([  # in order, once each: the grids below overlap
     *_grid(Row("fedzkt", "cnn", fusion=True), shards=[1, 2], tile=[None, 1, 3]),
     Row("fedzkt", "cnn", shards=4),
     Row("fedzkt", "cnn", fusion=True, shards=2, backend=P2),
+    Row("fedzkt", "dropout", backend=P2),
     # Evaluation dedup: every algorithm x sync/deadline x fusion x backend.
     *[row for algorithm in ("fedavg", "fedmd", "fedzkt")
       for row in _grid(Row(algorithm, "cnn"), scheduler=["sync", "deadline"],

@@ -117,29 +117,37 @@ def test_large_result_state_comes_back_inline(monkeypatch):
         backend.shutdown()
 
 
-def _worker_cache(_):
-    """The worker's state cache, as ``(round_version, {key: stamp})``."""
-    from repro.federated import backend as module
+class _Resolve:
+    """A context-free task whose only work is the ref its worker resolves."""
 
-    cache = module._ACTIVE_RUNTIME.cache
-    return cache.round_version, cache.stamps()
+    context_free = True
+
+    def __init__(self, payload) -> None:
+        self.payload = payload
+
+    def run(self, context):
+        return len(self.payload)
 
 
 def test_worker_cache_holds_two_rounds_of_fetches():
-    """A worker keeps what it fetched in the current and the previous round,
-    however long the run: the driver's liveness rule, on the worker."""
+    """A worker keeps what it fetched in the current and the previous round
+    and drops the rest — the driver's liveness rule, on a real worker, read
+    off the driver's count of blob fetches."""
     backend = make_backend("tcp://:0?workers=1")
     with backend:
-        with _fedzkt(backend) as simulation:
-            simulation.run(rounds=3)
-            version3, stamps3 = backend.map(_worker_cache, [None])[0]
-            for round_index in range(4, 7):
-                simulation.run_round(round_index)
-            version6, stamps6 = backend.map(_worker_cache, [None])[0]
-    assert (version3, version6) == (3, 6)
-    assert stamps3 and min(stamps3.values()) >= 2
-    assert stamps6 and min(stamps6.values()) >= 5
-    assert len(stamps6) <= len(stamps3)
+        backend.start(None)
+        store = backend.state_store
+
+        def fetches_after_resolving(round_index):
+            store.advance_round(round_index)
+            ref = store.put_arrays([np.arange(4.0)])
+            assert backend.run_tasks([_Resolve(ref)]) == [1]
+            return backend.transport_stats()["fetches"]
+
+        assert fetches_after_resolving(1) == 1  # a miss
+        assert fetches_after_resolving(2) == 1  # held through the next round
+        assert fetches_after_resolving(3) == 1  # a hit re-stamps it
+        assert fetches_after_resolving(5) == 2  # two rounds on, dropped
 
 
 # --------------------------------------------------------------------------- #

@@ -35,7 +35,7 @@ def test_replayed_identical_put_keeps_the_key_fetchable():
     service.put("k", blob)
     service.put("k", blob)  # replay, must not raise
 
-    assert service.get("k", count=False) == blob
+    assert service.get("k") == blob
     assert service.stats()["entries"] == 1
 
 
@@ -49,13 +49,13 @@ def test_get_raises_for_unknown_or_dropped_key():
         service.get("k")
 
 
-def test_fetch_counts_only_worker_initiated_transfers():
+def test_every_fetch_counts_its_frame():
+    # Only workers read the blob table: each fetch is a cache miss.
     service = BlobService()
     channel = DriverChannel(service)
     channel.publish("k", _state(), label="device")
-    channel.fetch("k", count=False)
     assert service.stats()["fetches"] == 0
-    channel.fetch("k", count=True)
+    channel.fetch("k")
     stats = service.stats()
     assert stats["fetches"] == 1
     assert stats["by_label"]["device"]["fetched_bytes"] > 0
@@ -104,10 +104,10 @@ def test_removed_payload_ops_are_unknown(worker_channel, message):
     # a key the driver published.
     channel, service = worker_channel
     DriverChannel(service).publish("k", _state(), label="device")
-    frame = service.get("k", count=False)
+    frame = service.get("k")
     reply = channel.connection.request(message)
     assert reply == ("error", "ValueError", f"unknown wire op {message[0]!r}")
-    assert service.get("k", count=False) == frame
+    assert service.get("k") == frame
 
 
 # --------------------------------------------------------------------------- #

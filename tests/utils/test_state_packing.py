@@ -1,7 +1,9 @@
 """What carries a parameter payload across a process boundary, and that it
 is lossless: the backend's one pickle of a task (or result) holding live
 arrays inline, and ``repro.net``'s one ``.npy`` payload frame per key for a
-published payload (``process:N`` and ``tcp://`` alike).  Nothing else encodes a state."""
+published payload (``process:N`` and ``tcp://`` alike), which a worker's
+runtime fetches and puts in the task before it runs.  Nothing else encodes a
+state."""
 
 from __future__ import annotations
 
@@ -12,11 +14,12 @@ import sys
 import numpy as np
 
 from repro.core.server_tasks import DeviceDistillResult, DeviceDistillTask
-from repro.federated.backend import LocalTrainTask, resolve_arrays, resolve_state
+from repro.federated.backend import LocalTrainTask, WorkerRuntime, with_refs_resolved
 from repro.federated.cohort import Cohort
 from repro.models import SimpleCNN
 from repro.net import BlobService, DriverChannel
 from repro.net.wire import pack_payload
+from repro.utils import StateStore
 
 
 def shipped(value):
@@ -28,6 +31,11 @@ def published_channel() -> DriverChannel:
     """The driver's channel over its blob table: a payload published into it
     and fetched back has been through the same tensor codec a worker reads."""
     return DriverChannel(BlobService())
+
+
+def resolved(task, channel):
+    """``task`` as a worker runtime over ``channel`` hands it to ``run``."""
+    return with_refs_resolved(task, WorkerRuntime(channel=channel).resolve)
 
 
 def _rng_state() -> dict:
@@ -53,14 +61,15 @@ def test_state_dict_roundtrip_is_bit_exact():
     state = model.state_dict()
     task = shipped(LocalTrainTask(device_id=0, state=state, epochs=1,
                                   rng_state=_rng_state()))
-    _assert_same_state(resolve_state(task.state), state)
+    _assert_same_state(task.state, state)
     fused = shipped(Cohort([LocalTrainTask(device_id=index, state=state, epochs=1,
                                            rng_state=_rng_state()) for index in range(2)]))
     for member in fused.members:
         _assert_same_state(member.state, state)
-    channel = published_channel()
-    channel.publish("state", state)
-    restored = channel.fetch("state")
+    store = StateStore(published_channel())
+    task = shipped(LocalTrainTask(device_id=0, state=store.put_state(state), epochs=1,
+                                  rng_state=_rng_state()))
+    restored = resolved(task, store.channel).state
     _assert_same_state(restored, state)
     # The round trip is loadable (keys include dots and buffer:: prefixes).
     model.load_state_dict(restored)
@@ -70,17 +79,18 @@ def test_array_list_roundtrip_preserves_order():
     arrays = [np.arange(5.0), np.zeros((2, 3)), np.full((1,), -7.5)]
     task = shipped(LocalTrainTask(device_id=0, state={}, epochs=1,
                                   rng_state=_rng_state(), anchor=arrays))
-    _assert_same_arrays(resolve_arrays(task.anchor), arrays)
-    channel = published_channel()
-    channel.publish("anchor", arrays)
-    _assert_same_arrays(channel.fetch("anchor"), arrays)
+    _assert_same_arrays(task.anchor, arrays)
+    store = StateStore(published_channel())
+    task = shipped(LocalTrainTask(device_id=0, state={}, epochs=1, rng_state=_rng_state(),
+                                  anchor=store.put_arrays(arrays)))
+    _assert_same_arrays(resolved(task, store.channel).anchor, arrays)
 
 
 def test_none_passthrough():
     task = shipped(LocalTrainTask(device_id=0, state={}, epochs=1,
                                   rng_state=_rng_state()))
     assert task.anchor is None and task.digest is None
-    assert resolve_arrays(task.anchor) is None
+    assert resolved(task, published_channel()) is task
 
 
 def test_publish_reports_the_blob_it_stored():
@@ -91,7 +101,6 @@ def test_publish_reports_the_blob_it_stored():
     state = {"w": np.arange(12.0).reshape(3, 4), "buffer::steps": np.array(3)}
     published = channel.publish("k", state, "device")
     assert published == len(pack_payload(state))
-    channel.fetch("k", count=False)
     assert service.stats()["fetched_bytes"] == 0
     channel.fetch("k")
     assert service.stats()["fetched_bytes"] == published
