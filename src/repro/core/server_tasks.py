@@ -105,8 +105,8 @@ def frozen_parameters(models):
     """Clear ``requires_grad`` on every parameter of ``models`` for the block.
 
     For passes that need the gradient at the *inputs* only: the weight
-    gradients are not computed (and no conv holds its im2col columns for
-    them), while every value that flows back to the inputs is unchanged.
+    gradients are not computed (and no conv gathers its im2col columns again
+    for them), while every value that flows back to the inputs is unchanged.
     """
     parameters = [param for model in models for param in model.parameters()]
     previous = [param.requires_grad for param in parameters]

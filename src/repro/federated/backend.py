@@ -270,14 +270,19 @@ class WorkerRuntime:
                 self.cache.put(ref.key, value, ref.nbytes, version)
         return value[0] if ref.kind == "array" else value
 
-    def run(self, task):
-        """Run ``task`` on this worker's context, every ``StateRef`` it
-        carries resolved first (:func:`with_refs_resolved`)."""
+    def prepare(self, task):
+        """``task`` with every ``StateRef`` it carries resolved
+        (:func:`with_refs_resolved`), ready to run on this worker's context.
+        This is all the wire traffic a task causes."""
         if self.context is None and not getattr(task, "context_free", False):
             raise RuntimeError(
                 "no WorkerContext installed; was the backend started "
                 "with a context before dispatching device tasks?")
-        return with_refs_resolved(task, self.resolve).run(self.context)
+        return with_refs_resolved(task, self.resolve)
+
+    def run(self, task):
+        """Run ``task`` on this worker's context, its refs resolved first."""
+        return self.prepare(task).run(self.context)
 
     def ensure_context(self, version: int) -> None:
         """Install the context version the driver stamped on a task batch,

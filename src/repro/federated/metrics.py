@@ -43,12 +43,6 @@ class CommunicationReport:
     def total_downloaded(self) -> int:
         return int(sum(self.downloaded_parameters.values()))
 
-    def uploaded_bytes(self, device_id: int) -> int:
-        return self.uploaded_parameters.get(device_id, 0) * _BYTES_PER_PARAMETER
-
-    def downloaded_bytes(self, device_id: int) -> int:
-        return self.downloaded_parameters.get(device_id, 0) * _BYTES_PER_PARAMETER
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "uploaded_parameters": dict(self.uploaded_parameters),

@@ -253,10 +253,6 @@ class Connection:
             finally:
                 self._sock = None
 
-    @property
-    def is_connected(self) -> bool:
-        return self._sock is not None
-
     # ------------------------------------------------------------------ #
     def request(self, message):
         """Send one request and return its reply, retrying with backoff."""

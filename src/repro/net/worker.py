@@ -116,13 +116,18 @@ def run_worker(host: str, port: int, *,
                 continue
             _, lease_id, payload = reply
             context_version, task_blob = payload
+            task = None
             try:
                 runtime.ensure_context(context_version)
-                blob = pickle.dumps(runtime.run(pickle.loads(task_blob)),
+                task = runtime.prepare(pickle.loads(task_blob))
+                blob = pickle.dumps(task.run(runtime.context),
                                     protocol=pickle.HIGHEST_PROTOCOL)
-            except (ConnectionError, OSError):
-                raise  # transport failure: let the outer handler deal with it
             except Exception as exc:  # noqa: BLE001 — report task failures, keep serving
+                if task is None and isinstance(exc, OSError):
+                    # The context and the task's refs are its only wire
+                    # traffic: the connection failed, let the outer handler
+                    # deal with it.  Once the task runs, an OSError is its own.
+                    raise
                 connection.request(
                     ("task_error", lease_id, traceback.format_exc(), _pickled(exc)))
                 continue

@@ -277,15 +277,18 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
     ``w`` ``lead + (O, C, k, k)``, ``bias`` ``lead + (O,)``.  With
     ``f = C*k*k`` taps and ``l`` output positions:
 
-    * columns are gathered once, tap-major ``lead + (f, N*l)``;
+    * columns are gathered tap-major ``lead + (f, N*l)`` and go back to the
+      arena as soon as the forward product has read them;
     * forward ``columns.T @ w_mat.T`` lands straight in the ``(N, l, O)``-
       contiguous base the output is a view of — the layout this product has
       always had, which downstream reductions (batch-norm statistics)
       iterate in — with the columns read as they lie, unless the product is
       small (``_BLAS_SMALL_PRODUCT``), when a row-major copy of them is the
       left operand;
-    * the weight VJP is ``columns @ grad`` with the gradient staged
-      ``(N*l, O)``, the columns again read as they lie;
+    * the weight VJP gathers the same columns again from ``x.data`` — the
+      same bytes, a closure may read its parents' data — and is ``columns @
+      grad`` with the gradient staged ``(N*l, O)``, the columns again read
+      as they lie;
     * the input VJP is :func:`contract`'s, into :func:`col2im`.
 
     All four dimensions at least 2 and one dtype (the policy's, which the
@@ -306,15 +309,20 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
     pool = scratch_pool()
     w_mat = w.data.reshape(lead + (out_channels, taps))
     parents = (x, w) if bias is None else (x, w, bias)
-    # Fixed at graph construction: the columns below are kept for backward
-    # only if the weight gradient will read them.
-    weight_grad = w.requires_grad
+    weight_grad = w.requires_grad  # the flag the graph was built under
     stack = "b" * len(lead)
     as_gemm = (dtype == w.data.dtype == policy_dtype()
                and (bias is None or bias.data.dtype == dtype)
                and min(samples, out_channels, taps, length) >= 2)
+
+    def gather() -> np.ndarray:
+        if as_gemm:
+            return _unfold(x.data, kernel, stride, padding, pool, tap_major=True)[0]
+        return im2col(x.data.reshape((-1,) + x.data.shape[-3:]), kernel, stride,
+                      padding, pool=pool)[0]
+
+    columns = gather()
     if as_gemm:
-        columns, _, _ = _unfold(x.data, kernel, stride, padding, pool, tap_major=True)
         base_shape = lead + (samples, length, out_channels)
         base = pool.acquire(base_shape, dtype)
         rows = transposed = np.swapaxes(columns, -1, -2)
@@ -330,12 +338,11 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
             base += bias.data.reshape(lead + (1, 1, -1))
         out_data = np.swapaxes(base, -1, -2)
     else:
-        columns, _, _ = im2col(x.data.reshape((-1,) + x.data.shape[-3:]), kernel,
-                               stride, padding, pool=pool)
-        cols = columns.reshape(lead + (samples, taps, length))
-        out_data = np.einsum(f"{stack}of,{stack}nfl->{stack}nol", w_mat, cols, optimize=True)
+        out_data = np.einsum(f"{stack}of,{stack}nfl->{stack}nol", w_mat,
+                             columns.reshape(lead + (samples, taps, length)), optimize=True)
         if bias is not None:
             out_data = out_data + bias.data.reshape(lead + (1, -1, 1))
+    pool.release(columns)
     out_data = out_data.reshape(lead + (samples, out_channels, out_h, out_w))
 
     def factory(out: Tensor) -> Callable[[], None]:
@@ -344,6 +351,7 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(-3, -1)), owned=True)
             if weight_grad:
+                columns = gather()
                 if as_gemm:
                     grad_rows = pool.acquire(lead + (samples * length, out_channels), dtype)
                     np.copyto(grad_rows.reshape(lead + (samples, length, out_channels)),
@@ -351,12 +359,11 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
                     grad_w = np.swapaxes(np.matmul(columns, grad_rows), -1, -2)
                     pool.release(grad_rows)
                 else:
-                    grad_w = np.einsum(f"{stack}nol,{stack}nfl->{stack}of", grad, cols,
+                    grad_w = np.einsum(f"{stack}nol,{stack}nfl->{stack}of", grad,
+                                       columns.reshape(lead + (samples, taps, length)),
                                        optimize=True)
-                w._accumulate(grad_w.reshape(w.data.shape), owned=True)
-                # Backward closures run at most once, so the columns can
-                # rejoin the pool for the next step's forward.
                 pool.release(columns)
+                w._accumulate(grad_w.reshape(w.data.shape), owned=True)
             if x.requires_grad:
                 grad_cols = pool.acquire(lead + (samples, taps, length),
                                          np.result_type(w_mat, grad))
@@ -369,12 +376,7 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
 
         return backward
 
-    out = Tensor._make(out_data, parents, factory, as_gemm)
-    if out._backward is None or not weight_grad:
-        # Only the weight gradient reads the columns again: on the inference
-        # path and under a frozen weight they are free as of now.
-        pool.release(columns)
-    return out
+    return Tensor._make(out_data, parents, factory, as_gemm)
 
 
 def conv2d(
@@ -414,7 +416,9 @@ def depthwise_conv2d(
 
     ``weight`` has shape ``(C, 1, k, k)``.  Used by the MobileNetV2-style
     inverted-residual blocks.  Implemented via grouped im2col where the
-    channel dimension is kept separate.
+    channel dimension is kept separate.  As in :func:`conv2d`, the columns
+    go back to the arena right after the forward contraction, and the weight
+    VJP gathers them again from ``x.data``.
     """
     x, w = as_tensor(inputs), as_tensor(weight)
     batch, channels, height, width = x.data.shape
@@ -422,12 +426,18 @@ def depthwise_conv2d(
     if w_channels != channels or one != 1:
         raise ValueError("depthwise_conv2d expects weight of shape (C, 1, k, k)")
     pool = scratch_pool()
-    columns, out_h, out_w = im2col(x.data, kernel, stride, padding, pool=pool)
-    # columns: (N, C*k*k, L) -> (N, C, k*k, L)
-    cols = columns.reshape(batch, channels, kernel * kernel, -1)
+
+    def gather() -> Tuple[np.ndarray, np.ndarray]:
+        """The pooled columns, and them as (N, C, k*k, L)."""
+        columns = im2col(x.data, kernel, stride, padding, pool=pool)[0]
+        return columns, columns.reshape(batch, channels, kernel * kernel, -1)
+
+    columns, cols = gather()
+    out_h = _out_size(height, kernel, stride, padding)
+    out_w = _out_size(width, kernel, stride, padding)
     w_mat = w.data.reshape(channels, kernel * kernel)
     parents = (x, w) if bias is None else (x, w, bias)
-    weight_grad = w.requires_grad  # as in conv2d: decides who frees the columns
+    weight_grad = w.requires_grad  # the flag the graph was built under
 
     # einsum's "cf,ncfl->ncl" result is a (c, n, l)-contiguous array viewed
     # as (n, c, l); the forward writes into a pooled buffer of that layout
@@ -435,6 +445,7 @@ def depthwise_conv2d(
     base = _forward_buffer((channels, batch, out_h * out_w), cols.dtype)
     view = None if base is None else base.transpose(1, 0, 2)
     out_data = contract("cf,ncfl->ncl", w_mat, cols, out=view)
+    pool.release(columns)
     pooled = out_data is view
     if base is not None and not pooled:
         pool.release(base)
@@ -450,7 +461,9 @@ def depthwise_conv2d(
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2)), owned=True)
             if weight_grad:
+                columns, cols = gather()
                 grad_w = contract("ncl,ncfl->cf", grad, cols)
+                pool.release(columns)
                 w._accumulate(grad_w.reshape(w.data.shape), owned=True)
             if x.requires_grad:
                 # Pure outer product (no contracted index): matmul over a
@@ -465,15 +478,10 @@ def depthwise_conv2d(
                            x.data.shape, kernel, stride, padding),
                     owned=True)
                 pool.release(grad_cols)
-            if weight_grad:
-                pool.release(columns)
 
         return backward
 
-    out = Tensor._make(out_data, parents, factory, pooled)
-    if out._backward is None or not weight_grad:
-        pool.release(columns)
-    return out
+    return Tensor._make(out_data, parents, factory, pooled)
 
 
 def _window_taps(planes: np.ndarray, kernel: int, out_h: int, out_w: int) -> list:

@@ -868,9 +868,9 @@ class Tensor:
     def relu(self) -> "Tensor":
         a = self
 
-        def write_mask(buffer: np.ndarray) -> np.ndarray:
+        def write_mask(buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
             # bool comparison result casts exactly to 0.0 / 1.0
-            np.greater(a.data, 0, out=buffer)
+            np.greater(values, 0, out=buffer)
             return buffer
 
         return _masked_activation(
@@ -883,11 +883,21 @@ class Tensor:
             return np.where(a.data > 0, 1.0,
                             negative_slope).astype(a.data.dtype, copy=False)
 
-        def write_mask(buffer: np.ndarray) -> np.ndarray:
-            # fill + masked overwrite produces the same exact 1.0 / slope
-            # values np.where would
-            buffer.fill(negative_slope)
-            np.copyto(buffer, 1.0, where=a.data > 0)
+        def write_mask(buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
+            # The same exact 1.0 / slope values np.where would give.  A
+            # slope that is not >= 0 gives the negative branch a positive
+            # output (or a NaN one), so only the input tells the branches
+            # apart.
+            if not negative_slope >= 0:
+                values = a.data
+            if 0 < negative_slope <= 1:
+                # max(1, slope) == 1 and max(0, slope) == slope: two plain
+                # passes, where a masked copy costs about seven.
+                np.greater(values, 0, out=buffer)
+                np.maximum(buffer, negative_slope, out=buffer)
+            else:
+                buffer.fill(negative_slope)
+                np.copyto(buffer, 1.0, where=values > 0)
             return buffer
 
         return _masked_activation(a, alloc_mask, write_mask)
@@ -983,37 +993,44 @@ class Tensor:
 
 def _masked_activation(a: "Tensor",
                        alloc_mask: Callable[[], np.ndarray],
-                       write_mask: Callable[[np.ndarray], np.ndarray]) -> "Tensor":
-    """Shared ReLU/leaky-ReLU body: ``a * mask`` with pooled forwards.
+                       write_mask: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "Tensor":
+    """Shared ReLU/leaky-ReLU body: ``a * mask``, one arena block per output.
 
-    Both the mask and the output come from layout-matched pooled buffers
-    when available (``_forward_buffer_like`` guarantees the exact strides
-    the allocating path would produce, so values AND layout are
-    bit-identical).  The output goes back like every pooled forward; the
-    mask — a closure capture, not a graph node — is released by the
-    backward closure itself once the gradient has been accumulated through
-    it, or right after the multiply when nothing records.
+    ``write_mask(buffer, values)`` writes the mask of ``values > 0`` into
+    ``buffer``.  The forward writes it from ``a.data`` into the output's own
+    layout-matched pooled buffer (``_forward_buffer_like`` guarantees the
+    exact strides the allocating path would produce) and multiplies ``a``
+    into it in place: the same IEEE-754 products as ``a * mask``.  The
+    backward rebuilds the mask into scratch from the output, which is exact:
+    ``a > 0`` exactly where ``a * mask > 0`` (a positive ``a`` is multiplied
+    by one; the other branch's product is ``<= 0`` or NaN, and NaN compares
+    false), and the scratch goes back as soon as the gradient has been
+    accumulated through it.  Another dtype (no pooled buffer) keeps the
+    allocating ``a * alloc_mask()`` and its mask in the closure.
     """
-    mask_buffer = _forward_buffer_like(a.data)
-    mask_pooled = mask_buffer is not None
-    mask = write_mask(mask_buffer) if mask_pooled else alloc_mask()
+    buffer = _forward_buffer_like(a.data)
+    if buffer is None:
+        mask = alloc_mask()
+        data = np.multiply(a.data, mask)
+    else:
+        mask = None
+        data = np.multiply(a.data, write_mask(buffer, a.data), out=buffer)
 
     def factory(out: "Tensor") -> Callable[[], None]:
         def backward() -> None:
-            if a.requires_grad:
+            if not a.requires_grad:
+                return
+            if mask is not None:
                 a._accumulate_ufunc(np.multiply, out.grad, mask)
-            if mask_pooled:
-                scratch_pool().release_base(mask)
+                return
+            pool = scratch_pool()
+            rebuilt = write_mask(pool.acquire(out.data.shape, out.data.dtype), out.data)
+            a._accumulate_ufunc(np.multiply, out.grad, rebuilt)
+            pool.release(rebuilt)
 
         return backward
 
-    buffer = _forward_buffer_like(a.data)
-    pooled = buffer is not None
-    data = np.multiply(a.data, mask, out=buffer)
-    out = Tensor._make(data, (a,), factory, pooled)
-    if out._backward is None and mask_pooled:
-        scratch_pool().release_base(mask)
-    return out
+    return Tensor._make(data, (a,), factory, buffer is not None)
 
 
 def _matmul_accumulate(target: "Tensor", left: np.ndarray, right: np.ndarray) -> None:

@@ -205,7 +205,8 @@ class TestFedZKTStrategy:
         harness builds ``zkt_serial``: five heterogeneous devices, ``tiny``
         scale.  Phase 1's large arrays and Phase 2's many small ones are
         served from the same bytes, so the arena holds little more than the
-        most it ever had checked out."""
+        most it ever had checked out.  That most is pinned: the generator
+        step's, with no convolution holding its columns into backward."""
         scale = get_scale("tiny")
         family = dataset_family("mnist")
         config = federated_config_for(scale, family, num_devices=5, seed=0)
@@ -218,6 +219,7 @@ class TestFedZKTStrategy:
             with fresh_pool() as pool:
                 strategy.distiller.server_update(strategy.device_models)
         stats = pool.stats()
+        assert stats["outstanding_high_water"] == 26_902_544
         assert (stats["free_bytes"] + stats["outstanding_bytes"]
                 <= 1.25 * stats["outstanding_high_water"])
 

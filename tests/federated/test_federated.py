@@ -208,7 +208,8 @@ class TestMetrics:
         devices[0].send_parameters()
         report = communication_report(devices)
         assert report.total_uploaded > 0
-        assert report.uploaded_bytes(0) == report.uploaded_parameters[0] * 8
+        assert report.uploaded_parameters[0] == sum(
+            value.size for value in devices[0].model.state_dict().values())
         assert report.total_downloaded == 0
 
     def test_resource_split_summary(self, tiny_rgb_dataset):

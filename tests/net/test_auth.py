@@ -79,7 +79,7 @@ def test_hello_frame_with_wrong_token_raises_auth_error(secured_server):
                             hello={"pid": 1, "token": "wrong"})
     with pytest.raises(AuthError, match="shared secret"):
         connection.connect()
-    assert not connection.is_connected
+    assert connection._sock is None
 
 
 @pytest.mark.parametrize("first", ["pickle", "pickled hello"])

@@ -259,6 +259,22 @@ def test_remote_task_failure_raises_with_worker_traceback():
         backend.shutdown()
 
 
+def test_a_task_raising_an_os_error_reraises_it_and_keeps_its_worker(tmp_path):
+    """Only a task's wire traffic — its context and its refs — can lose the
+    connection; an ``OSError`` the task itself raises is its own error,
+    re-raised as such, and the worker keeps serving.  Taken for a lost
+    connection, it killed the worker and every respawn until the restart
+    budget ran out."""
+    backend = make_backend("tcp://:0?workers=1")
+    with backend:
+        backend.start(None)
+        with pytest.raises(FileNotFoundError) as raised:
+            backend.map(open, [str(tmp_path / "missing")])
+        assert isinstance(raised.value.__cause__, RemoteTaskError)
+        assert backend.worker_restarts == 0
+        assert backend.map(abs, [-4]) == [4]
+
+
 # --------------------------------------------------------------------------- #
 # External workers (the `repro worker --connect` path)
 # --------------------------------------------------------------------------- #

@@ -130,7 +130,7 @@ def test_connection_retries_until_server_listens():
     thread.start()
     connection.connect(patience=5.0)
     try:
-        assert connection.is_connected
+        assert connection._sock is not None
         send_msg(connection._sock, ("ping",))
         assert recv_msg(connection._sock) == ("pong",)
     finally:
