@@ -30,7 +30,7 @@ _BYTES_PER_PARAMETER = 8  # float64 in this substrate; 4 for float32 deployments
 
 @dataclass
 class CommunicationReport:
-    """Total upload/download volume per device (in parameters and bytes)."""
+    """Total upload/download volume per device, counted in parameters."""
 
     uploaded_parameters: Dict[int, int]
     downloaded_parameters: Dict[int, int]

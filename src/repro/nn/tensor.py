@@ -884,20 +884,14 @@ class Tensor:
                             negative_slope).astype(a.data.dtype, copy=False)
 
         def write_mask(buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
-            # The same exact 1.0 / slope values np.where would give.  A
-            # slope that is not >= 0 gives the negative branch a positive
-            # output (or a NaN one), so only the input tells the branches
-            # apart.
+            # fill + masked overwrite produces the same exact 1.0 / slope
+            # values np.where would.  A slope that is not >= 0 gives the
+            # negative branch a positive output (or a NaN one), so only the
+            # input tells the branches apart.
             if not negative_slope >= 0:
                 values = a.data
-            if 0 < negative_slope <= 1:
-                # max(1, slope) == 1 and max(0, slope) == slope: two plain
-                # passes, where a masked copy costs about seven.
-                np.greater(values, 0, out=buffer)
-                np.maximum(buffer, negative_slope, out=buffer)
-            else:
-                buffer.fill(negative_slope)
-                np.copyto(buffer, 1.0, where=values > 0)
+            buffer.fill(negative_slope)
+            np.copyto(buffer, 1.0, where=values > 0)
             return buffer
 
         return _masked_activation(a, alloc_mask, write_mask)

@@ -46,9 +46,8 @@ class TestMaskFromOutput:
         """Every input value against every upstream-gradient value: the
         output and the input gradient are those of ``a * mask`` and ``grad *
         mask`` with the mask taken from the input, as the forward has it.
-        ``slope=None`` is ReLU; a slope in (0, 1] builds the mask as a
-        maximum, any other as a masked copy, and a negative one (whose
-        negative branch comes out positive) reads it from the input."""
+        ``slope=None`` is ReLU; a negative slope (whose negative branch
+        comes out positive) reads the mask from the input."""
         values = np.repeat(SPECIAL, SPECIAL.size)
         grads = np.tile(SPECIAL, SPECIAL.size)
         for start in range(0, values.size, 32):
