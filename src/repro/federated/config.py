@@ -185,7 +185,9 @@ class FederatedConfig:
     local_epochs:
         On-device training epochs per round (T_l); paper: 5 small / 10 CIFAR.
     batch_size:
-        On-device mini-batch size (paper: 256; scaled down here).
+        On-device mini-batch size (paper: 256; scaled down here), and the
+        chunk every accuracy sweep (device and global model) takes the test
+        set in.
     device_lr:
         On-device SGD learning rate (paper: 0.01).
     device_momentum / device_weight_decay:

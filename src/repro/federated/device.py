@@ -49,28 +49,26 @@ class Device:
     dataset:
         Private local data shard; never leaves the device.
     lr, momentum, weight_decay, batch_size:
-        Local SGD hyper-parameters (Algorithm 2).
+        Local SGD hyper-parameters (Algorithm 2).  ``batch_size`` is also
+        the chunk an evaluation sweeps the test set in, so a no-grad sweep
+        never holds more than a training step.
     prox_mu:
         Coefficient of the ℓ2 proximal term of Eq. 9.  When positive, the
         local loss becomes ``CE + prox_mu * ||w - w_received||²`` where
         ``w_received`` are the parameters last received from the server.
-    eval_batch_size:
-        Batch size used when evaluating the on-device model.
     seed:
         Seed for the local data shuffling.
     """
 
     def __init__(self, device_id: int, model: ClassificationModel, dataset: ImageDataset,
                  lr: float = 0.01, momentum: float = 0.0, weight_decay: float = 0.0,
-                 batch_size: int = 32, prox_mu: float = 0.0, eval_batch_size: int = 256,
-                 seed: int = 0) -> None:
+                 batch_size: int = 32, prox_mu: float = 0.0, seed: int = 0) -> None:
         self.device_id = int(device_id)
         self.model = model
         self.dataset = dataset
         self.training_config = DeviceTrainingConfig(
             lr=float(lr), momentum=float(momentum), weight_decay=float(weight_decay),
-            batch_size=int(batch_size), prox_mu=float(prox_mu),
-            eval_batch_size=int(eval_batch_size))
+            batch_size=int(batch_size), prox_mu=float(prox_mu))
         self._rng = np.random.default_rng(seed)
         self._anchor: Optional[List[np.ndarray]] = None
         # Communication accounting (floats exchanged with the server).
@@ -161,7 +159,7 @@ class Device:
         """
         return EvaluateTask(device_id=self.device_id,
                             state=store.put_state(self.model.state_dict(), label="device"),
-                            batch_size=self.training_config.eval_batch_size)
+                            batch_size=self.training_config.batch_size)
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -169,9 +167,9 @@ class Device:
     def evaluate(self, dataset: ImageDataset, batch_size: Optional[int] = None) -> float:
         """Top-1 accuracy of the on-device model on ``dataset``.
 
-        Uses ``training_config.eval_batch_size`` unless overridden.
+        Sweeps in chunks of ``training_config.batch_size`` unless overridden.
         """
-        size = batch_size if batch_size is not None else self.training_config.eval_batch_size
+        size = batch_size if batch_size is not None else self.training_config.batch_size
         return evaluate_accuracy(self.model, dataset, batch_size=size)
 
     def describe(self) -> str:

@@ -64,7 +64,7 @@ from .heterogeneity import HeterogeneityModel
 from .history import RoundRecord, TrainingHistory
 from .sampling import DeviceSampler, UniformSampler
 from .scheduler import RoundScheduler, SchedulerState, UploadMeta, make_scheduler
-from .strategy import GLOBAL_EVAL_BATCH_SIZE, Strategy
+from .strategy import Strategy
 
 __all__ = ["Simulation"]
 
@@ -347,7 +347,7 @@ class Simulation:
             if signature is not None and any(self._signature(device.device_id) == signature
                                              for device in self.devices):
                 table[(signature, state_digest(global_model.state_dict()),
-                       GLOBAL_EVAL_BATCH_SIZE)] = record.global_accuracy
+                       self.config.batch_size)] = record.global_accuracy
         tasks = [device.evaluate_task(self.state_store) for device in self.devices]
         keys = [self._eval_key(task) for task in tasks]
         pending = {}  # eval key -> task

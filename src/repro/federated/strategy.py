@@ -47,10 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .history import RoundRecord
     from .simulation import Simulation
 
-__all__ = ["GLOBAL_EVAL_BATCH_SIZE", "Strategy", "ParameterServerStrategy"]
-
-#: Batch size of the global model's evaluation sweep.
-GLOBAL_EVAL_BATCH_SIZE = 256
+__all__ = ["Strategy", "ParameterServerStrategy"]
 
 
 class Strategy:
@@ -158,11 +155,15 @@ class Strategy:
         """Deliver server payloads (``None`` = every device; no-op default)."""
 
     def evaluate_global(self, dataset: "ImageDataset") -> Optional[float]:
-        """Accuracy of :attr:`global_model`, or ``None`` without one."""
+        """Accuracy of :attr:`global_model`, or ``None`` without one.
+
+        The sweep goes in chunks of the training batch size
+        (``FederatedConfig.batch_size``), as a device's evaluation does.
+        """
         if self.global_model is None:
             return None
         return evaluate_accuracy(self.global_model, dataset,
-                                 batch_size=GLOBAL_EVAL_BATCH_SIZE)
+                                 batch_size=self.simulation.config.batch_size)
 
     def round_metrics(self) -> Dict[str, float]:
         """Algorithm-specific metrics recorded on the round's record."""

@@ -77,11 +77,10 @@ class DeviceTrainingConfig:
     lr, momentum, weight_decay:
         Local SGD hyper-parameters.
     batch_size:
-        Mini-batch size for local training (and the digest phase of FedMD).
+        Mini-batch size for local training (and the digest phase of FedMD),
+        and the chunk an on-device evaluation sweeps the test set in.
     prox_mu:
         Coefficient of the ℓ2 proximal term of Eq. 9 (0 disables it).
-    eval_batch_size:
-        Batch size used for on-device evaluation.
     """
 
     lr: float = 0.01
@@ -89,7 +88,6 @@ class DeviceTrainingConfig:
     weight_decay: float = 0.0
     batch_size: int = 32
     prox_mu: float = 0.0
-    eval_batch_size: int = 256
 
 
 @dataclass

@@ -413,9 +413,9 @@ def _sample_footprint(template: Module, sample_shape: Tuple[int, ...]) -> Tuple[
     Two samples, because a single one sends the convolutions down the
     unit-dimension fallback (sample-major ``im2col`` columns into einsum,
     nothing staged in the arena), and because probing at the caller's batch
-    would hold what the caller is trying not to (80 MiB for a 180-sample
-    batch, where an evaluation forward, which records nothing, holds one
-    layer's arrays at a time).  Every stacked array
+    would hold what the caller is trying not to: a recorded forward of the
+    whole batch, where an evaluation forward, which records nothing, holds
+    one layer's arrays at a time.  Every stacked array
     the arena holds carries the cohort and the sample axis, so ``w``
     members over ``n`` samples hold at most ``w * n`` times the bytes in at
     most as many arrays.  At most: a convolution forward holds the tap-major

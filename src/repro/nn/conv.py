@@ -37,16 +37,22 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _unfold(images: np.ndarray, kernel: int, stride: int, padding: int,
-            pool: Optional[BufferPool], tap_major: bool) -> Tuple[np.ndarray, int, int]:
+            pool: Optional[BufferPool], layout: str) -> Tuple[np.ndarray, int, int]:
     """Gather every kernel window of the zero-padded ``images`` (..., N, C, H,
     W) into columns, plus the output height and width.
 
-    Sample-major ``(..., N, C*k*k, L)`` is :func:`im2col`'s layout.  Tap-major
-    ``(..., C*k*k, N*L)`` is the same pad-then-strided-window gather with the
-    axes permuted, into the layout both convolution GEMMs read as it stands
-    — ``columns.T @ w_mat.T`` forward, ``columns @ grad`` for the weight — so
-    neither stages a transposed copy of the largest array of the step.  With
-    a ``pool`` the columns (and the padded plane, released here) are pooled.
+    One pad-then-strided-window gather, written in one of three layouts:
+
+    * ``"samples"``, ``(..., N, C*k*k, L)``: :func:`im2col`'s;
+    * ``"taps"``, ``(..., C*k*k, N*L)``: the layout both convolution GEMMs
+      read as it stands — ``columns.T @ w_mat.T`` forward, ``columns @ grad``
+      for the weight — so neither stages a transposed copy of the largest
+      array of the step;
+    * ``"rows"``, ``(..., N*L, C*k*k)``: one row per output position, the
+      left operand of a 1-channel convolution's forward product.
+
+    With a ``pool`` the columns (and the padded plane, released here) are
+    pooled.
     """
     height, width = images.shape[-2:]
     out_h = _out_size(height, kernel, stride, padding)
@@ -69,12 +75,16 @@ def _unfold(images: np.ndarray, kernel: int, stride: int, padding: int,
         writeable=False,
     )
     *lead, samples, channels = images.shape[:-2]
-    if tap_major:  # (..., N, C, oh, ow, kh, kw) -> (..., C, kh, kw, N, oh, ow)
+    taps, length = channels * kernel * kernel, out_h * out_w
+    if layout == "taps":  # (..., N, C, oh, ow, kh, kw) -> (..., C, kh, kw, N, oh, ow)
         windows = np.moveaxis(windows, (-5, -2, -1), (-6, -5, -4))
-        shape = (*lead, channels * kernel * kernel, samples * out_h * out_w)
+        shape = (*lead, taps, samples * length)
+    elif layout == "rows":  # -> (..., N, oh, ow, C, kh, kw)
+        windows = np.moveaxis(windows, -5, -3)
+        shape = (*lead, samples * length, taps)
     else:  # -> (..., N, C, kh, kw, oh, ow)
         windows = np.moveaxis(windows, (-2, -1), (-4, -3))
-        shape = (*lead, samples, channels * kernel * kernel, out_h * out_w)
+        shape = (*lead, samples, taps, length)
     columns = (np.empty(shape, images.dtype) if pool is None
                else pool.acquire(shape, images.dtype))
     np.copyto(columns.reshape(windows.shape), windows)
@@ -97,7 +107,7 @@ def im2col(
     way: the pooled path performs the same strided gather into the same
     C-order layout.
     """
-    return _unfold(images, kernel, stride, padding, pool, tap_major=False)
+    return _unfold(images, kernel, stride, padding, pool, "samples")
 
 
 # Image planes fold independently (a column entry only ever lands in its own
@@ -227,13 +237,14 @@ def contract(subscripts: str, a: np.ndarray, b: np.ndarray,
     """``np.einsum(subscripts, a, b, optimize=True)`` through pooled scratch.
 
     What is left for it now that the convolution forward and weight VJP run
-    their own GEMMs over tap-major columns (:func:`_conv2d`): the input VJPs
-    (``of,nol->nfl`` and its stacked twin), the depthwise contractions, and
-    the shapes :func:`_conv2d` does not take — a unit dimension, mixed
-    dtypes.  The contractions in ``_GEMM_PLANS`` run as one ``np.matmul``
-    over their batch letters, staging copies in pooled scratch and the
-    product written straight into a C-contiguous ``out`` (a fresh one when
-    none is given).  That GEMM defines their bits; ``np.einsum`` (in numpy
+    their own GEMMs, or for one output channel their own matrix-vector
+    products (:func:`_conv2d`): the input VJPs (``of,nol->nfl`` and its
+    stacked twin) and the depthwise contractions.  The shapes
+    :func:`_conv2d` keeps on einsum — a unit ``n``, ``f`` or ``l``, mixed
+    dtypes — call einsum themselves.  The contractions in ``_GEMM_PLANS``
+    run as one ``np.matmul`` over their batch letters, staging copies in
+    pooled scratch and the product written straight into a C-contiguous
+    ``out`` (a fresh one when none is given).  That GEMM defines their bits; ``np.einsum`` (in numpy
     2.x itself a reshape to one batched matmul, ``einsumfunc.bmm_einsum``,
     copies included) gives the same ones wherever BLAS sums a product alike
     whichever operand is transposed — past ``_BLAS_SMALL_PRODUCT``, and below
@@ -294,10 +305,20 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
     All four dimensions at least 2 and one dtype (the policy's, which the
     output and so its gradient take): under those conditions the products
     equal, bit for bit, ``np.einsum(..., optimize=True)`` over
-    :func:`im2col`'s sample-major columns.  A unit dimension turns a GEMM
-    into a matrix-vector product whose bits no GEMM reproduces (the
-    generator's 1-channel output layer), and einsum promotes mixed dtypes
-    its own way, so those shapes keep exactly that route.
+    :func:`im2col`'s sample-major columns.
+
+    A single output channel (the generator's output layer) makes both
+    products matrix-vector ones, whose bits no GEMM reproduces; there the
+    route is the two ``np.matmul`` calls einsum itself makes (numpy's
+    ``bmm_einsum`` reads ``of,nfl->nol`` as ``nfl,of`` and drops the unit
+    axis), on operands of the same layout, so the bits are einsum's while
+    nothing leaves the arena: forward ``rows @ w_mat.reshape(f, 1)`` with
+    the rows ``(N*l, f)`` gathered once straight from the windows, and weight
+    VJP ``columns @ grad.reshape(N*l, 1)`` over the tap-major columns.  That
+    holds without a stack axis and with ``N``, ``f`` and ``l`` at least 2.
+    Any other unit dimension changes the product einsum picks, and einsum
+    promotes mixed dtypes its own way, so those shapes keep exactly that
+    route.
     """
     lead = x.data.shape[:-4]
     samples, in_channels = x.data.shape[-4:-2]
@@ -311,18 +332,21 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
     parents = (x, w) if bias is None else (x, w, bias)
     weight_grad = w.requires_grad  # the flag the graph was built under
     stack = "b" * len(lead)
-    as_gemm = (dtype == w.data.dtype == policy_dtype()
-               and (bias is None or bias.data.dtype == dtype)
-               and min(samples, out_channels, taps, length) >= 2)
+    wide = (dtype == w.data.dtype == policy_dtype()
+            and (bias is None or bias.data.dtype == dtype)
+            and min(samples, taps, length) >= 2)
+    as_gemm = wide and out_channels >= 2
+    as_gemv = wide and out_channels == 1 and not lead
 
     def gather() -> np.ndarray:
-        if as_gemm:
-            return _unfold(x.data, kernel, stride, padding, pool, tap_major=True)[0]
+        """The weight VJP's columns (and the GEMM forward's)."""
+        if as_gemm or as_gemv:
+            return _unfold(x.data, kernel, stride, padding, pool, "taps")[0]
         return im2col(x.data.reshape((-1,) + x.data.shape[-3:]), kernel, stride,
                       padding, pool=pool)[0]
 
-    columns = gather()
     if as_gemm:
+        columns = gather()
         base_shape = lead + (samples, length, out_channels)
         base = pool.acquire(base_shape, dtype)
         rows = transposed = np.swapaxes(columns, -1, -2)
@@ -332,17 +356,27 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
         np.matmul(rows, np.swapaxes(w_mat, -1, -2),
                   out=base.reshape(lead + (samples * length, out_channels)))
         pool.release(rows)  # a no-op for the view
-        if bias is not None:
-            # In place, into storage this call owns: the same IEEE-754
-            # additions as the allocating form.
-            base += bias.data.reshape(lead + (1, 1, -1))
+        pool.release(columns)
         out_data = np.swapaxes(base, -1, -2)
+    elif as_gemv:
+        # The output is allocated, as einsum's was: a recorded one in the
+        # arena would be a small block held from forward to backward, and
+        # the holes it shifts cost a server update more arena than it saves.
+        out_data = np.empty((samples, 1, length), dtype)
+        rows = _unfold(x.data, kernel, stride, padding, pool, "rows")[0]
+        np.matmul(rows, w_mat.reshape(taps, 1), out=out_data.reshape(samples * length, 1))
+        pool.release(rows)
     else:
+        columns = gather()
         out_data = np.einsum(f"{stack}of,{stack}nfl->{stack}nol", w_mat,
                              columns.reshape(lead + (samples, taps, length)), optimize=True)
-        if bias is not None:
-            out_data = out_data + bias.data.reshape(lead + (1, -1, 1))
-    pool.release(columns)
+        pool.release(columns)
+    if bias is not None and (as_gemm or as_gemv):
+        # In place, into storage this call owns: the same IEEE-754 additions
+        # as the allocating form.
+        out_data += bias.data.reshape(lead + (1, -1, 1))
+    elif bias is not None:  # einsum's dtype promotion, mixed dtypes included
+        out_data = out_data + bias.data.reshape(lead + (1, -1, 1))
     out_data = out_data.reshape(lead + (samples, out_channels, out_h, out_w))
 
     def factory(out: Tensor) -> Callable[[], None]:
@@ -358,6 +392,8 @@ def _conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int,
                               np.swapaxes(grad, -1, -2))
                     grad_w = np.swapaxes(np.matmul(columns, grad_rows), -1, -2)
                     pool.release(grad_rows)
+                elif as_gemv:
+                    grad_w = np.matmul(columns, grad.reshape(samples, length).reshape(-1, 1))
                 else:
                     grad_w = np.einsum(f"{stack}nol,{stack}nfl->{stack}of", grad,
                                        columns.reshape(lead + (samples, taps, length)),

@@ -43,11 +43,11 @@ class _RenamedCNN(SimpleCNN):
     """A ``SimpleCNN`` under another name: equal state dict, other signature."""
 
 
-def _device(device_id, dataset, model_cls=SimpleCNN, model_seed=0, eval_batch_size=256):
+def _device(device_id, dataset, model_cls=SimpleCNN, model_seed=0, batch_size=32):
     model = model_cls(dataset.input_shape, dataset.num_classes, channels=(4, 8),
                       hidden_size=16, seed=model_seed)
     return Device(device_id=device_id, model=model, dataset=dataset,
-                  eval_batch_size=eval_batch_size, seed=device_id)
+                  batch_size=batch_size, seed=device_id)
 
 
 def _engine(devices, test):
@@ -80,9 +80,12 @@ class TestEvaluationKey:
         assert record.device_accuracies[0] == record.device_accuracies[1]
 
     def test_batch_size_is_part_of_the_key(self, eval_runs):
+        """A device sweeps the test set in chunks of its training batch size,
+        so equal states trained at different batch sizes are two keys."""
         train, test = _data()
-        devices = [_device(0, train, eval_batch_size=16),
-                   _device(1, train, eval_batch_size=32)]
+        devices = [_device(0, train, batch_size=16), _device(1, train, batch_size=32)]
+        tasks = [device.evaluate_task(SerialBackend().state_store) for device in devices]
+        assert [task.batch_size for task in tasks] == [16, 32]
         _engine(devices, test).evaluate_round(0, [], [])
         assert eval_runs["count"] == 2
 

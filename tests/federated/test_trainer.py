@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import shuffled_batches
-from repro.federated import Device, DeviceTrainingConfig, evaluate_accuracy, local_sgd_train
+from repro.federated import (Device, DeviceTrainingConfig, SerialBackend, evaluate_accuracy,
+                             local_sgd_train)
 from repro.federated.device import build_devices
 from repro.federated.trainer import (
     LocalTrainingReport,
@@ -35,20 +36,28 @@ class TestDeviceTrainingConfig:
     def test_device_exposes_training_config(self, tiny_rgb_dataset):
         device = Device(device_id=0, model=_model(tiny_rgb_dataset),
                         dataset=tiny_rgb_dataset, lr=0.03, momentum=0.8,
-                        weight_decay=1e-4, batch_size=24, prox_mu=0.2,
-                        eval_batch_size=48, seed=0)
+                        weight_decay=1e-4, batch_size=24, prox_mu=0.2, seed=0)
         config = device.training_config
         assert config == DeviceTrainingConfig(lr=0.03, momentum=0.8, weight_decay=1e-4,
-                                              batch_size=24, prox_mu=0.2, eval_batch_size=48)
+                                              batch_size=24, prox_mu=0.2)
 
-    def test_evaluate_uses_configured_eval_batch_size(self, tiny_rgb_dataset,
-                                                      tiny_test_dataset):
+    def test_evaluate_sweeps_in_training_batches(self, tiny_rgb_dataset, tiny_test_dataset,
+                                                 monkeypatch):
+        """An evaluation sweeps the test set in chunks of the training batch
+        size, in-process and as a task; a no-grad sweep then never holds more
+        than a training step."""
         device = Device(device_id=0, model=_model(tiny_rgb_dataset),
-                        dataset=tiny_rgb_dataset, eval_batch_size=7, seed=0)
-        # Accuracy is batch-size independent; the configured (odd) batch size
-        # must produce the same result as an explicit large batch.
-        assert device.evaluate(tiny_test_dataset) == device.evaluate(tiny_test_dataset,
-                                                                     batch_size=256)
+                        dataset=tiny_rgb_dataset, batch_size=7, seed=0)
+        chunks = []
+        real = device.model.forward
+        monkeypatch.setattr(device.model, "forward",
+                            lambda images: chunks.append(len(images)) or real(images))
+        accuracy = device.evaluate(tiny_test_dataset)
+        full, rest = divmod(len(tiny_test_dataset), 7)
+        assert chunks == [7] * full + ([rest] if rest else [])
+        assert device.evaluate_task(SerialBackend().state_store).batch_size == 7
+        # Accuracy does not depend on the chunking.
+        assert accuracy == device.evaluate(tiny_test_dataset, batch_size=256)
 
 
 class TestLocalSGDTrain:

@@ -639,10 +639,10 @@ class TestConvGemm:
         return calls
 
     @pytest.mark.parametrize("unit, shape, out_channels, kernel", [
-        ("o", (4, 3, 6, 6), 1, 3),   # the generator's 1-channel output layer
         ("n", (1, 3, 6, 6), 4, 3),   # a batch of one sample
         ("l", (4, 3, 3, 3), 4, 3),   # one output position
         ("f", (4, 1, 6, 6), 4, 1),   # a 1x1 kernel over one channel
+        ("ol", (4, 3, 3, 3), 1, 3),  # one output channel at one position
     ])
     def test_a_unit_dimension_is_left_to_einsum(self, rng, monkeypatch, unit, shape,
                                                 out_channels, kernel):
@@ -658,13 +658,54 @@ class TestConvGemm:
         # Forward and weight VJP; the input VJP too unless its own plan's
         # dimensions (f and l) are both wide.
         assert calls[:2] == ["of,nfl->nol", "nol,nfl->of"], unit
-        assert len(calls) == (3 if unit in "fl" else 2)
+        assert len(calls) == (3 if set(unit) & set("fl") else 2)
         monkeypatch.undo()
         expected = _einsum_conv2d(images, weight, bias, 1, 0, seed)
         np.testing.assert_array_equal(values, expected[0])
         assert layout == expected[0].strides
         for actual, reference in zip((x.grad, w.grad, b.grad), expected[1:]):
             np.testing.assert_array_equal(actual, reference)
+
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_a_single_output_channel_calls_no_einsum(self, monkeypatch, policy, stride,
+                                                     padding):
+        """``O == 1`` (the generator's output layer) runs the two matrix-vector
+        products einsum itself would make, on operands of the same layout:
+        its values, strides and gradients are einsum's bit for bit, from the
+        recorded and the unrecorded forward, without a call to einsum."""
+        rng = np.random.default_rng(31)
+        calls = self._count_einsum(monkeypatch)
+        with using_numeric_policy(policy):
+            dtype = np.dtype(policy)
+            # Small geometries (a unit f is einsum's), and the generator's
+            # output layer at the harness's size.
+            cases = [(batch, in_channels, kernel, 7) for batch, in_channels, kernel
+                     in itertools.product((2, 5), (1, 3, 16), (1, 3))
+                     if in_channels * kernel * kernel >= 2] + [(32, 16, 3, 16)]
+            for case in cases:
+                batch, in_channels, kernel, size = case
+                images = rng.normal(size=(batch, in_channels, size, size)).astype(dtype)
+                weight = rng.normal(size=(1, in_channels, kernel, kernel)).astype(dtype)
+                bias = rng.normal(size=(1,)).astype(dtype)
+                x, w, b = _leaf(images), _leaf(weight), _leaf(bias)
+                out = conv2d(x, w, b, stride=stride, padding=padding)
+                with no_grad():
+                    unrecorded = conv2d(x, w, b, stride=stride, padding=padding)
+                seed = rng.normal(size=out.shape).astype(dtype)
+                values, layout = out.data.copy(), out.data.strides
+                out.backward(seed)
+                assert calls == [], case
+                expected = _einsum_conv2d(images, weight, bias, stride, padding, seed)
+                calls.clear()
+                for actual in (values, unrecorded.data):
+                    np.testing.assert_array_equal(actual, expected[0], err_msg=str(case))
+                    assert actual.dtype == dtype
+                assert layout == unrecorded.data.strides == expected[0].strides, case
+                for actual, reference in zip((x.grad, w.grad, b.grad), expected[1:]):
+                    np.testing.assert_array_equal(actual, reference, err_msg=str(case))
+                    assert actual.dtype == dtype
 
     def test_mixed_dtypes_are_left_to_einsum(self, rng, monkeypatch):
         images = rng.normal(size=(4, 3, 6, 6)).astype(np.float32)

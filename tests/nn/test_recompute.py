@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets.registry import load_dataset
 from repro.experiments.configs import federated_config_for, get_scale
+from repro.federated.trainer import evaluate_accuracy
 from repro.models import build_generator, build_global_model
 from repro.models.registry import small_image_device_suite
 from repro.nn import Tensor
@@ -108,6 +110,20 @@ class TestStepHighWater:
         # CNN, FC, LeNet-S/M/L, GlobalCNN.
         assert high_water == [9_699_336, 327_688, 1_900_544, 2_555_912, 3_538_952,
                               19_398_664]
+
+    def test_a_test_sweep_holds_less_than_a_step(self):
+        """The global model's no-grad accuracy sweep over ``zkt_serial``'s
+        180-sample test set goes in chunks of the training batch size, so it
+        holds less than the same model's training step above."""
+        config = federated_config_for(get_scale("tiny"), "mnist", num_devices=5, seed=0)
+        scale = get_scale("tiny")
+        _, test = load_dataset("mnist", train_size=scale.train_size,
+                               test_size=scale.test_size, image_size=scale.image_size, seed=0)
+        _, global_model, _ = _harness_models()
+        assert (len(test), config.batch_size) == (180, 32)
+        with fresh_pool() as pool:
+            evaluate_accuracy(global_model, test, batch_size=config.batch_size)
+        assert pool.stats()["outstanding_high_water"] == 6_291_456 <= 19_398_664
 
     def test_generator_step(self):
         _, _, generator = _harness_models()
